@@ -146,15 +146,29 @@ class ScriptedBackend:
         )
 
 
+def _read_store(path: Path) -> dict[str, list[dict]]:
+    try:
+        store = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"store {path} is not valid JSON: {exc}") from None
+    if not isinstance(store, dict):
+        raise ConfigError(f"store {path} must hold a JSON object")
+    return store
+
+
 class RecordingBackend:
-    """Wraps a live backend and writes (digest, response) pairs to a store."""
+    """Wraps a live backend and writes (digest, response) pairs to a store.
+
+    Each write goes to a temporary file that then replaces the store, so a
+    crash mid-write leaves the previous store whole.
+    """
 
     def __init__(self, inner, store_path: str | Path):
         self.inner = inner
         self.store_path = Path(store_path)
         self._store: dict[str, list[dict]] = {}
         if self.store_path.exists():
-            self._store = json.loads(self.store_path.read_text(encoding="utf-8"))
+            self._store = _read_store(self.store_path)
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         response = self.inner.complete(request)
@@ -162,9 +176,9 @@ class RecordingBackend:
         self._store.setdefault(digest, []).append(
             {"text": response.text, "label_probs": response.label_probs}
         )
-        self.store_path.write_text(
-            json.dumps(self._store, sort_keys=True, indent=1), encoding="utf-8"
-        )
+        partial = self.store_path.with_name(self.store_path.name + ".partial")
+        partial.write_text(json.dumps(self._store, sort_keys=True, indent=1), encoding="utf-8")
+        os.replace(partial, self.store_path)
         return response
 
 
@@ -175,7 +189,7 @@ class ReplayBackend:
         path = Path(store_path)
         if not path.exists():
             raise ConfigError(f"replay store not found: {path}")
-        self._store = json.loads(path.read_text(encoding="utf-8"))
+        self._store = _read_store(path)
         self._cursors: dict[str, int] = {}
 
     def complete(self, request: ChatRequest) -> ChatResponse:

@@ -6,15 +6,16 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .backends import ScriptedBackend
+from .backends import RecordingBackend, RemoteBackend, ReplayBackend, ScriptedBackend
 from .bench import report_table, run_ablation, write_report
 from .config import (
+    CONFIG_KEYS,
     AblationVariant,
     AgentConfig,
     agent_config_from_dict,
     read_config_file,
 )
-from .episode import make_backends, run_episode, write_result
+from .episode import run_episode, write_result
 from .errors import ClerkError, ConfigError, UsageError
 from .metrics import (
     ai_contribution_ratio,
@@ -26,7 +27,7 @@ from .metrics import (
     time_reduction,
 )
 from .tasks import load_suite, load_task
-from .vision import FixtureVisionBackend
+from .vision import FixtureVisionBackend, RemoteVisionBackend
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -38,14 +39,16 @@ DEFAULT_SUITE = _PKG_DATA / "suite"
 DEFAULT_SCRIPTS = _PKG_DATA / "scripts"
 
 
-def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--script", help="scripted backend: path to a script JSON file")
+def _add_backend_flags(parser: argparse.ArgumentParser, single_task: bool) -> None:
+    if single_task:
+        parser.add_argument("--script", help="scripted backend: path to a script JSON file")
+        parser.add_argument("--record", help="record exchanges into this store file")
     parser.add_argument("--replay", help="replay backend: path to a recorded store")
     parser.add_argument("--remote", action="store_true",
                         help="remote backend from SHOPCLERK_CHAT_URL / _KEY")
-    parser.add_argument("--record", help="record exchanges into this store file")
-    parser.add_argument("--fixtures", default=str(DEFAULT_FIXTURES),
-                        help="vision fixture JSON (default: bundled)")
+    parser.add_argument("--fixtures",
+                        help="vision fixture JSON (default: remote vision with --remote, "
+                             "else the bundled fixtures)")
 
 
 def _add_agent_flags(parser: argparse.ArgumentParser) -> None:
@@ -55,56 +58,56 @@ def _add_agent_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--aci", choices=["on", "off"])
     parser.add_argument("--strategy", choices=["tool", "planner"])
     parser.add_argument("--decision-module", choices=["on", "off"], dest="decision_module")
-    parser.add_argument("--seed", type=int, default=0, help="random seed (reserved for stochastic backends)")
 
 
 def _agent_config(args) -> AgentConfig:
-    base = AgentConfig()
-    if args.config:
-        base = agent_config_from_dict(read_config_file(args.config), base)
-    overrides = {}
-    for key in ("n_candidates", "confidence_floor", "aci", "strategy", "decision_module"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    return agent_config_from_dict(overrides, base)
+    base = agent_config_from_dict(read_config_file(args.config)) if args.config else AgentConfig()
+    flags = {key: getattr(args, key) for key in CONFIG_KEYS if getattr(args, key, None) is not None}
+    return agent_config_from_dict(flags, base)
 
 
-def _backends_for(args):
-    fixtures = args.fixtures if Path(args.fixtures).exists() else None
-    return make_backends(
-        script_path=args.script,
-        replay_path=args.replay,
-        remote=args.remote,
-        record_path=args.record,
-        vision_fixture_path=fixtures,
-    )
+def _episode_backends(args):
+    """The one backend-selection rule of run, chat, bench and ablate.
 
+    Returns (fixtures, factory). fixtures is the vision fixture set tasks are
+    validated against, loaded once (None under remote vision), and
+    factory(task, trial) -> (chat, vision) builds fresh backends per episode.
+    At most one of --script, --replay, --remote is allowed; with none, the
+    suite commands use per-task scripts under --scripts. For vision an
+    explicit --fixtures file wins, else --remote gets RemoteVisionBackend,
+    else the bundled fixtures are used.
+    """
+    script = getattr(args, "script", None)
+    record = getattr(args, "record", None)
+    scripts_dir = getattr(args, "scripts", None)
+    chosen = [flag for flag in (script, args.replay, args.remote) if flag]
+    if len(chosen) > 1 or not (chosen or scripts_dir):
+        raise ConfigError("select exactly one backend: --script, --replay, or --remote")
+    fixtures = None
+    if args.fixtures or not args.remote:
+        fixtures = FixtureVisionBackend.from_file(args.fixtures or DEFAULT_FIXTURES)
 
-def _suite_backend_factory(args, scripts_dir: Path):
-    """Per-episode fresh backends; scripted scripts are looked up by task id."""
-    fixtures = FixtureVisionBackend.from_file(args.fixtures)
+    def chat_for(task):
+        if args.replay:
+            return ReplayBackend(args.replay)
+        if args.remote:
+            return RemoteBackend()
+        return ScriptedBackend.from_file(script or Path(scripts_dir) / f"{task.task_id}.json")
 
     def factory(task, trial):
-        if args.replay:
-            chat, _ = make_backends(replay_path=args.replay)
-        elif args.remote:
-            chat, _ = make_backends(remote=True)
-        else:
-            script = scripts_dir / f"{task.task_id}.json"
-            if not script.exists():
-                raise ConfigError(f"no script for task {task.task_id}: {script}")
-            chat = ScriptedBackend.from_file(script)
-        return chat, fixtures
+        chat = chat_for(task)
+        if record:
+            chat = RecordingBackend(chat, record)
+        return chat, fixtures or RemoteVisionBackend(chat)
 
-    return factory
+    return fixtures, factory
 
 
 def cmd_run(args) -> int:
     config = _agent_config(args)
-    fixtures = FixtureVisionBackend.from_file(args.fixtures)
+    fixtures, factory = _episode_backends(args)
     task = load_task(args.task, vision_fixtures=fixtures)
-    chat, vision = _backends_for(args)
+    chat, vision = factory(task, args.trial)
     result = run_episode(task, config, chat, vision, trial_index=args.trial)
     if args.out:
         write_result(result, args.out)
@@ -127,9 +130,8 @@ def _parse_k_values(raw: str) -> list[int]:
 
 def cmd_bench(args) -> int:
     config = _agent_config(args)
-    fixtures = FixtureVisionBackend.from_file(args.fixtures)
+    fixtures, factory = _episode_backends(args)
     tasks = load_suite(args.suite, vision_fixtures=fixtures)
-    factory = _suite_backend_factory(args, Path(args.scripts))
     k_values = _parse_k_values(args.k)
     variants = [AblationVariant(name="default", agent=config)]
     reports, results = run_ablation(tasks, variants, factory, args.n_trials, k_values,
@@ -142,30 +144,18 @@ def cmd_bench(args) -> int:
     return EXIT_FAILURE if reports[0].failures else EXIT_OK
 
 
-def _default_matrix(base: AgentConfig, vary: str) -> list[AblationVariant]:
-    if vary == "aci":
-        return [
-            AblationVariant("aci-off", agent_config_from_dict({"aci": "off"}, base)),
-            AblationVariant("aci-on", agent_config_from_dict({"aci": "on"}, base)),
-        ]
-    if vary == "decision":
-        return [
-            AblationVariant("decision-off",
-                            agent_config_from_dict({"decision_module": "off"}, base)),
-            AblationVariant("decision-on",
-                            agent_config_from_dict({"decision_module": "on"}, base)),
-        ]
-    if vary == "strategy":
-        return [
-            AblationVariant("tool", agent_config_from_dict({"strategy": "tool"}, base)),
-            AblationVariant("planner", agent_config_from_dict({"strategy": "planner"}, base)),
-        ]
-    raise UsageError(f"unknown ablation axis: {vary!r}")
+# --vary axis -> the ablation matrix it stands for
+VARY_AXES = {
+    "aci": ({"name": "aci-off", "aci": "off"}, {"name": "aci-on", "aci": "on"}),
+    "decision": ({"name": "decision-off", "decision_module": "off"},
+                 {"name": "decision-on", "decision_module": "on"}),
+    "strategy": ({"name": "tool", "strategy": "tool"}, {"name": "planner", "strategy": "planner"}),
+}
 
 
 def cmd_ablate(args) -> int:
     base = _agent_config(args)
-    fixtures = FixtureVisionBackend.from_file(args.fixtures)
+    fixtures, factory = _episode_backends(args)
     tasks = load_suite(args.suite, vision_fixtures=fixtures)
     if args.modality:
         tasks = [t for t in tasks if t.modality == args.modality]
@@ -173,12 +163,13 @@ def cmd_ablate(args) -> int:
             raise UsageError(f"no {args.modality} tasks in suite")
     if args.matrix:
         rows = read_config_file(args.matrix)
-        variants = [AblationVariant.from_dict(row, base) for row in rows]
+        if not isinstance(rows, list):
+            raise ConfigError(f"matrix file {args.matrix} must hold a JSON list of variants")
     elif args.vary:
-        variants = _default_matrix(base, args.vary)
+        rows = VARY_AXES[args.vary]
     else:
         raise UsageError("ablate needs --matrix or --vary")
-    factory = _suite_backend_factory(args, Path(args.scripts))
+    variants = [AblationVariant.from_dict(row, base) for row in rows]
     k_values = _parse_k_values(args.k)
     reports, _ = run_ablation(tasks, variants, factory, args.n_trials, k_values,
                               workers=args.workers)
@@ -235,9 +226,9 @@ def cmd_chat(args) -> int:
     task_path = args.task or str(_PKG_DATA / "demo" / "task.json")
     if not args.script and not args.replay and not args.remote:
         args.script = str(_PKG_DATA / "demo" / "script.json")
-    fixtures = FixtureVisionBackend.from_file(args.fixtures)
+    fixtures, factory = _episode_backends(args)
     task = load_task(task_path, vision_fixtures=fixtures)
-    chat, vision = _backends_for(args)
+    chat, vision = factory(task, 0)
 
     from .episode import AgentSession
 
@@ -304,32 +295,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--task", required=True)
     p_run.add_argument("--trial", type=int, default=0)
     p_run.add_argument("--out", help="directory for result/transcript/trace artifacts")
-    _add_backend_flags(p_run)
+    _add_backend_flags(p_run, single_task=True)
     _add_agent_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
-    p_bench = sub.add_parser("bench", help="run the task suite and print pass^k")
+    # no abbreviations on suite commands: --script would otherwise pass for --scripts
+    p_bench = sub.add_parser("bench", help="run the task suite and print pass^k",
+                             allow_abbrev=False)
     p_bench.add_argument("--suite", default=str(DEFAULT_SUITE))
     p_bench.add_argument("--scripts", default=str(DEFAULT_SCRIPTS))
     p_bench.add_argument("--n-trials", type=int, default=5, dest="n_trials")
     p_bench.add_argument("--k", default="1,2,3,4,5")
     p_bench.add_argument("--workers", type=int, default=1)
     p_bench.add_argument("--out")
-    _add_backend_flags(p_bench)
+    _add_backend_flags(p_bench, single_task=False)
     _add_agent_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
-    p_ablate = sub.add_parser("ablate", help="compare agent configurations over the suite")
+    p_ablate = sub.add_parser("ablate", help="compare agent configurations over the suite",
+                              allow_abbrev=False)
     p_ablate.add_argument("--suite", default=str(DEFAULT_SUITE))
     p_ablate.add_argument("--scripts", default=str(DEFAULT_SCRIPTS))
     p_ablate.add_argument("--matrix", help="JSON list of variant configs")
-    p_ablate.add_argument("--vary", choices=["aci", "decision", "strategy"])
+    p_ablate.add_argument("--vary", choices=list(VARY_AXES))
     p_ablate.add_argument("--modality", choices=["unimodal", "multimodal"])
     p_ablate.add_argument("--n-trials", type=int, default=5, dest="n_trials")
     p_ablate.add_argument("--k", default="1,5")
     p_ablate.add_argument("--workers", type=int, default=1)
     p_ablate.add_argument("--out")
-    _add_backend_flags(p_ablate)
+    _add_backend_flags(p_ablate, single_task=False)
     _add_agent_flags(p_ablate)
     p_ablate.set_defaults(func=cmd_ablate)
 
@@ -345,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chat = sub.add_parser("chat", help="interactive buyer REPL with decision traces")
     p_chat.add_argument("--task", help="world/task file (default: bundled demo)")
-    _add_backend_flags(p_chat)
+    _add_backend_flags(p_chat, single_task=True)
     _add_agent_flags(p_chat)
     p_chat.set_defaults(func=cmd_chat)
 

@@ -1,9 +1,12 @@
 """Run and agent configuration, mergeable from defaults, file, and flags."""
 
 import json
+import math
 from dataclasses import dataclass, replace
+from enum import Enum
 from pathlib import Path
 
+from .decision import MAX_PLANS
 from .errors import ConfigError
 from .placeholders import DEFAULT_MIN_URL_LENGTH
 from .vision import IntegrationStrategy
@@ -35,67 +38,90 @@ class AgentConfig:
     latency_model: LatencyModel | None = None
 
     def to_dict(self) -> dict:
-        row = {
-            "n_candidates": self.n_candidates,
-            "confidence_floor": self.confidence_floor,
-            "aci": "on" if self.abstraction_enabled else "off",
-            "strategy": self.strategy.value,
-            "decision_module": "on" if self.decision_module else "off",
-            "vote_samples": self.vote_samples,
-            "max_plan_rounds": self.max_plan_rounds,
-            "context_budget": self.context_budget,
-            "min_url_length": self.min_url_length,
-        }
-        if self.template_dir:
-            row["template_dir"] = self.template_dir
-        if self.latency_model:
-            row["latency_alpha"] = self.latency_model.alpha
-            row["latency_beta"] = self.latency_model.beta
+        """The config keys set on this config; agent_config_from_dict inverts it."""
+        row = {}
+        for key, (field, sub, _) in CONFIG_KEYS.items():
+            value = getattr(self, field)
+            if sub and value:
+                value = getattr(value, sub)
+            if value is None:
+                continue
+            if isinstance(value, bool):
+                value = "on" if value else "off"
+            row[key] = value.value if isinstance(value, Enum) else value
         return row
 
 
-_ON_OFF = {"on": True, "off": False, True: True, False: False}
+def _number(kind, low: float, high: float = math.inf):
+    """Parser for an int (kind=int) or float key that must lie in [low, high]."""
+    types = int if kind is int else (int, float)
+    bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+    what = f"{'an integer' if kind is int else 'a number'} {bounds}"
+
+    def parse(key: str, value):
+        if isinstance(value, bool) or not isinstance(value, types) or not low <= value <= high:
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
+        return kind(value)
+
+    return parse
+
+
+def _choice(options: dict):
+    """Parser for a key whose value must be one of options' keys."""
+    names = " or ".join(k for k in options if isinstance(k, str))
+
+    def parse(key: str, value):
+        if not isinstance(value, (str, bool)) or value not in options:
+            raise ConfigError(f"{key} must be {names}, got {value!r}")
+        return options[value]
+
+    return parse
+
+
+_on_off = _choice({"on": True, "off": False, True: True, False: False})
+
+
+def _text(key: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+# config key -> (AgentConfig field, LatencyModel field or None, parser)
+CONFIG_KEYS = {
+    "n_candidates": ("n_candidates", None, _number(int, 1, MAX_PLANS)),
+    "confidence_floor": ("confidence_floor", None, _number(float, 0.0, 1.0)),
+    "aci": ("abstraction_enabled", None, _on_off),
+    "strategy": ("strategy", None, _choice({s.value: s for s in IntegrationStrategy})),
+    "decision_module": ("decision_module", None, _on_off),
+    "vote_samples": ("vote_samples", None, _number(int, 1)),
+    "max_plan_rounds": ("max_plan_rounds", None, _number(int, 1)),
+    "context_budget": ("context_budget", None, _number(int, 1)),
+    "min_url_length": ("min_url_length", None, _number(int, 1)),
+    "template_dir": ("template_dir", None, _text),
+    "latency_alpha": ("latency_model", "alpha", _number(float, 0.0)),
+    "latency_beta": ("latency_model", "beta", _number(float, 0.0)),
+}
 
 
 def agent_config_from_dict(row: dict, base: AgentConfig | None = None) -> AgentConfig:
+    """Layer a dict of config keys onto base; unknown keys and bad values raise ConfigError."""
+    if not isinstance(row, dict):
+        raise ConfigError(f"agent config must be a JSON object, got {type(row).__name__}")
     config = base or AgentConfig()
-    updates = {}
-    if "n_candidates" in row:
-        updates["n_candidates"] = int(row["n_candidates"])
-    if "confidence_floor" in row:
-        updates["confidence_floor"] = float(row["confidence_floor"])
-    if "aci" in row:
-        if row["aci"] not in _ON_OFF:
-            raise ConfigError(f"aci must be on or off, got {row['aci']!r}")
-        updates["abstraction_enabled"] = _ON_OFF[row["aci"]]
-    if "strategy" in row:
-        try:
-            updates["strategy"] = IntegrationStrategy(row["strategy"])
-        except ValueError:
-            raise ConfigError(f"strategy must be tool or planner, got {row['strategy']!r}") from None
-    if "decision_module" in row:
-        if row["decision_module"] not in _ON_OFF:
-            raise ConfigError(f"decision_module must be on or off, got {row['decision_module']!r}")
-        updates["decision_module"] = _ON_OFF[row["decision_module"]]
-    if "vote_samples" in row:
-        updates["vote_samples"] = int(row["vote_samples"])
-    if "max_plan_rounds" in row:
-        updates["max_plan_rounds"] = int(row["max_plan_rounds"])
-    if "context_budget" in row:
-        updates["context_budget"] = int(row["context_budget"])
-    if "min_url_length" in row:
-        updates["min_url_length"] = int(row["min_url_length"])
-    if "template_dir" in row:
-        updates["template_dir"] = row["template_dir"]
-    if "latency_alpha" in row or "latency_beta" in row:
-        updates["latency_model"] = LatencyModel(
-            alpha=float(row.get("latency_alpha", 0.0)),
-            beta=float(row.get("latency_beta", 0.0)),
-        )
-    return replace(config, **updates)
+    for key, value in row.items():
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}; known keys: {', '.join(CONFIG_KEYS)}")
+        field, sub, parse = CONFIG_KEYS[key]
+        value = parse(key, value)
+        if sub:
+            # the one nested field: a lone latency key starts from a zero model
+            value = replace(getattr(config, field) or LatencyModel(0.0, 0.0), **{sub: value})
+        config = replace(config, **{field: value})
+    return config
 
 
-def read_config_file(path: str | Path) -> dict:
+def read_config_file(path: str | Path) -> dict | list:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -113,7 +139,8 @@ class AblationVariant:
 
     @classmethod
     def from_dict(cls, row: dict, base: AgentConfig) -> "AblationVariant":
-        name = row.get("name")
+        fields = dict(row) if isinstance(row, dict) else {}
+        name = fields.pop("name", None)
         if not name:
-            raise ConfigError("ablation variant needs a name")
-        return cls(name=name, agent=agent_config_from_dict(row, base))
+            raise ConfigError(f"ablation variant needs a name: {row!r}")
+        return cls(name=name, agent=agent_config_from_dict(fields, base))

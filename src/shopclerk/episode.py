@@ -7,11 +7,10 @@ from dataclasses import dataclass, field
 
 from . import decision as dec
 from .config import AgentConfig
-from .errors import ClerkError, ConfigError
+from .errors import ClerkError
 from .memory import (
     ContentPart,
     Message,
-    PartKind,
     Role,
     WorkingMemory,
     render_context,
@@ -153,14 +152,6 @@ class AgentSession:
 
     def _context(self) -> str:
         return render_context(self.wm, self.config.context_budget)
-
-    def image_refs_in_context(self) -> tuple[str, ...]:
-        refs = []
-        for msg in self.wm.turns:
-            for part in msg.parts:
-                if part.kind is PartKind.IMAGE_REF and part.value not in refs:
-                    refs.append(part.value)
-        return tuple(refs)
 
     # --- the decision cycle ---
 
@@ -325,29 +316,3 @@ def write_result(result: EpisodeResult, directory) -> None:
     )
     write_transcript(result.transcript, directory / f"{stem}.transcript.jsonl")
     result.trace.write_jsonl(directory / f"{stem}.trace.jsonl")
-
-
-def make_backends(script_path=None, replay_path=None, remote=False, record_path=None,
-                  vision_fixture_path=None):
-    """Build (chat, vision) backends from the exactly-one selection rule."""
-    from .backends import RecordingBackend, RemoteBackend, ReplayBackend, ScriptedBackend
-    from .vision import FixtureVisionBackend, RemoteVisionBackend
-
-    chosen = [x for x in (script_path, replay_path, remote or None) if x]
-    if len(chosen) != 1:
-        raise ConfigError("select exactly one backend: --script, --replay, or --remote")
-    if script_path:
-        chat = ScriptedBackend.from_file(script_path)
-    elif replay_path:
-        chat = ReplayBackend(replay_path)
-    else:
-        chat = RemoteBackend()
-    if record_path:
-        chat = RecordingBackend(chat, record_path)
-    if vision_fixture_path:
-        vision = FixtureVisionBackend.from_file(vision_fixture_path)
-    elif remote:
-        vision = RemoteVisionBackend(chat)
-    else:
-        vision = FixtureVisionBackend({})
-    return chat, vision

@@ -57,13 +57,12 @@ def pass_hat_k_counts(n: int, c: int, k: int) -> Fraction:
     return Fraction(comb(c, k), comb(n, k))
 
 
-def pass_hat_k(trials: TrialSet, k: int, enforce_equal_n: bool = True) -> Fraction:
-    """Mean over tasks of C(c,k)/C(n,k), exact rational arithmetic."""
+def pass_hat_k(trials: TrialSet, k: int) -> Fraction:
+    """Mean over tasks of C(c,k)/C(n,k), exact rational arithmetic; tasks need equal n."""
     counts = trials.counts()
     if not counts:
         raise UsageError("no trials recorded")
-    if enforce_equal_n:
-        trials.validate_equal_n()
+    trials.validate_equal_n()
     total = Fraction(0)
     for task_id, (n, c) in counts.items():
         if k > n:

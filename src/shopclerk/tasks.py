@@ -18,7 +18,6 @@ NUMBER_RE = re.compile(r"[-+]?\d+(?:\.\d+)?")
 @dataclass(frozen=True)
 class BuyerTurn:
     utterance: str
-    expected_phase: str | None = None
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,6 @@ class Task:
     buyer_script: tuple[BuyerTurn, ...]
     success: SuccessCriteria
     max_turns: int
-    title: str = ""
 
     def reset(self) -> World:
         """Fresh, independent world instance from the seed literal."""
@@ -94,7 +92,7 @@ def task_from_dict(data: dict, source: str = "<task>", vision_fixtures=None) -> 
     if "world" not in data or not isinstance(data["world"], dict):
         _fail(f"{source}:world", "missing world seed object")
     try:
-        world_from_dict(data["world"])  # validates the seed eagerly
+        seed_world = world_from_dict(data["world"])  # validates the seed eagerly
     except Exception as exc:
         _fail(f"{source}:world", str(exc))
 
@@ -106,7 +104,7 @@ def task_from_dict(data: dict, source: str = "<task>", vision_fixtures=None) -> 
         utterance = row.get("utterance") if isinstance(row, dict) else None
         if not utterance:
             _fail(f"{source}:buyer_script[{i}].utterance", "missing or empty")
-        turns.append(BuyerTurn(utterance=utterance, expected_phase=row.get("expected_phase")))
+        turns.append(BuyerTurn(utterance=utterance))
 
     max_turns = data.get("max_turns")
     if not isinstance(max_turns, int) or max_turns < len(turns):
@@ -131,6 +129,13 @@ def task_from_dict(data: dict, source: str = "<task>", vision_fixtures=None) -> 
             _fail(f"{source}:success.response_facts[{i}].match", "needs substring or number")
     if not assertions and not facts:
         _fail(f"{source}:success", "needs at least one assertion or response fact")
+    if assertions:
+        # actions change values, never keys, so a path missing at seed is missing for good
+        snapshot = seed_world.snapshot()
+        for i, assertion in enumerate(assertions):
+            if _resolve_path(snapshot, assertion.path, _MISSING) is _MISSING:
+                _fail(f"{source}:success.state_assertions[{i}].path",
+                      f"{assertion.path!r} is not in the seed world")
 
     task = Task(
         task_id=task_id,
@@ -139,7 +144,6 @@ def task_from_dict(data: dict, source: str = "<task>", vision_fixtures=None) -> 
         buyer_script=tuple(turns),
         success=SuccessCriteria(state_assertions=assertions, response_facts=tuple(facts)),
         max_turns=max_turns,
-        title=data.get("title", ""),
     )
 
     urls = task.image_urls()
@@ -160,13 +164,16 @@ def load_suite(directory: str | Path, vision_fixtures=None) -> list[Task]:
     return [load_task(f, vision_fixtures) for f in files]
 
 
-def _resolve_path(snapshot: dict, dotted: str):
+_MISSING = object()
+
+
+def _resolve_path(snapshot: dict, dotted: str, default=None):
     node = snapshot
     for key in dotted.split("."):
         if isinstance(node, dict) and key in node:
             node = node[key]
         else:
-            return None
+            return default
     return node
 
 

@@ -31,10 +31,6 @@ class ToolDescriptor:
             "input_schema": self.input_schema,
         }
 
-    @classmethod
-    def from_dict(cls, row: dict) -> "ToolDescriptor":
-        return cls(row["name"], row["description"], row["input_schema"])
-
 
 @dataclass(frozen=True)
 class ToolCall:
@@ -117,9 +113,6 @@ class ActionTrace:
 
     def add(self, kind: str, **payload) -> None:
         self._events.append({"seq": len(self._events), "kind": kind, **payload})
-
-    def count(self, kind: str) -> int:
-        return sum(1 for e in self._events if e["kind"] == kind)
 
     def write_jsonl(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

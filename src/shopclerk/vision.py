@@ -22,14 +22,6 @@ class IntegrationStrategy(str, Enum):
     PLANNER = "planner"
 
 
-def strategy_mode(config: dict | str) -> IntegrationStrategy:
-    value = config.get("strategy", "tool") if isinstance(config, dict) else config
-    try:
-        return IntegrationStrategy(value)
-    except ValueError:
-        raise ConfigError(f"unknown strategy: {value!r}") from None
-
-
 @dataclass(frozen=True)
 class VisualQuery:
     instruction: str
@@ -40,7 +32,6 @@ class VisualQuery:
 class VisualDescription:
     text: str
     backend_id: str
-    latency_ms: float = 0.0
 
 
 @dataclass
@@ -110,7 +101,7 @@ class FixtureVisionBackend:
                 category = rule.category
                 break
         text = asset.annotations.get(category, asset.annotations["default"])
-        return VisualDescription(text=text, backend_id=self.backend_id, latency_ms=0.0)
+        return VisualDescription(text=text, backend_id=self.backend_id)
 
 
 class RemoteVisionBackend:
@@ -135,14 +126,12 @@ class RemoteVisionBackend:
         )
         attempts = self.retries + 1
         last_error: Exception | None = None
-        start = time.monotonic()
         for attempt in range(attempts):
             try:
                 response = self.chat.complete(request)
                 if not response.text:
                     raise BackendError("remote vision backend returned empty description")
-                latency = (time.monotonic() - start) * 1000.0
-                return VisualDescription(response.text, self.backend_id, latency)
+                return VisualDescription(response.text, self.backend_id)
             except Exception as exc:  # retried; re-raised with count below
                 last_error = exc
                 if attempt < attempts - 1:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -174,6 +175,37 @@ def test_replay_same_digest_served_in_recorded_order(tmp_path):
 def test_replay_requires_existing_store(tmp_path):
     with pytest.raises(ConfigError):
         ReplayBackend(tmp_path / "missing.json")
+
+
+def test_corrupt_store_is_config_error(tmp_path):
+    store = tmp_path / "store.json"
+    store.write_text('{"abc": [')
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        ReplayBackend(store)
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        RecordingBackend(ScriptedBackend([]), store)
+
+
+def test_recording_crash_mid_write_keeps_store(tmp_path, monkeypatch):
+    store = tmp_path / "store.json"
+    scripted = ScriptedBackend([
+        ScriptEntry(response=ChatResponse(text=f"reply {i}"), step=i) for i in range(2)
+    ])
+    recorder = RecordingBackend(scripted, store)
+    recorder.complete(req("first"))
+    before = store.read_text()
+    write_text = Path.write_text
+
+    def torn_write(self, text, *args, **kwargs):
+        write_text(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", torn_write)
+    with pytest.raises(OSError):
+        recorder.complete(req("second"))
+    monkeypatch.undo()
+    assert store.read_text() == before
+    assert ReplayBackend(store).complete(req("first")).text == "reply 0"
 
 
 # --- remote client against a fake transport ---

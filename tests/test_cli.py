@@ -1,6 +1,10 @@
 import json
 
-from shopclerk.cli import main
+import pytest
+
+from shopclerk.cli import _episode_backends, build_parser, main
+from shopclerk.tasks import load_task
+from shopclerk.vision import FixtureVisionBackend, RemoteVisionBackend
 
 DAMAGED = "damaged-kettle-refund"
 
@@ -49,6 +53,45 @@ def test_run_two_backends_is_config_error(capsys, suite_dir, scripts_dir, tmp_pa
     )
     assert code == 2
     assert "exactly one backend" in err
+
+
+@pytest.mark.parametrize("flag", ["--record", "--script"])
+def test_bench_rejects_single_task_backend_flags(capsys, flag, tmp_path):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", "--n-trials", "1", "--k", "1", flag, str(tmp_path / "x.json")])
+    assert exit_info.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_run_remote_uses_remote_vision_unless_fixtures_given(suite_dir, data_dir, monkeypatch):
+    monkeypatch.setenv("SHOPCLERK_CHAT_URL", "http://localhost:9")  # never contacted
+    argv = ["run", "--task", str(suite_dir / "kettle-capacity.json"), "--remote"]
+    fixtures, factory = _episode_backends(build_parser().parse_args(argv))
+    _, vision = factory(load_task(argv[2], vision_fixtures=fixtures), 0)
+    assert fixtures is None and isinstance(vision, RemoteVisionBackend)
+    argv += ["--fixtures", str(data_dir / "vision_fixtures.json")]
+    fixtures, factory = _episode_backends(build_parser().parse_args(argv))
+    _, vision = factory(load_task(argv[2], vision_fixtures=fixtures), 0)
+    assert isinstance(vision, FixtureVisionBackend) and vision is fixtures
+
+
+def test_bad_config_value_exits_2(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"vote_samples": 0}))
+    code, _, err = run_cli(capsys, "bench", "--n-trials", "1", "--k", "1", "--config", str(config))
+    assert code == 2
+    assert "vote_samples" in err
+
+
+def test_run_corrupt_replay_store_exits_2(capsys, suite_dir, tmp_path):
+    store = tmp_path / "store.json"
+    store.write_text("{not json")
+    code, _, err = run_cli(
+        capsys, "run", "--task", str(suite_dir / "kettle-capacity.json"), "--replay", str(store),
+    )
+    assert code == 2
+    assert "not valid JSON" in err
 
 
 def test_run_failure_exits_1(capsys, suite_dir, scripts_dir, tmp_path):

@@ -49,6 +49,21 @@ def test_bad_values_raise_config_error():
         agent_config_from_dict({"strategy": "hybrid"})
     with pytest.raises(ConfigError):
         agent_config_from_dict({"decision_module": "sometimes"})
+    for bad in (
+        {"n_candidate": 7},  # unknown key
+        [1, 2],  # not an object
+        {"n_candidates": "abc"},
+        {"n_candidates": 0},
+        {"n_candidates": 27},
+        {"vote_samples": 0},
+        {"max_plan_rounds": 0},
+        {"context_budget": 0},
+        {"min_url_length": 0},
+        {"confidence_floor": -0.1},
+        {"confidence_floor": 1.5},
+    ):
+        with pytest.raises(ConfigError):
+            agent_config_from_dict(bad)
 
 
 def test_read_config_file_errors(tmp_path):

@@ -73,12 +73,10 @@ def test_k_beyond_n_is_usage_error():
         pass_hat_k(trials_for((5, 3)), 6)
 
 
-def test_unequal_trial_counts_enforced_but_optional():
+def test_unequal_trial_counts_rejected():
     trials = trials_for((5, 3), (4, 2))
     with pytest.raises(UsageError):
         pass_hat_k(trials, 2)
-    value = pass_hat_k(trials, 2, enforce_equal_n=False)
-    assert value == (Fraction(3, 10) + Fraction(1, 6)) / 2
 
 
 def test_contribution_ratio_examples():

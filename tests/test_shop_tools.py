@@ -184,5 +184,6 @@ def test_trace_records_every_call(session_bits):
     trace = ActionTrace()
     invoke(registry, "product_info", trace, product_id="P100")
     invoke(registry, "order_update", trace, order_id="O1", action="request_refund")
-    assert trace.count("tool_call") == 2
-    assert trace.count("tool_result") == 2
+    kinds = [e["kind"] for e in trace.events]
+    assert kinds.count("tool_call") == 2
+    assert kinds.count("tool_result") == 2

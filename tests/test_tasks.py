@@ -72,6 +72,15 @@ def test_asset_must_exist_in_fixtures(vision_fixtures):
         task_from_dict(bad, vision_fixtures=vision_fixtures)
 
 
+def test_assertion_path_must_exist_in_seed_world():
+    world = {"orders": {"O1": {"buyer_id": "B", "items": [], "status": "paid", "address": ""}}}
+    assertions = [{"path": "orders.O1.status", "expected": "paid"},
+                  {"path": "orders.O1.statuz", "expected": None}]
+    bad = dict(MINIMAL, world=world, success={"state_assertions": assertions})
+    with pytest.raises(TaskLoadError, match=r"state_assertions\[1\]\.path.*orders\.O1\.statuz"):
+        task_from_dict(bad)
+
+
 def test_success_needs_some_predicate():
     bad = dict(MINIMAL, success={})
     with pytest.raises(TaskLoadError, match="success"):

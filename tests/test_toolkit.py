@@ -41,11 +41,6 @@ def test_register_duplicate_name():
         registry.register(ToolDescriptor("echo", "again", {"properties": {}}), lambda a: "")
 
 
-def test_descriptor_round_trips():
-    desc = ToolDescriptor("echo", "Repeat the given text.", ECHO_SCHEMA)
-    assert ToolDescriptor.from_dict(desc.to_dict()) == desc
-
-
 def test_invoke_happy_path():
     registry = make_registry()
     result = registry.invoke(ToolCall("c1", "echo", {"text": "hi", "times": 2}))

@@ -7,10 +7,8 @@ from shopclerk.vision import (
     CountingVision,
     FixtureVisionBackend,
     ImageAsset,
-    IntegrationStrategy,
     RemoteVisionBackend,
     VisualQuery,
-    strategy_mode,
 )
 
 ASSET_ID = "https://img.shop.example/uploads/kettle-crack-2291.jpg"
@@ -77,15 +75,6 @@ def test_fixture_file_loading(data_dir):
     assert backend.has_asset(ASSET_ID)
     out = backend.describe(VisualQuery("Describe the damage shown in the image", ASSET_ID))
     assert out.text == "cracked base, left side"
-
-
-def test_strategy_mode_round_trip():
-    assert strategy_mode({"strategy": "tool"}) is IntegrationStrategy.TOOL
-    assert strategy_mode({"strategy": "planner"}) is IntegrationStrategy.PLANNER
-    assert strategy_mode({}) is IntegrationStrategy.TOOL
-    assert strategy_mode(IntegrationStrategy.PLANNER.value) is IntegrationStrategy.PLANNER
-    with pytest.raises(ConfigError):
-        strategy_mode({"strategy": "hybrid"})
 
 
 class FlakyChat:
