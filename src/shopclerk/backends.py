@@ -77,7 +77,7 @@ def _response_with_usage(request: ChatRequest, response: ChatResponse) -> ChatRe
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScriptEntry:
     """One canned response, fired by call index or by a substring of the last message."""
 
@@ -94,24 +94,63 @@ def _response_from_dict(row: dict) -> ChatResponse:
     return ChatResponse(text=row.get("text", ""), label_probs=row.get("label_probs"))
 
 
-def load_script(path: str | Path) -> list[ScriptEntry]:
+def parse_once(cache: dict, path, what: str, parse):
+    """parse(path, text) once per file version, (st_mtime_ns, st_size), per process.
+
+    cache maps a path to (version, parsed value); the value is shared by every
+    caller, so parse must return an immutable object. Two threads that miss
+    together both parse and store equal values.
+    """
+    path = os.fspath(path)
     try:
+        st = os.stat(path)
+        hit = cache.get(path)
+        if hit is not None and hit[0] == (st.st_mtime_ns, st.st_size):
+            return hit[1]
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"script file not found: {path}") from None
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"{what} {path} cannot be read: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{what} {path} is not UTF-8 text") from None
+    parsed = parse(path, text)
+    cache[path] = ((st.st_mtime_ns, st.st_size), parsed)
+    return parsed
+
+
+def _parse_script(path: str, text: str) -> tuple[ScriptEntry, ...]:
+    try:
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"script file {path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"script file {path} must hold a JSON object")
+    rows = data.get("entries", [])
+    if not isinstance(rows, list):
+        raise ConfigError(f"script file {path}: entries must be a list")
     entries = []
-    for row in data.get("entries", []):
-        entries.append(
-            ScriptEntry(
-                response=_response_from_dict(row.get("response", {})),
-                step=row.get("step"),
-                contains=row.get("contains"),
-            )
-        )
-    return entries
+    for i, row in enumerate(rows):
+        response = row.get("response", {}) if isinstance(row, dict) else None
+        if not isinstance(response, dict):
+            raise ConfigError(f"script file {path}: entry {i} and its response must be objects")
+        if not isinstance(response.get("text", ""), str):
+            raise ConfigError(f"script file {path}: entry {i} response text must be a string")
+        if not isinstance(response.get("label_probs", {}), (dict, type(None))):
+            raise ConfigError(f"script file {path}: entry {i} label_probs must be an object")
+        try:
+            entries.append(ScriptEntry(response=_response_from_dict(response),
+                                       step=row.get("step"), contains=row.get("contains")))
+        except (ConfigError, UsageError) as exc:
+            raise ConfigError(f"script file {path}: entry {i}: {exc}") from None
+    return tuple(entries)
+
+
+_SCRIPTS: dict[str, tuple[tuple[int, int], tuple[ScriptEntry, ...]]] = {}
+
+
+def load_script(path: str | Path) -> tuple[ScriptEntry, ...]:
+    """The entries of a script file, parsed once per file version."""
+    return parse_once(_SCRIPTS, path, "script file", _parse_script)
 
 
 class ScriptedBackend:
@@ -122,9 +161,9 @@ class ScriptedBackend:
     needle occurs in the last message fires. Substring entries are reusable.
     """
 
-    def __init__(self, entries: list[ScriptEntry]):
-        self.entries = list(entries)
-        self.calls = 0
+    def __init__(self, entries: tuple[ScriptEntry, ...] | list[ScriptEntry]):
+        self.entries = tuple(entries)
+        self.calls = 0  # this backend's own cursor; entries may be shared
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedBackend":

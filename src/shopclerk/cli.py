@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -92,7 +93,7 @@ def _episode_backends(args):
             return ReplayBackend(args.replay)
         if args.remote:
             return RemoteBackend()
-        return ScriptedBackend.from_file(script or Path(scripts_dir) / f"{task.task_id}.json")
+        return ScriptedBackend.from_file(script or os.path.join(scripts_dir, f"{task.task_id}.json"))
 
     def factory(task, trial):
         chat = chat_for(task)

@@ -1,20 +1,27 @@
 """Plan proposal, single-token scoring, and deterministic selection."""
 
 import json
+import os
 import re
 import string
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .backends import ChatMessage, ChatRequest
-from .errors import EvaluationError, ProposalError, UsageError
+from .backends import ChatMessage, ChatRequest, parse_once
+from .errors import ConfigError, EvaluationError, ProposalError, UsageError
 
 LABELS = string.ascii_uppercase
 MAX_PLANS = len(LABELS)
 FENCED_JSON_RE = re.compile(r"```(?:json)?\s*\n(.*?)```", re.DOTALL)
 
 _TEMPLATE_DIR = Path(__file__).parent / "templates"
+# the placeholders each template must use, and the only ones it may use
+TEMPLATE_FIELDS = {
+    "propose.txt": frozenset({"context", "tool_catalog", "n_candidates"}),
+    "evaluate.txt": frozenset({"context", "plan_list"}),
+}
+_TEMPLATES: dict[str, tuple[tuple[int, int], string.Template]] = {}
 
 
 class PlanKind(str, Enum):
@@ -66,9 +73,28 @@ class Decision:
     rejected_reason: str | None = None
 
 
+def _parse_template(path: str, text: str) -> string.Template:
+    template = string.Template(text)
+    found = set()
+    for match in template.pattern.finditer(text):
+        if match.group("invalid") is not None:
+            line = text.count("\n", 0, match.start()) + 1
+            raise ConfigError(f"template file {path} has a malformed placeholder on line {line}")
+        name = match.group("named") or match.group("braced")  # None for an escaped $$
+        if name:
+            found.add(name)
+    fields = TEMPLATE_FIELDS.get(os.path.basename(path), found)
+    problems = [f"missing ${n}" for n in sorted(fields - found)]
+    problems += [f"unknown ${n}" for n in sorted(found - fields)]
+    if problems:
+        raise ConfigError(f"template file {path}: {', '.join(problems)}")
+    return template
+
+
 def load_template(name: str, template_dir: str | Path | None = None) -> string.Template:
-    base = Path(template_dir) if template_dir else _TEMPLATE_DIR
-    return string.Template((base / name).read_text(encoding="utf-8"))
+    """A prompt template, read and checked once per file version."""
+    path = os.path.join(template_dir or _TEMPLATE_DIR, name)
+    return parse_once(_TEMPLATES, path, "template file", _parse_template)
 
 
 def _parse_plan(row: dict, plan_id: int) -> CandidatePlan | None:

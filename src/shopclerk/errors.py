@@ -26,7 +26,7 @@ class TaskLoadError(SchemaError):
 
 
 class RegistrationError(ClerkError):
-    """Duplicate tool name in a registry."""
+    """Duplicate tool name, or a tool registered after the catalog rendered."""
 
 
 class ProposalError(ClerkError):

@@ -18,8 +18,108 @@ def _dump(payload) -> str:
     return json.dumps(payload, sort_keys=True, ensure_ascii=False)
 
 
-def _schema(properties: dict, required: list[str]) -> dict:
-    return {"type": "object", "properties": properties, "required": required}
+def _tool(name: str, description: str, properties: dict, required: list[str]) -> ToolDescriptor:
+    schema = {"type": "object", "properties": properties, "required": required}
+    return ToolDescriptor(name, description, schema)
+
+
+_STRING = {"type": "string"}
+_NAMESPACE = {"type": "string", "enum": [ns.value for ns in Namespace]}
+
+# Every session's tools, in catalog order. Built once and never mutated, so
+# all sessions (and --workers threads) share these descriptors.
+TOOLS = (
+    _tool("product_info", "Look up one product's title, attributes, price, and stock.",
+          {"product_id": _STRING}, ["product_id"]),
+    _tool("order_lookup", "Look up an order's items, status, and shipping address.",
+          {"order_id": _STRING}, ["order_id"]),
+    _tool("order_update", "Apply an order action: cancel, request_refund, or approve_refund.",
+          {"order_id": _STRING, "action": {"type": "string", "enum": sorted(ORDER_ACTIONS)}},
+          ["order_id", "action"]),
+    _tool("logistics_track", "List an order's shipment events in tick order.",
+          {"order_id": _STRING}, ["order_id"]),
+    _tool("multimodal_describe",
+          "Describe what an image or video placeholder shows, guided by an instruction.",
+          {"placeholder": _STRING, "instruction": _STRING}, ["placeholder"]),
+    _tool("memory_get", "Fetch one knowledge document by namespace and key.",
+          {"namespace": _NAMESPACE, "key": _STRING}, ["namespace", "key"]),
+    _tool("memory_search", "Rank knowledge documents in a namespace by query-token overlap.",
+          {"namespace": _NAMESPACE, "query": _STRING, "limit": {"type": "integer"}},
+          ["namespace", "query"]),
+    _tool("memory_put", "Store a knowledge document; the body is a JSON-encoded string.",
+          {"namespace": _NAMESPACE, "key": _STRING, "body_json": _STRING},
+          ["namespace", "key", "body_json"]),
+    _tool("status_note", "Record an internal status note; has no effect on the world.",
+          {"note": _STRING}, []),
+)
+
+# describe() is a tool only when the planner is text-only
+TOOLS_BY_STRATEGY = {
+    strategy: tuple(t for t in TOOLS if strategy is IntegrationStrategy.TOOL
+                    or t.name != "multimodal_describe")
+    for strategy in IntegrationStrategy
+}
+
+
+class _Handlers:
+    """One session's tool handlers: one method per tool name."""
+
+    def __init__(self, world: World, store: LongTermStore,
+                 table: placeholders.PlaceholderTable, vision):
+        self.world = world
+        self.store = store
+        self.table = table
+        self.vision = vision
+
+    def product_info(self, args: dict) -> str:
+        product = self.world.products.get(args["product_id"])
+        if product is None:
+            return_error(f"not_found: product {args['product_id']}")
+        return _dump(product.to_doc())
+
+    def order_lookup(self, args: dict) -> str:
+        order = self.world.orders.get(args["order_id"])
+        if order is None:
+            return_error(f"not_found: order {args['order_id']}")
+        return _dump(order.to_doc())
+
+    def order_update(self, args: dict) -> str:
+        world = self.world
+        event = world.apply_order_action(args["order_id"], args["action"])
+        self.store.put(Namespace.ORDER, args["order_id"], world.orders[args["order_id"]].to_doc(),
+                       tick=world.clock)
+        return _dump({"ok": True, "order_id": args["order_id"], "status": event["to"]})
+
+    def logistics_track(self, args: dict) -> str:
+        order_id = args["order_id"]
+        if order_id not in self.world.orders:
+            return_error(f"not_found: order {order_id}")
+        events = [e.to_doc() for e in self.world.shipments.get(order_id, [])]
+        return _dump({"order_id": order_id, "events": events})
+
+    def multimodal_describe(self, args: dict) -> str:
+        return placeholders.resolve(
+            args["placeholder"], self.table, self.vision, self.store, args.get("instruction")
+        )
+
+    def memory_get(self, args: dict) -> str:
+        doc = self.store.get(args["namespace"], args["key"])
+        if doc is None:
+            return _dump({"found": False, "key": args["key"]})
+        return _dump({"found": True, "key": doc.key, "body": doc.body})
+
+    def memory_search(self, args: dict) -> str:
+        docs = self.store.search(args["namespace"], args["query"], args.get("limit", 3))
+        return _dump([{"key": d.key, "body": d.body} for d in docs])
+
+    def memory_put(self, args: dict) -> str:
+        body = json.loads(args["body_json"])
+        self.store.put(args["namespace"], args["key"], body, tick=self.world.clock)
+        return _dump({"ok": True, "key": args["key"]})
+
+    def status_note(self, args: dict) -> str:
+        # intentional no-op hook for internal bookkeeping actions
+        return _dump({"ok": True, "note": args.get("note", "")})
 
 
 def build_registry(
@@ -29,159 +129,11 @@ def build_registry(
     vision,
     strategy: IntegrationStrategy = IntegrationStrategy.TOOL,
 ) -> ToolRegistry:
-    """Register the domain tools plus internal memory actions for one session."""
+    """Bind one session's handlers to the strategy's tools and memory actions."""
+    handlers = _Handlers(world, store, table, vision)
     registry = ToolRegistry()
-
-    def product_info(args: dict) -> str:
-        product = world.products.get(args["product_id"])
-        if product is None:
-            return_error(f"not_found: product {args['product_id']}")
-        return _dump(product.to_doc())
-
-    def order_lookup(args: dict) -> str:
-        order = world.orders.get(args["order_id"])
-        if order is None:
-            return_error(f"not_found: order {args['order_id']}")
-        return _dump(order.to_doc())
-
-    def order_update(args: dict) -> str:
-        event = world.apply_order_action(args["order_id"], args["action"])
-        store.put(Namespace.ORDER, args["order_id"], world.orders[args["order_id"]].to_doc(),
-                  tick=world.clock)
-        return _dump({"ok": True, "order_id": args["order_id"], "status": event["to"]})
-
-    def logistics_track(args: dict) -> str:
-        order_id = args["order_id"]
-        if order_id not in world.orders:
-            return_error(f"not_found: order {order_id}")
-        events = [e.to_doc() for e in world.shipments.get(order_id, [])]
-        return _dump({"order_id": order_id, "events": events})
-
-    def multimodal_describe(args: dict) -> str:
-        return placeholders.resolve(
-            args["placeholder"], table, vision, store, args.get("instruction")
-        )
-
-    def memory_get(args: dict) -> str:
-        doc = store.get(args["namespace"], args["key"])
-        if doc is None:
-            return _dump({"found": False, "key": args["key"]})
-        return _dump({"found": True, "key": doc.key, "body": doc.body})
-
-    def memory_search(args: dict) -> str:
-        docs = store.search(args["namespace"], args["query"], args.get("limit", 3))
-        return _dump([{"key": d.key, "body": d.body} for d in docs])
-
-    def memory_put(args: dict) -> str:
-        body = json.loads(args["body_json"])
-        store.put(args["namespace"], args["key"], body, tick=world.clock)
-        return _dump({"ok": True, "key": args["key"]})
-
-    def status_note(args: dict) -> str:
-        # intentional no-op hook for internal bookkeeping actions
-        return _dump({"ok": True, "note": args.get("note", "")})
-
-    namespace_enum = {"type": "string", "enum": [ns.value for ns in Namespace]}
-
-    registry.register(
-        ToolDescriptor(
-            "product_info",
-            "Look up one product's title, attributes, price, and stock.",
-            _schema({"product_id": {"type": "string"}}, ["product_id"]),
-        ),
-        product_info,
-    )
-    registry.register(
-        ToolDescriptor(
-            "order_lookup",
-            "Look up an order's items, status, and shipping address.",
-            _schema({"order_id": {"type": "string"}}, ["order_id"]),
-        ),
-        order_lookup,
-    )
-    registry.register(
-        ToolDescriptor(
-            "order_update",
-            "Apply an order action: cancel, request_refund, or approve_refund.",
-            _schema(
-                {
-                    "order_id": {"type": "string"},
-                    "action": {"type": "string", "enum": sorted(ORDER_ACTIONS)},
-                },
-                ["order_id", "action"],
-            ),
-        ),
-        order_update,
-    )
-    registry.register(
-        ToolDescriptor(
-            "logistics_track",
-            "List an order's shipment events in tick order.",
-            _schema({"order_id": {"type": "string"}}, ["order_id"]),
-        ),
-        logistics_track,
-    )
-    if strategy is IntegrationStrategy.TOOL:
-        registry.register(
-            ToolDescriptor(
-                "multimodal_describe",
-                "Describe what an image or video placeholder shows, guided by an instruction.",
-                _schema(
-                    {
-                        "placeholder": {"type": "string"},
-                        "instruction": {"type": "string"},
-                    },
-                    ["placeholder"],
-                ),
-            ),
-            multimodal_describe,
-        )
-    registry.register(
-        ToolDescriptor(
-            "memory_get",
-            "Fetch one knowledge document by namespace and key.",
-            _schema({"namespace": namespace_enum, "key": {"type": "string"}}, ["namespace", "key"]),
-        ),
-        memory_get,
-    )
-    registry.register(
-        ToolDescriptor(
-            "memory_search",
-            "Rank knowledge documents in a namespace by query-token overlap.",
-            _schema(
-                {
-                    "namespace": namespace_enum,
-                    "query": {"type": "string"},
-                    "limit": {"type": "integer"},
-                },
-                ["namespace", "query"],
-            ),
-        ),
-        memory_search,
-    )
-    registry.register(
-        ToolDescriptor(
-            "memory_put",
-            "Store a knowledge document; the body is a JSON-encoded string.",
-            _schema(
-                {
-                    "namespace": namespace_enum,
-                    "key": {"type": "string"},
-                    "body_json": {"type": "string"},
-                },
-                ["namespace", "key", "body_json"],
-            ),
-        ),
-        memory_put,
-    )
-    registry.register(
-        ToolDescriptor(
-            "status_note",
-            "Record an internal status note; has no effect on the world.",
-            _schema({"note": {"type": "string"}}, []),
-        ),
-        status_note,
-    )
+    for descriptor in TOOLS_BY_STRATEGY[strategy]:
+        registry.register(descriptor, getattr(handlers, descriptor.name))
     return registry
 
 

@@ -24,6 +24,10 @@ class ToolDescriptor:
     description: str
     input_schema: dict
 
+    def __hash__(self):
+        # input_schema is a dict and cannot be hashed; equal descriptors share a name
+        return hash(self.name)
+
     def to_dict(self) -> dict:
         return {
             "name": self.name,
@@ -121,20 +125,38 @@ class ActionTrace:
                 fh.write("\n")
 
 
+_CATALOGS: dict[tuple[ToolDescriptor, ...], str] = {}
+
+
+def _render_catalog(descriptors: tuple[ToolDescriptor, ...]) -> str:
+    lines = []
+    for desc in descriptors:
+        props = desc.input_schema.get("properties", {})
+        required = set(desc.input_schema.get("required", []))
+        args = ", ".join(
+            f"{n}{'' if n in required else '?'}: {spec.get('type', 'string')}"
+            for n, spec in props.items()
+        )
+        lines.append(f"- {desc.name}({args}): {desc.description}")
+    return "\n".join(lines)
+
+
 class ToolRegistry:
-    """Named tools with validated invocation; immutable once sessions start."""
+    """Named tools with validated invocation; immutable once sessions start.
+
+    The first catalog_text() call closes the registry: register() raises
+    from then on, so the memoized catalog never goes stale.
+    """
 
     def __init__(self):
         self._tools: dict[str, tuple[ToolDescriptor, Callable[[dict], list[ContentPart] | str]]] = {}
+        self._catalog: str | None = None
 
     def register(self, descriptor: ToolDescriptor, handler: Callable) -> None:
+        if self._catalog is not None:
+            raise RegistrationError(f"registry is closed; cannot register {descriptor.name}")
         if descriptor.name in self._tools:
             raise RegistrationError(f"tool already registered: {descriptor.name}")
-        seen = set()
-        for field_name in descriptor.input_schema.get("properties", {}):
-            if field_name in seen:
-                raise RegistrationError(f"duplicate schema field: {field_name}")
-            seen.add(field_name)
         self._tools[descriptor.name] = (descriptor, handler)
 
     def __contains__(self, name: str) -> bool:
@@ -144,17 +166,18 @@ class ToolRegistry:
         return [d for d, _ in self._tools.values()]
 
     def catalog_text(self) -> str:
-        """Human/LLM readable tool list for prompt templates."""
-        lines = []
-        for desc in self.descriptors():
-            props = desc.input_schema.get("properties", {})
-            required = set(desc.input_schema.get("required", []))
-            args = ", ".join(
-                f"{n}{'' if n in required else '?'}: {spec.get('type', 'string')}"
-                for n, spec in props.items()
-            )
-            lines.append(f"- {desc.name}({args}): {desc.description}")
-        return "\n".join(lines)
+        """Human/LLM readable tool list for prompt templates.
+
+        Rendered once per process for each distinct descriptor sequence; two
+        threads that miss together both render and store equal text.
+        """
+        if self._catalog is None:
+            descriptors = tuple(self.descriptors())
+            text = _CATALOGS.get(descriptors)
+            if text is None:
+                text = _CATALOGS[descriptors] = _render_catalog(descriptors)
+            self._catalog = text
+        return self._catalog
 
     def invoke(self, call: ToolCall, trace: ActionTrace | None = None) -> ToolResult:
         """Run a tool call; handler failures surface as error results, never raise."""

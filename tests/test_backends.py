@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -283,3 +284,62 @@ def test_script_file_round_trip(tmp_path):
     backend = ScriptedBackend.from_file(path)
     assert backend.complete(req("anything")).text == "plans"
     assert backend.complete(req("pick one")).label_probs == {"A": 1.0}
+
+
+# --- script files: validation and the per-file-version cache ---
+
+
+@pytest.mark.parametrize("payload", [
+    [],
+    {"entries": {"step": 0}},
+    {"entries": ["not an object"]},
+    {"entries": [{"step": 0, "response": "hi"}]},
+    {"entries": [{"step": 0, "response": {"text": 7}}]},
+    {"entries": [{"step": 0, "response": {"text": "A", "label_probs": [1.0]}}]},
+    {"entries": [{"response": {"text": "neither step nor contains"}}]},
+])
+def test_malformed_script_is_config_error_naming_the_file(tmp_path, payload):
+    path = tmp_path / "bad-script.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match="bad-script.json"):
+        load_script(path)
+
+
+def test_script_rewritten_in_place_is_read_again(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"entries": [{"step": 0, "response": {"text": "one"}}]}))
+    first = load_script(path)
+    assert load_script(path) is first  # same version: served from the cache
+    # a new size
+    path.write_text(json.dumps({"entries": [{"step": 0, "response": {"text": "three"}}]}))
+    assert load_script(path)[0].response.text == "three"
+    # the same size, a new mtime
+    stat = path.stat()
+    path.write_text(json.dumps({"entries": [{"step": 0, "response": {"text": "seven"}}]}))
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+    assert path.stat().st_size == stat.st_size
+    assert load_script(path)[0].response.text == "seven"
+
+
+def test_script_deleted_after_a_cache_hit_is_config_error(tmp_path):
+    path = tmp_path / "gone.json"
+    path.write_text(json.dumps({"entries": [{"step": 0, "response": {"text": "x"}}]}))
+    load_script(path)
+    load_script(path)
+    path.unlink()
+    with pytest.raises(ConfigError, match="gone.json"):
+        load_script(path)
+
+
+def test_backends_from_one_file_keep_their_own_cursor(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"entries": [
+        {"step": 0, "response": {"text": "first"}},
+        {"step": 1, "response": {"text": "second"}},
+    ]}))
+    a, b = ScriptedBackend.from_file(path), ScriptedBackend.from_file(path)
+    assert a.entries is b.entries
+    assert a.complete(req("x")).text == "first"
+    assert a.complete(req("x")).text == "second"
+    assert b.complete(req("x")).text == "first"
+    assert (a.calls, b.calls) == (2, 1)

@@ -42,6 +42,45 @@ def test_run_missing_script_file_exits_2(capsys, suite_dir):
     assert "missing-script.json" in err
 
 
+@pytest.mark.parametrize("payload", [[], {"entries": [{"step": 0, "response": "hi"}]}])
+def test_run_malformed_script_file_exits_2(capsys, suite_dir, tmp_path, payload):
+    script = tmp_path / "malformed-script.json"
+    script.write_text(json.dumps(payload))
+    code, _, err = run_cli(
+        capsys, "run", "--task", str(suite_dir / "kettle-capacity.json"), "--script", str(script),
+    )
+    assert code == 2
+    assert "malformed-script.json" in err
+
+
+@pytest.mark.parametrize("name, text, complaint", [
+    ("propose.txt", None, "cannot be read"),
+    ("propose.txt", "$context $tool_catalog $n_candidates costs $5", "malformed placeholder"),
+    ("evaluate.txt", "$context and no plan list", "missing $plan_list"),
+    ("propose.txt", "$context $tool_catalog", "missing $n_candidates"),
+    ("evaluate.txt", "$context $plan_list $budget", "unknown $budget"),
+])
+def test_run_broken_template_exits_2(capsys, data_dir, suite_dir, scripts_dir, tmp_path,
+                                     name, text, complaint):
+    templates = tmp_path / "templates"
+    templates.mkdir()
+    for stock in ("propose.txt", "evaluate.txt"):
+        (templates / stock).write_text((data_dir.parent / "templates" / stock).read_text())
+    if text is None:
+        (templates / name).unlink()
+    else:
+        (templates / name).write_text(text)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"template_dir": str(templates)}))
+    code, _, err = run_cli(
+        capsys, "run", "--task", str(suite_dir / "kettle-capacity.json"),
+        "--script", str(scripts_dir / "kettle-capacity.json"), "--config", str(config),
+    )
+    assert code == 2
+    assert str(templates / name) in err
+    assert complaint in err
+
+
 def test_run_two_backends_is_config_error(capsys, suite_dir, scripts_dir, tmp_path):
     store = tmp_path / "store.json"
     store.write_text("{}")
@@ -186,6 +225,19 @@ def test_bench_k_above_n_exits_2(capsys, suite_dir, scripts_dir):
         "--n-trials", "2", "--k", "7",
     )
     assert code == 2
+
+
+def test_bench_with_workers_writes_the_serial_artifacts(capsys, tmp_path):
+    # sessions on two threads share the parsed scripts, templates and tool table
+    for workers in ("1", "2"):
+        code, _, _ = run_cli(capsys, "bench", "--n-trials", "2", "--k", "1",
+                             "--workers", workers, "--out", str(tmp_path / workers))
+        assert code == 0
+    serial = sorted((tmp_path / "1" / "trials").glob("*.*.jsonl"))
+    assert len(serial) == 13 * 2 * 2  # a transcript and a trace per episode
+    for path in serial:
+        parallel = tmp_path / "2" / "trials" / path.name
+        assert parallel.read_bytes() == path.read_bytes(), path.name
 
 
 def test_ablate_vary_aci(capsys, suite_dir, scripts_dir, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 
 import pytest
@@ -9,11 +10,12 @@ from shopclerk.decision import (
     PlanEvaluation,
     PlanKind,
     evaluate,
+    load_template,
     plan_listing,
     propose,
     select,
 )
-from shopclerk.errors import EvaluationError, ProposalError, UsageError
+from shopclerk.errors import ConfigError, EvaluationError, ProposalError, UsageError
 
 CATALOG = "- product_info(product_id: string): Look up a product."
 
@@ -214,3 +216,28 @@ def test_select_floor_monotone_gate():
     selected = {select(evals, floor).selected for floor in (0.0, 0.3, 0.69, 0.7)}
     assert selected == {1}  # floor below/at max never changes the winner
     assert select(evals, 0.71).selected is None
+
+
+# --- templates: the per-file-version cache ---
+
+
+def test_template_rewritten_in_place_is_read_again(tmp_path):
+    path = tmp_path / "evaluate.txt"
+    path.write_text("v1 $context $plan_list")
+    first = load_template("evaluate.txt", tmp_path)
+    assert load_template("evaluate.txt", str(tmp_path)) is first
+    path.write_text("v22 $context $plan_list")  # a new size
+    assert load_template("evaluate.txt", tmp_path).template.startswith("v22")
+    stat = path.stat()
+    path.write_text("v33 $context $plan_list")  # the same size, a new mtime
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+    assert load_template("evaluate.txt", tmp_path).template.startswith("v33")
+
+
+def test_template_deleted_after_a_cache_hit_is_config_error(tmp_path):
+    (tmp_path / "evaluate.txt").write_text("$context $plan_list")
+    load_template("evaluate.txt", tmp_path)
+    load_template("evaluate.txt", tmp_path)
+    (tmp_path / "evaluate.txt").unlink()
+    with pytest.raises(ConfigError, match="evaluate.txt"):
+        load_template("evaluate.txt", tmp_path)

@@ -141,6 +141,37 @@ def test_describe_tool_absent_in_planner_mode():
     assert result.text().startswith("unknown_tool")
 
 
+CATALOG_LINES = (
+    "- product_info(product_id: string): Look up one product's title, attributes, price, "
+    "and stock.",
+    "- order_lookup(order_id: string): Look up an order's items, status, and shipping address.",
+    "- order_update(order_id: string, action: string): Apply an order action: cancel, "
+    "request_refund, or approve_refund.",
+    "- logistics_track(order_id: string): List an order's shipment events in tick order.",
+    "- multimodal_describe(placeholder: string, instruction?: string): Describe what an image "
+    "or video placeholder shows, guided by an instruction.",
+    "- memory_get(namespace: string, key: string): Fetch one knowledge document by namespace "
+    "and key.",
+    "- memory_search(namespace: string, query: string, limit?: integer): Rank knowledge "
+    "documents in a namespace by query-token overlap.",
+    "- memory_put(namespace: string, key: string, body_json: string): Store a knowledge "
+    "document; the body is a JSON-encoded string.",
+    "- status_note(note?: string): Record an internal status note; has no effect on the world.",
+)
+
+
+@pytest.mark.parametrize("strategy", list(IntegrationStrategy))
+def test_catalog_text_is_pinned(strategy):
+    # the prompt bytes every bundled script matches against; tool mode lists describe
+    lines = [line for line in CATALOG_LINES if strategy is IntegrationStrategy.TOOL
+             or not line.startswith("- multimodal_describe(")]
+    world = world_from_dict(WORLD_SEED)
+    for _ in range(2):  # a fresh session gets the same text from the memoized render
+        registry = build_registry(world, seed_store(world), PlaceholderTable(),
+                                  CountingVision(FixtureVisionBackend({})), strategy=strategy)
+        assert registry.catalog_text() == "\n".join(lines)
+
+
 def test_memory_tools_round_trip(session_bits):
     world, store, _, _, registry = session_bits
     put = invoke(registry, "memory_put", namespace="buyer_profile", key="B1",

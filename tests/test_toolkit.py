@@ -41,6 +41,15 @@ def test_register_duplicate_name():
         registry.register(ToolDescriptor("echo", "again", {"properties": {}}), lambda a: "")
 
 
+def test_register_after_catalog_rendered_raises():
+    registry = make_registry()
+    catalog = registry.catalog_text()
+    with pytest.raises(RegistrationError):
+        registry.register(ToolDescriptor("late", "Too late.", {"properties": {}}), lambda a: "")
+    assert "late" not in registry
+    assert registry.catalog_text() == catalog
+
+
 def test_invoke_happy_path():
     registry = make_registry()
     result = registry.invoke(ToolCall("c1", "echo", {"text": "hi", "times": 2}))
