@@ -3,7 +3,8 @@
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import BackendError, ConfigError, ReplayMissError, ScriptError, UsageError
@@ -14,12 +15,6 @@ class ChatMessage:
     role: str
     content: str
     image_refs: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class Usage:
-    prompt_chars: int = 0
-    completion_chars: int = 0
 
 
 @dataclass(frozen=True)
@@ -45,7 +40,6 @@ class ChatRequest:
 class ChatResponse:
     text: str
     label_probs: dict | None = None
-    usage: Usage = field(default_factory=Usage)
 
     def __post_init__(self):
         if self.label_probs is not None:
@@ -67,14 +61,6 @@ def request_digest(request: ChatRequest) -> str:
     }
     blob = json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
-
-
-def _response_with_usage(request: ChatRequest, response: ChatResponse) -> ChatResponse:
-    return ChatResponse(
-        text=response.text,
-        label_probs=response.label_probs,
-        usage=Usage(prompt_chars=request.prompt_chars(), completion_chars=len(response.text)),
-    )
 
 
 @dataclass(frozen=True)
@@ -174,11 +160,11 @@ class ScriptedBackend:
         self.calls += 1
         for entry in self.entries:
             if entry.step is not None and entry.step == index:
-                return _response_with_usage(request, entry.response)
+                return entry.response
         last = request.last_content()
         for entry in self.entries:
             if entry.contains is not None and entry.contains in last:
-                return _response_with_usage(request, entry.response)
+                return entry.response
         raise ScriptError(
             f"no script entry for call {index}; last message starts with: "
             f"{last[:200]!r}"
@@ -241,19 +227,23 @@ class ReplayBackend:
                 f"{digest}; request was: {json.dumps([m.content for m in request.messages])[:500]}"
             )
         self._cursors[digest] = position + 1
-        return _response_with_usage(request, _response_from_dict(recorded[position]))
+        return _response_from_dict(recorded[position])
 
 
 REMOTE_URL_ENV = "SHOPCLERK_CHAT_URL"
 REMOTE_KEY_ENV = "SHOPCLERK_CHAT_KEY"
 REMOTE_MODEL_ENV = "SHOPCLERK_CHAT_MODEL"
+REMOTE_RETRIES = 2  # extra attempts after a transport failure
+REMOTE_BACKOFF_S = 0.5  # fixed pause before each retry
 
 
 class RemoteBackend:
     """JSON-over-HTTP chat client; endpoint and key come from the environment.
 
     The request body follows the common chat-completions shape; see README
-    for the exact field mapping.
+    for the exact field mapping. A transport failure is retried
+    REMOTE_RETRIES times, REMOTE_BACKOFF_S apart; a reply of the wrong shape
+    is not.
     """
 
     def __init__(self, base_url: str | None = None, api_key: str | None = None,
@@ -286,26 +276,29 @@ class RemoteBackend:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        try:
-            reply = self.session.post(
-                self.base_url.rstrip("/") + "/chat/completions",
-                json=body, headers=headers, timeout=60,
-            )
-            reply.raise_for_status()
-            data = reply.json()
-        except Exception as exc:
-            raise BackendError(f"remote chat call failed: {exc}") from exc
+        attempts = REMOTE_RETRIES + 1
+        for attempt in range(attempts):
+            try:
+                reply = self.session.post(
+                    self.base_url.rstrip("/") + "/chat/completions",
+                    json=body, headers=headers, timeout=60,
+                )
+                reply.raise_for_status()
+                data = reply.json()
+                break
+            except Exception as exc:  # transport, HTTP status or body decoding
+                if attempt == attempts - 1:
+                    raise BackendError(
+                        f"remote chat call failed after {attempts} attempts: {exc}"
+                    ) from exc
+                time.sleep(REMOTE_BACKOFF_S)
         try:
             choice = data["choices"][0]
             text = choice["message"]["content"] or ""
             label_probs = None
             if request.label_alphabet and choice.get("logprobs"):
                 label_probs = _extract_label_probs(choice["logprobs"], request.label_alphabet)
-            return ChatResponse(
-                text=text,
-                label_probs=label_probs,
-                usage=Usage(prompt_chars=request.prompt_chars(), completion_chars=len(text)),
-            )
+            return ChatResponse(text=text, label_probs=label_probs)
         except (KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"unexpected remote response shape: {exc}") from exc
 

@@ -2,7 +2,7 @@
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .config import AblationVariant, AgentConfig
@@ -10,6 +10,7 @@ from .episode import EpisodeResult, run_episode
 from .errors import UsageError
 from .metrics import TrialRecord, TrialSet, format_fraction, mean_completion_time, pass_hat_k
 from .tasks import Task
+from .toolkit import Usage
 
 
 @dataclass
@@ -62,7 +63,7 @@ def summarize(
     k_values: list[int],
 ) -> VariantReport:
     trials = TrialSet()
-    usage = {"prompt_chars": 0, "completion_chars": 0, "backend_calls": 0, "describe_calls": 0}
+    usage = {f.name: sum(getattr(r.usage, f.name) for r in results) for f in fields(Usage)}
     failures = 0
     for result in results:
         trials.add(
@@ -73,8 +74,6 @@ def summarize(
                 modality=result.modality,
             )
         )
-        for key in usage:
-            usage[key] += getattr(result.usage, key)
         if result.error is not None:
             failures += 1
     pass_k = {k: float(pass_hat_k(trials, k)) for k in k_values}

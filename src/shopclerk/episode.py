@@ -24,8 +24,8 @@ from .placeholders import (
 )
 from .shop_tools import build_registry
 from .tasks import Task, check_success
-from .toolkit import ActionTrace, ToolCall
-from .vision import CountingVision, IntegrationStrategy
+from .toolkit import ActionTrace, ToolCall, Usage
+from .vision import IntegrationStrategy
 from .world import World, seed_store
 
 logger = logging.getLogger(__name__)
@@ -34,22 +34,6 @@ CLARIFICATION_REPLY = "Sorry, I want to be sure I help correctly. Could you clar
 
 ALL_KINDS = frozenset(RefKind)
 NON_VISUAL_KINDS = frozenset({RefKind.PRODUCT, RefKind.ORDER, RefKind.OTHER})
-
-
-@dataclass
-class UsageTotals:
-    prompt_chars: int = 0
-    completion_chars: int = 0
-    backend_calls: int = 0
-    describe_calls: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "prompt_chars": self.prompt_chars,
-            "completion_chars": self.completion_chars,
-            "backend_calls": self.backend_calls,
-            "describe_calls": self.describe_calls,
-        }
 
 
 @dataclass
@@ -69,7 +53,7 @@ class EpisodeResult:
     transcript: WorkingMemory
     trace: ActionTrace
     wall_time_ms: float
-    usage: UsageTotals
+    usage: Usage
     modality: str = "unimodal"
     error: str | None = None
     report_rows: tuple = ()
@@ -89,19 +73,37 @@ class EpisodeResult:
         }
 
 
-class _CountingChat:
-    """Accumulates usage over a session's backend calls."""
+class _Recorded:
+    """A session's chat and vision backends; each call leaves one trace event.
 
-    def __init__(self, inner, totals: UsageTotals):
-        self.inner = inner
-        self.totals = totals
+    The trace is the session's only ledger: ActionTrace.usage() folds these
+    events into its usage. A describe that raises is recorded with its error.
+    """
+
+    def __init__(self, chat, vision, trace: ActionTrace):
+        self._chat = chat
+        self._vision = vision
+        self._trace = trace
 
     def complete(self, request):
-        response = self.inner.complete(request)
-        self.totals.backend_calls += 1
-        self.totals.prompt_chars += response.usage.prompt_chars
-        self.totals.completion_chars += response.usage.completion_chars
+        response = self._chat.complete(request)
+        self._trace.add(
+            "chat",
+            call="evaluate" if request.label_alphabet else "propose",
+            prompt_chars=request.prompt_chars(),
+            completion_chars=len(response.text),
+        )
         return response
+
+    def describe(self, query):
+        about = {"instruction": query.instruction, "asset": query.asset_id}
+        try:
+            description = self._vision.describe(query)
+        except Exception as exc:  # recorded, then raised to the caller unchanged
+            self._trace.add("describe", **about, error=str(exc))
+            raise
+        self._trace.add("describe", **about, output=description.text)
+        return description
 
 
 class AgentSession:
@@ -120,11 +122,9 @@ class AgentSession:
         self.store = seed_store(world)
         self.table = PlaceholderTable(min_url_length=self.config.min_url_length)
         self.trace = ActionTrace()
-        self.usage = UsageTotals()
-        self.chat = _CountingChat(chat_backend, self.usage)
-        self.vision = CountingVision(vision_backend, trace=self.trace)
+        self.backends = _Recorded(chat_backend, vision_backend, self.trace)
         self.registry = build_registry(
-            world, self.store, self.table, self.vision, self.config.strategy
+            world, self.store, self.table, self.backends, self.config.strategy
         )
         self.wm = WorkingMemory(session_id)
         self._propose_template = dec.load_template("propose.txt", self.config.template_dir)
@@ -178,7 +178,7 @@ class AgentSession:
                 evaluations = dec.evaluate(
                     context,
                     plans,
-                    self.chat,
+                    self.backends,
                     vote_samples=self.config.vote_samples,
                     template=self._evaluate_template,
                 )
@@ -188,15 +188,19 @@ class AgentSession:
                 verdict = dec.Decision(selected=0, evaluations=tuple(evaluations))
             self._record_round(report, plans, verdict)
             if verdict.selected is None:
-                return CLARIFICATION_REPLY
+                return self._clarify("low_confidence")
             plan = plans[verdict.selected]
             if plan.kind is dec.PlanKind.DIRECT_REPLY:
-                return plan.draft_reply or CLARIFICATION_REPLY
+                return plan.draft_reply or self._clarify("empty_draft")
             hit_unknown_placeholder = self._run_steps(plan, report)
             if hit_unknown_placeholder:
                 if placeholder_retry_used:
-                    return CLARIFICATION_REPLY
+                    return self._clarify("unknown_placeholder")
                 placeholder_retry_used = True
+        return self._clarify("max_plan_rounds")
+
+    def _clarify(self, reason: str) -> str:
+        self.trace.add("clarify", reason=reason)
         return CLARIFICATION_REPLY
 
     def _propose(self, context: str):
@@ -205,7 +209,7 @@ class AgentSession:
             context,
             self.registry.catalog_text(),
             n,
-            self.chat,
+            self.backends,
             template=self._propose_template,
         )
 
@@ -277,11 +281,9 @@ def run_episode(
             logger.debug("episode %s trial %d: %s", task.task_id, trial_index, error)
             break
     elapsed_ms = (time.monotonic() - started) * 1000.0
-    session.usage.describe_calls = session.vision.calls
+    usage = session.trace.usage()
     if config.latency_model is not None:
-        elapsed_ms = config.latency_model.wall_time_ms(
-            session.usage.prompt_chars, session.usage.backend_calls
-        )
+        elapsed_ms = config.latency_model.wall_time_ms(usage.prompt_chars, usage.backend_calls)
     if error is None:
         success, report = check_success(world, session.wm, task.success, session.table)
         rows = report.rows
@@ -294,7 +296,7 @@ def run_episode(
         transcript=session.wm,
         trace=session.trace,
         wall_time_ms=elapsed_ms,
-        usage=session.usage,
+        usage=usage,
         modality=task.modality,
         error=error,
         report_rows=rows,

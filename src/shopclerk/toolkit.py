@@ -7,7 +7,7 @@ is_error}.
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
 from .errors import RegistrationError
@@ -105,8 +105,21 @@ def _type_ok(value: Any, spec: dict) -> bool:
     return True
 
 
+@dataclass(frozen=True)
+class Usage:
+    """What a session's backend and describe calls cost, folded from its trace."""
+
+    prompt_chars: int = 0
+    completion_chars: int = 0
+    backend_calls: int = 0
+    describe_calls: int = 0
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
 class ActionTrace:
-    """Ordered audit log of everything a session did."""
+    """Ordered audit log of everything a session did; its one ledger of cost too."""
 
     def __init__(self):
         self._events: list[dict] = []
@@ -117,6 +130,19 @@ class ActionTrace:
 
     def add(self, kind: str, **payload) -> None:
         self._events.append({"seq": len(self._events), "kind": kind, **payload})
+
+    def usage(self) -> Usage:
+        """Totals over the trace: each chat event is one backend call."""
+        prompt = completion = calls = describes = 0
+        for event in self._events:
+            kind = event["kind"]
+            if kind == "chat":
+                calls += 1
+                prompt += event["prompt_chars"]
+                completion += event["completion_chars"]
+            elif kind == "describe":
+                describes += 1
+        return Usage(prompt, completion, calls, describes)
 
     def write_jsonl(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -1,7 +1,6 @@
 """Visual description unit: fixture-backed or remote, behind one contract."""
 
 import json
-import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -31,7 +30,6 @@ class VisualQuery:
 @dataclass(frozen=True)
 class VisualDescription:
     text: str
-    backend_id: str
 
 
 @dataclass
@@ -62,8 +60,6 @@ class FixtureVisionBackend:
     rules (asset-specific rules first, then file-level ones); an unmatched
     instruction falls back to the default annotation.
     """
-
-    backend_id = "fixture"
 
     def __init__(self, assets: dict[str, ImageAsset], rules: tuple[CategoryRule, ...] = ()):
         self.assets = assets
@@ -101,18 +97,18 @@ class FixtureVisionBackend:
                 category = rule.category
                 break
         text = asset.annotations.get(category, asset.annotations["default"])
-        return VisualDescription(text=text, backend_id=self.backend_id)
+        return VisualDescription(text=text)
 
 
 class RemoteVisionBackend:
-    """describe() over the remote chat endpoint with an image attachment."""
+    """describe() over the remote chat endpoint with an image attachment.
 
-    backend_id = "remote"
+    Transport retries live in the chat backend. An empty description fails at
+    once: the request is at temperature 0, so asking again repeats it.
+    """
 
-    def __init__(self, chat_backend, retries: int = 2, backoff_s: float = 0.5):
+    def __init__(self, chat_backend):
         self.chat = chat_backend
-        self.retries = retries
-        self.backoff_s = backoff_s
 
     def describe(self, query: VisualQuery) -> VisualDescription:
         from .backends import ChatMessage, ChatRequest
@@ -124,47 +120,7 @@ class RemoteVisionBackend:
                 ChatMessage(role="user", content=query.instruction, image_refs=(query.asset_id,)),
             )
         )
-        attempts = self.retries + 1
-        last_error: Exception | None = None
-        for attempt in range(attempts):
-            try:
-                response = self.chat.complete(request)
-                if not response.text:
-                    raise BackendError("remote vision backend returned empty description")
-                return VisualDescription(response.text, self.backend_id)
-            except Exception as exc:  # retried; re-raised with count below
-                last_error = exc
-                if attempt < attempts - 1:
-                    time.sleep(self.backoff_s)
-        raise BackendError(
-            f"vision describe failed after {attempts} attempts: {last_error}"
-        ) from last_error
-
-
-class CountingVision:
-    """Wrapper that counts and traces describe calls for audits."""
-
-    def __init__(self, inner, trace=None):
-        self.inner = inner
-        self.trace = trace
-        self.calls = 0
-
-    @property
-    def backend_id(self) -> str:
-        return self.inner.backend_id
-
-    def has_asset(self, asset_id: str) -> bool:
-        has = getattr(self.inner, "has_asset", None)
-        return bool(has(asset_id)) if has else True
-
-    def describe(self, query: VisualQuery) -> VisualDescription:
-        self.calls += 1
-        description = self.inner.describe(query)
-        if self.trace is not None:
-            self.trace.add(
-                "describe",
-                instruction=query.instruction,
-                asset=query.asset_id,
-                output=description.text,
-            )
-        return description
+        response = self.chat.complete(request)
+        if not response.text:
+            raise BackendError("remote vision backend returned empty description")
+        return VisualDescription(response.text)

@@ -39,6 +39,18 @@ def scripted_backend_for(scripts_dir):
     return make
 
 
+class DescribeCounter:
+    """A vision backend that passes describe calls through and counts them."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def describe(self, query):
+        self.calls += 1
+        return self.inner.describe(query)
+
+
 _WORDS = (
     "please check this item again since the parcel looks late and the strap "
     "broke while the box was wet so refund or exchange would help thanks"

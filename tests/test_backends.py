@@ -81,13 +81,6 @@ def test_label_probs_pass_through():
     assert response.label_probs == {"A": 0.25, "B": 0.75}
 
 
-def test_usage_counts_prompt_and_completion_chars():
-    backend = ScriptedBackend([ScriptEntry(response=ChatResponse(text="12345"), step=0)])
-    response = backend.complete(req("abcdefgh"))
-    assert response.usage.prompt_chars == 8
-    assert response.usage.completion_chars == 5
-
-
 def test_entry_needs_exactly_one_matcher():
     with pytest.raises(ConfigError):
         ScriptEntry(response=ChatResponse(text="x"))
@@ -245,19 +238,37 @@ def test_remote_backend_maps_chat_response(monkeypatch):
     backend = RemoteBackend(session=session)
     response = backend.complete(req("hello"))
     assert response.text == "howdy"
-    assert response.usage.prompt_chars == 5
     sent = session.requests[0]
     assert sent["url"] == "https://llm.internal/chat/completions"
     assert sent["headers"]["Authorization"] == "Bearer sk-test"
     assert sent["json"]["messages"][0]["content"] == "hello"
 
 
-def test_remote_backend_transport_failure(monkeypatch):
+@pytest.fixture()
+def sleeps(monkeypatch):
+    pauses = []
+    monkeypatch.setattr("shopclerk.backends.time.sleep", pauses.append)
+    return pauses
+
+
+def test_remote_backend_retries_then_succeeds(monkeypatch, sleeps):
     monkeypatch.setenv("SHOPCLERK_CHAT_URL", "https://llm.internal")
-    session = FakeSession([RuntimeError("connection reset")])
+    session = FakeSession([RuntimeError("connection reset"), FakeReply({}, status=503),
+                           FakeReply({"choices": [{"message": {"content": "howdy"}}]})])
     backend = RemoteBackend(session=session)
-    with pytest.raises(BackendError, match="connection reset"):
+    assert backend.complete(req("hello")).text == "howdy"
+    assert len(session.requests) == 3
+    assert sleeps == [0.5, 0.5]
+
+
+def test_remote_backend_transport_failure(monkeypatch, sleeps):
+    monkeypatch.setenv("SHOPCLERK_CHAT_URL", "https://llm.internal")
+    session = FakeSession([RuntimeError("connection reset")] * 4)
+    backend = RemoteBackend(session=session)
+    with pytest.raises(BackendError, match="after 3 attempts: connection reset"):
         backend.complete(req("hello"))
+    assert len(session.requests) == 3
+    assert sleeps == [0.5, 0.5]
 
 
 def test_remote_backend_requires_url(monkeypatch):
@@ -266,12 +277,14 @@ def test_remote_backend_requires_url(monkeypatch):
         RemoteBackend(session=FakeSession([]))
 
 
-def test_remote_backend_bad_shape(monkeypatch):
+def test_remote_backend_bad_shape(monkeypatch, sleeps):
     monkeypatch.setenv("SHOPCLERK_CHAT_URL", "https://llm.internal")
-    session = FakeSession([FakeReply({"unexpected": True})])
+    session = FakeSession([FakeReply({"unexpected": True})] * 2)
     backend = RemoteBackend(session=session)
-    with pytest.raises(BackendError):
+    with pytest.raises(BackendError, match="unexpected remote response shape"):
         backend.complete(req("hello"))
+    assert len(session.requests) == 1  # a reply of the wrong shape is not retried
+    assert sleeps == []
 
 
 def test_script_file_round_trip(tmp_path):

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from shopclerk import decision
 from shopclerk.backends import RecordingBackend, ReplayBackend, ScriptedBackend
 from shopclerk.config import AgentConfig, LatencyModel, agent_config_from_dict
 from shopclerk.episode import CLARIFICATION_REPLY, AgentSession, run_episode
@@ -23,6 +24,20 @@ class PromptCapture:
     def complete(self, request):
         self.requests.append(request)
         return self.inner.complete(request)
+
+
+def clarify_reasons(result):
+    return [e["reason"] for e in result.trace.events if e["kind"] == "clarify"]
+
+
+def plans_script(plans, rationale, path):
+    """A script proposing plans every round and picking plan A at full confidence."""
+    script = {"entries": [
+        {"contains": rationale, "response": {"text": "A", "label_probs": {"A": 1.0}}},
+        {"contains": "", "response": {"text": "```json\n" + json.dumps(plans) + "\n```"}},
+    ]}
+    path.write_text(json.dumps(script))
+    return ScriptedBackend.from_file(path)
 
 
 def transcript_lines(result):
@@ -142,21 +157,15 @@ def test_unknown_placeholder_replanned_once_then_fallback(suite_dir, vision_fixt
               "steps": [{"tool": "multimodal_describe",
                           "arguments": {"placeholder": "[Image 9]"}}],
               "rationale": "Look at the ninth image.", "reply": None}]
-    script = {"entries": [
-        {"contains": "Look at the ninth image.",
-         "response": {"text": "A", "label_probs": {"A": 1.0}}},
-        {"contains": "",
-         "response": {"text": "```json\n" + json.dumps(plans) + "\n```"}},
-    ]}
-    path = tmp_path / "hallucinated.json"
-    path.write_text(json.dumps(script))
+    chat = plans_script(plans, "Look at the ninth image.", tmp_path / "hallucinated.json")
     task = load_task(suite_dir / "damaged-kettle-refund.json", vision_fixtures)
-    result = run_episode(task, AgentConfig(), ScriptedBackend.from_file(path), vision_fixtures)
+    result = run_episode(task, AgentConfig(), chat, vision_fixtures)
     assert result.error is None
     assert result.replies == (CLARIFICATION_REPLY,)
     errors = [e for e in result.trace.events
               if e["kind"] == "tool_result" and e["result"]["is_error"]]
     assert len(errors) == 2  # first failure earns one replan, second ends the turn
+    assert clarify_reasons(result) == ["unknown_placeholder"]
     assert not result.success
 
 
@@ -167,6 +176,7 @@ def test_low_confidence_floor_triggers_clarification(suite_dir, scripts_dir, vis
     assert result.replies == (CLARIFICATION_REPLY,)
     decisions = [e for e in result.trace.events if e["kind"] == "decision"]
     assert decisions[0]["rejected_reason"] == "low_confidence"
+    assert clarify_reasons(result) == ["low_confidence"]
 
 
 def test_mutation_events_in_trace_replay_to_final_world(suite_dir, scripts_dir, vision_fixtures):
@@ -251,16 +261,81 @@ def test_plan_rounds_bounded(suite_dir, vision_fixtures, tmp_path):
     plans = [{"kind": "single_tool",
               "steps": [{"tool": "order_lookup", "arguments": {"order_id": "O-9001"}}],
               "rationale": "Check the order again.", "reply": None}]
-    script = {"entries": [
-        {"contains": "Check the order again.",
-         "response": {"text": "A", "label_probs": {"A": 1.0}}},
-        {"contains": "", "response": {"text": "```json\n" + json.dumps(plans) + "\n```"}},
-    ]}
-    path = tmp_path / "loop.json"
-    path.write_text(json.dumps(script))
+    chat = plans_script(plans, "Check the order again.", tmp_path / "loop.json")
     task = load_task(suite_dir / "damaged-kettle-refund.json", vision_fixtures)
     config = agent_config_from_dict({"max_plan_rounds": 3}, AgentConfig())
-    result = run_episode(task, config, ScriptedBackend.from_file(path), vision_fixtures)
+    result = run_episode(task, config, chat, vision_fixtures)
     assert result.error is None
     assert result.replies == (CLARIFICATION_REPLY,)
     assert result.usage.backend_calls == 6  # 3 rounds of propose + evaluate
+    assert clarify_reasons(result) == ["max_plan_rounds"]
+
+
+def test_direct_reply_without_draft_clarifies(suite_dir, vision_fixtures, monkeypatch):
+    # _parse_plan drops a direct reply with no draft, so only a plan built in code gets here
+    plan = decision.CandidatePlan(plan_id=0, kind=decision.PlanKind.DIRECT_REPLY, steps=(),
+                                  rationale="Say nothing.", draft_reply=None)
+    monkeypatch.setattr(decision, "propose", lambda *args, **kwargs: [plan])
+    task = load_task(suite_dir / "kettle-capacity.json", vision_fixtures)
+    config = agent_config_from_dict({"decision_module": "off"}, AgentConfig())
+    result = run_episode(task, config, ScriptedBackend([]), vision_fixtures)
+    assert result.error is None
+    assert result.replies == (CLARIFICATION_REPLY,)
+    assert clarify_reasons(result) == ["empty_draft"]
+
+
+def test_bundled_suite_usage_is_pinned(suite_dir, scripts_dir, vision_fixtures):
+    # the totals the per-call counters gave before usage became a fold over the trace
+    from shopclerk.tasks import load_suite
+
+    totals = dict.fromkeys(("prompt_chars", "completion_chars", "backend_calls",
+                            "describe_calls"), 0)
+    calls = {"propose": 0, "evaluate": 0}
+    tasks = load_suite(suite_dir, vision_fixtures)
+    assert len(tasks) == 13
+    for task in tasks:
+        chat = ScriptedBackend.from_file(scripts_dir / f"{task.task_id}.json")
+        result = run_episode(task, AgentConfig(), chat, vision_fixtures)
+        assert result.usage == result.trace.usage(), task.task_id
+        for key in totals:
+            totals[key] += getattr(result.usage, key)
+        for event in result.trace.events:
+            if event["kind"] == "chat":
+                calls[event["call"]] += 1
+        assert clarify_reasons(result) == [], task.task_id
+    assert totals == {"prompt_chars": 74_720, "completion_chars": 10_527,
+                      "backend_calls": 60, "describe_calls": 3}
+    assert calls == {"propose": 30, "evaluate": 30}
+
+
+def test_describe_leaves_one_trace_event(suite_dir, scripts_dir, vision_fixtures):
+    result, _ = run_bundled("damaged-kettle-refund", suite_dir, scripts_dir, vision_fixtures)
+    describes = [e for e in result.trace.events if e["kind"] == "describe"]
+    assert describes == [{
+        "seq": describes[0]["seq"], "kind": "describe",
+        "instruction": "Describe the damage shown in the image",
+        "asset": "https://img.shop.example/uploads/kettle-crack-2291.jpg",
+        "output": "cracked base, left side",
+    }]
+    assert result.trace.events[describes[0]["seq"] - 1]["kind"] == "tool_call"
+    assert result.usage.describe_calls == 1
+
+
+def test_failed_describe_is_traced_and_counted(suite_dir, vision_fixtures, tmp_path):
+    missing = "https://img.shop.example/uploads/not-in-the-fixtures-0001.jpg"
+    plans = [{"kind": "single_tool",
+              "steps": [{"tool": "multimodal_describe",
+                          "arguments": {"placeholder": "[Image 1]"}}],
+              "rationale": "Look at the photo.", "reply": None}]
+    chat = plans_script(plans, "Look at the photo.", tmp_path / "missing-asset.json")
+    task = load_task(suite_dir / "damaged-kettle-refund.json", vision_fixtures)
+    config = agent_config_from_dict({"max_plan_rounds": 1}, AgentConfig())
+    session = AgentSession(task.reset(), chat, vision_fixtures, config)
+    report = session.handle_buyer_turn(f"My kettle arrived like this: {missing}")
+    assert report.tool_calls[0]["is_error"]
+    describes = [e for e in session.trace.events if e["kind"] == "describe"]
+    assert len(describes) == 1
+    assert describes[0]["asset"] == missing
+    assert "unknown asset" in describes[0]["error"]
+    assert "output" not in describes[0]
+    assert session.trace.usage().describe_calls == 1

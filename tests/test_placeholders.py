@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import url_corpus
+from conftest import DescribeCounter, url_corpus
 from shopclerk.errors import ResolutionError, UnknownPlaceholderError
 from shopclerk.memory import LongTermStore, PartKind
 from shopclerk.placeholders import (
@@ -14,7 +14,7 @@ from shopclerk.placeholders import (
     resolve,
     split_parts,
 )
-from shopclerk.vision import CountingVision, FixtureVisionBackend, ImageAsset
+from shopclerk.vision import FixtureVisionBackend, ImageAsset
 
 IMG = "https://img.shop.example/a/b/c/damage-photo.jpg"
 ORDER_URL = "https://shop.example/order/O-8842/detail"
@@ -149,7 +149,7 @@ def _vision_with_asset():
         {IMG: asset},
         rules=(),
     )
-    return CountingVision(backend)
+    return DescribeCounter(backend)
 
 
 def test_resolve_image_uses_instruction_from_fixture():
@@ -160,7 +160,7 @@ def test_resolve_image_uses_instruction_from_fixture():
         annotations={"default": "a kettle", "damage": "cracked base, left side"},
         rules=(CategoryRule("damage", ("damage",)),),
     )
-    vision = CountingVision(FixtureVisionBackend({IMG: asset}))
+    vision = FixtureVisionBackend({IMG: asset})
     table = PlaceholderTable()
     abstract_text(f"see {IMG}", table)
     text = resolve("[Image 1]", table, vision, instruction="Describe the damage shown in the image")

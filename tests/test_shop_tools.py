@@ -2,13 +2,13 @@ import json
 
 import pytest
 
+from conftest import DescribeCounter
 from shopclerk.memory import Namespace
 from shopclerk.placeholders import PlaceholderTable, abstract_text
 from shopclerk.shop_tools import build_registry
 from shopclerk.toolkit import ActionTrace, ToolCall
 from shopclerk.vision import (
     CategoryRule,
-    CountingVision,
     FixtureVisionBackend,
     ImageAsset,
     IntegrationStrategy,
@@ -43,7 +43,7 @@ def session_bits():
     table = PlaceholderTable()
     asset = ImageAsset(PHOTO, {"default": "a kettle", "damage": "cracked base"},
                        rules=(CategoryRule("damage", ("damage",)),))
-    vision = CountingVision(FixtureVisionBackend({PHOTO: asset}))
+    vision = DescribeCounter(FixtureVisionBackend({PHOTO: asset}))
     registry = build_registry(world, store, table, vision)
     return world, store, table, vision, registry
 
@@ -134,7 +134,7 @@ def test_multimodal_describe_unknown_placeholder(session_bits):
 def test_describe_tool_absent_in_planner_mode():
     world = world_from_dict(WORLD_SEED)
     registry = build_registry(world, seed_store(world), PlaceholderTable(),
-                              CountingVision(FixtureVisionBackend({})),
+                              FixtureVisionBackend({}),
                               strategy=IntegrationStrategy.PLANNER)
     result = invoke(registry, "multimodal_describe", placeholder="[Image 1]")
     assert result.is_error
@@ -168,7 +168,7 @@ def test_catalog_text_is_pinned(strategy):
     world = world_from_dict(WORLD_SEED)
     for _ in range(2):  # a fresh session gets the same text from the memoized render
         registry = build_registry(world, seed_store(world), PlaceholderTable(),
-                                  CountingVision(FixtureVisionBackend({})), strategy=strategy)
+                                  FixtureVisionBackend({}), strategy=strategy)
         assert registry.catalog_text() == "\n".join(lines)
 
 
