@@ -233,17 +233,18 @@ class ReplayBackend:
 REMOTE_URL_ENV = "SHOPCLERK_CHAT_URL"
 REMOTE_KEY_ENV = "SHOPCLERK_CHAT_KEY"
 REMOTE_MODEL_ENV = "SHOPCLERK_CHAT_MODEL"
-REMOTE_RETRIES = 2  # extra attempts after a transport failure
+REMOTE_RETRIES = 2  # extra attempts after a retryable failure
 REMOTE_BACKOFF_S = 0.5  # fixed pause before each retry
+REMOTE_RETRY_STATUSES = frozenset({408, 429})  # the 4xx statuses worth retrying; 5xx all are
 
 
 class RemoteBackend:
     """JSON-over-HTTP chat client; endpoint and key come from the environment.
 
     The request body follows the common chat-completions shape; see README
-    for the exact field mapping. A transport failure is retried
-    REMOTE_RETRIES times, REMOTE_BACKOFF_S apart; a reply of the wrong shape
-    is not.
+    for the exact field mapping. A connection failure, an undecodable body,
+    a 5xx, 408 or 429 is retried REMOTE_RETRIES times, REMOTE_BACKOFF_S apart;
+    any other 4xx and a reply of the wrong shape are not.
     """
 
     def __init__(self, base_url: str | None = None, api_key: str | None = None,
@@ -278,20 +279,27 @@ class RemoteBackend:
             headers["Authorization"] = f"Bearer {self.api_key}"
         attempts = REMOTE_RETRIES + 1
         for attempt in range(attempts):
+            if attempt:
+                time.sleep(REMOTE_BACKOFF_S)
             try:
                 reply = self.session.post(
                     self.base_url.rstrip("/") + "/chat/completions",
                     json=body, headers=headers, timeout=60,
                 )
-                reply.raise_for_status()
-                data = reply.json()
-                break
-            except Exception as exc:  # transport, HTTP status or body decoding
-                if attempt == attempts - 1:
-                    raise BackendError(
-                        f"remote chat call failed after {attempts} attempts: {exc}"
-                    ) from exc
-                time.sleep(REMOTE_BACKOFF_S)
+                status = reply.status_code
+                if status < 400:
+                    data = reply.json()
+                    break
+            except Exception as exc:  # connection failure or undecodable body
+                failure = exc
+                continue
+            if status < 500 and status not in REMOTE_RETRY_STATUSES:
+                raise BackendError(f"remote chat call rejected: http {status}")
+            failure = BackendError(f"http {status}")
+        else:
+            raise BackendError(
+                f"remote chat call failed after {attempts} attempts: {failure}"
+            ) from failure
         try:
             choice = data["choices"][0]
             text = choice["message"]["content"] or ""

@@ -77,7 +77,7 @@ class _Recorded:
     """A session's chat and vision backends; each call leaves one trace event.
 
     The trace is the session's only ledger: ActionTrace.usage() folds these
-    events into its usage. A describe that raises is recorded with its error.
+    events into its usage. A call that raises is recorded with its error.
     """
 
     def __init__(self, chat, vision, trace: ActionTrace):
@@ -86,13 +86,16 @@ class _Recorded:
         self._trace = trace
 
     def complete(self, request):
-        response = self._chat.complete(request)
-        self._trace.add(
-            "chat",
-            call="evaluate" if request.label_alphabet else "propose",
-            prompt_chars=request.prompt_chars(),
-            completion_chars=len(response.text),
-        )
+        about = {
+            "call": "evaluate" if request.label_alphabet else "propose",
+            "prompt_chars": request.prompt_chars(),
+        }
+        try:
+            response = self._chat.complete(request)
+        except Exception as exc:  # recorded, then raised to the caller unchanged
+            self._trace.add("chat", **about, completion_chars=0, error=str(exc))
+            raise
+        self._trace.add("chat", **about, completion_chars=len(response.text))
         return response
 
     def describe(self, query):
@@ -191,7 +194,7 @@ class AgentSession:
                 return self._clarify("low_confidence")
             plan = plans[verdict.selected]
             if plan.kind is dec.PlanKind.DIRECT_REPLY:
-                return plan.draft_reply or self._clarify("empty_draft")
+                return plan.draft_reply
             hit_unknown_placeholder = self._run_steps(plan, report)
             if hit_unknown_placeholder:
                 if placeholder_retry_used:

@@ -2,6 +2,7 @@
 
 import json
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -58,11 +59,18 @@ def text_message(role: Role, text: str, turn_index: int, timestamp: int = 0) -> 
 
 
 class WorkingMemory:
-    """Append-only per-session transcript."""
+    """Append-only per-session transcript.
+
+    Each message is rendered once, when it is appended: messages are frozen
+    and the transcript only grows, so a cached line never goes stale.
+    _offsets[i] is the size of the first i lines, each counted with its newline.
+    """
 
     def __init__(self, session_id: str):
         self.session_id = session_id
         self._turns: list[Message] = []
+        self._lines: list[str] = []
+        self._offsets: list[int] = [0]
 
     @property
     def turns(self) -> tuple[Message, ...]:
@@ -76,7 +84,10 @@ class WorkingMemory:
             raise SequencingError(
                 f"expected turn_index {len(self._turns)}, got {msg.turn_index}"
             )
+        line = render_turn(msg)
         self._turns.append(msg)
+        self._lines.append(line)
+        self._offsets.append(self._offsets[-1] + len(line) + 1)
 
 
 def render_turn(msg: Message) -> str:
@@ -91,23 +102,15 @@ def render_context(wm: WorkingMemory, budget: int) -> str:
     """
     if budget <= 0:
         raise UsageError(f"render budget must be positive, got {budget}")
-    lines = [render_turn(m) for m in wm.turns]
-    if not lines:
-        return ""
-    full = "\n".join(lines)
-    if len(full) <= budget:
-        return full
-    kept: list[str] = []
-    total = len(ELISION_MARKER)
-    for line in reversed(lines):
-        cost = len(line) + 1  # newline joining it to the block above
-        if total + cost > budget:
-            break
-        kept.append(line)
-        total += cost
-    if not kept:
-        return ELISION_MARKER if len(ELISION_MARKER) <= budget else ""
-    return "\n".join([ELISION_MARKER] + list(reversed(kept)))
+    lines, offsets = wm._lines, wm._offsets
+    total = offsets[-1]  # the full join plus one newline
+    if total - 1 <= budget:
+        return "\n".join(lines)
+    # keep lines[start:], the longest suffix with marker + its lines <= budget
+    start = bisect_left(offsets, len(ELISION_MARKER) + total - budget)
+    if start == len(offsets):
+        return ""  # even the marker alone is over budget
+    return "\n".join([ELISION_MARKER, *lines[start:]])
 
 
 # --- transcript persistence (one JSON object per line, append-only) ---

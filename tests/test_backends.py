@@ -221,11 +221,7 @@ class FakeSession:
 class FakeReply:
     def __init__(self, data, status=200):
         self.data = data
-        self.status = status
-
-    def raise_for_status(self):
-        if self.status >= 400:
-            raise RuntimeError(f"http {self.status}")
+        self.status_code = status
 
     def json(self):
         return self.data
@@ -266,6 +262,28 @@ def test_remote_backend_transport_failure(monkeypatch, sleeps):
     session = FakeSession([RuntimeError("connection reset")] * 4)
     backend = RemoteBackend(session=session)
     with pytest.raises(BackendError, match="after 3 attempts: connection reset"):
+        backend.complete(req("hello"))
+    assert len(session.requests) == 3
+    assert sleeps == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("status", [400, 401, 404])
+def test_remote_backend_fails_fast_on_client_error(monkeypatch, sleeps, status):
+    monkeypatch.setenv("SHOPCLERK_CHAT_URL", "https://llm.internal")
+    session = FakeSession([FakeReply({}, status=status)] * 3)
+    backend = RemoteBackend(session=session)
+    with pytest.raises(BackendError, match=f"rejected: http {status}"):
+        backend.complete(req("hello"))
+    assert len(session.requests) == 1
+    assert sleeps == []
+
+
+def test_remote_backend_retries_timeouts_and_rate_limits(monkeypatch, sleeps):
+    monkeypatch.setenv("SHOPCLERK_CHAT_URL", "https://llm.internal")
+    session = FakeSession([FakeReply({}, status=408), FakeReply({}, status=429),
+                           FakeReply({}, status=500)])
+    backend = RemoteBackend(session=session)
+    with pytest.raises(BackendError, match="after 3 attempts: http 500"):
         backend.complete(req("hello"))
     assert len(session.requests) == 3
     assert sleeps == [0.5, 0.5]

@@ -80,6 +80,7 @@ def test_propose_drops_malformed_keeps_valid():
         {"kind": "nonsense"},
         plan_row("direct_reply", reply="ok"),
         {"kind": "direct_reply", "steps": [], "reply": None},  # reply missing
+        {"kind": "direct_reply", "steps": [], "reply": ""},  # reply empty
     ]
     plans = propose("ctx", CATALOG, 3, backend_with(fenced(rows)))
     assert len(plans) == 1

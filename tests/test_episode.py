@@ -3,7 +3,6 @@ import re
 
 import pytest
 
-from shopclerk import decision
 from shopclerk.backends import RecordingBackend, ReplayBackend, ScriptedBackend
 from shopclerk.config import AgentConfig, LatencyModel, agent_config_from_dict
 from shopclerk.episode import CLARIFICATION_REPLY, AgentSession, run_episode
@@ -105,6 +104,14 @@ def test_script_exhaustion_is_recorded_not_raised(suite_dir, vision_fixtures):
     result = run_episode(task, AgentConfig(), chat, vision_fixtures)
     assert not result.success
     assert "ScriptError" in result.error
+    # the failed call is still on the ledger, as a failed describe would be
+    chats = [e for e in result.trace.events if e["kind"] == "chat"]
+    assert len(chats) == 1
+    assert chats[0]["call"] == "propose"
+    assert chats[0]["prompt_chars"] > 0
+    assert chats[0]["completion_chars"] == 0
+    assert chats[0]["error"] in result.error
+    assert result.usage.backend_calls == 1
 
 
 def test_transcripts_identical_across_runs(suite_dir, scripts_dir, vision_fixtures):
@@ -269,19 +276,6 @@ def test_plan_rounds_bounded(suite_dir, vision_fixtures, tmp_path):
     assert result.replies == (CLARIFICATION_REPLY,)
     assert result.usage.backend_calls == 6  # 3 rounds of propose + evaluate
     assert clarify_reasons(result) == ["max_plan_rounds"]
-
-
-def test_direct_reply_without_draft_clarifies(suite_dir, vision_fixtures, monkeypatch):
-    # _parse_plan drops a direct reply with no draft, so only a plan built in code gets here
-    plan = decision.CandidatePlan(plan_id=0, kind=decision.PlanKind.DIRECT_REPLY, steps=(),
-                                  rationale="Say nothing.", draft_reply=None)
-    monkeypatch.setattr(decision, "propose", lambda *args, **kwargs: [plan])
-    task = load_task(suite_dir / "kettle-capacity.json", vision_fixtures)
-    config = agent_config_from_dict({"decision_module": "off"}, AgentConfig())
-    result = run_episode(task, config, ScriptedBackend([]), vision_fixtures)
-    assert result.error is None
-    assert result.replies == (CLARIFICATION_REPLY,)
-    assert clarify_reasons(result) == ["empty_draft"]
 
 
 def test_bundled_suite_usage_is_pinned(suite_dir, scripts_dir, vision_fixtures):

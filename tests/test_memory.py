@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from shopclerk import memory
 from shopclerk.errors import SchemaError, SequencingError, UsageError
 from shopclerk.memory import (
     ELISION_MARKER,
@@ -89,6 +92,58 @@ def test_render_truncation_keeps_most_recent_turns():
     # one character less drops one more whole turn
     tighter = render_context(wm, budget - 1)
     assert tighter.splitlines()[1:] == lines[-4:]
+
+
+def reference_render(wm, budget):
+    """The former render: every turn rendered again, then trimmed oldest-first."""
+    lines = [render_turn(m) for m in wm.turns]
+    if not lines:
+        return ""
+    full = "\n".join(lines)
+    if len(full) <= budget:
+        return full
+    kept = []
+    total = len(ELISION_MARKER)
+    for line in reversed(lines):
+        cost = len(line) + 1
+        if total + cost > budget:
+            break
+        kept.append(line)
+        total += cost
+    if not kept:
+        return ELISION_MARKER if len(ELISION_MARKER) <= budget else ""
+    return "\n".join([ELISION_MARKER] + list(reversed(kept)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_render_matches_reference_after_every_append(seed):
+    # budgets 1-150 cover budgets under len(ELISION_MARKER) and lines longer than the budget
+    rng = random.Random(seed)
+    roles = list(Role)
+    wm = WorkingMemory("s1")
+    for budget in range(1, 151):
+        assert render_context(wm, budget) == reference_render(wm, budget)
+    for i in range(30):
+        text = "".join(rng.choices("ab xy\t", k=rng.randint(0, 40)))
+        wm.append_turn(text_message(rng.choice(roles), text, i))
+        for budget in range(1, 151):
+            assert render_context(wm, budget) == reference_render(wm, budget), (i, budget)
+
+
+def test_each_message_is_rendered_once(monkeypatch):
+    calls = []
+
+    def counting_render_turn(msg):
+        calls.append(msg.turn_index)
+        return render_turn(msg)
+
+    monkeypatch.setattr(memory, "render_turn", counting_render_turn)
+    wm = WorkingMemory("s1")
+    for i in range(10):
+        wm.append_turn(text_message(Role.BUYER, f"turn {i}", i))
+        for budget in (5, 60, 10_000):
+            render_context(wm, budget)
+    assert calls == list(range(10))
 
 
 def test_render_deterministic():
