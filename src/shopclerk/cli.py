@@ -129,7 +129,14 @@ def _parse_k_values(raw: str) -> list[int]:
         raise UsageError(f"bad k list: {raw!r}") from None
 
 
+def _check_counts(args) -> None:
+    for flag, value in (("--n-trials", args.n_trials), ("--workers", args.workers)):
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1, got {value}")
+
+
 def cmd_bench(args) -> int:
+    _check_counts(args)
     config = _agent_config(args)
     fixtures, factory = _episode_backends(args)
     tasks = load_suite(args.suite, vision_fixtures=fixtures)
@@ -155,6 +162,7 @@ VARY_AXES = {
 
 
 def cmd_ablate(args) -> int:
+    _check_counts(args)
     base = _agent_config(args)
     fixtures, factory = _episode_backends(args)
     tasks = load_suite(args.suite, vision_fixtures=fixtures)
@@ -278,8 +286,13 @@ def cmd_replay(args) -> int:
         trace_path = Path(args.trace)
         if not trace_path.exists():
             raise ConfigError(f"trace not found: {trace_path}")
-        for line in trace_path.read_text(encoding="utf-8").splitlines():
-            row = json.loads(line)
+        lines = trace_path.read_text(encoding="utf-8").splitlines()
+        for line_no, line in enumerate(lines, start=1):
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(
+                    f"trace {trace_path} line {line_no} is not valid JSON: {exc}") from None
             print(f"  [{row['kind']}] " + json.dumps(row, sort_keys=True)[:160])
     return EXIT_OK
 

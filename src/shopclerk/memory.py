@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .errors import SchemaError, SequencingError, UsageError
+from .errors import ConfigError, SchemaError, SequencingError, UsageError
 
 ELISION_MARKER = "[earlier turns omitted]"
 
@@ -141,10 +141,14 @@ def write_transcript(wm: WorkingMemory, path: str | Path) -> None:
 def read_transcript(path: str | Path) -> WorkingMemory:
     wm: WorkingMemory | None = None
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            row = json.loads(line)
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(
+                    f"transcript {path} line {line_no} is not valid JSON: {exc}") from None
             if wm is None:
                 wm = WorkingMemory(row["session_id"])
             wm.append_turn(message_from_dict(row))
@@ -163,11 +167,13 @@ class Namespace(str, Enum):
     BUYER_PROFILE = "buyer_profile"
 
 
+WORLD_NAMESPACES = frozenset({Namespace.PRODUCT, Namespace.ORDER, Namespace.LOGISTICS})
+
+
 @dataclass
 class Document:
     key: str
     body: object  # structured map or plain text
-    updated_at: int = 0
 
 
 def _flatten_tokens(body: object) -> set[str]:
@@ -195,34 +201,35 @@ def _flatten_tokens(body: object) -> set[str]:
 class LongTermStore:
     """Domain knowledge keyed by (namespace, key); last write wins.
 
-    Concurrent readers are fine; writes take an exclusive lock.
+    WORLD_NAMESPACES are read-only, served from the store's world; writes take a lock.
     """
 
-    def __init__(self):
+    def __init__(self, world):
+        self._world = world
         self._docs: dict[Namespace, dict[str, Document]] = {ns: {} for ns in Namespace}
         self._lock = threading.Lock()
 
     @staticmethod
     def _namespace(namespace: str | Namespace) -> Namespace:
-        if isinstance(namespace, Namespace):
-            return namespace
         try:
             return Namespace(namespace)
         except ValueError:
             raise SchemaError(f"unknown namespace: {namespace!r}") from None
 
-    def put(self, namespace: str | Namespace, key: str, body: object, tick: int = 0) -> None:
+    def put(self, namespace: str | Namespace, key: str, body: object) -> None:
         ns = self._namespace(namespace)
+        if ns in WORLD_NAMESPACES:
+            raise SchemaError(f"read-only namespace: {ns.value} records come from the world")
         if not key:
             raise SchemaError("document key must be non-empty")
         with self._lock:
-            prev = self._docs[ns].get(key)
-            if prev is not None and tick < prev.updated_at:
-                tick = prev.updated_at  # updated_at never goes backwards
-            self._docs[ns][key] = Document(key=key, body=body, updated_at=tick)
+            self._docs[ns][key] = Document(key=key, body=body)
 
     def get(self, namespace: str | Namespace, key: str) -> Document | None:
         ns = self._namespace(namespace)
+        if ns in WORLD_NAMESPACES:
+            body = self._world.doc(ns, key)
+            return None if body is None else Document(key=key, body=body)
         return self._docs[ns].get(key)
 
     def search(self, namespace: str | Namespace, query: str, limit: int) -> list[Document]:
@@ -230,12 +237,14 @@ class LongTermStore:
         if limit < 1:
             raise UsageError("search limit must be >= 1")
         ns = self._namespace(namespace)
+        docs = ([Document(key, self._world.doc(ns, key)) for key in self._world.doc_keys(ns)]
+                if ns in WORLD_NAMESPACES else self._docs[ns].values())
         query_tokens = set(query.casefold().split())
         scored: list[tuple[int, str, Document]] = []
-        for key, doc in self._docs[ns].items():
+        for doc in docs:
             body_tokens = _flatten_tokens(doc.body)
             score = sum(1 for t in query_tokens if t in body_tokens)
             if score > 0:
-                scored.append((score, key, doc))
+                scored.append((score, doc.key, doc))
         scored.sort(key=lambda item: (-item[0], item[1]))
         return [doc for _, _, doc in scored[:limit]]

@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import comb
 from pathlib import Path
 
-from .errors import UsageError
+from .errors import ConfigError, UsageError
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,11 @@ def read_annotations_csv(path: str | Path) -> ContributionInputs:
     required = {"session_id", "message_id", "source", "judged_valid"}
     total_ai = total_cr = valid_ai = 0
     bad_lines: list[int] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"annotations file {path} cannot be read: {exc.strerror}") from None
+    with fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise UsageError(
@@ -150,7 +154,10 @@ def read_trial_records(directory: str | Path) -> TrialSet:
         raise UsageError(f"no *.result.json files under {directory}")
     trials = TrialSet()
     for file in files:
-        row = json.loads(file.read_text(encoding="utf-8"))
+        try:
+            row = json.loads(file.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"trial record {file} is not valid JSON: {exc}") from None
         trials.add(
             TrialRecord(
                 task_id=row["task_id"],

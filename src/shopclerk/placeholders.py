@@ -1,5 +1,6 @@
 """URL placeholder table: abstract token-heavy spans, resolve them on demand."""
 
+import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -247,15 +248,9 @@ def resolve(
         doc = store.get(ns, key)
         if doc is None:
             raise ResolutionError(f"no {ns.value} record for key {key!r}")
-        text = doc.body if isinstance(doc.body, str) else _render_body(doc.body)
+        text = json.dumps(doc.body, sort_keys=True, ensure_ascii=False)
     else:
         text = entry.original  # plain links resolve to themselves
 
     entry.resolved[cache_key] = text
     return text
-
-
-def _render_body(body) -> str:
-    import json
-
-    return json.dumps(body, sort_keys=True, ensure_ascii=False)

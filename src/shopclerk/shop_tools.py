@@ -71,31 +71,24 @@ class _Handlers:
         self.table = table
         self.vision = vision
 
+    def _record(self, namespace: Namespace, key: str, noun: str) -> str:
+        doc = self.world.doc(namespace, key)
+        if doc is None:
+            return_error(f"not_found: {noun} {key}")
+        return _dump(doc)
+
     def product_info(self, args: dict) -> str:
-        product = self.world.products.get(args["product_id"])
-        if product is None:
-            return_error(f"not_found: product {args['product_id']}")
-        return _dump(product.to_doc())
+        return self._record(Namespace.PRODUCT, args["product_id"], "product")
 
     def order_lookup(self, args: dict) -> str:
-        order = self.world.orders.get(args["order_id"])
-        if order is None:
-            return_error(f"not_found: order {args['order_id']}")
-        return _dump(order.to_doc())
+        return self._record(Namespace.ORDER, args["order_id"], "order")
 
     def order_update(self, args: dict) -> str:
-        world = self.world
-        event = world.apply_order_action(args["order_id"], args["action"])
-        self.store.put(Namespace.ORDER, args["order_id"], world.orders[args["order_id"]].to_doc(),
-                       tick=world.clock)
+        event = self.world.apply_order_action(args["order_id"], args["action"])
         return _dump({"ok": True, "order_id": args["order_id"], "status": event["to"]})
 
     def logistics_track(self, args: dict) -> str:
-        order_id = args["order_id"]
-        if order_id not in self.world.orders:
-            return_error(f"not_found: order {order_id}")
-        events = [e.to_doc() for e in self.world.shipments.get(order_id, [])]
-        return _dump({"order_id": order_id, "events": events})
+        return self._record(Namespace.LOGISTICS, args["order_id"], "order")
 
     def multimodal_describe(self, args: dict) -> str:
         return placeholders.resolve(
@@ -114,7 +107,7 @@ class _Handlers:
 
     def memory_put(self, args: dict) -> str:
         body = json.loads(args["body_json"])
-        self.store.put(args["namespace"], args["key"], body, tick=self.world.clock)
+        self.store.put(args["namespace"], args["key"], body)
         return _dump({"ok": True, "key": args["key"]})
 
     def status_note(self, args: dict) -> str:

@@ -83,6 +83,8 @@ def load_task(path: str | Path, vision_fixtures=None) -> Task:
 
 
 def task_from_dict(data: dict, source: str = "<task>", vision_fixtures=None) -> Task:
+    if not isinstance(data, dict):
+        _fail(source, "top level must be a JSON object")
     task_id = data.get("task_id")
     if not task_id or not isinstance(task_id, str):
         _fail(f"{source}:task_id", "missing or not a string")
@@ -111,19 +113,27 @@ def task_from_dict(data: dict, source: str = "<task>", vision_fixtures=None) -> 
         _fail(f"{source}:max_turns", f"must be an integer >= {len(turns)}")
 
     success_row = data.get("success") or {}
-    assertions = tuple(
-        StateAssertion(path=row["path"], expected=row["expected"])
-        for row in success_row.get("state_assertions", [])
-    )
+    if not isinstance(success_row, dict):
+        _fail(f"{source}:success", "must be an object")
+    assertions = []
+    for i, row in enumerate(success_row.get("state_assertions", [])):
+        if not (isinstance(row, dict) and isinstance(row.get("path"), str) and "expected" in row):
+            _fail(f"{source}:success.state_assertions[{i}]", "needs a string path and an expected")
+        assertions.append(StateAssertion(path=row["path"], expected=row["expected"]))
     facts = []
     for i, row in enumerate(success_row.get("response_facts", [])):
-        match = row.get("match") or {}
+        match = row.get("match") if isinstance(row, dict) else None
+        match = match if isinstance(match, dict) else {}
         if "substring" in match:
             facts.append(ResponseFact(substring=match["substring"],
                                       must_appear=row.get("must_appear", True)))
         elif "number" in match:
-            facts.append(ResponseFact(number=float(match["number"]),
-                                      tolerance=float(match.get("tolerance", 0.0)),
+            try:
+                number, tolerance = float(match["number"]), float(match.get("tolerance", 0.0))
+            except (TypeError, ValueError):
+                _fail(f"{source}:success.response_facts[{i}].match",
+                      "number and tolerance must be numbers")
+            facts.append(ResponseFact(number=number, tolerance=tolerance,
                                       must_appear=row.get("must_appear", True)))
         else:
             _fail(f"{source}:success.response_facts[{i}].match", "needs substring or number")
@@ -142,7 +152,7 @@ def task_from_dict(data: dict, source: str = "<task>", vision_fixtures=None) -> 
         modality=modality,
         world_seed=data["world"],
         buyer_script=tuple(turns),
-        success=SuccessCriteria(state_assertions=assertions, response_facts=tuple(facts)),
+        success=SuccessCriteria(state_assertions=tuple(assertions), response_facts=tuple(facts)),
         max_turns=max_turns,
     )
 

@@ -71,6 +71,8 @@ class FixtureVisionBackend:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ConfigError(f"vision fixture file not found: {path}") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"vision fixture file {path} is not valid JSON: {exc}") from None
         rules = tuple(
             CategoryRule(r["category"], tuple(r["keywords"])) for r in data.get("rules", [])
         )
@@ -79,6 +81,9 @@ class FixtureVisionBackend:
             asset_rules = tuple(
                 CategoryRule(r["category"], tuple(r["keywords"])) for r in row.get("rules", [])
             )
+            if not isinstance(row.get("annotations"), dict):
+                raise ConfigError(f"vision fixture file {path}: asset {asset_id} annotations "
+                                  "must be an object")
             assets[asset_id] = ImageAsset(asset_id, dict(row["annotations"]), asset_rules)
         return cls(assets, rules)
 

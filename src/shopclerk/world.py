@@ -115,6 +115,17 @@ class World:
         self.mutations.append(event)
         return event
 
+    def doc(self, namespace: Namespace, key: str) -> dict | None:
+        """A product, order or logistics record as the lookups and the store serve it."""
+        if namespace is Namespace.LOGISTICS:
+            events = [e.to_doc() for e in self.shipments.get(key, [])]
+            return {"order_id": key, "events": events} if key in self.orders else None
+        records = self.products if namespace is Namespace.PRODUCT else self.orders
+        return records[key].to_doc() if key in records else None
+
+    def doc_keys(self, namespace: Namespace) -> list[str]:
+        return list(self.products if namespace is Namespace.PRODUCT else self.orders)
+
     def snapshot(self) -> dict:
         """Plain-dict view used by success assertions (dotted paths)."""
         return {
@@ -168,16 +179,10 @@ def world_from_dict(data: dict) -> World:
 
 
 def seed_store(world: World) -> LongTermStore:
-    """Load the world's knowledge into a fresh long-term store."""
-    store = LongTermStore()
-    for pid, product in world.products.items():
-        store.put(Namespace.PRODUCT, pid, product.to_doc())
-    for oid, order in world.orders.items():
-        store.put(Namespace.ORDER, oid, order.to_doc())
-    for oid, events in world.shipments.items():
-        store.put(Namespace.LOGISTICS, oid, {"order_id": oid, "events": [e.to_doc() for e in events]})
+    """A long-term store over the world, loaded with the world's policies."""
+    store = LongTermStore(world)
     for policy in world.policies:
-        store.put(Namespace(policy.namespace), policy.key, policy.body)
+        store.put(policy.namespace, policy.key, policy.body)
     return store
 
 

@@ -133,6 +133,23 @@ def test_run_corrupt_replay_store_exits_2(capsys, suite_dir, tmp_path):
     assert "not valid JSON" in err
 
 
+@pytest.mark.parametrize("content,why", [
+    ("{not json", "is not valid JSON"),
+    (json.dumps({"assets": {"https://img.example/a.jpg": {"annotations": "a kettle"}}}),
+     "annotations must be an object"),
+], ids=["not-json", "annotations-not-object"])
+def test_run_malformed_fixtures_file_exits_2(capsys, suite_dir, scripts_dir, tmp_path,
+                                             content, why):
+    fixtures = tmp_path / "fixtures.json"
+    fixtures.write_text(content)
+    code, _, err = run_cli(
+        capsys, "run", "--task", str(suite_dir / "kettle-capacity.json"),
+        "--script", str(scripts_dir / "kettle-capacity.json"), "--fixtures", str(fixtures),
+    )
+    assert code == 2
+    assert str(fixtures) in err and why in err
+
+
 def test_run_failure_exits_1(capsys, suite_dir, scripts_dir, tmp_path):
     # wrong-label negative: flip the first round's evaluation
     script = json.loads((scripts_dir / "kettle-capacity.json").read_text())
@@ -193,6 +210,21 @@ def test_metrics_empty_records_dir_exits_2(capsys, tmp_path):
     assert "result.json" in err
 
 
+def test_metrics_missing_annotations_file_exits_2(capsys, tmp_path):
+    missing = tmp_path / "none.csv"
+    code, _, err = run_cli(capsys, "metrics", "--annotations", str(missing))
+    assert code == 2
+    assert f"annotations file {missing} cannot be read" in err
+
+
+def test_metrics_corrupt_record_exits_2(capsys, tmp_path):
+    corrupt = tmp_path / "t-0.result.json"
+    corrupt.write_text('{"task_id": "t", "succ')
+    code, _, err = run_cli(capsys, "metrics", "--records", str(tmp_path))
+    assert code == 2
+    assert f"trial record {corrupt} is not valid JSON" in err
+
+
 def test_metrics_requires_some_input(capsys):
     code, _, err = run_cli(capsys, "metrics")
     assert code == 2
@@ -225,6 +257,17 @@ def test_bench_k_above_n_exits_2(capsys, suite_dir, scripts_dir):
         "--n-trials", "2", "--k", "7",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("command", [["bench"], ["ablate", "--vary", "aci"]],
+                         ids=["bench", "ablate"])
+@pytest.mark.parametrize("flag,value", [("--workers", "0"), ("--workers", "-5"),
+                                        ("--n-trials", "0")])
+def test_counts_below_one_exit_2_naming_the_flag(capsys, command, flag, value):
+    code, out, err = run_cli(capsys, *command, "--k", "1", flag, value)
+    assert code == 2
+    assert f"{flag} must be >= 1, got {value}" in err
+    assert out == ""
 
 
 def test_bench_with_workers_writes_the_serial_artifacts(capsys, tmp_path):
@@ -316,3 +359,16 @@ def test_replay_prints_transcript(capsys, suite_dir, scripts_dir, tmp_path):
 def test_replay_missing_file_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "replay", "--transcript", str(tmp_path / "none.jsonl"))
     assert code == 2
+
+
+@pytest.mark.parametrize("broken", ["transcript", "trace"])
+def test_replay_malformed_line_exits_2(capsys, tmp_path, broken):
+    good = ('{"session_id": "s", "turn_index": 0, "role": "buyer",'
+            ' "parts": [{"kind": "text", "value": "hi"}]}\n')
+    files = {"transcript": tmp_path / "s.transcript.jsonl", "trace": tmp_path / "s.trace.jsonl"}
+    files["transcript"].write_text(good + ("{" if broken == "transcript" else ""))
+    files["trace"].write_text('{"kind": "tool_call"}\n' + ("{" if broken == "trace" else ""))
+    code, _, err = run_cli(capsys, "replay", "--transcript", str(files["transcript"]),
+                           "--trace", str(files["trace"]))
+    assert code == 2
+    assert f"{broken} {files[broken]} line 2 is not valid JSON" in err

@@ -17,6 +17,7 @@ from shopclerk.memory import (
     text_message,
     write_transcript,
 )
+from shopclerk.world import World
 
 
 def make_wm(texts, role=Role.BUYER):
@@ -170,76 +171,68 @@ def test_transcript_round_trip(tmp_path):
 
 
 def test_ltm_put_get_round_trip():
-    store = LongTermStore()
-    store.put(Namespace.PRODUCT, "P100", {"title": "kettle"})
-    doc = store.get(Namespace.PRODUCT, "P100")
+    store = LongTermStore(World())
+    store.put(Namespace.BUYER_PROFILE, "B1", {"name": "Ada"})
+    doc = store.get(Namespace.BUYER_PROFILE, "B1")
     assert doc is not None
-    assert doc.body == {"title": "kettle"}
+    assert doc.body == {"name": "Ada"}
 
 
 def test_ltm_last_write_wins():
-    store = LongTermStore()
-    store.put("product", "P100", {"title": "kettle"}, tick=1)
-    store.put("product", "P100", {"title": "red kettle"}, tick=2)
-    doc = store.get("product", "P100")
-    assert doc.body == {"title": "red kettle"}
-    assert doc.updated_at == 2
-
-
-def test_ltm_updated_at_never_decreases():
-    store = LongTermStore()
-    store.put("order", "O1", "a", tick=5)
-    store.put("order", "O1", "b", tick=3)
-    assert store.get("order", "O1").updated_at == 5
-    assert store.get("order", "O1").body == "b"
+    store = LongTermStore(World())
+    store.put("buyer_profile", "B1", {"name": "Ada"})
+    store.put("buyer_profile", "B1", {"name": "Ada L."})
+    doc = store.get("buyer_profile", "B1")
+    assert doc.body == {"name": "Ada L."}
 
 
 def test_ltm_unknown_namespace_is_schema_error():
-    store = LongTermStore()
+    store = LongTermStore(World())
     with pytest.raises(SchemaError):
         store.put("weather", "today", "sunny")
 
 
 def test_ltm_get_missing_is_none_not_error():
-    store = LongTermStore()
+    store = LongTermStore(World())
     assert store.get("order", "missing") is None
+    assert store.get("platform_policy", "missing") is None
 
 
 def test_ltm_empty_key_rejected():
-    store = LongTermStore()
+    store = LongTermStore(World())
     with pytest.raises(SchemaError):
-        store.put("order", "", "body")
+        store.put("platform_policy", "", "body")
 
 
 def test_search_single_match():
-    store = LongTermStore()
-    store.put("product", "P1", "red kettle")
-    store.put("product", "P2", "blue mug")
-    docs = store.search("product", "red kettle", limit=5)
+    store = LongTermStore(World())
+    store.put("platform_policy", "P1", "red kettle")
+    store.put("platform_policy", "P2", "blue mug")
+    docs = store.search("platform_policy", "red kettle", limit=5)
     assert [d.key for d in docs] == ["P1"]
 
 
 def test_search_tie_broken_by_key():
     # Hand count: "kettle mug" overlaps each body in exactly one token.
-    store = LongTermStore()
-    store.put("product", "P2", "blue mug")
-    store.put("product", "P1", "red kettle")
-    docs = store.search("product", "kettle mug", limit=5)
+    store = LongTermStore(World())
+    store.put("platform_policy", "P2", "blue mug")
+    store.put("platform_policy", "P1", "red kettle")
+    docs = store.search("platform_policy", "kettle mug", limit=5)
     assert [d.key for d in docs] == ["P1", "P2"]
 
 
 def test_search_zero_overlap_excluded():
-    store = LongTermStore()
-    store.put("product", "P1", "red kettle")
-    assert store.search("product", "socks", limit=5) == []
+    store = LongTermStore(World())
+    store.put("platform_policy", "P1", "red kettle")
+    assert store.search("platform_policy", "socks", limit=5) == []
 
 
 def test_search_ranking_and_limit():
-    store = LongTermStore()
-    store.put("product", "A", "steel kettle with lid")
-    store.put("product", "B", "steel mug")
-    store.put("product", "C", "wooden spoon")
-    docs = store.search("product", "steel kettle", limit=2)
+    store = LongTermStore(World())
+    store.put("platform_policy", "A", "steel kettle with lid")
+    store.put("platform_policy", "B", "steel mug")
+    store.put("platform_policy", "C", "wooden spoon")
+    docs = store.search("platform_policy", "steel kettle", limit=2)
     assert [d.key for d in docs] == ["A", "B"]
     scores = []
     for d in docs:
@@ -250,13 +243,13 @@ def test_search_ranking_and_limit():
 
 
 def test_search_requires_positive_limit():
-    store = LongTermStore()
+    store = LongTermStore(World())
     with pytest.raises(UsageError):
-        store.search("product", "kettle", limit=0)
+        store.search("platform_policy", "kettle", limit=0)
 
 
 def test_search_structured_body_tokens_include_keys_and_values():
-    store = LongTermStore()
-    store.put("product", "P1", {"material": "steel", "sizes": [2, 3]})
-    assert [d.key for d in store.search("product", "steel", 5)] == ["P1"]
-    assert [d.key for d in store.search("product", "material", 5)] == ["P1"]
+    store = LongTermStore(World())
+    store.put("platform_policy", "P1", {"material": "steel", "sizes": [2, 3]})
+    assert [d.key for d in store.search("platform_policy", "steel", 5)] == ["P1"]
+    assert [d.key for d in store.search("platform_policy", "material", 5)] == ["P1"]

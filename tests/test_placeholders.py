@@ -15,6 +15,7 @@ from shopclerk.placeholders import (
     split_parts,
 )
 from shopclerk.vision import FixtureVisionBackend, ImageAsset
+from shopclerk.world import World, world_from_dict
 
 IMG = "https://img.shop.example/a/b/c/damage-photo.jpg"
 ORDER_URL = "https://shop.example/order/O-8842/detail"
@@ -188,9 +189,8 @@ def test_resolve_caches_by_instruction():
 def test_resolve_order_reads_long_term_store():
     table = PlaceholderTable()
     abstract_text(f"check {ORDER_URL}", table)
-    store = LongTermStore()
-    store.put("order", "O-8842", {"status": "shipped"})
-    text = resolve("[Order 1]", table, _vision_with_asset(), store)
+    world = world_from_dict({"orders": {"O-8842": {"buyer_id": "B1", "status": "shipped"}}})
+    text = resolve("[Order 1]", table, _vision_with_asset(), LongTermStore(world))
     assert "shipped" in text
 
 
@@ -198,7 +198,7 @@ def test_resolve_order_missing_document_is_resolution_error():
     table = PlaceholderTable()
     abstract_text(f"check {ORDER_URL}", table)
     with pytest.raises(ResolutionError):
-        resolve("[Order 1]", table, _vision_with_asset(), LongTermStore())
+        resolve("[Order 1]", table, _vision_with_asset(), LongTermStore(World()))
 
 
 def test_placeholder_grammar():

@@ -190,6 +190,33 @@ def test_memory_search_tool(session_bits):
     assert [r["key"] for r in rows] == ["P100"]
 
 
+@pytest.mark.parametrize("namespace,key", [("product", "P100"), ("order", "O1"),
+                                           ("logistics", "O1"), ("order", "O-new")])
+def test_memory_put_into_a_shop_namespace_is_error(session_bits, namespace, key):
+    # the world is the only copy of a shop record: a put must not plant a second one
+    world, _, _, _, registry = session_bits
+    before = world.snapshot()
+    read = invoke(registry, "memory_get", namespace=namespace, key=key).text()
+    result = invoke(registry, "memory_put", namespace=namespace, key=key,
+                    body_json=json.dumps({"status": "refunded", "stock": 0}))
+    assert result.is_error
+    assert result.text() == f"read-only namespace: {namespace} records come from the world"
+    assert world.snapshot() == before
+    assert invoke(registry, "memory_get", namespace=namespace, key=key).text() == read
+
+
+def test_memory_get_logistics_without_shipments_matches_logistics_track():
+    seed = dict(WORLD_SEED, orders={**WORLD_SEED["orders"], "O2": {
+        "buyer_id": "B1", "items": [], "status": "paid", "address": "1 Elm St"}})
+    world = world_from_dict(seed)
+    registry = build_registry(world, seed_store(world), PlaceholderTable(),
+                              FixtureVisionBackend({}))
+    got = json.loads(invoke(registry, "memory_get", namespace="logistics", key="O2").text())
+    track = json.loads(invoke(registry, "logistics_track", order_id="O2").text())
+    assert got == {"found": True, "key": "O2", "body": track}
+    assert track == {"order_id": "O2", "events": []}
+
+
 def test_memory_put_bad_namespace(session_bits):
     _, _, _, _, registry = session_bits
     result = invoke(registry, "memory_put", namespace="weather", key="k", body_json="{}")

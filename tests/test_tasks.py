@@ -99,6 +99,21 @@ def test_load_error_on_bad_json(tmp_path):
         load_task(path)
 
 
+@pytest.mark.parametrize("payload,where", [
+    (["not", "an", "object"], "top level must be a JSON object"),
+    (dict(MINIMAL, success=["hi"]), r":success: must be an object"),
+    (dict(MINIMAL, success={"state_assertions": [{"expected": 1}]}),
+     r":success\.state_assertions\[0\]: needs a string path"),
+    (dict(MINIMAL, success={"response_facts": [{"match": {"number": "ten"}}]}),
+     r":success\.response_facts\[0\]\.match: number and tolerance must be numbers"),
+], ids=["top-level-list", "success-list", "assertion-without-path", "number-not-numeric"])
+def test_malformed_shape_is_load_error_naming_the_file(tmp_path, payload, where):
+    path = tmp_path / "bad-task.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(TaskLoadError, match=f"bad-task\\.json.*{where}"):
+        load_task(path)
+
+
 def test_reset_yields_independent_worlds(suite_dir, vision_fixtures):
     task = load_task(suite_dir / "cancel-paid-order.json", vision_fixtures)
     a, b = task.reset(), task.reset()

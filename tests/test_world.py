@@ -1,7 +1,7 @@
 import pytest
 
 from shopclerk.errors import IllegalTransitionError, SchemaError
-from shopclerk.memory import Namespace
+from shopclerk.memory import LongTermStore, Namespace
 from shopclerk.world import (
     OrderStatus,
     World,
@@ -133,3 +133,27 @@ def test_seed_store_covers_namespaces():
     assert store.get(Namespace.LOGISTICS, "O1").body["events"][0]["status"] == "picked_up"
     assert store.get(Namespace.PLATFORM_POLICY, "refund-window").body == "30 days"
     assert store.get(Namespace.STORE_PROMOTION, "spring").body == "5% off mugs"
+
+
+def test_store_follows_the_world_without_a_put():
+    world = make_world()
+    store = seed_store(world)
+    world.apply_order_action("O2", "cancel")
+    world.products["P1"].stock = 0
+    assert store.get(Namespace.ORDER, "O2").body["status"] == "cancelled"
+    assert store.get(Namespace.PRODUCT, "P1").body["stock"] == 0
+    assert [d.key for d in store.search(Namespace.ORDER, "cancelled", 5)] == ["O2"]
+
+
+def test_seed_store_puts_exactly_the_policies(monkeypatch):
+    puts = []
+    real_put = LongTermStore.put
+
+    def recording_put(self, namespace, key, body):
+        puts.append((Namespace(namespace), key, body))
+        real_put(self, namespace, key, body)
+
+    monkeypatch.setattr(LongTermStore, "put", recording_put)
+    world = make_world()
+    seed_store(world)
+    assert puts == [(Namespace(p.namespace), p.key, p.body) for p in world.policies]
