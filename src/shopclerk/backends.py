@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import BackendError, ConfigError, ReplayMissError, ScriptError, UsageError
+from .files import parse_json, parse_once
 
 
 @dataclass(frozen=True)
@@ -76,58 +77,34 @@ class ScriptEntry:
             raise ConfigError("script entry needs exactly one of step / contains")
 
 
-def _response_from_dict(row: dict) -> ChatResponse:
-    return ChatResponse(text=row.get("text", ""), label_probs=row.get("label_probs"))
-
-
-def parse_once(cache: dict, path, what: str, parse):
-    """parse(path, text) once per file version, (st_mtime_ns, st_size), per process.
-
-    cache maps a path to (version, parsed value); the value is shared by every
-    caller, so parse must return an immutable object. Two threads that miss
-    together both parse and store equal values.
-    """
-    path = os.fspath(path)
+def _response_from_dict(row, where: str) -> ChatResponse:
+    """The one check of a scripted or recorded response; where names it in errors."""
+    probs = row.get("label_probs") if isinstance(row, dict) else None
+    if not (isinstance(row, dict) and isinstance(row.get("text", ""), str) and (
+            probs is None or isinstance(probs, dict)
+            and all(isinstance(p, (int, float)) for p in probs.values()))):
+        raise ConfigError(f"{where} must be an object with a string text and, if given, "
+                          "label_probs mapping labels to numbers")
     try:
-        st = os.stat(path)
-        hit = cache.get(path)
-        if hit is not None and hit[0] == (st.st_mtime_ns, st.st_size):
-            return hit[1]
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"{what} {path} cannot be read: {exc.strerror}") from None
-    except UnicodeDecodeError:
-        raise ConfigError(f"{what} {path} is not UTF-8 text") from None
-    parsed = parse(path, text)
-    cache[path] = ((st.st_mtime_ns, st.st_size), parsed)
-    return parsed
+        return ChatResponse(text=row.get("text", ""), label_probs=probs)
+    except UsageError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _parse_script(path: str, text: str) -> tuple[ScriptEntry, ...]:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"script file {path} is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"script file {path} must hold a JSON object")
-    rows = data.get("entries", [])
+    rows = parse_json(text, f"script file {path}", dict).get("entries", [])
     if not isinstance(rows, list):
         raise ConfigError(f"script file {path}: entries must be a list")
     entries = []
     for i, row in enumerate(rows):
-        response = row.get("response", {}) if isinstance(row, dict) else None
-        if not isinstance(response, dict):
-            raise ConfigError(f"script file {path}: entry {i} and its response must be objects")
-        if not isinstance(response.get("text", ""), str):
-            raise ConfigError(f"script file {path}: entry {i} response text must be a string")
-        if not isinstance(response.get("label_probs", {}), (dict, type(None))):
-            raise ConfigError(f"script file {path}: entry {i} label_probs must be an object")
+        where = f"script file {path}: entry {i}"
+        if not isinstance(row, dict):
+            raise ConfigError(f"{where} must be an object")
+        response = _response_from_dict(row.get("response", {}), f"{where} response")
         try:
-            entries.append(ScriptEntry(response=_response_from_dict(response),
-                                       step=row.get("step"), contains=row.get("contains")))
-        except (ConfigError, UsageError) as exc:
-            raise ConfigError(f"script file {path}: entry {i}: {exc}") from None
+            entries.append(ScriptEntry(response, row.get("step"), row.get("contains")))
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     return tuple(entries)
 
 
@@ -171,14 +148,18 @@ class ScriptedBackend:
         )
 
 
-def _read_store(path: Path) -> dict[str, list[dict]]:
-    try:
-        store = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"store {path} is not valid JSON: {exc}") from None
-    if not isinstance(store, dict):
-        raise ConfigError(f"store {path} must hold a JSON object")
+def _parse_store(path: str, text: str) -> dict[str, tuple[ChatResponse, ...]]:
+    store = parse_json(text, f"replay store {path}", dict)
+    for digest, rows in store.items():
+        if not isinstance(rows, list):
+            raise ConfigError(f"replay store {path}: digest {digest} must map to a list")
+        store[digest] = tuple(
+            _response_from_dict(row, f"replay store {path}: digest {digest} row {i}")
+            for i, row in enumerate(rows))
     return store
+
+
+_STORES: dict[str, tuple[tuple[int, int], dict[str, tuple[ChatResponse, ...]]]] = {}
 
 
 class RecordingBackend:
@@ -191,18 +172,17 @@ class RecordingBackend:
     def __init__(self, inner, store_path: str | Path):
         self.inner = inner
         self.store_path = Path(store_path)
-        self._store: dict[str, list[dict]] = {}
-        if self.store_path.exists():
-            self._store = _read_store(self.store_path)
+        stored = (parse_once(_STORES, store_path, "replay store", _parse_store)
+                  if self.store_path.exists() else {})
+        self._store = {digest: list(responses) for digest, responses in stored.items()}
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         response = self.inner.complete(request)
-        digest = request_digest(request)
-        self._store.setdefault(digest, []).append(
-            {"text": response.text, "label_probs": response.label_probs}
-        )
+        self._store.setdefault(request_digest(request), []).append(response)
+        rows = {digest: [{"text": r.text, "label_probs": r.label_probs} for r in responses]
+                for digest, responses in self._store.items()}
         partial = self.store_path.with_name(self.store_path.name + ".partial")
-        partial.write_text(json.dumps(self._store, sort_keys=True, indent=1), encoding="utf-8")
+        partial.write_text(json.dumps(rows, sort_keys=True, indent=1), encoding="utf-8")
         os.replace(partial, self.store_path)
         return response
 
@@ -211,10 +191,7 @@ class ReplayBackend:
     """Serves recorded responses; unseen requests fail loudly."""
 
     def __init__(self, store_path: str | Path):
-        path = Path(store_path)
-        if not path.exists():
-            raise ConfigError(f"replay store not found: {path}")
-        self._store = _read_store(path)
+        self._store = parse_once(_STORES, store_path, "replay store", _parse_store)
         self._cursors: dict[str, int] = {}
 
     def complete(self, request: ChatRequest) -> ChatResponse:
@@ -227,7 +204,7 @@ class ReplayBackend:
                 f"{digest}; request was: {json.dumps([m.content for m in request.messages])[:500]}"
             )
         self._cursors[digest] = position + 1
-        return _response_from_dict(recorded[position])
+        return recorded[position]
 
 
 REMOTE_URL_ENV = "SHOPCLERK_CHAT_URL"

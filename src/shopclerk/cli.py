@@ -18,6 +18,7 @@ from .config import (
 )
 from .episode import run_episode, write_result
 from .errors import ClerkError, ConfigError, UsageError
+from .files import read_json, read_jsonl
 from .metrics import (
     ai_contribution_ratio,
     format_fraction,
@@ -171,9 +172,7 @@ def cmd_ablate(args) -> int:
         if not tasks:
             raise UsageError(f"no {args.modality} tasks in suite")
     if args.matrix:
-        rows = read_config_file(args.matrix)
-        if not isinstance(rows, list):
-            raise ConfigError(f"matrix file {args.matrix} must hold a JSON list of variants")
+        rows = read_json(args.matrix, "matrix file", list)
     elif args.vary:
         rows = VARY_AXES[args.vary]
     else:
@@ -275,24 +274,14 @@ def cmd_chat(args) -> int:
 def cmd_replay(args) -> int:
     from .memory import read_transcript, render_turn
 
-    path = Path(args.transcript)
-    if not path.exists():
-        raise ConfigError(f"transcript not found: {path}")
-    wm = read_transcript(path)
+    wm = read_transcript(args.transcript)
     print(f"session {wm.session_id}: {len(wm)} turns")
     for msg in wm.turns:
         print(render_turn(msg))
     if args.trace:
-        trace_path = Path(args.trace)
-        if not trace_path.exists():
-            raise ConfigError(f"trace not found: {trace_path}")
-        lines = trace_path.read_text(encoding="utf-8").splitlines()
-        for line_no, line in enumerate(lines, start=1):
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(
-                    f"trace {trace_path} line {line_no} is not valid JSON: {exc}") from None
+        for line_no, row in read_jsonl(args.trace, "trace"):
+            if not isinstance(row.get("kind"), str):
+                raise ConfigError(f"trace {args.trace} line {line_no} needs a string kind")
             print(f"  [{row['kind']}] " + json.dumps(row, sort_keys=True)[:160])
     return EXIT_OK
 

@@ -1,6 +1,5 @@
 """Run and agent configuration, mergeable from defaults, file, and flags."""
 
-import json
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -8,6 +7,7 @@ from pathlib import Path
 
 from .decision import MAX_PLANS
 from .errors import ConfigError
+from .files import read_json
 from .placeholders import DEFAULT_MIN_URL_LENGTH
 from .vision import IntegrationStrategy
 
@@ -121,13 +121,8 @@ def agent_config_from_dict(row: dict, base: AgentConfig | None = None) -> AgentC
     return config
 
 
-def read_config_file(path: str | Path) -> dict | list:
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+def read_config_file(path: str | Path) -> dict:
+    return read_json(path, "config file", dict)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .backends import ChatMessage, ChatRequest, parse_once
+from .backends import ChatMessage, ChatRequest
 from .errors import ConfigError, EvaluationError, ProposalError, UsageError
+from .files import parse_once
 
 LABELS = string.ascii_uppercase
 MAX_PLANS = len(LABELS)

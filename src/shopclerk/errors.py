@@ -21,8 +21,8 @@ class SchemaError(ClerkError):
     """Value rejected by a closed schema (unknown namespace, bad field, ...)."""
 
 
-class TaskLoadError(SchemaError):
-    """Task file failed validation; message names the offending path."""
+class TaskLoadError(ConfigError):
+    """Task file failed to read or validate; message names the offending path."""
 
 
 class RegistrationError(ClerkError):

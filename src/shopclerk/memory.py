@@ -7,7 +7,8 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .errors import ConfigError, SchemaError, SequencingError, UsageError
+from .errors import ClerkError, ConfigError, SchemaError, SequencingError, UsageError
+from .files import read_jsonl
 
 ELISION_MARKER = "[earlier turns omitted]"
 
@@ -140,18 +141,14 @@ def write_transcript(wm: WorkingMemory, path: str | Path) -> None:
 
 def read_transcript(path: str | Path) -> WorkingMemory:
     wm: WorkingMemory | None = None
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(
-                    f"transcript {path} line {line_no} is not valid JSON: {exc}") from None
+    for line_no, row in read_jsonl(path, "transcript"):
+        try:
             if wm is None:
                 wm = WorkingMemory(row["session_id"])
             wm.append_turn(message_from_dict(row))
+        except (LookupError, TypeError, ValueError, AttributeError, ClerkError) as exc:
+            raise ConfigError(f"transcript {path} line {line_no} is not the next message: "
+                              f"{type(exc).__name__}: {exc}") from None
     return wm if wm is not None else WorkingMemory("empty")
 
 

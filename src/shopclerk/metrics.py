@@ -1,13 +1,14 @@
 """Evaluation metrics: pass^k, contribution ratio, improvements, times."""
 
 import csv
-import json
+import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from pathlib import Path
 
 from .errors import ConfigError, UsageError
+from .files import read_json, read_text
 
 
 @dataclass(frozen=True)
@@ -120,27 +121,22 @@ def read_annotations_csv(path: str | Path) -> ContributionInputs:
     required = {"session_id", "message_id", "source", "judged_valid"}
     total_ai = total_cr = valid_ai = 0
     bad_lines: list[int] = []
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"annotations file {path} cannot be read: {exc.strerror}") from None
-    with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise UsageError(
-                f"annotation CSV needs columns {sorted(required)}, got {reader.fieldnames}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            source = (row.get("source") or "").strip()
-            judged = (row.get("judged_valid") or "").strip()
-            if source not in ("ai", "cr") or judged not in ("0", "1"):
-                bad_lines.append(line_no)
-                continue
-            if source == "ai":
-                total_ai += 1
-                valid_ai += int(judged)
-            else:
-                total_cr += 1
+    reader = csv.DictReader(io.StringIO(read_text(path, "annotations file")))
+    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        raise UsageError(
+            f"annotation CSV needs columns {sorted(required)}, got {reader.fieldnames}"
+        )
+    for line_no, row in enumerate(reader, start=2):
+        source = (row.get("source") or "").strip()
+        judged = (row.get("judged_valid") or "").strip()
+        if source not in ("ai", "cr") or judged not in ("0", "1"):
+            bad_lines.append(line_no)
+            continue
+        if source == "ai":
+            total_ai += 1
+            valid_ai += int(judged)
+        else:
+            total_cr += 1
     if bad_lines:
         raise UsageError(f"malformed annotation rows at lines: {bad_lines}")
     return ContributionInputs(valid_ai=valid_ai, total_ai=total_ai, total_cr=total_cr)
@@ -154,18 +150,15 @@ def read_trial_records(directory: str | Path) -> TrialSet:
         raise UsageError(f"no *.result.json files under {directory}")
     trials = TrialSet()
     for file in files:
-        try:
-            row = json.loads(file.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"trial record {file} is not valid JSON: {exc}") from None
-        trials.add(
-            TrialRecord(
-                task_id=row["task_id"],
-                success=bool(row["success"]),
-                wall_time_ms=float(row.get("wall_time_ms", 0.0)),
-                modality=row.get("modality", "unimodal"),
-            )
-        )
+        row = read_json(file, "trial record", dict)
+        record = TrialRecord(row.get("task_id"), row.get("success"),
+                             row.get("wall_time_ms", 0.0), row.get("modality", "unimodal"))
+        if not (isinstance(record.task_id, str) and isinstance(record.success, bool)
+                and isinstance(record.wall_time_ms, (int, float))
+                and isinstance(record.modality, str)):
+            raise ConfigError(f"trial record {file} needs a string task_id, a boolean success "
+                              "and, if given, a numeric wall_time_ms and a string modality")
+        trials.add(record)
     return trials
 
 

@@ -1,11 +1,11 @@
 """Scripted buyer tasks: file schema, validation, and success checking."""
 
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import TaskLoadError
+from .files import read_json
 from .memory import Role, WorkingMemory
 from .placeholders import RefKind, classify_url, find_urls
 from .world import World, world_from_dict
@@ -72,13 +72,7 @@ def _fail(path: str, why: str):
 
 def load_task(path: str | Path, vision_fixtures=None) -> Task:
     """Parse and validate a task file; error messages name the bad path."""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        _fail(str(path), "file not found")
-    except json.JSONDecodeError as exc:
-        _fail(str(path), f"not valid JSON ({exc})")
+    data = read_json(path, "task file", error=TaskLoadError)
     return task_from_dict(data, source=str(path), vision_fixtures=vision_fixtures)
 
 
@@ -99,8 +93,8 @@ def task_from_dict(data: dict, source: str = "<task>", vision_fixtures=None) -> 
         _fail(f"{source}:world", str(exc))
 
     raw_turns = data.get("buyer_script") or []
-    if not raw_turns:
-        _fail(f"{source}:buyer_script", "needs at least one turn")
+    if not raw_turns or not isinstance(raw_turns, list):
+        _fail(f"{source}:buyer_script", "needs a list of at least one turn")
     turns = []
     for i, row in enumerate(raw_turns):
         utterance = row.get("utterance") if isinstance(row, dict) else None
@@ -115,6 +109,9 @@ def task_from_dict(data: dict, source: str = "<task>", vision_fixtures=None) -> 
     success_row = data.get("success") or {}
     if not isinstance(success_row, dict):
         _fail(f"{source}:success", "must be an object")
+    for key in ("state_assertions", "response_facts"):
+        if not isinstance(success_row.get(key, []), list):
+            _fail(f"{source}:success.{key}", "must be a list")
     assertions = []
     for i, row in enumerate(success_row.get("state_assertions", [])):
         if not (isinstance(row, dict) and isinstance(row.get("path"), str) and "expected" in row):

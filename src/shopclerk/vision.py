@@ -1,11 +1,11 @@
 """Visual description unit: fixture-backed or remote, behind one contract."""
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 from .errors import AssetError, BackendError, ConfigError, UsageError
+from .files import read_json
 
 
 class IntegrationStrategy(str, Enum):
@@ -53,6 +53,18 @@ class ImageAsset:
             raise ConfigError(f"asset {self.asset_id} has no default annotation")
 
 
+def _rules(rows, where: str) -> tuple[CategoryRule, ...]:
+    def ok(r):
+        return (isinstance(r, dict) and isinstance(r.get("category"), str)
+                and isinstance(r.get("keywords"), list)
+                and all(isinstance(k, str) for k in r["keywords"]))
+
+    if not isinstance(rows, list) or not all(ok(r) for r in rows):
+        raise ConfigError(f"{where}: rules must be a list of objects with a string category "
+                          "and a list of string keywords")
+    return tuple(CategoryRule(r["category"], tuple(r["keywords"])) for r in rows)
+
+
 class FixtureVisionBackend:
     """Deterministic describe() over canned annotations.
 
@@ -67,25 +79,23 @@ class FixtureVisionBackend:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "FixtureVisionBackend":
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ConfigError(f"vision fixture file not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"vision fixture file {path} is not valid JSON: {exc}") from None
-        rules = tuple(
-            CategoryRule(r["category"], tuple(r["keywords"])) for r in data.get("rules", [])
-        )
+        where = f"vision fixture file {path}"
+        data = read_json(path, "vision fixture file", dict)
+        rows = data.get("assets", {})
+        if not isinstance(rows, dict):
+            raise ConfigError(f"{where}: assets must be an object")
         assets = {}
-        for asset_id, row in data.get("assets", {}).items():
-            asset_rules = tuple(
-                CategoryRule(r["category"], tuple(r["keywords"])) for r in row.get("rules", [])
-            )
-            if not isinstance(row.get("annotations"), dict):
-                raise ConfigError(f"vision fixture file {path}: asset {asset_id} annotations "
-                                  "must be an object")
-            assets[asset_id] = ImageAsset(asset_id, dict(row["annotations"]), asset_rules)
-        return cls(assets, rules)
+        for asset_id, row in rows.items():
+            if not isinstance(row, dict):
+                raise ConfigError(f"{where}: asset {asset_id} must be an object")
+            annotations = row.get("annotations")
+            if not (isinstance(annotations, dict) and "default" in annotations
+                    and all(isinstance(text, str) for text in annotations.values())):
+                raise ConfigError(f"{where}: asset {asset_id} annotations must be an object "
+                                  "of strings with a default")
+            rules = _rules(row.get("rules", []), f"{where}: asset {asset_id}")
+            assets[asset_id] = ImageAsset(asset_id, dict(annotations), rules)
+        return cls(assets, _rules(data.get("rules", []), where))
 
     def has_asset(self, asset_id: str) -> bool:
         return asset_id in self.assets

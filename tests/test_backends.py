@@ -1,9 +1,11 @@
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
 
+from shopclerk import backends
 from shopclerk.backends import (
     ChatMessage,
     ChatRequest,
@@ -178,6 +180,44 @@ def test_corrupt_store_is_config_error(tmp_path):
         ReplayBackend(store)
     with pytest.raises(ConfigError, match="not valid JSON"):
         RecordingBackend(ScriptedBackend([]), store)
+
+
+@pytest.mark.parametrize("payload,where", [
+    ({"d1": "text"}, "digest d1 must map to a list"),
+    ({"d1": ["text"]}, "digest d1 row 0 must be an object with a string text"),
+    ({"d1": [{"text": "ok"}, {"text": 7}]}, "digest d1 row 1 must be an object with a string"),
+    ({"d1": [{"text": "A", "label_probs": {"A": "high"}}]},
+     "digest d1 row 0 must be an object with a string text and, if given, label_probs mapping"),
+    ({"d1": [{"text": "A", "label_probs": {"A": 0.9, "B": 0.9}}]},
+     "digest d1 row 0: label probabilities must sum to at most 1"),
+], ids=["rows-not-list", "row-not-object", "text-not-string", "probs-not-numbers", "probs-over-one"])
+def test_malformed_store_row_is_config_error_naming_the_digest(tmp_path, payload, where):
+    store = tmp_path / "bad-store.json"
+    store.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match=re.escape(f"replay store {store}: {where}")):
+        ReplayBackend(store)
+    with pytest.raises(ConfigError, match=re.escape(f"replay store {store}: {where}")):
+        RecordingBackend(ScriptedBackend([]), store)
+
+
+def test_replay_backends_share_one_parse_per_store_version(tmp_path, monkeypatch):
+    parses = []
+    parse = backends._parse_store
+    monkeypatch.setattr(backends, "_parse_store", lambda *a: parses.append(a) or parse(*a))
+    store = tmp_path / "store.json"
+    recorder = RecordingBackend(
+        ScriptedBackend([ScriptEntry(response=ChatResponse(text="one"), step=0),
+                         ScriptEntry(response=ChatResponse(text="two"), step=1)]), store)
+    recorder.complete(req("first"))
+    a, b = ReplayBackend(store), ReplayBackend(store)
+    assert len(parses) == 1
+    assert a.complete(req("first")).text == b.complete(req("first")).text == "one"
+    recorder.complete(req("second"))  # rewrites the store in place
+    c = ReplayBackend(store)
+    assert len(parses) == 2
+    assert c.complete(req("second")).text == "two"
+    with pytest.raises(ReplayMissError):
+        a.complete(req("second"))  # a keeps the version it loaded
 
 
 def test_recording_crash_mid_write_keeps_store(tmp_path, monkeypatch):

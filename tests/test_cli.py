@@ -137,7 +137,21 @@ def test_run_corrupt_replay_store_exits_2(capsys, suite_dir, tmp_path):
     ("{not json", "is not valid JSON"),
     (json.dumps({"assets": {"https://img.example/a.jpg": {"annotations": "a kettle"}}}),
      "annotations must be an object"),
-], ids=["not-json", "annotations-not-object"])
+    (json.dumps({"assets": {"https://img.example/a.jpg": "a kettle"}}),
+     "asset https://img.example/a.jpg must be an object"),
+    (json.dumps({"assets": {"https://img.example/a.jpg": {"annotations": {"damage": "cracked"}}}}),
+     "annotations must be an object of strings with a default"),
+    (json.dumps({"assets": {"https://img.example/a.jpg": {"annotations": {"default": 5}}}}),
+     "annotations must be an object of strings with a default"),
+    (json.dumps({"rules": [{"keywords": ["crack"]}]}), "rules must be a list of objects"),
+    (json.dumps({"rules": [{"category": "damage", "keywords": "crack"}]}),
+     "rules must be a list of objects"),
+    (json.dumps({"assets": {"https://img.example/a.jpg": {
+        "annotations": {"default": "a kettle"}, "rules": [{"category": 5, "keywords": []}]}}}),
+     "asset https://img.example/a.jpg: rules must be a list of objects"),
+], ids=["not-json", "annotations-not-object", "asset-not-object", "annotations-without-default",
+        "annotation-not-string", "rule-without-category",
+        "keywords-not-list", "asset-rule-category-not-string"])
 def test_run_malformed_fixtures_file_exits_2(capsys, suite_dir, scripts_dir, tmp_path,
                                              content, why):
     fixtures = tmp_path / "fixtures.json"
@@ -372,3 +386,108 @@ def test_replay_malformed_line_exits_2(capsys, tmp_path, broken):
                            "--trace", str(files["trace"]))
     assert code == 2
     assert f"{broken} {files[broken]} line 2 is not valid JSON" in err
+
+
+GOOD_TURN = ('{"session_id": "s", "turn_index": 0, "role": "buyer",'
+             ' "parts": [{"kind": "text", "value": "hi"}]}\n')
+
+
+@pytest.mark.parametrize("broken,line,why", [
+    ("transcript", "[1]", "line 2 must hold a JSON object"),
+    ("transcript", '{"session_id": "s", "turn_index": 1, "role": "agent"}',
+     "line 2 is not the next message: KeyError: 'parts'"),
+    ("transcript", '{"session_id": "s", "turn_index": 5, "role": "agent", "parts": []}',
+     "line 2 is not the next message"),
+    ("trace", "[1]", "line 2 must hold a JSON object"),
+    ("trace", "{}", "line 2 needs a string kind"),
+], ids=["transcript-list", "transcript-without-parts", "transcript-out-of-order",
+        "trace-list", "trace-without-kind"])
+def test_replay_malformed_row_exits_2(capsys, tmp_path, broken, line, why):
+    good = {"transcript": GOOD_TURN, "trace": '{"kind": "tool_call"}\n'}
+    files = {name: tmp_path / f"s.{name}.jsonl" for name in good}
+    for name, path in files.items():
+        path.write_text(good[name] + (line if name == broken else ""))
+    code, _, err = run_cli(capsys, "replay", "--transcript", str(files["transcript"]),
+                           "--trace", str(files["trace"]))
+    assert code == 2
+    assert f"{broken} {files[broken]} {why}" in err
+
+
+@pytest.mark.parametrize("row", [
+    {"success": True},
+    {"task_id": "t"},
+    {"task_id": "t", "success": "yes"},
+    {"task_id": "t", "success": True, "wall_time_ms": "slow"},
+], ids=["without-task-id", "without-success", "success-not-bool", "wall-time-not-number"])
+def test_metrics_malformed_record_exits_2(capsys, tmp_path, row):
+    record = tmp_path / "t-0.result.json"
+    record.write_text(json.dumps(row))
+    code, _, err = run_cli(capsys, "metrics", "--records", str(tmp_path))
+    assert code == 2
+    assert f"trial record {record} needs a string task_id, a boolean success" in err
+
+
+# --- every input file: a directory, non-UTF-8 bytes or the wrong JSON type exits 2 ---
+
+# reader -> (the name of the file it is given, contents of the wrong JSON type or None)
+READERS = {
+    "config": ("config.json", "[1]"),
+    "matrix": ("matrix.json", "{}"),
+    "task": ("task.json", "[1]"),
+    "fixtures": ("fixtures.json", "[1]"),
+    "script": ("script.json", "[1]"),
+    "template": ("propose.txt", None),
+    "replay store": ("store.json", "[1]"),
+    "transcript": ("s.transcript.jsonl", "[1]"),
+    "trace": ("s.trace.jsonl", "[1]"),
+    "trial record": ("t-0.result.json", "[1]"),
+    "annotations": ("ann.csv", None),
+}
+READER_CASES = [(reader, fault) for reader, (_, wrong) in READERS.items()
+                for fault in ("directory", "non-utf8", "wrong-type")
+                if fault != "wrong-type" or wrong is not None]
+
+
+def _argv_reading(reader, bad, tmp_path, data_dir):
+    """CLI arguments that read bad as the given kind of input file, with good other inputs."""
+    task = str(data_dir / "suite" / "kettle-capacity.json")
+    script = str(data_dir / "scripts" / "kettle-capacity.json")
+    run = ["run", "--task", task, "--script", script]
+    transcript = tmp_path / "good.transcript.jsonl"
+    transcript.write_text(GOOD_TURN)
+    config = tmp_path / "templates.json"
+    config.write_text(json.dumps({"template_dir": str(bad.parent)}))
+    return {
+        "config": run + ["--config", str(bad)],
+        "matrix": ["ablate", "--matrix", str(bad), "--n-trials", "1", "--k", "1"],
+        "task": ["run", "--task", str(bad), "--script", script],
+        "fixtures": run + ["--fixtures", str(bad)],
+        "script": ["run", "--task", task, "--script", str(bad)],
+        "template": run + ["--config", str(config)],
+        "replay store": ["run", "--task", task, "--replay", str(bad)],
+        "transcript": ["replay", "--transcript", str(bad)],
+        "trace": ["replay", "--transcript", str(transcript), "--trace", str(bad)],
+        "trial record": ["metrics", "--records", str(bad.parent), "--k", "1"],
+        "annotations": ["metrics", "--annotations", str(bad)],
+    }[reader]
+
+
+@pytest.mark.parametrize("reader,fault", READER_CASES,
+                         ids=[f"{r.replace(' ', '-')}-{f}" for r, f in READER_CASES])
+def test_bad_input_file_exits_2_naming_it(capsys, data_dir, tmp_path, reader, fault):
+    name, wrong = READERS[reader]
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    stock = data_dir.parent / "templates" / "evaluate.txt"
+    (inputs / "evaluate.txt").write_text(stock.read_text())  # the good half of a template dir
+    bad = inputs / name
+    if fault == "directory":
+        bad.mkdir()
+    elif fault == "non-utf8":
+        bad.write_bytes(b'\xff\xfe{"a": 1}')
+    else:
+        bad.write_text(wrong)
+    code, _, err = run_cli(capsys, *_argv_reading(reader, bad, tmp_path, data_dir))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(bad) in err

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from shopclerk.errors import TaskLoadError
+from shopclerk.errors import ConfigError, TaskLoadError
 from shopclerk.memory import Role, WorkingMemory, text_message
 from shopclerk.tasks import (
     ResponseFact,
@@ -106,12 +106,22 @@ def test_load_error_on_bad_json(tmp_path):
      r":success\.state_assertions\[0\]: needs a string path"),
     (dict(MINIMAL, success={"response_facts": [{"match": {"number": "ten"}}]}),
      r":success\.response_facts\[0\]\.match: number and tolerance must be numbers"),
-], ids=["top-level-list", "success-list", "assertion-without-path", "number-not-numeric"])
+    (dict(MINIMAL, buyer_script=5), r":buyer_script: needs a list"),
+    (dict(MINIMAL, success={"state_assertions": 5}), r":success\.state_assertions: must be a list"),
+    (dict(MINIMAL, success={"response_facts": 5}), r":success\.response_facts: must be a list"),
+], ids=["top-level-list", "success-list", "assertion-without-path", "number-not-numeric",
+        "buyer-script-not-list", "assertions-not-list", "facts-not-list"])
 def test_malformed_shape_is_load_error_naming_the_file(tmp_path, payload, where):
     path = tmp_path / "bad-task.json"
     path.write_text(json.dumps(payload))
     with pytest.raises(TaskLoadError, match=f"bad-task\\.json.*{where}"):
         load_task(path)
+
+
+def test_task_load_error_is_a_config_error(tmp_path):
+    # a bad task file exits 2 like every other bad input file
+    with pytest.raises(ConfigError, match="task file .*missing.json cannot be read: not found"):
+        load_task(tmp_path / "missing.json")
 
 
 def test_reset_yields_independent_worlds(suite_dir, vision_fixtures):
