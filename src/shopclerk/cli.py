@@ -63,7 +63,13 @@ def _add_agent_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _agent_config(args) -> AgentConfig:
-    base = agent_config_from_dict(read_config_file(args.config)) if args.config else AgentConfig()
+    base = AgentConfig()
+    if args.config:
+        row = read_config_file(args.config)
+        try:
+            base = agent_config_from_dict(row)
+        except ConfigError as exc:
+            raise ConfigError(f"config file {args.config}: {exc}") from None
     flags = {key: getattr(args, key) for key in CONFIG_KEYS if getattr(args, key, None) is not None}
     return agent_config_from_dict(flags, base)
 
@@ -172,12 +178,16 @@ def cmd_ablate(args) -> int:
         if not tasks:
             raise UsageError(f"no {args.modality} tasks in suite")
     if args.matrix:
-        rows = read_json(args.matrix, "matrix file", list)
+        variants = []
+        for i, row in enumerate(read_json(args.matrix, "matrix file", list)):
+            try:
+                variants.append(AblationVariant.from_dict(row, base))
+            except ConfigError as exc:
+                raise ConfigError(f"matrix file {args.matrix} row {i}: {exc}") from None
     elif args.vary:
-        rows = VARY_AXES[args.vary]
+        variants = [AblationVariant.from_dict(row, base) for row in VARY_AXES[args.vary]]
     else:
         raise UsageError("ablate needs --matrix or --vary")
-    variants = [AblationVariant.from_dict(row, base) for row in rows]
     k_values = _parse_k_values(args.k)
     reports, _ = run_ablation(tasks, variants, factory, args.n_trials, k_values,
                               workers=args.workers)

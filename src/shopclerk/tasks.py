@@ -168,7 +168,14 @@ def load_suite(directory: str | Path, vision_fixtures=None) -> list[Task]:
     files = sorted(directory.glob("*.json"))
     if not files:
         _fail(str(directory), "no task files found")
-    return [load_task(f, vision_fixtures) for f in files]
+    tasks, first_file = [], {}
+    for f in files:
+        task = load_task(f, vision_fixtures)
+        if task.task_id in first_file:
+            _fail(str(f), f"task_id {task.task_id!r} is also the id of {first_file[task.task_id]}")
+        first_file[task.task_id] = f
+        tasks.append(task)
+    return tasks
 
 
 _MISSING = object()

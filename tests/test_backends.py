@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 from pathlib import Path
 
@@ -357,6 +358,85 @@ def test_script_file_round_trip(tmp_path):
     assert backend.complete(req("pick one")).label_probs == {"A": 1.0}
 
 
+# --- the line-memo matcher against the former loop ---
+
+
+def reference_complete(entries, index, request):
+    """The former matcher: every entry scanned for steps, then every needle over the whole message."""
+    for entry in entries:
+        if entry.step is not None and entry.step == index:
+            return entry.response
+    last = request.last_content()
+    for entry in entries:
+        if entry.contains is not None and entry.contains in last:
+            return entry.response
+    raise ScriptError(f"no script entry for call {index}; last message starts with: {last[:200]!r}")
+
+
+def random_script(rng, size):
+    """Steps (some repeated), one-line needles (some duplicated, one maybe empty) and
+    needles that span a line break, over an alphabet small enough that they hit."""
+    entries, needles = [], []
+    for i in range(size):
+        roll = rng.random()
+        if roll < 0.15:
+            entry = ScriptEntry(ChatResponse(f"step {i}"), step=rng.randrange(12))
+        else:
+            if roll < 0.25 and needles:
+                needle = rng.choice(needles)
+            elif roll < 0.4:
+                needle = "".join(rng.choices("ab", k=rng.randint(0, 2))) + "\n" + \
+                    "".join(rng.choices("ab", k=rng.randint(0, 2)))
+            elif roll < 0.42:
+                needle = ""
+            else:
+                needle = "".join(rng.choices("abc", k=rng.randint(2, 6)))
+            needles.append(needle)
+            entry = ScriptEntry(ChatResponse(f"needle {i}"), contains=needle)
+        entries.append(entry)
+    return entries
+
+
+@pytest.mark.parametrize("size", range(1, 97, 2))
+def test_line_memo_matches_the_former_loop(size):
+    # sizes 1-95 cover both sides of LINE_MEMO_MIN_ENTRIES
+    assert 1 < backends.LINE_MEMO_MIN_ENTRIES < 80
+    rng = random.Random(size)
+    entries = random_script(rng, size)
+    backend = ScriptedBackend(entries)
+    lines = ["".join(rng.choices("abcd", k=rng.randint(0, 12))) for _ in range(15)]
+    for index in range(40):
+        # messages drawn from a small pool of lines, so later calls hit the memo
+        request = req("\n".join(rng.choices(lines, k=rng.randint(1, 8))))
+        try:
+            expected = reference_complete(entries, index, request)
+        except ScriptError as exc:
+            with pytest.raises(ScriptError) as raised:
+                backend.complete(request)
+            assert str(raised.value) == str(exc)
+        else:
+            assert backend.complete(request) is expected, (index, request.last_content())
+
+
+def test_backends_from_one_script_keep_separate_memos_and_cursors(tmp_path):
+    size = backends.LINE_MEMO_MIN_ENTRIES
+    payload = {"entries": [{"step": 0, "response": {"text": "first call"}}] + [
+        {"contains": f"ticket {i:03d}", "response": {"text": f"turn {i}"}} for i in range(size)]}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(payload))
+    a, b = ScriptedBackend.from_file(path), ScriptedBackend.from_file(path)
+    assert a.entries is b.entries
+    assert a.complete(req("ticket 007")).text == "first call"
+    assert a.complete(req("header\nticket 007")).text == "turn 7"
+    assert a.complete(req("header\nticket 002\nticket 007")).text == "turn 2"
+    assert a._line_memo == {"header": size + 1, "ticket 007": 8, "ticket 002": 3}
+    assert b._line_memo == {}
+    assert b.complete(req("ticket 002")).text == "first call"
+    assert b.complete(req("ticket 005")).text == "turn 5"
+    assert (a.calls, b.calls) == (3, 2)
+    assert b._line_memo == {"ticket 005": 6}
+
+
 # --- script files: validation and the per-file-version cache ---
 
 
@@ -368,6 +448,10 @@ def test_script_file_round_trip(tmp_path):
     {"entries": [{"step": 0, "response": {"text": 7}}]},
     {"entries": [{"step": 0, "response": {"text": "A", "label_probs": [1.0]}}]},
     {"entries": [{"response": {"text": "neither step nor contains"}}]},
+    {"entries": [{"step": [0], "response": {"text": "a step that is not an integer"}}]},
+    {"entries": [{"step": 1.0, "response": {"text": "a float step"}}]},
+    {"entries": [{"step": -1, "response": {"text": "a negative step"}}]},
+    {"entries": [{"contains": 5, "response": {"text": "a needle that is not a string"}}]},
 ])
 def test_malformed_script_is_config_error_naming_the_file(tmp_path, payload):
     path = tmp_path / "bad-script.json"

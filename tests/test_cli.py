@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from shopclerk import bench
 from shopclerk.cli import _episode_backends, build_parser, main
 from shopclerk.tasks import load_task
 from shopclerk.vision import FixtureVisionBackend, RemoteVisionBackend
@@ -121,6 +122,43 @@ def test_bad_config_value_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "bench", "--n-trials", "1", "--k", "1", "--config", str(config))
     assert code == 2
     assert "vote_samples" in err
+
+
+def test_unknown_config_key_names_the_config_file(capsys, tmp_path):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"bogus": 1}))
+    code, _, err = run_cli(capsys, "bench", "--n-trials", "1", "--k", "1", "--config", str(config))
+    assert code == 2
+    assert f"config file {config}: unknown config key 'bogus'" in err
+
+
+@pytest.mark.parametrize("rows,row,why", [
+    ([5], 0, "ablation variant needs a name: 5"),
+    ([{"name": "a"}, {"name": "b", "bogus": 1}], 1, "unknown config key 'bogus'"),
+])
+def test_bad_matrix_row_names_the_file_and_row(capsys, tmp_path, rows, row, why):
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps(rows))
+    code, out, err = run_cli(capsys, "ablate", "--matrix", str(matrix), "--n-trials", "1", "--k", "1")
+    assert code == 2
+    assert f"matrix file {matrix} row {row}: {why}" in err
+    assert out == ""
+
+
+def test_duplicate_task_ids_exit_2_before_any_episode(capsys, suite_dir, scripts_dir, tmp_path,
+                                                      monkeypatch):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    for name in ("a.json", "b.json"):
+        (suite / name).write_text((suite_dir / "kettle-capacity.json").read_text())
+    episodes = []
+    monkeypatch.setattr(bench, "run_episode", lambda *args, **kwargs: episodes.append(args))
+    code, _, err = run_cli(capsys, "bench", "--suite", str(suite), "--scripts", str(scripts_dir),
+                           "--n-trials", "1", "--k", "1")
+    assert code == 2
+    assert str(suite / "a.json") in err and str(suite / "b.json") in err
+    assert "'kettle-capacity'" in err
+    assert episodes == []
 
 
 def test_run_corrupt_replay_store_exits_2(capsys, suite_dir, tmp_path):
