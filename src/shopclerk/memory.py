@@ -3,7 +3,7 @@
 import json
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -167,10 +167,14 @@ class Namespace(str, Enum):
 WORLD_NAMESPACES = frozenset({Namespace.PRODUCT, Namespace.ORDER, Namespace.LOGISTICS})
 
 
-@dataclass
+@dataclass(frozen=True)
 class Document:
     key: str
     body: object  # structured map or plain text
+    tokens: set[str] = field(init=False, repr=False, compare=False)  # made once, on build
+
+    def __post_init__(self):
+        object.__setattr__(self, "tokens", _flatten_tokens(self.body))
 
 
 def _flatten_tokens(body: object) -> set[str]:
@@ -237,11 +241,6 @@ class LongTermStore:
         docs = ([Document(key, self._world.doc(ns, key)) for key in self._world.doc_keys(ns)]
                 if ns in WORLD_NAMESPACES else self._docs[ns].values())
         query_tokens = set(query.casefold().split())
-        scored: list[tuple[int, str, Document]] = []
-        for doc in docs:
-            body_tokens = _flatten_tokens(doc.body)
-            score = sum(1 for t in query_tokens if t in body_tokens)
-            if score > 0:
-                scored.append((score, doc.key, doc))
-        scored.sort(key=lambda item: (-item[0], item[1]))
-        return [doc for _, _, doc in scored[:limit]]
+        scored = [(-len(query_tokens & doc.tokens), doc.key, doc) for doc in docs]
+        ranked = sorted((item for item in scored if item[0]), key=lambda item: item[:2])
+        return [doc for _, _, doc in ranked[:limit]]

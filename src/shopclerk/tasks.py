@@ -48,14 +48,14 @@ class SuccessCriteria:
 class Task:
     task_id: str
     modality: str
-    world_seed: dict
+    seed_world: World
     buyer_script: tuple[BuyerTurn, ...]
     success: SuccessCriteria
     max_turns: int
 
     def reset(self) -> World:
-        """Fresh, independent world instance from the seed literal."""
-        return world_from_dict(self.world_seed)
+        """A fresh world of the episode's own: a copy of the seed parsed at load."""
+        return self.seed_world.copy()
 
     def image_urls(self) -> list[str]:
         urls = []
@@ -88,7 +88,7 @@ def task_from_dict(data: dict, source: str = "<task>", vision_fixtures=None) -> 
     if "world" not in data or not isinstance(data["world"], dict):
         _fail(f"{source}:world", "missing world seed object")
     try:
-        seed_world = world_from_dict(data["world"])  # validates the seed eagerly
+        seed_world = world_from_dict(data["world"])
     except Exception as exc:
         _fail(f"{source}:world", str(exc))
 
@@ -147,7 +147,7 @@ def task_from_dict(data: dict, source: str = "<task>", vision_fixtures=None) -> 
     task = Task(
         task_id=task_id,
         modality=modality,
-        world_seed=data["world"],
+        seed_world=seed_world,
         buyer_script=tuple(turns),
         success=SuccessCriteria(state_assertions=tuple(assertions), response_facts=tuple(facts)),
         max_turns=max_turns,

@@ -1,7 +1,6 @@
 """Mock e-commerce world state: products, orders, shipments, policies."""
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .errors import IllegalTransitionError, SchemaError
@@ -26,7 +25,7 @@ ORDER_ACTIONS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class Product:
     product_id: str
     title: str
@@ -44,7 +43,7 @@ class Product:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class Order:
     order_id: str
     buyer_id: str
@@ -83,13 +82,15 @@ class PolicyDoc:
 class World:
     products: dict[str, Product] = field(default_factory=dict)
     orders: dict[str, Order] = field(default_factory=dict)
-    shipments: dict[str, list[ShipmentEvent]] = field(default_factory=dict)
+    shipments: dict[str, tuple[ShipmentEvent, ...]] = field(default_factory=dict)
     policies: list[PolicyDoc] = field(default_factory=list)
     clock: int = 0
     mutations: list[dict] = field(default_factory=list)
 
     def copy(self) -> "World":
-        return copy.deepcopy(self)
+        """Own containers, no mutations; frozen records, replaced on change, are shared."""
+        return World(dict(self.products), dict(self.orders), dict(self.shipments),
+                     list(self.policies), self.clock)
 
     def apply_order_action(self, order_id: str, action: str) -> dict:
         """Apply a legal order transition and record the mutation event."""
@@ -111,7 +112,7 @@ class World:
             "from": order.status.value,
             "to": target.value,
         }
-        order.status = target
+        self.orders[order_id] = replace(order, status=target)
         self.mutations.append(event)
         return event
 
@@ -141,6 +142,8 @@ class World:
 def world_from_dict(data: dict) -> World:
     products = {}
     for pid, row in data.get("products", {}).items():
+        if not isinstance(row.get("attributes", {}), dict):
+            raise SchemaError(f"products.{pid}.attributes: must be an object")
         products[pid] = Product(
             product_id=pid,
             title=row["title"],
@@ -154,6 +157,8 @@ def world_from_dict(data: dict) -> World:
             status = OrderStatus(row["status"])
         except ValueError:
             raise SchemaError(f"orders.{oid}.status: unknown status {row['status']!r}") from None
+        if not isinstance(row.get("items", []), list):
+            raise SchemaError(f"orders.{oid}.items: must be a list")
         orders[oid] = Order(
             order_id=oid,
             buyer_id=row["buyer_id"],
@@ -165,15 +170,17 @@ def world_from_dict(data: dict) -> World:
     for oid, events in data.get("shipments", {}).items():
         if oid not in orders:
             raise SchemaError(f"shipments.{oid}: references a missing order")
-        shipments[oid] = sorted(
+        shipments[oid] = tuple(sorted(
             (ShipmentEvent(int(e["tick"]), e["location"], e["status"]) for e in events),
             key=lambda e: e.tick,
-        )
+        ))
     policies = []
-    for row in data.get("policies", []):
+    for i, row in enumerate(data.get("policies", [])):
         ns = row.get("namespace", "platform_policy")
         if ns not in ("platform_policy", "store_promotion"):
-            raise SchemaError(f"policies[{row.get('key')}]: bad namespace {ns!r}")
+            raise SchemaError(f"policies[{i}].namespace: bad namespace {ns!r}")
+        if not (isinstance(row.get("key"), str) and row["key"]):
+            raise SchemaError(f"policies[{i}].key: must be a non-empty string")
         policies.append(PolicyDoc(namespace=ns, key=row["key"], body=row["body"]))
     return World(products=products, orders=orders, shipments=shipments, policies=policies)
 

@@ -161,6 +161,26 @@ def test_duplicate_task_ids_exit_2_before_any_episode(capsys, suite_dir, scripts
     assert episodes == []
 
 
+@pytest.mark.parametrize("key", ["", 7])
+def test_bad_policy_key_exits_2_before_any_episode(capsys, suite_dir, scripts_dir, tmp_path,
+                                                   monkeypatch, key):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    for task_file in suite_dir.glob("*.json"):
+        (suite / task_file.name).write_text(task_file.read_text())
+    task = json.loads((suite_dir / "kettle-promo.json").read_text())
+    task["world"]["policies"][0]["key"] = key
+    (suite / "kettle-promo.json").write_text(json.dumps(task))
+    episodes = []
+    monkeypatch.setattr(bench, "run_episode", lambda *args, **kwargs: episodes.append(args))
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(capsys, "bench", "--suite", str(suite), "--scripts", str(scripts_dir),
+                           "--n-trials", "1", "--k", "1", "--out", str(out_dir))
+    assert code == 2
+    assert f"{suite / 'kettle-promo.json'}:world: policies[0].key" in err
+    assert episodes == [] and not out_dir.exists()
+
+
 def test_run_corrupt_replay_store_exits_2(capsys, suite_dir, tmp_path):
     store = tmp_path / "store.json"
     store.write_text("{not json")

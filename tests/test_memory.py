@@ -3,7 +3,7 @@ import random
 import pytest
 
 from shopclerk import memory
-from shopclerk.errors import SchemaError, SequencingError, UsageError
+from shopclerk.errors import ClerkError, SchemaError, SequencingError, UsageError
 from shopclerk.memory import (
     ELISION_MARKER,
     LongTermStore,
@@ -17,7 +17,7 @@ from shopclerk.memory import (
     text_message,
     write_transcript,
 )
-from shopclerk.world import World
+from shopclerk.world import World, world_from_dict
 
 
 def make_wm(texts, role=Role.BUYER):
@@ -253,3 +253,77 @@ def test_search_structured_body_tokens_include_keys_and_values():
     store.put("platform_policy", "P1", {"material": "steel", "sizes": [2, 3]})
     assert [d.key for d in store.search("platform_policy", "steel", 5)] == ["P1"]
     assert [d.key for d in store.search("platform_policy", "material", 5)] == ["P1"]
+
+
+def reference_search(docs, query, limit):
+    """The scoring loop the store used before documents carried their tokens."""
+    query_tokens = set(query.casefold().split())
+    scored = []
+    for key, body in docs.items():
+        body_tokens = memory._flatten_tokens(body)
+        score = sum(1 for t in query_tokens if t in body_tokens)
+        if score > 0:
+            scored.append((score, key, body))
+    scored.sort(key=lambda item: (-item[0], item[1]))
+    return [(key, body) for _, key, body in scored[:limit]]
+
+
+_VOCAB = ("Kettle", "steel", "REFUND", "window", "mug", "parcel", "30", "days", "Lid", "paid",
+          "cancelled")
+
+
+def _random_body(rng, depth=0):
+    kind = rng.randrange(4 if depth < 2 else 2)
+    if kind == 0:
+        return " ".join(rng.choice(_VOCAB) for _ in range(rng.randint(1, 5)))
+    if kind == 1:
+        return rng.choice([7, 2.5, True, None])
+    if kind == 2:
+        return [_random_body(rng, depth + 1) for _ in range(rng.randint(0, 3))]
+    return {rng.choice(_VOCAB): _random_body(rng, depth + 1) for _ in range(rng.randint(0, 3))}
+
+
+def _random_world(rng):
+    statuses = ("paid", "shipped", "delivered")
+    return world_from_dict({
+        "products": {f"P{i}": {"title": " ".join(rng.sample(_VOCAB, 2)),
+                               "attributes": {rng.choice(_VOCAB): rng.choice(_VOCAB)},
+                               "price_cents": i, "stock": i} for i in range(6)},
+        "orders": {f"O{i}": {"buyer_id": rng.choice(_VOCAB), "status": rng.choice(statuses),
+                             "items": [{"product_id": f"P{i % 6}", "qty": 1}],
+                             "address": rng.choice(_VOCAB)} for i in range(8)},
+        "shipments": {f"O{i}": [{"tick": 1, "location": rng.choice(_VOCAB), "status": "moved"}]
+                      for i in range(0, 8, 2)},
+    })
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_search_ranks_like_the_reference_loop(seed):
+    rng = random.Random(seed)
+    world = _random_world(rng)
+    store = LongTermStore(world)
+    written = {ns: {} for ns in ("platform_policy", "store_promotion", "buyer_profile")}
+    for _ in range(60):
+        step = rng.random()
+        if step < 0.5:  # a put, often of a key already stored
+            ns = rng.choice(sorted(written))
+            key, body = f"k{rng.randrange(6)}", _random_body(rng)
+            store.put(ns, key, body)
+            written[ns][key] = body
+        elif step < 0.6:
+            order_id = rng.choice(sorted(world.orders))
+            action = rng.choice(("cancel", "request_refund", "approve_refund"))
+            try:
+                world.apply_order_action(order_id, action)
+            except ClerkError:
+                pass
+        query = " ".join(rng.choice(_VOCAB).swapcase() if rng.random() < 0.3
+                         else rng.choice(_VOCAB) for _ in range(rng.randint(1, 4)))
+        limit = rng.randint(1, 5)
+        for ns, docs in written.items():
+            got = [(d.key, d.body) for d in store.search(ns, query, limit)]
+            assert got == reference_search(docs, query, limit)
+        for ns in (Namespace.PRODUCT, Namespace.ORDER, Namespace.LOGISTICS):
+            docs = {key: world.doc(ns, key) for key in world.doc_keys(ns)}
+            got = [(d.key, d.body) for d in store.search(ns, query, limit)]
+            assert got == reference_search(docs, query, limit)

@@ -2,6 +2,9 @@ import json
 
 import pytest
 
+from shopclerk.backends import ScriptedBackend
+from shopclerk.config import AgentConfig
+from shopclerk.episode import AgentSession
 from shopclerk.errors import ConfigError, TaskLoadError
 from shopclerk.memory import Role, WorkingMemory, text_message
 from shopclerk.tasks import (
@@ -129,6 +132,23 @@ def test_reset_yields_independent_worlds(suite_dir, vision_fixtures):
     a, b = task.reset(), task.reset()
     a.apply_order_action("O-7002", "cancel")
     assert b.orders["O-7002"].status.value == "paid"
+
+
+@pytest.mark.parametrize("task_id", ["cancel-paid-order", "refund-approval",
+                                     "damaged-kettle-refund", "blender-sparks-video"])
+def test_an_episode_leaves_the_seed_world_as_loaded(task_id, suite_dir, scripts_dir,
+                                                    vision_fixtures):
+    task = load_task(suite_dir / f"{task_id}.json", vision_fixtures)
+    before = task.seed_world.snapshot()
+    world = task.reset()
+    chat = ScriptedBackend.from_file(scripts_dir / f"{task_id}.json")
+    session = AgentSession(world, chat, vision_fixtures, AgentConfig(), session_id="seed")
+    for turn in task.buyer_script:
+        session.handle_buyer_turn(turn.utterance)
+    assert world.mutations and world.snapshot() != before
+    assert task.seed_world.snapshot() == before
+    assert task.seed_world.mutations == []
+    assert task.reset().snapshot() == before
 
 
 # --- check_success ---

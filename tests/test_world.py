@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from shopclerk.errors import IllegalTransitionError, SchemaError
@@ -126,6 +128,42 @@ def test_world_from_dict_validation_errors():
         world_from_dict({"policies": [{"namespace": "weather", "key": "k", "body": "b"}]})
 
 
+@pytest.mark.parametrize("record, field", [("products", "stock"), ("orders", "status")])
+def test_records_are_frozen(record, field):
+    world = make_world()
+    row = next(iter(getattr(world, record).values()))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(row, field, None)
+
+
+def test_copy_shares_records_and_owns_containers():
+    seed = make_world()
+    seed.mutations.append({"tick": 0})
+    world = seed.copy()
+    assert world.products["P1"] is seed.products["P1"]
+    assert world.orders is not seed.orders and world.mutations == []
+    world.apply_order_action("O2", "cancel")
+    assert world.orders["O2"] is not seed.orders["O2"]
+    assert seed.snapshot()["orders"]["O2"]["status"] == "paid"
+
+
+@pytest.mark.parametrize("data, where", [
+    ({"orders": {"O1": {"buyer_id": "B", "status": "paid", "items": "P-1"}}}, "orders.O1.items"),
+    ({"orders": {"O1": {"buyer_id": "B", "status": "paid", "items": {"P-1": 1}}}},
+     "orders.O1.items"),
+    ({"products": {"P1": {"title": "T", "attributes": ["red"], "price_cents": 1, "stock": 1}}},
+     "products.P1.attributes"),
+    ({"products": {"P1": {"title": "T", "attributes": "red", "price_cents": 1, "stock": 1}}},
+     "products.P1.attributes"),
+    ({"policies": [{"key": "ok", "body": "b"}, {"key": "", "body": "b"}]}, r"policies\[1\]\.key"),
+    ({"policies": [{"key": 7, "body": "b"}]}, r"policies\[0\]\.key"),
+    ({"policies": [{"body": "b"}]}, r"policies\[0\]\.key"),
+])
+def test_world_from_dict_rejects_bad_shapes_naming_the_path(data, where):
+    with pytest.raises(SchemaError, match=where):
+        world_from_dict(data)
+
+
 def test_seed_store_covers_namespaces():
     store = seed_store(make_world())
     assert store.get(Namespace.PRODUCT, "P1").body["title"] == "Kettle"
@@ -139,7 +177,7 @@ def test_store_follows_the_world_without_a_put():
     world = make_world()
     store = seed_store(world)
     world.apply_order_action("O2", "cancel")
-    world.products["P1"].stock = 0
+    world.products["P1"] = dataclasses.replace(world.products["P1"], stock=0)
     assert store.get(Namespace.ORDER, "O2").body["status"] == "cancelled"
     assert store.get(Namespace.PRODUCT, "P1").body["stock"] == 0
     assert [d.key for d in store.search(Namespace.ORDER, "cancelled", 5)] == ["O2"]
