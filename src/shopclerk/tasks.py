@@ -4,7 +4,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import TaskLoadError
+from .errors import SchemaError, TaskLoadError
 from .files import read_json
 from .memory import Role, WorkingMemory
 from .placeholders import RefKind, classify_url, find_urls
@@ -89,7 +89,7 @@ def task_from_dict(data: dict, source: str = "<task>", vision_fixtures=None) -> 
         _fail(f"{source}:world", "missing world seed object")
     try:
         seed_world = world_from_dict(data["world"])
-    except Exception as exc:
+    except SchemaError as exc:
         _fail(f"{source}:world", str(exc))
 
     raw_turns = data.get("buyer_script") or []
@@ -138,7 +138,7 @@ def task_from_dict(data: dict, source: str = "<task>", vision_fixtures=None) -> 
         _fail(f"{source}:success", "needs at least one assertion or response fact")
     if assertions:
         # actions change values, never keys, so a path missing at seed is missing for good
-        snapshot = seed_world.snapshot()
+        snapshot = seed_world.snapshot([a.path for a in assertions])
         for i, assertion in enumerate(assertions):
             if _resolve_path(snapshot, assertion.path, _MISSING) is _MISSING:
                 _fail(f"{source}:success.state_assertions[{i}].path",
@@ -210,7 +210,7 @@ def check_success(
     Agent reply text is checked after deabstraction when a placeholder
     table is supplied, so facts can reference original URLs.
     """
-    snapshot = world.snapshot()
+    snapshot = world.snapshot([a.path for a in criteria.state_assertions])
     rows = []
     for assertion in criteria.state_assertions:
         actual = _resolve_path(snapshot, assertion.path)

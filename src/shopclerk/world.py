@@ -1,5 +1,6 @@
 """Mock e-commerce world state: products, orders, shipments, policies."""
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -127,32 +128,77 @@ class World:
     def doc_keys(self, namespace: Namespace) -> list[str]:
         return list(self.products if namespace is Namespace.PRODUCT else self.orders)
 
-    def snapshot(self) -> dict:
-        """Plain-dict view used by success assertions (dotted paths)."""
-        return {
-            "products": {pid: p.to_doc() for pid, p in self.products.items()},
-            "orders": {oid: o.to_doc() for oid, o in self.orders.items()},
-            "shipments": {
-                oid: [e.to_doc() for e in events] for oid, events in self.shipments.items()
-            },
-            "clock": self.clock,
-        }
+    def snapshot(self, paths: Iterable[str] | None = None) -> dict:
+        """Plain-dict view used by success assertions (dotted paths).
+
+        Given ``paths``, only the top-level entries and records those paths
+        name are built, and each of the paths resolves as in the full view.
+        """
+        tables = {"products": self.products, "orders": self.orders, "shipments": self.shipments}
+        wanted: dict[str, dict | None] = dict.fromkeys(tables)  # None: every record
+        if paths is not None:
+            wanted = {}
+            for path in paths:
+                top, _, rest = path.partition(".")
+                if top not in tables or wanted.get(top, {}) is None:
+                    continue
+                if rest:
+                    wanted.setdefault(top, {})[rest.partition(".")[0]] = None
+                else:
+                    wanted[top] = None
+        view = {}
+        for top, keys in wanted.items():
+            records = tables[top]
+            view[top] = {key: _plain(records[key]) for key in (records if keys is None else keys)
+                         if key in records}
+        view["clock"] = self.clock
+        return view
+
+
+def _plain(record) -> object:
+    return [e.to_doc() for e in record] if isinstance(record, tuple) else record.to_doc()
+
+
+def _table(data: dict, name: str) -> dict:
+    table = data.get(name, {})
+    if not isinstance(table, dict):
+        raise SchemaError(f"{name}: must be an object")
+    return table
+
+
+def _row(row, path: str, required: tuple[str, ...]) -> dict:
+    if not isinstance(row, dict):
+        raise SchemaError(f"{path}: must be an object")
+    for name in required:
+        if name not in row:
+            raise SchemaError(f"{path}.{name}: missing")
+    return row
+
+
+def _int(row: dict, name: str, path: str) -> int:
+    try:
+        return int(row[name])
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(f"{path}.{name}: must be an integer, got {row[name]!r}") from None
 
 
 def world_from_dict(data: dict) -> World:
+    """Parse a world seed; every error is a SchemaError naming the bad path."""
     products = {}
-    for pid, row in data.get("products", {}).items():
+    for pid, row in _table(data, "products").items():
+        row = _row(row, f"products.{pid}", ("title", "price_cents", "stock"))
         if not isinstance(row.get("attributes", {}), dict):
             raise SchemaError(f"products.{pid}.attributes: must be an object")
         products[pid] = Product(
             product_id=pid,
             title=row["title"],
             attributes=dict(row.get("attributes", {})),
-            price_cents=int(row["price_cents"]),
-            stock=int(row["stock"]),
+            price_cents=_int(row, "price_cents", f"products.{pid}"),
+            stock=_int(row, "stock", f"products.{pid}"),
         )
     orders = {}
-    for oid, row in data.get("orders", {}).items():
+    for oid, row in _table(data, "orders").items():
+        row = _row(row, f"orders.{oid}", ("buyer_id", "status"))
         try:
             status = OrderStatus(row["status"])
         except ValueError:
@@ -167,15 +213,22 @@ def world_from_dict(data: dict) -> World:
             address=row.get("address", ""),
         )
     shipments = {}
-    for oid, events in data.get("shipments", {}).items():
+    for oid, events in _table(data, "shipments").items():
         if oid not in orders:
             raise SchemaError(f"shipments.{oid}: references a missing order")
-        shipments[oid] = tuple(sorted(
-            (ShipmentEvent(int(e["tick"]), e["location"], e["status"]) for e in events),
-            key=lambda e: e.tick,
-        ))
+        if not isinstance(events, list):
+            raise SchemaError(f"shipments.{oid}: must be a list")
+        parsed = []
+        for i, row in enumerate(events):
+            row = _row(row, f"shipments.{oid}[{i}]", ("tick", "location", "status"))
+            parsed.append(ShipmentEvent(_int(row, "tick", f"shipments.{oid}[{i}]"),
+                                        row["location"], row["status"]))
+        shipments[oid] = tuple(sorted(parsed, key=lambda e: e.tick))
     policies = []
+    if not isinstance(data.get("policies", []), list):
+        raise SchemaError("policies: must be a list")
     for i, row in enumerate(data.get("policies", [])):
+        row = _row(row, f"policies[{i}]", ("body",))
         ns = row.get("namespace", "platform_policy")
         if ns not in ("platform_policy", "store_promotion"):
             raise SchemaError(f"policies[{i}].namespace: bad namespace {ns!r}")

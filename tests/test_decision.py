@@ -1,11 +1,13 @@
 import json
 import os
 import random
+import re
 
 import pytest
 
 from shopclerk.backends import ChatResponse, ScriptedBackend, ScriptEntry
 from shopclerk.decision import (
+    TEMPLATE_FIELDS,
     CandidatePlan,
     PlanEvaluation,
     PlanKind,
@@ -217,6 +219,27 @@ def test_select_floor_monotone_gate():
     selected = {select(evals, floor).selected for floor in (0.0, 0.3, 0.69, 0.7)}
     assert selected == {1}  # floor below/at max never changes the winner
     assert select(evals, 0.71).selected is None
+
+
+# --- templates: static text first, so a provider prefix cache can reuse it ---
+
+# static lines allowed after $context: evaluate.txt keeps the plan list's label and the
+# answer instruction last, right before the one-letter answer
+STATIC_AFTER_CONTEXT = {
+    "propose.txt": set(),
+    "evaluate.txt": {"Candidate plans:",
+                     "Which plan best serves the buyer's intent? Answer with exactly one letter."},
+}
+SESSION_FIELDS = {"tool_catalog", "n_candidates"}  # fixed for a whole session
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATE_FIELDS))
+def test_bundled_template_puts_static_text_before_the_context(name):
+    head, tail = load_template(name).template.split("$context")
+    assert head.strip()
+    assert {line for line in tail.splitlines() if line.strip() and "$" not in line} == \
+        STATIC_AFTER_CONTEXT[name]
+    assert not SESSION_FIELDS & set(re.findall(r"\$(\w+)", tail))
 
 
 # --- templates: the per-file-version cache ---

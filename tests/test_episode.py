@@ -302,6 +302,25 @@ def test_bundled_suite_usage_is_pinned(suite_dir, scripts_dir, vision_fixtures):
     assert calls == {"propose": 30, "evaluate": 30}
 
 
+def test_each_propose_prompt_starts_with_the_previous_ones_static_head(
+        suite_dir, scripts_dir, vision_fixtures):
+    # the tool catalog and the plan instructions stay fixed for a session, and the
+    # conversation comes last, so a prefix cache reuses the whole head on every call
+    from shopclerk.tasks import load_suite
+
+    pairs = 0
+    for task in load_suite(suite_dir, vision_fixtures):
+        chat = PromptCapture(ScriptedBackend.from_file(scripts_dir / f"{task.task_id}.json"))
+        assert run_episode(task, AgentConfig(), chat, vision_fixtures).success
+        prompts = [r.last_content() for r in chat.requests if not r.label_alphabet]
+        for before, after in zip(prompts, prompts[1:]):
+            head = before[:before.index("Conversation so far:\n") + len("Conversation so far:\n")]
+            assert "Available tools:" in head and "```json" in head
+            assert after.startswith(head), task.task_id
+            pairs += 1
+    assert pairs == 30 - 13  # every propose call but each session's first
+
+
 def test_describe_leaves_one_trace_event(suite_dir, scripts_dir, vision_fixtures):
     result, _ = run_bundled("damaged-kettle-refund", suite_dir, scripts_dir, vision_fixtures)
     describes = [e for e in result.trace.events if e["kind"] == "describe"]

@@ -16,7 +16,7 @@ from shopclerk.tasks import (
     load_task,
     task_from_dict,
 )
-from shopclerk.world import world_from_dict
+from shopclerk.world import World, world_from_dict
 
 MINIMAL = {
     "task_id": "t1",
@@ -230,3 +230,27 @@ def test_state_path_missing_resolves_to_none():
     ok, report = check_success(world, agent_transcript(), criteria)
     assert not ok
     assert report.rows[0]["actual"] is None
+
+
+def test_check_success_snapshots_only_the_asserted_records(monkeypatch):
+    orders = {f"O{i}": {"buyer_id": "B", "items": [], "status": "paid"} for i in range(50)}
+    world = world_from_dict({"orders": orders})
+    views = []
+    real_snapshot = World.snapshot
+
+    def recording_snapshot(self, paths=None):
+        views.append(real_snapshot(self, paths))
+        return views[-1]
+
+    monkeypatch.setattr(World, "snapshot", recording_snapshot)
+    criteria = SuccessCriteria(state_assertions=(StateAssertion("orders.O7.status", "paid"),
+                                                 StateAssertion("clock", 0)))
+    ok, _ = check_success(world, agent_transcript(), criteria)
+    assert ok and [list(v["orders"]) for v in views] == [["O7"]]
+
+
+def test_world_seed_error_names_the_file_and_the_path(tmp_path):
+    path = tmp_path / "bad-task.json"
+    path.write_text(json.dumps(dict(MINIMAL, world={"orders": {"O1": {"status": "paid"}}})))
+    with pytest.raises(TaskLoadError, match=r"bad-task\.json:world: orders\.O1\.buyer_id: missing"):
+        load_task(path)

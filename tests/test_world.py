@@ -1,9 +1,11 @@
 import dataclasses
+import random
 
 import pytest
 
 from shopclerk.errors import IllegalTransitionError, SchemaError
 from shopclerk.memory import LongTermStore, Namespace
+from shopclerk.tasks import _MISSING, _resolve_path
 from shopclerk.world import (
     OrderStatus,
     World,
@@ -147,6 +149,20 @@ def test_copy_shares_records_and_owns_containers():
     assert seed.snapshot()["orders"]["O2"]["status"] == "paid"
 
 
+def _without(table: str, key, field: str) -> dict:
+    """SEED with one field removed from one row."""
+    rows = SEED[table]
+    row = {k: v for k, v in rows[key].items() if k != field}
+    if isinstance(rows, list):
+        return dict(SEED, **{table: rows[:key] + [row] + rows[key + 1:]})
+    return dict(SEED, **{table: dict(rows, **{key: row})})
+
+
+def _shipment_without(field: str) -> dict:
+    event = {k: v for k, v in SEED["shipments"]["O1"][0].items() if k != field}
+    return dict(SEED, shipments={"O1": [event]})
+
+
 @pytest.mark.parametrize("data, where", [
     ({"orders": {"O1": {"buyer_id": "B", "status": "paid", "items": "P-1"}}}, "orders.O1.items"),
     ({"orders": {"O1": {"buyer_id": "B", "status": "paid", "items": {"P-1": 1}}}},
@@ -158,10 +174,79 @@ def test_copy_shares_records_and_owns_containers():
     ({"policies": [{"key": "ok", "body": "b"}, {"key": "", "body": "b"}]}, r"policies\[1\]\.key"),
     ({"policies": [{"key": 7, "body": "b"}]}, r"policies\[0\]\.key"),
     ({"policies": [{"body": "b"}]}, r"policies\[0\]\.key"),
+    (_without("products", "P1", "title"), r"products\.P1\.title: missing"),
+    (_without("products", "P1", "price_cents"), r"products\.P1\.price_cents: missing"),
+    (_without("products", "P1", "stock"), r"products\.P1\.stock: missing"),
+    (_without("orders", "O2", "buyer_id"), r"orders\.O2\.buyer_id: missing"),
+    (_without("orders", "O2", "status"), r"orders\.O2\.status: missing"),
+    (_without("policies", 1, "body"), r"policies\[1\]\.body: missing"),
+    (_shipment_without("tick"), r"shipments\.O1\[0\]\.tick: missing"),
+    (_shipment_without("location"), r"shipments\.O1\[0\]\.location: missing"),
+    (_shipment_without("status"), r"shipments\.O1\[0\]\.status: missing"),
+    (dict(SEED, products=[1]), r"^products: must be an object"),
+    (dict(SEED, orders=[1]), r"^orders: must be an object"),
+    (dict(SEED, shipments=[1]), r"^shipments: must be an object"),
+    (dict(SEED, products={"P1": "Kettle"}), r"products\.P1: must be an object"),
+    (dict(SEED, orders={"O1": 1}), r"orders\.O1: must be an object"),
+    (dict(SEED, shipments={"O1": {"tick": 1}}), r"shipments\.O1: must be a list"),
+    (dict(SEED, shipments={"O1": ["lost"]}), r"shipments\.O1\[0\]: must be an object"),
+    (dict(SEED, policies=["30 days"]), r"policies\[0\]: must be an object"),
+    (dict(SEED, policies={"refund-window": "30 days"}), r"^policies: must be a list"),
+    (dict(SEED, products={"P1": dict(SEED["products"]["P1"], price_cents="ten")}),
+     r"products\.P1\.price_cents: must be an integer, got 'ten'"),
 ])
 def test_world_from_dict_rejects_bad_shapes_naming_the_path(data, where):
     with pytest.raises(SchemaError, match=where):
         world_from_dict(data)
+
+
+# --- sparse snapshots: only the records the assertion paths name ---
+
+def _random_world(rng: random.Random) -> World:
+    products = {f"P{i}": {"title": f"t{i}", "attributes": {"color": rng.choice(["red", "blue"])},
+                          "price_cents": rng.randrange(100, 9000), "stock": rng.randrange(5)}
+                for i in range(rng.randrange(1, 8))}
+    orders = {f"O{i}": {"buyer_id": f"B{rng.randrange(3)}",
+                        "status": rng.choice(list(OrderStatus)).value,
+                        "items": [{"product_id": rng.choice(list(products)), "qty": 1}]}
+              for i in range(rng.randrange(1, 8))}
+    shipments = {oid: [{"tick": t, "location": "hub", "status": "in_transit"}
+                       for t in range(rng.randrange(1, 3))]
+                 for oid in orders if rng.random() < 0.5}
+    world = world_from_dict({"products": products, "orders": orders, "shipments": shipments})
+    world.clock = rng.randrange(10)
+    return world
+
+
+def _random_path(rng: random.Random, world: World) -> str:
+    top = rng.choice(["products", "orders", "shipments", "clock", "policies", "buyers", ""])
+    ids = list(world.products) + list(world.orders) + ["P99", "O99", ""]
+    tail = rng.choice([[], [rng.choice(ids)],
+                       [rng.choice(ids), rng.choice(["status", "title", "attributes", "items",
+                                                     "stock", "nope", ""])],
+                       [rng.choice(ids), "attributes", rng.choice(["color", "size"])]])
+    return ".".join([top] + tail)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sparse_snapshot_resolves_every_path_like_the_full_one(seed):
+    rng = random.Random(seed)
+    world = _random_world(rng)
+    full = world.snapshot()
+    paths = [_random_path(rng, world) for _ in range(rng.randrange(1, 12))]
+    paths += ["clock", "orders.O0.status", "products.P99.title", "weather.today"]
+    sparse = world.snapshot(paths)
+    for path in paths:
+        assert _resolve_path(sparse, path, _MISSING) == _resolve_path(full, path, _MISSING), path
+
+
+def test_sparse_snapshot_builds_only_the_named_records():
+    world = make_world()
+    assert world.snapshot(["orders.O1.status", "orders.O1.items", "products.P9.title",
+                           "weather.today"]) == {
+        "orders": {"O1": world.orders["O1"].to_doc()}, "products": {}, "clock": 0}
+    assert world.snapshot(["shipments"]) == {"shipments": world.snapshot()["shipments"], "clock": 0}
+    assert world.snapshot([]) == {"clock": 0}
 
 
 def test_seed_store_covers_namespaces():
