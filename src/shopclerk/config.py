@@ -33,6 +33,7 @@ class AgentConfig:
     vote_samples: int = 5
     max_plan_rounds: int = 5
     context_budget: int = 8000
+    elide_block: int = 8
     min_url_length: int = DEFAULT_MIN_URL_LENGTH
     template_dir: str | None = None
     latency_model: LatencyModel | None = None
@@ -97,6 +98,7 @@ CONFIG_KEYS = {
     "vote_samples": ("vote_samples", None, _number(int, 1)),
     "max_plan_rounds": ("max_plan_rounds", None, _number(int, 1)),
     "context_budget": ("context_budget", None, _number(int, 1)),
+    "elide_block": ("elide_block", None, _number(int, 1)),
     "min_url_length": ("min_url_length", None, _number(int, 1)),
     "template_dir": ("template_dir", None, _text),
     "latency_alpha": ("latency_model", "alpha", _number(float, 0.0)),

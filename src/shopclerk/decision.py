@@ -108,7 +108,7 @@ def _parse_plan(row: dict, plan_id: int) -> CandidatePlan | None:
         return None
     steps = []
     for step in row.get("steps") or []:
-        if not isinstance(step, dict) or not step.get("tool"):
+        if not isinstance(step, dict) or not isinstance(step.get("tool"), str) or not step["tool"]:
             return None
         args = step.get("arguments") or {}
         if not isinstance(args, dict):
@@ -116,7 +116,7 @@ def _parse_plan(row: dict, plan_id: int) -> CandidatePlan | None:
         steps.append(PlannedStep(step["tool"], args))
     reply = row.get("reply")
     if kind is PlanKind.DIRECT_REPLY:
-        if steps or not reply:
+        if steps or not isinstance(reply, str) or not reply:
             return None
     else:
         if not steps:
@@ -161,6 +161,8 @@ def propose(
         raise ProposalError(f"fenced block is not valid JSON: {exc}") from exc
     if isinstance(rows, dict):
         rows = rows.get("plans", [])
+    if not isinstance(rows, list):
+        raise ProposalError(f"fenced block is not a list of plans: {type(rows).__name__}")
     plans: list[CandidatePlan] = []
     seen: set[tuple] = set()
     for row in rows:

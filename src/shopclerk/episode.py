@@ -154,7 +154,7 @@ class AgentSession:
         )
 
     def _context(self) -> str:
-        return render_context(self.wm, self.config.context_budget)
+        return render_context(self.wm, self.config.context_budget, self.config.elide_block)
 
     # --- the decision cycle ---
 

@@ -64,7 +64,8 @@ class WorkingMemory:
 
     Each message is rendered once, when it is appended: messages are frozen
     and the transcript only grows, so a cached line never goes stale.
-    _offsets[i] is the size of the first i lines, each counted with its newline.
+    _offsets[i] is the size of the first i lines, each counted with its newline;
+    _last_buyer is the index of the newest buyer line, -1 before the first.
     """
 
     def __init__(self, session_id: str):
@@ -72,6 +73,7 @@ class WorkingMemory:
         self._turns: list[Message] = []
         self._lines: list[str] = []
         self._offsets: list[int] = [0]
+        self._last_buyer = -1
 
     @property
     def turns(self) -> tuple[Message, ...]:
@@ -86,6 +88,8 @@ class WorkingMemory:
                 f"expected turn_index {len(self._turns)}, got {msg.turn_index}"
             )
         line = render_turn(msg)
+        if msg.role is Role.BUYER:
+            self._last_buyer = len(self._lines)
         self._turns.append(msg)
         self._lines.append(line)
         self._offsets.append(self._offsets[-1] + len(line) + 1)
@@ -95,22 +99,32 @@ def render_turn(msg: Message) -> str:
     return f"[{msg.role.value}] {msg.text()}"
 
 
-def render_context(wm: WorkingMemory, budget: int) -> str:
+def render_context(wm: WorkingMemory, budget: int, block: int = 1) -> str:
     """Render the transcript as role-tagged lines within a character budget.
 
     The most recent turns are always kept; when the full transcript does not
-    fit, whole oldest turns are dropped and ELISION_MARKER is prepended.
+    fit, the oldest turns are dropped in whole blocks of `block` lines and
+    ELISION_MARKER is prepended. Block boundaries sit at fixed line indices,
+    so the first kept line stays put while the transcript grows and the
+    rendered prefix stays cacheable. The newest buyer line and the newest
+    line are each kept whenever they fit with the marker, even when that
+    means starting inside a block.
     """
     if budget <= 0:
         raise UsageError(f"render budget must be positive, got {budget}")
+    if block < 1:
+        raise UsageError(f"elision block must be positive, got {block}")
     lines, offsets = wm._lines, wm._offsets
     total = offsets[-1]  # the full join plus one newline
     if total - 1 <= budget:
         return "\n".join(lines)
-    # keep lines[start:], the longest suffix with marker + its lines <= budget
+    # lines[start:] is the longest suffix with marker + its lines <= budget
     start = bisect_left(offsets, len(ELISION_MARKER) + total - budget)
     if start == len(offsets):
         return ""  # even the marker alone is over budget
+    if start < len(lines):
+        keep = wm._last_buyer if start <= wm._last_buyer else len(lines) - 1
+        start = min(-(-start // block) * block, keep)
     return "\n".join([ELISION_MARKER, *lines[start:]])
 
 

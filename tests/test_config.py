@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from shopclerk.cli import main
 from shopclerk.config import (
     AblationVariant,
     AgentConfig,
@@ -21,6 +22,7 @@ def test_defaults():
     assert config.decision_module
     assert config.strategy is IntegrationStrategy.TOOL
     assert config.vote_samples == 5
+    assert config.elide_block == 8
 
 
 def test_dict_round_trip():
@@ -30,8 +32,10 @@ def test_dict_round_trip():
         abstraction_enabled=False,
         strategy=IntegrationStrategy.PLANNER,
         decision_module=False,
+        elide_block=16,
         latency_model=LatencyModel(alpha=0.5, beta=2.0),
     )
+    assert config.to_dict()["elide_block"] == 16
     assert agent_config_from_dict(config.to_dict()) == config
 
 
@@ -64,6 +68,29 @@ def test_bad_values_raise_config_error():
     ):
         with pytest.raises(ConfigError):
             agent_config_from_dict(bad)
+
+
+@pytest.mark.parametrize("value", [0, True, 2.5, "8"])
+def test_bad_elide_block_names_the_key(capsys, tmp_path, value):
+    with pytest.raises(ConfigError, match="elide_block must be an integer >= 1"):
+        agent_config_from_dict({"elide_block": value})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"elide_block": value}))
+    assert main(["bench", "--n-trials", "1", "--k", "1", "--config", str(config)]) == 2
+    assert f"config file {config}: elide_block must be an integer >= 1" in capsys.readouterr().err
+
+
+def test_ablation_matrix_varies_elide_block(capsys, tmp_path):
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps([{"name": "by-line", "elide_block": 1},
+                                  {"name": "block-8", "elide_block": 8}]))
+    report = tmp_path / "report"
+    argv = ["ablate", "--matrix", str(matrix), "--n-trials", "1", "--k", "1", "--out", str(report)]
+    assert main(argv) == 0
+    rows = json.loads((report / "report.json").read_text())
+    assert [r["name"] for r in rows] == ["by-line", "block-8"]
+    # the bundled suite never outgrows the default context budget
+    assert rows[0]["usage"] == rows[1]["usage"]
 
 
 def test_read_config_file_errors(tmp_path):

@@ -94,6 +94,23 @@ def test_propose_without_json_block_is_proposal_error():
         propose("ctx", CATALOG, 3, backend_with("no plans here, sorry"))
 
 
+@pytest.mark.parametrize("block", ["5", '{"plans": 5}', '"plans"', "null"])
+def test_propose_block_that_is_not_a_list_of_plans_is_proposal_error(block):
+    reply = "plans:\n```json\n" + block + "\n```"
+    with pytest.raises(ProposalError, match="not a list of plans"):
+        propose("ctx", CATALOG, 3, backend_with(reply))
+
+
+def test_propose_drops_plans_whose_reply_or_tool_is_not_text():
+    rows = [plan_row("direct_reply", reply=5), plan_row("direct_reply", reply=["hi"]),
+            plan_row("single_tool", [["product_info"]]), plan_row("single_tool", [{"a": 1}]),
+            plan_row("direct_reply", reply="ok")]
+    plans = propose("ctx", CATALOG, 3, backend_with(fenced(rows)))
+    assert [p.draft_reply for p in plans] == ["ok"]
+    with pytest.raises(ProposalError, match="no parseable plan"):
+        propose("ctx", CATALOG, 3, backend_with(fenced(rows[:1])))
+
+
 def test_propose_all_malformed_is_proposal_error():
     with pytest.raises(ProposalError):
         propose("ctx", CATALOG, 3, backend_with(fenced([{"kind": "bogus"}])))

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from shopclerk.backends import RecordingBackend, ReplayBackend, ScriptedBackend
 from shopclerk.config import AgentConfig, LatencyModel, agent_config_from_dict
 from shopclerk.episode import CLARIFICATION_REPLY, AgentSession, run_episode
-from shopclerk.memory import PartKind, Role, message_to_dict
+from shopclerk.memory import ELISION_MARKER, PartKind, Role, message_to_dict
 from shopclerk.tasks import load_task
 from shopclerk.world import replay_mutations
 
@@ -112,6 +113,21 @@ def test_script_exhaustion_is_recorded_not_raised(suite_dir, vision_fixtures):
     assert chats[0]["completion_chars"] == 0
     assert chats[0]["error"] in result.error
     assert result.usage.backend_calls == 1
+
+
+@pytest.mark.parametrize("block", [
+    '{"plans": 5}',
+    json.dumps([{"kind": "direct_reply", "steps": [], "rationale": "r", "reply": 5}]),
+])
+def test_malformed_proposal_is_an_episode_error_not_a_crash(suite_dir, vision_fixtures,
+                                                            tmp_path, block):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"entries": [
+        {"contains": "", "response": {"text": "```json\n" + block + "\n```"}}]}))
+    task = load_task(suite_dir / "kettle-capacity.json", vision_fixtures)
+    result = run_episode(task, AgentConfig(), ScriptedBackend.from_file(path), vision_fixtures)
+    assert not result.success
+    assert result.error.startswith("ProposalError")
 
 
 def test_transcripts_identical_across_runs(suite_dir, scripts_dir, vision_fixtures):
@@ -319,6 +335,32 @@ def test_each_propose_prompt_starts_with_the_previous_ones_static_head(
             assert after.startswith(head), task.task_id
             pairs += 1
     assert pairs == 30 - 13  # every propose call but each session's first
+
+
+@pytest.mark.parametrize("block", [1, 8])
+def test_propose_prompts_keep_their_prefix_once_the_context_elides(
+        suite_dir, vision_fixtures, tmp_path, block):
+    plans = [{"kind": "direct_reply", "steps": [], "rationale": "Acknowledge.", "reply": "Noted."}]
+    chat = PromptCapture(plans_script(plans, "Acknowledge.", tmp_path / "ack.json"))
+    task = load_task(suite_dir / "kettle-capacity.json", vision_fixtures)
+    config = agent_config_from_dict({"context_budget": 400, "elide_block": block})
+    session = AgentSession(task.reset(), chat, vision_fixtures, config)
+    for i in range(30):
+        session.handle_buyer_turn(f"Question {i:02d}: one more detail about my order, please.")
+    prompts = [r.last_content() for r in chat.requests if not r.label_alphabet]
+    head = prompts[0][:prompts[0].index("Conversation so far:\n") + len("Conversation so far:\n")]
+    elided = [p for p in prompts if p.startswith(head + ELISION_MARKER + "\n")]
+    assert len(elided) > 20
+    # cut at the last line break, the shared prefix of two prompts covers whole lines:
+    # it ends at the marker exactly when the first kept line moved
+    floor = len(head) + len(ELISION_MARKER) + 1
+    shared = [os.path.commonprefix([a, b]).rfind("\n") + 1 for a, b in zip(elided, elided[1:])]
+    assert min(shared) == floor
+    moved = [n == floor for n in shared]
+    if block == 1:
+        assert all(moved)
+    else:  # two lines a turn: one move every four turns, to the next block of 8
+        assert moved == [False, False, False, True] * 6
 
 
 def test_describe_leaves_one_trace_event(suite_dir, scripts_dir, vision_fixtures):

@@ -131,6 +131,113 @@ def test_render_matches_reference_after_every_append(seed):
             assert render_context(wm, budget) == reference_render(wm, budget), (i, budget)
 
 
+def reference_block_render(wm, budget, block):
+    """The block rule from scratch: the first kept line is the first multiple of
+    `block` with which marker + kept lines fit, or the newest buyer line or the
+    newest line when that is earlier and fits."""
+    lines = [render_turn(m) for m in wm.turns]
+    full = "\n".join(lines)
+    if len(full) <= budget:
+        return full
+    if len(ELISION_MARKER) > budget:
+        return ""
+
+    def fits(start):
+        return len("\n".join([ELISION_MARKER, *lines[start:]])) <= budget
+
+    first = next(s for s in [*range(0, len(lines), block), len(lines)] if fits(s))
+    buyers = [i for i, m in enumerate(wm.turns) if m.role is Role.BUYER]
+    kept = [i for i in buyers[-1:] + [len(lines) - 1] if fits(i)]
+    start = min([first, *kept])
+    return "\n".join([ELISION_MARKER, *lines[start:]])
+
+
+def random_wm(rng, n):
+    roles = list(Role)
+    wm = WorkingMemory("s1")
+    for i in range(n):
+        text = "".join(rng.choices("ab xy\t", k=rng.randint(0, 40)))
+        wm.append_turn(text_message(rng.choice(roles), text, i))
+        yield wm
+
+
+@pytest.mark.parametrize("block", [1, 2, 8, 16])
+@pytest.mark.parametrize("seed", range(3))
+def test_block_render_matches_block_reference_after_every_append(seed, block):
+    rng = random.Random(seed)
+    for i, wm in enumerate(random_wm(rng, 40)):
+        for budget in range(1, 301, 3):
+            expected = reference_block_render(wm, budget, block)
+            assert render_context(wm, budget, block) == expected, (i, budget)
+
+
+@pytest.mark.parametrize("block", [2, 8, 16])
+@pytest.mark.parametrize("seed", range(3))
+def test_block_render_invariants(seed, block):
+    for wm in random_wm(random.Random(seed), 40):
+        buyers = [render_turn(m) for m in wm.turns if m.role is Role.BUYER]
+        newest = [render_turn(wm.turns[-1]), *buyers[-1:]]
+        for budget in range(1, 301, 3):
+            by_line = render_context(wm, budget)
+            out = render_context(wm, budget, block)
+            assert len(out) <= budget
+            if not by_line.startswith(ELISION_MARKER):
+                assert out == by_line  # nothing elided at block 1, nothing at any block
+                continue
+            # the kept lines are a suffix of the kept lines of the block-1 render
+            assert out.startswith(ELISION_MARKER)
+            assert by_line.endswith(out[len(ELISION_MARKER):])
+            # the newest line and the newest buyer line survive if block 1 keeps them
+            for line in newest:
+                if f"\n{line}\n" in by_line + "\n":
+                    assert f"\n{line}\n" in out + "\n"
+
+
+def test_block_render_keeps_a_newest_line_that_barely_fits():
+    texts = [f"message number {i:02d} with some padding" for i in range(20)]
+    texts[-1] = "the buyer's current question, which is much longer than the others"
+    wm = make_wm(texts)
+    newest = render_turn(wm.turns[-1])
+    budget = len(ELISION_MARKER) + 1 + len(newest)
+    for block in (1, 8, 16):
+        assert render_context(wm, budget, block) == f"{ELISION_MARKER}\n{newest}"
+        assert render_context(wm, budget - 1, block) == ELISION_MARKER
+
+
+def test_block_render_keeps_the_current_buyer_line_behind_tool_lines():
+    wm = make_wm([f"message number {i:02d}" for i in range(21)])
+    wm.append_turn(text_message(Role.TOOL, "result one", 21))
+    wm.append_turn(text_message(Role.TOOL, "result two", 22))
+    kept = "\n".join([ELISION_MARKER, *(render_turn(m) for m in wm.turns[20:])])
+    for block in (1, 8, 16):
+        assert render_context(wm, len(kept), block) == kept
+
+
+def test_block_render_rejects_nonpositive_block():
+    with pytest.raises(UsageError):
+        render_context(make_wm(["x"]), 10, 0)
+
+
+@pytest.mark.parametrize("block", [1, 8])
+def test_growing_transcript_keeps_its_first_kept_line_for_a_block(block):
+    # equal-length lines: at block 1 the first kept line moves on every append;
+    # at block 8 it moves once per 8 appends, and in between each render starts
+    # with the whole previous render
+    wm = WorkingMemory("s1")
+    budget = len(ELISION_MARKER) + 12 * len("[buyer] turn 000\n")
+    renders = []
+    for i in range(100):
+        wm.append_turn(text_message(Role.BUYER, f"turn {i:03d}", i))
+        out = render_context(wm, budget, block)
+        if out.startswith(ELISION_MARKER):
+            renders.append(out)
+    pairs = list(zip(renders, renders[1:]))
+    extended = sum(after.startswith(before) for before, after in pairs)
+    assert extended == (0 if block == 1 else len(pairs) - len(pairs) // block)
+    first_kept = {int(out.splitlines()[1].split()[-1]) for out in renders}
+    assert all(index % block == 0 for index in first_kept)
+
+
 def test_each_message_is_rendered_once(monkeypatch):
     calls = []
 
