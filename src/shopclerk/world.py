@@ -1,11 +1,12 @@
 """Mock e-commerce world state: products, orders, shipments, policies."""
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from types import MappingProxyType
 
 from .errors import IllegalTransitionError, SchemaError
-from .memory import LongTermStore, Namespace
+from .memory import Document, LongTermStore, Namespace
 
 
 class OrderStatus(str, Enum):
@@ -72,26 +73,20 @@ class ShipmentEvent:
         return {"tick": self.tick, "location": self.location, "status": self.status}
 
 
-@dataclass(frozen=True)
-class PolicyDoc:
-    namespace: str  # platform_policy or store_promotion
-    key: str
-    body: object
-
-
 @dataclass
 class World:
     products: dict[str, Product] = field(default_factory=dict)
     orders: dict[str, Order] = field(default_factory=dict)
     shipments: dict[str, tuple[ShipmentEvent, ...]] = field(default_factory=dict)
-    policies: list[PolicyDoc] = field(default_factory=list)
+    # policy namespace -> key -> document, read-only and tokenized once, at parse
+    policies: Mapping[Namespace, MappingProxyType] = field(default_factory=dict)
     clock: int = 0
     mutations: list[dict] = field(default_factory=list)
 
     def copy(self) -> "World":
         """Own containers, no mutations; frozen records, replaced on change, are shared."""
         return World(dict(self.products), dict(self.orders), dict(self.shipments),
-                     list(self.policies), self.clock)
+                     self.policies, self.clock)
 
     def apply_order_action(self, order_id: str, action: str) -> dict:
         """Apply a legal order transition and record the mutation event."""
@@ -224,7 +219,7 @@ def world_from_dict(data: dict) -> World:
             parsed.append(ShipmentEvent(_int(row, "tick", f"shipments.{oid}[{i}]"),
                                         row["location"], row["status"]))
         shipments[oid] = tuple(sorted(parsed, key=lambda e: e.tick))
-    policies = []
+    policies = {Namespace.PLATFORM_POLICY: {}, Namespace.STORE_PROMOTION: {}}
     if not isinstance(data.get("policies", []), list):
         raise SchemaError("policies: must be a list")
     for i, row in enumerate(data.get("policies", [])):
@@ -234,16 +229,14 @@ def world_from_dict(data: dict) -> World:
             raise SchemaError(f"policies[{i}].namespace: bad namespace {ns!r}")
         if not (isinstance(row.get("key"), str) and row["key"]):
             raise SchemaError(f"policies[{i}].key: must be a non-empty string")
-        policies.append(PolicyDoc(namespace=ns, key=row["key"], body=row["body"]))
-    return World(products=products, orders=orders, shipments=shipments, policies=policies)
+        policies[Namespace(ns)][row["key"]] = Document(key=row["key"], body=row["body"])
+    frozen = MappingProxyType({ns: MappingProxyType(table) for ns, table in policies.items()})
+    return World(products=products, orders=orders, shipments=shipments, policies=frozen)
 
 
 def seed_store(world: World) -> LongTermStore:
-    """A long-term store over the world, loaded with the world's policies."""
-    store = LongTermStore(world)
-    for policy in world.policies:
-        store.put(policy.namespace, policy.key, policy.body)
-    return store
+    """A long-term store over the world, starting from the world's policies."""
+    return LongTermStore(world, world.policies)
 
 
 def replay_mutations(seed: World, events: list[dict]) -> World:

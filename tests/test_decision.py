@@ -5,8 +5,10 @@ import re
 
 import pytest
 
+from conftest import DATA_DIR
 from shopclerk.backends import ChatResponse, ScriptedBackend, ScriptEntry
 from shopclerk.decision import (
+    FENCED_JSON_RE,
     TEMPLATE_FIELDS,
     CandidatePlan,
     PlanEvaluation,
@@ -111,9 +113,60 @@ def test_propose_drops_plans_whose_reply_or_tool_is_not_text():
         propose("ctx", CATALOG, 3, backend_with(fenced(rows[:1])))
 
 
+def test_propose_reads_a_null_rationale_as_empty_and_drops_a_non_text_one():
+    rows = [plan_row("single_tool", ["null"], rationale=None),
+            plan_row("single_tool", ["number"], rationale=5),
+            plan_row("single_tool", ["zero"], rationale=0),
+            plan_row("single_tool", ["list"], rationale=["why"]),
+            plan_row("single_tool", ["object"], rationale={"why": "x"}),
+            plan_row("single_tool", ["false"], rationale=False),
+            {"kind": "single_tool", "steps": [{"tool": "missing", "arguments": {}}]},
+            plan_row("single_tool", ["text"], rationale="because")]
+    plans = propose("ctx", CATALOG, 8, backend_with(fenced(rows)))
+    assert [(p.steps[0].tool_name, p.rationale) for p in plans] == [
+        ("null", ""), ("missing", ""), ("text", "because")]
+    assert "None" not in plan_listing(plans)
+    with pytest.raises(ProposalError, match="no parseable plan"):
+        propose("ctx", CATALOG, 3, backend_with(fenced(rows[1:6])))
+
+
 def test_propose_all_malformed_is_proposal_error():
     with pytest.raises(ProposalError):
         propose("ctx", CATALOG, 3, backend_with(fenced([{"kind": "bogus"}])))
+
+
+# the pattern FENCED_JSON_RE replaced: the reference its matches are compared with
+LAZY_FENCED_JSON_RE = re.compile(r"```(?:json)?\s*\n(.*?)```", re.DOTALL)
+_FENCE_PIECES = ("`", "``", "```", "````", "json", " ", "\t", "\r", "\n", "{", "plans", "é")
+
+
+def _fenced_match(pattern, text):
+    match = pattern.search(text)
+    return match and (match.span(), match.group(1))
+
+
+def _bundled_replies():
+    replies = []
+    for path in sorted(DATA_DIR.rglob("*.json")):
+        data = json.loads(path.read_text(encoding="utf-8"))
+        if isinstance(data, dict) and "entries" in data:
+            replies += [row["response"]["text"] for row in data["entries"]]
+    return replies
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fenced_block_matches_like_the_lazy_pattern(seed):
+    rng = random.Random(seed)
+    for _ in range(5000):
+        text = "".join(rng.choice(_FENCE_PIECES) for _ in range(rng.randint(0, 24)))
+        assert _fenced_match(FENCED_JSON_RE, text) == _fenced_match(LAZY_FENCED_JSON_RE, text)
+
+
+def test_fenced_block_matches_every_bundled_reply_like_the_lazy_pattern():
+    replies = _bundled_replies()
+    assert sum(1 for text in replies if LAZY_FENCED_JSON_RE.search(text)) >= 40
+    for text in replies:
+        assert _fenced_match(FENCED_JSON_RE, text) == _fenced_match(LAZY_FENCED_JSON_RE, text)
 
 
 def _plans(n):

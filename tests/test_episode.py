@@ -7,7 +7,7 @@ import pytest
 from shopclerk.backends import RecordingBackend, ReplayBackend, ScriptedBackend
 from shopclerk.config import AgentConfig, LatencyModel, agent_config_from_dict
 from shopclerk.episode import CLARIFICATION_REPLY, AgentSession, run_episode
-from shopclerk.memory import ELISION_MARKER, PartKind, Role, message_to_dict
+from shopclerk.memory import ELISION_MARKER, Namespace, PartKind, Role, message_to_dict
 from shopclerk.tasks import load_task
 from shopclerk.world import replay_mutations
 
@@ -292,6 +292,30 @@ def test_plan_rounds_bounded(suite_dir, vision_fixtures, tmp_path):
     assert result.replies == (CLARIFICATION_REPLY,)
     assert result.usage.backend_calls == 6  # 3 rounds of propose + evaluate
     assert clarify_reasons(result) == ["max_plan_rounds"]
+
+
+def test_policy_puts_stay_in_their_own_episode(suite_dir, scripts_dir, vision_fixtures, tmp_path):
+    # every episode of a task starts from the policy tables parsed once with the task
+    task = load_task(suite_dir / "late-delivery.json", vision_fixtures)
+    seeded = dict(task.seed_world.policies[Namespace.PLATFORM_POLICY])
+    puts = [("delivery-promise", "Parcels arrive whenever they like."),
+            ("buyer-mood", "This buyer is frustrated.")]
+    plans = [{"kind": "tool_sequence", "rationale": "Note the case.", "reply": None, "steps": [
+        {"tool": "memory_put", "arguments": {"namespace": "platform_policy", "key": key,
+                                             "body_json": json.dumps(body)}}
+        for key, body in puts]}]
+    first = AgentSession(task.reset(), plans_script(plans, "Note the case.", tmp_path / "put.json"),
+                         vision_fixtures)
+    first.handle_buyer_turn(task.buyer_script[0].utterance)
+    for key, body in puts:
+        assert first.store.get("platform_policy", key).body == body
+
+    second = AgentSession(task.reset(), ScriptedBackend.from_file(scripts_dir / "late-delivery.json"),
+                          vision_fixtures)
+    assert second.store.get("platform_policy", "buyer-mood") is None
+    found = second.store.search("platform_policy", "parcels arrive whenever frustrated", 5)
+    assert [(d.key, d.body) for d in found] == [("delivery-promise", seeded["delivery-promise"].body)]
+    assert dict(task.seed_world.policies[Namespace.PLATFORM_POLICY]) == seeded
 
 
 def test_bundled_suite_usage_is_pinned(suite_dir, scripts_dir, vision_fixtures):

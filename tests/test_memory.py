@@ -17,7 +17,7 @@ from shopclerk.memory import (
     text_message,
     write_transcript,
 )
-from shopclerk.world import World, world_from_dict
+from shopclerk.world import World, seed_store, world_from_dict
 
 
 def make_wm(texts, role=Role.BUYER):
@@ -362,12 +362,27 @@ def test_search_structured_body_tokens_include_keys_and_values():
     assert [d.key for d in store.search("platform_policy", "material", 5)] == ["P1"]
 
 
+def reference_tokens(body):
+    """Tokens as the store made them, chunk by chunk, before it joined the chunks."""
+    tokens = set()
+    if isinstance(body, dict):
+        for k, v in body.items():
+            tokens.update(str(k).casefold().split())
+            tokens |= reference_tokens(v)
+    elif isinstance(body, (list, tuple)):
+        for v in body:
+            tokens |= reference_tokens(v)
+    else:
+        tokens.update(str(body).casefold().split())
+    return tokens
+
+
 def reference_search(docs, query, limit):
     """The scoring loop the store used before documents carried their tokens."""
     query_tokens = set(query.casefold().split())
     scored = []
     for key, body in docs.items():
-        body_tokens = memory._flatten_tokens(body)
+        body_tokens = reference_tokens(body)
         score = sum(1 for t in query_tokens if t in body_tokens)
         if score > 0:
             scored.append((score, key, body))
@@ -390,9 +405,9 @@ def _random_body(rng, depth=0):
     return {rng.choice(_VOCAB): _random_body(rng, depth + 1) for _ in range(rng.randint(0, 3))}
 
 
-def _random_world(rng):
+def _random_seed(rng):
     statuses = ("paid", "shipped", "delivered")
-    return world_from_dict({
+    return {
         "products": {f"P{i}": {"title": " ".join(rng.sample(_VOCAB, 2)),
                                "attributes": {rng.choice(_VOCAB): rng.choice(_VOCAB)},
                                "price_cents": i, "stock": i} for i in range(6)},
@@ -401,15 +416,21 @@ def _random_world(rng):
                              "address": rng.choice(_VOCAB)} for i in range(8)},
         "shipments": {f"O{i}": [{"tick": 1, "location": rng.choice(_VOCAB), "status": "moved"}]
                       for i in range(0, 8, 2)},
-    })
+        "policies": [{"namespace": rng.choice(("platform_policy", "store_promotion")),
+                      "key": f"k{rng.randrange(9)}", "body": _random_body(rng)}
+                     for _ in range(rng.randint(0, 12))],
+    }
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_search_ranks_like_the_reference_loop(seed):
     rng = random.Random(seed)
-    world = _random_world(rng)
-    store = LongTermStore(world)
+    data = _random_seed(rng)
+    world = world_from_dict(data)
+    store = seed_store(world)  # seeded keys are k0-k8, so a put of k0-k5 may re-put one
     written = {ns: {} for ns in ("platform_policy", "store_promotion", "buyer_profile")}
+    for row in data["policies"]:
+        written[row["namespace"]][row["key"]] = row["body"]
     for _ in range(60):
         step = rng.random()
         if step < 0.5:  # a put, often of a key already stored

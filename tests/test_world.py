@@ -4,7 +4,7 @@ import random
 import pytest
 
 from shopclerk.errors import IllegalTransitionError, SchemaError
-from shopclerk.memory import LongTermStore, Namespace
+from shopclerk.memory import Namespace
 from shopclerk.tasks import _MISSING, _resolve_path
 from shopclerk.world import (
     OrderStatus,
@@ -268,15 +268,9 @@ def test_store_follows_the_world_without_a_put():
     assert [d.key for d in store.search(Namespace.ORDER, "cancelled", 5)] == ["O2"]
 
 
-def test_seed_store_puts_exactly_the_policies(monkeypatch):
-    puts = []
-    real_put = LongTermStore.put
-
-    def recording_put(self, namespace, key, body):
-        puts.append((Namespace(namespace), key, body))
-        real_put(self, namespace, key, body)
-
-    monkeypatch.setattr(LongTermStore, "put", recording_put)
-    world = make_world()
-    seed_store(world)
-    assert puts == [(Namespace(p.namespace), p.key, p.body) for p in world.policies]
+def test_seed_store_holds_exactly_the_policies():
+    store = seed_store(make_world())
+    for ns in Namespace:
+        stored = {key: doc.body for key, doc in store._docs[ns].items()}
+        assert stored == {row["key"]: row["body"] for row in SEED["policies"]
+                          if row["namespace"] == ns.value}
