@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import BackendError, ConfigError, ReplayMissError, ScriptError, UsageError
-from .files import parse_json, parse_once
+from .files import STRING, closed, parse_json, parse_once
 
 
 @dataclass(frozen=True)
@@ -75,36 +75,32 @@ class ScriptEntry:
     def __post_init__(self):
         if (self.step is None) == (self.contains is None):
             raise ConfigError("script entry needs exactly one of step / contains")
-        if self.step is not None and (type(self.step) is not int or self.step < 0):
-            raise ConfigError(f"script entry step must be a non-negative integer, not {self.step!r}")
-        if self.contains is not None and not isinstance(self.contains, str):
-            raise ConfigError(f"script entry contains must be a string, not {self.contains!r}")
 
 
-def _response_from_dict(row, where: str) -> ChatResponse:
-    """The one check of a scripted or recorded response; where names it in errors."""
-    probs = row.get("label_probs") if isinstance(row, dict) else None
-    if not (isinstance(row, dict) and isinstance(row.get("text", ""), str) and (
-            probs is None or isinstance(probs, dict)
-            and all(isinstance(p, (int, float)) for p in probs.values()))):
-        raise ConfigError(f"{where} must be an object with a string text and, if given, "
-                          "label_probs mapping labels to numbers")
+# A scripted or recorded response; a store holds null label_probs for a response without.
+_RESPONSE = closed([], text=STRING, label_probs={
+    "type": ["object", "null"], "additionalProperties": {"type": "number"}})
+SCRIPT_SCHEMA = closed([], entries={"type": "array", "items": closed(
+    ["response"], step={"type": "integer", "minimum": 0}, contains=STRING,
+    response=_RESPONSE)})
+# A replay store maps each request digest to its responses in call order.
+STORE_SCHEMA = {"type": "object", "additionalProperties": {"type": "array", "items": _RESPONSE}}
+
+
+def _response_from_dict(row: dict, where: str) -> ChatResponse:
+    """A response row of the checked shape; where names it if its label_probs are bad."""
     try:
-        return ChatResponse(text=row.get("text", ""), label_probs=probs)
+        return ChatResponse(text=row.get("text", ""), label_probs=row.get("label_probs"))
     except UsageError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
 def _parse_script(path: str, text: str) -> tuple[ScriptEntry, ...]:
-    rows = parse_json(text, f"script file {path}", dict).get("entries", [])
-    if not isinstance(rows, list):
-        raise ConfigError(f"script file {path}: entries must be a list")
+    rows = parse_json(text, f"script file {path}", SCRIPT_SCHEMA).get("entries", [])
     entries = []
     for i, row in enumerate(rows):
         where = f"script file {path}: entry {i}"
-        if not isinstance(row, dict):
-            raise ConfigError(f"{where} must be an object")
-        response = _response_from_dict(row.get("response", {}), f"{where} response")
+        response = _response_from_dict(row["response"], f"{where} response")
         try:
             entries.append(ScriptEntry(response, row.get("step"), row.get("contains")))
         except ConfigError as exc:
@@ -205,14 +201,10 @@ class ScriptedBackend:
 
 
 def _parse_store(path: str, text: str) -> dict[str, tuple[ChatResponse, ...]]:
-    store = parse_json(text, f"replay store {path}", dict)
-    for digest, rows in store.items():
-        if not isinstance(rows, list):
-            raise ConfigError(f"replay store {path}: digest {digest} must map to a list")
-        store[digest] = tuple(
-            _response_from_dict(row, f"replay store {path}: digest {digest} row {i}")
-            for i, row in enumerate(rows))
-    return store
+    where = f"replay store {path}"
+    return {digest: tuple(_response_from_dict(row, f"{where}: digest {digest} row {i}")
+                          for i, row in enumerate(rows))
+            for digest, rows in parse_json(text, where, STORE_SCHEMA).items()}
 
 
 _STORES: dict[str, tuple[tuple[int, int], dict[str, tuple[ChatResponse, ...]]]] = {}

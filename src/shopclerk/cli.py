@@ -18,7 +18,7 @@ from .config import (
 )
 from .episode import run_episode, write_result
 from .errors import ClerkError, ConfigError, UsageError
-from .files import read_json, read_jsonl
+from .files import LIST, read_json, read_jsonl
 from .metrics import (
     ai_contribution_ratio,
     format_fraction,
@@ -179,7 +179,7 @@ def cmd_ablate(args) -> int:
             raise UsageError(f"no {args.modality} tasks in suite")
     if args.matrix:
         variants = []
-        for i, row in enumerate(read_json(args.matrix, "matrix file", list)):
+        for i, row in enumerate(read_json(args.matrix, "matrix file", LIST)):
             try:
                 variants.append(AblationVariant.from_dict(row, base))
             except ConfigError as exc:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 from .decision import MAX_PLANS
 from .errors import ConfigError
-from .files import read_json
+from .files import OBJECT, read_json
 from .placeholders import DEFAULT_MIN_URL_LENGTH
 from .vision import IntegrationStrategy
 
@@ -124,7 +124,7 @@ def agent_config_from_dict(row: dict, base: AgentConfig | None = None) -> AgentC
 
 
 def read_config_file(path: str | Path) -> dict:
-    return read_json(path, "config file", dict)
+    return read_json(path, "config file", OBJECT)
 
 
 @dataclass(frozen=True)
@@ -138,6 +138,6 @@ class AblationVariant:
     def from_dict(cls, row: dict, base: AgentConfig) -> "AblationVariant":
         fields = dict(row) if isinstance(row, dict) else {}
         name = fields.pop("name", None)
-        if not name:
+        if not (isinstance(name, str) and name):
             raise ConfigError(f"ablation variant needs a name: {row!r}")
         return cls(name=name, agent=agent_config_from_dict(fields, base))

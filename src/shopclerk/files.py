@@ -1,9 +1,92 @@
-"""The one reader of input files: every read error is a ConfigError naming the file."""
+"""The one reader of input files and the one checker of their shapes.
+
+Every read error is a ConfigError naming the file. Shapes are schema dicts in
+a JSON Schema 2020-12 subset (https://json-schema.org/draft/2020-12): type (a
+name or a list of names), properties, required, additionalProperties (false,
+or the schema of every other key), items, enum, minimum, minLength and
+minItems. Values are checked as json.loads returns them: nothing is coerced,
+and a boolean is never an integer or a number.
+"""
 
 import json
 import os
 
 from .errors import ConfigError
+
+_KINDS = {dict: "object", list: "array", str: "string", int: "integer", float: "number",
+          bool: "boolean", type(None): "null"}  # the JSON type of each json.loads class
+_NAMES = {"object": "an object", "array": "a list", "string": "a string", "integer": "an integer",
+          "number": "a number", "boolean": "a boolean", "null": "null"}
+OBJECT, LIST, STRING = {"type": "object"}, {"type": "array"}, {"type": "string"}
+
+
+def closed(required: list[str], **properties: dict) -> dict:
+    """The schema of an object with only these properties and the required ones present."""
+    return {"type": "object", "required": required, "properties": properties,
+            "additionalProperties": False}
+
+
+def _fits(value, kind: str | list) -> bool:
+    have = _KINDS.get(value.__class__)
+    kinds = (kind,) if kind.__class__ is str else kind
+    return have in kinds or have == "integer" and "number" in kinds
+
+
+def _show(value) -> str:
+    return _NAMES[_KINDS[value.__class__]] if value.__class__ in (dict, list) else repr(value)
+
+
+def _under(step: str, problem: tuple[str, str]) -> tuple[str, str]:
+    path, why = problem
+    return (f"{step}.{path}" if path and path[0] != "[" else step + path), why
+
+
+def _first_problem(value, schema: dict) -> tuple[str, str] | None:
+    """(path, why) at the first place value breaks schema; the path is built on failure only."""
+    kind = schema.get("type")
+    if kind is not None and kind != _KINDS.get(value.__class__) and not _fits(value, kind):
+        names = " or ".join(_NAMES[k] for k in ((kind,) if kind.__class__ is str else kind))
+        return "", f"must be {names}, got {_show(value)}"
+    if len(schema) == 1 and kind is not None:
+        return None  # most leaves: a type and nothing more
+    if "enum" in schema and value not in schema["enum"]:
+        return "", f"must be one of {schema['enum']}, got {_show(value)}"
+    if value.__class__ is dict:
+        for name in schema.get("required", ()):
+            if name not in value:
+                return name, "missing"  # before any unknown key
+        properties = schema.get("properties", {})
+        extra = schema.get("additionalProperties", True)
+        if properties or extra is not True:
+            for name, item in value.items():
+                sub = properties.get(name, extra)
+                if sub is False:
+                    return name, "unknown key"
+                if sub is not True and (problem := _first_problem(item, sub)):
+                    return _under(name, problem)
+    elif value.__class__ is list:
+        if "minItems" in schema and len(value) < schema["minItems"]:
+            return "", f"must have length >= {schema['minItems']}, got {len(value)}"
+        if "items" in schema:
+            for i, item in enumerate(value):
+                if problem := _first_problem(item, schema["items"]):
+                    return _under(f"[{i}]", problem)
+    elif "minLength" in schema:
+        if value.__class__ is str and len(value) < schema["minLength"]:
+            return "", f"must have length >= {schema['minLength']}, got {value!r}"
+    elif "minimum" in schema and _fits(value, "number") and value < schema["minimum"]:
+        return "", f"must be >= {schema['minimum']}, got {value!r}"
+    return None
+
+
+def shape_error(value, schema: dict) -> str | None:
+    """Where and why value first breaks schema, as "<path>: <why>"; None if it fits.
+
+    The path joins keys with dots and list indices in brackets, as in
+    shipments.O1[0].tick. An object reports a missing key before an unknown one.
+    """
+    problem = _first_problem(value, schema)
+    return None if problem is None else f"{problem[0] or 'top level'}: {problem[1]}"
 
 
 def _unreadable(what: str, path, exc: OSError, error=ConfigError):
@@ -22,24 +105,32 @@ def read_text(path, what: str, error=ConfigError) -> str:
         raise error(f"{what} {path} is not UTF-8 text") from None
 
 
-def parse_json(text: str, where: str, kind: type | None = None, error=ConfigError):
-    """text as JSON of top-level type kind (any if None); where names it in errors."""
+def parse_json(text: str, where: str, schema: dict | None = None, error=ConfigError):
+    """text as JSON of the given shape (any if None); where names it in errors.
+
+    A top level of the wrong type "must hold a JSON object" (or list); any
+    other misfit is "<where>: <path>: <why>".
+    """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"{where} is not valid JSON: {exc}") from None
-    if kind is not None and not isinstance(data, kind):
-        raise error(f"{where} must hold a JSON {'object' if kind is dict else 'list'}")
+    if schema is not None:
+        if not _fits(data, schema["type"]):
+            noun = "list" if schema["type"] == "array" else "object"
+            raise error(f"{where} must hold a JSON {noun}")
+        if why := shape_error(data, schema):
+            raise error(f"{where}: {why}")
     return data
 
 
-def read_json(path, what: str, kind: type | None = None, error=ConfigError):
-    return parse_json(read_text(path, what, error), f"{what} {path}", kind, error)
+def read_json(path, what: str, schema: dict | None = None, error=ConfigError):
+    return parse_json(read_text(path, what, error), f"{what} {path}", schema, error)
 
 
 def read_jsonl(path, what: str) -> list[tuple[int, dict]]:
     """(line number, object) for each non-blank line of a JSON-lines file."""
-    return [(line_no, parse_json(line, f"{what} {path} line {line_no}", dict))
+    return [(line_no, parse_json(line, f"{what} {path} line {line_no}", OBJECT))
             for line_no, line in enumerate(read_text(path, what).split("\n"), start=1)
             if line.strip()]
 

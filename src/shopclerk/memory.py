@@ -2,7 +2,6 @@
 
 import heapq
 import json
-import threading
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -216,8 +215,8 @@ def _flatten_tokens(body: object) -> frozenset[str]:
 class LongTermStore:
     """Domain knowledge keyed by (namespace, key); last write wins.
 
-    WORLD_NAMESPACES are read-only, served from the store's world; writes take a lock
-    and go to the store's own copy of each ``seeded`` table, which other stores share.
+    WORLD_NAMESPACES are read-only, served from the store's world; writes go to the
+    store's own copy of each ``seeded`` table, which other stores share.
     """
 
     def __init__(self, world, seeded: Mapping[Namespace, MappingProxyType] | None = None):
@@ -225,7 +224,6 @@ class LongTermStore:
         self._docs: dict[Namespace, dict[str, Document]] = {ns: {} for ns in Namespace}
         for ns, table in (seeded or {}).items():
             self._docs[ns] = table.copy()  # a plain dict; dict(proxy) copies 20x slower
-        self._lock = threading.Lock()
 
     @staticmethod
     def _namespace(namespace: str | Namespace) -> Namespace:
@@ -240,8 +238,7 @@ class LongTermStore:
             raise SchemaError(f"read-only namespace: {ns.value} records come from the world")
         if not key:
             raise SchemaError("document key must be non-empty")
-        with self._lock:
-            self._docs[ns][key] = Document(key=key, body=body)
+        self._docs[ns][key] = Document(key=key, body=body)
 
     def get(self, namespace: str | Namespace, key: str) -> Document | None:
         ns = self._namespace(namespace)

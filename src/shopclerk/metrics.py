@@ -7,8 +7,8 @@ from fractions import Fraction
 from math import comb
 from pathlib import Path
 
-from .errors import ConfigError, UsageError
-from .files import read_json, read_text
+from .errors import UsageError
+from .files import LIST, OBJECT, STRING, closed, read_json, read_text
 
 
 @dataclass(frozen=True)
@@ -142,6 +142,13 @@ def read_annotations_csv(path: str | Path) -> ContributionInputs:
     return ContributionInputs(valid_ai=valid_ai, total_ai=total_ai, total_cr=total_cr)
 
 
+# The shape of a *.result.json, as episode.EpisodeResult.to_dict writes it.
+TRIAL_RECORD_SCHEMA = closed(
+    ["task_id", "success"], task_id=STRING, trial_index={"type": "integer"},
+    success={"type": "boolean"}, modality=STRING, wall_time_ms={"type": "number"},
+    usage=OBJECT, error={"type": ["string", "null"]}, check_report=LIST, replies=LIST)
+
+
 def read_trial_records(directory: str | Path) -> TrialSet:
     """Collect *.result.json files from episode runs into a TrialSet."""
     directory = Path(directory)
@@ -150,15 +157,9 @@ def read_trial_records(directory: str | Path) -> TrialSet:
         raise UsageError(f"no *.result.json files under {directory}")
     trials = TrialSet()
     for file in files:
-        row = read_json(file, "trial record", dict)
-        record = TrialRecord(row.get("task_id"), row.get("success"),
-                             row.get("wall_time_ms", 0.0), row.get("modality", "unimodal"))
-        if not (isinstance(record.task_id, str) and isinstance(record.success, bool)
-                and isinstance(record.wall_time_ms, (int, float))
-                and isinstance(record.modality, str)):
-            raise ConfigError(f"trial record {file} needs a string task_id, a boolean success "
-                              "and, if given, a numeric wall_time_ms and a string modality")
-        trials.add(record)
+        row = read_json(file, "trial record", TRIAL_RECORD_SCHEMA)
+        trials.add(TrialRecord(row["task_id"], row["success"], row.get("wall_time_ms", 0.0),
+                               row.get("modality", "unimodal")))
     return trials
 
 

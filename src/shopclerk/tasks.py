@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import SchemaError, TaskLoadError
-from .files import read_json
+from .files import OBJECT, STRING, closed, read_json, shape_error
 from .memory import Role, WorkingMemory
 from .placeholders import RefKind, classify_url, find_urls
 from .world import World, world_from_dict
@@ -70,68 +70,56 @@ def _fail(path: str, why: str):
     raise TaskLoadError(f"{path}: {why}")
 
 
+_NUMBER = {"type": "number"}
+
+# The shape of a task file; world_from_dict checks the world seed, and an
+# assertion's expected value is free-form.
+TASK_SCHEMA = closed(
+    ["task_id", "modality", "world", "buyer_script", "max_turns", "success"],
+    task_id={"type": "string", "minLength": 1}, title=STRING,
+    modality={"enum": list(MODALITIES)}, world=OBJECT, max_turns={"type": "integer"},
+    buyer_script={"type": "array", "minItems": 1, "items": closed(
+        ["utterance"], utterance={"type": "string", "minLength": 1})},
+    success=closed(
+        [],
+        state_assertions={"type": "array", "items": closed(
+            ["path", "expected"], path=STRING, expected={})},
+        response_facts={"type": "array", "items": closed(
+            ["match"], match=closed([], substring=STRING, number=_NUMBER, tolerance=_NUMBER),
+            must_appear={"type": "boolean"})}),
+)
+
+
 def load_task(path: str | Path, vision_fixtures=None) -> Task:
     """Parse and validate a task file; error messages name the bad path."""
-    data = read_json(path, "task file", error=TaskLoadError)
+    data = read_json(path, "task file", OBJECT, error=TaskLoadError)
     return task_from_dict(data, source=str(path), vision_fixtures=vision_fixtures)
 
 
 def task_from_dict(data: dict, source: str = "<task>", vision_fixtures=None) -> Task:
-    if not isinstance(data, dict):
-        _fail(source, "top level must be a JSON object")
-    task_id = data.get("task_id")
-    if not task_id or not isinstance(task_id, str):
-        _fail(f"{source}:task_id", "missing or not a string")
-    modality = data.get("modality")
-    if modality not in MODALITIES:
-        _fail(f"{source}:modality", f"must be one of {MODALITIES}, got {modality!r}")
-    if "world" not in data or not isinstance(data["world"], dict):
-        _fail(f"{source}:world", "missing world seed object")
+    if why := shape_error(data, TASK_SCHEMA):
+        raise TaskLoadError(f"{source}:{why}")
     try:
         seed_world = world_from_dict(data["world"])
     except SchemaError as exc:
         _fail(f"{source}:world", str(exc))
-
-    raw_turns = data.get("buyer_script") or []
-    if not raw_turns or not isinstance(raw_turns, list):
-        _fail(f"{source}:buyer_script", "needs a list of at least one turn")
-    turns = []
-    for i, row in enumerate(raw_turns):
-        utterance = row.get("utterance") if isinstance(row, dict) else None
-        if not utterance:
-            _fail(f"{source}:buyer_script[{i}].utterance", "missing or empty")
-        turns.append(BuyerTurn(utterance=utterance))
-
-    max_turns = data.get("max_turns")
-    if not isinstance(max_turns, int) or max_turns < len(turns):
+    turns = tuple(BuyerTurn(utterance=row["utterance"]) for row in data["buyer_script"])
+    max_turns = data["max_turns"]
+    if max_turns < len(turns):
         _fail(f"{source}:max_turns", f"must be an integer >= {len(turns)}")
 
-    success_row = data.get("success") or {}
-    if not isinstance(success_row, dict):
-        _fail(f"{source}:success", "must be an object")
-    for key in ("state_assertions", "response_facts"):
-        if not isinstance(success_row.get(key, []), list):
-            _fail(f"{source}:success.{key}", "must be a list")
-    assertions = []
-    for i, row in enumerate(success_row.get("state_assertions", [])):
-        if not (isinstance(row, dict) and isinstance(row.get("path"), str) and "expected" in row):
-            _fail(f"{source}:success.state_assertions[{i}]", "needs a string path and an expected")
-        assertions.append(StateAssertion(path=row["path"], expected=row["expected"]))
+    success = data["success"]
+    assertions = [StateAssertion(path=row["path"], expected=row["expected"])
+                  for row in success.get("state_assertions", [])]
     facts = []
-    for i, row in enumerate(success_row.get("response_facts", [])):
-        match = row.get("match") if isinstance(row, dict) else None
-        match = match if isinstance(match, dict) else {}
+    for i, row in enumerate(success.get("response_facts", [])):
+        match, must_appear = row["match"], row.get("must_appear", True)
         if "substring" in match:
-            facts.append(ResponseFact(substring=match["substring"],
-                                      must_appear=row.get("must_appear", True)))
+            facts.append(ResponseFact(substring=match["substring"], must_appear=must_appear))
         elif "number" in match:
-            try:
-                number, tolerance = float(match["number"]), float(match.get("tolerance", 0.0))
-            except (TypeError, ValueError):
-                _fail(f"{source}:success.response_facts[{i}].match",
-                      "number and tolerance must be numbers")
-            facts.append(ResponseFact(number=number, tolerance=tolerance,
-                                      must_appear=row.get("must_appear", True)))
+            facts.append(ResponseFact(number=float(match["number"]),
+                                      tolerance=float(match.get("tolerance", 0.0)),
+                                      must_appear=must_appear))
         else:
             _fail(f"{source}:success.response_facts[{i}].match", "needs substring or number")
     if not assertions and not facts:
@@ -144,17 +132,11 @@ def task_from_dict(data: dict, source: str = "<task>", vision_fixtures=None) -> 
                 _fail(f"{source}:success.state_assertions[{i}].path",
                       f"{assertion.path!r} is not in the seed world")
 
-    task = Task(
-        task_id=task_id,
-        modality=modality,
-        seed_world=seed_world,
-        buyer_script=tuple(turns),
-        success=SuccessCriteria(state_assertions=tuple(assertions), response_facts=tuple(facts)),
-        max_turns=max_turns,
-    )
+    task = Task(data["task_id"], data["modality"], seed_world, turns,
+                SuccessCriteria(tuple(assertions), tuple(facts)), max_turns)
 
     urls = task.image_urls()
-    if modality == "multimodal" and not urls:
+    if task.modality == "multimodal" and not urls:
         _fail(f"{source}:buyer_script", "multimodal task embeds no image or video URL")
     if vision_fixtures is not None:
         for url in urls:

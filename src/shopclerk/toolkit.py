@@ -8,14 +8,13 @@ is_error}.
 import json
 import logging
 from dataclasses import asdict, dataclass
-from typing import Any, Callable
+from typing import Callable
 
 from .errors import RegistrationError
+from .files import shape_error
 from .memory import ContentPart, PartKind
 
 logger = logging.getLogger(__name__)
-
-SCALAR_TYPES = ("string", "integer", "number", "boolean")
 
 
 @dataclass(frozen=True)
@@ -71,38 +70,16 @@ def text_result(call_id: str, text: str, is_error: bool = False) -> ToolResult:
 
 
 def validate_arguments(schema: dict, arguments: dict) -> list[str]:
-    """Check arguments against the schema; returns offending field names."""
+    """Names that are required and missing, unknown, or hold a value their schema rejects."""
     properties = schema.get("properties", {})
-    required = schema.get("required", [])
-    bad: list[str] = []
-    for name in required:
-        if name not in arguments:
-            bad.append(name)
-    for name, value in arguments.items():
-        spec = properties.get(name)
-        if spec is None:
-            bad.append(name)
-            continue
-        if not _type_ok(value, spec):
-            bad.append(name)
+    bad = [name for name in schema.get("required", ()) if name not in arguments]
+    bad += [name for name, value in arguments.items()
+            if name not in properties or shape_error(value, properties[name])]
+    if not bad:
+        return bad
     # deterministic order: schema order first, then unknowns alphabetically
     order = {n: i for i, n in enumerate(properties)}
     return sorted(set(bad), key=lambda n: (order.get(n, len(order)), n))
-
-
-def _type_ok(value: Any, spec: dict) -> bool:
-    expected = spec.get("type", "string")
-    if "enum" in spec:
-        return value in spec["enum"]
-    if expected == "string":
-        return isinstance(value, str)
-    if expected == "integer":
-        return isinstance(value, int) and not isinstance(value, bool)
-    if expected == "number":
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if expected == "boolean":
-        return isinstance(value, bool)
-    return True
 
 
 @dataclass(frozen=True)

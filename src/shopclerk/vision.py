@@ -5,7 +5,7 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import AssetError, BackendError, ConfigError, UsageError
-from .files import read_json
+from .files import STRING, closed, read_json
 
 
 class IntegrationStrategy(str, Enum):
@@ -53,15 +53,20 @@ class ImageAsset:
             raise ConfigError(f"asset {self.asset_id} has no default annotation")
 
 
-def _rules(rows, where: str) -> tuple[CategoryRule, ...]:
-    def ok(r):
-        return (isinstance(r, dict) and isinstance(r.get("category"), str)
-                and isinstance(r.get("keywords"), list)
-                and all(isinstance(k, str) for k in r["keywords"]))
+_RULES = {"type": "array", "items": closed(
+    ["category", "keywords"], category=STRING, keywords={"type": "array", "items": STRING})}
 
-    if not isinstance(rows, list) or not all(ok(r) for r in rows):
-        raise ConfigError(f"{where}: rules must be a list of objects with a string category "
-                          "and a list of string keywords")
+# The shape of a vision fixture file: annotations by asset, each with a default.
+FIXTURES_SCHEMA = closed(
+    [],
+    assets={"type": "object", "additionalProperties": closed(
+        ["annotations"], rules=_RULES,
+        annotations={"type": "object", "required": ["default"], "additionalProperties": STRING})},
+    rules=_RULES,
+)
+
+
+def _category_rules(rows: list[dict]) -> tuple[CategoryRule, ...]:
     return tuple(CategoryRule(r["category"], tuple(r["keywords"])) for r in rows)
 
 
@@ -79,23 +84,11 @@ class FixtureVisionBackend:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "FixtureVisionBackend":
-        where = f"vision fixture file {path}"
-        data = read_json(path, "vision fixture file", dict)
-        rows = data.get("assets", {})
-        if not isinstance(rows, dict):
-            raise ConfigError(f"{where}: assets must be an object")
-        assets = {}
-        for asset_id, row in rows.items():
-            if not isinstance(row, dict):
-                raise ConfigError(f"{where}: asset {asset_id} must be an object")
-            annotations = row.get("annotations")
-            if not (isinstance(annotations, dict) and "default" in annotations
-                    and all(isinstance(text, str) for text in annotations.values())):
-                raise ConfigError(f"{where}: asset {asset_id} annotations must be an object "
-                                  "of strings with a default")
-            rules = _rules(row.get("rules", []), f"{where}: asset {asset_id}")
-            assets[asset_id] = ImageAsset(asset_id, dict(annotations), rules)
-        return cls(assets, _rules(data.get("rules", []), where))
+        data = read_json(path, "vision fixture file", FIXTURES_SCHEMA)
+        assets = {asset_id: ImageAsset(asset_id, dict(row["annotations"]),
+                                       _category_rules(row.get("rules", [])))
+                  for asset_id, row in data.get("assets", {}).items()}
+        return cls(assets, _category_rules(data.get("rules", [])))
 
     def has_asset(self, asset_id: str) -> bool:
         return asset_id in self.assets

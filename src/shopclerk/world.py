@@ -6,6 +6,7 @@ from enum import Enum
 from types import MappingProxyType
 
 from .errors import IllegalTransitionError, SchemaError
+from .files import LIST, OBJECT, STRING, closed, shape_error
 from .memory import Document, LongTermStore, Namespace
 
 
@@ -154,82 +155,46 @@ def _plain(record) -> object:
     return [e.to_doc() for e in record] if isinstance(record, tuple) else record.to_doc()
 
 
-def _table(data: dict, name: str) -> dict:
-    table = data.get(name, {})
-    if not isinstance(table, dict):
-        raise SchemaError(f"{name}: must be an object")
-    return table
+_COUNT = {"type": "integer", "minimum": 0}
+_POLICY_NAMESPACES = ["platform_policy", "store_promotion"]
 
-
-def _row(row, path: str, required: tuple[str, ...]) -> dict:
-    if not isinstance(row, dict):
-        raise SchemaError(f"{path}: must be an object")
-    for name in required:
-        if name not in row:
-            raise SchemaError(f"{path}.{name}: missing")
-    return row
-
-
-def _int(row: dict, name: str, path: str) -> int:
-    try:
-        return int(row[name])
-    except (TypeError, ValueError, OverflowError):
-        raise SchemaError(f"{path}.{name}: must be an integer, got {row[name]!r}") from None
+# The shape of a world seed; attributes, order items and policy bodies are free-form.
+WORLD_SCHEMA = closed(
+    [],
+    products={"type": "object", "additionalProperties": closed(
+        ["title", "price_cents", "stock"],
+        title=STRING, attributes=OBJECT, price_cents=_COUNT, stock=_COUNT)},
+    orders={"type": "object", "additionalProperties": closed(
+        ["buyer_id", "status"], buyer_id=STRING, items=LIST,
+        status={"enum": [s.value for s in OrderStatus]}, address=STRING)},
+    shipments={"type": "object", "additionalProperties": {"type": "array", "items": closed(
+        ["tick", "location", "status"], tick={"type": "integer"}, location=STRING, status=STRING)}},
+    policies={"type": "array", "items": closed(
+        ["key", "body"], namespace={"enum": _POLICY_NAMESPACES},
+        key={"type": "string", "minLength": 1}, body={})},
+)
 
 
 def world_from_dict(data: dict) -> World:
     """Parse a world seed; every error is a SchemaError naming the bad path."""
-    products = {}
-    for pid, row in _table(data, "products").items():
-        row = _row(row, f"products.{pid}", ("title", "price_cents", "stock"))
-        if not isinstance(row.get("attributes", {}), dict):
-            raise SchemaError(f"products.{pid}.attributes: must be an object")
-        products[pid] = Product(
-            product_id=pid,
-            title=row["title"],
-            attributes=dict(row.get("attributes", {})),
-            price_cents=_int(row, "price_cents", f"products.{pid}"),
-            stock=_int(row, "stock", f"products.{pid}"),
-        )
-    orders = {}
-    for oid, row in _table(data, "orders").items():
-        row = _row(row, f"orders.{oid}", ("buyer_id", "status"))
-        try:
-            status = OrderStatus(row["status"])
-        except ValueError:
-            raise SchemaError(f"orders.{oid}.status: unknown status {row['status']!r}") from None
-        if not isinstance(row.get("items", []), list):
-            raise SchemaError(f"orders.{oid}.items: must be a list")
-        orders[oid] = Order(
-            order_id=oid,
-            buyer_id=row["buyer_id"],
-            items=list(row.get("items", [])),
-            status=status,
-            address=row.get("address", ""),
-        )
+    if why := shape_error(data, WORLD_SCHEMA):
+        raise SchemaError(why)
+    products = {pid: Product(pid, row["title"], dict(row.get("attributes", {})),
+                             row["price_cents"], row["stock"])
+                for pid, row in data.get("products", {}).items()}
+    orders = {oid: Order(oid, row["buyer_id"], list(row.get("items", [])),
+                         OrderStatus(row["status"]), row.get("address", ""))
+              for oid, row in data.get("orders", {}).items()}
     shipments = {}
-    for oid, events in _table(data, "shipments").items():
+    for oid, events in data.get("shipments", {}).items():
         if oid not in orders:
             raise SchemaError(f"shipments.{oid}: references a missing order")
-        if not isinstance(events, list):
-            raise SchemaError(f"shipments.{oid}: must be a list")
-        parsed = []
-        for i, row in enumerate(events):
-            row = _row(row, f"shipments.{oid}[{i}]", ("tick", "location", "status"))
-            parsed.append(ShipmentEvent(_int(row, "tick", f"shipments.{oid}[{i}]"),
-                                        row["location"], row["status"]))
-        shipments[oid] = tuple(sorted(parsed, key=lambda e: e.tick))
-    policies = {Namespace.PLATFORM_POLICY: {}, Namespace.STORE_PROMOTION: {}}
-    if not isinstance(data.get("policies", []), list):
-        raise SchemaError("policies: must be a list")
-    for i, row in enumerate(data.get("policies", [])):
-        row = _row(row, f"policies[{i}]", ("body",))
-        ns = row.get("namespace", "platform_policy")
-        if ns not in ("platform_policy", "store_promotion"):
-            raise SchemaError(f"policies[{i}].namespace: bad namespace {ns!r}")
-        if not (isinstance(row.get("key"), str) and row["key"]):
-            raise SchemaError(f"policies[{i}].key: must be a non-empty string")
-        policies[Namespace(ns)][row["key"]] = Document(key=row["key"], body=row["body"])
+        shipments[oid] = tuple(sorted((ShipmentEvent(e["tick"], e["location"], e["status"])
+                                       for e in events), key=lambda e: e.tick))
+    policies = {Namespace(ns): {} for ns in _POLICY_NAMESPACES}
+    for row in data.get("policies", []):
+        table = policies[Namespace(row.get("namespace", "platform_policy"))]
+        table[row["key"]] = Document(key=row["key"], body=row["body"])
     frozen = MappingProxyType({ns: MappingProxyType(table) for ns, table in policies.items()})
     return World(products=products, orders=orders, shipments=shipments, policies=frozen)
 

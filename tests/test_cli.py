@@ -135,6 +135,7 @@ def test_unknown_config_key_names_the_config_file(capsys, tmp_path):
 @pytest.mark.parametrize("rows,row,why", [
     ([5], 0, "ablation variant needs a name: 5"),
     ([{"name": "a"}, {"name": "b", "bogus": 1}], 1, "unknown config key 'bogus'"),
+    ([{"name": 5}], 0, "ablation variant needs a name: {'name': 5}"),
 ])
 def test_bad_matrix_row_names_the_file_and_row(capsys, tmp_path, rows, row, why):
     matrix = tmp_path / "m.json"
@@ -181,6 +182,109 @@ def test_bad_policy_key_exits_2_before_any_episode(capsys, suite_dir, scripts_di
     assert episodes == [] and not out_dir.exists()
 
 
+def _set(*path_and_value):
+    """An edit of a task dict that sets the value at the path of keys and list indices."""
+    *path, key, value = path_and_value
+
+    def edit(task):
+        node = task
+        for step in path:
+            node = node[step]
+        node[key] = value
+
+    return edit
+
+
+def _rename(*path_and_names):
+    """An edit of a task dict that renames a key of the dict at the path, keeping its value."""
+    *path, old, new = path_and_names
+
+    def edit(task):
+        node = task
+        for step in path:
+            node = node[step]
+        node[new] = node.pop(old)
+
+    return edit
+
+
+def _add_number_fact(task):
+    task["success"]["response_facts"].append({"match": {"number": 18.99, "tolerence": 0.01}})
+
+
+MUG = ("world", "products", "P-MUG-200")
+
+# edit of the bundled cancel-paid-order task -> what the error says after the file name
+TASK_SHAPE_FAULTS = {
+    "price-not-integer": (_set(*MUG, "price_cents", 3.7),
+                          ":world: products.P-MUG-200.price_cents: must be an integer, got 3.7"),
+    "stock-boolean": (_set(*MUG, "stock", True),
+                      ":world: products.P-MUG-200.stock: must be an integer, got True"),
+    "title-number": (_set(*MUG, "title", 7),
+                     ":world: products.P-MUG-200.title: must be a string, got 7"),
+    "max-turns-boolean": (_set("max_turns", True), ":max_turns: must be an integer, got True"),
+    "must-appear-text": (_set("success", "response_facts", 0, "must_appear", "false"),
+                         ":success.response_facts[0].must_appear: must be a boolean, got 'false'"),
+    "substring-number": (_set("success", "response_facts", 0, "match", "substring", 5),
+                         ":success.response_facts[0].match.substring: must be a string, got 5"),
+    "state-asertions": (_rename("success", "state_assertions", "state_asertions"),
+                        ":success.state_asertions: unknown key"),
+    "must-apear": (_rename("success", "response_facts", 0, "must_appear", "must_apear"),
+                   ":success.response_facts[0].must_apear: unknown key"),
+    "tolerence": (_add_number_fact, ":success.response_facts[1].match.tolerence: unknown key"),
+}
+
+
+@pytest.mark.parametrize("fault", TASK_SHAPE_FAULTS)
+def test_task_shape_fault_exits_2_before_any_episode(capsys, suite_dir, scripts_dir, tmp_path,
+                                                     monkeypatch, fault):
+    edit, why = TASK_SHAPE_FAULTS[fault]
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    for task_file in suite_dir.glob("*.json"):
+        (suite / task_file.name).write_text(task_file.read_text())
+    task = json.loads((suite_dir / "cancel-paid-order.json").read_text())
+    edit(task)
+    (suite / "cancel-paid-order.json").write_text(json.dumps(task))
+    episodes = []
+    monkeypatch.setattr(bench, "run_episode", lambda *args, **kwargs: episodes.append(args))
+    code, _, err = run_cli(capsys, "bench", "--suite", str(suite), "--scripts", str(scripts_dir),
+                           "--n-trials", "1", "--k", "1")
+    assert code == 2
+    assert f"{suite / 'cancel-paid-order.json'}{why}" in err
+    assert episodes == []
+
+
+def _unknown_key_in(reader, data_dir, bad):
+    """run arguments that read bad, a good input of the reader's kind with one unknown key added."""
+    task = str(data_dir / "suite" / "kettle-capacity.json")
+    script = data_dir / "scripts" / "kettle-capacity.json"
+    if reader == "script file":
+        data = json.loads(script.read_text())
+        data["entries"][0]["stepp"] = 0
+        bad.write_text(json.dumps(data))
+        return ["run", "--task", task, "--script", str(bad)]
+    if reader == "vision fixture file":
+        data = json.loads((data_dir / "vision_fixtures.json").read_text())
+        next(iter(data["assets"].values()))["note"] = "seen twice"
+        bad.write_text(json.dumps(data))
+        return ["run", "--task", task, "--script", str(script), "--fixtures", str(bad)]
+    bad.write_text(json.dumps({"d1": [{"text": "A", "lable_probs": {"A": 1.0}}]}))
+    return ["run", "--task", task, "--replay", str(bad)]
+
+
+@pytest.mark.parametrize("reader,where", [
+    ("script file", "entries[0].stepp"),
+    ("vision fixture file", "assets.https://img.shop.example/uploads/kettle-crack-2291.jpg.note"),
+    ("replay store", "d1[0].lable_probs"),
+])
+def test_unknown_key_exits_2_naming_the_file_and_path(capsys, data_dir, tmp_path, reader, where):
+    bad = tmp_path / "bad.json"
+    code, _, err = run_cli(capsys, *_unknown_key_in(reader, data_dir, bad))
+    assert code == 2
+    assert f"{reader} {bad}: {where}: unknown key" in err
+
+
 def test_run_corrupt_replay_store_exits_2(capsys, suite_dir, tmp_path):
     store = tmp_path / "store.json"
     store.write_text("{not json")
@@ -192,21 +296,21 @@ def test_run_corrupt_replay_store_exits_2(capsys, suite_dir, tmp_path):
 
 
 @pytest.mark.parametrize("content,why", [
-    ("{not json", "is not valid JSON"),
+    ("{not json", " is not valid JSON"),
     (json.dumps({"assets": {"https://img.example/a.jpg": {"annotations": "a kettle"}}}),
-     "annotations must be an object"),
+     ": assets.https://img.example/a.jpg.annotations: must be an object, got 'a kettle'"),
     (json.dumps({"assets": {"https://img.example/a.jpg": "a kettle"}}),
-     "asset https://img.example/a.jpg must be an object"),
+     ": assets.https://img.example/a.jpg: must be an object, got 'a kettle'"),
     (json.dumps({"assets": {"https://img.example/a.jpg": {"annotations": {"damage": "cracked"}}}}),
-     "annotations must be an object of strings with a default"),
+     ": assets.https://img.example/a.jpg.annotations.default: missing"),
     (json.dumps({"assets": {"https://img.example/a.jpg": {"annotations": {"default": 5}}}}),
-     "annotations must be an object of strings with a default"),
-    (json.dumps({"rules": [{"keywords": ["crack"]}]}), "rules must be a list of objects"),
+     ": assets.https://img.example/a.jpg.annotations.default: must be a string, got 5"),
+    (json.dumps({"rules": [{"keywords": ["crack"]}]}), ": rules[0].category: missing"),
     (json.dumps({"rules": [{"category": "damage", "keywords": "crack"}]}),
-     "rules must be a list of objects"),
+     ": rules[0].keywords: must be a list, got 'crack'"),
     (json.dumps({"assets": {"https://img.example/a.jpg": {
         "annotations": {"default": "a kettle"}, "rules": [{"category": 5, "keywords": []}]}}}),
-     "asset https://img.example/a.jpg: rules must be a list of objects"),
+     ": assets.https://img.example/a.jpg.rules[0].category: must be a string, got 5"),
 ], ids=["not-json", "annotations-not-object", "asset-not-object", "annotations-without-default",
         "annotation-not-string", "rule-without-category",
         "keywords-not-list", "asset-rule-category-not-string"])
@@ -220,6 +324,7 @@ def test_run_malformed_fixtures_file_exits_2(capsys, suite_dir, scripts_dir, tmp
     )
     assert code == 2
     assert str(fixtures) in err and why in err
+    assert f"vision fixture file {fixtures}{why}" in err
 
 
 def test_run_failure_exits_1(capsys, suite_dir, scripts_dir, tmp_path):
@@ -471,18 +576,19 @@ def test_replay_malformed_row_exits_2(capsys, tmp_path, broken, line, why):
     assert f"{broken} {files[broken]} {why}" in err
 
 
-@pytest.mark.parametrize("row", [
-    {"success": True},
-    {"task_id": "t"},
-    {"task_id": "t", "success": "yes"},
-    {"task_id": "t", "success": True, "wall_time_ms": "slow"},
+@pytest.mark.parametrize("row,why", [
+    ({"success": True}, "task_id: missing"),
+    ({"task_id": "t"}, "success: missing"),
+    ({"task_id": "t", "success": "yes"}, "success: must be a boolean, got 'yes'"),
+    ({"task_id": "t", "success": True, "wall_time_ms": "slow"},
+     "wall_time_ms: must be a number, got 'slow'"),
 ], ids=["without-task-id", "without-success", "success-not-bool", "wall-time-not-number"])
-def test_metrics_malformed_record_exits_2(capsys, tmp_path, row):
+def test_metrics_malformed_record_exits_2(capsys, tmp_path, row, why):
     record = tmp_path / "t-0.result.json"
     record.write_text(json.dumps(row))
     code, _, err = run_cli(capsys, "metrics", "--records", str(tmp_path))
     assert code == 2
-    assert f"trial record {record} needs a string task_id, a boolean success" in err
+    assert f"trial record {record}: {why}" in err
 
 
 # --- every input file: a directory, non-UTF-8 bytes or the wrong JSON type exits 2 ---

@@ -1,7 +1,9 @@
 import pytest
 
 from shopclerk.errors import ConfigError, TaskLoadError
-from shopclerk.files import parse_once, read_json, read_jsonl, read_text
+from shopclerk.files import (
+    LIST, OBJECT, STRING, closed, parse_once, read_json, read_jsonl, read_text, shape_error,
+)
 
 
 def test_read_text_names_the_file_for_each_failure(tmp_path):
@@ -19,12 +21,57 @@ def test_read_json_checks_the_top_level_type_and_raises_the_given_error(tmp_path
     path = tmp_path / "x.json"
     path.write_text("[1, 2]")
     assert read_json(path, "thing") == [1, 2]
-    assert read_json(path, "thing", list) == [1, 2]
+    assert read_json(path, "thing", LIST) == [1, 2]
     with pytest.raises(ConfigError, match="thing .*x.json must hold a JSON object"):
-        read_json(path, "thing", dict)
+        read_json(path, "thing", OBJECT)
     path.write_text("{")
     with pytest.raises(TaskLoadError, match="thing .*x.json is not valid JSON"):
         read_json(path, "thing", error=TaskLoadError)
+
+
+ROW = closed(["id"], id={"type": "integer", "minimum": 1}, tags={"type": "array", "items": STRING},
+             note={"type": ["string", "null"], "minLength": 2})
+SHAPE = {"type": "object", "additionalProperties": {"type": "array", "minItems": 1, "items": ROW}}
+
+
+@pytest.mark.parametrize("value,error", [
+    ({"a": [{"id": 1}], "b": [{"id": 2, "tags": ["x"], "note": None}]}, None),
+    ({"a": [{"id": 1, "note": "ok"}]}, None),
+    ([], "top level: must be an object, got a list"),
+    ({"a": {}}, "a: must be a list, got an object"),
+    ({"a": []}, "a: must have length >= 1, got 0"),
+    ({"a": [{"id": 1}, {"id": 2, "idd": 3}]}, "a[1].idd: unknown key"),
+    ({"a": [{"idd": 3}]}, "a[0].id: missing"),  # missing before unknown
+    ({"a": [{"id": True}]}, "a[0].id: must be an integer, got True"),
+    ({"a": [{"id": 1.0}]}, "a[0].id: must be an integer, got 1.0"),
+    ({"a": [{"id": "1"}]}, "a[0].id: must be an integer, got '1'"),
+    ({"a": [{"id": 0}]}, "a[0].id: must be >= 1, got 0"),
+    ({"a": [{"id": 1, "tags": ["x", 2]}]}, "a[0].tags[1]: must be a string, got 2"),
+    ({"a": [{"id": 1, "note": 5}]}, "a[0].note: must be a string or null, got 5"),
+    ({"a": [{"id": 1, "note": "x"}]}, "a[0].note: must have length >= 2, got 'x'"),
+])
+def test_shape_error_names_the_first_misfit_and_its_path(value, error):
+    assert shape_error(value, SHAPE) == error
+
+
+@pytest.mark.parametrize("schema,fits,misfits", [
+    ({"type": "number"}, [0, -2, 2.5], [True, "1", None]),
+    ({"type": "boolean"}, [True, False], [0, 1, "false"]),
+    ({"type": "null"}, [None], [0, "", False]),
+    ({"enum": ["a", 1]}, ["a", 1], ["b", 2, None]),
+    ({}, [None, 1, "x", [], {}], []),
+])
+def test_shape_error_types_coerce_nothing(schema, fits, misfits):
+    assert [shape_error(v, schema) for v in fits] == [None] * len(fits)
+    assert all(shape_error(v, schema) for v in misfits)
+
+
+def test_read_json_checks_the_whole_shape_naming_the_path(tmp_path):
+    path = tmp_path / "x.json"
+    path.write_text('{"a": [{"id": 1, "tags": "x"}]}')
+    why = r"a\[0\]\.tags: must be a list, got 'x'"
+    with pytest.raises(ConfigError, match=rf"^thing .*x\.json: {why}$"):
+        read_json(path, "thing", SHAPE)
 
 
 def test_read_jsonl_skips_blank_lines_and_numbers_the_rest(tmp_path):

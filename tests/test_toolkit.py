@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from shopclerk.errors import RegistrationError
+from shopclerk.shop_tools import TOOLS
 from shopclerk.toolkit import (
     ActionTrace,
     ToolCall,
@@ -122,6 +125,83 @@ def test_validate_arguments_type_checks():
     assert validate_arguments(schema, {"i": True}) == ["i"]  # bools are not integers
     assert validate_arguments(schema, {"n": 3}) == []  # ints are numbers
     assert validate_arguments(schema, {"b": "yes"}) == ["b"]
+
+
+# --- the argument check as it was before the shared schema checker ---
+
+def reference_validate(schema: dict, arguments: dict) -> list[str]:
+    properties = schema.get("properties", {})
+    required = schema.get("required", [])
+    bad: list[str] = []
+    for name in required:
+        if name not in arguments:
+            bad.append(name)
+    for name, value in arguments.items():
+        spec = properties.get(name)
+        if spec is None:
+            bad.append(name)
+            continue
+        if not reference_type_ok(value, spec):
+            bad.append(name)
+    order = {n: i for i, n in enumerate(properties)}
+    return sorted(set(bad), key=lambda n: (order.get(n, len(order)), n))
+
+
+def reference_type_ok(value, spec: dict) -> bool:
+    expected = spec.get("type", "string")
+    if "enum" in spec:
+        return value in spec["enum"]
+    if expected == "string":
+        return isinstance(value, str)
+    if expected == "integer":
+        return isinstance(value, int) and not isinstance(value, bool)
+    if expected == "number":
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if expected == "boolean":
+        return isinstance(value, bool)
+    return True
+
+
+# values of every JSON type, True among the would-be integers
+_ANY_VALUES = ["", "O-7001", "cancel", "platform_policy", 0, 3, -1, 2.5, True, False, None,
+               [], ["cancel"], {}, {"k": 1}]
+
+
+def _random_arguments(rng: random.Random, schema: dict) -> dict:
+    """Arguments that mix fitting values, missing required keys, unknown keys,
+    wrong types, True as an integer and enum misses."""
+    arguments = {}
+    for name, spec in schema["properties"].items():
+        if rng.random() < 0.25:
+            continue  # missing (required or not)
+        roll = rng.random()
+        if "enum" in spec:
+            fitting = rng.choice(spec["enum"])
+            value = fitting if roll < 0.5 else rng.choice(["refund", "CANCEL", "weather", ""])
+        elif spec["type"] == "integer":
+            value = rng.randrange(-2, 5) if roll < 0.5 else True if roll < 0.7 else 2.0
+        else:
+            value = f"v{rng.randrange(9)}" if roll < 0.5 else rng.choice(["", "O-7001"])
+        if rng.random() < 0.3:
+            value = rng.choice(_ANY_VALUES)  # very likely the wrong type
+        arguments[name] = value
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        unknown = rng.choice(["note", "extra", "limit ", "orderId", "zz"])
+        arguments[unknown] = rng.choice(_ANY_VALUES)
+    return dict(rng.sample(list(arguments.items()), len(arguments)))  # any key order
+
+
+@pytest.mark.parametrize("tool", [t.name for t in TOOLS])
+def test_validate_arguments_matches_the_reference_for_every_tool(tool):
+    schema = next(t for t in TOOLS if t.name == tool).input_schema
+    rng = random.Random(f"validate-{tool}")
+    seen = set()
+    for _ in range(3000):
+        arguments = _random_arguments(rng, schema)
+        expected = reference_validate(schema, arguments)
+        assert validate_arguments(schema, arguments) == expected, arguments
+        seen.add(bool(expected))
+    assert seen == {True, False}  # both fitting and offending dicts were drawn
 
 
 def test_trace_jsonl_round_trip(tmp_path):

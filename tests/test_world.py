@@ -122,11 +122,13 @@ def test_snapshot_paths():
 
 
 def test_world_from_dict_validation_errors():
-    with pytest.raises(SchemaError, match="unknown status"):
+    with pytest.raises(SchemaError,
+                       match=r"^orders\.O1\.status: must be one of \[.*\], got 'lost'"):
         world_from_dict({"orders": {"O1": {"buyer_id": "B", "status": "lost", "items": []}}})
     with pytest.raises(SchemaError, match="missing order"):
         world_from_dict({"shipments": {"O9": [{"tick": 1, "location": "x", "status": "y"}]}})
-    with pytest.raises(SchemaError, match="bad namespace"):
+    with pytest.raises(SchemaError,
+                       match=r"^policies\[0\]\.namespace: must be one of .*, got 'weather'"):
         world_from_dict({"policies": [{"namespace": "weather", "key": "k", "body": "b"}]})
 
 
@@ -194,6 +196,13 @@ def _shipment_without(field: str) -> dict:
     (dict(SEED, policies={"refund-window": "30 days"}), r"^policies: must be a list"),
     (dict(SEED, products={"P1": dict(SEED["products"]["P1"], price_cents="ten")}),
      r"products\.P1\.price_cents: must be an integer, got 'ten'"),
+    (dict(SEED, products={"P1": dict(SEED["products"]["P1"], stock=-1)}),
+     r"^products\.P1\.stock: must be >= 0, got -1"),
+    (dict(SEED, products={"P1": dict(SEED["products"]["P1"], colour="red")}),
+     r"^products\.P1\.colour: unknown key"),
+    (dict(SEED, shipments={"O1": [{"tick": 1.5, "location": "x", "status": "y"}]}),
+     r"^shipments\.O1\[0\]\.tick: must be an integer, got 1\.5"),
+    (dict(SEED, clock=3), r"^clock: unknown key"),
 ])
 def test_world_from_dict_rejects_bad_shapes_naming_the_path(data, where):
     with pytest.raises(SchemaError, match=where):
