@@ -264,21 +264,32 @@ def cmd_chat(args) -> int:
             for event in session.trace.events:
                 print(json.dumps(event, sort_keys=True, default=str))
             continue
+        seen = len(session.trace.events)
         try:
-            report = session.handle_buyer_turn(line)
+            reply = session.handle_buyer_turn(line)
         except ClerkError as exc:
             print(f"[error] {exc}", file=sys.stderr)
             continue
-        for i, round_row in enumerate(report.rounds):
-            print(f"  round {i}:")
-            for label_row in round_row["evaluations"]:
-                marker = "*" if label_row["plan_id"] == round_row["selected"] else " "
-                plan_text = round_row["plans"][label_row["plan_id"]]
-                print(f"   {marker}{label_row['label']} conf={label_row['confidence']:.2f} {plan_text}")
-        for call in report.tool_calls:
-            status = "error" if call["is_error"] else "ok"
-            print(f"  tool {call['tool']}({call['arguments']}) -> {status}: {call['text'][:120]}")
-        print(f"agent> {report.reply}")
+        _print_turn(session.trace.events[seen:])
+        print(f"agent> {reply}")
+
+
+def _print_turn(events) -> None:
+    """The REPL view of one turn's trace events: each round's scores, then each tool call."""
+    rounds = [e for e in events if e["kind"] == "decision"]
+    for i, round_row in enumerate(rounds):
+        print(f"  round {i}:")
+        for label_row in round_row["evaluations"]:
+            marker = "*" if label_row["plan_id"] == round_row["selected"] else " "
+            plan_text = round_row["plans"][label_row["plan_id"]]
+            print(f"   {marker}{label_row['label']} conf={label_row['confidence']:.2f} {plan_text}")
+    # each invoke adds one tool_call event, then one tool_result event
+    calls = [e["call"] for e in events if e["kind"] == "tool_call"]
+    results = [e["result"] for e in events if e["kind"] == "tool_result"]
+    for call, result in zip(calls, results):
+        status = "error" if result["is_error"] else "ok"
+        text = "".join(part.get("text", part.get("ref")) for part in result["content"])
+        print(f"  tool {call['tool']}({call['arguments']}) -> {status}: {text[:120]}")
 
 
 def cmd_replay(args) -> int:

@@ -30,7 +30,6 @@ class AgentConfig:
     abstraction_enabled: bool = True  # the CLI exposes this as --aci
     strategy: IntegrationStrategy = IntegrationStrategy.TOOL
     decision_module: bool = True
-    vote_samples: int = 5
     max_plan_rounds: int = 5
     context_budget: int = 8000
     elide_block: int = 8
@@ -95,7 +94,6 @@ CONFIG_KEYS = {
     "aci": ("abstraction_enabled", None, _on_off),
     "strategy": ("strategy", None, _choice({s.value: s for s in IntegrationStrategy})),
     "decision_module": ("decision_module", None, _on_off),
-    "vote_samples": ("vote_samples", None, _number(int, 1)),
     "max_plan_rounds": ("max_plan_rounds", None, _number(int, 1)),
     "context_budget": ("context_budget", None, _number(int, 1)),
     "elide_block": ("elide_block", None, _number(int, 1)),

@@ -107,8 +107,11 @@ def _parse_plan(row: dict, plan_id: int) -> CandidatePlan | None:
         kind = PlanKind(row.get("kind"))
     except ValueError:
         return None
+    raw_steps = row.get("steps") or []
+    if not isinstance(raw_steps, list):
+        return None
     steps = []
-    for step in row.get("steps") or []:
+    for step in raw_steps:
         if not isinstance(step, dict) or not isinstance(step.get("tool"), str) or not step["tool"]:
             return None
         args = step.get("arguments") or {}
@@ -193,14 +196,13 @@ def evaluate(
     context: str,
     plans: list[CandidatePlan],
     backend,
-    vote_samples: int = 5,
     template: string.Template | None = None,
 ) -> list[PlanEvaluation]:
-    """Score plans as a single-token classification over labels A..Z.
+    """Score plans as a single-token classification over labels A..Z, in one call.
 
     When the backend exposes per-label probabilities they are normalized
-    over the round's alphabet; otherwise confidence is the vote fraction
-    over vote_samples independent single-label completions.
+    over the round's alphabet; otherwise the stripped reply must be one of
+    the round's labels, which gets confidence 1.0 and the others 0.0.
     """
     if not plans:
         raise UsageError("evaluate needs at least one plan")
@@ -209,46 +211,25 @@ def evaluate(
     labels = tuple(LABELS[: len(plans)])
     template = template or load_template("evaluate.txt")
     prompt = template.substitute(context=context, plan_list=plan_listing(plans))
-    request = ChatRequest(
+    response = backend.complete(ChatRequest(
         messages=(ChatMessage("user", prompt),),
         max_tokens=1,
         label_alphabet=labels,
-    )
-
-    first = backend.complete(request)
-    if first.label_probs is not None:
-        total = sum(first.label_probs.get(label, 0.0) for label in labels)
-        if total <= 0:
-            raise EvaluationError("label probabilities assign no mass to any plan label")
-        confidences = {
-            label: first.label_probs.get(label, 0.0) / total for label in labels
-        }
-    else:
-        votes = {label: 0 for label in labels}
-        votes[_label_from_response(first.text, labels, backend, request)] += 1
-        for _ in range(vote_samples - 1):
-            response = backend.complete(request)
-            votes[_label_from_response(response.text, labels, backend, request)] += 1
-        confidences = {label: votes[label] / vote_samples for label in labels}
-
+    ))
+    probs = response.label_probs
+    if probs is None:
+        choice = response.text.strip()
+        if choice not in labels:
+            raise EvaluationError(f"backend reply is not a plan label: {choice!r}")
+        probs = {choice: 1.0}
+    total = sum(probs.get(label, 0.0) for label in labels)
+    if total <= 0:
+        raise EvaluationError("label probabilities assign no mass to any plan label")
     return [
-        PlanEvaluation(plan_id=plan.plan_id, label=labels[i], confidence=confidences[labels[i]])
+        PlanEvaluation(plan_id=plan.plan_id, label=labels[i],
+                       confidence=probs.get(labels[i], 0.0) / total)
         for i, plan in enumerate(plans)
     ]
-
-
-def _label_from_response(text: str, labels: tuple[str, ...], backend, request,
-                         max_retries: int = 2) -> str:
-    candidate = text.strip()
-    for _ in range(max_retries):
-        if candidate in labels:
-            return candidate
-        candidate = backend.complete(request).text.strip()
-    if candidate in labels:
-        return candidate
-    raise EvaluationError(
-        f"backend never produced a valid plan label; last reply: {candidate!r}"
-    )
 
 
 def select(evaluations: list[PlanEvaluation], confidence_floor: float = 0.0) -> Decision:

@@ -3,7 +3,7 @@
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import decision as dec
 from .config import AgentConfig
@@ -34,15 +34,6 @@ CLARIFICATION_REPLY = "Sorry, I want to be sure I help correctly. Could you clar
 
 ALL_KINDS = frozenset(RefKind)
 NON_VISUAL_KINDS = frozenset({RefKind.PRODUCT, RefKind.ORDER, RefKind.OTHER})
-
-
-@dataclass
-class TurnReport:
-    """What one buyer turn produced, for the REPL and for audits."""
-
-    reply: str
-    rounds: list[dict] = field(default_factory=list)
-    tool_calls: list[dict] = field(default_factory=list)
 
 
 @dataclass
@@ -158,44 +149,41 @@ class AgentSession:
 
     # --- the decision cycle ---
 
-    def handle_buyer_turn(self, utterance: str) -> TurnReport:
-        """Ingest one buyer utterance and produce the outbound reply."""
+    def handle_buyer_turn(self, utterance: str) -> str:
+        """Ingest one buyer utterance and return the outbound reply.
+
+        What the turn did (rounds, tool calls, fallbacks) is in self.trace.
+        """
         self.world.clock += 1
         self._append(Role.BUYER, self._inbound_parts(utterance))
-        report = TurnReport(reply="")
-        raw_reply = self._decision_cycle(report)
+        raw_reply = self._decision_cycle()
         outbound, warnings = deabstract_text(raw_reply, self.table)
         for token in warnings:
             self.trace.add("warning", about="unresolved_placeholder_in_reply", token=token)
         self._append(Role.AGENT, placeholder_parts(raw_reply))
         self.trace.add("emit", reply=outbound)
-        report.reply = outbound
-        return report
+        return outbound
 
-    def _decision_cycle(self, report: TurnReport) -> str:
+    def _decision_cycle(self) -> str:
         placeholder_retry_used = False
         for _ in range(self.config.max_plan_rounds):
             context = self._context()
             plans = self._propose(context)
             if self.config.decision_module:
                 evaluations = dec.evaluate(
-                    context,
-                    plans,
-                    self.backends,
-                    vote_samples=self.config.vote_samples,
-                    template=self._evaluate_template,
+                    context, plans, self.backends, template=self._evaluate_template
                 )
                 verdict = dec.select(evaluations, self.config.confidence_floor)
             else:
                 evaluations = [dec.PlanEvaluation(plan_id=0, label="A", confidence=1.0)]
                 verdict = dec.Decision(selected=0, evaluations=tuple(evaluations))
-            self._record_round(report, plans, verdict)
+            self._record_round(plans, verdict)
             if verdict.selected is None:
                 return self._clarify("low_confidence")
             plan = plans[verdict.selected]
             if plan.kind is dec.PlanKind.DIRECT_REPLY:
                 return plan.draft_reply
-            hit_unknown_placeholder = self._run_steps(plan, report)
+            hit_unknown_placeholder = self._run_steps(plan)
             if hit_unknown_placeholder:
                 if placeholder_retry_used:
                     return self._clarify("unknown_placeholder")
@@ -216,20 +204,19 @@ class AgentSession:
             template=self._propose_template,
         )
 
-    def _record_round(self, report: TurnReport, plans, verdict: dec.Decision) -> None:
-        row = {
-            "plans": [p.summary() for p in plans],
-            "evaluations": [
+    def _record_round(self, plans, verdict: dec.Decision) -> None:
+        self.trace.add(
+            "decision",
+            plans=[p.summary() for p in plans],
+            evaluations=[
                 {"label": e.label, "plan_id": e.plan_id, "confidence": round(e.confidence, 4)}
                 for e in verdict.evaluations
             ],
-            "selected": verdict.selected,
-            "rejected_reason": verdict.rejected_reason,
-        }
-        report.rounds.append(row)
-        self.trace.add("decision", **row)
+            selected=verdict.selected,
+            rejected_reason=verdict.rejected_reason,
+        )
 
-    def _run_steps(self, plan, report: TurnReport) -> bool:
+    def _run_steps(self, plan) -> bool:
         """Execute plan steps; returns True when an unknown placeholder stopped it."""
         for step in plan.steps:
             self._call_counter += 1
@@ -242,10 +229,6 @@ class AgentSession:
             while self._mutation_cursor < len(self.world.mutations):
                 self.trace.add("mutation", **self.world.mutations[self._mutation_cursor])
                 self._mutation_cursor += 1
-            report.tool_calls.append(
-                {"tool": step.tool_name, "arguments": step.arguments,
-                 "is_error": result.is_error, "text": result.text()}
-            )
             observation = f"{step.tool_name} => {result.text()}"
             self._append(Role.TOOL, self._inbound_parts(observation))
             if result.is_error:
@@ -276,8 +259,7 @@ def run_episode(
         if len(replies) >= task.max_turns:
             break
         try:
-            report = session.handle_buyer_turn(turn.utterance)
-            replies.append(report.reply)
+            replies.append(session.handle_buyer_turn(turn.utterance))
         except ClerkError as exc:
             error = f"{type(exc).__name__}: {exc}"
             session.trace.add("episode_error", error=error)

@@ -32,6 +32,14 @@ def _fits(value, kind: str | list) -> bool:
     return have in kinds or have == "integer" and "number" in kinds
 
 
+def _in_enum(value, members: list) -> bool:
+    """JSON enum membership: a boolean never matches a number (1.0 still matches 1)."""
+    if value.__class__ is str:
+        return value in members  # a string equals only a string
+    is_bool = value.__class__ is bool
+    return any(m == value and (m.__class__ is bool) == is_bool for m in members)
+
+
 def _show(value) -> str:
     return _NAMES[_KINDS[value.__class__]] if value.__class__ in (dict, list) else repr(value)
 
@@ -49,7 +57,7 @@ def _first_problem(value, schema: dict) -> tuple[str, str] | None:
         return "", f"must be {names}, got {_show(value)}"
     if len(schema) == 1 and kind is not None:
         return None  # most leaves: a type and nothing more
-    if "enum" in schema and value not in schema["enum"]:
+    if "enum" in schema and not _in_enum(value, schema["enum"]):
         return "", f"must be one of {schema['enum']}, got {_show(value)}"
     if value.__class__ is dict:
         for name in schema.get("required", ()):

@@ -118,16 +118,7 @@ def abstract_text(text: str, table: PlaceholderTable) -> str:
     Spans shorter than the table's minimum length and non-URL text are left
     byte-identical; repeated URLs reuse their existing placeholder.
     """
-    out = []
-    cursor = 0
-    for start, end, url in find_urls(text):
-        if len(url) < table.min_url_length:
-            continue
-        out.append(text[cursor:start])
-        out.append(table.intern(url).placeholder)
-        cursor = end
-    out.append(text[cursor:])
-    return "".join(out)
+    return "".join(p.value for p in split_parts(text, table))
 
 
 def deabstract_text(text: str, table: PlaceholderTable) -> tuple[str, list[str]]:

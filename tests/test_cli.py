@@ -118,10 +118,19 @@ def test_run_remote_uses_remote_vision_unless_fixtures_given(suite_dir, data_dir
 
 def test_bad_config_value_exits_2(capsys, tmp_path):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"vote_samples": 0}))
+    config.write_text(json.dumps({"max_plan_rounds": 0}))
     code, _, err = run_cli(capsys, "bench", "--n-trials", "1", "--k", "1", "--config", str(config))
     assert code == 2
-    assert "vote_samples" in err
+    assert "max_plan_rounds must be an integer >= 1, got 0" in err
+
+
+def test_removed_vote_samples_key_exits_2_as_unknown(capsys, tmp_path):
+    # a scored round makes one evaluate call, so there is no vote count to set
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"vote_samples": 5}))
+    code, out, err = run_cli(capsys, "bench", "--n-trials", "1", "--k", "1", "--config", str(config))
+    assert code == 2 and out == ""
+    assert f"config file {config}: unknown config key 'vote_samples'" in err
 
 
 def test_unknown_config_key_names_the_config_file(capsys, tmp_path):
@@ -136,6 +145,7 @@ def test_unknown_config_key_names_the_config_file(capsys, tmp_path):
     ([5], 0, "ablation variant needs a name: 5"),
     ([{"name": "a"}, {"name": "b", "bogus": 1}], 1, "unknown config key 'bogus'"),
     ([{"name": 5}], 0, "ablation variant needs a name: {'name': 5}"),
+    ([{"name": "votes", "vote_samples": 1}], 0, "unknown config key 'vote_samples'"),
 ])
 def test_bad_matrix_row_names_the_file_and_row(capsys, tmp_path, rows, row, why):
     matrix = tmp_path / "m.json"
@@ -342,6 +352,19 @@ def test_run_failure_exits_1(capsys, suite_dir, scripts_dir, tmp_path):
     )
     assert code == 1
     assert "success=false" in out
+
+
+@pytest.mark.parametrize("steps", [5, True, 2.5])
+def test_run_plan_steps_not_a_list_is_a_proposal_episode_error(capsys, suite_dir, tmp_path, steps):
+    plans = [{"kind": "single_tool", "steps": steps, "rationale": "r"}]
+    script = tmp_path / "s.json"
+    script.write_text(json.dumps({"entries": [
+        {"contains": "", "response": {"text": "```json\n" + json.dumps(plans) + "\n```"}}]}))
+    code, out, err = run_cli(capsys, "run", "--task", str(suite_dir / "kettle-capacity.json"),
+                             "--script", str(script))
+    assert code == 1
+    assert "success=false replies=0" in out
+    assert "episode error: ProposalError: no parseable plan in backend reply" in err
 
 
 def test_metrics_improvements_reproduce_reported_numbers(capsys):

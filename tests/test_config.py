@@ -21,7 +21,6 @@ def test_defaults():
     assert config.abstraction_enabled
     assert config.decision_module
     assert config.strategy is IntegrationStrategy.TOOL
-    assert config.vote_samples == 5
     assert config.elide_block == 8
 
 
@@ -59,7 +58,7 @@ def test_bad_values_raise_config_error():
         {"n_candidates": "abc"},
         {"n_candidates": 0},
         {"n_candidates": 27},
-        {"vote_samples": 0},
+        {"elide_block": 0},
         {"max_plan_rounds": 0},
         {"context_budget": 0},
         {"min_url_length": 0},

@@ -91,6 +91,25 @@ def test_propose_drops_malformed_keeps_valid():
     assert plans[0].draft_reply == "ok"
 
 
+@pytest.mark.parametrize("steps", [5, True, 2.5, "product_info", {"tool": "product_info"}])
+def test_propose_drops_a_plan_whose_steps_is_not_a_list(steps):
+    rows = [{"kind": "single_tool", "steps": steps, "rationale": "r"},
+            {"kind": "direct_reply", "steps": steps, "reply": "hi"},
+            plan_row("direct_reply", reply="ok")]
+    plans = propose("ctx", CATALOG, 3, backend_with(fenced(rows)))
+    assert [p.draft_reply for p in plans] == ["ok"]
+    with pytest.raises(ProposalError, match="no parseable plan"):
+        propose("ctx", CATALOG, 3, backend_with(fenced(rows[:2])))
+
+
+@pytest.mark.parametrize("steps", [None, 0, False, 0.0, "", {}, []])
+def test_propose_reads_a_falsy_steps_as_no_steps(steps):
+    rows = [{"kind": "single_tool", "steps": steps, "rationale": "r"},
+            {"kind": "direct_reply", "steps": steps, "reply": "hi"}]
+    plans = propose("ctx", CATALOG, 3, backend_with(fenced(rows)))
+    assert [(p.kind, p.steps, p.draft_reply) for p in plans] == [(PlanKind.DIRECT_REPLY, (), "hi")]
+
+
 def test_propose_without_json_block_is_proposal_error():
     with pytest.raises(ProposalError):
         propose("ctx", CATALOG, 3, backend_with("no plans here, sorry"))
@@ -188,41 +207,31 @@ def test_evaluate_normalizes_partial_probs():
     assert [round(e.confidence, 6) for e in evals] == [0.5, 0.5]
 
 
-def test_evaluate_vote_fallback_counts_votes():
-    votes = ["B", "B", "A", "B", "B"]
+@pytest.mark.parametrize("reply", ["B", " B\n"])
+def test_evaluate_without_probs_gives_the_replied_label_full_confidence(reply):
+    backend = backend_with(reply)
+    evals = evaluate("ctx", _plans(3), backend)
+    assert {e.label: e.confidence for e in evals} == {"A": 0.0, "B": 1.0, "C": 0.0}
+    assert backend.calls == 1
+
+
+@pytest.mark.parametrize("reply", ["?", "", "C", "b", "AB"])
+def test_evaluate_non_label_reply_fails_after_one_call(reply):
     backend = ScriptedBackend(
-        [ScriptEntry(response=ChatResponse(text=v), step=i) for i, v in enumerate(votes)]
+        [ScriptEntry(response=ChatResponse(text=t), step=i) for i, t in enumerate([reply, "A"])]
     )
-    evals = evaluate("ctx", _plans(2), backend, vote_samples=5)
-    by_label = {e.label: e.confidence for e in evals}
-    assert by_label == {"A": 0.2, "B": 0.8}
-    assert backend.calls == 5
+    with pytest.raises(EvaluationError, match="not a plan label"):
+        evaluate("ctx", _plans(2), backend)
+    assert backend.calls == 1
 
 
-def test_evaluate_vote_confidences_sum_to_one():
-    votes = ["A", "B", "A", "A", "B"]
-    backend = ScriptedBackend(
-        [ScriptEntry(response=ChatResponse(text=v), step=i) for i, v in enumerate(votes)]
-    )
-    evals = evaluate("ctx", _plans(2), backend, vote_samples=5)
-    assert sum(e.confidence for e in evals) == pytest.approx(1.0)
-
-
-def test_evaluate_retries_then_errors_on_non_labels():
-    backend = ScriptedBackend(
-        [ScriptEntry(response=ChatResponse(text=t), step=i) for i, t in enumerate("?!x")]
-    )
-    with pytest.raises(EvaluationError):
-        evaluate("ctx", _plans(2), backend, vote_samples=1)
-    assert backend.calls == 3  # initial attempt plus two retries
-
-
-def test_evaluate_recovers_when_retry_yields_label():
-    backend = ScriptedBackend(
-        [ScriptEntry(response=ChatResponse(text=t), step=i) for i, t in enumerate(["?", "B"])]
-    )
-    evals = evaluate("ctx", _plans(2), backend, vote_samples=1)
-    assert {e.label: e.confidence for e in evals} == {"A": 0.0, "B": 1.0}
+def test_evaluate_with_probs_makes_one_call_whatever_the_text():
+    backend = backend_with("?", {"A": 0.0, "B": 0.3})
+    evals = evaluate("ctx", _plans(2), backend)
+    assert [e.confidence for e in evals] == [0.0, 1.0]
+    assert backend.calls == 1
+    with pytest.raises(EvaluationError, match="no mass"):
+        evaluate("ctx", _plans(2), backend_with("A", {"C": 1.0}))
 
 
 def test_evaluate_rejects_more_than_26_plans():

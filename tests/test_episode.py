@@ -342,6 +342,42 @@ def test_bundled_suite_usage_is_pinned(suite_dir, scripts_dir, vision_fixtures):
     assert calls == {"propose": 30, "evaluate": 30}
 
 
+def scores_to_picks(event):
+    """A decision event with each confidence set to 1.0 if its plan won, else 0.0."""
+    if event["kind"] != "decision":
+        return event
+    evaluations = [{**e, "confidence": 1.0 if e["plan_id"] == event["selected"] else 0.0}
+                   for e in event["evaluations"]]
+    return {**event, "evaluations": evaluations}
+
+
+def test_bundled_suite_plays_the_same_without_label_probs(suite_dir, scripts_dir,
+                                                         vision_fixtures, tmp_path):
+    # without probabilities a round is scored from its one label reply
+    from shopclerk.tasks import load_suite
+
+    tasks = load_suite(suite_dir, vision_fixtures)
+    assert len(tasks) == 13
+    for task in tasks:
+        script = json.loads((scripts_dir / f"{task.task_id}.json").read_text())
+        stripped = [entry["response"].pop("label_probs", None) for entry in script["entries"]]
+        assert any(stripped), task.task_id
+        path = tmp_path / f"{task.task_id}.json"
+        path.write_text(json.dumps(script))
+        with_probs, without = [
+            run_episode(task, AgentConfig(), ScriptedBackend.from_file(p), vision_fixtures)
+            for p in (scripts_dir / f"{task.task_id}.json", path)]
+        assert without.error is None and without.success, task.task_id
+        assert transcript_lines(without) == transcript_lines(with_probs), task.task_id
+        # every event matches but the confidences, which fall to 1.0 for the picked label
+        assert ([scores_to_picks(e) for e in without.trace.events]
+                == [scores_to_picks(e) for e in with_probs.trace.events]), task.task_id
+        for event in without.trace.events:
+            if event["kind"] == "decision":
+                assert event == scores_to_picks(event), task.task_id
+        assert without.usage == with_probs.usage, task.task_id
+
+
 def test_each_propose_prompt_starts_with_the_previous_ones_static_head(
         suite_dir, scripts_dir, vision_fixtures):
     # the tool catalog and the plan instructions stay fixed for a session, and the
@@ -410,8 +446,10 @@ def test_failed_describe_is_traced_and_counted(suite_dir, vision_fixtures, tmp_p
     task = load_task(suite_dir / "damaged-kettle-refund.json", vision_fixtures)
     config = agent_config_from_dict({"max_plan_rounds": 1}, AgentConfig())
     session = AgentSession(task.reset(), chat, vision_fixtures, config)
-    report = session.handle_buyer_turn(f"My kettle arrived like this: {missing}")
-    assert report.tool_calls[0]["is_error"]
+    session.handle_buyer_turn(f"My kettle arrived like this: {missing}")
+    results = [e for e in session.trace.events if e["kind"] == "tool_result"]
+    assert [e["tool"] for e in results] == ["multimodal_describe"]
+    assert results[0]["result"]["is_error"]
     describes = [e for e in session.trace.events if e["kind"] == "describe"]
     assert len(describes) == 1
     assert describes[0]["asset"] == missing

@@ -58,7 +58,9 @@ def test_shape_error_names_the_first_misfit_and_its_path(value, error):
     ({"type": "number"}, [0, -2, 2.5], [True, "1", None]),
     ({"type": "boolean"}, [True, False], [0, 1, "false"]),
     ({"type": "null"}, [None], [0, "", False]),
-    ({"enum": ["a", 1]}, ["a", 1], ["b", 2, None]),
+    ({"enum": ["a", 1]}, ["a", 1, 1.0], ["b", 2, None, True]),
+    ({"enum": [True]}, [True], [1, 1.0, "true"]),
+    ({"enum": [False]}, [False], [0, 0.0, None]),
     ({}, [None, 1, "x", [], {}], []),
 ])
 def test_shape_error_types_coerce_nothing(schema, fits, misfits):
