@@ -124,12 +124,59 @@ def _first_in(needles: list[tuple[int, str]], text: str, miss: int) -> int:
     return miss
 
 
-# Scripts this long are matched from a per-session line memo. A session makes about
+# Scripts this long are matched from a shared line memo. A session makes about
 # one call per entry. On generated long-session scripts the memo's matching time over
 # a session was 2x the loop's at 16 entries, even at 32 and 0.4x at 64; its first call,
 # with every line cold, was 2x the loop's at 40 entries and 1.3x at 64. At 40 entries
 # (order-desk) that first call raised turn_ms_p99 by 6% and bought no episodes/s.
 LINE_MEMO_MIN_ENTRIES = 64
+
+
+class _Matcher:
+    """What matching needs of one entries tuple: the step table, the needles and the line memo.
+
+    A memo value is a pure function of its line and the needle list, so every
+    backend of one script file version shares one matcher, on any thread: two
+    that miss on a line together store the same index.
+    """
+
+    def __init__(self, entries: tuple[ScriptEntry, ...]):
+        self.entries = entries
+        self.steps: dict[int, ChatResponse] = {}
+        for entry in entries:
+            if entry.step is not None:
+                self.steps.setdefault(entry.step, entry.response)
+        self.needles = [(i, entry.contains) for i, entry in enumerate(entries)
+                        if entry.contains is not None]
+        self.line_memo: dict[str, int] | None = None
+        if len(entries) >= LINE_MEMO_MIN_ENTRIES:
+            self.line_memo = {}
+            self.line_needles = [(i, n) for i, n in self.needles if "\n" not in n]
+            self.span_needles = [(i, n) for i, n in self.needles if "\n" in n]
+
+    def first_needle(self, text: str) -> int:
+        """The index of the first entry whose needle occurs in text, else len(entries)."""
+        miss = len(self.entries)
+        memo = self.line_memo
+        if memo is None:
+            return _first_in(self.needles, text, miss)
+        best = miss
+        for line in text.split("\n"):
+            hit = memo.get(line)
+            if hit is None:
+                hit = memo[line] = _first_in(self.line_needles, line, miss)
+            if hit < best:
+                best = hit
+        for i, needle in self.span_needles:
+            if i >= best:
+                break
+            if needle in text:
+                return i
+        return best
+
+
+# path -> the matcher of the entries load_script last returned for it
+_MATCHERS: dict[str, _Matcher] = {}
 
 
 class ScriptedBackend:
@@ -141,28 +188,27 @@ class ScriptedBackend:
 
     Scripts of at least LINE_MEMO_MIN_ENTRIES entries are matched line by
     line: a needle without a newline can only occur inside one line, so the
-    lowest index of such a needle in each line is memoized per backend, and
-    only the needles that span lines are searched in the whole message.
+    lowest index of such a needle in each line is memoized, and only the
+    needles that span lines are searched in the whole message. Backends from
+    one script file version share the memo; one built from entries keeps its own.
     """
 
-    def __init__(self, entries: tuple[ScriptEntry, ...] | list[ScriptEntry]):
-        self.entries = tuple(entries)
-        self.calls = 0  # this backend's own cursor; entries may be shared
-        self._steps: dict[int, ChatResponse] = {}
-        for entry in self.entries:
-            if entry.step is not None:
-                self._steps.setdefault(entry.step, entry.response)
-        self._needles = [(i, entry.contains) for i, entry in enumerate(self.entries)
-                         if entry.contains is not None]
-        self._line_memo: dict[str, int] | None = None
-        if len(self.entries) >= LINE_MEMO_MIN_ENTRIES:
-            self._line_memo = {}
-            self._line_needles = [(i, n) for i, n in self._needles if "\n" not in n]
-            self._span_needles = [(i, n) for i, n in self._needles if "\n" in n]
+    def __init__(self, entries: tuple[ScriptEntry, ...] | list[ScriptEntry],
+                 matcher: _Matcher | None = None):
+        self._matcher = matcher or _Matcher(tuple(entries))
+        self.entries = self._matcher.entries
+        self.calls = 0  # this backend's own cursor; the matcher may be shared
+        self._steps = self._matcher.steps
+        self._first_needle = self._matcher.first_needle
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
-        return cls(load_script(path))
+        entries = load_script(path)
+        key = os.fspath(path)
+        matcher = _MATCHERS.get(key)
+        if matcher is None or matcher.entries is not entries:  # a new file version
+            matcher = _MATCHERS[key] = _Matcher(entries)
+        return cls(entries, matcher)
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         index = self.calls
@@ -178,26 +224,6 @@ class ScriptedBackend:
             f"no script entry for call {index}; last message starts with: "
             f"{last[:200]!r}"
         )
-
-    def _first_needle(self, text: str) -> int:
-        """The index of the first entry whose needle occurs in text, else len(entries)."""
-        miss = len(self.entries)
-        memo = self._line_memo
-        if memo is None:
-            return _first_in(self._needles, text, miss)
-        best = miss
-        for line in text.split("\n"):
-            hit = memo.get(line)
-            if hit is None:
-                hit = memo[line] = _first_in(self._line_needles, line, miss)
-            if hit < best:
-                best = hit
-        for i, needle in self._span_needles:
-            if i >= best:
-                break
-            if needle in text:
-                return i
-        return best
 
 
 def _parse_store(path: str, text: str) -> dict[str, tuple[ChatResponse, ...]]:

@@ -40,8 +40,13 @@ def _in_enum(value, members: list) -> bool:
     return any(m == value and (m.__class__ is bool) == is_bool for m in members)
 
 
-def _show(value) -> str:
-    return _NAMES[_KINDS[value.__class__]] if value.__class__ in (dict, list) else repr(value)
+def _show(value, scalar=repr) -> str:
+    return _NAMES[_KINDS[value.__class__]] if value.__class__ in (dict, list) else scalar(value)
+
+
+def _json(value) -> str:
+    """A scalar as a JSON input file writes it: true, null, "lost"."""
+    return json.dumps(value, ensure_ascii=False)
 
 
 def _under(step: str, problem: tuple[str, str]) -> tuple[str, str]:
@@ -58,7 +63,7 @@ def _first_problem(value, schema: dict) -> tuple[str, str] | None:
     if len(schema) == 1 and kind is not None:
         return None  # most leaves: a type and nothing more
     if "enum" in schema and not _in_enum(value, schema["enum"]):
-        return "", f"must be one of {schema['enum']}, got {_show(value)}"
+        return "", f"must be one of {_json(schema['enum'])}, got {_show(value, _json)}"
     if value.__class__ is dict:
         for name in schema.get("required", ()):
             if name not in value:
@@ -81,9 +86,9 @@ def _first_problem(value, schema: dict) -> tuple[str, str] | None:
                     return _under(f"[{i}]", problem)
     elif "minLength" in schema:
         if value.__class__ is str and len(value) < schema["minLength"]:
-            return "", f"must have length >= {schema['minLength']}, got {value!r}"
+            return "", f"must have length >= {schema['minLength']}, got {_json(value)}"
     elif "minimum" in schema and _fits(value, "number") and value < schema["minimum"]:
-        return "", f"must be >= {schema['minimum']}, got {value!r}"
+        return "", f"must be >= {schema['minimum']}, got {_json(value)}"
     return None
 
 

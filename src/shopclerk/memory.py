@@ -4,8 +4,9 @@ import heapq
 import json
 from bisect import bisect_left
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
 
@@ -187,10 +188,18 @@ WORLD_NAMESPACES = frozenset({Namespace.PRODUCT, Namespace.ORDER, Namespace.LOGI
 class Document:
     key: str
     body: object  # structured map or plain text
-    tokens: frozenset[str] = field(init=False, repr=False, compare=False)  # made once, on build
 
-    def __post_init__(self):
-        object.__setattr__(self, "tokens", _flatten_tokens(self.body))
+    @cached_property
+    def tokens(self) -> frozenset[str]:
+        """The body's search tokens, made once: at build for an indexed document, else on first use."""
+        return _flatten_tokens(self.body)
+
+    @classmethod
+    def indexed(cls, key: str, body: object) -> "Document":
+        """A document for searching, tokenized now so that its first search pays nothing."""
+        doc = cls(key, body)
+        doc.tokens  # noqa: B018 -- cached on the document
+        return doc
 
 
 def _flatten_tokens(body: object) -> frozenset[str]:
@@ -238,13 +247,13 @@ class LongTermStore:
             raise SchemaError(f"read-only namespace: {ns.value} records come from the world")
         if not key:
             raise SchemaError("document key must be non-empty")
-        self._docs[ns][key] = Document(key=key, body=body)
+        self._docs[ns][key] = Document.indexed(key, body)
 
     def get(self, namespace: str | Namespace, key: str) -> Document | None:
         ns = self._namespace(namespace)
         if ns in WORLD_NAMESPACES:
-            body = self._world.doc(ns, key)
-            return None if body is None else Document(key=key, body=body)
+            body = self._world.doc(ns, key)  # no caller searches it, so it is not tokenized
+            return None if body is None else Document(key, body)
         return self._docs[ns].get(key)
 
     def search(self, namespace: str | Namespace, query: str, limit: int) -> list[Document]:

@@ -155,15 +155,16 @@ def split_parts(
             parts.append(ContentPart(PartKind.TEXT, chunk))
 
     for start, end, url in find_urls(text):
-        kind = classify_url(url)
-        qualifying = table is not None and len(url) >= table.min_url_length
-        if qualifying:
+        if table is not None and len(url) >= table.min_url_length:
             entry = table.intern(url)
+            kind = entry.kind  # intern classified this very string
             if abstract_kinds is None or kind in abstract_kinds:
                 push_text(text[cursor:start])
                 parts.append(ContentPart(PartKind.PLACEHOLDER, entry.placeholder))
                 cursor = end
                 continue
+        else:
+            kind = classify_url(url)
         if kind in (RefKind.IMAGE, RefKind.VIDEO):
             push_text(text[cursor:start])
             parts.append(ContentPart(PartKind.IMAGE_REF, url))

@@ -194,7 +194,7 @@ def world_from_dict(data: dict) -> World:
     policies = {Namespace(ns): {} for ns in _POLICY_NAMESPACES}
     for row in data.get("policies", []):
         table = policies[Namespace(row.get("namespace", "platform_policy"))]
-        table[row["key"]] = Document(key=row["key"], body=row["body"])
+        table[row["key"]] = Document.indexed(row["key"], row["body"])
     frozen = MappingProxyType({ns: MappingProxyType(table) for ns, table in policies.items()})
     return World(products=products, orders=orders, shipments=shipments, policies=frozen)
 

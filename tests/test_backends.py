@@ -2,6 +2,8 @@ import json
 import os
 import random
 import re
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -418,7 +420,77 @@ def test_line_memo_matches_the_former_loop(size):
             assert backend.complete(request) is expected, (index, request.last_content())
 
 
-def test_backends_from_one_script_keep_separate_memos_and_cursors(tmp_path):
+def write_script(path, entries):
+    """entries as a script file, in the order given."""
+    rows = [{**({"step": e.step} if e.step is not None else {"contains": e.contains}),
+             "response": {"text": e.response.text}} for e in entries]
+    path.write_text(json.dumps({"entries": rows}))
+
+
+def play_against_the_reference(backend, seed, calls=40):
+    """Seeded requests over a small pool of lines; each response must be the former loop's."""
+    rng = random.Random(seed)
+    lines = ["".join(rng.choices("abcd", k=rng.randint(0, 12))) for _ in range(15)]
+    for _ in range(calls):
+        request = req("\n".join(rng.choices(lines, k=rng.randint(1, 8))))
+        index = backend.calls
+        try:
+            expected = reference_complete(backend.entries, index, request)
+        except ScriptError as exc:
+            with pytest.raises(ScriptError) as raised:
+                backend.complete(request)
+            assert str(raised.value) == str(exc)
+        else:
+            assert backend.complete(request) is expected, (index, request.last_content())
+
+
+@pytest.mark.parametrize("size", range(1, 97, 2))
+def test_second_backend_of_a_file_matches_the_former_loop_on_a_warm_memo(tmp_path, size):
+    path = tmp_path / "s.json"
+    write_script(path, random_script(random.Random(size), size))
+    first = ScriptedBackend.from_file(path)
+    play_against_the_reference(first, seed=size)
+    second = ScriptedBackend.from_file(path)
+    assert second._matcher is first._matcher
+    warm = dict(second._matcher.line_memo or {})
+    assert warm or size < backends.LINE_MEMO_MIN_ENTRIES
+    # the same requests (all memo hits), then requests over lines the memo may not hold
+    play_against_the_reference(second, seed=size)
+    play_against_the_reference(second, seed=size + 1000)
+    assert second.calls == 80 and first.calls == 40
+
+
+def test_threads_sharing_one_memo_match_the_former_loop(tmp_path):
+    size = 95
+    path = tmp_path / "s.json"
+    write_script(path, random_script(random.Random(size), size))
+    failures, interval = [], sys.getswitchinterval()
+
+    def play(seed):
+        try:
+            for _ in range(5):
+                play_against_the_reference(ScriptedBackend.from_file(path), seed)
+        except BaseException as exc:  # pytest's Failed is one; the main thread reports it
+            failures.append(exc)
+
+    threads = [threading.Thread(target=play, args=(seed,)) for seed in range(6)]
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    matcher = ScriptedBackend.from_file(path)._matcher
+    assert matcher.line_memo
+    for line, hit in matcher.line_memo.items():
+        assert hit == backends._first_in(matcher.line_needles, line, size), line
+
+
+def test_backends_from_one_script_version_share_a_memo_and_keep_their_cursors(tmp_path):
     size = backends.LINE_MEMO_MIN_ENTRIES
     payload = {"entries": [{"step": 0, "response": {"text": "first call"}}] + [
         {"contains": f"ticket {i:03d}", "response": {"text": f"turn {i}"}} for i in range(size)]}
@@ -426,15 +498,31 @@ def test_backends_from_one_script_keep_separate_memos_and_cursors(tmp_path):
     path.write_text(json.dumps(payload))
     a, b = ScriptedBackend.from_file(path), ScriptedBackend.from_file(path)
     assert a.entries is b.entries
+    memo = a._matcher.line_memo
+    assert b._matcher.line_memo is memo == {}
     assert a.complete(req("ticket 007")).text == "first call"
     assert a.complete(req("header\nticket 007")).text == "turn 7"
     assert a.complete(req("header\nticket 002\nticket 007")).text == "turn 2"
-    assert a._line_memo == {"header": size + 1, "ticket 007": 8, "ticket 002": 3}
-    assert b._line_memo == {}
+    assert memo == {"header": size + 1, "ticket 007": 8, "ticket 002": 3}
     assert b.complete(req("ticket 002")).text == "first call"
     assert b.complete(req("ticket 005")).text == "turn 5"
     assert (a.calls, b.calls) == (3, 2)
-    assert b._line_memo == {"ticket 005": 6}
+    assert memo == {"header": size + 1, "ticket 007": 8, "ticket 002": 3, "ticket 005": 6}
+    # a backend built from a list keeps a private memo
+    private = ScriptedBackend(list(load_script(path)))
+    assert private.complete(req("x")).text == "first call"
+    assert private.complete(req("ticket 009")).text == "turn 9"
+    assert private._matcher.line_memo == {"ticket 009": 10}
+    assert len(memo) == 4
+    # a rewritten file version starts with an empty memo
+    payload["entries"][5]["response"]["text"] = "turn four, rewritten"
+    path.write_text(json.dumps(payload))
+    c = ScriptedBackend.from_file(path)
+    assert c._matcher.line_memo == {} and c.entries is not a.entries
+    assert c.complete(req("x")).text == "first call"
+    assert c.complete(req("ticket 004")).text == "turn four, rewritten"
+    assert c._matcher.line_memo == {"ticket 004": 5}
+    assert len(memo) == 4 and ScriptedBackend.from_file(path)._matcher is c._matcher
 
 
 # --- script files: validation and the per-file-version cache ---

@@ -48,7 +48,7 @@ SHAPE = {"type": "object", "additionalProperties": {"type": "array", "minItems":
     ({"a": [{"id": 0}]}, "a[0].id: must be >= 1, got 0"),
     ({"a": [{"id": 1, "tags": ["x", 2]}]}, "a[0].tags[1]: must be a string, got 2"),
     ({"a": [{"id": 1, "note": 5}]}, "a[0].note: must be a string or null, got 5"),
-    ({"a": [{"id": 1, "note": "x"}]}, "a[0].note: must have length >= 2, got 'x'"),
+    ({"a": [{"id": 1, "note": "x"}]}, "a[0].note: must have length >= 2, got \"x\""),
 ])
 def test_shape_error_names_the_first_misfit_and_its_path(value, error):
     assert shape_error(value, SHAPE) == error
@@ -66,6 +66,20 @@ def test_shape_error_names_the_first_misfit_and_its_path(value, error):
 def test_shape_error_types_coerce_nothing(schema, fits, misfits):
     assert [shape_error(v, schema) for v in fits] == [None] * len(fits)
     assert all(shape_error(v, schema) for v in misfits)
+
+
+@pytest.mark.parametrize("value, schema, error", [
+    (1, {"enum": [True]}, "must be one of [true], got 1"),
+    (None, {"enum": ["a"]}, 'must be one of ["a"], got null'),
+    (False, {"enum": ["a", 2.5]}, 'must be one of ["a", 2.5], got false'),
+    ("lost", {"enum": ["paid", "shipped"]}, 'must be one of ["paid", "shipped"], got "lost"'),
+    ("é", {"enum": ["e"]}, 'must be one of ["e"], got "é"'),
+    ([1], {"enum": [1]}, "must be one of [1], got a list"),
+    (-1.5, {"minimum": 0}, "must be >= 0, got -1.5"),
+    ("x", {"minLength": 2}, 'must have length >= 2, got "x"'),
+])
+def test_misfits_show_values_as_json_writes_them(value, schema, error):
+    assert shape_error(value, schema) == f"top level: {error}"
 
 
 def test_read_json_checks_the_whole_shape_naming_the_path(tmp_path):

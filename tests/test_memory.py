@@ -305,6 +305,28 @@ def test_ltm_get_missing_is_none_not_error():
     assert store.get("platform_policy", "missing") is None
 
 
+def test_world_records_are_served_untokenized_and_stored_documents_at_build(monkeypatch):
+    made = []
+    tokens = memory._flatten_tokens
+    monkeypatch.setattr(memory, "_flatten_tokens", lambda body: made.append(body) or tokens(body))
+    data = _random_seed(random.Random(3))
+    world = world_from_dict(data)
+    assert made == [row["body"] for row in data["policies"]]  # seed policies, at load
+    made.clear()
+    store = seed_store(world)
+    for ns in (Namespace.PRODUCT, Namespace.ORDER, Namespace.LOGISTICS):
+        for key in world.doc_keys(ns):
+            assert store.get(ns, key).body == world.doc(ns, key)
+    assert made == []
+    store.put("buyer_profile", "B1", {"name": "Ada"})
+    assert made == [{"name": "Ada"}]
+    for ns in ("buyer_profile", "platform_policy", "store_promotion"):
+        store.search(ns, "ada", 3)
+    assert made == [{"name": "Ada"}]
+    record = store.get("order", "O1")
+    assert record.tokens == tokens(world.doc(Namespace.ORDER, "O1"))  # still there on demand
+
+
 def test_ltm_empty_key_rejected():
     store = LongTermStore(World())
     with pytest.raises(SchemaError):

@@ -1,8 +1,9 @@
 import pytest
 
 from conftest import DescribeCounter, url_corpus
+from shopclerk import placeholders
 from shopclerk.errors import ResolutionError, UnknownPlaceholderError
-from shopclerk.memory import LongTermStore, PartKind
+from shopclerk.memory import ContentPart, LongTermStore, PartKind
 from shopclerk.placeholders import (
     PLACEHOLDER_RE,
     PlaceholderTable,
@@ -139,6 +140,47 @@ def test_split_parts_abstracts_selected_kinds_only():
 def test_split_parts_no_table_returns_raw():
     parts = split_parts(f"see {IMG}", table=None)
     assert [p.kind for p in parts] == [PartKind.TEXT, PartKind.IMAGE_REF]
+
+
+def reference_split_parts(text, table, abstract_kinds):
+    """The former loop, which classified every URL again, interned or not."""
+    parts, cursor = [], 0
+    for start, end, url in find_urls(text):
+        kind = classify_url(url)
+        if table is not None and len(url) >= table.min_url_length:
+            entry = table.intern(url)
+            if abstract_kinds is None or kind in abstract_kinds:
+                if text[cursor:start]:
+                    parts.append(ContentPart(PartKind.TEXT, text[cursor:start]))
+                parts.append(ContentPart(PartKind.PLACEHOLDER, entry.placeholder))
+                cursor = end
+                continue
+        if kind in (RefKind.IMAGE, RefKind.VIDEO):
+            if text[cursor:start]:
+                parts.append(ContentPart(PartKind.TEXT, text[cursor:start]))
+            parts.append(ContentPart(PartKind.IMAGE_REF, url))
+            cursor = end
+    if text[cursor:]:
+        parts.append(ContentPart(PartKind.TEXT, text[cursor:]))
+    return tuple(parts) or (ContentPart(PartKind.TEXT, ""),)
+
+
+@pytest.mark.parametrize("abstract_kinds", [None, {RefKind.ORDER, RefKind.PRODUCT, RefKind.OTHER}])
+@pytest.mark.parametrize("min_url_length", [1, 24, 60])
+def test_split_parts_matches_the_reference_classifying_each_interned_url_once(
+        monkeypatch, min_url_length, abstract_kinds):
+    messages = url_corpus(seed=min_url_length, count=80) + [f"raw {IMG} {IMG2} {IMG}"]
+    reference_table, table = PlaceholderTable(min_url_length), PlaceholderTable(min_url_length)
+    expected = [reference_split_parts(m, reference_table, abstract_kinds) for m in messages]
+    classified = []
+    monkeypatch.setattr(placeholders, "classify_url",
+                        lambda url: classified.append(url) or classify_url(url))
+    assert [split_parts(m, table, abstract_kinds) for m in messages] == expected
+    assert [(e.placeholder, e.original, e.kind) for e in table.entries] == [
+        (e.placeholder, e.original, e.kind) for e in reference_table.entries]
+    # an interned URL is classified once, by intern; a shorter one at every sighting
+    short = [url for m in messages for _, _, url in find_urls(m) if len(url) < min_url_length]
+    assert sorted(classified) == sorted([e.original for e in table.entries] + short)
 
 
 def _vision_with_asset():

@@ -123,12 +123,12 @@ def test_snapshot_paths():
 
 def test_world_from_dict_validation_errors():
     with pytest.raises(SchemaError,
-                       match=r"^orders\.O1\.status: must be one of \[.*\], got 'lost'"):
+                       match=r"^orders\.O1\.status: must be one of \[.*\], got \"lost\""):
         world_from_dict({"orders": {"O1": {"buyer_id": "B", "status": "lost", "items": []}}})
     with pytest.raises(SchemaError, match="missing order"):
         world_from_dict({"shipments": {"O9": [{"tick": 1, "location": "x", "status": "y"}]}})
     with pytest.raises(SchemaError,
-                       match=r"^policies\[0\]\.namespace: must be one of .*, got 'weather'"):
+                       match=r"^policies\[0\]\.namespace: must be one of .*, got \"weather\""):
         world_from_dict({"policies": [{"namespace": "weather", "key": "k", "body": "b"}]})
 
 
