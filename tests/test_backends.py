@@ -186,11 +186,11 @@ def test_corrupt_store_is_config_error(tmp_path):
 
 
 @pytest.mark.parametrize("payload,where", [
-    ({"d1": "text"}, "d1: must be a list, got 'text'"),
-    ({"d1": ["text"]}, "d1[0]: must be an object, got 'text'"),
+    ({"d1": "text"}, 'd1: must be a list, got "text"'),
+    ({"d1": ["text"]}, 'd1[0]: must be an object, got "text"'),
     ({"d1": [{"text": "ok"}, {"text": 7}]}, "d1[1].text: must be a string, got 7"),
     ({"d1": [{"text": "A", "label_probs": {"A": "high"}}]},
-     "d1[0].label_probs.A: must be a number, got 'high'"),
+     'd1[0].label_probs.A: must be a number, got "high"'),
     ({"d1": [{"text": "A", "label_probs": {"A": 0.9, "B": 0.9}}]},
      "digest d1 row 0: label probabilities must sum to at most 1"),
 ], ids=["rows-not-list", "row-not-object", "text-not-string", "probs-not-numbers", "probs-over-one"])

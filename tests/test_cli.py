@@ -229,12 +229,12 @@ TASK_SHAPE_FAULTS = {
     "price-not-integer": (_set(*MUG, "price_cents", 3.7),
                           ":world: products.P-MUG-200.price_cents: must be an integer, got 3.7"),
     "stock-boolean": (_set(*MUG, "stock", True),
-                      ":world: products.P-MUG-200.stock: must be an integer, got True"),
+                      ":world: products.P-MUG-200.stock: must be an integer, got true"),
     "title-number": (_set(*MUG, "title", 7),
                      ":world: products.P-MUG-200.title: must be a string, got 7"),
-    "max-turns-boolean": (_set("max_turns", True), ":max_turns: must be an integer, got True"),
+    "max-turns-boolean": (_set("max_turns", True), ":max_turns: must be an integer, got true"),
     "must-appear-text": (_set("success", "response_facts", 0, "must_appear", "false"),
-                         ":success.response_facts[0].must_appear: must be a boolean, got 'false'"),
+                         ':success.response_facts[0].must_appear: must be a boolean, got "false"'),
     "substring-number": (_set("success", "response_facts", 0, "match", "substring", 5),
                          ":success.response_facts[0].match.substring: must be a string, got 5"),
     "state-asertions": (_rename("success", "state_assertions", "state_asertions"),
@@ -308,16 +308,16 @@ def test_run_corrupt_replay_store_exits_2(capsys, suite_dir, tmp_path):
 @pytest.mark.parametrize("content,why", [
     ("{not json", " is not valid JSON"),
     (json.dumps({"assets": {"https://img.example/a.jpg": {"annotations": "a kettle"}}}),
-     ": assets.https://img.example/a.jpg.annotations: must be an object, got 'a kettle'"),
+     ': assets.https://img.example/a.jpg.annotations: must be an object, got "a kettle"'),
     (json.dumps({"assets": {"https://img.example/a.jpg": "a kettle"}}),
-     ": assets.https://img.example/a.jpg: must be an object, got 'a kettle'"),
+     ': assets.https://img.example/a.jpg: must be an object, got "a kettle"'),
     (json.dumps({"assets": {"https://img.example/a.jpg": {"annotations": {"damage": "cracked"}}}}),
      ": assets.https://img.example/a.jpg.annotations.default: missing"),
     (json.dumps({"assets": {"https://img.example/a.jpg": {"annotations": {"default": 5}}}}),
      ": assets.https://img.example/a.jpg.annotations.default: must be a string, got 5"),
     (json.dumps({"rules": [{"keywords": ["crack"]}]}), ": rules[0].category: missing"),
     (json.dumps({"rules": [{"category": "damage", "keywords": "crack"}]}),
-     ": rules[0].keywords: must be a list, got 'crack'"),
+     ': rules[0].keywords: must be a list, got "crack"'),
     (json.dumps({"assets": {"https://img.example/a.jpg": {
         "annotations": {"default": "a kettle"}, "rules": [{"category": 5, "keywords": []}]}}}),
      ": assets.https://img.example/a.jpg.rules[0].category: must be a string, got 5"),
@@ -602,9 +602,9 @@ def test_replay_malformed_row_exits_2(capsys, tmp_path, broken, line, why):
 @pytest.mark.parametrize("row,why", [
     ({"success": True}, "task_id: missing"),
     ({"task_id": "t"}, "success: missing"),
-    ({"task_id": "t", "success": "yes"}, "success: must be a boolean, got 'yes'"),
+    ({"task_id": "t", "success": "yes"}, 'success: must be a boolean, got "yes"'),
     ({"task_id": "t", "success": True, "wall_time_ms": "slow"},
-     "wall_time_ms: must be a number, got 'slow'"),
+     'wall_time_ms: must be a number, got "slow"'),
 ], ids=["without-task-id", "without-success", "success-not-bool", "wall-time-not-number"])
 def test_metrics_malformed_record_exits_2(capsys, tmp_path, row, why):
     record = tmp_path / "t-0.result.json"

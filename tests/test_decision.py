@@ -6,7 +6,9 @@ import re
 import pytest
 
 from conftest import DATA_DIR
+from shopclerk import shop_tools
 from shopclerk.backends import ChatResponse, ScriptedBackend, ScriptEntry
+from shopclerk.config import AgentConfig
 from shopclerk.decision import (
     FENCED_JSON_RE,
     TEMPLATE_FIELDS,
@@ -19,7 +21,9 @@ from shopclerk.decision import (
     propose,
     select,
 )
+from shopclerk.episode import AgentSession
 from shopclerk.errors import ConfigError, EvaluationError, ProposalError, UsageError
+from shopclerk.world import World
 
 CATALOG = "- product_info(product_id: string): Look up a product."
 
@@ -152,6 +156,55 @@ def test_propose_reads_a_null_rationale_as_empty_and_drops_a_non_text_one():
 def test_propose_all_malformed_is_proposal_error():
     with pytest.raises(ProposalError):
         propose("ctx", CATALOG, 3, backend_with(fenced([{"kind": "bogus"}])))
+
+
+def test_one_reply_parsed_twice_gives_equal_plans_in_a_new_list_each_time():
+    text = fenced([plan_row("single_tool", ["product_info"]), plan_row("direct_reply", reply="hi")])
+    first = propose("ctx", CATALOG, 3, backend_with(text))
+    second = propose("ctx", CATALOG, 3, backend_with(text))
+    assert first == second and first is not second
+    assert all(a is b for a, b in zip(first, second))  # parsed once, shared
+    first.append(first[0])  # a caller's list is its own
+    assert len(propose("ctx", CATALOG, 3, backend_with(text))) == 2
+
+
+def test_fewer_candidates_from_one_reply_are_a_prefix_with_the_same_plan_ids():
+    text = fenced([plan_row("single_tool", [name]) for name in ("a", "b", "a", "c", "d")])
+    one = propose("ctx", CATALOG, 1, backend_with(text))
+    three = propose("ctx", CATALOG, 3, backend_with(text))
+    assert [p.steps[0].tool_name for p in three] == ["a", "b", "c"]
+    assert one == three[:1]
+    assert [p.plan_id for p in three] == [0, 1, 2]
+    assert propose("ctx", CATALOG, 1, backend_with(text)) == one
+
+
+@pytest.mark.parametrize("text", ["no plans here", "```json\n[1,\n```",
+                                  fenced({"plans": 5}), fenced([{"kind": "bogus"}])])
+def test_a_malformed_reply_raises_the_same_error_on_every_call(text):
+    messages = set()
+    for _ in range(3):
+        with pytest.raises(ProposalError) as caught:
+            propose("ctx", CATALOG, 3, backend_with(text))
+        messages.add(str(caught.value))
+    assert len(messages) == 1
+
+
+def test_a_handler_that_mutates_its_arguments_leaves_the_next_episodes_plans_alone(monkeypatch):
+    def mangle(self, args):
+        args["note"] = "mangled"
+        args["extra"] = 1
+        return "{}"
+
+    monkeypatch.setattr(shop_tools._Handlers, "status_note", mangle)
+    text = fenced([{"kind": "single_tool", "rationale": "note it",
+                    "steps": [{"tool": "status_note", "arguments": {"note": "as sent"}}]}])
+    for _ in range(2):
+        session = AgentSession(World(), backend_with(text), None, AgentConfig(decision_module=False))
+        plan = session._propose("ctx")[0]
+        assert plan.steps[0].arguments == {"note": "as sent"}
+        session._run_steps(plan)
+    assert propose("ctx", CATALOG, 1, backend_with(text))[0].steps[0].arguments == {
+        "note": "as sent"}
 
 
 # the pattern FENCED_JSON_RE replaced: the reference its matches are compared with

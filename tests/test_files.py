@@ -42,9 +42,9 @@ SHAPE = {"type": "object", "additionalProperties": {"type": "array", "minItems":
     ({"a": []}, "a: must have length >= 1, got 0"),
     ({"a": [{"id": 1}, {"id": 2, "idd": 3}]}, "a[1].idd: unknown key"),
     ({"a": [{"idd": 3}]}, "a[0].id: missing"),  # missing before unknown
-    ({"a": [{"id": True}]}, "a[0].id: must be an integer, got True"),
+    ({"a": [{"id": True}]}, "a[0].id: must be an integer, got true"),
     ({"a": [{"id": 1.0}]}, "a[0].id: must be an integer, got 1.0"),
-    ({"a": [{"id": "1"}]}, "a[0].id: must be an integer, got '1'"),
+    ({"a": [{"id": "1"}]}, 'a[0].id: must be an integer, got "1"'),
     ({"a": [{"id": 0}]}, "a[0].id: must be >= 1, got 0"),
     ({"a": [{"id": 1, "tags": ["x", 2]}]}, "a[0].tags[1]: must be a string, got 2"),
     ({"a": [{"id": 1, "note": 5}]}, "a[0].note: must be a string or null, got 5"),
@@ -77,6 +77,11 @@ def test_shape_error_types_coerce_nothing(schema, fits, misfits):
     ([1], {"enum": [1]}, "must be one of [1], got a list"),
     (-1.5, {"minimum": 0}, "must be >= 0, got -1.5"),
     ("x", {"minLength": 2}, 'must have length >= 2, got "x"'),
+    (None, {"type": "string"}, "must be a string, got null"),
+    (True, {"type": "integer"}, "must be an integer, got true"),
+    ("ten", {"type": "number"}, 'must be a number, got "ten"'),
+    ({"a": 1}, {"type": "string"}, "must be a string, got an object"),
+    ((1, 2), {"type": "array"}, "must be a list, got (1, 2)"),  # no JSON value, so its repr
 ])
 def test_misfits_show_values_as_json_writes_them(value, schema, error):
     assert shape_error(value, schema) == f"top level: {error}"
@@ -85,7 +90,7 @@ def test_misfits_show_values_as_json_writes_them(value, schema, error):
 def test_read_json_checks_the_whole_shape_naming_the_path(tmp_path):
     path = tmp_path / "x.json"
     path.write_text('{"a": [{"id": 1, "tags": "x"}]}')
-    why = r"a\[0\]\.tags: must be a list, got 'x'"
+    why = r'a\[0\]\.tags: must be a list, got "x"'
     with pytest.raises(ConfigError, match=rf"^thing .*x\.json: {why}$"):
         read_json(path, "thing", SHAPE)
 

@@ -108,7 +108,7 @@ def test_load_error_on_bad_json(tmp_path):
     (dict(MINIMAL, success={"state_assertions": [{"expected": 1}]}),
      r":success\.state_assertions\[0\]\.path: missing"),
     (dict(MINIMAL, success={"response_facts": [{"match": {"number": "ten"}}]}),
-     r":success\.response_facts\[0\]\.match\.number: must be a number, got 'ten'"),
+     r':success\.response_facts\[0\]\.match\.number: must be a number, got "ten"'),
     (dict(MINIMAL, buyer_script=5), r":buyer_script: must be a list, got 5"),
     (dict(MINIMAL, success={"state_assertions": 5}), r":success\.state_assertions: must be a list"),
     (dict(MINIMAL, success={"response_facts": 5}), r":success\.response_facts: must be a list"),

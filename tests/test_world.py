@@ -195,7 +195,7 @@ def _shipment_without(field: str) -> dict:
     (dict(SEED, policies=["30 days"]), r"policies\[0\]: must be an object"),
     (dict(SEED, policies={"refund-window": "30 days"}), r"^policies: must be a list"),
     (dict(SEED, products={"P1": dict(SEED["products"]["P1"], price_cents="ten")}),
-     r"products\.P1\.price_cents: must be an integer, got 'ten'"),
+     r'products\.P1\.price_cents: must be an integer, got "ten"'),
     (dict(SEED, products={"P1": dict(SEED["products"]["P1"], stock=-1)}),
      r"^products\.P1\.stock: must be >= 0, got -1"),
     (dict(SEED, products={"P1": dict(SEED["products"]["P1"], colour="red")}),
