@@ -18,7 +18,7 @@ from .config import (
 )
 from .episode import run_episode, write_result
 from .errors import ClerkError, ConfigError, UsageError
-from .files import LIST, read_json, read_jsonl
+from .files import LIST, STRING, read_json, read_jsonl
 from .metrics import (
     ai_contribution_ratio,
     format_fraction,
@@ -65,13 +65,10 @@ def _add_agent_flags(parser: argparse.ArgumentParser) -> None:
 def _agent_config(args) -> AgentConfig:
     base = AgentConfig()
     if args.config:
-        row = read_config_file(args.config)
-        try:
-            base = agent_config_from_dict(row)
-        except ConfigError as exc:
-            raise ConfigError(f"config file {args.config}: {exc}") from None
+        base = agent_config_from_dict(read_config_file(args.config),
+                                      where=f"config file {args.config}")
     flags = {key: getattr(args, key) for key in CONFIG_KEYS if getattr(args, key, None) is not None}
-    return agent_config_from_dict(flags, base)
+    return agent_config_from_dict(flags, base, where="flags")
 
 
 def _episode_backends(args):
@@ -178,12 +175,8 @@ def cmd_ablate(args) -> int:
         if not tasks:
             raise UsageError(f"no {args.modality} tasks in suite")
     if args.matrix:
-        variants = []
-        for i, row in enumerate(read_json(args.matrix, "matrix file", LIST)):
-            try:
-                variants.append(AblationVariant.from_dict(row, base))
-            except ConfigError as exc:
-                raise ConfigError(f"matrix file {args.matrix} row {i}: {exc}") from None
+        variants = [AblationVariant.from_dict(row, base, f"matrix file {args.matrix} row {i}")
+                    for i, row in enumerate(read_json(args.matrix, "matrix file", LIST))]
     elif args.vary:
         variants = [AblationVariant.from_dict(row, base) for row in VARY_AXES[args.vary]]
     else:
@@ -292,6 +285,10 @@ def _print_turn(events) -> None:
         print(f"  tool {call['tool']}({call['arguments']}) -> {status}: {text[:120]}")
 
 
+# a trace line as replay reads it: any event with a string kind
+TRACE_LINE_SCHEMA = {"type": "object", "required": ["kind"], "properties": {"kind": STRING}}
+
+
 def cmd_replay(args) -> int:
     from .memory import read_transcript, render_turn
 
@@ -300,9 +297,7 @@ def cmd_replay(args) -> int:
     for msg in wm.turns:
         print(render_turn(msg))
     if args.trace:
-        for line_no, row in read_jsonl(args.trace, "trace"):
-            if not isinstance(row.get("kind"), str):
-                raise ConfigError(f"trace {args.trace} line {line_no} needs a string kind")
+        for _, row in read_jsonl(args.trace, "trace", TRACE_LINE_SCHEMA):
             print(f"  [{row['kind']}] " + json.dumps(row, sort_keys=True)[:160])
     return EXIT_OK
 

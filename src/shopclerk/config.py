@@ -1,13 +1,12 @@
 """Run and agent configuration, mergeable from defaults, file, and flags."""
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
 from .decision import MAX_PLANS
 from .errors import ConfigError
-from .files import OBJECT, read_json
+from .files import OBJECT, STRING, closed, read_json, shape_error
 from .placeholders import DEFAULT_MIN_URL_LENGTH
 from .vision import IntegrationStrategy
 
@@ -52,73 +51,56 @@ class AgentConfig:
         return row
 
 
-def _number(kind, low: float, high: float = math.inf):
-    """Parser for an int (kind=int) or float key that must lie in [low, high]."""
-    types = int if kind is int else (int, float)
-    bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
-    what = f"{'an integer' if kind is int else 'a number'} {bounds}"
+_AT_LEAST_1 = {"type": "integer", "minimum": 1}
+_NOT_NEGATIVE = {"type": "number", "minimum": 0}
+_ON_OFF = {"enum": ["on", "off", True, False]}
 
-    def parse(key: str, value):
-        if isinstance(value, bool) or not isinstance(value, types) or not low <= value <= high:
-            raise ConfigError(f"{key} must be {what}, got {value!r}")
-        return kind(value)
-
-    return parse
-
-
-def _choice(options: dict):
-    """Parser for a key whose value must be one of options' keys."""
-    names = " or ".join(k for k in options if isinstance(k, str))
-
-    def parse(key: str, value):
-        if not isinstance(value, (str, bool)) or value not in options:
-            raise ConfigError(f"{key} must be {names}, got {value!r}")
-        return options[value]
-
-    return parse
-
-
-_on_off = _choice({"on": True, "off": False, True: True, False: False})
-
-
-def _text(key: str, value) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{key} must be a string, got {value!r}")
-    return value
-
-
-# config key -> (AgentConfig field, LatencyModel field or None, parser)
+# config key -> (AgentConfig field, LatencyModel field or None, value schema)
 CONFIG_KEYS = {
-    "n_candidates": ("n_candidates", None, _number(int, 1, MAX_PLANS)),
-    "confidence_floor": ("confidence_floor", None, _number(float, 0.0, 1.0)),
-    "aci": ("abstraction_enabled", None, _on_off),
-    "strategy": ("strategy", None, _choice({s.value: s for s in IntegrationStrategy})),
-    "decision_module": ("decision_module", None, _on_off),
-    "max_plan_rounds": ("max_plan_rounds", None, _number(int, 1)),
-    "context_budget": ("context_budget", None, _number(int, 1)),
-    "elide_block": ("elide_block", None, _number(int, 1)),
-    "min_url_length": ("min_url_length", None, _number(int, 1)),
-    "template_dir": ("template_dir", None, _text),
-    "latency_alpha": ("latency_model", "alpha", _number(float, 0.0)),
-    "latency_beta": ("latency_model", "beta", _number(float, 0.0)),
+    "n_candidates": ("n_candidates", None, {"type": "integer", "minimum": 1, "maximum": MAX_PLANS}),
+    "confidence_floor": ("confidence_floor", None, {"type": "number", "minimum": 0, "maximum": 1}),
+    "aci": ("abstraction_enabled", None, _ON_OFF),
+    "strategy": ("strategy", None, {"enum": [s.value for s in IntegrationStrategy]}),
+    "decision_module": ("decision_module", None, _ON_OFF),
+    "max_plan_rounds": ("max_plan_rounds", None, _AT_LEAST_1),
+    "context_budget": ("context_budget", None, _AT_LEAST_1),
+    "elide_block": ("elide_block", None, _AT_LEAST_1),
+    "min_url_length": ("min_url_length", None, _AT_LEAST_1),
+    "template_dir": ("template_dir", None, STRING),
+    "latency_alpha": ("latency_model", "alpha", _NOT_NEGATIVE),
+    "latency_beta": ("latency_model", "beta", _NOT_NEGATIVE),
 }
+CONFIG_SCHEMA = closed([], **{key: schema for key, (_, _, schema) in CONFIG_KEYS.items()})
+# a row of an ablation matrix: a name and config keys
+VARIANT_SCHEMA = closed(["name"], name={"type": "string", "minLength": 1},
+                        **CONFIG_SCHEMA["properties"])
+# what an enum value stands for; every other value is taken as it is
+_MEANS = {"on": True, "off": False, **{s.value: s for s in IntegrationStrategy}}
 
 
-def agent_config_from_dict(row: dict, base: AgentConfig | None = None) -> AgentConfig:
-    """Layer a dict of config keys onto base; unknown keys and bad values raise ConfigError."""
-    if not isinstance(row, dict):
-        raise ConfigError(f"agent config must be a JSON object, got {type(row).__name__}")
+def _layered(row: dict, base: AgentConfig | None) -> AgentConfig:
+    """row's config keys, already checked, laid onto base."""
     config = base or AgentConfig()
     for key, value in row.items():
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"unknown config key {key!r}; known keys: {', '.join(CONFIG_KEYS)}")
-        field, sub, parse = CONFIG_KEYS[key]
-        value = parse(key, value)
+        field, sub, schema = CONFIG_KEYS[key]
+        if schema.get("type") == "number":
+            value = float(value)
+        elif "enum" in schema:
+            value = _MEANS.get(value, value)
         if sub:
             # the one nested field: a lone latency key starts from a zero model
             value = replace(getattr(config, field) or LatencyModel(0.0, 0.0), **{sub: value})
         config = replace(config, **{field: value})
     return config
+
+
+def agent_config_from_dict(row: dict, base: AgentConfig | None = None,
+                           where: str = "agent config") -> AgentConfig:
+    """Layer a dict of config keys onto base; a row that breaks CONFIG_SCHEMA raises
+    ConfigError(<where>: <path>: <why>)."""
+    if why := shape_error(row, CONFIG_SCHEMA):
+        raise ConfigError(f"{where}: {why}")
+    return _layered(row, base)
 
 
 def read_config_file(path: str | Path) -> dict:
@@ -133,9 +115,10 @@ class AblationVariant:
     agent: AgentConfig
 
     @classmethod
-    def from_dict(cls, row: dict, base: AgentConfig) -> "AblationVariant":
-        fields = dict(row) if isinstance(row, dict) else {}
-        name = fields.pop("name", None)
-        if not (isinstance(name, str) and name):
-            raise ConfigError(f"ablation variant needs a name: {row!r}")
-        return cls(name=name, agent=agent_config_from_dict(fields, base))
+    def from_dict(cls, row: dict, base: AgentConfig,
+                  where: str = "ablation variant") -> "AblationVariant":
+        """A matrix row; a misfit of VARIANT_SCHEMA raises ConfigError(<where>: <path>: <why>)."""
+        if why := shape_error(row, VARIANT_SCHEMA):
+            raise ConfigError(f"{where}: {why}")
+        keys = {key: value for key, value in row.items() if key != "name"}
+        return cls(name=row["name"], agent=_layered(keys, base))

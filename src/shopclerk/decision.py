@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .backends import ChatMessage, ChatRequest
 from .errors import ConfigError, EvaluationError, ProposalError, UsageError
-from .files import parse_once
+from .files import parse_once, shape_error
 
 LABELS = string.ascii_uppercase
 MAX_PLANS = len(LABELS)
@@ -107,42 +107,36 @@ def load_template(name: str, template_dir: str | Path | None = None) -> string.T
     return parse_once(_TEMPLATES, path, "template file", _parse_template)
 
 
+# a plan row of a propose reply; open, so a key the parser does not read is ignored
+PLAN_SCHEMA = {"type": "object", "required": ["kind"], "properties": {
+    "kind": {"enum": [k.value for k in PlanKind]},
+    "steps": {"type": ["array", "null"], "items": {
+        "type": "object", "required": ["tool"], "properties": {
+            "tool": {"type": "string", "minLength": 1},
+            "arguments": {"type": ["object", "null"]},
+        }}},
+    "rationale": {"type": ["string", "null"]},
+}}
+
+
 def _parse_plan(row: dict, plan_id: int) -> CandidatePlan | None:
     """One plan from backend JSON, or None when the entry is malformed."""
-    if not isinstance(row, dict):
+    if shape_error(row, PLAN_SCHEMA):
         return None
-    try:
-        kind = PlanKind(row.get("kind"))
-    except ValueError:
-        return None
-    raw_steps = row.get("steps") or []
-    if not isinstance(raw_steps, list):
-        return None
-    steps = []
-    for step in raw_steps:
-        if not isinstance(step, dict) or not isinstance(step.get("tool"), str) or not step["tool"]:
-            return None
-        args = step.get("arguments") or {}
-        if not isinstance(args, dict):
-            return None
-        steps.append(PlannedStep(step["tool"], args))
-    rationale = "" if row.get("rationale") is None else row["rationale"]
-    if not isinstance(rationale, str):
-        return None
+    kind = PlanKind(row["kind"])
+    steps = tuple(PlannedStep(step["tool"], step.get("arguments") or {})
+                  for step in row.get("steps") or ())
     reply = row.get("reply")
     if kind is PlanKind.DIRECT_REPLY:
         if steps or not isinstance(reply, str) or not reply:
             return None
-    else:
-        if not steps:
-            return None
-        if kind is PlanKind.SINGLE_TOOL and len(steps) != 1:
-            return None
+    elif not steps or kind is PlanKind.SINGLE_TOOL and len(steps) != 1:
+        return None
     return CandidatePlan(
         plan_id=plan_id,
         kind=kind,
-        steps=tuple(steps),
-        rationale=rationale,
+        steps=steps,
+        rationale=row.get("rationale") or "",
         draft_reply=reply if kind is PlanKind.DIRECT_REPLY else None,
     )
 

@@ -3,9 +3,9 @@
 Every read error is a ConfigError naming the file. Shapes are schema dicts in
 a JSON Schema 2020-12 subset (https://json-schema.org/draft/2020-12): type (a
 name or a list of names), properties, required, additionalProperties (false,
-or the schema of every other key), items, enum, minimum, minLength and
-minItems. Values are checked as json.loads returns them: nothing is coerced,
-and a boolean is never an integer or a number.
+or the schema of every other key), items, enum, minimum, maximum, minLength
+and minItems. Values are checked as json.loads returns them: nothing is coerced,
+a boolean is never an integer or a number, and NaN lies within no bound.
 """
 
 import json
@@ -88,11 +88,13 @@ def _first_problem(value, schema: dict) -> tuple[str, str] | None:
             for i, item in enumerate(value):
                 if problem := _first_problem(item, schema["items"]):
                     return _under(f"[{i}]", problem)
-    elif "minLength" in schema:
-        if value.__class__ is str and len(value) < schema["minLength"]:
+    elif value.__class__ is str:
+        if "minLength" in schema and len(value) < schema["minLength"]:
             return "", f"must have length >= {schema['minLength']}, got {_json(value)}"
-    elif "minimum" in schema and _fits(value, "number") and value < schema["minimum"]:
+    elif "minimum" in schema and _fits(value, "number") and not value >= schema["minimum"]:
         return "", f"must be >= {schema['minimum']}, got {_json(value)}"
+    elif "maximum" in schema and _fits(value, "number") and not value <= schema["maximum"]:
+        return "", f"must be <= {schema['maximum']}, got {_json(value)}"
     return None
 
 
@@ -145,9 +147,9 @@ def read_json(path, what: str, schema: dict | None = None, error=ConfigError):
     return parse_json(read_text(path, what, error), f"{what} {path}", schema, error)
 
 
-def read_jsonl(path, what: str) -> list[tuple[int, dict]]:
-    """(line number, object) for each non-blank line of a JSON-lines file."""
-    return [(line_no, parse_json(line, f"{what} {path} line {line_no}", OBJECT))
+def read_jsonl(path, what: str, schema: dict = OBJECT) -> list[tuple[int, dict]]:
+    """(line number, object of the given shape) for each non-blank line of a JSON-lines file."""
+    return [(line_no, parse_json(line, f"{what} {path} line {line_no}", schema))
             for line_no, line in enumerate(read_text(path, what).split("\n"), start=1)
             if line.strip()]
 

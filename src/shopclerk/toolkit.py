@@ -42,7 +42,7 @@ class ToolCall:
     arguments: dict
 
     def to_dict(self) -> dict:
-        return {"call_id": self.call_id, "tool": self.tool_name, "arguments": self.arguments}
+        return {"call_id": self.call_id, "tool": self.tool_name, "arguments": dict(self.arguments)}
 
 
 @dataclass(frozen=True)

@@ -121,7 +121,7 @@ def test_bad_config_value_exits_2(capsys, tmp_path):
     config.write_text(json.dumps({"max_plan_rounds": 0}))
     code, _, err = run_cli(capsys, "bench", "--n-trials", "1", "--k", "1", "--config", str(config))
     assert code == 2
-    assert "max_plan_rounds must be an integer >= 1, got 0" in err
+    assert f"config file {config}: max_plan_rounds: must be >= 1, got 0" in err
 
 
 def test_removed_vote_samples_key_exits_2_as_unknown(capsys, tmp_path):
@@ -130,7 +130,7 @@ def test_removed_vote_samples_key_exits_2_as_unknown(capsys, tmp_path):
     config.write_text(json.dumps({"vote_samples": 5}))
     code, out, err = run_cli(capsys, "bench", "--n-trials", "1", "--k", "1", "--config", str(config))
     assert code == 2 and out == ""
-    assert f"config file {config}: unknown config key 'vote_samples'" in err
+    assert f"config file {config}: vote_samples: unknown key" in err
 
 
 def test_unknown_config_key_names_the_config_file(capsys, tmp_path):
@@ -138,14 +138,14 @@ def test_unknown_config_key_names_the_config_file(capsys, tmp_path):
     config.write_text(json.dumps({"bogus": 1}))
     code, _, err = run_cli(capsys, "bench", "--n-trials", "1", "--k", "1", "--config", str(config))
     assert code == 2
-    assert f"config file {config}: unknown config key 'bogus'" in err
+    assert f"config file {config}: bogus: unknown key" in err
 
 
 @pytest.mark.parametrize("rows,row,why", [
-    ([5], 0, "ablation variant needs a name: 5"),
-    ([{"name": "a"}, {"name": "b", "bogus": 1}], 1, "unknown config key 'bogus'"),
-    ([{"name": 5}], 0, "ablation variant needs a name: {'name': 5}"),
-    ([{"name": "votes", "vote_samples": 1}], 0, "unknown config key 'vote_samples'"),
+    ([5], 0, "top level: must be an object, got 5"),
+    ([{"name": "a"}, {"name": "b", "bogus": 1}], 1, "bogus: unknown key"),
+    ([{"name": 5}], 0, "name: must be a string, got 5"),
+    ([{"name": "votes", "vote_samples": 1}], 0, "vote_samples: unknown key"),
 ])
 def test_bad_matrix_row_names_the_file_and_row(capsys, tmp_path, rows, row, why):
     matrix = tmp_path / "m.json"
@@ -585,7 +585,7 @@ GOOD_TURN = ('{"session_id": "s", "turn_index": 0, "role": "buyer",'
     ("transcript", '{"session_id": "s", "turn_index": 5, "role": "agent", "parts": []}',
      "line 2 is not the next message"),
     ("trace", "[1]", "line 2 must hold a JSON object"),
-    ("trace", "{}", "line 2 needs a string kind"),
+    ("trace", "{}", "line 2: kind: missing"),
 ], ids=["transcript-list", "transcript-without-parts", "transcript-out-of-order",
         "trace-list", "trace-without-kind"])
 def test_replay_malformed_row_exits_2(capsys, tmp_path, broken, line, why):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -71,12 +72,43 @@ def test_bad_values_raise_config_error():
 
 @pytest.mark.parametrize("value", [0, True, 2.5, "8"])
 def test_bad_elide_block_names_the_key(capsys, tmp_path, value):
-    with pytest.raises(ConfigError, match="elide_block must be an integer >= 1"):
+    why = "must be >= 1, got 0" if value == 0 else f"must be an integer, got {json.dumps(value)}"
+    with pytest.raises(ConfigError, match=f"^agent config: elide_block: {re.escape(why)}$"):
         agent_config_from_dict({"elide_block": value})
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"elide_block": value}))
     assert main(["bench", "--n-trials", "1", "--k", "1", "--config", str(config)]) == 2
-    assert f"config file {config}: elide_block must be an integer >= 1" in capsys.readouterr().err
+    assert f"config file {config}: elide_block: {why}" in capsys.readouterr().err
+
+
+def test_numbers_are_floats_and_enum_names_their_values():
+    config = agent_config_from_dict({"confidence_floor": 0, "latency_alpha": 1, "aci": True,
+                                     "decision_module": "off", "strategy": "planner"})
+    assert config.confidence_floor == 0.0 and type(config.confidence_floor) is float
+    assert config.latency_model == LatencyModel(1.0, 0.0)
+    assert type(config.latency_model.alpha) is float
+    assert config.abstraction_enabled and not config.decision_module
+    assert config.strategy is IntegrationStrategy.PLANNER
+    assert config.to_dict()["confidence_floor"] == 0.0
+
+
+@pytest.mark.parametrize("row,why", [
+    ({"n_candidates": 27}, "n_candidates: must be <= 26, got 27"),
+    ({"confidence_floor": 1.5}, "confidence_floor: must be <= 1, got 1.5"),
+    ({"confidence_floor": float("nan")}, "confidence_floor: must be >= 0, got NaN"),
+    ({"latency_alpha": float("nan")}, "latency_alpha: must be >= 0, got NaN"),
+    ({"aci": 1}, 'aci: must be one of ["on", "off", true, false], got 1'),
+    ({"strategy": "hybrid"}, 'strategy: must be one of ["tool", "planner"], got "hybrid"'),
+    ({"template_dir": 5}, "template_dir: must be a string, got 5"),
+])
+def test_a_bad_value_names_its_key_and_why(row, why):
+    with pytest.raises(ConfigError, match=f"^agent config: {re.escape(why)}$"):
+        agent_config_from_dict(row)
+
+
+def test_a_bad_flag_names_the_flags(capsys):
+    assert main(["bench", "--n-trials", "1", "--k", "1", "--n-candidates", "27"]) == 2
+    assert "error: flags: n_candidates: must be <= 26, got 27" in capsys.readouterr().err
 
 
 def test_ablation_matrix_varies_elide_block(capsys, tmp_path):
@@ -110,8 +142,10 @@ def test_config_file_feeds_agent_config(tmp_path):
 
 
 def test_ablation_variant_needs_name():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^ablation variant: name: missing$"):
         AblationVariant.from_dict({"aci": "off"}, AgentConfig())
+    with pytest.raises(ConfigError, match="^ablation variant: name: must have length >= 1"):
+        AblationVariant.from_dict({"name": ""}, AgentConfig())
     variant = AblationVariant.from_dict({"name": "no-aci", "aci": "off"}, AgentConfig())
     assert variant.name == "no-aci"
     assert not variant.agent.abstraction_enabled

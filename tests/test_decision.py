@@ -15,6 +15,8 @@ from shopclerk.decision import (
     CandidatePlan,
     PlanEvaluation,
     PlanKind,
+    PlannedStep,
+    _parse_plan,
     evaluate,
     load_template,
     plan_listing,
@@ -95,7 +97,9 @@ def test_propose_drops_malformed_keeps_valid():
     assert plans[0].draft_reply == "ok"
 
 
-@pytest.mark.parametrize("steps", [5, True, 2.5, "product_info", {"tool": "product_info"}])
+# a falsy steps other than null is not read as no steps: nothing is coerced
+@pytest.mark.parametrize("steps", [5, True, 2.5, "product_info", {"tool": "product_info"},
+                                   0, False, 0.0, "", {}])
 def test_propose_drops_a_plan_whose_steps_is_not_a_list(steps):
     rows = [{"kind": "single_tool", "steps": steps, "rationale": "r"},
             {"kind": "direct_reply", "steps": steps, "reply": "hi"},
@@ -106,12 +110,138 @@ def test_propose_drops_a_plan_whose_steps_is_not_a_list(steps):
         propose("ctx", CATALOG, 3, backend_with(fenced(rows[:2])))
 
 
-@pytest.mark.parametrize("steps", [None, 0, False, 0.0, "", {}, []])
+@pytest.mark.parametrize("steps", [None, []])
 def test_propose_reads_a_falsy_steps_as_no_steps(steps):
     rows = [{"kind": "single_tool", "steps": steps, "rationale": "r"},
             {"kind": "direct_reply", "steps": steps, "reply": "hi"}]
     plans = propose("ctx", CATALOG, 3, backend_with(fenced(rows)))
     assert [(p.kind, p.steps, p.draft_reply) for p in plans] == [(PlanKind.DIRECT_REPLY, (), "hi")]
+
+
+@pytest.mark.parametrize("step", [{"tool": "product_info"},
+                                  {"tool": "product_info", "arguments": None},
+                                  {"tool": "product_info", "arguments": {}}])
+def test_propose_reads_a_missing_or_null_arguments_as_no_arguments(step):
+    plans = propose("ctx", CATALOG, 3, backend_with(fenced([{"kind": "single_tool",
+                                                             "steps": [step]}])))
+    assert plans[0].steps[0].arguments == {}
+
+
+@pytest.mark.parametrize("arguments", [0, False, 0.0, "", [], 5, "P1", ["P1"]])
+def test_propose_drops_a_plan_whose_arguments_is_not_an_object(arguments):
+    rows = [{"kind": "single_tool", "steps": [{"tool": "product_info", "arguments": arguments}]},
+            plan_row("direct_reply", reply="ok")]
+    plans = propose("ctx", CATALOG, 3, backend_with(fenced(rows)))
+    assert [p.draft_reply for p in plans] == ["ok"]
+
+
+def test_propose_ignores_keys_it_does_not_read():
+    row = plan_row("single_tool", ["product_info"], reply=5)
+    row["confidence"] = 0.9
+    row["steps"][0]["why"] = ["any", "thing"]
+    plans = propose("ctx", CATALOG, 3, backend_with(fenced([row])))
+    assert [(p.kind, p.steps[0].arguments, p.draft_reply) for p in plans] == [
+        (PlanKind.SINGLE_TOOL, {"product_id": "P1"}, None)]
+
+
+def reference_parse_plan(row, plan_id):
+    """The former hand-written parser, which read a falsy steps or arguments as none."""
+    if not isinstance(row, dict):
+        return None
+    try:
+        kind = PlanKind(row.get("kind"))
+    except ValueError:
+        return None
+    raw_steps = row.get("steps") or []
+    if not isinstance(raw_steps, list):
+        return None
+    steps = []
+    for step in raw_steps:
+        if not isinstance(step, dict) or not isinstance(step.get("tool"), str) or not step["tool"]:
+            return None
+        args = step.get("arguments") or {}
+        if not isinstance(args, dict):
+            return None
+        steps.append(PlannedStep(step["tool"], args))
+    rationale = "" if row.get("rationale") is None else row["rationale"]
+    if not isinstance(rationale, str):
+        return None
+    reply = row.get("reply")
+    if kind is PlanKind.DIRECT_REPLY:
+        if steps or not isinstance(reply, str) or not reply:
+            return None
+    else:
+        if not steps:
+            return None
+        if kind is PlanKind.SINGLE_TOOL and len(steps) != 1:
+            return None
+    return CandidatePlan(plan_id=plan_id, kind=kind, steps=tuple(steps), rationale=rationale,
+                         draft_reply=reply if kind is PlanKind.DIRECT_REPLY else None)
+
+
+_LEAVES = (None, 0, 1, False, True, 0.0, 2.5, "", "x", [], {}, ["x"], {"a": 1})
+
+
+def _random_step(rng):
+    if rng.random() < 0.05:
+        return rng.choice(_LEAVES)
+    step = {}
+    if rng.random() < 0.95:
+        step["tool"] = rng.choice(["product_info", "order_lookup"]) if rng.random() < 0.8 else \
+            rng.choice(_LEAVES)
+    if rng.random() < 0.8:
+        step["arguments"] = {"product_id": "P1"} if rng.random() < 0.6 else rng.choice(_LEAVES)
+    if rng.random() < 0.05:
+        step["note"] = rng.choice(_LEAVES)
+    return step
+
+
+def _random_row(rng):
+    if rng.random() < 0.05:
+        return rng.choice(_LEAVES)
+    row = {}
+    if rng.random() < 0.95:
+        row["kind"] = rng.choice([k.value for k in PlanKind] * 3 + ["bogus", 1, None])
+    if rng.random() < 0.8:
+        row["steps"] = ([_random_step(rng) for _ in range(rng.choice((0, 1, 1, 1, 2, 3)))]
+                        if rng.random() < 0.7 else rng.choice(_LEAVES))
+    if rng.random() < 0.7:
+        row["rationale"] = "because" if rng.random() < 0.6 else rng.choice(_LEAVES)
+    if rng.random() < 0.6:
+        row["reply"] = "hi" if rng.random() < 0.5 else rng.choice(_LEAVES)
+    if rng.random() < 0.1:
+        row["confidence"] = rng.choice(_LEAVES)
+    return row
+
+
+def _falsy_but_not(value, kind) -> bool:
+    return value is not None and not value and not isinstance(value, kind)
+
+
+def _read_falsy_as_none(row) -> bool:
+    """Whether the former parser read a falsy non-null steps or arguments as none."""
+    if not isinstance(row, dict):
+        return False
+    steps = row.get("steps")
+    if _falsy_but_not(steps, list):
+        return True
+    return isinstance(steps, list) and any(
+        isinstance(step, dict) and _falsy_but_not(step.get("arguments"), dict) for step in steps)
+
+
+def test_plan_schema_parses_random_rows_like_the_former_parser():
+    rng = random.Random(18)
+    kept = coerced = 0
+    for _ in range(100_000):
+        row = _random_row(rng)
+        plan = _parse_plan(row, 0)
+        if _read_falsy_as_none(row):
+            assert plan is None, row
+            coerced += reference_parse_plan(row, 0) is not None
+        else:
+            assert plan == reference_parse_plan(row, 0), row
+            kept += plan is not None
+    assert kept > 5_000 and coerced > 100  # the corpus keeps plans and meets every coercion
 
 
 def test_propose_without_json_block_is_proposal_error():

@@ -82,6 +82,8 @@ def test_shape_error_types_coerce_nothing(schema, fits, misfits):
     ("ten", {"type": "number"}, 'must be a number, got "ten"'),
     ({"a": 1}, {"type": "string"}, "must be a string, got an object"),
     ((1, 2), {"type": "array"}, "must be a list, got (1, 2)"),  # no JSON value, so its repr
+    (26.5, {"minimum": 1, "maximum": 26}, "must be <= 26, got 26.5"),
+    (-5, {"type": ["string", "integer"], "minLength": 1, "minimum": 0}, "must be >= 0, got -5"),
 ])
 def test_misfits_show_values_as_json_writes_them(value, schema, error):
     assert shape_error(value, schema) == f"top level: {error}"

@@ -110,6 +110,21 @@ def test_every_invocation_lands_in_trace():
     assert trace.events[3]["result"]["is_error"] is True
 
 
+def test_a_handler_that_mutates_its_arguments_leaves_the_recorded_call_alone():
+    def mangle(args):
+        args["note"] = "mangled"
+        return "ok"
+
+    registry = ToolRegistry()
+    schema = {"type": "object", "properties": {"note": {"type": "string"}}}
+    registry.register(ToolDescriptor("status_note", "Note a status.", schema), mangle)
+    trace = ActionTrace()
+    call = ToolCall("c1", "status_note", {"note": "as sent"})
+    registry.invoke(call, trace)
+    assert trace.events[0]["call"]["arguments"] == {"note": "as sent"}
+    assert call.arguments == {"note": "mangled"}  # the handler still gets the call's own dict
+
+
 def test_validate_arguments_type_checks():
     schema = {
         "properties": {
