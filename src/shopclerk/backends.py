@@ -44,7 +44,7 @@ class ChatResponse:
 
     def __post_init__(self):
         if self.label_probs is not None:
-            if any(p < 0 for p in self.label_probs.values()):
+            if not all(p >= 0 for p in self.label_probs.values()):  # NaN fails too
                 raise UsageError("label probabilities must be nonnegative")
             if sum(self.label_probs.values()) > 1.0 + 1e-9:
                 raise UsageError("label probabilities must sum to at most 1")
@@ -124,12 +124,19 @@ def _first_in(needles: list[tuple[int, str]], text: str, miss: int) -> int:
     return miss
 
 
-# Scripts this long are matched from a shared line memo. A session makes about
-# one call per entry. On generated long-session scripts the memo's matching time over
-# a session was 2x the loop's at 16 entries, even at 32 and 0.4x at 64; its first call,
-# with every line cold, was 2x the loop's at 40 entries and 1.3x at 64. At 40 entries
-# (order-desk) that first call raised turn_ms_p99 by 6% and bought no episodes/s.
-LINE_MEMO_MIN_ENTRIES = 64
+# Scripts this long are matched from the shared line memo. A session makes about one
+# call per entry, and since the memo is shared by every episode of a script file
+# version only the first session of a script is cold. Per call on generated
+# order-desk scripts, median of 60 sessions at each of two seeds on a 2-vCPU host
+# (loop / warm memo / memo over one cold session, in us):
+#    8 entries: 3.5-3.7   / 6.6-6.7   / 12.6-12.9
+#   16 entries: 7.0-7.1   / 7.6-8.0   / 14.6-15.4
+#   24 entries: 12.1-13.3 / 9.4-9.7   / 18.0-18.8
+#   32 entries: 18.2-18.9 / 11.1-11.9 / 21.2-22.7
+#   36 entries: 21.4      / 11.5-11.9 / 22.2-22.5
+#   40 entries: 25.5-26.0 / 12.2-12.6 / 23.6-24.1
+# The warm memo wins from 24 entries on; over a cold session it first stops losing at 40.
+LINE_MEMO_MIN_ENTRIES = 40
 
 
 class _Matcher:

@@ -103,8 +103,8 @@ def run_ablation(
     workers: int = 1,
 ) -> tuple[list[VariantReport], list[EpisodeResult]]:
     """One report row per variant over the full suite."""
-    if any(k > n_trials for k in k_values):
-        raise UsageError(f"every k in {k_values} must be <= n_trials={n_trials}")
+    if any(not 1 <= k <= n_trials for k in k_values):
+        raise UsageError(f"every k in {k_values} must be in 1..n_trials={n_trials}")
     if not variants:
         raise UsageError("ablation needs at least one variant")
     reports = []

@@ -39,8 +39,15 @@ VIDEO_SUFFIXES = (".mp4", ".mov")
 
 
 def classify_url(url: str) -> RefKind:
-    """Map a URL onto a reference kind via an ordered pattern table."""
-    parsed = urlparse(url)
+    """Map a URL onto a reference kind via an ordered pattern table.
+
+    A URL that urlsplit rejects (an unbalanced [ or ] in its host) is OTHER: a
+    plain link, never looked up by the key in its path.
+    """
+    try:
+        parsed = urlparse(url)
+    except ValueError:
+        return RefKind.OTHER
     path = parsed.path.lower()
     host = parsed.netloc.lower()
     if path.endswith(IMAGE_SUFFIXES):

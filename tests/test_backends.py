@@ -98,6 +98,9 @@ def test_label_probs_validation():
         ChatResponse(text="A", label_probs={"A": -0.1})
     with pytest.raises(UsageError):
         ChatResponse(text="A", label_probs={"A": 0.8, "B": 0.5})
+    # NaN compares false both ways, so neither bound alone would catch it
+    with pytest.raises(UsageError, match="nonnegative"):
+        ChatResponse(text="A", label_probs={"A": float("nan"), "B": 0.2})
 
 
 def test_request_needs_messages():
@@ -193,7 +196,10 @@ def test_corrupt_store_is_config_error(tmp_path):
      'd1[0].label_probs.A: must be a number, got "high"'),
     ({"d1": [{"text": "A", "label_probs": {"A": 0.9, "B": 0.9}}]},
      "digest d1 row 0: label probabilities must sum to at most 1"),
-], ids=["rows-not-list", "row-not-object", "text-not-string", "probs-not-numbers", "probs-over-one"])
+    ({"d1": [{"text": "A", "label_probs": {"A": float("nan")}}]},
+     "digest d1 row 0: label probabilities must be nonnegative"),
+], ids=["rows-not-list", "row-not-object", "text-not-string", "probs-not-numbers", "probs-over-one",
+        "probs-nan"])
 def test_malformed_store_row_is_config_error_naming_the_digest(tmp_path, payload, where):
     store = tmp_path / "bad-store.json"
     store.write_text(json.dumps(payload))
@@ -523,6 +529,36 @@ def test_backends_from_one_script_version_share_a_memo_and_keep_their_cursors(tm
     assert c.complete(req("ticket 004")).text == "turn four, rewritten"
     assert c._matcher.line_memo == {"ticket 004": 5}
     assert len(memo) == 4 and ScriptedBackend.from_file(path)._matcher is c._matcher
+
+
+def test_every_bundled_script_is_matched_by_the_whole_text_loop(data_dir):
+    paths = [*(data_dir / "scripts").glob("*.json"),
+             *(data_dir / "adversarial").glob("*.script.json"), data_dir / "demo" / "script.json"]
+    assert len(paths) == 15
+    for path in paths:
+        backend = ScriptedBackend.from_file(path)
+        assert len(backend.entries) < backends.LINE_MEMO_MIN_ENTRIES, path
+        assert backend._matcher.line_memo is None, path
+
+
+def test_a_forty_entry_script_file_shares_one_memo_that_serves_a_second_backend(tmp_path,
+                                                                              monkeypatch):
+    # forty entries: the size of an order-desk script, ten turns of four
+    assert backends.LINE_MEMO_MIN_ENTRIES <= 40
+    path = tmp_path / "desk.json"
+    path.write_text(json.dumps({"entries": [
+        {"contains": f"ticket {i:03d}", "response": {"text": f"turn {i}"}} for i in range(40)]}))
+    first = ScriptedBackend.from_file(path)
+    memo = first._matcher.line_memo
+    assert memo == {}
+    assert first.complete(req("header\nticket 031\nticket 007")).text == "turn 7"
+    assert memo == {"header": 40, "ticket 031": 31, "ticket 007": 7}
+    second = ScriptedBackend.from_file(path)
+    assert second._matcher.line_memo is memo
+    # every line is in the memo, so the second backend never runs a needle search
+    monkeypatch.setattr(backends, "_first_in", lambda *a: pytest.fail("searched a warm line"))
+    assert second.complete(req("ticket 031\nheader")).text == "turn 31"
+    assert (first.calls, second.calls) == (1, 1)
 
 
 # --- script files: validation and the per-file-version cache ---

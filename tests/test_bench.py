@@ -42,6 +42,16 @@ def test_k_values_bounded_by_n_trials(three_tasks, scripts_dir, vision_fixtures)
                      n_trials=5, k_values=[7])
 
 
+@pytest.mark.parametrize("k_values", [[0], [1, -2]])
+def test_k_below_one_is_rejected_before_any_episode(three_tasks, k_values):
+    def factory(task, trial):
+        raise AssertionError("no episode may start")
+
+    with pytest.raises(UsageError, match=r"must be in 1\.\.n_trials=2"):
+        run_ablation(three_tasks, [AblationVariant("a", AgentConfig())], factory,
+                     n_trials=2, k_values=k_values)
+
+
 def test_aci_ablation_direction_on_multimodal(suite_dir, scripts_dir, vision_fixtures):
     tasks = [t for t in load_suite(suite_dir, vision_fixtures) if t.modality == "multimodal"]
     factory = make_factory(scripts_dir, vision_fixtures)

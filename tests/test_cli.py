@@ -54,6 +54,19 @@ def test_run_malformed_script_file_exits_2(capsys, suite_dir, tmp_path, payload)
     assert "malformed-script.json" in err
 
 
+def test_run_script_with_a_nan_label_probability_exits_2_naming_the_entry(capsys, suite_dir,
+                                                                          tmp_path):
+    # json reads the bare NaN; left in, it made every confidence NaN and skipped the floor
+    script = tmp_path / "nan-script.json"
+    script.write_text('{"entries": [{"step": 0, "response": {"text": "A"}}, '
+                      '{"contains": "", "response": {"text": "A", "label_probs": {"A": NaN}}}]}')
+    code, _, err = run_cli(
+        capsys, "run", "--task", str(suite_dir / "kettle-capacity.json"), "--script", str(script),
+    )
+    assert code == 2
+    assert f"script file {script}: entry 1 response: label probabilities must be nonnegative" in err
+
+
 @pytest.mark.parametrize("name, text, complaint", [
     ("propose.txt", None, "cannot be read"),
     ("propose.txt", "$context $tool_catalog $n_candidates costs $5", "malformed placeholder"),

@@ -456,3 +456,19 @@ def test_failed_describe_is_traced_and_counted(suite_dir, vision_fixtures, tmp_p
     assert "unknown asset" in describes[0]["error"]
     assert "output" not in describes[0]
     assert session.trace.usage().describe_calls == 1
+
+
+def test_a_stored_url_with_an_unbalanced_bracket_is_a_link_not_a_crash(suite_dir, vision_fixtures,
+                                                                        tmp_path):
+    # the observation of the get carries the URL, which urlsplit rejects as an invalid IPv6 host
+    body = json.dumps({"link": "http://[oops"})
+    plans = [{"kind": "tool_sequence", "rationale": "Note the link.", "reply": None, "steps": [
+        {"tool": "memory_put", "arguments": {"namespace": "buyer_profile", "key": "k",
+                                             "body_json": body}},
+        {"tool": "memory_get", "arguments": {"namespace": "buyer_profile", "key": "k"}}]}]
+    chat = plans_script(plans, "Note the link.", tmp_path / "bracket.json")
+    task = load_task(suite_dir / "kettle-capacity.json", vision_fixtures)
+    result = run_episode(task, AgentConfig(), chat, vision_fixtures)
+    assert result.error is None
+    results = [e["result"] for e in result.trace.events if e["kind"] == "tool_result"]
+    assert [r["is_error"] for r in results[:2]] == [False, False]

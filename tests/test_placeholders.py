@@ -55,6 +55,15 @@ def test_abstract_single_image():
     assert table.entries[0].kind is RefKind.IMAGE
 
 
+def test_url_with_an_unbalanced_bracket_in_its_host_is_a_plain_link():
+    # urlsplit rejects the host as an invalid IPv6 literal, so its order path is never looked up
+    url = "https://[shop.example/order/O-1001"
+    assert classify_url(url) is RefKind.OTHER
+    table = PlaceholderTable()
+    assert abstract_text(f"see {url}", table) == "see [Link 1]"
+    assert resolve("[Link 1]", table, vision=None, store=None) == url  # no lookup attempted
+
+
 def test_abstract_same_url_twice_one_entry():
     table = PlaceholderTable()
     out = abstract_text(f"{IMG} and again {IMG}", table)

@@ -254,3 +254,11 @@ def test_world_seed_error_names_the_file_and_the_path(tmp_path):
     path.write_text(json.dumps(dict(MINIMAL, world={"orders": {"O1": {"status": "paid"}}})))
     with pytest.raises(TaskLoadError, match=r"bad-task\.json:world: orders\.O1\.buyer_id: missing"):
         load_task(path)
+
+
+def test_url_with_an_unbalanced_bracket_in_its_host_loads(tmp_path):
+    # urlsplit rejects the host as an invalid IPv6 literal; the loader classifies it as a link
+    path = tmp_path / "bracket.json"
+    path.write_text(json.dumps(dict(MINIMAL, buyer_script=[{"utterance": "see http://[oops"}])))
+    [task] = load_suite(tmp_path)
+    assert task.image_urls() == []
