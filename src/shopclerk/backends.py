@@ -95,27 +95,6 @@ def _response_from_dict(row: dict, where: str) -> ChatResponse:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _parse_script(path: str, text: str) -> tuple[ScriptEntry, ...]:
-    rows = parse_json(text, f"script file {path}", SCRIPT_SCHEMA).get("entries", [])
-    entries = []
-    for i, row in enumerate(rows):
-        where = f"script file {path}: entry {i}"
-        response = _response_from_dict(row["response"], f"{where} response")
-        try:
-            entries.append(ScriptEntry(response, row.get("step"), row.get("contains")))
-        except ConfigError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
-    return tuple(entries)
-
-
-_SCRIPTS: dict[str, tuple[tuple[int, int], tuple[ScriptEntry, ...]]] = {}
-
-
-def load_script(path: str | Path) -> tuple[ScriptEntry, ...]:
-    """The entries of a script file, parsed once per file version."""
-    return parse_once(_SCRIPTS, path, "script file", _parse_script)
-
-
 def _first_in(needles: list[tuple[int, str]], text: str, miss: int) -> int:
     """The index of the first needle that occurs in text, else miss."""
     for i, needle in needles:
@@ -143,8 +122,8 @@ class _Matcher:
     """What matching needs of one entries tuple: the step table, the needles and the line memo.
 
     A memo value is a pure function of its line and the needle list, so every
-    backend of one script file version shares one matcher, on any thread: two
-    that miss on a line together store the same index.
+    backend of one script file version shares the matcher load_script caches,
+    on any thread: two that miss on a line together store the same index.
     """
 
     def __init__(self, entries: tuple[ScriptEntry, ...]):
@@ -182,8 +161,25 @@ class _Matcher:
         return best
 
 
-# path -> the matcher of the entries load_script last returned for it
-_MATCHERS: dict[str, _Matcher] = {}
+def _parse_script(path: str, text: str) -> _Matcher:
+    rows = parse_json(text, f"script file {path}", SCRIPT_SCHEMA).get("entries", [])
+    entries = []
+    for i, row in enumerate(rows):
+        where = f"script file {path}: entry {i}"
+        response = _response_from_dict(row["response"], f"{where} response")
+        try:
+            entries.append(ScriptEntry(response, row.get("step"), row.get("contains")))
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+    return _Matcher(tuple(entries))
+
+
+_SCRIPTS: dict[str, tuple[tuple[int, int], _Matcher]] = {}
+
+
+def load_script(path: str | Path) -> _Matcher:
+    """A script file's entries and their matcher, parsed once per file version."""
+    return parse_once(_SCRIPTS, path, "script file", _parse_script)
 
 
 class ScriptedBackend:
@@ -200,9 +196,8 @@ class ScriptedBackend:
     one script file version share the memo; one built from entries keeps its own.
     """
 
-    def __init__(self, entries: tuple[ScriptEntry, ...] | list[ScriptEntry],
-                 matcher: _Matcher | None = None):
-        self._matcher = matcher or _Matcher(tuple(entries))
+    def __init__(self, script: _Matcher | tuple[ScriptEntry, ...] | list[ScriptEntry]):
+        self._matcher = script if isinstance(script, _Matcher) else _Matcher(tuple(script))
         self.entries = self._matcher.entries
         self.calls = 0  # this backend's own cursor; the matcher may be shared
         self._steps = self._matcher.steps
@@ -210,12 +205,7 @@ class ScriptedBackend:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
-        entries = load_script(path)
-        key = os.fspath(path)
-        matcher = _MATCHERS.get(key)
-        if matcher is None or matcher.entries is not entries:  # a new file version
-            matcher = _MATCHERS[key] = _Matcher(entries)
-        return cls(entries, matcher)
+        return cls(load_script(path))
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         index = self.calls

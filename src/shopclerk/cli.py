@@ -128,9 +128,12 @@ def cmd_run(args) -> int:
 
 def _parse_k_values(raw: str) -> list[int]:
     try:
-        return [int(x) for x in raw.split(",") if x]
+        k_values = [int(x) for x in raw.split(",") if x]
     except ValueError:
         raise UsageError(f"bad k list: {raw!r}") from None
+    if not k_values:
+        raise UsageError(f"empty k list: {raw!r}")
+    return k_values
 
 
 def _check_counts(args) -> None:

@@ -26,7 +26,7 @@ class TaskLoadError(ConfigError):
 
 
 class RegistrationError(ClerkError):
-    """Duplicate tool name, or a tool registered after the catalog rendered."""
+    """Duplicate tool name in a registry's tools."""
 
 
 class ProposalError(ClerkError):

@@ -158,8 +158,8 @@ def parse_once(cache: dict, path, what: str, parse):
     """parse(path, text) once per file version, (st_mtime_ns, st_size), per process.
 
     cache maps a path to (version, parsed value); the value is shared by every
-    caller, so parse must return an immutable object. Two threads that miss
-    together both parse and store equal values.
+    caller and thread, so parse must return a value that is safe to share. Two
+    threads that miss together both parse and store equal values.
     """
     path = os.fspath(path)
     try:

@@ -124,10 +124,7 @@ def build_registry(
 ) -> ToolRegistry:
     """Bind one session's handlers to the strategy's tools and memory actions."""
     handlers = _Handlers(world, store, table, vision)
-    registry = ToolRegistry()
-    for descriptor in TOOLS_BY_STRATEGY[strategy]:
-        registry.register(descriptor, getattr(handlers, descriptor.name))
-    return registry
+    return ToolRegistry((d, getattr(handlers, d.name)) for d in TOOLS_BY_STRATEGY[strategy])
 
 
 def return_error(message: str):

@@ -8,7 +8,7 @@ is_error}.
 import json
 import logging
 from dataclasses import asdict, dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import RegistrationError
 from .files import shape_error
@@ -145,22 +145,20 @@ def _render_catalog(descriptors: tuple[ToolDescriptor, ...]) -> str:
 
 
 class ToolRegistry:
-    """Named tools with validated invocation; immutable once sessions start.
+    """Named tools with validated invocation; the tools are fixed when it is built."""
 
-    The first catalog_text() call closes the registry: register() raises
-    from then on, so the memoized catalog never goes stale.
-    """
-
-    def __init__(self):
-        self._tools: dict[str, tuple[ToolDescriptor, Callable[[dict], list[ContentPart] | str]]] = {}
-        self._catalog: str | None = None
-
-    def register(self, descriptor: ToolDescriptor, handler: Callable) -> None:
-        if self._catalog is not None:
-            raise RegistrationError(f"registry is closed; cannot register {descriptor.name}")
-        if descriptor.name in self._tools:
-            raise RegistrationError(f"tool already registered: {descriptor.name}")
-        self._tools[descriptor.name] = (descriptor, handler)
+    def __init__(self, tools: Iterable[tuple[ToolDescriptor, Callable]]):
+        self._tools: dict[str, tuple[ToolDescriptor, Callable]] = {}
+        for descriptor, handler in tools:
+            if descriptor.name in self._tools:
+                raise RegistrationError(f"tool already registered: {descriptor.name}")
+            self._tools[descriptor.name] = (descriptor, handler)
+        # rendered once per process for each distinct descriptor sequence; two
+        # threads that miss together both render and store equal text
+        descriptors = tuple(self.descriptors())
+        self._catalog = _CATALOGS.get(descriptors)
+        if self._catalog is None:
+            self._catalog = _CATALOGS[descriptors] = _render_catalog(descriptors)
 
     def __contains__(self, name: str) -> bool:
         return name in self._tools
@@ -169,17 +167,7 @@ class ToolRegistry:
         return [d for d, _ in self._tools.values()]
 
     def catalog_text(self) -> str:
-        """Human/LLM readable tool list for prompt templates.
-
-        Rendered once per process for each distinct descriptor sequence; two
-        threads that miss together both render and store equal text.
-        """
-        if self._catalog is None:
-            descriptors = tuple(self.descriptors())
-            text = _CATALOGS.get(descriptors)
-            if text is None:
-                text = _CATALOGS[descriptors] = _render_catalog(descriptors)
-            self._catalog = text
+        """Human/LLM readable tool list for prompt templates."""
         return self._catalog
 
     def invoke(self, call: ToolCall, trace: ActionTrace | None = None) -> ToolResult:

@@ -503,9 +503,10 @@ def test_backends_from_one_script_version_share_a_memo_and_keep_their_cursors(tm
     path = tmp_path / "s.json"
     path.write_text(json.dumps(payload))
     a, b = ScriptedBackend.from_file(path), ScriptedBackend.from_file(path)
-    assert a.entries is b.entries
+    assert a._matcher is b._matcher is load_script(path)
+    assert a.entries is b.entries is load_script(path).entries
     memo = a._matcher.line_memo
-    assert b._matcher.line_memo is memo == {}
+    assert memo == {}
     assert a.complete(req("ticket 007")).text == "first call"
     assert a.complete(req("header\nticket 007")).text == "turn 7"
     assert a.complete(req("header\nticket 002\nticket 007")).text == "turn 2"
@@ -515,20 +516,28 @@ def test_backends_from_one_script_version_share_a_memo_and_keep_their_cursors(tm
     assert (a.calls, b.calls) == (3, 2)
     assert memo == {"header": size + 1, "ticket 007": 8, "ticket 002": 3, "ticket 005": 6}
     # a backend built from a list keeps a private memo
-    private = ScriptedBackend(list(load_script(path)))
+    private = ScriptedBackend(list(load_script(path).entries))
     assert private.complete(req("x")).text == "first call"
     assert private.complete(req("ticket 009")).text == "turn 9"
     assert private._matcher.line_memo == {"ticket 009": 10}
     assert len(memo) == 4
-    # a rewritten file version starts with an empty memo
+    # a rewritten file version gets a fresh matcher with an empty memo, while a
+    # backend of the older version keeps its own matcher, entries and memo
+    old_matcher = a._matcher
     payload["entries"][5]["response"]["text"] = "turn four, rewritten"
     path.write_text(json.dumps(payload))
     c = ScriptedBackend.from_file(path)
+    assert c._matcher is load_script(path) is not old_matcher
     assert c._matcher.line_memo == {} and c.entries is not a.entries
     assert c.complete(req("x")).text == "first call"
     assert c.complete(req("ticket 004")).text == "turn four, rewritten"
     assert c._matcher.line_memo == {"ticket 004": 5}
-    assert len(memo) == 4 and ScriptedBackend.from_file(path)._matcher is c._matcher
+    assert a._matcher is old_matcher and a._matcher.line_memo is memo
+    assert a.complete(req("ticket 004")).text == "turn 4"
+    assert memo == {"header": size + 1, "ticket 007": 8, "ticket 002": 3, "ticket 005": 6,
+                    "ticket 004": 5}
+    assert c._matcher.line_memo == {"ticket 004": 5}
+    assert ScriptedBackend.from_file(path)._matcher is c._matcher
 
 
 def test_every_bundled_script_is_matched_by_the_whole_text_loop(data_dir):
@@ -591,13 +600,13 @@ def test_script_rewritten_in_place_is_read_again(tmp_path):
     assert load_script(path) is first  # same version: served from the cache
     # a new size
     path.write_text(json.dumps({"entries": [{"step": 0, "response": {"text": "three"}}]}))
-    assert load_script(path)[0].response.text == "three"
+    assert load_script(path).entries[0].response.text == "three"
     # the same size, a new mtime
     stat = path.stat()
     path.write_text(json.dumps({"entries": [{"step": 0, "response": {"text": "seven"}}]}))
     os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
     assert path.stat().st_size == stat.st_size
-    assert load_script(path)[0].response.text == "seven"
+    assert load_script(path).entries[0].response.text == "seven"
 
 
 def test_script_deleted_after_a_cache_hit_is_config_error(tmp_path):

@@ -417,6 +417,18 @@ def test_metrics_records_passk(capsys, tmp_path):
     assert "pass^2=0.3000" in out
 
 
+@pytest.mark.parametrize("k", [",", ""])
+def test_metrics_empty_k_list_exits_2(capsys, tmp_path, k):
+    (tmp_path / "t-0.result.json").write_text(json.dumps({
+        "task_id": "t", "trial_index": 0, "success": True,
+        "wall_time_ms": 1.0, "modality": "unimodal",
+    }))
+    code, out, err = run_cli(capsys, "metrics", "--records", str(tmp_path), "--k", k)
+    assert code == 2
+    assert f"empty k list: {k!r}" in err
+    assert out == ""
+
+
 def test_metrics_empty_records_dir_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "metrics", "--records", str(tmp_path))
     assert code == 2
@@ -470,6 +482,16 @@ def test_bench_k_above_n_exits_2(capsys, suite_dir, scripts_dir):
         "--n-trials", "2", "--k", "7",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("command", [["bench"], ["ablate", "--vary", "aci"]],
+                         ids=["bench", "ablate"])
+def test_empty_k_list_exits_2_before_any_episode(capsys, monkeypatch, command):
+    monkeypatch.setattr(bench, "run_episode", lambda *a, **kw: pytest.fail("ran an episode"))
+    code, out, err = run_cli(capsys, *command, "--n-trials", "1", "--k", ",")
+    assert code == 2
+    assert "empty k list: ','" in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("command", [["bench"], ["ablate", "--vary", "aci"]],

@@ -5,6 +5,7 @@ import pytest
 from conftest import DescribeCounter
 from shopclerk.memory import Namespace
 from shopclerk.placeholders import PlaceholderTable, abstract_text
+from shopclerk import toolkit
 from shopclerk.shop_tools import build_registry
 from shopclerk.toolkit import ActionTrace, ToolCall
 from shopclerk.vision import (
@@ -161,15 +162,21 @@ CATALOG_LINES = (
 
 
 @pytest.mark.parametrize("strategy", list(IntegrationStrategy))
-def test_catalog_text_is_pinned(strategy):
+def test_catalog_text_is_pinned(strategy, monkeypatch):
     # the prompt bytes every bundled script matches against; tool mode lists describe
     lines = [line for line in CATALOG_LINES if strategy is IntegrationStrategy.TOOL
              or not line.startswith("- multimodal_describe(")]
     world = world_from_dict(WORLD_SEED)
-    for _ in range(2):  # a fresh session gets the same text from the memoized render
-        registry = build_registry(world, seed_store(world), PlaceholderTable(),
-                                  FixtureVisionBackend({}), strategy=strategy)
-        assert registry.catalog_text() == "\n".join(lines)
+
+    def catalog():
+        return build_registry(world, seed_store(world), PlaceholderTable(),
+                              FixtureVisionBackend({}), strategy=strategy).catalog_text()
+
+    first = catalog()
+    assert first == "\n".join(lines)
+    # a fresh session gets the very text of the memoized render, and renders nothing
+    monkeypatch.setattr(toolkit, "_render_catalog", lambda d: pytest.fail("rendered again"))
+    assert catalog() is first
 
 
 def test_memory_tools_round_trip(session_bits):

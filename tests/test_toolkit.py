@@ -23,13 +23,11 @@ ECHO_SCHEMA = {
 }
 
 
+ECHO = ToolDescriptor("echo", "Repeat the given text.", ECHO_SCHEMA)
+
+
 def make_registry():
-    registry = ToolRegistry()
-    registry.register(
-        ToolDescriptor("echo", "Repeat the given text.", ECHO_SCHEMA),
-        lambda args: args["text"] * args.get("times", 1),
-    )
-    return registry
+    return ToolRegistry([(ECHO, lambda args: args["text"] * args.get("times", 1))])
 
 
 def test_register_and_list():
@@ -39,18 +37,9 @@ def test_register_and_list():
 
 
 def test_register_duplicate_name():
-    registry = make_registry()
-    with pytest.raises(RegistrationError):
-        registry.register(ToolDescriptor("echo", "again", {"properties": {}}), lambda a: "")
-
-
-def test_register_after_catalog_rendered_raises():
-    registry = make_registry()
-    catalog = registry.catalog_text()
-    with pytest.raises(RegistrationError):
-        registry.register(ToolDescriptor("late", "Too late.", {"properties": {}}), lambda a: "")
-    assert "late" not in registry
-    assert registry.catalog_text() == catalog
+    with pytest.raises(RegistrationError, match="tool already registered: echo"):
+        ToolRegistry([(ECHO, lambda a: ""),
+                      (ToolDescriptor("echo", "again", {"properties": {}}), lambda a: "")])
 
 
 def test_invoke_happy_path():
@@ -90,11 +79,9 @@ def test_invoke_enum_violation():
 
 
 def test_handler_exception_never_escapes():
-    registry = ToolRegistry()
-    registry.register(
-        ToolDescriptor("boom", "Always fails.", {"properties": {}}),
-        lambda args: 1 / 0,
-    )
+    registry = ToolRegistry([
+        (ToolDescriptor("boom", "Always fails.", {"properties": {}}), lambda args: 1 / 0),
+    ])
     result = registry.invoke(ToolCall("c9", "boom", {}))
     assert result.is_error
     assert "division" in result.text()
@@ -115,9 +102,8 @@ def test_a_handler_that_mutates_its_arguments_leaves_the_recorded_call_alone():
         args["note"] = "mangled"
         return "ok"
 
-    registry = ToolRegistry()
     schema = {"type": "object", "properties": {"note": {"type": "string"}}}
-    registry.register(ToolDescriptor("status_note", "Note a status.", schema), mangle)
+    registry = ToolRegistry([(ToolDescriptor("status_note", "Note a status.", schema), mangle)])
     trace = ActionTrace()
     call = ToolCall("c1", "status_note", {"note": "as sent"})
     registry.invoke(call, trace)
