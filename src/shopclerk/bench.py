@@ -2,37 +2,15 @@
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 
 from .config import AblationVariant, AgentConfig
 from .episode import EpisodeResult, run_episode
 from .errors import UsageError
-from .metrics import TrialRecord, TrialSet, format_fraction, mean_completion_time, pass_hat_k
+from .metrics import format_fraction, mean_completion_time, pass_hat_k
 from .tasks import Task
 from .toolkit import Usage
-
-
-@dataclass
-class VariantReport:
-    name: str
-    flags: dict
-    pass_k: dict[int, float]
-    mean_times: dict[str, float | None]
-    usage: dict
-    episodes: int
-    failures: int  # episodes that errored out (not task misses)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "flags": self.flags,
-            "pass_hat_k": {str(k): v for k, v in self.pass_k.items()},
-            "mean_time_ms": self.mean_times,
-            "usage": self.usage,
-            "episodes": self.episodes,
-            "failures": self.failures,
-        }
 
 
 def run_trials(
@@ -61,37 +39,25 @@ def summarize(
     flags: dict,
     results: list[EpisodeResult],
     k_values: list[int],
-) -> VariantReport:
-    trials = TrialSet()
-    usage = {f.name: sum(getattr(r.usage, f.name) for r in results) for f in fields(Usage)}
-    failures = 0
-    for result in results:
-        trials.add(
-            TrialRecord(
-                task_id=result.task_id,
-                success=result.success,
-                wall_time_ms=result.wall_time_ms,
-                modality=result.modality,
-            )
-        )
-        if result.error is not None:
-            failures += 1
-    pass_k = {k: float(pass_hat_k(trials, k)) for k in k_values}
-    mean_times: dict[str, float | None] = {"all": mean_completion_time(trials)}
+) -> dict:
+    """One variant's row of report.json; failures counts episodes that errored
+    out, not task misses."""
+    pass_k = {str(k): float(pass_hat_k(results, k)) for k in k_values}
+    mean_times: dict[str, float | None] = {"all": mean_completion_time(results)}
     for modality in ("multimodal", "unimodal"):
         try:
-            mean_times[modality] = mean_completion_time(trials, modality)
+            mean_times[modality] = mean_completion_time(results, modality)
         except UsageError:
             mean_times[modality] = None
-    return VariantReport(
-        name=name,
-        flags=flags,
-        pass_k=pass_k,
-        mean_times=mean_times,
-        usage=usage,
-        episodes=len(results),
-        failures=failures,
-    )
+    return {
+        "name": name,
+        "flags": flags,
+        "pass_hat_k": pass_k,
+        "mean_time_ms": mean_times,
+        "usage": {f.name: sum(getattr(r.usage, f.name) for r in results) for f in fields(Usage)},
+        "episodes": len(results),
+        "failures": sum(r.error is not None for r in results),
+    }
 
 
 def run_ablation(
@@ -101,8 +67,8 @@ def run_ablation(
     n_trials: int,
     k_values: list[int],
     workers: int = 1,
-) -> tuple[list[VariantReport], list[EpisodeResult]]:
-    """One report row per variant over the full suite."""
+) -> tuple[list[dict], list[EpisodeResult]]:
+    """One report row per variant over the full suite, as summarize builds it."""
     if any(not 1 <= k <= n_trials for k in k_values):
         raise UsageError(f"every k in {k_values} must be in 1..n_trials={n_trials}")
     if not variants:
@@ -116,7 +82,7 @@ def run_ablation(
     return reports, all_results
 
 
-def report_table(reports: list[VariantReport], k_values: list[int]) -> str:
+def report_table(reports: list[dict], k_values: list[int]) -> str:
     """Aligned text table, one row per variant."""
     headers = ["variant"] + [f"pass^{k}" for k in k_values] + [
         "t_multi(ms)", "t_uni(ms)", "prompt_chars", "calls", "failures",
@@ -127,14 +93,14 @@ def report_table(reports: list[VariantReport], k_values: list[int]) -> str:
             return f"{value:.1f}" if value is not None else "-"
 
         rows.append(
-            [report.name]
-            + [format_fraction(report.pass_k[k]) for k in k_values]
+            [report["name"]]
+            + [format_fraction(report["pass_hat_k"][str(k)]) for k in k_values]
             + [
-                fmt_time(report.mean_times.get("multimodal")),
-                fmt_time(report.mean_times.get("unimodal")),
-                str(report.usage["prompt_chars"]),
-                str(report.usage["backend_calls"]),
-                str(report.failures),
+                fmt_time(report["mean_time_ms"]["multimodal"]),
+                fmt_time(report["mean_time_ms"]["unimodal"]),
+                str(report["usage"]["prompt_chars"]),
+                str(report["usage"]["backend_calls"]),
+                str(report["failures"]),
             ]
         )
     widths = [max(len(headers[i]), *(len(r[i]) for r in rows)) for i in range(len(headers))]
@@ -145,11 +111,11 @@ def report_table(reports: list[VariantReport], k_values: list[int]) -> str:
     return "\n".join(lines)
 
 
-def write_report(reports: list[VariantReport], k_values: list[int], directory) -> None:
+def write_report(reports: list[dict], k_values: list[int], directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "report.json").write_text(
-        json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True),
+        json.dumps(reports, indent=2, sort_keys=True),
         encoding="utf-8",
     )
     (directory / "report.txt").write_text(report_table(reports, k_values) + "\n", encoding="utf-8")

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -156,7 +157,7 @@ def cmd_bench(args) -> int:
         write_report(reports, k_values, args.out)
         for result in results:
             write_result(result, Path(args.out) / "trials")
-    return EXIT_FAILURE if reports[0].failures else EXIT_OK
+    return EXIT_FAILURE if reports[0]["failures"] else EXIT_OK
 
 
 # --vary axis -> the ablation matrix it stands for
@@ -190,7 +191,7 @@ def cmd_ablate(args) -> int:
     print(report_table(reports, k_values))
     if args.out:
         write_report(reports, k_values, args.out)
-    return EXIT_FAILURE if any(r.failures for r in reports) else EXIT_OK
+    return EXIT_FAILURE if any(r["failures"] for r in reports) else EXIT_OK
 
 
 def cmd_metrics(args) -> int:
@@ -229,10 +230,12 @@ def cmd_metrics(args) -> int:
 
 def _parse_pair(raw: str) -> tuple[float, float]:
     try:
-        baseline, treatment = raw.split(":")
-        return float(baseline), float(treatment)
+        baseline, treatment = (float(x) for x in raw.split(":"))
     except ValueError:
         raise UsageError(f"expected BASELINE:TREATMENT, got {raw!r}") from None
+    if not (math.isfinite(baseline) and math.isfinite(treatment)):
+        raise UsageError(f"BASELINE:TREATMENT must be finite numbers, got {raw!r}")
+    return baseline, treatment
 
 
 def cmd_chat(args) -> int:

@@ -76,13 +76,6 @@ class PlanEvaluation:
     confidence: float
 
 
-@dataclass(frozen=True)
-class Decision:
-    selected: int | None
-    evaluations: tuple[PlanEvaluation, ...]
-    rejected_reason: str | None = None
-
-
 def _parse_template(path: str, text: str) -> string.Template:
     template = string.Template(text)
     found = set()
@@ -245,13 +238,10 @@ def evaluate(
     ]
 
 
-def select(evaluations: list[PlanEvaluation], confidence_floor: float = 0.0) -> Decision:
-    """Argmax confidence, ties to the smallest plan_id; gate below the floor."""
+def select(evaluations: list[PlanEvaluation], confidence_floor: float = 0.0) -> int | None:
+    """The plan_id of the argmax confidence, ties to the smallest plan_id;
+    None when that confidence is below the floor."""
     if not evaluations:
         raise UsageError("select needs at least one evaluation")
     best = min(evaluations, key=lambda e: (-e.confidence, e.plan_id))
-    if best.confidence < confidence_floor:
-        return Decision(
-            selected=None, evaluations=tuple(evaluations), rejected_reason="low_confidence"
-        )
-    return Decision(selected=best.plan_id, evaluations=tuple(evaluations))
+    return None if best.confidence < confidence_floor else best.plan_id

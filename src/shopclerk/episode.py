@@ -92,12 +92,12 @@ class _Recorded:
     def describe(self, query):
         about = {"instruction": query.instruction, "asset": query.asset_id}
         try:
-            description = self._vision.describe(query)
+            text = self._vision.describe(query)
         except Exception as exc:  # recorded, then raised to the caller unchanged
             self._trace.add("describe", **about, error=str(exc))
             raise
-        self._trace.add("describe", **about, output=description.text)
-        return description
+        self._trace.add("describe", **about, output=text)
+        return text
 
 
 class AgentSession:
@@ -173,14 +173,14 @@ class AgentSession:
                 evaluations = dec.evaluate(
                     context, plans, self.backends, template=self._evaluate_template
                 )
-                verdict = dec.select(evaluations, self.config.confidence_floor)
+                selected = dec.select(evaluations, self.config.confidence_floor)
             else:
                 evaluations = [dec.PlanEvaluation(plan_id=0, label="A", confidence=1.0)]
-                verdict = dec.Decision(selected=0, evaluations=tuple(evaluations))
-            self._record_round(plans, verdict)
-            if verdict.selected is None:
+                selected = 0
+            self._record_round(plans, evaluations, selected)
+            if selected is None:
                 return self._clarify("low_confidence")
-            plan = plans[verdict.selected]
+            plan = plans[selected]
             if plan.kind is dec.PlanKind.DIRECT_REPLY:
                 return plan.draft_reply
             hit_unknown_placeholder = self._run_steps(plan)
@@ -204,16 +204,16 @@ class AgentSession:
             template=self._propose_template,
         )
 
-    def _record_round(self, plans, verdict: dec.Decision) -> None:
+    def _record_round(self, plans, evaluations, selected: int | None) -> None:
         self.trace.add(
             "decision",
             plans=[p.summary for p in plans],
             evaluations=[
                 {"label": e.label, "plan_id": e.plan_id, "confidence": round(e.confidence, 4)}
-                for e in verdict.evaluations
+                for e in evaluations
             ],
-            selected=verdict.selected,
-            rejected_reason=verdict.rejected_reason,
+            selected=selected,
+            rejected_reason="low_confidence" if selected is None else None,
         )
 
     def _run_steps(self, plan) -> bool:
@@ -270,8 +270,7 @@ def run_episode(
     if config.latency_model is not None:
         elapsed_ms = config.latency_model.wall_time_ms(usage.prompt_chars, usage.backend_calls)
     if error is None:
-        success, report = check_success(world, session.wm, task.success, session.table)
-        rows = report.rows
+        success, rows = check_success(world, session.wm, task.success, session.table)
     else:
         success, rows = False, ()
     return EpisodeResult(

@@ -2,7 +2,8 @@
 
 import csv
 import io
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -19,34 +20,6 @@ class TrialRecord:
     modality: str = "unimodal"
 
 
-@dataclass
-class TrialSet:
-    """Per-task success counts plus the raw trial records behind them."""
-
-    records: list[TrialRecord] = field(default_factory=list)
-
-    def add(self, record: TrialRecord) -> None:
-        self.records.append(record)
-
-    def by_task(self) -> dict[str, list[TrialRecord]]:
-        grouped: dict[str, list[TrialRecord]] = {}
-        for record in self.records:
-            grouped.setdefault(record.task_id, []).append(record)
-        return grouped
-
-    def counts(self) -> dict[str, tuple[int, int]]:
-        """task_id -> (n trials, c successes)."""
-        return {
-            task: (len(rows), sum(1 for r in rows if r.success))
-            for task, rows in self.by_task().items()
-        }
-
-    def validate_equal_n(self) -> None:
-        ns = {len(rows) for rows in self.by_task().values()}
-        if len(ns) > 1:
-            raise UsageError(f"trial counts differ across tasks: {sorted(ns)}")
-
-
 def pass_hat_k_counts(n: int, c: int, k: int) -> Fraction:
     """Probability that k trials drawn without replacement are all successes."""
     if not 0 <= c <= n:
@@ -58,12 +31,21 @@ def pass_hat_k_counts(n: int, c: int, k: int) -> Fraction:
     return Fraction(comb(c, k), comb(n, k))
 
 
-def pass_hat_k(trials: TrialSet, k: int) -> Fraction:
-    """Mean over tasks of C(c,k)/C(n,k), exact rational arithmetic; tasks need equal n."""
-    counts = trials.counts()
+def pass_hat_k(trials: Iterable, k: int) -> Fraction:
+    """Mean over tasks of C(c,k)/C(n,k), exact rational arithmetic; tasks need equal n.
+
+    A trial is any record with task_id and success, such as a TrialRecord or
+    an episode.EpisodeResult.
+    """
+    counts: dict[str, tuple[int, int]] = {}  # task_id -> (n trials, c successes)
+    for trial in trials:
+        n, c = counts.get(trial.task_id, (0, 0))
+        counts[trial.task_id] = (n + 1, c + trial.success)
     if not counts:
         raise UsageError("no trials recorded")
-    trials.validate_equal_n()
+    ns = {n for n, _ in counts.values()}
+    if len(ns) > 1:
+        raise UsageError(f"trial counts differ across tasks: {sorted(ns)}")
     total = Fraction(0)
     for task_id, (n, c) in counts.items():
         if k > n:
@@ -103,10 +85,9 @@ def time_reduction(baseline: float, treatment: float) -> float:
     return (baseline - treatment) / baseline
 
 
-def mean_completion_time(trials: TrialSet, modality: str | None = None) -> float:
-    rows = [
-        r for r in trials.records if modality is None or r.modality == modality
-    ]
+def mean_completion_time(trials: Iterable, modality: str | None = None) -> float:
+    """Mean wall_time_ms of the trials, or of those with the given modality."""
+    rows = [r for r in trials if modality is None or r.modality == modality]
     if not rows:
         raise UsageError(f"no trials match modality filter {modality!r}")
     return sum(r.wall_time_ms for r in rows) / len(rows)
@@ -149,17 +130,17 @@ TRIAL_RECORD_SCHEMA = closed(
     usage=OBJECT, error={"type": ["string", "null"]}, check_report=LIST, replies=LIST)
 
 
-def read_trial_records(directory: str | Path) -> TrialSet:
-    """Collect *.result.json files from episode runs into a TrialSet."""
+def read_trial_records(directory: str | Path) -> list[TrialRecord]:
+    """The trials of the *.result.json files that episode runs wrote, in file-name order."""
     directory = Path(directory)
     files = sorted(directory.glob("*.result.json"))
     if not files:
         raise UsageError(f"no *.result.json files under {directory}")
-    trials = TrialSet()
+    trials = []
     for file in files:
         row = read_json(file, "trial record", TRIAL_RECORD_SCHEMA)
-        trials.add(TrialRecord(row["task_id"], row["success"], row.get("wall_time_ms", 0.0),
-                               row.get("modality", "unimodal")))
+        trials.append(TrialRecord(row["task_id"], row["success"], row.get("wall_time_ms", 0.0),
+                                  row.get("modality", "unimodal")))
     return trials
 
 

@@ -233,7 +233,7 @@ def resolve(
             asset_id=entry.original,
         )
         try:
-            text = vision.describe(query).text
+            text = vision.describe(query)
         except Exception as exc:
             raise ResolutionError(f"describe failed for {placeholder}: {exc}") from exc
     elif entry.kind in (RefKind.PRODUCT, RefKind.ORDER):

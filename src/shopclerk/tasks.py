@@ -85,7 +85,8 @@ TASK_SCHEMA = closed(
         state_assertions={"type": "array", "items": closed(
             ["path", "expected"], path=STRING, expected={})},
         response_facts={"type": "array", "items": closed(
-            ["match"], match=closed([], substring=STRING, number=_NUMBER, tolerance=_NUMBER),
+            ["match"], match=closed([], substring=STRING, number=_NUMBER,
+                                    tolerance={"type": "number", "minimum": 0}),
             must_appear={"type": "boolean"})}),
 )
 
@@ -114,6 +115,11 @@ def task_from_dict(data: dict, source: str = "<task>", vision_fixtures=None) -> 
     facts = []
     for i, row in enumerate(success.get("response_facts", [])):
         match, must_appear = row["match"], row.get("must_appear", True)
+        where = f"{source}:success.response_facts[{i}].match"
+        if "substring" in match and "number" in match:
+            _fail(where, "needs exactly one of substring or number")
+        if "tolerance" in match and "number" not in match:
+            _fail(where, "tolerance needs a number")
         if "substring" in match:
             facts.append(ResponseFact(substring=match["substring"], must_appear=must_appear))
         elif "number" in match:
@@ -121,7 +127,7 @@ def task_from_dict(data: dict, source: str = "<task>", vision_fixtures=None) -> 
                                       tolerance=float(match.get("tolerance", 0.0)),
                                       must_appear=must_appear))
         else:
-            _fail(f"{source}:success.response_facts[{i}].match", "needs substring or number")
+            _fail(where, "needs substring or number")
     if not assertions and not facts:
         _fail(f"{source}:success", "needs at least one assertion or response fact")
     if assertions:
@@ -173,21 +179,13 @@ def _resolve_path(snapshot: dict, dotted: str, default=None):
     return node
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    rows: tuple[dict, ...]
-
-    def passed(self) -> bool:
-        return all(r["ok"] for r in self.rows)
-
-
 def check_success(
     world: World,
     transcript: WorkingMemory,
     criteria: SuccessCriteria,
     table=None,
-) -> tuple[bool, CheckReport]:
-    """Conjunction of world-state assertions and reply facts.
+) -> tuple[bool, tuple[dict, ...]]:
+    """Conjunction of world-state assertions and reply facts, and one row per check.
 
     Agent reply text is checked after deabstraction when a placeholder
     table is supplied, so facts can reference original URLs.
@@ -224,5 +222,4 @@ def check_success(
             "actual": found,
         })
 
-    report = CheckReport(rows=tuple(rows))
-    return report.passed(), report
+    return all(r["ok"] for r in rows), tuple(rows)

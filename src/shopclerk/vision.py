@@ -27,11 +27,6 @@ class VisualQuery:
     asset_id: str
 
 
-@dataclass(frozen=True)
-class VisualDescription:
-    text: str
-
-
 @dataclass
 class CategoryRule:
     category: str
@@ -93,7 +88,7 @@ class FixtureVisionBackend:
     def has_asset(self, asset_id: str) -> bool:
         return asset_id in self.assets
 
-    def describe(self, query: VisualQuery) -> VisualDescription:
+    def describe(self, query: VisualQuery) -> str:
         if not query.instruction:
             raise UsageError("describe needs a non-empty instruction")
         asset = self.assets.get(query.asset_id)
@@ -104,8 +99,7 @@ class FixtureVisionBackend:
             if rule.matches(query.instruction):
                 category = rule.category
                 break
-        text = asset.annotations.get(category, asset.annotations["default"])
-        return VisualDescription(text=text)
+        return asset.annotations.get(category, asset.annotations["default"])
 
 
 class RemoteVisionBackend:
@@ -118,7 +112,7 @@ class RemoteVisionBackend:
     def __init__(self, chat_backend):
         self.chat = chat_backend
 
-    def describe(self, query: VisualQuery) -> VisualDescription:
+    def describe(self, query: VisualQuery) -> str:
         from .backends import ChatMessage, ChatRequest
 
         if not query.instruction:
@@ -131,4 +125,4 @@ class RemoteVisionBackend:
         response = self.chat.complete(request)
         if not response.text:
             raise BackendError("remote vision backend returned empty description")
-        return VisualDescription(response.text)
+        return response.text

@@ -21,7 +21,7 @@ from shopclerk.config import AgentConfig, LatencyModel, agent_config_from_dict
 from shopclerk.decision import PlanEvaluation, select
 from shopclerk.episode import run_episode
 from shopclerk.memory import message_to_dict
-from shopclerk.metrics import TrialRecord, TrialSet, pass_hat_k, pass_hat_k_counts
+from shopclerk.metrics import TrialRecord, pass_hat_k, pass_hat_k_counts
 from shopclerk.placeholders import PlaceholderTable, abstract_text, deabstract_text
 from shopclerk.tasks import load_suite, load_task
 from shopclerk.toolkit import ToolCall
@@ -136,11 +136,11 @@ def test_criterion_4_end_to_end_determinism(suite_dir, scripts_dir, vision_fixtu
 
     def one_full_run():
         results = run_trials(tasks, AgentConfig(latency_model=LATENCY), factory, n_trials=5)
-        trials = TrialSet()
+        trials = []
         transcripts = []
         for result in results:
-            trials.add(TrialRecord(result.task_id, result.success,
-                                   result.wall_time_ms, result.modality))
+            trials.append(TrialRecord(result.task_id, result.success,
+                                      result.wall_time_ms, result.modality))
             transcripts.append("\n".join(
                 json.dumps(message_to_dict(m, result.transcript.session_id), sort_keys=True)
                 for m in result.transcript.turns
@@ -202,21 +202,21 @@ def test_criterion_6_decision_determinism_and_invariance():
         PlanEvaluation(plan_id=1, label="B", confidence=0.44),
         PlanEvaluation(plan_id=2, label="C", confidence=0.25),
     ]
-    outcomes = {select(evaluations, 0.0).selected for _ in range(1000)}
+    outcomes = {select(evaluations, 0.0) for _ in range(1000)}
     assert outcomes == {1}
 
     rng = random.Random(17)
     for _ in range(300):
         shuffled = evaluations[:]
         rng.shuffle(shuffled)
-        assert select(shuffled, 0.0).selected == 1
+        assert select(shuffled, 0.0) == 1
 
     ties = [
         PlanEvaluation(plan_id=2, label="C", confidence=0.5),
         PlanEvaluation(plan_id=0, label="A", confidence=0.5),
         PlanEvaluation(plan_id=1, label="B", confidence=0.2),
     ]
-    assert select(ties, 0.0).selected == 0
+    assert select(ties, 0.0) == 0
     announce(6, "1000 repeats one decision; permutation-proof argmax; ties to smallest id")
 
 
@@ -318,7 +318,7 @@ def test_criterion_8_robustness(suite_dir, scripts_dir, vision_fixtures, tmp_pat
     reports, results = run_ablation(tasks, [AblationVariant("robust", AgentConfig())],
                                     factory, n_trials=2, k_values=[1])
     assert len(results) == 4
-    assert reports[0].failures == 2  # the exhausted task errored, nothing aborted
+    assert reports[0]["failures"] == 2  # the exhausted task errored, nothing aborted
     exhausted = [r for r in results if r.task_id == "order-status"]
     assert all("ScriptError" in r.error for r in exhausted)
     healthy = [r for r in results if r.task_id == "kettle-capacity"]

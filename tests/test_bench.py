@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from shopclerk.backends import ScriptedBackend
@@ -32,7 +34,7 @@ def test_trial_counting_contract(three_tasks, scripts_dir, vision_fixtures):
     reports, results = run_ablation(three_tasks, variants, factory, n_trials=5, k_values=[1, 5])
     assert len(results) == 2 * 3 * 5
     assert len(reports) == 2
-    assert all(r.episodes == 15 for r in reports)
+    assert all(r["episodes"] == 15 for r in reports)
 
 
 def test_k_values_bounded_by_n_trials(three_tasks, scripts_dir, vision_fixtures):
@@ -62,8 +64,8 @@ def test_aci_ablation_direction_on_multimodal(suite_dir, scripts_dir, vision_fix
     ]
     reports, _ = run_ablation(tasks, variants, factory, n_trials=2, k_values=[1])
     off, on = reports
-    assert on.usage["prompt_chars"] < off.usage["prompt_chars"]
-    assert on.mean_times["multimodal"] < off.mean_times["multimodal"]
+    assert on["usage"]["prompt_chars"] < off["usage"]["prompt_chars"]
+    assert on["mean_time_ms"]["multimodal"] < off["mean_time_ms"]["multimodal"]
 
 
 def test_parallel_workers_match_serial(three_tasks, scripts_dir, vision_fixtures):
@@ -81,8 +83,8 @@ def test_summarize_counts_episode_errors(three_tasks, vision_fixtures):
 
     results = run_trials(three_tasks, AgentConfig(), broken_factory, n_trials=1)
     report = summarize("broken", {}, results, k_values=[1])
-    assert report.failures == 3
-    assert report.pass_k[1] == 0.0
+    assert report["failures"] == 3
+    assert report["pass_hat_k"]["1"] == 0.0
 
 
 def test_report_table_and_files(tmp_path, three_tasks, scripts_dir, vision_fixtures):
@@ -93,5 +95,8 @@ def test_report_table_and_files(tmp_path, three_tasks, scripts_dir, vision_fixtu
     assert "pass^1" in table.splitlines()[0]
     assert "default" in table
     write_report(reports, [1, 2], tmp_path)
-    assert (tmp_path / "report.json").exists()
+    assert json.loads((tmp_path / "report.json").read_text()) == reports
+    for row in reports:
+        assert set(row) == {"name", "flags", "pass_hat_k", "mean_time_ms", "usage",
+                            "episodes", "failures"}
     assert "pass^2" in (tmp_path / "report.txt").read_text()

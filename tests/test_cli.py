@@ -461,6 +461,15 @@ def test_metrics_bad_pair_exits_2(capsys):
     assert "BASELINE:TREATMENT" in err
 
 
+@pytest.mark.parametrize("flag,pair", [("--improvement", "nan:1"), ("--improvement", "inf:2"),
+                                       ("--time-reduction", "1:inf")])
+def test_metrics_pair_that_is_not_finite_exits_2(capsys, flag, pair):
+    code, out, err = run_cli(capsys, "metrics", flag, pair)
+    assert code == 2
+    assert out == ""
+    assert f"must be finite numbers, got {pair!r}" in err
+
+
 def test_bench_prints_monotone_pass_table(capsys, suite_dir, scripts_dir):
     code, out, _ = run_cli(
         capsys, "bench",

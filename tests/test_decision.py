@@ -439,20 +439,15 @@ def _evals(pairs):
 
 
 def test_select_argmax():
-    decision = select(_evals([(0, 0.2), (1, 0.9), (2, 0.5)]), 0.0)
-    assert decision.selected == 1
-    assert decision.rejected_reason is None
+    assert select(_evals([(0, 0.2), (1, 0.9), (2, 0.5)]), 0.0) == 1
 
 
 def test_select_tie_smallest_plan_id():
-    decision = select(_evals([(0, 0.5), (1, 0.5)]), 0.0)
-    assert decision.selected == 0
+    assert select(_evals([(0, 0.5), (1, 0.5)]), 0.0) == 0
 
 
 def test_select_floor_rejection():
-    decision = select(_evals([(0, 0.3), (1, 0.2)]), 0.6)
-    assert decision.selected is None
-    assert decision.rejected_reason == "low_confidence"
+    assert select(_evals([(0, 0.3), (1, 0.2)]), 0.6) is None
 
 
 def test_select_empty_is_usage_error():
@@ -462,25 +457,25 @@ def test_select_empty_is_usage_error():
 
 def test_select_pure_over_1000_repetitions():
     evals = _evals([(0, 0.31), (1, 0.42), (2, 0.27)])
-    outcomes = {select(evals, 0.0).selected for _ in range(1000)}
+    outcomes = {select(evals, 0.0) for _ in range(1000)}
     assert outcomes == {1}
 
 
 def test_select_invariant_under_permutation():
     rng = random.Random(3)
     evals = _evals([(0, 0.31), (1, 0.42), (2, 0.27), (3, 0.42)])
-    baseline = select(evals, 0.0).selected
+    baseline = select(evals, 0.0)
     for _ in range(200):
         shuffled = evals[:]
         rng.shuffle(shuffled)
-        assert select(shuffled, 0.0).selected == baseline
+        assert select(shuffled, 0.0) == baseline
 
 
 def test_select_floor_monotone_gate():
     evals = _evals([(0, 0.4), (1, 0.7)])
-    selected = {select(evals, floor).selected for floor in (0.0, 0.3, 0.69, 0.7)}
+    selected = {select(evals, floor) for floor in (0.0, 0.3, 0.69, 0.7)}
     assert selected == {1}  # floor below/at max never changes the winner
-    assert select(evals, 0.71).selected is None
+    assert select(evals, 0.71) is None
 
 
 # --- templates: static text first, so a provider prefix cache can reuse it ---

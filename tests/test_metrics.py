@@ -8,7 +8,6 @@ from shopclerk.errors import UsageError
 from shopclerk.metrics import (
     ContributionInputs,
     TrialRecord,
-    TrialSet,
     ai_contribution_ratio,
     mean_completion_time,
     pass_hat_k,
@@ -21,11 +20,11 @@ from shopclerk.metrics import (
 
 
 def trials_for(*counts):
-    """Build a TrialSet from (n, c) pairs, one synthetic task per pair."""
-    trials = TrialSet()
+    """Trial records from (n, c) pairs, one synthetic task per pair."""
+    trials = []
     for t, (n, c) in enumerate(counts):
         for i in range(n):
-            trials.add(TrialRecord(task_id=f"task{t}", success=i < c))
+            trials.append(TrialRecord(task_id=f"task{t}", success=i < c))
     return trials
 
 
@@ -118,26 +117,26 @@ def test_relative_improvement_rejects_nonpositive_baseline():
 
 
 def test_mean_completion_time_and_filters():
-    trials = TrialSet()
+    trials = []
     for ms, modality in ((10, "unimodal"), (20, "unimodal"), (30, "multimodal")):
-        trials.add(TrialRecord("t", True, wall_time_ms=ms, modality=modality))
+        trials.append(TrialRecord("t", True, wall_time_ms=ms, modality=modality))
     assert mean_completion_time(trials) == 20
     assert mean_completion_time(trials, "multimodal") == 30
     with pytest.raises(UsageError):
-        mean_completion_time(TrialSet(), "multimodal")
+        mean_completion_time([], "multimodal")
 
 
 def test_mean_time_singletons_echo_inputs():
-    trials = TrialSet()
-    trials.add(TrialRecord("a", True, wall_time_ms=5.93, modality="multimodal"))
-    trials.add(TrialRecord("b", True, wall_time_ms=5.19, modality="unimodal"))
+    trials = []
+    trials.append(TrialRecord("a", True, wall_time_ms=5.93, modality="multimodal"))
+    trials.append(TrialRecord("b", True, wall_time_ms=5.19, modality="unimodal"))
     assert mean_completion_time(trials, "multimodal") == pytest.approx(5.93)
     assert mean_completion_time(trials, "unimodal") == pytest.approx(5.19)
 
 
 def test_filter_with_no_matches_is_usage_error():
-    trials = TrialSet()
-    trials.add(TrialRecord("a", True, modality="unimodal"))
+    trials = []
+    trials.append(TrialRecord("a", True, modality="unimodal"))
     with pytest.raises(UsageError):
         mean_completion_time(trials, "multimodal")
 
@@ -179,6 +178,6 @@ def test_read_trial_records(tmp_path):
             "wall_time_ms": 7.0, "modality": "unimodal",
         }))
     trials = read_trial_records(tmp_path)
-    assert trials.counts() == {"t": (3, 2)}
+    assert [(r.task_id, r.success) for r in trials] == [("t", True), ("t", True), ("t", False)]
     with pytest.raises(UsageError):
         read_trial_records(tmp_path / "empty")

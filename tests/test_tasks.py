@@ -112,8 +112,15 @@ def test_load_error_on_bad_json(tmp_path):
     (dict(MINIMAL, buyer_script=5), r":buyer_script: must be a list, got 5"),
     (dict(MINIMAL, success={"state_assertions": 5}), r":success\.state_assertions: must be a list"),
     (dict(MINIMAL, success={"response_facts": 5}), r":success\.response_facts: must be a list"),
+    (dict(MINIMAL, success={"response_facts": [{"match": {"substring": "a", "number": 1}}]}),
+     r":success\.response_facts\[0\]\.match: needs exactly one of substring or number"),
+    (dict(MINIMAL, success={"response_facts": [{"match": {"substring": "a", "tolerance": 1}}]}),
+     r":success\.response_facts\[0\]\.match: tolerance needs a number"),
+    (dict(MINIMAL, success={"response_facts": [{"match": {"number": 1, "tolerance": -0.5}}]}),
+     r":success\.response_facts\[0\]\.match\.tolerance: must be >= 0, got -0\.5"),
 ], ids=["top-level-list", "success-list", "assertion-without-path", "number-not-numeric",
-        "buyer-script-not-list", "assertions-not-list", "facts-not-list"])
+        "buyer-script-not-list", "assertions-not-list", "facts-not-list",
+        "substring-and-number", "tolerance-without-number", "negative-tolerance"])
 def test_malformed_shape_is_load_error_naming_the_file(tmp_path, payload, where):
     path = tmp_path / "bad-task.json"
     path.write_text(json.dumps(payload))
@@ -165,9 +172,9 @@ def test_state_assertion_pass():
     world = world_from_dict({"orders": {"O1": {"buyer_id": "B", "items": [],
                                                  "status": "refunded", "address": ""}}})
     criteria = SuccessCriteria(state_assertions=(StateAssertion("orders.O1.status", "refunded"),))
-    ok, report = check_success(world, agent_transcript(), criteria)
+    ok, rows = check_success(world, agent_transcript(), criteria)
     assert ok
-    assert all(r["ok"] for r in report.rows)
+    assert all(r["ok"] for r in rows)
 
 
 def test_missing_substring_fail_names_predicate():
@@ -175,9 +182,9 @@ def test_missing_substring_fail_names_predicate():
     criteria = SuccessCriteria(
         response_facts=(ResponseFact(substring="within 3 business days"),)
     )
-    ok, report = check_success(world, agent_transcript("it ships soon"), criteria)
+    ok, rows = check_success(world, agent_transcript("it ships soon"), criteria)
     assert not ok
-    failing = [r for r in report.rows if not r["ok"]]
+    failing = [r for r in rows if not r["ok"]]
     assert "within 3 business days" in failing[0]["predicate"]
 
 
@@ -227,9 +234,9 @@ def test_check_success_deabstracts_with_table():
 def test_state_path_missing_resolves_to_none():
     world = world_from_dict({})
     criteria = SuccessCriteria(state_assertions=(StateAssertion("orders.O9.status", "paid"),))
-    ok, report = check_success(world, agent_transcript(), criteria)
+    ok, rows = check_success(world, agent_transcript(), criteria)
     assert not ok
-    assert report.rows[0]["actual"] is None
+    assert rows[0]["actual"] is None
 
 
 def test_check_success_snapshots_only_the_asserted_records(monkeypatch):

@@ -26,14 +26,14 @@ def make_backend():
 def test_describe_damage_instruction_selects_damage_annotation():
     backend = make_backend()
     out = backend.describe(VisualQuery("Describe the damage shown in the image", ASSET_ID))
-    assert out.text == "cracked base"
+    assert out == "cracked base"
 
 
 def test_describe_falls_back_to_default():
     backend = make_backend()
     out = backend.describe(VisualQuery("What color is the item?", ASSET_ID))
     # asset has no color annotation, so the default one answers
-    assert out.text == "a steel kettle, boxed"
+    assert out == "a steel kettle, boxed"
 
 
 def test_describe_empty_instruction_rejected():
@@ -49,7 +49,7 @@ def test_describe_unknown_asset():
 def test_describe_deterministic():
     backend = make_backend()
     query = VisualQuery("is it broken?", ASSET_ID)
-    outputs = {backend.describe(query).text for _ in range(20)}
+    outputs = {backend.describe(query) for _ in range(20)}
     assert outputs == {"cracked base"}
 
 
@@ -65,14 +65,14 @@ def test_asset_specific_rules_take_precedence():
         rules=(CategoryRule("closeup", ("zoom",)),),
     )
     backend = FixtureVisionBackend({"x": asset}, (CategoryRule("damage", ("zoom",)),))
-    assert backend.describe(VisualQuery("zoom in please", "x")).text == "macro shot"
+    assert backend.describe(VisualQuery("zoom in please", "x")) == "macro shot"
 
 
 def test_fixture_file_loading(data_dir):
     backend = FixtureVisionBackend.from_file(data_dir / "vision_fixtures.json")
     assert backend.has_asset(ASSET_ID)
     out = backend.describe(VisualQuery("Describe the damage shown in the image", ASSET_ID))
-    assert out.text == "cracked base, left side"
+    assert out == "cracked base, left side"
 
 
 class CountingChat:
