@@ -1,34 +1,32 @@
 """Chat-completion contract and its three interchangeable backends."""
 
-import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import BackendError, ConfigError, ReplayMissError, ScriptError, UsageError
-from .files import STRING, closed, parse_json, parse_once
+from .files import STRING, closed, parse_json, parse_once, shape_error
 
 
-@dataclass(frozen=True)
-class ChatMessage:
+class ChatMessage(NamedTuple):
     role: str
     content: str
     image_refs: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ChatRequest:
-    messages: tuple[ChatMessage, ...]
-    max_tokens: int | None = None
-    temperature: float = 0.0
-    # requests single-token classification over these labels
-    label_alphabet: tuple[str, ...] | None = None
+class ChatRequest(namedtuple("_ChatRequest", "messages max_tokens temperature label_alphabet")):
+    """label_alphabet requests single-token classification over these labels."""
 
-    def __post_init__(self):
-        if not self.messages:
+    __slots__ = ()
+
+    def __new__(cls, messages: tuple[ChatMessage, ...], max_tokens: int | None = None,
+                temperature: float = 0.0, label_alphabet: tuple[str, ...] | None = None):
+        if not messages:
             raise UsageError("chat request needs at least one message")
+        return tuple.__new__(cls, (messages, max_tokens, temperature, label_alphabet))
 
     def prompt_chars(self) -> int:
         return sum(len(m.content) + sum(len(r) for r in m.image_refs) for m in self.messages)
@@ -37,21 +35,22 @@ class ChatRequest:
         return self.messages[-1].content
 
 
-@dataclass(frozen=True)
-class ChatResponse:
-    text: str
-    label_probs: dict | None = None
+class ChatResponse(namedtuple("_ChatResponse", "text label_probs")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.label_probs is not None:
-            if not all(p >= 0 for p in self.label_probs.values()):  # NaN fails too
+    def __new__(cls, text: str, label_probs: dict | None = None):
+        if label_probs is not None:
+            if not all(p >= 0 for p in label_probs.values()):  # NaN fails too
                 raise UsageError("label probabilities must be nonnegative")
-            if sum(self.label_probs.values()) > 1.0 + 1e-9:
+            if sum(label_probs.values()) > 1.0 + 1e-9:
                 raise UsageError("label probabilities must sum to at most 1")
+        return tuple.__new__(cls, (text, label_probs))
 
 
 def request_digest(request: ChatRequest) -> str:
     """Stable content hash; temperature excluded so tweaks don't break stores."""
+    import hashlib
+
     payload = {
         "messages": [
             {"role": m.role, "content": m.content, "image_refs": list(m.image_refs)}
@@ -64,17 +63,15 @@ def request_digest(request: ChatRequest) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-@dataclass(frozen=True)
-class ScriptEntry:
+class ScriptEntry(namedtuple("_ScriptEntry", "response step contains")):
     """One canned response, fired by call index or by a substring of the last message."""
 
-    response: ChatResponse
-    step: int | None = None
-    contains: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.step is None) == (self.contains is None):
+    def __new__(cls, response: ChatResponse, step: int | None = None, contains: str | None = None):
+        if (step is None) == (contains is None):
             raise ConfigError("script entry needs exactly one of step / contains")
+        return tuple.__new__(cls, (response, step, contains))
 
 
 # A scripted or recorded response; a store holds null label_probs for a response without.
@@ -284,6 +281,18 @@ REMOTE_MODEL_ENV = "SHOPCLERK_CHAT_MODEL"
 REMOTE_RETRIES = 2  # extra attempts after a retryable failure
 REMOTE_BACKOFF_S = 0.5  # fixed pause before each retry
 REMOTE_RETRY_STATUSES = frozenset({408, 429})  # the 4xx statuses worth retrying; 5xx all are
+# The parts of a chat-completions reply that complete reads; other keys are ignored.
+_TOP_LOGPROB = {"type": "object", "required": ["token", "logprob"], "properties": {
+    "token": STRING, "logprob": {"type": "number", "maximum": 0}}}
+REPLY_SCHEMA = {"type": "object", "required": ["choices"], "properties": {
+    "choices": {"type": "array", "minItems": 1, "items": {
+        "type": "object", "required": ["message"], "properties": {
+            "message": {"type": "object", "required": ["content"], "properties": {
+                "content": {"type": ["string", "null"]}}},
+            "logprobs": {"type": ["object", "null"], "properties": {
+                "content": {"type": ["array", "null"], "items": {
+                    "type": "object", "properties": {"top_logprobs": {
+                        "type": ["array", "null"], "items": _TOP_LOGPROB}}}}}}}}}}}
 
 
 class RemoteBackend:
@@ -348,15 +357,13 @@ class RemoteBackend:
             raise BackendError(
                 f"remote chat call failed after {attempts} attempts: {failure}"
             ) from failure
-        try:
-            choice = data["choices"][0]
-            text = choice["message"]["content"] or ""
-            label_probs = None
-            if request.label_alphabet and choice.get("logprobs"):
-                label_probs = _extract_label_probs(choice["logprobs"], request.label_alphabet)
-            return ChatResponse(text=text, label_probs=label_probs)
-        except (KeyError, IndexError, TypeError) as exc:
-            raise BackendError(f"unexpected remote response shape: {exc}") from exc
+        if why := shape_error(data, REPLY_SCHEMA):
+            raise BackendError(f"unexpected remote response shape: {why}")
+        choice = data["choices"][0]
+        label_probs = None
+        if request.label_alphabet and choice.get("logprobs"):
+            label_probs = _extract_label_probs(choice["logprobs"], request.label_alphabet)
+        return ChatResponse(text=choice["message"]["content"] or "", label_probs=label_probs)
 
 
 def _extract_label_probs(logprobs: dict, alphabet: tuple[str, ...]) -> dict | None:
@@ -369,7 +376,7 @@ def _extract_label_probs(logprobs: dict, alphabet: tuple[str, ...]) -> dict | No
     top = entries[0].get("top_logprobs") or []
     probs = {}
     for item in top:
-        token = item.get("token", "").strip()
+        token = item["token"].strip()
         if token in alphabet:
             probs[token] = probs.get(token, 0.0) + math.exp(item["logprob"])
     return probs or None

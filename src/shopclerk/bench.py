@@ -1,8 +1,6 @@
 """Suite and ablation drivers: many episodes in, one report out."""
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields
 from pathlib import Path
 
 from .config import AblationVariant, AgentConfig
@@ -29,6 +27,8 @@ def run_trials(
     jobs = [(task, trial) for task in tasks for trial in range(n_trials)]
     if workers <= 1:
         return [one(task, trial) for task, trial in jobs]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(one, task, trial) for task, trial in jobs]
         return [f.result() for f in futures]
@@ -54,7 +54,7 @@ def summarize(
         "flags": flags,
         "pass_hat_k": pass_k,
         "mean_time_ms": mean_times,
-        "usage": {f.name: sum(getattr(r.usage, f.name) for r in results) for f in fields(Usage)},
+        "usage": {name: sum(getattr(r.usage, name) for r in results) for name in Usage._fields},
         "episodes": len(results),
         "failures": sum(r.error is not None for r in results),
     }

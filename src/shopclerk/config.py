@@ -1,8 +1,8 @@
 """Run and agent configuration, mergeable from defaults, file, and flags."""
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 from .decision import MAX_PLANS
 from .errors import ConfigError
@@ -11,8 +11,7 @@ from .placeholders import DEFAULT_MIN_URL_LENGTH
 from .vision import IntegrationStrategy
 
 
-@dataclass(frozen=True)
-class LatencyModel:
+class LatencyModel(NamedTuple):
     """Deterministic wall-time surrogate: alpha*prompt_chars + beta*backend_calls."""
 
     alpha: float
@@ -22,8 +21,7 @@ class LatencyModel:
         return self.alpha * prompt_chars + self.beta * backend_calls
 
 
-@dataclass(frozen=True)
-class AgentConfig:
+class AgentConfig(NamedTuple):
     n_candidates: int = 3
     confidence_floor: float = 0.0
     abstraction_enabled: bool = True  # the CLI exposes this as --aci
@@ -89,8 +87,8 @@ def _layered(row: dict, base: AgentConfig | None) -> AgentConfig:
             value = _MEANS.get(value, value)
         if sub:
             # the one nested field: a lone latency key starts from a zero model
-            value = replace(getattr(config, field) or LatencyModel(0.0, 0.0), **{sub: value})
-        config = replace(config, **{field: value})
+            value = (getattr(config, field) or LatencyModel(0.0, 0.0))._replace(**{sub: value})
+        config = config._replace(**{field: value})
     return config
 
 
@@ -107,8 +105,7 @@ def read_config_file(path: str | Path) -> dict:
     return read_json(path, "config file", OBJECT)
 
 
-@dataclass(frozen=True)
-class AblationVariant:
+class AblationVariant(NamedTuple):
     """One row of an ablation matrix: a named agent configuration."""
 
     name: str

@@ -4,10 +4,11 @@ import json
 import os
 import re
 import string
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 from .backends import ChatMessage, ChatRequest
 from .errors import ConfigError, EvaluationError, ProposalError, UsageError
@@ -38,8 +39,7 @@ class PlanKind(str, Enum):
     DIRECT_REPLY = "direct_reply"
 
 
-@dataclass(frozen=True)
-class PlannedStep:
+class PlannedStep(NamedTuple):
     tool_name: str
     arguments: dict
 
@@ -48,29 +48,27 @@ class PlannedStep:
         return f"{self.tool_name}({args})"
 
 
-@dataclass(frozen=True)
-class CandidatePlan:
-    plan_id: int
-    kind: PlanKind
-    steps: tuple[PlannedStep, ...]
-    rationale: str
-    draft_reply: str | None = None
+class CandidatePlan(namedtuple(
+        "_CandidatePlan", "plan_id kind steps rationale draft_reply summary")):
+    """A plan and its one-line summary, built with it: a plan is shared by every
+    episode that replays its reply."""
+
+    __slots__ = ()
+
+    def __new__(cls, plan_id: int, kind: PlanKind, steps: tuple[PlannedStep, ...],
+                rationale: str, draft_reply: str | None = None):
+        if kind is PlanKind.DIRECT_REPLY:
+            body = f'reply: "{draft_reply}"'
+        else:
+            body = " -> ".join(s.summary() for s in steps)
+        summary = f"({kind.value}) {body} | {rationale}"
+        return tuple.__new__(cls, (plan_id, kind, steps, rationale, draft_reply, summary))
 
     def dedup_key(self) -> tuple:
         return (self.kind.value, tuple(s.tool_name for s in self.steps))
 
-    @cached_property
-    def summary(self) -> str:
-        """Built once per plan; a plan is shared by every episode that replays its reply."""
-        if self.kind is PlanKind.DIRECT_REPLY:
-            body = f'reply: "{self.draft_reply}"'
-        else:
-            body = " -> ".join(s.summary() for s in self.steps)
-        return f"({self.kind.value}) {body} | {self.rationale}"
 
-
-@dataclass(frozen=True)
-class PlanEvaluation:
+class PlanEvaluation(NamedTuple):
     plan_id: int
     label: str
     confidence: float

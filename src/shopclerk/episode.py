@@ -1,9 +1,8 @@
 """The agent session loop: memory in, plans scored, tools run, reply out."""
 
 import json
-import logging
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import decision as dec
 from .config import AgentConfig
@@ -28,16 +27,13 @@ from .toolkit import ActionTrace, ToolCall, Usage
 from .vision import IntegrationStrategy
 from .world import World, seed_store
 
-logger = logging.getLogger(__name__)
-
 CLARIFICATION_REPLY = "Sorry, I want to be sure I help correctly. Could you clarify what you need?"
 
 ALL_KINDS = frozenset(RefKind)
 NON_VISUAL_KINDS = frozenset({RefKind.PRODUCT, RefKind.ORDER, RefKind.OTHER})
 
 
-@dataclass
-class EpisodeResult:
+class EpisodeResult(NamedTuple):
     task_id: str
     trial_index: int
     success: bool
@@ -57,7 +53,7 @@ class EpisodeResult:
             "success": self.success,
             "modality": self.modality,
             "wall_time_ms": self.wall_time_ms,
-            "usage": self.usage.to_dict(),
+            "usage": self.usage._asdict(),
             "error": self.error,
             "check_report": list(self.report_rows),
             "replies": list(self.replies),
@@ -263,7 +259,6 @@ def run_episode(
         except ClerkError as exc:
             error = f"{type(exc).__name__}: {exc}"
             session.trace.add("episode_error", error=error)
-            logger.debug("episode %s trial %d: %s", task.task_id, trial_index, error)
             break
     elapsed_ms = (time.monotonic() - started) * 1000.0
     usage = session.trace.usage()

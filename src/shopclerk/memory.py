@@ -3,12 +3,13 @@
 import heapq
 import json
 from bisect import bisect_left
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import ClerkError, ConfigError, SchemaError, SequencingError, UsageError
 from .files import read_jsonl
@@ -29,29 +30,25 @@ class PartKind(str, Enum):
     PLACEHOLDER = "placeholder"
 
 
-@dataclass(frozen=True)
-class ContentPart:
-    kind: PartKind
-    value: str
+class ContentPart(namedtuple("_ContentPart", "kind value")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind is PartKind.IMAGE_REF and not self.value.startswith(("http://", "https://")):
-            raise SchemaError(f"image_ref value is not a URL: {self.value!r}")
+    def __new__(cls, kind: PartKind, value: str):
+        if kind is PartKind.IMAGE_REF and not value.startswith(("http://", "https://")):
+            raise SchemaError(f"image_ref value is not a URL: {value!r}")
+        return tuple.__new__(cls, (kind, value))
 
 
-@dataclass(frozen=True)
-class Message:
-    role: Role
-    parts: tuple[ContentPart, ...]
-    turn_index: int
-    timestamp: int = 0
+class Message(namedtuple("_Message", "role parts turn_index timestamp")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.parts:
+    def __new__(cls, role: Role, parts: tuple[ContentPart, ...], turn_index: int,
+                timestamp: int = 0):
+        if not parts:
             raise SchemaError("message must carry at least one content part")
-        if self.turn_index < 0:
+        if turn_index < 0:
             raise SchemaError("turn_index must be non-negative")
-        object.__setattr__(self, "parts", tuple(self.parts))
+        return tuple.__new__(cls, (role, tuple(parts), turn_index, timestamp))
 
     def text(self) -> str:
         """Concatenation of all part values, image refs and placeholders inline."""
@@ -184,15 +181,32 @@ class Namespace(str, Enum):
 WORLD_NAMESPACES = frozenset({Namespace.PRODUCT, Namespace.ORDER, Namespace.LOGISTICS})
 
 
-@dataclass(frozen=True)
-class Document:
-    key: str
-    body: object  # structured map or plain text
+class _Searchable:
+    """A tuple record's search tokens, made from its to_doc() on first use and kept
+    with it: every holder of the record shares them, and a record made by _replace
+    starts without. A subclass declares no __slots__, so it has the __dict__ that
+    keeps them; assignment is refused, as a named tuple's is."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @cached_property
     def tokens(self) -> frozenset[str]:
-        """The body's search tokens, made once: at build for an indexed document, else on first use."""
-        return _flatten_tokens(self.body)
+        return _flatten_tokens(self.to_doc())
+
+
+class _Document(NamedTuple):
+    key: str
+    body: object  # structured map or plain text
+
+
+class Document(_Document, _Searchable):
+    """A stored document; an indexed one is tokenized at build, any other on first search."""
+
+    def to_doc(self) -> object:
+        return self.body
 
     @classmethod
     def indexed(cls, key: str, body: object) -> "Document":

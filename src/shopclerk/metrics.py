@@ -1,19 +1,18 @@
 """Evaluation metrics: pass^k, contribution ratio, improvements, times."""
 
-import csv
 import io
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import UsageError
 from .files import LIST, OBJECT, STRING, closed, read_json, read_text
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     task_id: str
     success: bool
     wall_time_ms: float = 0.0
@@ -54,17 +53,15 @@ def pass_hat_k(trials: Iterable, k: int) -> Fraction:
     return total / len(counts)
 
 
-@dataclass(frozen=True)
-class ContributionInputs:
-    valid_ai: int
-    total_ai: int
-    total_cr: int
+class ContributionInputs(namedtuple("_ContributionInputs", "valid_ai total_ai total_cr")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.valid_ai <= self.total_ai:
+    def __new__(cls, valid_ai: int, total_ai: int, total_cr: int):
+        if not 0 <= valid_ai <= total_ai:
             raise UsageError("need 0 <= valid_ai <= total_ai")
-        if self.total_ai + self.total_cr <= 0:
+        if total_ai + total_cr <= 0:
             raise UsageError("ratio undefined: no messages at all")
+        return tuple.__new__(cls, (valid_ai, total_ai, total_cr))
 
 
 def ai_contribution_ratio(inputs: ContributionInputs) -> float:
@@ -99,6 +96,8 @@ def mean_completion_time(trials: Iterable, modality: str | None = None) -> float
 def read_annotations_csv(path: str | Path) -> ContributionInputs:
     """Judged-message counts from a CSV with columns
     session_id, message_id, source, judged_valid."""
+    import csv
+
     required = {"session_id", "message_id", "source", "judged_valid"}
     total_ai = total_cr = valid_ai = 0
     bad_lines: list[int] = []

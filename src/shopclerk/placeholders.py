@@ -2,8 +2,8 @@
 
 import json
 import re
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 from urllib.parse import urlparse
 
 from .errors import ResolutionError, UnknownPlaceholderError
@@ -71,13 +71,12 @@ def find_urls(text: str) -> list[tuple[int, int, str]]:
     return spans
 
 
-@dataclass
-class PlaceholderEntry:
+class PlaceholderEntry(NamedTuple):
     placeholder: str
     original: str
     kind: RefKind
-    # resolved descriptions cached per instruction
-    resolved: dict[str, str] = field(default_factory=dict)
+    # resolved descriptions cached per instruction; the entry's own dict
+    resolved: dict[str, str]
 
 
 class PlaceholderTable:
@@ -112,7 +111,7 @@ class PlaceholderTable:
         kind = classify_url(url)
         self._counts[kind] += 1
         placeholder = f"[{KIND_NAMES[kind]} {self._counts[kind]}]"
-        entry = PlaceholderEntry(placeholder=placeholder, original=url, kind=kind)
+        entry = PlaceholderEntry(placeholder=placeholder, original=url, kind=kind, resolved={})
         self._entries.append(entry)
         self._by_original[url] = entry
         self._by_placeholder[placeholder] = entry

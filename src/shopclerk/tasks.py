@@ -1,8 +1,8 @@
 """Scripted buyer tasks: file schema, validation, and success checking."""
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import SchemaError, TaskLoadError
 from .files import OBJECT, STRING, closed, read_json, shape_error
@@ -12,22 +12,20 @@ from .world import World, world_from_dict
 
 MODALITIES = ("unimodal", "multimodal")
 
-NUMBER_RE = re.compile(r"[-+]?\d+(?:\.\d+)?")
+# a number, its integer part either plain digits or comma-grouped in threes ("1,299.00")
+NUMBER_RE = re.compile(r"[-+]?(?:\d{1,3}(?:,\d{3})+(?!\d)|\d+)(?:\.\d+)?")
 
 
-@dataclass(frozen=True)
-class BuyerTurn:
+class BuyerTurn(NamedTuple):
     utterance: str
 
 
-@dataclass(frozen=True)
-class StateAssertion:
+class StateAssertion(NamedTuple):
     path: str
     expected: object
 
 
-@dataclass(frozen=True)
-class ResponseFact:
+class ResponseFact(NamedTuple):
     substring: str | None = None
     number: float | None = None
     tolerance: float = 0.0
@@ -38,14 +36,12 @@ class ResponseFact:
         return f"{'contains' if self.must_appear else 'omits'} {target!r}"
 
 
-@dataclass(frozen=True)
-class SuccessCriteria:
+class SuccessCriteria(NamedTuple):
     state_assertions: tuple[StateAssertion, ...] = ()
     response_facts: tuple[ResponseFact, ...] = ()
 
 
-@dataclass
-class Task:
+class Task(NamedTuple):
     task_id: str
     modality: str
     seed_world: World
@@ -213,7 +209,7 @@ def check_success(
             found = fact.substring in agent_text
         else:
             found = any(
-                abs(float(m.group(0)) - fact.number) <= fact.tolerance
+                abs(float(m.group(0).replace(",", "")) - fact.number) <= fact.tolerance
                 for m in NUMBER_RE.finditer(agent_text)
             )
         rows.append({

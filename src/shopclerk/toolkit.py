@@ -6,19 +6,14 @@ is_error}.
 """
 
 import json
-import logging
-from dataclasses import asdict, dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import RegistrationError
 from .files import shape_error
 from .memory import ContentPart, PartKind
 
-logger = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
-class ToolDescriptor:
+class ToolDescriptor(NamedTuple):
     name: str
     description: str
     input_schema: dict
@@ -27,16 +22,8 @@ class ToolDescriptor:
         # input_schema is a dict and cannot be hashed; equal descriptors share a name
         return hash(self.name)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "input_schema": self.input_schema,
-        }
 
-
-@dataclass(frozen=True)
-class ToolCall:
+class ToolCall(NamedTuple):
     call_id: str
     tool_name: str
     arguments: dict
@@ -45,8 +32,7 @@ class ToolCall:
         return {"call_id": self.call_id, "tool": self.tool_name, "arguments": dict(self.arguments)}
 
 
-@dataclass(frozen=True)
-class ToolResult:
+class ToolResult(NamedTuple):
     call_id: str
     content: tuple[ContentPart, ...]
     is_error: bool = False
@@ -82,8 +68,7 @@ def validate_arguments(schema: dict, arguments: dict) -> list[str]:
     return sorted(set(bad), key=lambda n: (order.get(n, len(order)), n))
 
 
-@dataclass(frozen=True)
-class Usage:
+class Usage(NamedTuple):
     """What a session's backend and describe calls cost, folded from its trace."""
 
     prompt_chars: int = 0
@@ -91,8 +76,6 @@ class Usage:
     backend_calls: int = 0
     describe_calls: int = 0
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 class ActionTrace:
@@ -192,7 +175,6 @@ class ToolRegistry:
                     else:
                         result = ToolResult(call.call_id, tuple(payload))
                 except Exception as exc:  # noqa: BLE001 - contract: never crash the session
-                    logger.debug("tool %s failed: %s", call.tool_name, exc)
                     result = text_result(call.call_id, str(exc), is_error=True)
         if trace is not None:
             trace.add("tool_result", result=result.to_dict(), tool=call.tool_name)

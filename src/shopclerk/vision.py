@@ -1,8 +1,9 @@
 """Visual description unit: fixture-backed or remote, behind one contract."""
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import AssetError, BackendError, ConfigError, UsageError
 from .files import STRING, closed, read_json
@@ -21,14 +22,12 @@ class IntegrationStrategy(str, Enum):
     PLANNER = "planner"
 
 
-@dataclass(frozen=True)
-class VisualQuery:
+class VisualQuery(NamedTuple):
     instruction: str
     asset_id: str
 
 
-@dataclass
-class CategoryRule:
+class CategoryRule(NamedTuple):
     category: str
     keywords: tuple[str, ...]
 
@@ -37,15 +36,14 @@ class CategoryRule:
         return any(k.casefold() in folded for k in self.keywords)
 
 
-@dataclass
-class ImageAsset:
-    asset_id: str
-    annotations: dict[str, str]
-    rules: tuple[CategoryRule, ...] = ()
+class ImageAsset(namedtuple("_ImageAsset", "asset_id annotations rules")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if "default" not in self.annotations:
-            raise ConfigError(f"asset {self.asset_id} has no default annotation")
+    def __new__(cls, asset_id: str, annotations: dict[str, str],
+                rules: tuple[CategoryRule, ...] = ()):
+        if "default" not in annotations:
+            raise ConfigError(f"asset {asset_id} has no default annotation")
+        return tuple.__new__(cls, (asset_id, annotations, rules))
 
 
 _RULES = {"type": "array", "items": closed(

@@ -1,10 +1,9 @@
 """Mock e-commerce world state: products, orders, shipments, policies."""
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
 from types import MappingProxyType
+from typing import NamedTuple
 
 from . import memory
 from .errors import IllegalTransitionError, SchemaError
@@ -30,77 +29,68 @@ ORDER_ACTIONS = {
 }
 
 
-class _Searchable:
-    """A frozen record whose search tokens are made on its first search and kept with it,
-    so every copy of a world shares them and a replaced record gets its own."""
-
-    @cached_property
-    def tokens(self) -> frozenset[str]:
-        return memory._flatten_tokens(self.to_doc())
-
-
-@dataclass(frozen=True)
-class Product(_Searchable):
+class _Product(NamedTuple):
     product_id: str
     title: str
     attributes: dict
     price_cents: int
     stock: int
 
+
+class Product(_Product, memory._Searchable):
+    """A frozen product row; every copy of a world shares it and its search tokens."""
+
     def to_doc(self) -> dict:
-        return {
-            "product_id": self.product_id,
-            "title": self.title,
-            "attributes": self.attributes,
-            "price_cents": self.price_cents,
-            "stock": self.stock,
-        }
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class Order(_Searchable):
+class _Order(NamedTuple):
     order_id: str
     buyer_id: str
     items: list
     status: OrderStatus
     address: str
 
+
+class Order(_Order, memory._Searchable):
+    """A frozen order row; an order action replaces it with one of its own tokens."""
+
     def to_doc(self) -> dict:
-        return {
-            "order_id": self.order_id,
-            "buyer_id": self.buyer_id,
-            "items": self.items,
-            "status": self.status.value,
-            "address": self.address,
-        }
+        return {**self._asdict(), "status": self.status.value}
 
 
-@dataclass(frozen=True)
-class ShipmentEvent:
+class ShipmentEvent(NamedTuple):
     tick: int
     location: str
     status: str
 
     def to_doc(self) -> dict:
-        return {"tick": self.tick, "location": self.location, "status": self.status}
+        return self._asdict()
 
 
-@dataclass
 class World:
-    products: dict[str, Product] = field(default_factory=dict)
-    orders: dict[str, Order] = field(default_factory=dict)
-    shipments: dict[str, tuple[ShipmentEvent, ...]] = field(default_factory=dict)
-    # policy namespace -> key -> document, read-only and tokenized once, at parse
-    policies: Mapping[Namespace, MappingProxyType] = field(default_factory=dict)
-    clock: int = 0
-    mutations: list[dict] = field(default_factory=list)
-    # order id -> (its shipment events, their logistics record's search tokens), shared by copies
-    logistics_tokens: dict[str, tuple] = field(default_factory=dict, repr=False, compare=False)
+    """The shop's mutable state. Its records are frozen and replaced on change, so
+    copies share them; each copy owns its tables, clock and mutation log."""
+
+    __slots__ = ("products", "orders", "shipments", "policies", "clock", "mutations",
+                 "logistics_tokens")
+
+    def __init__(self, products=None, orders=None, shipments=None, policies=None, clock=0,
+                 logistics_tokens=None):
+        self.products: dict[str, Product] = {} if products is None else products
+        self.orders: dict[str, Order] = {} if orders is None else orders
+        self.shipments: dict[str, tuple] = {} if shipments is None else shipments
+        # policy namespace -> key -> document, read-only and tokenized once, at parse
+        self.policies: Mapping[Namespace, MappingProxyType] = {} if policies is None else policies
+        self.clock = clock
+        self.mutations: list[dict] = []
+        # order id -> (its shipment events, their logistics record's search tokens), shared by copies
+        self.logistics_tokens = {} if logistics_tokens is None else logistics_tokens
 
     def copy(self) -> "World":
         """Own containers, no mutations; frozen records, replaced on change, are shared."""
         return World(dict(self.products), dict(self.orders), dict(self.shipments),
-                     self.policies, self.clock, logistics_tokens=self.logistics_tokens)
+                     self.policies, self.clock, self.logistics_tokens)
 
     def apply_order_action(self, order_id: str, action: str) -> dict:
         """Apply a legal order transition and record the mutation event."""
@@ -122,7 +112,7 @@ class World:
             "from": order.status.value,
             "to": target.value,
         }
-        self.orders[order_id] = replace(order, status=target)
+        self.orders[order_id] = order._replace(status=target)
         self.mutations.append(event)
         return event
 
@@ -180,7 +170,9 @@ class World:
 
 
 def _plain(record) -> object:
-    return [e.to_doc() for e in record] if isinstance(record, tuple) else record.to_doc()
+    """A product or order as its doc, a shipment (a tuple, as every record is) as a list."""
+    return record.to_doc() if isinstance(record, memory._Searchable) else [
+        e.to_doc() for e in record]
 
 
 _COUNT = {"type": "integer", "minimum": 0}

@@ -354,6 +354,35 @@ def test_remote_backend_bad_shape(monkeypatch, sleeps):
     assert sleeps == []
 
 
+def _choice(**fields) -> dict:
+    return {"choices": [{"message": {"content": "A"}, **fields}]}
+
+
+@pytest.mark.parametrize("data, where", [
+    (_choice(logprobs=[1]), "choices[0].logprobs: must be an object or null, got a list"),
+    (_choice(logprobs={"content": [{"top_logprobs": ["A"]}]}),
+     'choices[0].logprobs.content[0].top_logprobs[0]: must be an object, got "A"'),
+    ({"choices": [{"message": {"content": 5}}]},
+     "choices[0].message.content: must be a string or null, got 5"),
+], ids=["logprobs-list", "top-logprob-row-not-object", "content-not-text"])
+def test_remote_reply_of_the_wrong_shape_is_a_backend_error(monkeypatch, data, where):
+    monkeypatch.setenv("SHOPCLERK_CHAT_URL", "https://llm.internal")
+    backend = RemoteBackend(session=FakeSession([FakeReply(data)]))
+    with pytest.raises(BackendError) as raised:
+        backend.complete(req("pick one", labels="AB"))
+    assert str(raised.value) == f"unexpected remote response shape: {where}"
+
+
+def test_remote_label_probs_come_from_the_first_tokens_top_logprobs(monkeypatch):
+    monkeypatch.setenv("SHOPCLERK_CHAT_URL", "https://llm.internal")
+    top = [{"token": " B", "logprob": -0.25, "bytes": [32, 66]}, {"token": "A", "logprob": -2.0},
+           {"token": "Z", "logprob": -3.0}]
+    data = _choice(logprobs={"content": [{"token": "B", "top_logprobs": top}]})
+    response = RemoteBackend(session=FakeSession([FakeReply(data)])).complete(
+        req("pick one", labels="AB"))
+    assert response.label_probs == pytest.approx({"B": 0.7788008, "A": 0.1353353})
+
+
 def test_script_file_round_trip(tmp_path):
     payload = {"entries": [
         {"step": 0, "response": {"text": "plans"}},

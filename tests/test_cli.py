@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import shopclerk
 from shopclerk import bench
 from shopclerk.cli import _episode_backends, build_parser, main
 from shopclerk.tasks import load_task
@@ -14,6 +19,23 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# what no command needs at start-up: each is imported on the one path that uses it, or not at all
+DEFERRED_MODULES = ("dataclasses", "inspect", "logging", "hashlib", "concurrent.futures")
+
+
+def test_importing_the_cli_loads_only_what_every_command_runs():
+    """Measured against the same interpreter before the import, so what site loads does not count."""
+    src = str(Path(shopclerk.__file__).parent.parent)
+    probe = ("import sys; bare = set(sys.modules); import shopclerk.cli; "
+             "print(' '.join(sorted(set(sys.modules) - bare)))")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    added = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                           check=True, timeout=60).stdout.split()
+    assert "shopclerk.cli" in added
+    assert [m for m in DEFERRED_MODULES if m in added] == []
 
 
 def test_run_bundled_task_success(capsys, suite_dir, scripts_dir, tmp_path):

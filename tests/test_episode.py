@@ -92,7 +92,7 @@ def test_wrong_plan_label_fails_task(suite_dir, scripts_dir, vision_fixtures, tm
 
 def test_max_turns_truncates(suite_dir, scripts_dir, vision_fixtures):
     task = load_task(suite_dir / "refund-approval.json", vision_fixtures)
-    task.max_turns = 1
+    task = task._replace(max_turns=1)
     chat = ScriptedBackend.from_file(scripts_dir / "refund-approval.json")
     result = run_episode(task, AgentConfig(), chat, vision_fixtures)
     assert len(result.replies) == 1

@@ -205,6 +205,21 @@ def test_numeric_fact_with_tolerance():
     assert not ok
 
 
+@pytest.mark.parametrize("reply, number, found", [
+    ("The total is $1,299.00 today", 1299, True),
+    ("about 12,345,678 units", 12345678, True),
+    ("pick 1,2 or 3", 12, False),  # groups of one digit: the numbers 1 and 2
+    ("pick 1,2 or 3", 2, True),
+    ("codes 1,2345", 12345, False),  # a group of four digits: 1 and 2345
+    ("codes 1,2345", 2345, True),
+], ids=["grouped-price", "two-groups", "short-group", "short-group-tail", "long-group",
+        "long-group-tail"])
+def test_numeric_fact_reads_thousands_separators_in_groups_of_three(reply, number, found):
+    criteria = SuccessCriteria(response_facts=(ResponseFact(number=number),))
+    ok, _ = check_success(world_from_dict({}), agent_transcript(reply), criteria)
+    assert ok is found
+
+
 def test_must_not_appear_fact():
     world = world_from_dict({})
     criteria = SuccessCriteria(

@@ -1,10 +1,14 @@
-import dataclasses
 import random
 
 import pytest
 
+from shopclerk.backends import ChatMessage, ChatRequest, ChatResponse, ScriptEntry
+from shopclerk.config import AgentConfig
+from shopclerk.decision import CandidatePlan, PlanKind, PlannedStep
 from shopclerk.errors import IllegalTransitionError, SchemaError
-from shopclerk.memory import Namespace
+from shopclerk.memory import ContentPart, Document, Message, Namespace, PartKind, Role
+from shopclerk.shop_tools import TOOLS
+from shopclerk.toolkit import ToolCall, text_result
 from shopclerk.tasks import _MISSING, _resolve_path
 from shopclerk.world import (
     OrderStatus,
@@ -136,8 +140,38 @@ def test_world_from_dict_validation_errors():
 def test_records_are_frozen(record, field):
     world = make_world()
     row = next(iter(getattr(world, record).values()))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         setattr(row, field, None)
+
+
+def _shared_records() -> dict:
+    """One of each record type that world copies, episodes or threads share."""
+    world = make_world()
+    step = PlannedStep("order_lookup", {"order_id": "O1"})
+    part = ContentPart(PartKind.TEXT, "hi")
+    message = ChatMessage("user", "hi")
+    response = ChatResponse("A")
+    return {
+        "Product": world.products["P1"], "Order": world.orders["O1"],
+        "ShipmentEvent": world.shipments["O1"][0],
+        "CandidatePlan": CandidatePlan(0, PlanKind.SINGLE_TOOL, (step,), "look it up"),
+        "PlannedStep": step, "ContentPart": part, "Message": Message(Role.BUYER, (part,), 0),
+        "ChatMessage": message, "ChatRequest": ChatRequest((message,)), "ChatResponse": response,
+        "ScriptEntry": ScriptEntry(response, step=0), "ToolDescriptor": TOOLS[0],
+        "ToolCall": ToolCall("c1", "order_lookup", {"order_id": "O1"}),
+        "ToolResult": text_result("c1", "ok"), "Document": Document.indexed("k", {"a": "b"}),
+        "AgentConfig": AgentConfig(),
+    }
+
+
+@pytest.mark.parametrize("name", list(_shared_records()))
+def test_shared_records_refuse_assignment(name):
+    record = _shared_records()[name]
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+    with pytest.raises(AttributeError):
+        record.note = "changed"
+    assert type(record).__name__ == name
 
 
 def test_copy_shares_records_and_owns_containers():
@@ -271,7 +305,7 @@ def test_store_follows_the_world_without_a_put():
     world = make_world()
     store = seed_store(world)
     world.apply_order_action("O2", "cancel")
-    world.products["P1"] = dataclasses.replace(world.products["P1"], stock=0)
+    world.products["P1"] = world.products["P1"]._replace(stock=0)
     assert store.get(Namespace.ORDER, "O2").body["status"] == "cancelled"
     assert store.get(Namespace.PRODUCT, "P1").body["stock"] == 0
     assert [d.key for d in store.search(Namespace.ORDER, "cancelled", 5)] == ["O2"]
