@@ -9,7 +9,6 @@ from pathlib import Path
 
 from . import __version__
 from .backends import RecordingBackend, RemoteBackend, ReplayBackend, ScriptedBackend
-from .bench import report_table, run_ablation, write_report
 from .config import (
     CONFIG_KEYS,
     AblationVariant,
@@ -20,15 +19,6 @@ from .config import (
 from .episode import run_episode, write_result
 from .errors import ClerkError, ConfigError, UsageError
 from .files import LIST, STRING, read_json, read_jsonl
-from .metrics import (
-    ai_contribution_ratio,
-    format_fraction,
-    pass_hat_k,
-    read_annotations_csv,
-    read_trial_records,
-    relative_improvement,
-    time_reduction,
-)
 from .tasks import load_suite, load_task
 from .vision import FixtureVisionBackend, RemoteVisionBackend
 
@@ -109,7 +99,14 @@ def _episode_backends(args):
     return fixtures, factory
 
 
+def _at_least(floor: int, *flags: tuple[str, int]) -> None:
+    for flag, value in flags:
+        if value < floor:
+            raise UsageError(f"{flag} must be >= {floor}, got {value}")
+
+
 def cmd_run(args) -> int:
+    _at_least(0, ("--trial", args.trial))
     config = _agent_config(args)
     fixtures, factory = _episode_backends(args)
     task = load_task(args.task, vision_fixtures=fixtures)
@@ -137,29 +134,6 @@ def _parse_k_values(raw: str) -> list[int]:
     return k_values
 
 
-def _check_counts(args) -> None:
-    for flag, value in (("--n-trials", args.n_trials), ("--workers", args.workers)):
-        if value < 1:
-            raise UsageError(f"{flag} must be >= 1, got {value}")
-
-
-def cmd_bench(args) -> int:
-    _check_counts(args)
-    config = _agent_config(args)
-    fixtures, factory = _episode_backends(args)
-    tasks = load_suite(args.suite, vision_fixtures=fixtures)
-    k_values = _parse_k_values(args.k)
-    variants = [AblationVariant(name="default", agent=config)]
-    reports, results = run_ablation(tasks, variants, factory, args.n_trials, k_values,
-                                    workers=args.workers)
-    print(report_table(reports, k_values))
-    if args.out:
-        write_report(reports, k_values, args.out)
-        for result in results:
-            write_result(result, Path(args.out) / "trials")
-    return EXIT_FAILURE if reports[0]["failures"] else EXIT_OK
-
-
 # --vary axis -> the ablation matrix it stands for
 VARY_AXES = {
     "aci": ({"name": "aci-off", "aci": "off"}, {"name": "aci-on", "aci": "on"}),
@@ -169,8 +143,29 @@ VARY_AXES = {
 }
 
 
-def cmd_ablate(args) -> int:
-    _check_counts(args)
+def _variants(args, base: AgentConfig) -> list[AblationVariant]:
+    """ablate runs --matrix rows or a --vary axis; bench, with neither, the one `default`."""
+    if args.vary:
+        return [AblationVariant.from_dict(row, base) for row in VARY_AXES[args.vary]]
+    if not args.matrix:
+        return [AblationVariant(name="default", agent=base)]
+    variants, first_row = [], {}
+    for i, row in enumerate(read_json(args.matrix, "matrix file", LIST)):
+        variant = AblationVariant.from_dict(row, base, f"matrix file {args.matrix} row {i}")
+        if variant.name in first_row:
+            raise ConfigError(f"matrix file {args.matrix} row {i}: name {variant.name!r} "
+                              f"is also the name of row {first_row[variant.name]}")
+        first_row[variant.name] = i
+        variants.append(variant)
+    return variants
+
+
+def cmd_suite(args) -> int:
+    """bench and ablate: every variant over the suite, one report row each; bench also
+    writes each episode's trial files under --out."""
+    from .bench import report_table, run_ablation, write_report
+
+    _at_least(1, ("--n-trials", args.n_trials), ("--workers", args.workers))
     base = _agent_config(args)
     fixtures, factory = _episode_backends(args)
     tasks = load_suite(args.suite, vision_fixtures=fixtures)
@@ -178,23 +173,23 @@ def cmd_ablate(args) -> int:
         tasks = [t for t in tasks if t.modality == args.modality]
         if not tasks:
             raise UsageError(f"no {args.modality} tasks in suite")
-    if args.matrix:
-        variants = [AblationVariant.from_dict(row, base, f"matrix file {args.matrix} row {i}")
-                    for i, row in enumerate(read_json(args.matrix, "matrix file", LIST))]
-    elif args.vary:
-        variants = [AblationVariant.from_dict(row, base) for row in VARY_AXES[args.vary]]
-    else:
-        raise UsageError("ablate needs --matrix or --vary")
+    variants = _variants(args, base)
     k_values = _parse_k_values(args.k)
-    reports, _ = run_ablation(tasks, variants, factory, args.n_trials, k_values,
-                              workers=args.workers)
+    reports, results = run_ablation(tasks, variants, factory, args.n_trials, k_values,
+                                    workers=args.workers)
     print(report_table(reports, k_values))
     if args.out:
         write_report(reports, k_values, args.out)
+        if args.command == "bench":
+            for result in results:
+                write_result(result, Path(args.out) / "trials")
     return EXIT_FAILURE if any(r["failures"] for r in reports) else EXIT_OK
 
 
 def cmd_metrics(args) -> int:
+    from .metrics import (ai_contribution_ratio, format_fraction, pass_hat_k, read_annotations_csv,
+                          read_trial_records, relative_improvement, time_reduction)
+
     printed = False
     if args.annotations:
         inputs = read_annotations_csv(args.annotations)
@@ -325,32 +320,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     # no abbreviations on suite commands: --script would otherwise pass for --scripts
-    p_bench = sub.add_parser("bench", help="run the task suite and print pass^k",
-                             allow_abbrev=False)
-    p_bench.add_argument("--suite", default=str(DEFAULT_SUITE))
-    p_bench.add_argument("--scripts", default=str(DEFAULT_SCRIPTS))
-    p_bench.add_argument("--n-trials", type=int, default=5, dest="n_trials")
-    p_bench.add_argument("--k", default="1,2,3,4,5")
-    p_bench.add_argument("--workers", type=int, default=1)
-    p_bench.add_argument("--out")
-    _add_backend_flags(p_bench, single_task=False)
-    _add_agent_flags(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
-
-    p_ablate = sub.add_parser("ablate", help="compare agent configurations over the suite",
-                              allow_abbrev=False)
-    p_ablate.add_argument("--suite", default=str(DEFAULT_SUITE))
-    p_ablate.add_argument("--scripts", default=str(DEFAULT_SCRIPTS))
-    p_ablate.add_argument("--matrix", help="JSON list of variant configs")
-    p_ablate.add_argument("--vary", choices=list(VARY_AXES))
-    p_ablate.add_argument("--modality", choices=["unimodal", "multimodal"])
-    p_ablate.add_argument("--n-trials", type=int, default=5, dest="n_trials")
-    p_ablate.add_argument("--k", default="1,5")
-    p_ablate.add_argument("--workers", type=int, default=1)
-    p_ablate.add_argument("--out")
-    _add_backend_flags(p_ablate, single_task=False)
-    _add_agent_flags(p_ablate)
-    p_ablate.set_defaults(func=cmd_ablate)
+    suite = {}
+    for name, help_text, k_default in (
+        ("bench", "run the task suite and print pass^k", "1,2,3,4,5"),
+        ("ablate", "compare agent configurations over the suite", "1,5"),
+    ):
+        p_suite = suite[name] = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p_suite.add_argument("--suite", default=str(DEFAULT_SUITE))
+        p_suite.add_argument("--scripts", default=str(DEFAULT_SCRIPTS))
+        p_suite.add_argument("--n-trials", type=int, default=5, dest="n_trials")
+        p_suite.add_argument("--k", default=k_default)
+        p_suite.add_argument("--workers", type=int, default=1)
+        p_suite.add_argument("--out")
+        _add_backend_flags(p_suite, single_task=False)
+        _add_agent_flags(p_suite)
+        p_suite.set_defaults(func=cmd_suite)
+    suite["bench"].set_defaults(matrix=None, vary=None, modality=None)
+    matrix_or_axis = suite["ablate"].add_mutually_exclusive_group(required=True)
+    matrix_or_axis.add_argument("--matrix", help="JSON list of variant configs")
+    matrix_or_axis.add_argument("--vary", choices=list(VARY_AXES))
+    suite["ablate"].add_argument("--modality", choices=["unimodal", "multimodal"])
 
     p_metrics = sub.add_parser("metrics", help="recompute metrics from recorded files")
     p_metrics.add_argument("--annotations", help="CSV of judged messages")

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import shopclerk
-from shopclerk import bench
+from shopclerk import bench, cli
 from shopclerk.cli import _episode_backends, build_parser, main
 from shopclerk.tasks import load_task
 from shopclerk.vision import FixtureVisionBackend, RemoteVisionBackend
@@ -22,7 +22,8 @@ def run_cli(capsys, *argv):
 
 
 # what no command needs at start-up: each is imported on the one path that uses it, or not at all
-DEFERRED_MODULES = ("dataclasses", "inspect", "logging", "hashlib", "concurrent.futures")
+DEFERRED_MODULES = ("dataclasses", "inspect", "logging", "hashlib", "concurrent.futures",
+                    "shopclerk.bench", "shopclerk.metrics", "fractions", "decimal")
 
 
 def test_importing_the_cli_loads_only_what_every_command_runs():
@@ -53,6 +54,17 @@ def test_run_bundled_task_success(capsys, suite_dir, scripts_dir, tmp_path):
         "kettle-capacity-t0.transcript.jsonl",
         "kettle-capacity-t0.trace.jsonl",
     }
+
+
+def test_run_negative_trial_exits_2_before_any_episode(capsys, suite_dir, scripts_dir, tmp_path,
+                                                      monkeypatch):
+    monkeypatch.setattr(cli, "run_episode", lambda *a, **kw: pytest.fail("ran an episode"))
+    code, out, err = run_cli(capsys, "run", "--task", str(suite_dir / "kettle-capacity.json"),
+                             "--script", str(scripts_dir / "kettle-capacity.json"),
+                             "--trial", "-3", "--out", str(tmp_path / "artifacts"))
+    assert code == 2 and out == ""
+    assert "--trial must be >= 0, got -3" in err
+    assert not (tmp_path / "artifacts").exists()
 
 
 def test_run_missing_script_file_exits_2(capsys, suite_dir):
@@ -181,14 +193,27 @@ def test_unknown_config_key_names_the_config_file(capsys, tmp_path):
     ([{"name": "a"}, {"name": "b", "bogus": 1}], 1, "bogus: unknown key"),
     ([{"name": 5}], 0, "name: must be a string, got 5"),
     ([{"name": "votes", "vote_samples": 1}], 0, "vote_samples: unknown key"),
+    ([{"name": "a"}, {"name": "b"}, {"name": "a", "aci": "off"}], 2,
+     "name 'a' is also the name of row 0"),
 ])
-def test_bad_matrix_row_names_the_file_and_row(capsys, tmp_path, rows, row, why):
+def test_bad_matrix_row_names_the_file_and_row(capsys, tmp_path, monkeypatch, rows, row, why):
     matrix = tmp_path / "m.json"
     matrix.write_text(json.dumps(rows))
+    monkeypatch.setattr(bench, "run_episode", lambda *a, **kw: pytest.fail("ran an episode"))
     code, out, err = run_cli(capsys, "ablate", "--matrix", str(matrix), "--n-trials", "1", "--k", "1")
     assert code == 2
     assert f"matrix file {matrix} row {row}: {why}" in err
     assert out == ""
+
+
+def test_ablate_matrix_and_vary_together_exit_2(capsys, tmp_path, monkeypatch):
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps([{"name": "a"}]))
+    monkeypatch.setattr(bench, "run_episode", lambda *a, **kw: pytest.fail("ran an episode"))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["ablate", "--matrix", str(matrix), "--vary", "aci", "--n-trials", "1", "--k", "1"])
+    assert exit_info.value.code == 2
+    assert "--vary: not allowed with argument --matrix" in capsys.readouterr().err
 
 
 def test_duplicate_task_ids_exit_2_before_any_episode(capsys, suite_dir, scripts_dir, tmp_path,
@@ -547,6 +572,31 @@ def test_bench_with_workers_writes_the_serial_artifacts(capsys, tmp_path):
     for path in serial:
         parallel = tmp_path / "2" / "trials" / path.name
         assert parallel.read_bytes() == path.read_bytes(), path.name
+
+
+class FakeRemote:
+    """Stands in for RemoteBackend, which needs an endpoint; never asked to complete."""
+
+
+@pytest.mark.parametrize("backend", [["--remote"], []], ids=["remote", "scripted"])
+def test_suite_hands_workers_on_for_every_backend(capsys, monkeypatch, backend):
+    handed = []
+
+    def fake_run_ablation(tasks, variants, factory, n_trials, k_values, workers=1):
+        handed.append(workers)
+        chat, _ = factory(tasks[0], 0)
+        assert isinstance(chat, FakeRemote) == bool(backend)
+        usage = {"prompt_chars": 0, "backend_calls": 0}
+        times = {"all": 0.0, "multimodal": None, "unimodal": None}
+        return [{"name": v.name, "pass_hat_k": {"1": 1.0}, "mean_time_ms": times, "usage": usage,
+                 "failures": 0} for v in variants], []
+
+    monkeypatch.setattr(bench, "run_ablation", fake_run_ablation)
+    monkeypatch.setattr(cli, "RemoteBackend", FakeRemote)
+    code, _, err = run_cli(capsys, "bench", *backend, "--n-trials", "1", "--k", "1", "--workers", "2")
+    assert code == 0
+    assert handed == [2]
+    assert err == ""
 
 
 def test_ablate_vary_aci(capsys, suite_dir, scripts_dir, tmp_path):
