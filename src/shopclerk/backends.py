@@ -234,12 +234,16 @@ class RecordingBackend:
     """Wraps a live backend and writes (digest, response) pairs to a store.
 
     Each write goes to a temporary file that then replaces the store, so a
-    crash mid-write leaves the previous store whole.
+    crash mid-write leaves the previous store whole. A store whose directory
+    is missing is a ConfigError; a failed write is a BackendError.
     """
 
     def __init__(self, inner, store_path: str | Path):
         self.inner = inner
         self.store_path = Path(store_path)
+        if not self.store_path.parent.is_dir():
+            raise ConfigError(f"record store {store_path}: directory "
+                              f"{self.store_path.parent} does not exist")
         stored = (parse_once(_STORES, store_path, "replay store", _parse_store)
                   if self.store_path.exists() else {})
         self._store = {digest: list(responses) for digest, responses in stored.items()}
@@ -250,8 +254,11 @@ class RecordingBackend:
         rows = {digest: [{"text": r.text, "label_probs": r.label_probs} for r in responses]
                 for digest, responses in self._store.items()}
         partial = self.store_path.with_name(self.store_path.name + ".partial")
-        partial.write_text(json.dumps(rows, sort_keys=True, indent=1), encoding="utf-8")
-        os.replace(partial, self.store_path)
+        try:
+            partial.write_text(json.dumps(rows, sort_keys=True, indent=1), encoding="utf-8")
+            os.replace(partial, self.store_path)
+        except OSError as exc:
+            raise BackendError(f"cannot write record store {self.store_path}: {exc}") from exc
         return response
 
 

@@ -18,7 +18,7 @@ from .config import (
 )
 from .episode import run_episode, write_result
 from .errors import ClerkError, ConfigError, UsageError
-from .files import LIST, STRING, read_json, read_jsonl
+from .files import LIST, STRING, make_dir, read_json, read_jsonl
 from .tasks import load_suite, load_task
 from .vision import FixtureVisionBackend, RemoteVisionBackend
 
@@ -111,6 +111,8 @@ def cmd_run(args) -> int:
     fixtures, factory = _episode_backends(args)
     task = load_task(args.task, vision_fixtures=fixtures)
     chat, vision = factory(task, args.trial)
+    if args.out:
+        make_dir(args.out, "--out")
     result = run_episode(task, config, chat, vision, trial_index=args.trial)
     if args.out:
         write_result(result, args.out)
@@ -175,6 +177,8 @@ def cmd_suite(args) -> int:
             raise UsageError(f"no {args.modality} tasks in suite")
     variants = _variants(args, base)
     k_values = _parse_k_values(args.k)
+    if args.out:
+        make_dir(Path(args.out, "trials" if args.command == "bench" else ""), "--out")
     reports, results = run_ablation(tasks, variants, factory, args.n_trials, k_values,
                                     workers=args.workers)
     print(report_table(reports, k_values))

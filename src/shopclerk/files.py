@@ -1,10 +1,11 @@
 """The one reader of input files and the one checker of their shapes.
 
-Every read error is a ConfigError naming the file. Shapes are schema dicts in
-a JSON Schema 2020-12 subset (https://json-schema.org/draft/2020-12): type (a
-name or a list of names), properties, required, additionalProperties (false,
-or the schema of every other key), items, enum, minimum, maximum, minLength
-and minItems. Values are checked as json.loads returns them: nothing is coerced,
+Every read error is a ConfigError naming the file, and so is an output
+directory that cannot be made. Shapes are schema dicts in a JSON Schema
+2020-12 subset (https://json-schema.org/draft/2020-12): type (a name or a
+list of names), properties, required, additionalProperties (false, or the
+schema of every other key), items, enum, minimum, maximum, minLength and
+minItems. Values are checked as json.loads returns them: nothing is coerced,
 a boolean is never an integer or a number, and NaN lies within no bound.
 """
 
@@ -122,6 +123,14 @@ def read_text(path, what: str, error=ConfigError) -> str:
         raise _unreadable(what, path, exc, error) from None
     except UnicodeDecodeError:
         raise error(f"{what} {path} is not UTF-8 text") from None
+
+
+def make_dir(path, what: str) -> None:
+    """Create the directory and its parents; what ("--out") names it in errors."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{what} {path} cannot be made a directory: {exc.strerror}") from None
 
 
 def parse_json(text: str, where: str, schema: dict | None = None, error=ConfigError):

@@ -6,7 +6,6 @@ from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Mapping
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
@@ -181,39 +180,17 @@ class Namespace(str, Enum):
 WORLD_NAMESPACES = frozenset({Namespace.PRODUCT, Namespace.ORDER, Namespace.LOGISTICS})
 
 
-class _Searchable:
-    """A tuple record's search tokens, made from its to_doc() on first use and kept
-    with it: every holder of the record shares them, and a record made by _replace
-    starts without. A subclass declares no __slots__, so it has the __dict__ that
-    keeps them; assignment is refused, as a named tuple's is."""
+class Document(NamedTuple):
+    """A document and its search tokens, made when it is built (see document())."""
 
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @cached_property
-    def tokens(self) -> frozenset[str]:
-        return _flatten_tokens(self.to_doc())
-
-
-class _Document(NamedTuple):
     key: str
     body: object  # structured map or plain text
+    tokens: frozenset[str]
 
 
-class Document(_Document, _Searchable):
-    """A stored document; an indexed one is tokenized at build, any other on first search."""
-
-    def to_doc(self) -> object:
-        return self.body
-
-    @classmethod
-    def indexed(cls, key: str, body: object) -> "Document":
-        """A document for searching, tokenized now so that its first search pays nothing."""
-        doc = cls(key, body)
-        doc.tokens  # noqa: B018 -- cached on the document
-        return doc
+def document(key: str, body: object) -> Document:
+    """A document for searching, tokenized now."""
+    return Document(key, body, _flatten_tokens(body))
 
 
 def _flatten_tokens(body: object) -> frozenset[str]:
@@ -261,13 +238,13 @@ class LongTermStore:
             raise SchemaError(f"read-only namespace: {ns.value} records come from the world")
         if not key:
             raise SchemaError("document key must be non-empty")
-        self._docs[ns][key] = Document.indexed(key, body)
+        self._docs[ns][key] = document(key, body)
 
     def get(self, namespace: str | Namespace, key: str) -> Document | None:
         ns = self._namespace(namespace)
         if ns in WORLD_NAMESPACES:
-            body = self._world.doc(ns, key)  # no caller searches it, so it is not tokenized
-            return None if body is None else Document(key, body)
+            body = self._world.doc(ns, key)
+            return None if body is None else document(key, body)
         return self._docs[ns].get(key)
 
     def search(self, namespace: str | Namespace, query: str, limit: int) -> list[Document]:
@@ -276,12 +253,12 @@ class LongTermStore:
             raise UsageError("search limit must be >= 1")
         ns = self._namespace(namespace)
         query_tokens = set(query.casefold().split())
-        if ns in WORLD_NAMESPACES:  # a world record's tokens are kept with it; only hits get a body
+        if ns in WORLD_NAMESPACES:  # world records change under order actions: tokenized per search
             world = self._world
-            keys = [(-score, key) for key in world.doc_keys(ns)
-                    if (score := len(query_tokens & world.doc_tokens(ns, key)))]
-            return [Document(key, world.doc(ns, key)) for _, key in heapq.nsmallest(limit, keys)]
-        hits = [(-score, doc.key, doc) for doc in self._docs[ns].values()
+            docs = (document(key, world.doc(ns, key)) for key in world.doc_keys(ns))
+        else:
+            docs = self._docs[ns].values()
+        hits = [(-score, doc.key, doc) for doc in docs
                 if (score := len(query_tokens & doc.tokens))]
         # keys are unique in a namespace, so the document itself is never compared
         return [doc for _, _, doc in heapq.nsmallest(limit, hits)]

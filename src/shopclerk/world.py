@@ -5,10 +5,9 @@ from enum import Enum
 from types import MappingProxyType
 from typing import NamedTuple
 
-from . import memory
 from .errors import IllegalTransitionError, SchemaError
 from .files import LIST, OBJECT, STRING, closed, shape_error
-from .memory import Document, LongTermStore, Namespace
+from .memory import LongTermStore, Namespace, document
 
 
 class OrderStatus(str, Enum):
@@ -29,31 +28,27 @@ ORDER_ACTIONS = {
 }
 
 
-class _Product(NamedTuple):
+class Product(NamedTuple):
+    """A frozen product row; every copy of a world shares it."""
+
     product_id: str
     title: str
     attributes: dict
     price_cents: int
     stock: int
 
-
-class Product(_Product, memory._Searchable):
-    """A frozen product row; every copy of a world shares it and its search tokens."""
-
     def to_doc(self) -> dict:
         return self._asdict()
 
 
-class _Order(NamedTuple):
+class Order(NamedTuple):
+    """A frozen order row; an order action replaces it."""
+
     order_id: str
     buyer_id: str
     items: list
     status: OrderStatus
     address: str
-
-
-class Order(_Order, memory._Searchable):
-    """A frozen order row; an order action replaces it with one of its own tokens."""
 
     def to_doc(self) -> dict:
         return {**self._asdict(), "status": self.status.value}
@@ -72,11 +67,9 @@ class World:
     """The shop's mutable state. Its records are frozen and replaced on change, so
     copies share them; each copy owns its tables, clock and mutation log."""
 
-    __slots__ = ("products", "orders", "shipments", "policies", "clock", "mutations",
-                 "logistics_tokens")
+    __slots__ = ("products", "orders", "shipments", "policies", "clock", "mutations")
 
-    def __init__(self, products=None, orders=None, shipments=None, policies=None, clock=0,
-                 logistics_tokens=None):
+    def __init__(self, products=None, orders=None, shipments=None, policies=None, clock=0):
         self.products: dict[str, Product] = {} if products is None else products
         self.orders: dict[str, Order] = {} if orders is None else orders
         self.shipments: dict[str, tuple] = {} if shipments is None else shipments
@@ -84,13 +77,11 @@ class World:
         self.policies: Mapping[Namespace, MappingProxyType] = {} if policies is None else policies
         self.clock = clock
         self.mutations: list[dict] = []
-        # order id -> (its shipment events, their logistics record's search tokens), shared by copies
-        self.logistics_tokens = {} if logistics_tokens is None else logistics_tokens
 
     def copy(self) -> "World":
         """Own containers, no mutations; frozen records, replaced on change, are shared."""
         return World(dict(self.products), dict(self.orders), dict(self.shipments),
-                     self.policies, self.clock, self.logistics_tokens)
+                     self.policies, self.clock)
 
     def apply_order_action(self, order_id: str, action: str) -> dict:
         """Apply a legal order transition and record the mutation event."""
@@ -124,21 +115,6 @@ class World:
         records = self.products if namespace is Namespace.PRODUCT else self.orders
         return records[key].to_doc() if key in records else None
 
-    def doc_tokens(self, namespace: Namespace, key: str) -> frozenset[str]:
-        """The search tokens of doc(namespace, key), made once per record for every copy.
-
-        Only a record that an order action replaced is tokenized again. Two
-        threads that miss together both tokenize and store equal tokens.
-        """
-        if namespace is not Namespace.LOGISTICS:
-            return (self.products if namespace is Namespace.PRODUCT else self.orders)[key].tokens
-        events = self.shipments.get(key, ())
-        kept = self.logistics_tokens.get(key)
-        if kept is None or kept[0] is not events:
-            kept = self.logistics_tokens[key] = (
-                events, memory._flatten_tokens(self.doc(namespace, key)))
-        return kept[1]
-
     def doc_keys(self, namespace: Namespace) -> list[str]:
         return list(self.products if namespace is Namespace.PRODUCT else self.orders)
 
@@ -171,7 +147,7 @@ class World:
 
 def _plain(record) -> object:
     """A product or order as its doc, a shipment (a tuple, as every record is) as a list."""
-    return record.to_doc() if isinstance(record, memory._Searchable) else [
+    return record.to_doc() if isinstance(record, (Product, Order)) else [
         e.to_doc() for e in record]
 
 
@@ -214,7 +190,7 @@ def world_from_dict(data: dict) -> World:
     policies = {Namespace(ns): {} for ns in _POLICY_NAMESPACES}
     for row in data.get("policies", []):
         table = policies[Namespace(row.get("namespace", "platform_policy"))]
-        table[row["key"]] = Document.indexed(row["key"], row["body"])
+        table[row["key"]] = document(row["key"], row["body"])
     frozen = MappingProxyType({ns: MappingProxyType(table) for ns, table in policies.items()})
     return World(products=products, orders=orders, shipments=shipments, policies=frozen)
 

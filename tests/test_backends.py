@@ -244,11 +244,26 @@ def test_recording_crash_mid_write_keeps_store(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(Path, "write_text", torn_write)
-    with pytest.raises(OSError):
+    with pytest.raises(BackendError, match="disk full"):
         recorder.complete(req("second"))
     monkeypatch.undo()
     assert store.read_text() == before
     assert ReplayBackend(store).complete(req("first")).text == "reply 0"
+
+
+def test_recording_write_failure_is_a_backend_error_naming_the_store(tmp_path):
+    store = tmp_path / "store.json"
+    (tmp_path / "store.json.partial").mkdir()  # the temporary file cannot be written
+    recorder = RecordingBackend(ScriptedBackend([ScriptEntry(ChatResponse("one"), step=0)]), store)
+    with pytest.raises(BackendError, match=re.escape(f"cannot write record store {store}")):
+        recorder.complete(req("first"))
+    assert not store.exists()
+
+
+def test_recording_into_a_missing_directory_is_a_config_error(tmp_path):
+    store = tmp_path / "missing" / "store.json"
+    with pytest.raises(ConfigError, match=re.escape(f"directory {store.parent} does not exist")):
+        RecordingBackend(ScriptedBackend([]), store)
 
 
 # --- remote client against a fake transport ---

@@ -142,6 +142,43 @@ def test_run_two_backends_is_config_error(capsys, suite_dir, scripts_dir, tmp_pa
     assert "exactly one backend" in err
 
 
+def _never(*args, **kwargs):
+    pytest.fail("ran an episode")
+
+
+@pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-a-file"])
+@pytest.mark.parametrize("command", ["run", "bench", "ablate"])
+def test_out_that_cannot_be_a_directory_exits_2_before_any_episode(
+        capsys, suite_dir, scripts_dir, tmp_path, monkeypatch, command, under):
+    monkeypatch.setattr(cli, "run_episode", _never)
+    monkeypatch.setattr(bench, "run_episode", _never)
+    (tmp_path / "taken").write_text("")
+    out = str(tmp_path / "taken" / under)
+    argv = {"run": ["--task", str(suite_dir / "kettle-capacity.json"),
+                    "--script", str(scripts_dir / "kettle-capacity.json")],
+            "bench": ["--n-trials", "1", "--k", "1"],
+            "ablate": ["--vary", "aci", "--n-trials", "1", "--k", "1"]}[command]
+    code, stdout, err = run_cli(capsys, command, *argv, "--out", out)
+    assert (code, stdout) == (2, "")
+    [line] = err.splitlines()
+    assert line.startswith(f"error: --out {out}") and " cannot be made a directory: " in line
+
+
+@pytest.mark.parametrize("command", ["run", "chat"])
+def test_record_into_a_missing_directory_exits_2_before_any_call(
+        capsys, suite_dir, scripts_dir, tmp_path, monkeypatch, command):
+    monkeypatch.setattr(cli, "run_episode", _never)
+    monkeypatch.setattr("builtins.input", _never)
+    store = tmp_path / "missing" / "store.json"
+    code, stdout, err = run_cli(capsys, command, "--task", str(suite_dir / "kettle-capacity.json"),
+                                "--script", str(scripts_dir / "kettle-capacity.json"),
+                                "--record", str(store))
+    assert (code, stdout) == (2, "")
+    assert err.splitlines() == [f"error: record store {store}: directory {store.parent} "
+                                "does not exist"]
+    assert not store.parent.exists()
+
+
 @pytest.mark.parametrize("flag", ["--record", "--script"])
 def test_bench_rejects_single_task_backend_flags(capsys, flag, tmp_path):
     with pytest.raises(SystemExit) as exit_info:

@@ -305,26 +305,23 @@ def test_ltm_get_missing_is_none_not_error():
     assert store.get("platform_policy", "missing") is None
 
 
-def test_world_records_are_served_untokenized_and_stored_documents_at_build(monkeypatch):
+def test_policies_are_tokenized_at_load_puts_at_build_and_stored_searches_never(monkeypatch):
     made = []
     tokens = memory._flatten_tokens
     monkeypatch.setattr(memory, "_flatten_tokens", lambda body: made.append(body) or tokens(body))
     data = _random_seed(random.Random(3))
     world = world_from_dict(data)
     assert made == [row["body"] for row in data["policies"]]  # seed policies, at load
-    made.clear()
     store = seed_store(world)
     for ns in (Namespace.PRODUCT, Namespace.ORDER, Namespace.LOGISTICS):
         for key in world.doc_keys(ns):
             assert store.get(ns, key).body == world.doc(ns, key)
-    assert made == []
+    made.clear()
     store.put("buyer_profile", "B1", {"name": "Ada"})
     assert made == [{"name": "Ada"}]
     for ns in ("buyer_profile", "platform_policy", "store_promotion"):
         store.search(ns, "ada", 3)
     assert made == [{"name": "Ada"}]
-    record = store.get("order", "O1")
-    assert record.tokens == tokens(world.doc(Namespace.ORDER, "O1"))  # still there on demand
 
 
 def test_ltm_empty_key_rejected():
@@ -477,29 +474,3 @@ def test_search_ranks_like_the_reference_loop(seed):
             docs = {key: world.doc(ns, key) for key in world.doc_keys(ns)}
             got = [(d.key, d.body) for d in store.search(ns, query, limit)]
             assert got == reference_search(docs, query, limit)
-
-
-def test_world_records_are_tokenized_once_for_every_copy_and_again_only_when_replaced(monkeypatch):
-    made = []
-    tokens = memory._flatten_tokens
-    monkeypatch.setattr(memory, "_flatten_tokens", lambda body: made.append(body) or tokens(body))
-    seed = world_from_dict(_random_seed(random.Random(5)))
-    made.clear()  # the seed policies, at load
-    world_spaces = (Namespace.PRODUCT, Namespace.ORDER, Namespace.LOGISTICS)
-    first = seed_store(seed.copy())
-    for ns in world_spaces:
-        first.search(ns, "red", 3)
-    assert sorted(map(repr, made)) == sorted(repr(seed.doc(ns, key)) for ns in world_spaces
-                                             for key in seed.doc_keys(ns))
-    made.clear()
-    world = seed.copy()
-    store = seed_store(world)
-    world.apply_order_action("O0", {"paid": "cancel", "shipped": "cancel",
-                                    "delivered": "request_refund"}[world.orders["O0"].status])
-    for _ in range(2):
-        for ns in world_spaces:
-            store.search(ns, "red", 3)
-    assert made == [world.doc(Namespace.ORDER, "O0")]  # the replaced record, once
-    for ns in world_spaces:
-        assert seed_store(seed.copy()).search(ns, "red", 3) == first.search(ns, "red", 3)
-    assert made == [world.doc(Namespace.ORDER, "O0")]

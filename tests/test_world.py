@@ -6,7 +6,7 @@ from shopclerk.backends import ChatMessage, ChatRequest, ChatResponse, ScriptEnt
 from shopclerk.config import AgentConfig
 from shopclerk.decision import CandidatePlan, PlanKind, PlannedStep
 from shopclerk.errors import IllegalTransitionError, SchemaError
-from shopclerk.memory import ContentPart, Document, Message, Namespace, PartKind, Role
+from shopclerk.memory import ContentPart, Message, Namespace, PartKind, Role, document
 from shopclerk.shop_tools import TOOLS
 from shopclerk.toolkit import ToolCall, text_result
 from shopclerk.tasks import _MISSING, _resolve_path
@@ -159,7 +159,7 @@ def _shared_records() -> dict:
         "ChatMessage": message, "ChatRequest": ChatRequest((message,)), "ChatResponse": response,
         "ScriptEntry": ScriptEntry(response, step=0), "ToolDescriptor": TOOLS[0],
         "ToolCall": ToolCall("c1", "order_lookup", {"order_id": "O1"}),
-        "ToolResult": text_result("c1", "ok"), "Document": Document.indexed("k", {"a": "b"}),
+        "ToolResult": text_result("c1", "ok"), "Document": document("k", {"a": "b"}),
         "AgentConfig": AgentConfig(),
     }
 
@@ -171,6 +171,7 @@ def test_shared_records_refuse_assignment(name):
         setattr(record, record._fields[0], None)
     with pytest.raises(AttributeError):
         record.note = "changed"
+    assert not hasattr(record, "__dict__")
     assert type(record).__name__ == name
 
 
