@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .config import AgentConfig, LatencyModel
+from .config import AgentConfig
 from .episode import AgentSession, EpisodeResult, run_episode
 from .memory import LongTermStore, Message, Role, WorkingMemory
 from .placeholders import PlaceholderTable, abstract_text, deabstract_text
@@ -13,7 +13,6 @@ __all__ = [
     "AgentConfig",
     "AgentSession",
     "EpisodeResult",
-    "LatencyModel",
     "LongTermStore",
     "Message",
     "PlaceholderTable",

@@ -3,7 +3,7 @@
 import json
 from pathlib import Path
 
-from .config import AblationVariant, AgentConfig
+from .config import AgentConfig
 from .episode import EpisodeResult, run_episode
 from .errors import UsageError
 from .metrics import format_fraction, mean_completion_time, pass_hat_k
@@ -62,22 +62,22 @@ def summarize(
 
 def run_ablation(
     tasks: list[Task],
-    variants: list[AblationVariant],
+    variants: list[tuple[str, AgentConfig]],
     backend_factory,
     n_trials: int,
     k_values: list[int],
     workers: int = 1,
 ) -> tuple[list[dict], list[EpisodeResult]]:
-    """One report row per variant over the full suite, as summarize builds it."""
+    """One report row per (name, config) variant over the full suite, as summarize builds it."""
     if any(not 1 <= k <= n_trials for k in k_values):
         raise UsageError(f"every k in {k_values} must be in 1..n_trials={n_trials}")
     if not variants:
         raise UsageError("ablation needs at least one variant")
     reports = []
     all_results: list[EpisodeResult] = []
-    for variant in variants:
-        results = run_trials(tasks, variant.agent, backend_factory, n_trials, workers)
-        reports.append(summarize(variant.name, variant.agent.to_dict(), results, k_values))
+    for name, config in variants:
+        results = run_trials(tasks, config, backend_factory, n_trials, workers)
+        reports.append(summarize(name, config.to_dict(), results, k_values))
         all_results.extend(results)
     return reports, all_results
 

@@ -9,16 +9,10 @@ from pathlib import Path
 
 from . import __version__
 from .backends import RecordingBackend, RemoteBackend, ReplayBackend, ScriptedBackend
-from .config import (
-    CONFIG_KEYS,
-    AblationVariant,
-    AgentConfig,
-    agent_config_from_dict,
-    read_config_file,
-)
+from .config import AgentConfig, agent_config_from_dict, variant_from_dict
 from .episode import run_episode, write_result
 from .errors import ClerkError, ConfigError, UsageError
-from .files import LIST, STRING, make_dir, read_json, read_jsonl
+from .files import LIST, OBJECT, STRING, make_dir, read_json, read_jsonl
 from .tasks import load_suite, load_task
 from .vision import FixtureVisionBackend, RemoteVisionBackend
 
@@ -56,9 +50,10 @@ def _add_agent_flags(parser: argparse.ArgumentParser) -> None:
 def _agent_config(args) -> AgentConfig:
     base = AgentConfig()
     if args.config:
-        base = agent_config_from_dict(read_config_file(args.config),
+        base = agent_config_from_dict(read_json(args.config, "config file", OBJECT),
                                       where=f"config file {args.config}")
-    flags = {key: getattr(args, key) for key in CONFIG_KEYS if getattr(args, key, None) is not None}
+    flags = {key: getattr(args, key) for key in AgentConfig._fields
+             if getattr(args, key, None) is not None}
     return agent_config_from_dict(flags, base, where="flags")
 
 
@@ -145,20 +140,21 @@ VARY_AXES = {
 }
 
 
-def _variants(args, base: AgentConfig) -> list[AblationVariant]:
-    """ablate runs --matrix rows or a --vary axis; bench, with neither, the one `default`."""
+def _variants(args, base: AgentConfig) -> list[tuple[str, AgentConfig]]:
+    """(name, config) for each --matrix row or --vary variant; bench, with neither, runs
+    the one `default`."""
     if args.vary:
-        return [AblationVariant.from_dict(row, base) for row in VARY_AXES[args.vary]]
+        return [variant_from_dict(row, base) for row in VARY_AXES[args.vary]]
     if not args.matrix:
-        return [AblationVariant(name="default", agent=base)]
+        return [("default", base)]
     variants, first_row = [], {}
     for i, row in enumerate(read_json(args.matrix, "matrix file", LIST)):
-        variant = AblationVariant.from_dict(row, base, f"matrix file {args.matrix} row {i}")
-        if variant.name in first_row:
-            raise ConfigError(f"matrix file {args.matrix} row {i}: name {variant.name!r} "
-                              f"is also the name of row {first_row[variant.name]}")
-        first_row[variant.name] = i
-        variants.append(variant)
+        name, config = variant_from_dict(row, base, f"matrix file {args.matrix} row {i}")
+        if name in first_row:
+            raise ConfigError(f"matrix file {args.matrix} row {i}: name {name!r} "
+                              f"is also the name of row {first_row[name]}")
+        first_row[name] = i
+        variants.append((name, config))
     return variants
 
 

@@ -126,7 +126,7 @@ class AgentSession:
 
     def _inbound_parts(self, text: str) -> tuple[ContentPart, ...]:
         """Split inbound text, abstracting URL kinds allowed by the mode."""
-        if not self.config.abstraction_enabled:
+        if not self.config.aci:
             kinds = frozenset()  # track URLs for resolution, rewrite nothing
         elif self.config.strategy is IntegrationStrategy.PLANNER:
             # raw image references go to the planner; other long URLs still shrink
@@ -262,8 +262,9 @@ def run_episode(
             break
     elapsed_ms = (time.monotonic() - started) * 1000.0
     usage = session.trace.usage()
-    if config.latency_model is not None:
-        elapsed_ms = config.latency_model.wall_time_ms(usage.prompt_chars, usage.backend_calls)
+    if config.latency_alpha is not None or config.latency_beta is not None:
+        elapsed_ms = ((config.latency_alpha or 0.0) * usage.prompt_chars
+                      + (config.latency_beta or 0.0) * usage.backend_calls)
     if error is None:
         success, rows = check_success(world, session.wm, task.success, session.table)
     else:

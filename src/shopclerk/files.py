@@ -6,10 +6,12 @@ directory that cannot be made. Shapes are schema dicts in a JSON Schema
 list of names), properties, required, additionalProperties (false, or the
 schema of every other key), items, enum, minimum, maximum, minLength and
 minItems. Values are checked as json.loads returns them: nothing is coerced,
-a boolean is never an integer or a number, and NaN lies within no bound.
+a boolean is never an integer or a number, and a number is finite, so NaN,
+Infinity and a literal too large for a float are no numbers.
 """
 
 import json
+import math
 import os
 
 from .errors import ConfigError
@@ -29,6 +31,8 @@ def closed(required: list[str], **properties: dict) -> dict:
 
 def _fits(value, kind: str | list) -> bool:
     have = _KINDS.get(value.__class__)
+    if have == "number" and not math.isfinite(value):
+        return False
     kinds = (kind,) if kind.__class__ is str else kind
     return have in kinds or have == "integer" and "number" in kinds
 
@@ -62,7 +66,9 @@ def _under(step: str, problem: tuple[str, str]) -> tuple[str, str]:
 def _first_problem(value, schema: dict) -> tuple[str, str] | None:
     """(path, why) at the first place value breaks schema; the path is built on failure only."""
     kind = schema.get("type")
-    if kind is not None and kind != _KINDS.get(value.__class__) and not _fits(value, kind):
+    # a float always goes to _fits, which turns away the non-finite
+    if (kind is not None and (kind != _KINDS.get(value.__class__) or value.__class__ is float)
+            and not _fits(value, kind)):
         names = " or ".join(_NAMES[k] for k in ((kind,) if kind.__class__ is str else kind))
         return "", f"must be {names}, got {_show(value)}"
     if len(schema) == 1 and kind is not None:
@@ -92,9 +98,9 @@ def _first_problem(value, schema: dict) -> tuple[str, str] | None:
     elif value.__class__ is str:
         if "minLength" in schema and len(value) < schema["minLength"]:
             return "", f"must have length >= {schema['minLength']}, got {_json(value)}"
-    elif "minimum" in schema and _fits(value, "number") and not value >= schema["minimum"]:
+    elif "minimum" in schema and _fits(value, "number") and value < schema["minimum"]:
         return "", f"must be >= {schema['minimum']}, got {_json(value)}"
-    elif "maximum" in schema and _fits(value, "number") and not value <= schema["maximum"]:
+    elif "maximum" in schema and _fits(value, "number") and value > schema["maximum"]:
         return "", f"must be <= {schema['maximum']}, got {_json(value)}"
     return None
 

@@ -81,8 +81,8 @@ TASK_SCHEMA = closed(
         state_assertions={"type": "array", "items": closed(
             ["path", "expected"], path=STRING, expected={})},
         response_facts={"type": "array", "items": closed(
-            ["match"], match=closed([], substring=STRING, number=_NUMBER,
-                                    tolerance={"type": "number", "minimum": 0}),
+            ["match"], match=closed([], substring={"type": "string", "minLength": 1},
+                                    number=_NUMBER, tolerance={"type": "number", "minimum": 0}),
             must_appear={"type": "boolean"})}),
 )
 

@@ -17,7 +17,7 @@ from conftest import url_corpus
 from shopclerk.backends import ScriptedBackend
 from shopclerk.bench import run_trials
 from shopclerk.cli import main
-from shopclerk.config import AgentConfig, LatencyModel, agent_config_from_dict
+from shopclerk.config import AgentConfig, agent_config_from_dict
 from shopclerk.decision import PlanEvaluation, select
 from shopclerk.episode import run_episode
 from shopclerk.memory import message_to_dict
@@ -26,7 +26,7 @@ from shopclerk.placeholders import PlaceholderTable, abstract_text, deabstract_t
 from shopclerk.tasks import load_suite, load_task
 from shopclerk.toolkit import ToolCall
 
-LATENCY = LatencyModel(alpha=0.01, beta=2.0)
+TIMED = AgentConfig(latency_alpha=0.01, latency_beta=2.0)  # defaults, surrogate wall time
 URL_RE = re.compile(r"https?://[^\s<>\"']+")
 
 
@@ -135,7 +135,7 @@ def test_criterion_4_end_to_end_determinism(suite_dir, scripts_dir, vision_fixtu
         return ScriptedBackend.from_file(scripts_dir / f"{task.task_id}.json"), vision_fixtures
 
     def one_full_run():
-        results = run_trials(tasks, AgentConfig(latency_model=LATENCY), factory, n_trials=5)
+        results = run_trials(tasks, TIMED, factory, n_trials=5)
         trials = []
         transcripts = []
         for result in results:
@@ -162,7 +162,7 @@ def test_criterion_5_ablation_directionality(suite_dir, scripts_dir, data_dir, v
     started = time.monotonic()
     multimodal = [t for t in load_suite(suite_dir, vision_fixtures)
                   if t.modality == "multimodal"]
-    on_config = AgentConfig(latency_model=LATENCY)
+    on_config = TIMED
     off_config = agent_config_from_dict({"aci": "off"}, on_config)
 
     on_times, off_times = [], []
@@ -251,7 +251,6 @@ def test_criterion_7_strategy_mode_separation(suite_dir, scripts_dir, vision_fix
 
 def test_criterion_8_robustness(suite_dir, scripts_dir, vision_fixtures, tmp_path):
     from shopclerk.bench import run_ablation
-    from shopclerk.config import AblationVariant
 
     # a hostile plan round: unknown tool, bad arguments, illegal transition,
     # hallucinated placeholder - then a normal reply
@@ -315,7 +314,7 @@ def test_criterion_8_robustness(suite_dir, scripts_dir, vision_fixtures, tmp_pat
 
     tasks = [load_task(suite_dir / "kettle-capacity.json", vision_fixtures),
              load_task(suite_dir / "order-status.json", vision_fixtures)]
-    reports, results = run_ablation(tasks, [AblationVariant("robust", AgentConfig())],
+    reports, results = run_ablation(tasks, [("robust", AgentConfig())],
                                     factory, n_trials=2, k_values=[1])
     assert len(results) == 4
     assert reports[0]["failures"] == 2  # the exhausted task errored, nothing aborted

@@ -197,7 +197,7 @@ def test_corrupt_store_is_config_error(tmp_path):
     ({"d1": [{"text": "A", "label_probs": {"A": 0.9, "B": 0.9}}]},
      "digest d1 row 0: label probabilities must sum to at most 1"),
     ({"d1": [{"text": "A", "label_probs": {"A": float("nan")}}]},
-     "digest d1 row 0: label probabilities must be nonnegative"),
+     "d1[0].label_probs.A: must be a number, got NaN"),
 ], ids=["rows-not-list", "row-not-object", "text-not-string", "probs-not-numbers", "probs-over-one",
         "probs-nan"])
 def test_malformed_store_row_is_config_error_naming_the_digest(tmp_path, payload, where):

@@ -4,11 +4,11 @@ import pytest
 
 from shopclerk.backends import ScriptedBackend
 from shopclerk.bench import report_table, run_ablation, run_trials, summarize, write_report
-from shopclerk.config import AblationVariant, AgentConfig, LatencyModel, agent_config_from_dict
+from shopclerk.config import AgentConfig, agent_config_from_dict
 from shopclerk.errors import UsageError
 from shopclerk.tasks import load_suite, load_task
 
-LATENCY = LatencyModel(alpha=0.01, beta=2.0)
+TIMED = AgentConfig(latency_alpha=0.01, latency_beta=2.0)  # defaults, surrogate wall time
 
 
 def make_factory(scripts_dir, vision_fixtures):
@@ -27,9 +27,8 @@ def three_tasks(suite_dir, vision_fixtures):
 def test_trial_counting_contract(three_tasks, scripts_dir, vision_fixtures):
     factory = make_factory(scripts_dir, vision_fixtures)
     variants = [
-        AblationVariant("a", AgentConfig(latency_model=LATENCY)),
-        AblationVariant("b", agent_config_from_dict({"aci": "off"},
-                                                    AgentConfig(latency_model=LATENCY))),
+        ("a", TIMED),
+        ("b", agent_config_from_dict({"aci": "off"}, TIMED)),
     ]
     reports, results = run_ablation(three_tasks, variants, factory, n_trials=5, k_values=[1, 5])
     assert len(results) == 2 * 3 * 5
@@ -40,7 +39,7 @@ def test_trial_counting_contract(three_tasks, scripts_dir, vision_fixtures):
 def test_k_values_bounded_by_n_trials(three_tasks, scripts_dir, vision_fixtures):
     factory = make_factory(scripts_dir, vision_fixtures)
     with pytest.raises(UsageError):
-        run_ablation(three_tasks, [AblationVariant("a", AgentConfig())], factory,
+        run_ablation(three_tasks, [("a", AgentConfig())], factory,
                      n_trials=5, k_values=[7])
 
 
@@ -50,17 +49,17 @@ def test_k_below_one_is_rejected_before_any_episode(three_tasks, k_values):
         raise AssertionError("no episode may start")
 
     with pytest.raises(UsageError, match=r"must be in 1\.\.n_trials=2"):
-        run_ablation(three_tasks, [AblationVariant("a", AgentConfig())], factory,
+        run_ablation(three_tasks, [("a", AgentConfig())], factory,
                      n_trials=2, k_values=k_values)
 
 
 def test_aci_ablation_direction_on_multimodal(suite_dir, scripts_dir, vision_fixtures):
     tasks = [t for t in load_suite(suite_dir, vision_fixtures) if t.modality == "multimodal"]
     factory = make_factory(scripts_dir, vision_fixtures)
-    base = AgentConfig(latency_model=LATENCY)
+    base = TIMED
     variants = [
-        AblationVariant("aci-off", agent_config_from_dict({"aci": "off"}, base)),
-        AblationVariant("aci-on", base),
+        ("aci-off", agent_config_from_dict({"aci": "off"}, base)),
+        ("aci-on", base),
     ]
     reports, _ = run_ablation(tasks, variants, factory, n_trials=2, k_values=[1])
     off, on = reports
@@ -70,7 +69,7 @@ def test_aci_ablation_direction_on_multimodal(suite_dir, scripts_dir, vision_fix
 
 def test_parallel_workers_match_serial(three_tasks, scripts_dir, vision_fixtures):
     factory = make_factory(scripts_dir, vision_fixtures)
-    config = AgentConfig(latency_model=LATENCY)
+    config = TIMED
     serial = run_trials(three_tasks, config, factory, n_trials=2, workers=1)
     parallel = run_trials(three_tasks, config, factory, n_trials=2, workers=4)
     key = lambda r: (r.task_id, r.trial_index, r.success, r.usage.prompt_chars)
@@ -89,7 +88,7 @@ def test_summarize_counts_episode_errors(three_tasks, vision_fixtures):
 
 def test_report_table_and_files(tmp_path, three_tasks, scripts_dir, vision_fixtures):
     factory = make_factory(scripts_dir, vision_fixtures)
-    variants = [AblationVariant("default", AgentConfig(latency_model=LATENCY))]
+    variants = [("default", TIMED)]
     reports, _ = run_ablation(three_tasks, variants, factory, n_trials=2, k_values=[1, 2])
     table = report_table(reports, [1, 2])
     assert "pass^1" in table.splitlines()[0]

@@ -98,7 +98,8 @@ def test_run_script_with_a_nan_label_probability_exits_2_naming_the_entry(capsys
         capsys, "run", "--task", str(suite_dir / "kettle-capacity.json"), "--script", str(script),
     )
     assert code == 2
-    assert f"script file {script}: entry 1 response: label probabilities must be nonnegative" in err
+    why = "entries[1].response.label_probs.A: must be a number, got NaN"
+    assert f"script file {script}: {why}" in err
 
 
 @pytest.mark.parametrize("name, text, complaint", [
@@ -241,6 +242,36 @@ def test_bad_matrix_row_names_the_file_and_row(capsys, tmp_path, monkeypatch, ro
     assert code == 2
     assert f"matrix file {matrix} row {row}: {why}" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("literal,shown", [("1e400", "Infinity"), ("-Infinity", "-Infinity"),
+                                           ("NaN", "NaN")])
+def test_matrix_row_with_a_non_finite_number_exits_2_before_any_episode(capsys, tmp_path,
+                                                                        monkeypatch, literal, shown):
+    # once accepted, it put inf in the table and Infinity, which is no JSON, in report.json
+    matrix = tmp_path / "m.json"
+    matrix.write_text(f'[{{"name": "inf", "latency_alpha": {literal}}}]')
+    monkeypatch.setattr(bench, "run_episode", lambda *a, **kw: pytest.fail("ran an episode"))
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "ablate", "--matrix", str(matrix), "--n-trials", "1",
+                             "--k", "1", "--out", str(out_dir))
+    assert (code, out) == (2, "")
+    assert err == f"error: matrix file {matrix} row 0: latency_alpha: must be a number, got {shown}\n"
+    assert not out_dir.exists()
+
+
+def test_run_task_whose_only_fact_is_an_empty_substring_exits_2(capsys, suite_dir, scripts_dir,
+                                                                tmp_path):
+    # every transcript contains "", so the task would pass whatever the agent said
+    task = json.loads((suite_dir / "kettle-capacity.json").read_text())
+    task["success"] = {"response_facts": [{"match": {"substring": ""}}]}
+    path = tmp_path / "vacuous.json"
+    path.write_text(json.dumps(task))
+    code, out, err = run_cli(capsys, "run", "--task", str(path),
+                             "--script", str(scripts_dir / "kettle-capacity.json"))
+    assert (code, out) == (2, "")
+    assert err == (f"error: {path}:success.response_facts[0].match.substring: "
+                   'must have length >= 1, got ""\n')
 
 
 def test_ablate_matrix_and_vary_together_exit_2(capsys, tmp_path, monkeypatch):
@@ -625,8 +656,8 @@ def test_suite_hands_workers_on_for_every_backend(capsys, monkeypatch, backend):
         assert isinstance(chat, FakeRemote) == bool(backend)
         usage = {"prompt_chars": 0, "backend_calls": 0}
         times = {"all": 0.0, "multimodal": None, "unimodal": None}
-        return [{"name": v.name, "pass_hat_k": {"1": 1.0}, "mean_time_ms": times, "usage": usage,
-                 "failures": 0} for v in variants], []
+        return [{"name": name, "pass_hat_k": {"1": 1.0}, "mean_time_ms": times, "usage": usage,
+                 "failures": 0} for name, _ in variants], []
 
     monkeypatch.setattr(bench, "run_ablation", fake_run_ablation)
     monkeypatch.setattr(cli, "RemoteBackend", FakeRemote)

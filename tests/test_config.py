@@ -3,15 +3,13 @@ import re
 
 import pytest
 
+from shopclerk.backends import ScriptedBackend
 from shopclerk.cli import main
-from shopclerk.config import (
-    AblationVariant,
-    AgentConfig,
-    LatencyModel,
-    agent_config_from_dict,
-    read_config_file,
-)
+from shopclerk.config import CONFIG_SCHEMA, AgentConfig, agent_config_from_dict, variant_from_dict
+from shopclerk.episode import run_episode
 from shopclerk.errors import ConfigError
+from shopclerk.files import OBJECT, read_json
+from shopclerk.tasks import load_task
 from shopclerk.vision import IntegrationStrategy
 
 
@@ -19,21 +17,26 @@ def test_defaults():
     config = AgentConfig()
     assert config.n_candidates == 3
     assert config.confidence_floor == 0.0
-    assert config.abstraction_enabled
+    assert config.aci
     assert config.decision_module
     assert config.strategy is IntegrationStrategy.TOOL
     assert config.elide_block == 8
+
+
+def test_fields_are_the_config_keys():
+    assert AgentConfig._fields == tuple(CONFIG_SCHEMA["properties"])
 
 
 def test_dict_round_trip():
     config = AgentConfig(
         n_candidates=4,
         confidence_floor=0.2,
-        abstraction_enabled=False,
+        aci=False,
         strategy=IntegrationStrategy.PLANNER,
         decision_module=False,
         elide_block=16,
-        latency_model=LatencyModel(alpha=0.5, beta=2.0),
+        latency_alpha=0.5,
+        latency_beta=2.0,
     )
     assert config.to_dict()["elide_block"] == 16
     assert agent_config_from_dict(config.to_dict()) == config
@@ -42,7 +45,7 @@ def test_dict_round_trip():
 def test_overrides_layer_on_base():
     base = agent_config_from_dict({"aci": "off", "n_candidates": 5})
     merged = agent_config_from_dict({"aci": "on"}, base)
-    assert merged.abstraction_enabled
+    assert merged.aci
     assert merged.n_candidates == 5  # untouched fields survive
 
 
@@ -85,9 +88,8 @@ def test_numbers_are_floats_and_enum_names_their_values():
     config = agent_config_from_dict({"confidence_floor": 0, "latency_alpha": 1, "aci": True,
                                      "decision_module": "off", "strategy": "planner"})
     assert config.confidence_floor == 0.0 and type(config.confidence_floor) is float
-    assert config.latency_model == LatencyModel(1.0, 0.0)
-    assert type(config.latency_model.alpha) is float
-    assert config.abstraction_enabled and not config.decision_module
+    assert config.latency_alpha == 1.0 and type(config.latency_alpha) is float
+    assert config.aci and not config.decision_module
     assert config.strategy is IntegrationStrategy.PLANNER
     assert config.to_dict()["confidence_floor"] == 0.0
 
@@ -95,11 +97,12 @@ def test_numbers_are_floats_and_enum_names_their_values():
 @pytest.mark.parametrize("row,why", [
     ({"n_candidates": 27}, "n_candidates: must be <= 26, got 27"),
     ({"confidence_floor": 1.5}, "confidence_floor: must be <= 1, got 1.5"),
-    ({"confidence_floor": float("nan")}, "confidence_floor: must be >= 0, got NaN"),
-    ({"latency_alpha": float("nan")}, "latency_alpha: must be >= 0, got NaN"),
+    ({"confidence_floor": float("nan")}, "confidence_floor: must be a number, got NaN"),
+    ({"latency_alpha": float("nan")}, "latency_alpha: must be a number, got NaN"),
     ({"aci": 1}, 'aci: must be one of ["on", "off", true, false], got 1'),
     ({"strategy": "hybrid"}, 'strategy: must be one of ["tool", "planner"], got "hybrid"'),
     ({"template_dir": 5}, "template_dir: must be a string, got 5"),
+    ({"latency_beta": float("-inf")}, "latency_beta: must be a number, got -Infinity"),
 ])
 def test_a_bad_value_names_its_key_and_why(row, why):
     with pytest.raises(ConfigError, match=f"^agent config: {re.escape(why)}$"):
@@ -124,33 +127,41 @@ def test_ablation_matrix_varies_elide_block(capsys, tmp_path):
     assert rows[0]["usage"] == rows[1]["usage"]
 
 
-def test_read_config_file_errors(tmp_path):
-    with pytest.raises(ConfigError, match="not found"):
-        read_config_file(tmp_path / "missing.json")
+def test_read_config_file_errors(capsys, tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{")
-    with pytest.raises(ConfigError, match="not valid JSON"):
-        read_config_file(broken)
+    for path, why in ((tmp_path / "missing.json", "cannot be read: not found"),
+                      (broken, "is not valid JSON"), ("/", "cannot be read")):
+        assert main(["bench", "--n-trials", "1", "--k", "1", "--config", str(path)]) == 2
+        assert f"error: config file {path} {why}" in capsys.readouterr().err
 
 
 def test_config_file_feeds_agent_config(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"strategy": "planner", "confidence_floor": 0.4}))
-    config = agent_config_from_dict(read_config_file(path))
+    config = agent_config_from_dict(read_json(path, "config file", OBJECT))
     assert config.strategy is IntegrationStrategy.PLANNER
     assert config.confidence_floor == 0.4
 
 
 def test_ablation_variant_needs_name():
     with pytest.raises(ConfigError, match="^ablation variant: name: missing$"):
-        AblationVariant.from_dict({"aci": "off"}, AgentConfig())
+        variant_from_dict({"aci": "off"}, AgentConfig())
     with pytest.raises(ConfigError, match="^ablation variant: name: must have length >= 1"):
-        AblationVariant.from_dict({"name": ""}, AgentConfig())
-    variant = AblationVariant.from_dict({"name": "no-aci", "aci": "off"}, AgentConfig())
-    assert variant.name == "no-aci"
-    assert not variant.agent.abstraction_enabled
+        variant_from_dict({"name": ""}, AgentConfig())
+    name, config = variant_from_dict({"name": "no-aci", "aci": "off"}, AgentConfig())
+    assert name == "no-aci"
+    assert not config.aci
 
 
-def test_latency_model_surrogate():
-    model = LatencyModel(alpha=0.5, beta=10.0)
-    assert model.wall_time_ms(100, 3) == 80.0
+def test_latency_model_surrogate(suite_dir, scripts_dir, vision_fixtures):
+    # a lone latency key times by alpha*prompt_chars + beta*backend_calls, the other reading 0
+    task = load_task(suite_dir / "kettle-capacity.json", vision_fixtures)
+    for row in ({"latency_alpha": 0.5}, {"latency_beta": 10}):
+        config = agent_config_from_dict(row)
+        assert config.to_dict() == AgentConfig().to_dict() | {k: float(v) for k, v in row.items()}
+        chat = ScriptedBackend.from_file(scripts_dir / "kettle-capacity.json")
+        result = run_episode(task, config, chat, vision_fixtures)
+        assert result.success
+        assert result.wall_time_ms == (0.5 * result.usage.prompt_chars if "latency_alpha" in row
+                                       else 10.0 * result.usage.backend_calls)

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from shopclerk.backends import RecordingBackend, ReplayBackend, ScriptedBackend
-from shopclerk.config import AgentConfig, LatencyModel, agent_config_from_dict
+from shopclerk.config import AgentConfig, agent_config_from_dict
 from shopclerk.episode import CLARIFICATION_REPLY, AgentSession, run_episode
 from shopclerk.memory import ELISION_MARKER, Namespace, PartKind, Role, message_to_dict
 from shopclerk.tasks import load_task
@@ -234,7 +234,7 @@ def test_aci_off_keeps_raw_urls_and_costs_more(suite_dir, scripts_dir, vision_fi
 
 
 def test_simulated_latency_model_controls_wall_time(suite_dir, scripts_dir, vision_fixtures):
-    config = AgentConfig(latency_model=LatencyModel(alpha=0.5, beta=10.0))
+    config = AgentConfig(latency_alpha=0.5, latency_beta=10.0)
     result, _ = run_bundled("kettle-capacity", suite_dir, scripts_dir, vision_fixtures,
                             config=config)
     expected = 0.5 * result.usage.prompt_chars + 10.0 * result.usage.backend_calls

@@ -89,6 +89,21 @@ def test_misfits_show_values_as_json_writes_them(value, schema, error):
     assert shape_error(value, schema) == f"top level: {error}"
 
 
+@pytest.mark.parametrize("literal, shown", [
+    ("NaN", "NaN"), ("Infinity", "Infinity"), ("-Infinity", "-Infinity"), ("1e400", "Infinity"),
+])
+def test_a_number_is_finite(tmp_path, literal, shown):
+    # json.loads reads each literal as a float; written back, none is valid JSON
+    path = tmp_path / "x.json"
+    path.write_text(f'{{"a": [{{"id": 1, "w": {literal}}}]}}')
+    shape = {"type": "object", "additionalProperties": {"type": "array", "items": closed(
+        ["id"], id={"type": "integer"}, w={"type": ["number", "null"], "minimum": 0})}}
+    with pytest.raises(ConfigError, match=rf"^thing .*x\.json: a\[0\]\.w: "
+                                          rf"must be a number or null, got {shown}$"):
+        read_json(path, "thing", shape)
+    assert shape_error(float(literal), {"type": "number"}) == f"top level: must be a number, got {shown}"
+
+
 def test_read_json_checks_the_whole_shape_naming_the_path(tmp_path):
     path = tmp_path / "x.json"
     path.write_text('{"a": [{"id": 1, "tags": "x"}]}')

@@ -118,9 +118,15 @@ def test_load_error_on_bad_json(tmp_path):
      r":success\.response_facts\[0\]\.match: tolerance needs a number"),
     (dict(MINIMAL, success={"response_facts": [{"match": {"number": 1, "tolerance": -0.5}}]}),
      r":success\.response_facts\[0\]\.match\.tolerance: must be >= 0, got -0\.5"),
+    # an empty substring is in every reply, so the fact would pass vacuously
+    (dict(MINIMAL, success={"response_facts": [{"match": {"substring": ""}}]}),
+     r':success\.response_facts\[0\]\.match\.substring: must have length >= 1, got ""'),
+    (dict(MINIMAL, success={"response_facts": [{"match": {"number": float("inf")}}]}),
+     r":success\.response_facts\[0\]\.match\.number: must be a number, got Infinity"),
 ], ids=["top-level-list", "success-list", "assertion-without-path", "number-not-numeric",
         "buyer-script-not-list", "assertions-not-list", "facts-not-list",
-        "substring-and-number", "tolerance-without-number", "negative-tolerance"])
+        "substring-and-number", "tolerance-without-number", "negative-tolerance",
+        "empty-substring", "infinite-number"])
 def test_malformed_shape_is_load_error_naming_the_file(tmp_path, payload, where):
     path = tmp_path / "bad-task.json"
     path.write_text(json.dumps(payload))
