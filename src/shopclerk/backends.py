@@ -17,16 +17,18 @@ class ChatMessage(NamedTuple):
     image_refs: tuple[str, ...] = ()
 
 
-class ChatRequest(namedtuple("_ChatRequest", "messages max_tokens temperature label_alphabet")):
-    """label_alphabet requests single-token classification over these labels."""
+class ChatRequest(namedtuple("_ChatRequest", "messages label_alphabet kind")):
+    """A request at temperature 0 for a propose, evaluate or describe call (its kind).
+
+    label_alphabet requests single-token classification over these labels."""
 
     __slots__ = ()
 
-    def __new__(cls, messages: tuple[ChatMessage, ...], max_tokens: int | None = None,
-                temperature: float = 0.0, label_alphabet: tuple[str, ...] | None = None):
+    def __new__(cls, messages: tuple[ChatMessage, ...],
+                label_alphabet: tuple[str, ...] | None = None, kind: str = "propose"):
         if not messages:
             raise UsageError("chat request needs at least one message")
-        return tuple.__new__(cls, (messages, max_tokens, temperature, label_alphabet))
+        return tuple.__new__(cls, (messages, label_alphabet, kind))
 
     def prompt_chars(self) -> int:
         return sum(len(m.content) + sum(len(r) for r in m.image_refs) for m in self.messages)
@@ -48,7 +50,7 @@ class ChatResponse(namedtuple("_ChatResponse", "text label_probs")):
 
 
 def request_digest(request: ChatRequest) -> str:
-    """Stable content hash; temperature excluded so tweaks don't break stores."""
+    """Stable content hash. kind is left out; max_tokens is 1 with labels, as stores hashed it."""
     import hashlib
 
     payload = {
@@ -56,7 +58,7 @@ def request_digest(request: ChatRequest) -> str:
             {"role": m.role, "content": m.content, "image_refs": list(m.image_refs)}
             for m in request.messages
         ],
-        "max_tokens": request.max_tokens,
+        "max_tokens": 1 if request.label_alphabet else None,
         "label_alphabet": list(request.label_alphabet) if request.label_alphabet else None,
     }
     blob = json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")
@@ -275,7 +277,7 @@ class ReplayBackend:
         position = self._cursors.get(digest, 0)
         if not recorded or position >= len(recorded):
             raise ReplayMissError(
-                "no recorded response for request digest "
+                f"no recorded {request.kind} response for request digest "
                 f"{digest}; request was: {json.dumps([m.content for m in request.messages])[:500]}"
             )
         self._cursors[digest] = position + 1
@@ -331,10 +333,8 @@ class RemoteBackend:
                 {"role": m.role, "content": m.content, **({"images": list(m.image_refs)} if m.image_refs else {})}
                 for m in request.messages
             ],
-            "temperature": request.temperature,
+            "temperature": 0.0,
         }
-        if request.max_tokens is not None:
-            body["max_tokens"] = request.max_tokens
         if request.label_alphabet:
             body["logprobs"] = True
             body["max_tokens"] = 1
@@ -386,4 +386,5 @@ def _extract_label_probs(logprobs: dict, alphabet: tuple[str, ...]) -> dict | No
         token = item["token"].strip()
         if token in alphabet:
             probs[token] = probs.get(token, 0.0) + math.exp(item["logprob"])
-    return probs or None
+    total = max(sum(probs.values()), 1.0)  # "A" and " A" add up, and may round past 1
+    return {token: p / total for token, p in probs.items()} or None

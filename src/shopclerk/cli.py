@@ -14,7 +14,7 @@ from .episode import run_episode, write_result
 from .errors import ClerkError, ConfigError, UsageError
 from .files import LIST, OBJECT, STRING, make_dir, read_json, read_jsonl
 from .tasks import load_suite, load_task
-from .vision import FixtureVisionBackend, RemoteVisionBackend
+from .vision import FixtureVisionBackend
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -65,8 +65,8 @@ def _episode_backends(args):
     factory(task, trial) -> (chat, vision) builds fresh backends per episode.
     At most one of --script, --replay, --remote is allowed; with none, the
     suite commands use per-task scripts under --scripts. For vision an
-    explicit --fixtures file wins, else --remote gets RemoteVisionBackend,
-    else the bundled fixtures are used.
+    explicit --fixtures file wins, else --remote gets None (the session then
+    describes over its recorded chat backend), else the bundled fixtures.
     """
     script = getattr(args, "script", None)
     record = getattr(args, "record", None)
@@ -89,7 +89,7 @@ def _episode_backends(args):
         chat = chat_for(task)
         if record:
             chat = RecordingBackend(chat, record)
-        return chat, fixtures or RemoteVisionBackend(chat)
+        return chat, fixtures
 
     return fixtures, factory
 

@@ -185,7 +185,7 @@ def propose(
     prompt = template.substitute(
         context=context, tool_catalog=tool_catalog, n_candidates=n_candidates
     )
-    response = backend.complete(ChatRequest(messages=(ChatMessage("user", prompt),)))
+    response = backend.complete(ChatRequest((ChatMessage("user", prompt),), kind="propose"))
     plans = _plans_in(response.text)
     if isinstance(plans, str):
         raise ProposalError(plans)
@@ -215,11 +215,7 @@ def evaluate(
     labels = tuple(LABELS[: len(plans)])
     template = template or load_template("evaluate.txt")
     prompt = template.substitute(context=context, plan_list=plan_listing(plans))
-    response = backend.complete(ChatRequest(
-        messages=(ChatMessage("user", prompt),),
-        max_tokens=1,
-        label_alphabet=labels,
-    ))
+    response = backend.complete(ChatRequest((ChatMessage("user", prompt),), labels, "evaluate"))
     probs = response.label_probs
     if probs is None:
         choice = response.text.strip()

@@ -24,7 +24,7 @@ from .placeholders import (
 from .shop_tools import build_registry
 from .tasks import Task, check_success
 from .toolkit import ActionTrace, ToolCall, Usage
-from .vision import IntegrationStrategy
+from .vision import IntegrationStrategy, RemoteVisionBackend
 from .world import World, seed_store
 
 CLARIFICATION_REPLY = "Sorry, I want to be sure I help correctly. Could you clarify what you need?"
@@ -65,18 +65,16 @@ class _Recorded:
 
     The trace is the session's only ledger: ActionTrace.usage() folds these
     events into its usage. A call that raises is recorded with its error.
+    With no vision backend, describe is a describe-kind chat call through this recorder.
     """
 
     def __init__(self, chat, vision, trace: ActionTrace):
         self._chat = chat
-        self._vision = vision
+        self._vision = vision or RemoteVisionBackend(self)
         self._trace = trace
 
     def complete(self, request):
-        about = {
-            "call": "evaluate" if request.label_alphabet else "propose",
-            "prompt_chars": request.prompt_chars(),
-        }
+        about = {"call": request.kind, "prompt_chars": request.prompt_chars()}
         try:
             response = self._chat.complete(request)
         except Exception as exc:  # recorded, then raised to the caller unchanged

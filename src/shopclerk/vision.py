@@ -115,12 +115,8 @@ class RemoteVisionBackend:
 
         if not query.instruction:
             raise UsageError("describe needs a non-empty instruction")
-        request = ChatRequest(
-            messages=(
-                ChatMessage(role="user", content=query.instruction, image_refs=(query.asset_id,)),
-            )
-        )
-        response = self.chat.complete(request)
+        message = ChatMessage("user", query.instruction, image_refs=(query.asset_id,))
+        response = self.chat.complete(ChatRequest((message,), kind="describe"))
         if not response.text:
             raise BackendError("remote vision backend returned empty description")
         return response.text

@@ -26,7 +26,8 @@ from shopclerk.errors import BackendError, ConfigError, ReplayMissError, ScriptE
 
 def req(text: str, labels=None) -> ChatRequest:
     return ChatRequest(messages=(ChatMessage("user", text),),
-                       label_alphabet=tuple(labels) if labels else None)
+                       label_alphabet=tuple(labels) if labels else None,
+                       kind="evaluate" if labels else "propose")
 
 
 def test_step_entries_serve_in_order():
@@ -122,10 +123,24 @@ def test_digest_stable_across_serializations():
     assert request_digest(a) == request_digest(b)
 
 
-def test_digest_ignores_temperature():
-    a = ChatRequest(messages=(ChatMessage("user", "x"),), temperature=0.0)
-    b = ChatRequest(messages=(ChatMessage("user", "x"),), temperature=0.9)
+def test_digest_ignores_kind():
+    a = ChatRequest((ChatMessage("user", "x"),), kind="propose")
+    b = ChatRequest((ChatMessage("user", "x"),), kind="describe")
     assert request_digest(a) == request_digest(b)
+
+
+@pytest.mark.parametrize("request_, digest", [
+    (ChatRequest((ChatMessage("user", "Conversation so far:\n[buyer] hi"),), kind="propose"),
+     "49319c4ffffb0cf327085df9d75f2b962f7abe97d70e68452715273c5195d49d"),
+    (ChatRequest((ChatMessage("user", "Which plan? A or B"),), ("A", "B"), "evaluate"),
+     "27e797af3767e59974adba02a5567fcb216aecb4e045fc82ad43f23431afa201"),
+    (ChatRequest((ChatMessage("user", "Describe the image briefly.",
+                              ("https://img.example/kettle-red.jpg",)),), kind="describe"),
+     "aecc9b65dbffbb613217f457c7645d0b6b977bb523ea5c10a3250be815a27629"),
+], ids=["propose", "evaluate", "describe"])
+def test_digest_is_pinned_so_recorded_stores_keep_hitting(request_, digest):
+    # each value was computed when max_tokens and temperature were request fields
+    assert request_digest(request_) == digest
 
 
 def test_digest_differs_on_content():
@@ -156,6 +171,18 @@ def test_replay_miss_on_mutated_prompt(tmp_path):
     replay = ReplayBackend(store)
     with pytest.raises(ReplayMissError, match="mutated"):
         replay.complete(req("mutated"))
+
+
+def test_replay_miss_names_the_call_kind(tmp_path):
+    store = tmp_path / "store.json"
+    store.write_text("{}")
+    replay = ReplayBackend(store)
+    with pytest.raises(ReplayMissError, match="^no recorded evaluate response for request digest "):
+        replay.complete(req("which plan?", labels="AB"))
+    describe = ChatRequest((ChatMessage("user", "look", ("https://img.example/a.jpg",)),),
+                           kind="describe")
+    with pytest.raises(ReplayMissError, match="^no recorded describe response for request digest "):
+        replay.complete(describe)
 
 
 def test_replay_same_digest_served_in_recorded_order(tmp_path):
@@ -396,6 +423,30 @@ def test_remote_label_probs_come_from_the_first_tokens_top_logprobs(monkeypatch)
     response = RemoteBackend(session=FakeSession([FakeReply(data)])).complete(
         req("pick one", labels="AB"))
     assert response.label_probs == pytest.approx({"B": 0.7788008, "A": 0.1353353})
+
+
+def test_remote_label_probs_over_one_are_scaled_down_not_rejected(monkeypatch):
+    # "A" and " A" merge to 1 + 1e-7; the reply is valid and must not fail the episode
+    monkeypatch.setenv("SHOPCLERK_CHAT_URL", "https://llm.internal")
+    top = [{"token": "A", "logprob": -1e-7}, {"token": " A", "logprob": -16.0},
+           {"token": "B", "logprob": -18.0}]
+    data = _choice(logprobs={"content": [{"token": "A", "top_logprobs": top}]})
+    response = RemoteBackend(session=FakeSession([FakeReply(data)])).complete(
+        req("pick one", labels="AB"))
+    assert sum(response.label_probs.values()) <= 1.0
+    assert response.label_probs == pytest.approx({"A": 1.0, "B": 1.523e-8}, rel=1e-3)
+
+
+@pytest.mark.parametrize("labels, extra", [
+    (None, {}), ("AB", {"logprobs": True, "max_tokens": 1})], ids=["propose", "evaluate"])
+def test_remote_body_is_at_temperature_0_with_one_token_only_for_labels(monkeypatch, labels,
+                                                                        extra):
+    monkeypatch.setenv("SHOPCLERK_CHAT_URL", "https://llm.internal")
+    session = FakeSession([FakeReply({"choices": [{"message": {"content": "A"}}]})])
+    RemoteBackend(session=session, model="m").complete(req("hello", labels=labels))
+    assert session.requests[0]["json"] == {
+        "model": "m", "messages": [{"role": "user", "content": "hello"}], "temperature": 0.0,
+        **extra}
 
 
 def test_script_file_round_trip(tmp_path):

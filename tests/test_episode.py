@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from shopclerk.backends import RecordingBackend, ReplayBackend, ScriptedBackend
+from shopclerk.backends import ChatResponse, RecordingBackend, ReplayBackend, ScriptedBackend
 from shopclerk.config import AgentConfig, agent_config_from_dict
 from shopclerk.episode import CLARIFICATION_REPLY, AgentSession, run_episode
 from shopclerk.memory import ELISION_MARKER, Namespace, PartKind, Role, message_to_dict
@@ -434,6 +434,41 @@ def test_describe_leaves_one_trace_event(suite_dir, scripts_dir, vision_fixtures
     }]
     assert result.trace.events[describes[0]["seq"] - 1]["kind"] == "tool_call"
     assert result.usage.describe_calls == 1
+
+
+class DescribingChat:
+    """A scripted chat backend that also answers describe-kind requests, as a remote model would."""
+
+    def __init__(self, inner, description):
+        self.inner = inner
+        self.description = description
+
+    def complete(self, request):
+        if request.kind == "describe":
+            return ChatResponse(self.description)
+        return self.inner.complete(request)
+
+
+def test_remote_describe_is_a_describe_chat_call_in_the_ledger(suite_dir, scripts_dir,
+                                                               vision_fixtures):
+    # no vision backend: the session describes over its own recorded chat backend
+    fixture, _ = run_bundled("damaged-kettle-refund", suite_dir, scripts_dir, vision_fixtures)
+    task = load_task(suite_dir / "damaged-kettle-refund.json")
+    chat = DescribingChat(ScriptedBackend.from_file(scripts_dir / "damaged-kettle-refund.json"),
+                          "cracked base, left side")
+    result = run_episode(task, AgentConfig(), chat, None)
+    assert result.success and result.error is None
+    [describe] = [e for e in result.trace.events if e["kind"] == "describe"]
+    chat_event = result.trace.events[describe["seq"] - 1]
+    instruction, asset = describe["instruction"], describe["asset"]
+    assert chat_event == {"seq": describe["seq"] - 1, "kind": "chat", "call": "describe",
+                          "prompt_chars": len(instruction) + len(asset),
+                          "completion_chars": len("cracked base, left side")}
+    assert describe["output"] == "cracked base, left side"
+    assert result.usage == fixture.usage._replace(
+        backend_calls=fixture.usage.backend_calls + 1,
+        prompt_chars=fixture.usage.prompt_chars + chat_event["prompt_chars"],
+        completion_chars=fixture.usage.completion_chars + chat_event["completion_chars"])
 
 
 def test_failed_describe_is_traced_and_counted(suite_dir, vision_fixtures, tmp_path):

@@ -126,3 +126,4 @@ def test_remote_vision_attaches_image_ref():
     backend = RemoteVisionBackend(CapturingChat())
     backend.describe(VisualQuery("look", ASSET_ID))
     assert captured["request"].messages[0].image_refs == (ASSET_ID,)
+    assert captured["request"].kind == "describe"
