@@ -65,23 +65,18 @@ def request_digest(request: ChatRequest) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-class ScriptEntry(namedtuple("_ScriptEntry", "response step contains")):
-    """One canned response, fired by call index or by a substring of the last message."""
+class ScriptEntry(NamedTuple):
+    """One canned response, fired when its needle occurs in the last message."""
 
-    __slots__ = ()
-
-    def __new__(cls, response: ChatResponse, step: int | None = None, contains: str | None = None):
-        if (step is None) == (contains is None):
-            raise ConfigError("script entry needs exactly one of step / contains")
-        return tuple.__new__(cls, (response, step, contains))
+    contains: str
+    response: ChatResponse
 
 
 # A scripted or recorded response; a store holds null label_probs for a response without.
 _RESPONSE = closed([], text=STRING, label_probs={
     "type": ["object", "null"], "additionalProperties": {"type": "number"}})
 SCRIPT_SCHEMA = closed([], entries={"type": "array", "items": closed(
-    ["response"], step={"type": "integer", "minimum": 0}, contains=STRING,
-    response=_RESPONSE)})
+    ["contains", "response"], contains=STRING, response=_RESPONSE)})
 # A replay store maps each request digest to its responses in call order.
 STORE_SCHEMA = {"type": "object", "additionalProperties": {"type": "array", "items": _RESPONSE}}
 
@@ -117,109 +112,73 @@ def _first_in(needles: list[tuple[int, str]], text: str, miss: int) -> int:
 LINE_MEMO_MIN_ENTRIES = 40
 
 
-class _Matcher:
-    """What matching needs of one entries tuple: the step table, the needles and the line memo.
-
-    A memo value is a pure function of its line and the needle list, so every
-    backend of one script file version shares the matcher load_script caches,
-    on any thread: two that miss on a line together store the same index.
-    """
-
-    def __init__(self, entries: tuple[ScriptEntry, ...]):
-        self.entries = entries
-        self.steps: dict[int, ChatResponse] = {}
-        for entry in entries:
-            if entry.step is not None:
-                self.steps.setdefault(entry.step, entry.response)
-        self.needles = [(i, entry.contains) for i, entry in enumerate(entries)
-                        if entry.contains is not None]
-        self.line_memo: dict[str, int] | None = None
-        if len(entries) >= LINE_MEMO_MIN_ENTRIES:
-            self.line_memo = {}
-            self.line_needles = [(i, n) for i, n in self.needles if "\n" not in n]
-            self.span_needles = [(i, n) for i, n in self.needles if "\n" in n]
-
-    def first_needle(self, text: str) -> int:
-        """The index of the first entry whose needle occurs in text, else len(entries)."""
-        miss = len(self.entries)
-        memo = self.line_memo
-        if memo is None:
-            return _first_in(self.needles, text, miss)
-        best = miss
-        for line in text.split("\n"):
-            hit = memo.get(line)
-            if hit is None:
-                hit = memo[line] = _first_in(self.line_needles, line, miss)
-            if hit < best:
-                best = hit
-        for i, needle in self.span_needles:
-            if i >= best:
-                break
-            if needle in text:
-                return i
-        return best
-
-
-def _parse_script(path: str, text: str) -> _Matcher:
-    rows = parse_json(text, f"script file {path}", SCRIPT_SCHEMA).get("entries", [])
-    entries = []
-    for i, row in enumerate(rows):
-        where = f"script file {path}: entry {i}"
-        response = _response_from_dict(row["response"], f"{where} response")
-        try:
-            entries.append(ScriptEntry(response, row.get("step"), row.get("contains")))
-        except ConfigError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
-    return _Matcher(tuple(entries))
-
-
-_SCRIPTS: dict[str, tuple[tuple[int, int], _Matcher]] = {}
-
-
-def load_script(path: str | Path) -> _Matcher:
-    """A script file's entries and their matcher, parsed once per file version."""
-    return parse_once(_SCRIPTS, path, "script file", _parse_script)
-
-
 class ScriptedBackend:
     """Deterministic backend serving canned responses.
 
-    Step entries fire when their index equals the running call counter and
-    take precedence; otherwise the first substring entry (file order) whose
-    needle occurs in the last message fires. Substring entries are reusable.
+    The first entry (file order) whose needle occurs in the last message
+    fires, and every entry fires as often as it matches, so a backend keeps
+    no state across calls but its line memo.
 
     Scripts of at least LINE_MEMO_MIN_ENTRIES entries are matched line by
     line: a needle without a newline can only occur inside one line, so the
     lowest index of such a needle in each line is memoized, and only the
-    needles that span lines are searched in the whole message. Backends from
-    one script file version share the memo; one built from entries keeps its own.
+    needles that span lines are searched in the whole message. A memo value
+    is a pure function of its line and the needles, so the one backend that
+    load_script builds per script file version serves every episode, on any
+    thread: two that miss on a line together store the same index.
     """
 
-    def __init__(self, script: _Matcher | tuple[ScriptEntry, ...] | list[ScriptEntry]):
-        self._matcher = script if isinstance(script, _Matcher) else _Matcher(tuple(script))
-        self.entries = self._matcher.entries
-        self.calls = 0  # this backend's own cursor; the matcher may be shared
-        self._steps = self._matcher.steps
-        self._first_needle = self._matcher.first_needle
+    def __init__(self, entries):
+        self.entries = tuple(entries)
+        self.needles = [(i, entry.contains) for i, entry in enumerate(self.entries)]
+        self.line_memo: dict[str, int] | None = None
+        if len(self.entries) >= LINE_MEMO_MIN_ENTRIES:
+            self.line_memo = {}
+            self.line_needles = [(i, n) for i, n in self.needles if "\n" not in n]
+            self.span_needles = [(i, n) for i, n in self.needles if "\n" in n]
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ScriptedBackend":
-        return cls(load_script(path))
+    @staticmethod
+    def from_file(path: str | Path) -> "ScriptedBackend":
+        return load_script(path)
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        index = self.calls
-        self.calls += 1
-        response = self._steps.get(index)
-        if response is not None:
-            return response
         last = request.last_content()
-        hit = self._first_needle(last)
-        if hit < len(self.entries):
+        miss = hit = len(self.entries)
+        memo = self.line_memo
+        if memo is None:
+            hit = _first_in(self.needles, last, miss)
+        else:
+            for line in last.split("\n"):
+                index = memo.get(line)
+                if index is None:
+                    index = memo[line] = _first_in(self.line_needles, line, miss)
+                if index < hit:
+                    hit = index
+            for i, needle in self.span_needles:
+                if i >= hit:
+                    break
+                if needle in last:
+                    hit = i
+                    break
+        if hit < miss:
             return self.entries[hit].response
-        raise ScriptError(
-            f"no script entry for call {index}; last message starts with: "
-            f"{last[:200]!r}"
-        )
+        raise ScriptError(f"no script entry matches; last message starts with: {last[:200]!r}")
+
+
+def _parse_script(path: str, text: str) -> ScriptedBackend:
+    rows = parse_json(text, f"script file {path}", SCRIPT_SCHEMA).get("entries", [])
+    return ScriptedBackend(
+        ScriptEntry(row["contains"],
+                    _response_from_dict(row["response"], f"script file {path}: entry {i} response"))
+        for i, row in enumerate(rows))
+
+
+_SCRIPTS: dict[str, tuple[tuple[int, int], ScriptedBackend]] = {}
+
+
+def load_script(path: str | Path) -> ScriptedBackend:
+    """A script file's backend, built once per file version and shared by every caller."""
+    return parse_once(_SCRIPTS, path, "script file", _parse_script)
 
 
 def _parse_store(path: str, text: str) -> dict[str, tuple[ChatResponse, ...]]:

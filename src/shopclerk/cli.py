@@ -34,8 +34,8 @@ def _add_backend_flags(parser: argparse.ArgumentParser, single_task: bool) -> No
     parser.add_argument("--remote", action="store_true",
                         help="remote backend from SHOPCLERK_CHAT_URL / _KEY")
     parser.add_argument("--fixtures",
-                        help="vision fixture JSON (default: remote vision with --remote, "
-                             "else the bundled fixtures)")
+                        help="vision fixture JSON (default: describe over the chat backend "
+                             "with --remote or --replay, else the bundled fixtures)")
 
 
 def _add_agent_flags(parser: argparse.ArgumentParser) -> None:
@@ -62,11 +62,13 @@ def _episode_backends(args):
 
     Returns (fixtures, factory). fixtures is the vision fixture set tasks are
     validated against, loaded once (None under remote vision), and
-    factory(task, trial) -> (chat, vision) builds fresh backends per episode.
+    factory(task, trial) -> (chat, vision) gives an episode its backends (a
+    script file's one shared backend, or a fresh replay or remote client).
     At most one of --script, --replay, --remote is allowed; with none, the
     suite commands use per-task scripts under --scripts. For vision an
-    explicit --fixtures file wins, else --remote gets None (the session then
-    describes over its recorded chat backend), else the bundled fixtures.
+    explicit --fixtures file wins, else --remote and --replay get None (the
+    session then describes over its recorded chat backend), else the bundled
+    fixtures.
     """
     script = getattr(args, "script", None)
     record = getattr(args, "record", None)
@@ -75,7 +77,7 @@ def _episode_backends(args):
     if len(chosen) > 1 or not (chosen or scripts_dir):
         raise ConfigError("select exactly one backend: --script, --replay, or --remote")
     fixtures = None
-    if args.fixtures or not args.remote:
+    if args.fixtures or not (args.remote or args.replay):
         fixtures = FixtureVisionBackend.from_file(args.fixtures or DEFAULT_FIXTURES)
 
     def chat_for(task):

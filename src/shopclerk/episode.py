@@ -127,7 +127,7 @@ class AgentSession:
         if not self.config.aci:
             kinds = frozenset()  # track URLs for resolution, rewrite nothing
         elif self.config.strategy is IntegrationStrategy.PLANNER:
-            # raw image references go to the planner; other long URLs still shrink
+            # image URLs reach the planner as raw text; other long URLs still shrink
             kinds = NON_VISUAL_KINDS
         else:
             kinds = ALL_KINDS

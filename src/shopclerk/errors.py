@@ -42,7 +42,7 @@ class BackendError(ClerkError):
 
 
 class ScriptError(BackendError):
-    """Scripted backend had no entry for a request, or is exhausted."""
+    """Scripted backend had no entry for a request."""
 
 
 class ReplayMissError(BackendError):

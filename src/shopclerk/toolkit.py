@@ -143,9 +143,6 @@ class ToolRegistry:
         if self._catalog is None:
             self._catalog = _CATALOGS[descriptors] = _render_catalog(descriptors)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._tools
-
     def descriptors(self) -> list[ToolDescriptor]:
         return [d for d, _ in self._tools.values()]
 

@@ -14,8 +14,9 @@ class IntegrationStrategy(str, Enum):
 
     TOOL: the planner is text-only; images reach it as placeholders whose
     content is fetched on demand through describe().
-    PLANNER: the visual model is the planner itself; raw image references
-    are passed straight through and describe() is never used.
+    PLANNER: the visual model is the planner itself and describe() is never
+    used; raw image URLs stay in the context as text, and the planner's
+    requests attach no images.
     """
 
     TOOL = "tool"

@@ -39,6 +39,18 @@ def scripted_backend_for(scripts_dir):
     return make
 
 
+class InOrder:
+    """A chat backend serving its responses in call order and counting its calls."""
+
+    def __init__(self, *responses):
+        self.responses = responses
+        self.calls = 0
+
+    def complete(self, request):
+        self.calls += 1
+        return self.responses[self.calls - 1]
+
+
 class DescribeCounter:
     """A vision backend that passes describe calls through and counts them."""
 

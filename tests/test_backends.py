@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import InOrder
 from shopclerk import backends
 from shopclerk.backends import (
     ChatMessage,
@@ -30,33 +31,16 @@ def req(text: str, labels=None) -> ChatRequest:
                        kind="evaluate" if labels else "propose")
 
 
-def test_step_entries_serve_in_order():
-    backend = ScriptedBackend([
-        ScriptEntry(response=ChatResponse(text="plans JSON"), step=0),
-        ScriptEntry(response=ChatResponse(text="B"), step=1),
-    ])
-    assert backend.complete(req("one")).text == "plans JSON"
-    assert backend.complete(req("two")).text == "B"
-
-
 def test_script_exhaustion_names_request():
     backend = ScriptedBackend([
-        ScriptEntry(response=ChatResponse(text="a"), step=0),
-        ScriptEntry(response=ChatResponse(text="b"), step=1),
+        ScriptEntry(contains="one", response=ChatResponse(text="a")),
+        ScriptEntry(contains="two", response=ChatResponse(text="b")),
     ])
-    backend.complete(req("one"))
-    backend.complete(req("two"))
-    with pytest.raises(ScriptError, match="third message"):
+    assert [backend.complete(req(text)).text for text in ("two", "one", "two")] == ["b", "a", "b"]
+    with pytest.raises(ScriptError) as raised:
         backend.complete(req("the third message"))
-
-
-def test_step_matcher_beats_substring():
-    backend = ScriptedBackend([
-        ScriptEntry(response=ChatResponse(text="by-substring"), contains="hello"),
-        ScriptEntry(response=ChatResponse(text="by-step"), step=0),
-    ])
-    assert backend.complete(req("hello world")).text == "by-step"
-    assert backend.complete(req("hello world")).text == "by-substring"
+    assert str(raised.value) == ("no script entry matches; last message starts with: "
+                                 "'the third message'")
 
 
 def test_first_substring_match_in_file_order():
@@ -81,17 +65,22 @@ def test_substring_matches_last_message_only():
 
 def test_label_probs_pass_through():
     backend = ScriptedBackend([
-        ScriptEntry(response=ChatResponse(text="B", label_probs={"A": 0.25, "B": 0.75}), step=0),
+        ScriptEntry("score", ChatResponse(text="B", label_probs={"A": 0.25, "B": 0.75})),
     ])
     response = backend.complete(req("score", labels=("A", "B")))
     assert response.label_probs == {"A": 0.25, "B": 0.75}
 
 
-def test_entry_needs_exactly_one_matcher():
-    with pytest.raises(ConfigError):
-        ScriptEntry(response=ChatResponse(text="x"))
-    with pytest.raises(ConfigError):
-        ScriptEntry(response=ChatResponse(text="x"), step=0, contains="y")
+def test_entry_needs_exactly_one_matcher(tmp_path):
+    # a needle is the one way an entry fires: without one, or with a call index too, it is refused
+    path = tmp_path / "s.json"
+    for row, why in [({"response": {"text": "x"}}, "entries[0].contains: missing"),
+                     ({"step": 0, "contains": "y", "response": {"text": "x"}},
+                      "entries[0].step: unknown key")]:
+        path.write_text(json.dumps({"entries": [row]}))
+        with pytest.raises(ConfigError) as raised:
+            load_script(path)
+        assert str(raised.value) == f"script file {path}: {why}"
 
 
 def test_label_probs_validation():
@@ -149,9 +138,7 @@ def test_digest_differs_on_content():
 
 def test_record_then_replay_round_trip(tmp_path):
     store = tmp_path / "store.json"
-    scripted = ScriptedBackend([
-        ScriptEntry(response=ChatResponse(text=f"reply {i}"), step=i) for i in range(5)
-    ])
+    scripted = InOrder(*(ChatResponse(text=f"reply {i}") for i in range(5)))
     recorder = RecordingBackend(scripted, store)
     requests = [req(f"prompt {i}") for i in range(5)]
     recorded = [recorder.complete(r).text for r in requests]
@@ -165,7 +152,7 @@ def test_record_then_replay_round_trip(tmp_path):
 def test_replay_miss_on_mutated_prompt(tmp_path):
     store = tmp_path / "store.json"
     recorder = RecordingBackend(
-        ScriptedBackend([ScriptEntry(response=ChatResponse(text="hi"), step=0)]), store
+        ScriptedBackend([ScriptEntry(contains="", response=ChatResponse(text="hi"))]), store
     )
     recorder.complete(req("original"))
     replay = ReplayBackend(store)
@@ -187,11 +174,8 @@ def test_replay_miss_names_the_call_kind(tmp_path):
 
 def test_replay_same_digest_served_in_recorded_order(tmp_path):
     store = tmp_path / "store.json"
-    scripted = ScriptedBackend([
-        ScriptEntry(response=ChatResponse(text="first"), step=0),
-        ScriptEntry(response=ChatResponse(text="second"), step=1),
-    ])
-    recorder = RecordingBackend(scripted, store)
+    recorder = RecordingBackend(InOrder(ChatResponse(text="first"), ChatResponse(text="second")),
+                                store)
     recorder.complete(req("same"))
     recorder.complete(req("same"))
     replay = ReplayBackend(store)
@@ -242,8 +226,8 @@ def test_replay_backends_share_one_parse_per_store_version(tmp_path, monkeypatch
     monkeypatch.setattr(backends, "_parse_store", lambda *a: parses.append(a) or parse(*a))
     store = tmp_path / "store.json"
     recorder = RecordingBackend(
-        ScriptedBackend([ScriptEntry(response=ChatResponse(text="one"), step=0),
-                         ScriptEntry(response=ChatResponse(text="two"), step=1)]), store)
+        ScriptedBackend([ScriptEntry(contains="first", response=ChatResponse(text="one")),
+                         ScriptEntry(contains="second", response=ChatResponse(text="two"))]), store)
     recorder.complete(req("first"))
     a, b = ReplayBackend(store), ReplayBackend(store)
     assert len(parses) == 1
@@ -259,7 +243,8 @@ def test_replay_backends_share_one_parse_per_store_version(tmp_path, monkeypatch
 def test_recording_crash_mid_write_keeps_store(tmp_path, monkeypatch):
     store = tmp_path / "store.json"
     scripted = ScriptedBackend([
-        ScriptEntry(response=ChatResponse(text=f"reply {i}"), step=i) for i in range(2)
+        ScriptEntry(contains=text, response=ChatResponse(text=f"reply {i}"))
+        for i, text in enumerate(("first", "second"))
     ])
     recorder = RecordingBackend(scripted, store)
     recorder.complete(req("first"))
@@ -281,7 +266,7 @@ def test_recording_crash_mid_write_keeps_store(tmp_path, monkeypatch):
 def test_recording_write_failure_is_a_backend_error_naming_the_store(tmp_path):
     store = tmp_path / "store.json"
     (tmp_path / "store.json.partial").mkdir()  # the temporary file cannot be written
-    recorder = RecordingBackend(ScriptedBackend([ScriptEntry(ChatResponse("one"), step=0)]), store)
+    recorder = RecordingBackend(ScriptedBackend([ScriptEntry("", ChatResponse("one"))]), store)
     with pytest.raises(BackendError, match=re.escape(f"cannot write record store {store}")):
         recorder.complete(req("first"))
     assert not store.exists()
@@ -451,52 +436,47 @@ def test_remote_body_is_at_temperature_0_with_one_token_only_for_labels(monkeypa
 
 def test_script_file_round_trip(tmp_path):
     payload = {"entries": [
-        {"step": 0, "response": {"text": "plans"}},
+        {"contains": "plans", "response": {"text": "plans"}},
         {"contains": "pick", "response": {"text": "A", "label_probs": {"A": 1.0}}},
     ]}
     path = tmp_path / "s.json"
     path.write_text(json.dumps(payload))
     backend = ScriptedBackend.from_file(path)
-    assert backend.complete(req("anything")).text == "plans"
+    assert backend.entries == (ScriptEntry("plans", ChatResponse("plans")),
+                               ScriptEntry("pick", ChatResponse("A", {"A": 1.0})))
+    assert backend.complete(req("give me plans")).text == "plans"
     assert backend.complete(req("pick one")).label_probs == {"A": 1.0}
 
 
 # --- the line-memo matcher against the former loop ---
 
 
-def reference_complete(entries, index, request):
-    """The former matcher: every entry scanned for steps, then every needle over the whole message."""
-    for entry in entries:
-        if entry.step is not None and entry.step == index:
-            return entry.response
+def reference_complete(entries, request):
+    """The former matcher: every needle over the whole message."""
     last = request.last_content()
     for entry in entries:
-        if entry.contains is not None and entry.contains in last:
+        if entry.contains in last:
             return entry.response
-    raise ScriptError(f"no script entry for call {index}; last message starts with: {last[:200]!r}")
+    raise ScriptError(f"no script entry matches; last message starts with: {last[:200]!r}")
 
 
 def random_script(rng, size):
-    """Steps (some repeated), one-line needles (some duplicated, one maybe empty) and
-    needles that span a line break, over an alphabet small enough that they hit."""
+    """One-line needles (some duplicated, one maybe empty) and needles that span a
+    line break, over an alphabet small enough that they hit."""
     entries, needles = [], []
     for i in range(size):
         roll = rng.random()
-        if roll < 0.15:
-            entry = ScriptEntry(ChatResponse(f"step {i}"), step=rng.randrange(12))
+        if roll < 0.2 and needles:
+            needle = rng.choice(needles)
+        elif roll < 0.4:
+            needle = "".join(rng.choices("ab", k=rng.randint(0, 2))) + "\n" + \
+                "".join(rng.choices("ab", k=rng.randint(0, 2)))
+        elif roll < 0.42:
+            needle = ""
         else:
-            if roll < 0.25 and needles:
-                needle = rng.choice(needles)
-            elif roll < 0.4:
-                needle = "".join(rng.choices("ab", k=rng.randint(0, 2))) + "\n" + \
-                    "".join(rng.choices("ab", k=rng.randint(0, 2)))
-            elif roll < 0.42:
-                needle = ""
-            else:
-                needle = "".join(rng.choices("abc", k=rng.randint(2, 6)))
-            needles.append(needle)
-            entry = ScriptEntry(ChatResponse(f"needle {i}"), contains=needle)
-        entries.append(entry)
+            needle = "".join(rng.choices("abc", k=rng.randint(2, 6)))
+        needles.append(needle)
+        entries.append(ScriptEntry(needle, ChatResponse(f"needle {i}")))
     return entries
 
 
@@ -512,7 +492,7 @@ def test_line_memo_matches_the_former_loop(size):
         # messages drawn from a small pool of lines, so later calls hit the memo
         request = req("\n".join(rng.choices(lines, k=rng.randint(1, 8))))
         try:
-            expected = reference_complete(entries, index, request)
+            expected = reference_complete(entries, request)
         except ScriptError as exc:
             with pytest.raises(ScriptError) as raised:
                 backend.complete(request)
@@ -523,8 +503,7 @@ def test_line_memo_matches_the_former_loop(size):
 
 def write_script(path, entries):
     """entries as a script file, in the order given."""
-    rows = [{**({"step": e.step} if e.step is not None else {"contains": e.contains}),
-             "response": {"text": e.response.text}} for e in entries]
+    rows = [{"contains": e.contains, "response": {"text": e.response.text}} for e in entries]
     path.write_text(json.dumps({"entries": rows}))
 
 
@@ -532,11 +511,10 @@ def play_against_the_reference(backend, seed, calls=40):
     """Seeded requests over a small pool of lines; each response must be the former loop's."""
     rng = random.Random(seed)
     lines = ["".join(rng.choices("abcd", k=rng.randint(0, 12))) for _ in range(15)]
-    for _ in range(calls):
+    for index in range(calls):
         request = req("\n".join(rng.choices(lines, k=rng.randint(1, 8))))
-        index = backend.calls
         try:
-            expected = reference_complete(backend.entries, index, request)
+            expected = reference_complete(backend.entries, request)
         except ScriptError as exc:
             with pytest.raises(ScriptError) as raised:
                 backend.complete(request)
@@ -552,13 +530,12 @@ def test_second_backend_of_a_file_matches_the_former_loop_on_a_warm_memo(tmp_pat
     first = ScriptedBackend.from_file(path)
     play_against_the_reference(first, seed=size)
     second = ScriptedBackend.from_file(path)
-    assert second._matcher is first._matcher
-    warm = dict(second._matcher.line_memo or {})
+    assert second is first
+    warm = dict(second.line_memo or {})
     assert warm or size < backends.LINE_MEMO_MIN_ENTRIES
     # the same requests (all memo hits), then requests over lines the memo may not hold
     play_against_the_reference(second, seed=size)
     play_against_the_reference(second, seed=size + 1000)
-    assert second.calls == 80 and first.calls == 40
 
 
 def test_threads_sharing_one_memo_match_the_former_loop(tmp_path):
@@ -585,54 +562,40 @@ def test_threads_sharing_one_memo_match_the_former_loop(tmp_path):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
-    matcher = ScriptedBackend.from_file(path)._matcher
-    assert matcher.line_memo
-    for line, hit in matcher.line_memo.items():
-        assert hit == backends._first_in(matcher.line_needles, line, size), line
+    backend = ScriptedBackend.from_file(path)
+    assert backend.line_memo
+    for line, hit in backend.line_memo.items():
+        assert hit == backends._first_in(backend.line_needles, line, size), line
 
 
-def test_backends_from_one_script_version_share_a_memo_and_keep_their_cursors(tmp_path):
+def test_one_script_version_is_one_backend_with_one_memo(tmp_path):
     size = backends.LINE_MEMO_MIN_ENTRIES
-    payload = {"entries": [{"step": 0, "response": {"text": "first call"}}] + [
+    payload = {"entries": [
         {"contains": f"ticket {i:03d}", "response": {"text": f"turn {i}"}} for i in range(size)]}
     path = tmp_path / "s.json"
     path.write_text(json.dumps(payload))
-    a, b = ScriptedBackend.from_file(path), ScriptedBackend.from_file(path)
-    assert a._matcher is b._matcher is load_script(path)
-    assert a.entries is b.entries is load_script(path).entries
-    memo = a._matcher.line_memo
+    a = ScriptedBackend.from_file(path)
+    assert ScriptedBackend.from_file(path) is a is load_script(path)
+    memo = a.line_memo
     assert memo == {}
-    assert a.complete(req("ticket 007")).text == "first call"
     assert a.complete(req("header\nticket 007")).text == "turn 7"
     assert a.complete(req("header\nticket 002\nticket 007")).text == "turn 2"
-    assert memo == {"header": size + 1, "ticket 007": 8, "ticket 002": 3}
-    assert b.complete(req("ticket 002")).text == "first call"
-    assert b.complete(req("ticket 005")).text == "turn 5"
-    assert (a.calls, b.calls) == (3, 2)
-    assert memo == {"header": size + 1, "ticket 007": 8, "ticket 002": 3, "ticket 005": 6}
-    # a backend built from a list keeps a private memo
-    private = ScriptedBackend(list(load_script(path).entries))
-    assert private.complete(req("x")).text == "first call"
-    assert private.complete(req("ticket 009")).text == "turn 9"
-    assert private._matcher.line_memo == {"ticket 009": 10}
-    assert len(memo) == 4
-    # a rewritten file version gets a fresh matcher with an empty memo, while a
-    # backend of the older version keeps its own matcher, entries and memo
-    old_matcher = a._matcher
-    payload["entries"][5]["response"]["text"] = "turn four, rewritten"
+    assert a.complete(req("ticket 005")).text == "turn 5"
+    assert memo == {"header": size, "ticket 007": 7, "ticket 002": 2, "ticket 005": 5}
+    # a rewritten file version gets a fresh backend with an empty memo, while the
+    # backend of the older version keeps its own entries and memo
+    payload["entries"][4]["response"]["text"] = "turn four, rewritten"
     path.write_text(json.dumps(payload))
     c = ScriptedBackend.from_file(path)
-    assert c._matcher is load_script(path) is not old_matcher
-    assert c._matcher.line_memo == {} and c.entries is not a.entries
-    assert c.complete(req("x")).text == "first call"
+    assert c is load_script(path) is not a
+    assert c.line_memo == {} and c.entries is not a.entries
     assert c.complete(req("ticket 004")).text == "turn four, rewritten"
-    assert c._matcher.line_memo == {"ticket 004": 5}
-    assert a._matcher is old_matcher and a._matcher.line_memo is memo
-    assert a.complete(req("ticket 004")).text == "turn 4"
-    assert memo == {"header": size + 1, "ticket 007": 8, "ticket 002": 3, "ticket 005": 6,
-                    "ticket 004": 5}
-    assert c._matcher.line_memo == {"ticket 004": 5}
-    assert ScriptedBackend.from_file(path)._matcher is c._matcher
+    assert c.line_memo == {"ticket 004": 4}
+    assert a.line_memo is memo and a.complete(req("ticket 004")).text == "turn 4"
+    assert memo == {"header": size, "ticket 007": 7, "ticket 002": 2, "ticket 005": 5,
+                    "ticket 004": 4}
+    assert c.line_memo == {"ticket 004": 4}
+    assert ScriptedBackend.from_file(path) is c
 
 
 def test_every_bundled_script_is_matched_by_the_whole_text_loop(data_dir):
@@ -642,7 +605,7 @@ def test_every_bundled_script_is_matched_by_the_whole_text_loop(data_dir):
     for path in paths:
         backend = ScriptedBackend.from_file(path)
         assert len(backend.entries) < backends.LINE_MEMO_MIN_ENTRIES, path
-        assert backend._matcher.line_memo is None, path
+        assert backend.line_memo is None, path
 
 
 def test_a_forty_entry_script_file_shares_one_memo_that_serves_a_second_backend(tmp_path,
@@ -653,16 +616,15 @@ def test_a_forty_entry_script_file_shares_one_memo_that_serves_a_second_backend(
     path.write_text(json.dumps({"entries": [
         {"contains": f"ticket {i:03d}", "response": {"text": f"turn {i}"}} for i in range(40)]}))
     first = ScriptedBackend.from_file(path)
-    memo = first._matcher.line_memo
+    memo = first.line_memo
     assert memo == {}
     assert first.complete(req("header\nticket 031\nticket 007")).text == "turn 7"
     assert memo == {"header": 40, "ticket 031": 31, "ticket 007": 7}
     second = ScriptedBackend.from_file(path)
-    assert second._matcher.line_memo is memo
-    # every line is in the memo, so the second backend never runs a needle search
+    assert second is first and second.line_memo is memo
+    # every line is in the memo, so the second episode never runs a needle search
     monkeypatch.setattr(backends, "_first_in", lambda *a: pytest.fail("searched a warm line"))
     assert second.complete(req("ticket 031\nheader")).text == "turn 31"
-    assert (first.calls, second.calls) == (1, 1)
 
 
 # --- script files: validation and the per-file-version cache ---
@@ -670,15 +632,15 @@ def test_a_forty_entry_script_file_shares_one_memo_that_serves_a_second_backend(
 
 @pytest.mark.parametrize("payload", [
     [],
-    {"entries": {"step": 0}},
+    {"entries": {"contains": ""}},
     {"entries": ["not an object"]},
-    {"entries": [{"step": 0, "response": "hi"}]},
-    {"entries": [{"step": 0, "response": {"text": 7}}]},
-    {"entries": [{"step": 0, "response": {"text": "A", "label_probs": [1.0]}}]},
-    {"entries": [{"response": {"text": "neither step nor contains"}}]},
-    {"entries": [{"step": [0], "response": {"text": "a step that is not an integer"}}]},
-    {"entries": [{"step": 1.0, "response": {"text": "a float step"}}]},
-    {"entries": [{"step": -1, "response": {"text": "a negative step"}}]},
+    {"entries": [{"contains": "", "response": "hi"}]},
+    {"entries": [{"contains": "", "response": {"text": 7}}]},
+    {"entries": [{"contains": "", "response": {"text": "A", "label_probs": [1.0]}}]},
+    {"entries": [{"response": {"text": "no needle"}}]},
+    {"entries": [{"step": 0, "contains": "", "response": {"text": "a call index"}}]},
+    {"entries": [{"contains": None, "response": {"text": "a null needle"}}]},
+    {"entries": [{"contains": ""}]},
     {"entries": [{"contains": 5, "response": {"text": "a needle that is not a string"}}]},
 ])
 def test_malformed_script_is_config_error_naming_the_file(tmp_path, payload):
@@ -690,15 +652,15 @@ def test_malformed_script_is_config_error_naming_the_file(tmp_path, payload):
 
 def test_script_rewritten_in_place_is_read_again(tmp_path):
     path = tmp_path / "s.json"
-    path.write_text(json.dumps({"entries": [{"step": 0, "response": {"text": "one"}}]}))
+    path.write_text(json.dumps({"entries": [{"contains": "", "response": {"text": "one"}}]}))
     first = load_script(path)
     assert load_script(path) is first  # same version: served from the cache
     # a new size
-    path.write_text(json.dumps({"entries": [{"step": 0, "response": {"text": "three"}}]}))
+    path.write_text(json.dumps({"entries": [{"contains": "", "response": {"text": "three"}}]}))
     assert load_script(path).entries[0].response.text == "three"
     # the same size, a new mtime
     stat = path.stat()
-    path.write_text(json.dumps({"entries": [{"step": 0, "response": {"text": "seven"}}]}))
+    path.write_text(json.dumps({"entries": [{"contains": "", "response": {"text": "seven"}}]}))
     os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
     assert path.stat().st_size == stat.st_size
     assert load_script(path).entries[0].response.text == "seven"
@@ -706,23 +668,9 @@ def test_script_rewritten_in_place_is_read_again(tmp_path):
 
 def test_script_deleted_after_a_cache_hit_is_config_error(tmp_path):
     path = tmp_path / "gone.json"
-    path.write_text(json.dumps({"entries": [{"step": 0, "response": {"text": "x"}}]}))
+    path.write_text(json.dumps({"entries": [{"contains": "", "response": {"text": "x"}}]}))
     load_script(path)
     load_script(path)
     path.unlink()
     with pytest.raises(ConfigError, match="gone.json"):
         load_script(path)
-
-
-def test_backends_from_one_file_keep_their_own_cursor(tmp_path):
-    path = tmp_path / "s.json"
-    path.write_text(json.dumps({"entries": [
-        {"step": 0, "response": {"text": "first"}},
-        {"step": 1, "response": {"text": "second"}},
-    ]}))
-    a, b = ScriptedBackend.from_file(path), ScriptedBackend.from_file(path)
-    assert a.entries is b.entries
-    assert a.complete(req("x")).text == "first"
-    assert a.complete(req("x")).text == "second"
-    assert b.complete(req("x")).text == "first"
-    assert (a.calls, b.calls) == (2, 1)

@@ -8,6 +8,7 @@ import pytest
 
 import shopclerk
 from shopclerk import bench, cli
+from shopclerk.backends import ChatResponse, ScriptedBackend, load_script
 from shopclerk.cli import _episode_backends, build_parser, main
 from shopclerk.tasks import load_task
 from shopclerk.vision import FixtureVisionBackend
@@ -77,7 +78,7 @@ def test_run_missing_script_file_exits_2(capsys, suite_dir):
     assert "missing-script.json" in err
 
 
-@pytest.mark.parametrize("payload", [[], {"entries": [{"step": 0, "response": "hi"}]}])
+@pytest.mark.parametrize("payload", [[], {"entries": [{"contains": "", "response": "hi"}]}])
 def test_run_malformed_script_file_exits_2(capsys, suite_dir, tmp_path, payload):
     script = tmp_path / "malformed-script.json"
     script.write_text(json.dumps(payload))
@@ -92,7 +93,7 @@ def test_run_script_with_a_nan_label_probability_exits_2_naming_the_entry(capsys
                                                                           tmp_path):
     # json reads the bare NaN; left in, it made every confidence NaN and skipped the floor
     script = tmp_path / "nan-script.json"
-    script.write_text('{"entries": [{"step": 0, "response": {"text": "A"}}, '
+    script.write_text('{"entries": [{"contains": "Conversation", "response": {"text": "A"}}, '
                       '{"contains": "", "response": {"text": "A", "label_probs": {"A": NaN}}}]}')
     code, _, err = run_cli(
         capsys, "run", "--task", str(suite_dir / "kettle-capacity.json"), "--script", str(script),
@@ -100,6 +101,60 @@ def test_run_script_with_a_nan_label_probability_exits_2_naming_the_entry(capsys
     assert code == 2
     why = "entries[1].response.label_probs.A: must be a number, got NaN"
     assert f"script file {script}: {why}" in err
+
+
+def test_run_script_with_a_step_row_exits_2(capsys, suite_dir, tmp_path):
+    # entries match by content only: a call index is no longer a script key
+    script = tmp_path / "step-script.json"
+    row = {"step": 0, "contains": "", "response": {"text": "A"}}
+    script.write_text(json.dumps({"entries": [row]}))
+    code, out, err = run_cli(
+        capsys, "run", "--task", str(suite_dir / "kettle-capacity.json"), "--script", str(script),
+    )
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: script file {script}: entries[0].step: unknown key"]
+
+
+def test_episodes_of_one_script_file_share_one_backend(suite_dir, scripts_dir):
+    _, factory = _episode_backends(build_parser().parse_args(["bench"]))
+    kettle = load_task(suite_dir / "kettle-capacity.json")
+    first, _ = factory(kettle, 0)
+    assert factory(kettle, 1)[0] is first is load_script(scripts_dir / "kettle-capacity.json")
+    assert factory(load_task(suite_dir / "wrong-color-mug.json"), 0)[0] is not first
+
+
+def _trial_lines(path: Path) -> list[str]:
+    return [line for line in path.read_text().splitlines() if "wall_time_ms" not in line]
+
+
+def test_a_multimodal_task_recorded_under_remote_replays_without_fixtures(
+        capsys, suite_dir, scripts_dir, tmp_path, monkeypatch):
+    script = ScriptedBackend.from_file(scripts_dir / "wrong-color-mug.json")
+
+    class InProcessRemote:
+        """Describes every image alike and plans from the bundled script."""
+
+        def complete(self, request):
+            if request.kind == "describe":
+                return ChatResponse("The photo shows a bright red mug.")
+            return script.complete(request)
+
+    monkeypatch.setattr(cli, "RemoteBackend", InProcessRemote)
+    task, store = str(suite_dir / "wrong-color-mug.json"), str(tmp_path / "store.json")
+    code, _, err = run_cli(capsys, "run", "--task", task, "--remote", "--record", store,
+                           "--out", str(tmp_path / "recorded"))
+    assert (code, err) == (0, "")
+    monkeypatch.setattr(cli, "RemoteBackend", lambda: pytest.fail("replay made a remote call"))
+    code, _, err = run_cli(capsys, "run", "--task", task, "--replay", store,
+                           "--out", str(tmp_path / "replayed"))
+    assert (code, err) == (0, "")
+    recorded = sorted((tmp_path / "recorded").iterdir())
+    assert [path.name for path in recorded] == sorted(
+        path.name for path in (tmp_path / "replayed").iterdir())
+    for path in recorded:
+        assert _trial_lines(path) == _trial_lines(tmp_path / "replayed" / path.name), path.name
+    trace = tmp_path / "replayed" / "wrong-color-mug-t0.trace.jsonl"
+    assert '"call": "describe"' in trace.read_text()
 
 
 @pytest.mark.parametrize("name, text, complaint", [

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, InOrder
 from shopclerk import shop_tools
 from shopclerk.backends import ChatResponse, ScriptedBackend, ScriptEntry
 from shopclerk.config import AgentConfig
@@ -44,8 +44,7 @@ def plan_row(kind, tools=(), rationale="r", reply=None):
 
 
 def backend_with(text, label_probs=None):
-    return ScriptedBackend([ScriptEntry(response=ChatResponse(text=text, label_probs=label_probs),
-                                        step=0)])
+    return ScriptedBackend([ScriptEntry("", ChatResponse(text=text, label_probs=label_probs))])
 
 
 def test_propose_parses_well_formed_plans():
@@ -392,7 +391,7 @@ def test_evaluate_normalizes_partial_probs():
 
 @pytest.mark.parametrize("reply", ["B", " B\n"])
 def test_evaluate_without_probs_gives_the_replied_label_full_confidence(reply):
-    backend = backend_with(reply)
+    backend = InOrder(ChatResponse(reply))
     evals = evaluate("ctx", _plans(3), backend)
     assert {e.label: e.confidence for e in evals} == {"A": 0.0, "B": 1.0, "C": 0.0}
     assert backend.calls == 1
@@ -400,16 +399,14 @@ def test_evaluate_without_probs_gives_the_replied_label_full_confidence(reply):
 
 @pytest.mark.parametrize("reply", ["?", "", "C", "b", "AB"])
 def test_evaluate_non_label_reply_fails_after_one_call(reply):
-    backend = ScriptedBackend(
-        [ScriptEntry(response=ChatResponse(text=t), step=i) for i, t in enumerate([reply, "A"])]
-    )
+    backend = InOrder(ChatResponse(reply), ChatResponse("A"))
     with pytest.raises(EvaluationError, match="not a plan label"):
         evaluate("ctx", _plans(2), backend)
     assert backend.calls == 1
 
 
 def test_evaluate_with_probs_makes_one_call_whatever_the_text():
-    backend = backend_with("?", {"A": 0.0, "B": 0.3})
+    backend = InOrder(ChatResponse("?", {"A": 0.0, "B": 0.3}))
     evals = evaluate("ctx", _plans(2), backend)
     assert [e.confidence for e in evals] == [0.0, 1.0]
     assert backend.calls == 1

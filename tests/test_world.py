@@ -157,7 +157,7 @@ def _shared_records() -> dict:
         "CandidatePlan": CandidatePlan(0, PlanKind.SINGLE_TOOL, (step,), "look it up"),
         "PlannedStep": step, "ContentPart": part, "Message": Message(Role.BUYER, (part,), 0),
         "ChatMessage": message, "ChatRequest": ChatRequest((message,)), "ChatResponse": response,
-        "ScriptEntry": ScriptEntry(response, step=0), "ToolDescriptor": TOOLS[0],
+        "ScriptEntry": ScriptEntry("hi", response), "ToolDescriptor": TOOLS[0],
         "ToolCall": ToolCall("c1", "order_lookup", {"order_id": "O1"}),
         "ToolResult": text_result("c1", "ok"), "Document": document("k", {"a": "b"}),
         "AgentConfig": AgentConfig(),
