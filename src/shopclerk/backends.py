@@ -77,8 +77,9 @@ _RESPONSE = closed([], text=STRING, label_probs={
     "type": ["object", "null"], "additionalProperties": {"type": "number"}})
 SCRIPT_SCHEMA = closed([], entries={"type": "array", "items": closed(
     ["contains", "response"], contains=STRING, response=_RESPONSE)})
-# A replay store maps each request digest to its responses in call order.
-STORE_SCHEMA = {"type": "object", "additionalProperties": {"type": "array", "items": _RESPONSE}}
+# A replay store maps each request digest to its one recorded response. No
+# episode sends one request twice, so one response per digest replays it.
+STORE_SCHEMA = {"type": "object", "additionalProperties": _RESPONSE}
 
 
 def _response_from_dict(row: dict, where: str) -> ChatResponse:
@@ -181,22 +182,22 @@ def load_script(path: str | Path) -> ScriptedBackend:
     return parse_once(_SCRIPTS, path, "script file", _parse_script)
 
 
-def _parse_store(path: str, text: str) -> dict[str, tuple[ChatResponse, ...]]:
+def _parse_store(path: str, text: str) -> dict[str, ChatResponse]:
     where = f"replay store {path}"
-    return {digest: tuple(_response_from_dict(row, f"{where}: digest {digest} row {i}")
-                          for i, row in enumerate(rows))
-            for digest, rows in parse_json(text, where, STORE_SCHEMA).items()}
+    return {digest: _response_from_dict(row, f"{where}: digest {digest}")
+            for digest, row in parse_json(text, where, STORE_SCHEMA).items()}
 
 
-_STORES: dict[str, tuple[tuple[int, int], dict[str, tuple[ChatResponse, ...]]]] = {}
+_STORES: dict[str, tuple[tuple[int, int], dict[str, ChatResponse]]] = {}
 
 
 class RecordingBackend:
     """Wraps a live backend and writes (digest, response) pairs to a store.
 
-    Each write goes to a temporary file that then replaces the store, so a
-    crash mid-write leaves the previous store whole. A store whose directory
-    is missing is a ConfigError; a failed write is a BackendError.
+    The first response recorded for a digest is kept. Each write goes to a
+    temporary file that then replaces the store, so a crash mid-write leaves
+    the previous store whole. A store whose directory is missing is a
+    ConfigError; a failed write is a BackendError.
     """
 
     def __init__(self, inner, store_path: str | Path):
@@ -205,15 +206,13 @@ class RecordingBackend:
         if not self.store_path.parent.is_dir():
             raise ConfigError(f"record store {store_path}: directory "
                               f"{self.store_path.parent} does not exist")
-        stored = (parse_once(_STORES, store_path, "replay store", _parse_store)
-                  if self.store_path.exists() else {})
-        self._store = {digest: list(responses) for digest, responses in stored.items()}
+        self._store = (dict(parse_once(_STORES, store_path, "replay store", _parse_store))
+                       if self.store_path.exists() else {})
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         response = self.inner.complete(request)
-        self._store.setdefault(request_digest(request), []).append(response)
-        rows = {digest: [{"text": r.text, "label_probs": r.label_probs} for r in responses]
-                for digest, responses in self._store.items()}
+        self._store.setdefault(request_digest(request), response)
+        rows = {digest: r._asdict() for digest, r in self._store.items()}
         partial = self.store_path.with_name(self.store_path.name + ".partial")
         try:
             partial.write_text(json.dumps(rows, sort_keys=True, indent=1), encoding="utf-8")
@@ -224,23 +223,20 @@ class RecordingBackend:
 
 
 class ReplayBackend:
-    """Serves recorded responses; unseen requests fail loudly."""
+    """Serves each request its recorded response; an unseen request fails loudly."""
 
     def __init__(self, store_path: str | Path):
         self._store = parse_once(_STORES, store_path, "replay store", _parse_store)
-        self._cursors: dict[str, int] = {}
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         digest = request_digest(request)
         recorded = self._store.get(digest)
-        position = self._cursors.get(digest, 0)
-        if not recorded or position >= len(recorded):
+        if recorded is None:
             raise ReplayMissError(
                 f"no recorded {request.kind} response for request digest "
                 f"{digest}; request was: {json.dumps([m.content for m in request.messages])[:500]}"
             )
-        self._cursors[digest] = position + 1
-        return recorded[position]
+        return recorded
 
 
 REMOTE_URL_ENV = "SHOPCLERK_CHAT_URL"

@@ -284,8 +284,8 @@ def _print_turn(events) -> None:
     results = [e["result"] for e in events if e["kind"] == "tool_result"]
     for call, result in zip(calls, results):
         status = "error" if result["is_error"] else "ok"
-        text = "".join(part.get("text", part.get("ref")) for part in result["content"])
-        print(f"  tool {call['tool']}({call['arguments']}) -> {status}: {text[:120]}")
+        [part] = result["content"]
+        print(f"  tool {call['tool']}({call['arguments']}) -> {status}: {part['text'][:120]}")
 
 
 # a trace line as replay reads it: any event with a string kind

@@ -83,10 +83,10 @@ class _Recorded:
         self._trace.add("chat", **about, completion_chars=len(response.text))
         return response
 
-    def describe(self, query):
-        about = {"instruction": query.instruction, "asset": query.asset_id}
+    def describe(self, instruction, asset_id):
+        about = {"instruction": instruction, "asset": asset_id}
         try:
-            text = self._vision.describe(query)
+            text = self._vision.describe(instruction, asset_id)
         except Exception as exc:  # recorded, then raised to the caller unchanged
             self._trace.add("describe", **about, error=str(exc))
             raise
@@ -223,10 +223,10 @@ class AgentSession:
             while self._mutation_cursor < len(self.world.mutations):
                 self.trace.add("mutation", **self.world.mutations[self._mutation_cursor])
                 self._mutation_cursor += 1
-            observation = f"{step.tool_name} => {result.text()}"
+            observation = f"{step.tool_name} => {result.text}"
             self._append(Role.TOOL, self._inbound_parts(observation))
             if result.is_error:
-                return result.text().startswith("unknown_placeholder")
+                return result.text.startswith("unknown_placeholder")
         return False
 
 

@@ -6,7 +6,7 @@ from enum import Enum
 from typing import NamedTuple
 from urllib.parse import urlparse
 
-from .errors import ResolutionError, UnknownPlaceholderError
+from .errors import ReplayMissError, ResolutionError, UnknownPlaceholderError
 from .memory import ContentPart, LongTermStore, Namespace, PartKind
 
 DEFAULT_MIN_URL_LENGTH = 24
@@ -143,7 +143,7 @@ def deabstract_text(text: str, table: PlaceholderTable) -> tuple[str, list[str]]
 
 def split_parts(
     text: str,
-    table: PlaceholderTable | None = None,
+    table: PlaceholderTable,
     abstract_kinds: set[RefKind] | None = None,
 ) -> tuple[ContentPart, ...]:
     """Split message text into content parts, abstracting selected URL kinds.
@@ -151,7 +151,7 @@ def split_parts(
     Every qualifying URL is interned into the table so later placeholder
     references resolve, but only kinds in abstract_kinds are rewritten to
     placeholder parts. Image and video URLs left raw become image_ref
-    parts; everything else stays text. With table=None nothing is tracked.
+    parts; everything else stays text.
     """
     parts: list[ContentPart] = []
     cursor = 0
@@ -161,7 +161,7 @@ def split_parts(
             parts.append(ContentPart(PartKind.TEXT, chunk))
 
     for start, end, url in find_urls(text):
-        if table is not None and len(url) >= table.min_url_length:
+        if len(url) >= table.min_url_length:
             entry = table.intern(url)
             kind = entry.kind  # intern classified this very string
             if abstract_kinds is None or kind in abstract_kinds:
@@ -216,6 +216,7 @@ def resolve(
     default) instruction; product and order references are looked up in the
     long-term store by the key extracted from the URL path. Results are
     cached per (placeholder, instruction) so repeat queries cost nothing.
+    A failed describe is a ResolutionError; a ReplayMissError passes unwrapped.
     """
     entry = table.lookup(placeholder)
     if entry is None:
@@ -225,14 +226,10 @@ def resolve(
         return entry.resolved[cache_key]
 
     if entry.kind in (RefKind.IMAGE, RefKind.VIDEO):
-        from .vision import VisualQuery
-
-        query = VisualQuery(
-            instruction=instruction or DEFAULT_DESCRIBE_INSTRUCTION,
-            asset_id=entry.original,
-        )
         try:
-            text = vision.describe(query)
+            text = vision.describe(instruction or DEFAULT_DESCRIBE_INSTRUCTION, entry.original)
+        except ReplayMissError:
+            raise
         except Exception as exc:
             raise ResolutionError(f"describe failed for {placeholder}: {exc}") from exc
     elif entry.kind in (RefKind.PRODUCT, RefKind.ORDER):

@@ -8,9 +8,8 @@ is_error}.
 import json
 from typing import Callable, Iterable, NamedTuple
 
-from .errors import RegistrationError
+from .errors import RegistrationError, ReplayMissError
 from .files import shape_error
-from .memory import ContentPart, PartKind
 
 
 class ToolDescriptor(NamedTuple):
@@ -34,25 +33,12 @@ class ToolCall(NamedTuple):
 
 class ToolResult(NamedTuple):
     call_id: str
-    content: tuple[ContentPart, ...]
+    text: str
     is_error: bool = False
 
-    def text(self) -> str:
-        return "".join(p.value for p in self.content)
-
     def to_dict(self) -> dict:
-        return {
-            "call_id": self.call_id,
-            "content": [
-                {"type": p.kind.value, ("ref" if p.kind is PartKind.IMAGE_REF else "text"): p.value}
-                for p in self.content
-            ],
-            "is_error": self.is_error,
-        }
-
-
-def text_result(call_id: str, text: str, is_error: bool = False) -> ToolResult:
-    return ToolResult(call_id, (ContentPart(PartKind.TEXT, text),), is_error)
+        return {"call_id": self.call_id, "content": [{"type": "text", "text": self.text}],
+                "is_error": self.is_error}
 
 
 def validate_arguments(schema: dict, arguments: dict) -> list[str]:
@@ -151,28 +137,27 @@ class ToolRegistry:
         return self._catalog
 
     def invoke(self, call: ToolCall, trace: ActionTrace | None = None) -> ToolResult:
-        """Run a tool call; handler failures surface as error results, never raise."""
+        """Run a tool call; a handler's text is its result, and its failure an error result.
+
+        The one error raised is a ReplayMissError: a replay cannot go on past an unrecorded call."""
         if trace is not None:
             trace.add("tool_call", call=call.to_dict())
         entry = self._tools.get(call.tool_name)
         if entry is None:
-            result = text_result(call.call_id, f"unknown_tool: {call.tool_name}", is_error=True)
+            result = ToolResult(call.call_id, f"unknown_tool: {call.tool_name}", is_error=True)
         else:
             descriptor, handler = entry
             bad = validate_arguments(descriptor.input_schema, call.arguments)
             if bad:
-                result = text_result(
-                    call.call_id, "invalid_arguments: " + ", ".join(bad), is_error=True
-                )
+                result = ToolResult(call.call_id, "invalid_arguments: " + ", ".join(bad),
+                                    is_error=True)
             else:
                 try:
-                    payload = handler(call.arguments)
-                    if isinstance(payload, str):
-                        result = text_result(call.call_id, payload)
-                    else:
-                        result = ToolResult(call.call_id, tuple(payload))
+                    result = ToolResult(call.call_id, handler(call.arguments))
+                except ReplayMissError:
+                    raise
                 except Exception as exc:  # noqa: BLE001 - contract: never crash the session
-                    result = text_result(call.call_id, str(exc), is_error=True)
+                    result = ToolResult(call.call_id, str(exc), is_error=True)
         if trace is not None:
             trace.add("tool_result", result=result.to_dict(), tool=call.tool_name)
         return result

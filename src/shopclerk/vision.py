@@ -23,11 +23,6 @@ class IntegrationStrategy(str, Enum):
     PLANNER = "planner"
 
 
-class VisualQuery(NamedTuple):
-    instruction: str
-    asset_id: str
-
-
 class CategoryRule(NamedTuple):
     category: str
     keywords: tuple[str, ...]
@@ -87,15 +82,15 @@ class FixtureVisionBackend:
     def has_asset(self, asset_id: str) -> bool:
         return asset_id in self.assets
 
-    def describe(self, query: VisualQuery) -> str:
-        if not query.instruction:
+    def describe(self, instruction: str, asset_id: str) -> str:
+        if not instruction:
             raise UsageError("describe needs a non-empty instruction")
-        asset = self.assets.get(query.asset_id)
+        asset = self.assets.get(asset_id)
         if asset is None:
-            raise AssetError(f"unknown asset: {query.asset_id}")
+            raise AssetError(f"unknown asset: {asset_id}")
         category = "default"
         for rule in tuple(asset.rules) + self.rules:
-            if rule.matches(query.instruction):
+            if rule.matches(instruction):
                 category = rule.category
                 break
         return asset.annotations.get(category, asset.annotations["default"])
@@ -111,12 +106,12 @@ class RemoteVisionBackend:
     def __init__(self, chat_backend):
         self.chat = chat_backend
 
-    def describe(self, query: VisualQuery) -> str:
+    def describe(self, instruction: str, asset_id: str) -> str:
         from .backends import ChatMessage, ChatRequest
 
-        if not query.instruction:
+        if not instruction:
             raise UsageError("describe needs a non-empty instruction")
-        message = ChatMessage("user", query.instruction, image_refs=(query.asset_id,))
+        message = ChatMessage("user", instruction, image_refs=(asset_id,))
         response = self.chat.complete(ChatRequest((message,), kind="describe"))
         if not response.text:
             raise BackendError("remote vision backend returned empty description")

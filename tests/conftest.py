@@ -58,9 +58,9 @@ class DescribeCounter:
         self.inner = inner
         self.calls = 0
 
-    def describe(self, query):
+    def describe(self, instruction, asset_id):
         self.calls += 1
-        return self.inner.describe(query)
+        return self.inner.describe(instruction, asset_id)
 
 
 _WORDS = (

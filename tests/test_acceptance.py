@@ -303,7 +303,7 @@ def test_criterion_8_robustness(suite_dir, scripts_dir, vision_fixtures, tmp_pat
     }
     for prefix, call in checks.items():
         outcome = session.registry.invoke(call)
-        assert outcome.is_error and outcome.text().startswith(prefix), (prefix, outcome.text())
+        assert outcome.is_error and outcome.text.startswith(prefix), (prefix, outcome.text)
         plan_errors.add(prefix)
 
     # a bench run over a good task and a script-exhausting task still completes

@@ -172,17 +172,16 @@ def test_replay_miss_names_the_call_kind(tmp_path):
         replay.complete(describe)
 
 
-def test_replay_same_digest_served_in_recorded_order(tmp_path):
+def test_rerecording_a_digest_keeps_the_first_response(tmp_path):
     store = tmp_path / "store.json"
     recorder = RecordingBackend(InOrder(ChatResponse(text="first"), ChatResponse(text="second")),
                                 store)
-    recorder.complete(req("same"))
-    recorder.complete(req("same"))
+    assert recorder.complete(req("same")).text == "first"
+    assert recorder.complete(req("same")).text == "second"  # the live reply is passed on
+    digest = request_digest(req("same"))
+    assert json.loads(store.read_text()) == {digest: {"text": "first", "label_probs": None}}
     replay = ReplayBackend(store)
-    assert replay.complete(req("same")).text == "first"
-    assert replay.complete(req("same")).text == "second"
-    with pytest.raises(ReplayMissError):
-        replay.complete(req("same"))
+    assert [replay.complete(req("same")).text for _ in range(2)] == ["first", "first"]
 
 
 def test_replay_requires_existing_store(tmp_path):
@@ -200,16 +199,16 @@ def test_corrupt_store_is_config_error(tmp_path):
 
 
 @pytest.mark.parametrize("payload,where", [
-    ({"d1": "text"}, 'd1: must be a list, got "text"'),
-    ({"d1": ["text"]}, 'd1[0]: must be an object, got "text"'),
-    ({"d1": [{"text": "ok"}, {"text": 7}]}, "d1[1].text: must be a string, got 7"),
-    ({"d1": [{"text": "A", "label_probs": {"A": "high"}}]},
-     'd1[0].label_probs.A: must be a number, got "high"'),
-    ({"d1": [{"text": "A", "label_probs": {"A": 0.9, "B": 0.9}}]},
-     "digest d1 row 0: label probabilities must sum to at most 1"),
-    ({"d1": [{"text": "A", "label_probs": {"A": float("nan")}}]},
-     "d1[0].label_probs.A: must be a number, got NaN"),
-], ids=["rows-not-list", "row-not-object", "text-not-string", "probs-not-numbers", "probs-over-one",
+    ({"d1": "text"}, 'd1: must be an object, got "text"'),
+    ({"d1": [{"text": "x"}]}, "d1: must be an object, got a list"),  # the old list shape
+    ({"d1": {"text": 7}}, "d1.text: must be a string, got 7"),
+    ({"d1": {"text": "A", "label_probs": {"A": "high"}}},
+     'd1.label_probs.A: must be a number, got "high"'),
+    ({"d1": {"text": "A", "label_probs": {"A": 0.9, "B": 0.9}}},
+     "digest d1: label probabilities must sum to at most 1"),
+    ({"d1": {"text": "A", "label_probs": {"A": float("nan")}}},
+     "d1.label_probs.A: must be a number, got NaN"),
+], ids=["row-not-object", "row-is-a-list", "text-not-string", "probs-not-numbers", "probs-over-one",
         "probs-nan"])
 def test_malformed_store_row_is_config_error_naming_the_digest(tmp_path, payload, where):
     store = tmp_path / "bad-store.json"

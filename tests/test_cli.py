@@ -157,6 +157,40 @@ def test_a_multimodal_task_recorded_under_remote_replays_without_fixtures(
     assert '"call": "describe"' in trace.read_text()
 
 
+def test_a_describe_that_misses_the_replay_store_ends_the_episode(
+        capsys, suite_dir, scripts_dir, tmp_path):
+    # recorded over fixture vision, so the store holds no describe for a fixtureless replay
+    task, store = str(suite_dir / "wrong-color-mug.json"), str(tmp_path / "store.json")
+    code, _, _ = run_cli(capsys, "run", "--task", task, "--record", store,
+                         "--script", str(scripts_dir / "wrong-color-mug.json"))
+    assert code == 0
+    code, _, err = run_cli(capsys, "run", "--task", task, "--replay", store,
+                           "--out", str(tmp_path / "replayed"))
+    assert code == 1
+    assert err.startswith("episode error: ReplayMissError: no recorded describe response"), err
+    result = json.loads((tmp_path / "replayed" / "wrong-color-mug-t0.result.json").read_text())
+    assert result["error"].startswith("ReplayMissError: no recorded describe response")
+
+
+def test_bench_replays_every_bundled_task_from_one_recorded_store(
+        capsys, data_dir, suite_dir, scripts_dir, tmp_path):
+    store, recorded = str(tmp_path / "store.json"), tmp_path / "recorded"
+    for task in sorted(suite_dir.glob("*.json")):
+        code, _, err = run_cli(capsys, "run", "--task", str(task), "--record", store,
+                               "--script", str(scripts_dir / task.name), "--out", str(recorded))
+        assert (code, err) == (0, ""), task.name
+    code, _, err = run_cli(capsys, "bench", "--replay", store, "--n-trials", "2", "--k", "1",
+                           "--fixtures", str(data_dir / "vision_fixtures.json"),
+                           "--out", str(tmp_path / "replayed"))
+    assert (code, err) == (0, "")
+    [row] = json.loads((tmp_path / "replayed" / "report.json").read_text())
+    assert (row["pass_hat_k"], row["episodes"], row["failures"]) == ({"1": 1.0}, 26, 0)
+    paths = sorted(recorded.iterdir())
+    assert len(paths) == 3 * 13
+    for path in paths:
+        assert _trial_lines(path) == _trial_lines(tmp_path / "replayed" / "trials" / path.name)
+
+
 @pytest.mark.parametrize("name, text, complaint", [
     ("propose.txt", None, "cannot be read"),
     ("propose.txt", "$context $tool_catalog $n_candidates costs $5", "malformed placeholder"),
@@ -462,14 +496,14 @@ def _unknown_key_in(reader, data_dir, bad):
         next(iter(data["assets"].values()))["note"] = "seen twice"
         bad.write_text(json.dumps(data))
         return ["run", "--task", task, "--script", str(script), "--fixtures", str(bad)]
-    bad.write_text(json.dumps({"d1": [{"text": "A", "lable_probs": {"A": 1.0}}]}))
+    bad.write_text(json.dumps({"d1": {"text": "A", "lable_probs": {"A": 1.0}}}))
     return ["run", "--task", task, "--replay", str(bad)]
 
 
 @pytest.mark.parametrize("reader,where", [
     ("script file", "entries[0].stepp"),
     ("vision fixture file", "assets.https://img.shop.example/uploads/kettle-crack-2291.jpg.note"),
-    ("replay store", "d1[0].lable_probs"),
+    ("replay store", "d1.lable_probs"),
 ])
 def test_unknown_key_exits_2_naming_the_file_and_path(capsys, data_dir, tmp_path, reader, where):
     bad = tmp_path / "bad.json"

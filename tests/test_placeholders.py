@@ -2,7 +2,7 @@ import pytest
 
 from conftest import DescribeCounter, url_corpus
 from shopclerk import placeholders
-from shopclerk.errors import ResolutionError, UnknownPlaceholderError
+from shopclerk.errors import ReplayMissError, ResolutionError, UnknownPlaceholderError
 from shopclerk.memory import ContentPart, LongTermStore, PartKind
 from shopclerk.placeholders import (
     PLACEHOLDER_RE,
@@ -146,11 +146,6 @@ def test_split_parts_abstracts_selected_kinds_only():
     assert len(table) == 2
 
 
-def test_split_parts_no_table_returns_raw():
-    parts = split_parts(f"see {IMG}", table=None)
-    assert [p.kind for p in parts] == [PartKind.TEXT, PartKind.IMAGE_REF]
-
-
 def reference_split_parts(text, table, abstract_kinds):
     """The former loop, which classified every URL again, interned or not."""
     parts, cursor = [], 0
@@ -235,6 +230,19 @@ def test_resolve_caches_by_instruction():
     assert vision.calls == 1
     resolve("[Image 1]", table, vision, instruction="another question?")
     assert vision.calls == 2
+
+
+def test_resolve_passes_a_replay_miss_and_wraps_other_describe_failures():
+    class Missing:
+        def describe(self, instruction, asset_id):
+            raise ReplayMissError("no recorded describe response")
+
+    table = PlaceholderTable()
+    abstract_text(f"see {IMG}", table)
+    with pytest.raises(ReplayMissError):
+        resolve("[Image 1]", table, Missing())
+    with pytest.raises(ResolutionError, match=r"describe failed for \[Image 1\]: unknown asset"):
+        resolve("[Image 1]", table, FixtureVisionBackend({}))
 
 
 def test_resolve_order_reads_long_term_store():

@@ -58,7 +58,7 @@ def test_product_info_returns_seeded_document(session_bits, data_dir):
     _, _, _, _, registry = session_bits
     result = invoke(registry, "product_info", product_id="P100")
     assert not result.is_error
-    payload = json.loads(result.text())
+    payload = json.loads(result.text)
     assert payload["title"] == WORLD_SEED["products"]["P100"]["title"]
     assert payload["attributes"] == WORLD_SEED["products"]["P100"]["attributes"]
     assert payload["price_cents"] == 3499
@@ -68,28 +68,28 @@ def test_product_info_missing_required_field(session_bits):
     _, _, _, _, registry = session_bits
     result = invoke(registry, "product_info")
     assert result.is_error
-    assert result.text() == "invalid_arguments: product_id"
+    assert result.text == "invalid_arguments: product_id"
 
 
 def test_product_info_unknown_id(session_bits):
     _, _, _, _, registry = session_bits
     result = invoke(registry, "product_info", product_id="P999")
     assert result.is_error
-    assert result.text().startswith("not_found")
+    assert result.text.startswith("not_found")
 
 
 def test_unknown_tool_result(session_bits):
     _, _, _, _, registry = session_bits
     result = invoke(registry, "teleport")
     assert result.is_error
-    assert result.text() == "unknown_tool: teleport"
+    assert result.text == "unknown_tool: teleport"
 
 
 def test_order_lookup_and_logistics_order(session_bits):
     _, _, _, _, registry = session_bits
-    order = json.loads(invoke(registry, "order_lookup", order_id="O1").text())
+    order = json.loads(invoke(registry, "order_lookup", order_id="O1").text)
     assert order["status"] == "delivered"
-    track = json.loads(invoke(registry, "logistics_track", order_id="O1").text())
+    track = json.loads(invoke(registry, "logistics_track", order_id="O1").text)
     assert [e["tick"] for e in track["events"]] == [1, 2, 3]
 
 
@@ -105,14 +105,14 @@ def test_order_update_illegal_transition(session_bits):
     _, _, _, _, registry = session_bits
     result = invoke(registry, "order_update", order_id="O1", action="cancel")
     assert result.is_error
-    assert result.text().startswith("illegal_transition")
+    assert result.text.startswith("illegal_transition")
 
 
 def test_order_update_rejects_unknown_action_by_schema(session_bits):
     _, _, _, _, registry = session_bits
     result = invoke(registry, "order_update", order_id="O1", action="destroy")
     assert result.is_error
-    assert result.text().startswith("invalid_arguments")
+    assert result.text.startswith("invalid_arguments")
 
 
 def test_multimodal_describe_via_table(session_bits):
@@ -121,7 +121,7 @@ def test_multimodal_describe_via_table(session_bits):
     result = invoke(registry, "multimodal_describe",
                     placeholder="[Image 1]", instruction="Describe the damage shown in the image")
     assert not result.is_error
-    assert result.text() == "cracked base"
+    assert result.text == "cracked base"
     assert vision.calls == 1
 
 
@@ -129,7 +129,7 @@ def test_multimodal_describe_unknown_placeholder(session_bits):
     _, _, _, _, registry = session_bits
     result = invoke(registry, "multimodal_describe", placeholder="[Image 7]")
     assert result.is_error
-    assert result.text() == "unknown_placeholder: [Image 7]"
+    assert result.text == "unknown_placeholder: [Image 7]"
 
 
 def test_describe_tool_absent_in_planner_mode():
@@ -139,7 +139,7 @@ def test_describe_tool_absent_in_planner_mode():
                               strategy=IntegrationStrategy.PLANNER)
     result = invoke(registry, "multimodal_describe", placeholder="[Image 1]")
     assert result.is_error
-    assert result.text().startswith("unknown_tool")
+    assert result.text.startswith("unknown_tool")
 
 
 CATALOG_LINES = (
@@ -184,16 +184,16 @@ def test_memory_tools_round_trip(session_bits):
     put = invoke(registry, "memory_put", namespace="buyer_profile", key="B1",
                  body_json=json.dumps({"tone": "patient"}))
     assert not put.is_error
-    got = json.loads(invoke(registry, "memory_get", namespace="buyer_profile", key="B1").text())
+    got = json.loads(invoke(registry, "memory_get", namespace="buyer_profile", key="B1").text)
     assert got == {"found": True, "key": "B1", "body": {"tone": "patient"}}
-    missing = json.loads(invoke(registry, "memory_get", namespace="order", key="O9").text())
+    missing = json.loads(invoke(registry, "memory_get", namespace="order", key="O9").text)
     assert missing["found"] is False
 
 
 def test_memory_search_tool(session_bits):
     _, _, _, _, registry = session_bits
     rows = json.loads(invoke(registry, "memory_search", namespace="product",
-                             query="kettle", limit=3).text())
+                             query="kettle", limit=3).text)
     assert [r["key"] for r in rows] == ["P100"]
 
 
@@ -203,13 +203,13 @@ def test_memory_put_into_a_shop_namespace_is_error(session_bits, namespace, key)
     # the world is the only copy of a shop record: a put must not plant a second one
     world, _, _, _, registry = session_bits
     before = world.snapshot()
-    read = invoke(registry, "memory_get", namespace=namespace, key=key).text()
+    read = invoke(registry, "memory_get", namespace=namespace, key=key).text
     result = invoke(registry, "memory_put", namespace=namespace, key=key,
                     body_json=json.dumps({"status": "refunded", "stock": 0}))
     assert result.is_error
-    assert result.text() == f"read-only namespace: {namespace} records come from the world"
+    assert result.text == f"read-only namespace: {namespace} records come from the world"
     assert world.snapshot() == before
-    assert invoke(registry, "memory_get", namespace=namespace, key=key).text() == read
+    assert invoke(registry, "memory_get", namespace=namespace, key=key).text == read
 
 
 def test_memory_get_logistics_without_shipments_matches_logistics_track():
@@ -218,8 +218,8 @@ def test_memory_get_logistics_without_shipments_matches_logistics_track():
     world = world_from_dict(seed)
     registry = build_registry(world, seed_store(world), PlaceholderTable(),
                               FixtureVisionBackend({}))
-    got = json.loads(invoke(registry, "memory_get", namespace="logistics", key="O2").text())
-    track = json.loads(invoke(registry, "logistics_track", order_id="O2").text())
+    got = json.loads(invoke(registry, "memory_get", namespace="logistics", key="O2").text)
+    track = json.loads(invoke(registry, "logistics_track", order_id="O2").text)
     assert got == {"found": True, "key": "O2", "body": track}
     assert track == {"order_id": "O2", "events": []}
 

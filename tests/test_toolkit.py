@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from shopclerk.errors import RegistrationError
+from shopclerk.errors import RegistrationError, ReplayMissError
 from shopclerk.shop_tools import TOOLS
 from shopclerk.toolkit import (
     ActionTrace,
@@ -45,7 +45,7 @@ def test_invoke_happy_path():
     registry = make_registry()
     result = registry.invoke(ToolCall("c1", "echo", {"text": "hi", "times": 2}))
     assert not result.is_error
-    assert result.text() == "hihi"
+    assert result.text == "hihi"
     assert result.call_id == "c1"
 
 
@@ -53,28 +53,28 @@ def test_invoke_unknown_tool():
     registry = make_registry()
     result = registry.invoke(ToolCall("c1", "teleport", {}))
     assert result.is_error
-    assert result.text() == "unknown_tool: teleport"
+    assert result.text == "unknown_tool: teleport"
 
 
 def test_invoke_missing_required_field():
     registry = make_registry()
     result = registry.invoke(ToolCall("c1", "echo", {}))
     assert result.is_error
-    assert result.text() == "invalid_arguments: text"
+    assert result.text == "invalid_arguments: text"
 
 
 def test_invoke_lists_all_offending_fields():
     registry = make_registry()
     result = registry.invoke(ToolCall("c1", "echo", {"times": "three", "bogus": 1}))
     assert result.is_error
-    assert result.text() == "invalid_arguments: text, times, bogus"
+    assert result.text == "invalid_arguments: text, times, bogus"
 
 
 def test_invoke_enum_violation():
     registry = make_registry()
     result = registry.invoke(ToolCall("c1", "echo", {"text": "x", "mode": "shouty"}))
     assert result.is_error
-    assert "mode" in result.text()
+    assert "mode" in result.text
 
 
 def test_handler_exception_never_escapes():
@@ -83,7 +83,19 @@ def test_handler_exception_never_escapes():
     ])
     result = registry.invoke(ToolCall("c9", "boom", {}))
     assert result.is_error
-    assert "division" in result.text()
+    assert "division" in result.text
+
+
+def test_a_replay_miss_escapes_the_handler():
+    # a replayed session cannot go on past a response that was never recorded
+    def miss(args):
+        raise ReplayMissError("no recorded describe response")
+
+    registry = ToolRegistry([(ToolDescriptor("look", "Misses.", {"properties": {}}), miss)])
+    trace = ActionTrace()
+    with pytest.raises(ReplayMissError, match="no recorded describe response"):
+        registry.invoke(ToolCall("c9", "look", {}), trace)
+    assert [e["kind"] for e in trace.events] == ["tool_call"]
 
 
 def test_every_invocation_lands_in_trace():

@@ -7,7 +7,6 @@ from shopclerk.vision import (
     FixtureVisionBackend,
     ImageAsset,
     RemoteVisionBackend,
-    VisualQuery,
 )
 
 ASSET_ID = "https://img.shop.example/uploads/kettle-crack-2291.jpg"
@@ -25,31 +24,30 @@ def make_backend():
 
 def test_describe_damage_instruction_selects_damage_annotation():
     backend = make_backend()
-    out = backend.describe(VisualQuery("Describe the damage shown in the image", ASSET_ID))
+    out = backend.describe("Describe the damage shown in the image", ASSET_ID)
     assert out == "cracked base"
 
 
 def test_describe_falls_back_to_default():
     backend = make_backend()
-    out = backend.describe(VisualQuery("What color is the item?", ASSET_ID))
+    out = backend.describe("What color is the item?", ASSET_ID)
     # asset has no color annotation, so the default one answers
     assert out == "a steel kettle, boxed"
 
 
 def test_describe_empty_instruction_rejected():
     with pytest.raises(UsageError):
-        make_backend().describe(VisualQuery("", ASSET_ID))
+        make_backend().describe("", ASSET_ID)
 
 
 def test_describe_unknown_asset():
     with pytest.raises(AssetError):
-        make_backend().describe(VisualQuery("anything", "https://img.example/missing.jpg"))
+        make_backend().describe("anything", "https://img.example/missing.jpg")
 
 
 def test_describe_deterministic():
     backend = make_backend()
-    query = VisualQuery("is it broken?", ASSET_ID)
-    outputs = {backend.describe(query) for _ in range(20)}
+    outputs = {backend.describe("is it broken?", ASSET_ID) for _ in range(20)}
     assert outputs == {"cracked base"}
 
 
@@ -65,13 +63,13 @@ def test_asset_specific_rules_take_precedence():
         rules=(CategoryRule("closeup", ("zoom",)),),
     )
     backend = FixtureVisionBackend({"x": asset}, (CategoryRule("damage", ("zoom",)),))
-    assert backend.describe(VisualQuery("zoom in please", "x")) == "macro shot"
+    assert backend.describe("zoom in please", "x") == "macro shot"
 
 
 def test_fixture_file_loading(data_dir):
     backend = FixtureVisionBackend.from_file(data_dir / "vision_fixtures.json")
     assert backend.has_asset(ASSET_ID)
-    out = backend.describe(VisualQuery("Describe the damage shown in the image", ASSET_ID))
+    out = backend.describe("Describe the damage shown in the image", ASSET_ID)
     assert out == "cracked base, left side"
 
 
@@ -91,7 +89,7 @@ def test_remote_vision_empty_description_fails_at_once():
     # temperature 0: asking again would repeat the same empty answer
     chat = CountingChat("")
     with pytest.raises(BackendError, match="empty description"):
-        RemoteVisionBackend(chat).describe(VisualQuery("describe", ASSET_ID))
+        RemoteVisionBackend(chat).describe("describe", ASSET_ID)
     assert chat.calls == 1
 
 
@@ -111,7 +109,7 @@ def test_remote_vision_exhausts_retries(monkeypatch):
     monkeypatch.setattr("shopclerk.backends.time.sleep", lambda s: None)
     backend = RemoteVisionBackend(RemoteBackend(session=DeadSession()))
     with pytest.raises(BackendError, match="after 3 attempts: connection reset"):
-        backend.describe(VisualQuery("describe", ASSET_ID))
+        backend.describe("describe", ASSET_ID)
     assert DeadSession.calls == 3
 
 
@@ -124,6 +122,6 @@ def test_remote_vision_attaches_image_ref():
             return ChatResponse(text="ok")
 
     backend = RemoteVisionBackend(CapturingChat())
-    backend.describe(VisualQuery("look", ASSET_ID))
+    backend.describe("look", ASSET_ID)
     assert captured["request"].messages[0].image_refs == (ASSET_ID,)
     assert captured["request"].kind == "describe"

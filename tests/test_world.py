@@ -8,7 +8,7 @@ from shopclerk.decision import CandidatePlan, PlanKind, PlannedStep
 from shopclerk.errors import IllegalTransitionError, SchemaError
 from shopclerk.memory import ContentPart, Message, Namespace, PartKind, Role, document
 from shopclerk.shop_tools import TOOLS
-from shopclerk.toolkit import ToolCall, text_result
+from shopclerk.toolkit import ToolCall, ToolResult
 from shopclerk.tasks import _MISSING, _resolve_path
 from shopclerk.world import (
     OrderStatus,
@@ -159,7 +159,7 @@ def _shared_records() -> dict:
         "ChatMessage": message, "ChatRequest": ChatRequest((message,)), "ChatResponse": response,
         "ScriptEntry": ScriptEntry("hi", response), "ToolDescriptor": TOOLS[0],
         "ToolCall": ToolCall("c1", "order_lookup", {"order_id": "O1"}),
-        "ToolResult": text_result("c1", "ok"), "Document": document("k", {"a": "b"}),
+        "ToolResult": ToolResult("c1", "ok"), "Document": document("k", {"a": "b"}),
         "AgentConfig": AgentConfig(),
     }
 
