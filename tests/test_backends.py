@@ -208,7 +208,7 @@ def test_corrupt_store_is_config_error(tmp_path):
      "digest d1: label probabilities must sum to at most 1"),
     ({"d1": {"text": "A", "label_probs": {"A": float("nan")}}},
      "d1.label_probs.A: must be a number, got NaN"),
-], ids=["row-not-object", "row-is-a-list", "text-not-string", "probs-not-numbers", "probs-over-one",
+], ids=["rows-not-list", "row-not-object", "text-not-string", "probs-not-numbers", "probs-over-one",
         "probs-nan"])
 def test_malformed_store_row_is_config_error_naming_the_digest(tmp_path, payload, where):
     store = tmp_path / "bad-store.json"
