@@ -237,11 +237,12 @@ def _parse_pair(raw: str) -> tuple[float, float]:
 
 def cmd_chat(args) -> int:
     config = _agent_config(args)
-    task_path = args.task or str(_PKG_DATA / "demo" / "task.json")
-    if not args.script and not args.replay and not args.remote:
-        args.script = str(_PKG_DATA / "demo" / "script.json")
+    if not args.task:  # the bundled demo, played by its own script unless a backend is chosen
+        args.task = str(_PKG_DATA / "demo" / "task.json")
+        if not (args.script or args.replay or args.remote):
+            args.script = str(_PKG_DATA / "demo" / "script.json")
     fixtures, factory = _episode_backends(args)
-    task = load_task(task_path, vision_fixtures=fixtures)
+    task = load_task(args.task, vision_fixtures=fixtures)
     chat, vision = factory(task, 0)
 
     from .episode import AgentSession
@@ -271,21 +272,25 @@ def cmd_chat(args) -> int:
 
 
 def _print_turn(events) -> None:
-    """The REPL view of one turn's trace events: each round's scores, then each tool call."""
-    rounds = [e for e in events if e["kind"] == "decision"]
-    for i, round_row in enumerate(rounds):
-        print(f"  round {i}:")
-        for label_row in round_row["evaluations"]:
-            marker = "*" if label_row["plan_id"] == round_row["selected"] else " "
-            plan_text = round_row["plans"][label_row["plan_id"]]
-            print(f"   {marker}{label_row['label']} conf={label_row['confidence']:.2f} {plan_text}")
-    # each invoke adds one tool_call event, then one tool_result event
-    calls = [e["call"] for e in events if e["kind"] == "tool_call"]
-    results = [e["result"] for e in events if e["kind"] == "tool_result"]
-    for call, result in zip(calls, results):
-        status = "error" if result["is_error"] else "ok"
-        [part] = result["content"]
-        print(f"  tool {call['tool']}({call['arguments']}) -> {status}: {part['text'][:120]}")
+    """The REPL view of one turn's trace events, in trace order: each round's scores and each
+    tool call, printed once its result is in."""
+    rounds = 0
+    for event in events:
+        if event["kind"] == "decision":
+            print(f"  round {rounds}:")
+            rounds += 1
+            for label_row in event["evaluations"]:
+                marker = "*" if label_row["plan_id"] == event["selected"] else " "
+                plan_text = event["plans"][label_row["plan_id"]]
+                print(f"   {marker}{label_row['label']} conf={label_row['confidence']:.2f} "
+                      f"{plan_text}")
+        elif event["kind"] == "tool_call":
+            call = event["call"]
+        elif event["kind"] == "tool_result":
+            result = event["result"]
+            status = "error" if result["is_error"] else "ok"
+            [part] = result["content"]
+            print(f"  tool {call['tool']}({call['arguments']}) -> {status}: {part['text'][:120]}")
 
 
 # a trace line as replay reads it: any event with a string kind

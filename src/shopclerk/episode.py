@@ -219,7 +219,9 @@ class AgentSession:
                 tool_name=step.tool_name,
                 arguments=dict(step.arguments),  # plans are shared across episodes
             )
-            result = self.registry.invoke(call, self.trace)
+            self.trace.add("tool_call", call=call.to_dict())
+            result = self.registry.invoke(call)
+            self.trace.add("tool_result", result=result.to_dict(), tool=call.tool_name)
             while self._mutation_cursor < len(self.world.mutations):
                 self.trace.add("mutation", **self.world.mutations[self._mutation_cursor])
                 self._mutation_cursor += 1
@@ -250,8 +252,6 @@ def run_episode(
     error: str | None = None
     replies: list[str] = []
     for turn in task.buyer_script:
-        if len(replies) >= task.max_turns:
-            break
         try:
             replies.append(session.handle_buyer_turn(turn.utterance))
         except ClerkError as exc:

@@ -25,10 +25,6 @@ class TaskLoadError(ConfigError):
     """Task file failed to read or validate; message names the offending path."""
 
 
-class RegistrationError(ClerkError):
-    """Duplicate tool name in a registry's tools."""
-
-
 class ProposalError(ClerkError):
     """No parseable candidate plan in the backend reply."""
 

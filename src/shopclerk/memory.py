@@ -162,7 +162,9 @@ def read_transcript(path: str | Path) -> WorkingMemory:
         except (LookupError, TypeError, ValueError, AttributeError, ClerkError) as exc:
             raise ConfigError(f"transcript {path} line {line_no} is not the next message: "
                               f"{type(exc).__name__}: {exc}") from None
-    return wm if wm is not None else WorkingMemory("empty")
+    if wm is None:
+        raise ConfigError(f"transcript {path} holds no messages")
+    return wm
 
 
 # --- long-term store ---

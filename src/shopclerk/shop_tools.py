@@ -9,7 +9,7 @@ import json
 
 from . import placeholders
 from .memory import LongTermStore, Namespace
-from .toolkit import ToolDescriptor, ToolRegistry
+from .toolkit import ToolDescriptor, ToolRegistry, render_catalog
 from .vision import IntegrationStrategy
 from .world import ORDER_ACTIONS, World
 
@@ -27,7 +27,7 @@ _STRING = {"type": "string"}
 _NAMESPACE = {"type": "string", "enum": [ns.value for ns in Namespace]}
 
 # Every session's tools, in catalog order. Built once and never mutated, so
-# all sessions (and --workers threads) share these descriptors.
+# all sessions share these descriptors.
 TOOLS = (
     _tool("product_info", "Look up one product's title, attributes, price, and stock.",
           {"product_id": _STRING}, ["product_id"]),
@@ -55,10 +55,12 @@ TOOLS = (
 
 # describe() is a tool only when the planner is text-only
 TOOLS_BY_STRATEGY = {
-    strategy: tuple(t for t in TOOLS if strategy is IntegrationStrategy.TOOL
-                    or t.name != "multimodal_describe")
+    strategy: {t.name: t for t in TOOLS if strategy is IntegrationStrategy.TOOL
+               or t.name != "multimodal_describe"}
     for strategy in IntegrationStrategy
 }
+CATALOGS = {strategy: render_catalog(tools.values())
+            for strategy, tools in TOOLS_BY_STRATEGY.items()}
 
 
 class _Handlers:
@@ -123,8 +125,8 @@ def build_registry(
     strategy: IntegrationStrategy = IntegrationStrategy.TOOL,
 ) -> ToolRegistry:
     """Bind one session's handlers to the strategy's tools and memory actions."""
-    handlers = _Handlers(world, store, table, vision)
-    return ToolRegistry((d, getattr(handlers, d.name)) for d in TOOLS_BY_STRATEGY[strategy])
+    return ToolRegistry(TOOLS_BY_STRATEGY[strategy], CATALOGS[strategy],
+                        _Handlers(world, store, table, vision))
 
 
 def return_error(message: str):

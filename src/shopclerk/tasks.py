@@ -47,7 +47,6 @@ class Task(NamedTuple):
     seed_world: World
     buyer_script: tuple[BuyerTurn, ...]
     success: SuccessCriteria
-    max_turns: int
 
     def reset(self) -> World:
         """A fresh world of the episode's own: a copy of the seed parsed at load."""
@@ -101,8 +100,7 @@ def task_from_dict(data: dict, source: str = "<task>", vision_fixtures=None) -> 
     except SchemaError as exc:
         _fail(f"{source}:world", str(exc))
     turns = tuple(BuyerTurn(utterance=row["utterance"]) for row in data["buyer_script"])
-    max_turns = data["max_turns"]
-    if max_turns < len(turns):
+    if data["max_turns"] < len(turns):
         _fail(f"{source}:max_turns", f"must be an integer >= {len(turns)}")
 
     success = data["success"]
@@ -135,7 +133,7 @@ def task_from_dict(data: dict, source: str = "<task>", vision_fixtures=None) -> 
                       f"{assertion.path!r} is not in the seed world")
 
     task = Task(data["task_id"], data["modality"], seed_world, turns,
-                SuccessCriteria(tuple(assertions), tuple(facts)), max_turns)
+                SuccessCriteria(tuple(assertions), tuple(facts)))
 
     urls = task.image_urls()
     if task.modality == "multimodal" and not urls:

@@ -6,9 +6,9 @@ is_error}.
 """
 
 import json
-from typing import Callable, Iterable, NamedTuple
+from typing import NamedTuple
 
-from .errors import RegistrationError, ReplayMissError
+from .errors import ReplayMissError
 from .files import shape_error
 
 
@@ -16,10 +16,6 @@ class ToolDescriptor(NamedTuple):
     name: str
     description: str
     input_schema: dict
-
-    def __hash__(self):
-        # input_schema is a dict and cannot be hashed; equal descriptors share a name
-        return hash(self.name)
 
 
 class ToolCall(NamedTuple):
@@ -97,10 +93,8 @@ class ActionTrace:
                 fh.write("\n")
 
 
-_CATALOGS: dict[tuple[ToolDescriptor, ...], str] = {}
-
-
-def _render_catalog(descriptors: tuple[ToolDescriptor, ...]) -> str:
+def render_catalog(descriptors) -> str:
+    """Human/LLM readable tool list for prompt templates, one line per tool."""
     lines = []
     for desc in descriptors:
         props = desc.input_schema.get("properties", {})
@@ -114,50 +108,32 @@ def _render_catalog(descriptors: tuple[ToolDescriptor, ...]) -> str:
 
 
 class ToolRegistry:
-    """Named tools with validated invocation; the tools are fixed when it is built."""
+    """A static tool table and its catalog text, bound to one session's handlers.
 
-    def __init__(self, tools: Iterable[tuple[ToolDescriptor, Callable]]):
-        self._tools: dict[str, tuple[ToolDescriptor, Callable]] = {}
-        for descriptor, handler in tools:
-            if descriptor.name in self._tools:
-                raise RegistrationError(f"tool already registered: {descriptor.name}")
-            self._tools[descriptor.name] = (descriptor, handler)
-        # rendered once per process for each distinct descriptor sequence; two
-        # threads that miss together both render and store equal text
-        descriptors = tuple(self.descriptors())
-        self._catalog = _CATALOGS.get(descriptors)
-        if self._catalog is None:
-            self._catalog = _CATALOGS[descriptors] = _render_catalog(descriptors)
+    handlers has one method per tool name; the table and its text are shared
+    by every session that uses them."""
 
-    def descriptors(self) -> list[ToolDescriptor]:
-        return [d for d, _ in self._tools.values()]
+    def __init__(self, tools: dict[str, ToolDescriptor], catalog: str, handlers):
+        self._tools = tools
+        self._catalog = catalog
+        self._handlers = handlers
 
     def catalog_text(self) -> str:
-        """Human/LLM readable tool list for prompt templates."""
         return self._catalog
 
-    def invoke(self, call: ToolCall, trace: ActionTrace | None = None) -> ToolResult:
+    def invoke(self, call: ToolCall) -> ToolResult:
         """Run a tool call; a handler's text is its result, and its failure an error result.
 
         The one error raised is a ReplayMissError: a replay cannot go on past an unrecorded call."""
-        if trace is not None:
-            trace.add("tool_call", call=call.to_dict())
-        entry = self._tools.get(call.tool_name)
-        if entry is None:
-            result = ToolResult(call.call_id, f"unknown_tool: {call.tool_name}", is_error=True)
-        else:
-            descriptor, handler = entry
-            bad = validate_arguments(descriptor.input_schema, call.arguments)
-            if bad:
-                result = ToolResult(call.call_id, "invalid_arguments: " + ", ".join(bad),
-                                    is_error=True)
-            else:
-                try:
-                    result = ToolResult(call.call_id, handler(call.arguments))
-                except ReplayMissError:
-                    raise
-                except Exception as exc:  # noqa: BLE001 - contract: never crash the session
-                    result = ToolResult(call.call_id, str(exc), is_error=True)
-        if trace is not None:
-            trace.add("tool_result", result=result.to_dict(), tool=call.tool_name)
-        return result
+        descriptor = self._tools.get(call.tool_name)
+        if descriptor is None:
+            return ToolResult(call.call_id, f"unknown_tool: {call.tool_name}", is_error=True)
+        bad = validate_arguments(descriptor.input_schema, call.arguments)
+        if bad:
+            return ToolResult(call.call_id, "invalid_arguments: " + ", ".join(bad), is_error=True)
+        try:
+            return ToolResult(call.call_id, getattr(self._handlers, call.tool_name)(call.arguments))
+        except ReplayMissError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - contract: never crash the session
+            return ToolResult(call.call_id, str(exc), is_error=True)

@@ -803,6 +803,24 @@ def test_chat_repl_scripted_session(capsys, monkeypatch):
     assert '"kind": "decision"' in out  # /trace dumps the action trace
 
 
+def test_chat_prints_a_turn_in_trace_order(capsys, monkeypatch):
+    lines = iter(["Tell me about the kettle", ""])
+    monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
+    code, out, _ = run_cli(capsys, "chat")
+    assert code == 0
+    first, tool, second = (out.index(s) for s in ("round 0", "tool product_info(", "round 1"))
+    assert first < tool < second  # the lookup ran between the two rounds
+
+
+def test_chat_with_a_task_and_no_backend_exits_2_before_any_input(capsys, suite_dir,
+                                                                    monkeypatch):
+    monkeypatch.setattr("builtins.input", _never)
+    code, stdout, err = run_cli(capsys, "chat", "--task", str(suite_dir / "kettle-capacity.json"))
+    assert (code, stdout) == (2, "")
+    assert err.splitlines() == ["error: select exactly one backend: --script, --replay, "
+                                "or --remote"]
+
+
 def test_chat_eof_exits_zero(capsys, monkeypatch):
     def raise_eof(prompt=""):
         raise EOFError
@@ -827,6 +845,14 @@ def test_replay_prints_transcript(capsys, suite_dir, scripts_dir, tmp_path):
     assert code == 0
     assert "[buyer]" in out and "[agent]" in out
     assert "[decision]" in out
+
+
+def test_replay_empty_transcript_exits_2(capsys, tmp_path):
+    empty = tmp_path / "s.transcript.jsonl"
+    empty.write_text("")
+    code, stdout, err = run_cli(capsys, "replay", "--transcript", str(empty))
+    assert (code, stdout) == (2, "")
+    assert err.splitlines() == [f"error: transcript {empty} holds no messages"]
 
 
 def test_replay_missing_file_exits_2(capsys, tmp_path):

@@ -7,7 +7,9 @@ import pytest
 from shopclerk.backends import ChatResponse, RecordingBackend, ReplayBackend, ScriptedBackend
 from shopclerk.config import AgentConfig, agent_config_from_dict
 from shopclerk.episode import CLARIFICATION_REPLY, AgentSession, run_episode
+from shopclerk.errors import ReplayMissError
 from shopclerk.memory import ELISION_MARKER, Namespace, PartKind, Role, message_to_dict
+from shopclerk.shop_tools import _Handlers
 from shopclerk.tasks import load_task
 from shopclerk.world import replay_mutations
 
@@ -88,15 +90,6 @@ def test_wrong_plan_label_fails_task(suite_dir, scripts_dir, vision_fixtures, tm
     result = run_episode(task, AgentConfig(), ScriptedBackend.from_file(mutated), vision_fixtures)
     assert not result.success
     assert result.error is None  # clean run, just an unhelpful answer
-
-
-def test_max_turns_truncates(suite_dir, scripts_dir, vision_fixtures):
-    task = load_task(suite_dir / "refund-approval.json", vision_fixtures)
-    task = task._replace(max_turns=1)
-    chat = ScriptedBackend.from_file(scripts_dir / "refund-approval.json")
-    result = run_episode(task, AgentConfig(), chat, vision_fixtures)
-    assert len(result.replies) == 1
-    assert not result.success  # the approval turn never ran
 
 
 def test_script_exhaustion_is_recorded_not_raised(suite_dir, vision_fixtures):
@@ -507,3 +500,68 @@ def test_a_stored_url_with_an_unbalanced_bracket_is_a_link_not_a_crash(suite_dir
     assert result.error is None
     results = [e["result"] for e in result.trace.events if e["kind"] == "tool_result"]
     assert [r["is_error"] for r in results[:2]] == [False, False]
+
+
+def one_round_session(steps, tmp_path, suite_dir, vision, task_id="kettle-capacity"):
+    """A session whose one plan round runs the given tool steps."""
+    plans = [{"kind": "tool_sequence", "steps": steps, "rationale": "Run the steps.",
+              "reply": None}]
+    chat = plans_script(plans, "Run the steps.", tmp_path / "steps.json")
+    task = load_task(suite_dir / f"{task_id}.json")
+    config = agent_config_from_dict({"max_plan_rounds": 1}, AgentConfig())
+    return AgentSession(task.reset(), chat, vision, config)
+
+
+def tool_events(session):
+    return [e for e in session.trace.events if e["kind"] in ("tool_call", "tool_result")]
+
+
+def test_each_tool_call_leaves_a_call_event_then_its_result_event(suite_dir, vision_fixtures,
+                                                                   tmp_path):
+    session = one_round_session([
+        {"tool": "product_info", "arguments": {"product_id": "P-KET-100"}},
+        {"tool": "teleport", "arguments": {}}], tmp_path, suite_dir, vision_fixtures)
+    session.handle_buyer_turn("How big is the kettle?")
+    events = tool_events(session)
+    assert [e["kind"] for e in events] == ["tool_call", "tool_result"] * 2
+    for call, result in zip(events[::2], events[1::2]):
+        assert result["seq"] == call["seq"] + 1  # nothing between a lookup and its result
+        assert result["result"]["call_id"] == call["call"]["call_id"]
+        assert result["tool"] == call["call"]["tool"]
+    assert [e["result"]["is_error"] for e in events[1::2]] == [False, True]
+    assert events[3]["result"]["content"] == [{"type": "text", "text": "unknown_tool: teleport"}]
+
+
+def test_a_handler_that_mutates_its_arguments_leaves_the_recorded_call_alone(
+        suite_dir, vision_fixtures, tmp_path, monkeypatch):
+    def mangle(self, args):
+        args["note"] = "mangled"
+        return "ok"
+
+    monkeypatch.setattr(_Handlers, "status_note", mangle)
+    session = one_round_session([{"tool": "status_note", "arguments": {"note": "as sent"}}],
+                                tmp_path, suite_dir, vision_fixtures)
+    session.handle_buyer_turn("Note this.")
+    call, result = tool_events(session)
+    assert call["call"]["arguments"] == {"note": "as sent"}
+    assert result["result"]["content"] == [{"type": "text", "text": "ok"}]
+
+
+class MissingVision:
+    """A vision backend that holds no recorded describe, as a replay store without one."""
+
+    def describe(self, instruction, asset_id):
+        raise ReplayMissError("no recorded describe response")
+
+
+def test_a_replay_miss_leaves_a_tool_call_with_no_tool_result(suite_dir, tmp_path):
+    photo = "https://img.shop.example/uploads/kettle-crack-2291.jpg"
+    session = one_round_session(
+        [{"tool": "multimodal_describe", "arguments": {"placeholder": "[Image 1]"}}],
+        tmp_path, suite_dir, MissingVision(), task_id="damaged-kettle-refund")
+    with pytest.raises(ReplayMissError, match="no recorded describe response"):
+        session.handle_buyer_turn(f"My kettle arrived like this: {photo}")
+    [call] = tool_events(session)
+    assert call["kind"] == "tool_call"
+    assert call["call"]["tool"] == "multimodal_describe"
+    assert [e["kind"] for e in session.trace.events[call["seq"]:]] == ["tool_call", "describe"]

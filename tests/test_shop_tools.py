@@ -5,9 +5,8 @@ import pytest
 from conftest import DescribeCounter
 from shopclerk.memory import Namespace
 from shopclerk.placeholders import PlaceholderTable, abstract_text
-from shopclerk import toolkit
-from shopclerk.shop_tools import build_registry
-from shopclerk.toolkit import ActionTrace, ToolCall
+from shopclerk.shop_tools import CATALOGS, TOOLS, _Handlers, build_registry
+from shopclerk.toolkit import ToolCall
 from shopclerk.vision import (
     CategoryRule,
     FixtureVisionBackend,
@@ -49,8 +48,8 @@ def session_bits():
     return world, store, table, vision, registry
 
 
-def invoke(registry, tool, trace=None, **arguments):
-    return registry.invoke(ToolCall("c1", tool, arguments), trace)
+def invoke(registry, tool, **arguments):
+    return registry.invoke(ToolCall("c1", tool, arguments))
 
 
 def test_product_info_returns_seeded_document(session_bits, data_dir):
@@ -162,21 +161,23 @@ CATALOG_LINES = (
 
 
 @pytest.mark.parametrize("strategy", list(IntegrationStrategy))
-def test_catalog_text_is_pinned(strategy, monkeypatch):
+def test_catalog_text_is_pinned(strategy):
     # the prompt bytes every bundled script matches against; tool mode lists describe
     lines = [line for line in CATALOG_LINES if strategy is IntegrationStrategy.TOOL
              or not line.startswith("- multimodal_describe(")]
-    world = world_from_dict(WORLD_SEED)
+    assert CATALOGS[strategy] == "\n".join(lines)
+    # every session shares the one text rendered at import
+    for _ in range(2):
+        world = world_from_dict(WORLD_SEED)
+        registry = build_registry(world, seed_store(world), PlaceholderTable(),
+                                  FixtureVisionBackend({}), strategy=strategy)
+        assert registry.catalog_text() is CATALOGS[strategy]
 
-    def catalog():
-        return build_registry(world, seed_store(world), PlaceholderTable(),
-                              FixtureVisionBackend({}), strategy=strategy).catalog_text()
 
-    first = catalog()
-    assert first == "\n".join(lines)
-    # a fresh session gets the very text of the memoized render, and renders nothing
-    monkeypatch.setattr(toolkit, "_render_catalog", lambda d: pytest.fail("rendered again"))
-    assert catalog() is first
+def test_tool_names_are_unique_and_each_is_a_handler_method():
+    names = [t.name for t in TOOLS]
+    assert len(set(names)) == len(names)
+    assert all(callable(getattr(_Handlers, name, None)) for name in names)
 
 
 def test_memory_tools_round_trip(session_bits):
@@ -242,13 +243,3 @@ def test_read_tools_do_not_mutate(session_bits):
     invoke(registry, "order_lookup", order_id="O1")
     invoke(registry, "logistics_track", order_id="O1")
     assert world.mutations == []
-
-
-def test_trace_records_every_call(session_bits):
-    _, _, _, _, registry = session_bits
-    trace = ActionTrace()
-    invoke(registry, "product_info", trace, product_id="P100")
-    invoke(registry, "order_update", trace, order_id="O1", action="request_refund")
-    kinds = [e["kind"] for e in trace.events]
-    assert kinds.count("tool_call") == 2
-    assert kinds.count("tool_result") == 2

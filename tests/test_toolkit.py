@@ -1,14 +1,16 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from shopclerk.errors import RegistrationError, ReplayMissError
+from shopclerk.errors import ReplayMissError
 from shopclerk.shop_tools import TOOLS
 from shopclerk.toolkit import (
     ActionTrace,
     ToolCall,
     ToolDescriptor,
     ToolRegistry,
+    render_catalog,
     validate_arguments,
 )
 
@@ -26,19 +28,20 @@ ECHO_SCHEMA = {
 ECHO = ToolDescriptor("echo", "Repeat the given text.", ECHO_SCHEMA)
 
 
+def registry_of(descriptor, handler):
+    """A registry of one tool, whose handler is the method named after it."""
+    return ToolRegistry({descriptor.name: descriptor}, render_catalog([descriptor]),
+                        SimpleNamespace(**{descriptor.name: handler}))
+
+
 def make_registry():
-    return ToolRegistry([(ECHO, lambda args: args["text"] * args.get("times", 1))])
+    return registry_of(ECHO, lambda args: args["text"] * args.get("times", 1))
 
 
 def test_register_and_list():
     registry = make_registry()
-    assert [d.name for d in registry.descriptors()] == ["echo"]
-
-
-def test_register_duplicate_name():
-    with pytest.raises(RegistrationError, match="tool already registered: echo"):
-        ToolRegistry([(ECHO, lambda a: ""),
-                      (ToolDescriptor("echo", "again", {"properties": {}}), lambda a: "")])
+    assert registry.catalog_text() == (
+        "- echo(text: string, times?: integer, mode?: string): Repeat the given text.")
 
 
 def test_invoke_happy_path():
@@ -78,9 +81,8 @@ def test_invoke_enum_violation():
 
 
 def test_handler_exception_never_escapes():
-    registry = ToolRegistry([
-        (ToolDescriptor("boom", "Always fails.", {"properties": {}}), lambda args: 1 / 0),
-    ])
+    registry = registry_of(ToolDescriptor("boom", "Always fails.", {"properties": {}}),
+                           lambda args: 1 / 0)
     result = registry.invoke(ToolCall("c9", "boom", {}))
     assert result.is_error
     assert "division" in result.text
@@ -91,35 +93,9 @@ def test_a_replay_miss_escapes_the_handler():
     def miss(args):
         raise ReplayMissError("no recorded describe response")
 
-    registry = ToolRegistry([(ToolDescriptor("look", "Misses.", {"properties": {}}), miss)])
-    trace = ActionTrace()
+    registry = registry_of(ToolDescriptor("look", "Misses.", {"properties": {}}), miss)
     with pytest.raises(ReplayMissError, match="no recorded describe response"):
-        registry.invoke(ToolCall("c9", "look", {}), trace)
-    assert [e["kind"] for e in trace.events] == ["tool_call"]
-
-
-def test_every_invocation_lands_in_trace():
-    registry = make_registry()
-    trace = ActionTrace()
-    registry.invoke(ToolCall("c1", "echo", {"text": "a"}), trace)
-    registry.invoke(ToolCall("c2", "missing", {}), trace)
-    kinds = [e["kind"] for e in trace.events]
-    assert kinds == ["tool_call", "tool_result", "tool_call", "tool_result"]
-    assert trace.events[3]["result"]["is_error"] is True
-
-
-def test_a_handler_that_mutates_its_arguments_leaves_the_recorded_call_alone():
-    def mangle(args):
-        args["note"] = "mangled"
-        return "ok"
-
-    schema = {"type": "object", "properties": {"note": {"type": "string"}}}
-    registry = ToolRegistry([(ToolDescriptor("status_note", "Note a status.", schema), mangle)])
-    trace = ActionTrace()
-    call = ToolCall("c1", "status_note", {"note": "as sent"})
-    registry.invoke(call, trace)
-    assert trace.events[0]["call"]["arguments"] == {"note": "as sent"}
-    assert call.arguments == {"note": "mangled"}  # the handler still gets the call's own dict
+        registry.invoke(ToolCall("c9", "look", {}))
 
 
 def test_validate_arguments_type_checks():
