@@ -1,11 +1,15 @@
 """Shared fixtures: bundled data paths, fixture backends, corpus generator."""
 
+import json
 import random
 from pathlib import Path
 
 import pytest
 
 from shopclerk.backends import ScriptedBackend
+from shopclerk.config import AgentConfig, agent_config_from_dict
+from shopclerk.episode import AgentSession
+from shopclerk.tasks import load_task
 from shopclerk.vision import FixtureVisionBackend
 
 DATA_DIR = Path(__file__).parent.parent / "src" / "shopclerk" / "data"
@@ -37,6 +41,30 @@ def scripted_backend_for(scripts_dir):
         return ScriptedBackend.from_file(scripts_dir / f"{task_id}.json")
 
     return make
+
+
+def plans_script(plans, rationale, path):
+    """A script proposing plans every round and picking plan A at full confidence."""
+    script = {"entries": [
+        {"contains": rationale, "response": {"text": "A", "label_probs": {"A": 1.0}}},
+        {"contains": "", "response": {"text": "```json\n" + json.dumps(plans) + "\n```"}},
+    ]}
+    path.write_text(json.dumps(script))
+    return ScriptedBackend.from_file(path)
+
+
+def one_round_session(steps, tmp_path, suite_dir, vision, task_id="kettle-capacity"):
+    """A session whose one plan round runs the given tool steps."""
+    plans = [{"kind": "tool_sequence", "steps": steps, "rationale": "Run the steps.",
+              "reply": None}]
+    chat = plans_script(plans, "Run the steps.", tmp_path / "steps.json")
+    task = load_task(suite_dir / f"{task_id}.json")
+    config = agent_config_from_dict({"max_plan_rounds": 1}, AgentConfig())
+    return AgentSession(task.reset(), chat, vision, config)
+
+
+def tool_events(session):
+    return [e for e in session.trace.events if e["kind"] in ("tool_call", "tool_result")]
 
 
 class InOrder:

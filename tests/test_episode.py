@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from conftest import one_round_session, plans_script, tool_events
 from shopclerk.backends import ChatResponse, RecordingBackend, ReplayBackend, ScriptedBackend
 from shopclerk.config import AgentConfig, agent_config_from_dict
 from shopclerk.episode import CLARIFICATION_REPLY, AgentSession, run_episode
@@ -30,16 +31,6 @@ class PromptCapture:
 
 def clarify_reasons(result):
     return [e["reason"] for e in result.trace.events if e["kind"] == "clarify"]
-
-
-def plans_script(plans, rationale, path):
-    """A script proposing plans every round and picking plan A at full confidence."""
-    script = {"entries": [
-        {"contains": rationale, "response": {"text": "A", "label_probs": {"A": 1.0}}},
-        {"contains": "", "response": {"text": "```json\n" + json.dumps(plans) + "\n```"}},
-    ]}
-    path.write_text(json.dumps(script))
-    return ScriptedBackend.from_file(path)
 
 
 def transcript_lines(result):
@@ -500,20 +491,6 @@ def test_a_stored_url_with_an_unbalanced_bracket_is_a_link_not_a_crash(suite_dir
     assert result.error is None
     results = [e["result"] for e in result.trace.events if e["kind"] == "tool_result"]
     assert [r["is_error"] for r in results[:2]] == [False, False]
-
-
-def one_round_session(steps, tmp_path, suite_dir, vision, task_id="kettle-capacity"):
-    """A session whose one plan round runs the given tool steps."""
-    plans = [{"kind": "tool_sequence", "steps": steps, "rationale": "Run the steps.",
-              "reply": None}]
-    chat = plans_script(plans, "Run the steps.", tmp_path / "steps.json")
-    task = load_task(suite_dir / f"{task_id}.json")
-    config = agent_config_from_dict({"max_plan_rounds": 1}, AgentConfig())
-    return AgentSession(task.reset(), chat, vision, config)
-
-
-def tool_events(session):
-    return [e for e in session.trace.events if e["kind"] in ("tool_call", "tool_result")]
 
 
 def test_each_tool_call_leaves_a_call_event_then_its_result_event(suite_dir, vision_fixtures,

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import DescribeCounter
+from conftest import DescribeCounter, one_round_session, tool_events
 from shopclerk.memory import Namespace
 from shopclerk.placeholders import PlaceholderTable, abstract_text
 from shopclerk.shop_tools import CATALOGS, TOOLS, _Handlers, build_registry
@@ -243,3 +243,16 @@ def test_read_tools_do_not_mutate(session_bits):
     invoke(registry, "order_lookup", order_id="O1")
     invoke(registry, "logistics_track", order_id="O1")
     assert world.mutations == []
+
+
+def test_trace_records_every_call(suite_dir, vision_fixtures, tmp_path):
+    session = one_round_session([
+        {"tool": "product_info", "arguments": {"product_id": "P-KET-100"}},
+        {"tool": "order_update", "arguments": {"order_id": "O-9001", "action": "request_refund"}}],
+        tmp_path, suite_dir, vision_fixtures, task_id="damaged-kettle-refund")
+    session.handle_buyer_turn("Please refund order O-9001.")
+    kinds = [e["kind"] for e in tool_events(session)]
+    assert kinds.count("tool_call") == 2
+    assert kinds.count("tool_result") == 2
+    [update] = [e for e in session.trace.events if e["kind"] == "mutation"]
+    assert update["seq"] == tool_events(session)[-1]["seq"] + 1  # the refund right after its result

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from conftest import one_round_session, tool_events
 from shopclerk.errors import ReplayMissError
 from shopclerk.shop_tools import TOOLS
 from shopclerk.toolkit import (
@@ -96,6 +97,19 @@ def test_a_replay_miss_escapes_the_handler():
     registry = registry_of(ToolDescriptor("look", "Misses.", {"properties": {}}), miss)
     with pytest.raises(ReplayMissError, match="no recorded describe response"):
         registry.invoke(ToolCall("c9", "look", {}))
+
+
+def test_every_invocation_lands_in_trace(suite_dir, vision_fixtures, tmp_path):
+    session = one_round_session([
+        {"tool": "product_info", "arguments": {"product_id": "P-KET-100"}},
+        {"tool": "status_note", "arguments": {"note": "looked up"}},
+        {"tool": "missing", "arguments": {}}], tmp_path, suite_dir, vision_fixtures)
+    session.handle_buyer_turn("How big is the kettle?")
+    events = tool_events(session)
+    kinds = [e["kind"] for e in events]
+    assert kinds == ["tool_call", "tool_result"] * 3
+    assert [e["call"]["tool"] for e in events[::2]] == ["product_info", "status_note", "missing"]
+    assert events[5]["result"]["is_error"] is True
 
 
 def test_validate_arguments_type_checks():
