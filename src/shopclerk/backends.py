@@ -8,7 +8,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import BackendError, ConfigError, ReplayMissError, ScriptError, UsageError
-from .files import STRING, closed, parse_json, parse_once, shape_error
+from .files import STRING, closed, parse_json, parse_once, read_json, shape_error
 
 
 class ChatMessage(NamedTuple):
@@ -182,13 +182,9 @@ def load_script(path: str | Path) -> ScriptedBackend:
     return parse_once(_SCRIPTS, path, "script file", _parse_script)
 
 
-def _parse_store(path: str, text: str) -> dict[str, ChatResponse]:
-    where = f"replay store {path}"
-    return {digest: _response_from_dict(row, f"{where}: digest {digest}")
-            for digest, row in parse_json(text, where, STORE_SCHEMA).items()}
-
-
-_STORES: dict[str, tuple[tuple[int, int], dict[str, ChatResponse]]] = {}
+def _read_store(path) -> dict[str, ChatResponse]:
+    return {digest: _response_from_dict(row, f"replay store {path}: digest {digest}")
+            for digest, row in read_json(path, "replay store", STORE_SCHEMA).items()}
 
 
 class RecordingBackend:
@@ -206,8 +202,7 @@ class RecordingBackend:
         if not self.store_path.parent.is_dir():
             raise ConfigError(f"record store {store_path}: directory "
                               f"{self.store_path.parent} does not exist")
-        self._store = (dict(parse_once(_STORES, store_path, "replay store", _parse_store))
-                       if self.store_path.exists() else {})
+        self._store = _read_store(store_path) if self.store_path.exists() else {}
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         response = self.inner.complete(request)
@@ -223,10 +218,13 @@ class RecordingBackend:
 
 
 class ReplayBackend:
-    """Serves each request its recorded response; an unseen request fails loudly."""
+    """Serves each request its recorded response; an unseen request fails loudly.
+
+    The store is read once, at construction, and a lookup changes nothing, so
+    one backend serves every episode of a command, on any thread."""
 
     def __init__(self, store_path: str | Path):
-        self._store = parse_once(_STORES, store_path, "replay store", _parse_store)
+        self._store = _read_store(store_path)
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         digest = request_digest(request)

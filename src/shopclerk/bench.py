@@ -14,15 +14,16 @@ from .toolkit import Usage
 def run_trials(
     tasks: list[Task],
     config: AgentConfig,
-    backend_factory,
+    chat_for,
+    vision,
     n_trials: int,
     workers: int = 1,
 ) -> list[EpisodeResult]:
-    """n_trials episodes per task; backend_factory(task, trial) -> (chat, vision)."""
+    """n_trials episodes per task, each chatting with chat_for(task) and describing with
+    vision; with workers > 1 they run on threads, so every backend must be safe to share."""
 
     def one(task: Task, trial: int) -> EpisodeResult:
-        chat, vision = backend_factory(task, trial)
-        return run_episode(task, config, chat, vision, trial_index=trial)
+        return run_episode(task, config, chat_for(task), vision, trial_index=trial)
 
     jobs = [(task, trial) for task in tasks for trial in range(n_trials)]
     if workers <= 1:
@@ -63,7 +64,8 @@ def summarize(
 def run_ablation(
     tasks: list[Task],
     variants: list[tuple[str, AgentConfig]],
-    backend_factory,
+    chat_for,
+    vision,
     n_trials: int,
     k_values: list[int],
     workers: int = 1,
@@ -76,7 +78,7 @@ def run_ablation(
     reports = []
     all_results: list[EpisodeResult] = []
     for name, config in variants:
-        results = run_trials(tasks, config, backend_factory, n_trials, workers)
+        results = run_trials(tasks, config, chat_for, vision, n_trials, workers)
         reports.append(summarize(name, config.to_dict(), results, k_values))
         all_results.extend(results)
     return reports, all_results

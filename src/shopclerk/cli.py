@@ -58,17 +58,17 @@ def _agent_config(args) -> AgentConfig:
 
 
 def _episode_backends(args):
-    """The one backend-selection rule of run, chat, bench and ablate.
+    """The one backend-selection rule of run, chat, bench and ablate, applied once per command.
 
-    Returns (fixtures, factory). fixtures is the vision fixture set tasks are
-    validated against, loaded once (None under remote vision), and
-    factory(task, trial) -> (chat, vision) gives an episode its backends (a
-    script file's one shared backend, or a fresh replay or remote client).
-    At most one of --script, --replay, --remote is allowed; with none, the
-    suite commands use per-task scripts under --scripts. For vision an
-    explicit --fixtures file wins, else --remote and --replay get None (the
-    session then describes over its recorded chat backend), else the bundled
-    fixtures.
+    Returns (vision, chat_for). vision is the fixture set tasks are validated
+    against and every episode describes with: an explicit --fixtures file,
+    else None under --remote and --replay (the session describes over its
+    chat backend), else the bundled fixtures. chat_for(task) gives a task's
+    chat backend: the one ReplayBackend of --replay, read here and shared by
+    every episode and worker thread; the one backend of a --script file; a
+    fresh RemoteBackend per call, so no two threads share an HTTP session; or
+    with none of these three (at most one is allowed), the task's script
+    under --scripts. --record, on run and chat only, wraps that backend.
     """
     script = getattr(args, "script", None)
     record = getattr(args, "record", None)
@@ -76,24 +76,21 @@ def _episode_backends(args):
     chosen = [flag for flag in (script, args.replay, args.remote) if flag]
     if len(chosen) > 1 or not (chosen or scripts_dir):
         raise ConfigError("select exactly one backend: --script, --replay, or --remote")
-    fixtures = None
+    vision = None
     if args.fixtures or not (args.remote or args.replay):
-        fixtures = FixtureVisionBackend.from_file(args.fixtures or DEFAULT_FIXTURES)
+        vision = FixtureVisionBackend.from_file(args.fixtures or DEFAULT_FIXTURES)
+    one = None
+    if args.replay or script:
+        one = ReplayBackend(args.replay) if args.replay else ScriptedBackend.from_file(script)
 
     def chat_for(task):
-        if args.replay:
-            return ReplayBackend(args.replay)
         if args.remote:
-            return RemoteBackend()
-        return ScriptedBackend.from_file(script or os.path.join(scripts_dir, f"{task.task_id}.json"))
+            chat = RemoteBackend()
+        else:
+            chat = one or ScriptedBackend.from_file(os.path.join(scripts_dir, f"{task.task_id}.json"))
+        return RecordingBackend(chat, record) if record else chat
 
-    def factory(task, trial):
-        chat = chat_for(task)
-        if record:
-            chat = RecordingBackend(chat, record)
-        return chat, fixtures
-
-    return fixtures, factory
+    return vision, chat_for
 
 
 def _at_least(floor: int, *flags: tuple[str, int]) -> None:
@@ -105,9 +102,9 @@ def _at_least(floor: int, *flags: tuple[str, int]) -> None:
 def cmd_run(args) -> int:
     _at_least(0, ("--trial", args.trial))
     config = _agent_config(args)
-    fixtures, factory = _episode_backends(args)
-    task = load_task(args.task, vision_fixtures=fixtures)
-    chat, vision = factory(task, args.trial)
+    vision, chat_for = _episode_backends(args)
+    task = load_task(args.task, vision_fixtures=vision)
+    chat = chat_for(task)
     if args.out:
         make_dir(args.out, "--out")
     result = run_episode(task, config, chat, vision, trial_index=args.trial)
@@ -167,8 +164,8 @@ def cmd_suite(args) -> int:
 
     _at_least(1, ("--n-trials", args.n_trials), ("--workers", args.workers))
     base = _agent_config(args)
-    fixtures, factory = _episode_backends(args)
-    tasks = load_suite(args.suite, vision_fixtures=fixtures)
+    vision, chat_for = _episode_backends(args)
+    tasks = load_suite(args.suite, vision_fixtures=vision)
     if args.modality:
         tasks = [t for t in tasks if t.modality == args.modality]
         if not tasks:
@@ -177,7 +174,7 @@ def cmd_suite(args) -> int:
     k_values = _parse_k_values(args.k)
     if args.out:
         make_dir(Path(args.out, "trials" if args.command == "bench" else ""), "--out")
-    reports, results = run_ablation(tasks, variants, factory, args.n_trials, k_values,
+    reports, results = run_ablation(tasks, variants, chat_for, vision, args.n_trials, k_values,
                                     workers=args.workers)
     print(report_table(reports, k_values))
     if args.out:
@@ -241,9 +238,9 @@ def cmd_chat(args) -> int:
         args.task = str(_PKG_DATA / "demo" / "task.json")
         if not (args.script or args.replay or args.remote):
             args.script = str(_PKG_DATA / "demo" / "script.json")
-    fixtures, factory = _episode_backends(args)
-    task = load_task(args.task, vision_fixtures=fixtures)
-    chat, vision = factory(task, 0)
+    vision, chat_for = _episode_backends(args)
+    task = load_task(args.task, vision_fixtures=vision)
+    chat = chat_for(task)
 
     from .episode import AgentSession
 
@@ -251,7 +248,7 @@ def cmd_chat(args) -> int:
     print(f"shopclerk chat over task {task.task_id}; /trace shows actions, blank line or EOF quits")
     while True:
         try:
-            line = input("buyer> ").strip()
+            line = input("buyer> " if sys.stdin.isatty() else "").strip()
         except EOFError:
             print()
             return EXIT_OK

@@ -131,11 +131,11 @@ def test_criterion_4_end_to_end_determinism(suite_dir, scripts_dir, vision_fixtu
     assert len(tasks) >= 10
     assert sum(1 for t in tasks if t.modality == "multimodal") >= 3
 
-    def factory(task, trial):
-        return ScriptedBackend.from_file(scripts_dir / f"{task.task_id}.json"), vision_fixtures
+    def chat_for(task):
+        return ScriptedBackend.from_file(scripts_dir / f"{task.task_id}.json")
 
     def one_full_run():
-        results = run_trials(tasks, TIMED, factory, n_trials=5)
+        results = run_trials(tasks, TIMED, chat_for, vision_fixtures, n_trials=5)
         trials = []
         transcripts = []
         for result in results:
@@ -307,15 +307,15 @@ def test_criterion_8_robustness(suite_dir, scripts_dir, vision_fixtures, tmp_pat
         plan_errors.add(prefix)
 
     # a bench run over a good task and a script-exhausting task still completes
-    def factory(task_obj, trial):
+    def chat_for(task_obj):
         if task_obj.task_id == "kettle-capacity":
-            return ScriptedBackend.from_file(scripts_dir / "kettle-capacity.json"), vision_fixtures
-        return ScriptedBackend([]), vision_fixtures  # exhausts on the first call
+            return ScriptedBackend.from_file(scripts_dir / "kettle-capacity.json")
+        return ScriptedBackend([])  # exhausts on the first call
 
     tasks = [load_task(suite_dir / "kettle-capacity.json", vision_fixtures),
              load_task(suite_dir / "order-status.json", vision_fixtures)]
     reports, results = run_ablation(tasks, [("robust", AgentConfig())],
-                                    factory, n_trials=2, k_values=[1])
+                                    chat_for, vision_fixtures, n_trials=2, k_values=[1])
     assert len(results) == 4
     assert reports[0]["failures"] == 2  # the exhausted task errored, nothing aborted
     exhausted = [r for r in results if r.task_id == "order-status"]

@@ -219,26 +219,6 @@ def test_malformed_store_row_is_config_error_naming_the_digest(tmp_path, payload
         RecordingBackend(ScriptedBackend([]), store)
 
 
-def test_replay_backends_share_one_parse_per_store_version(tmp_path, monkeypatch):
-    parses = []
-    parse = backends._parse_store
-    monkeypatch.setattr(backends, "_parse_store", lambda *a: parses.append(a) or parse(*a))
-    store = tmp_path / "store.json"
-    recorder = RecordingBackend(
-        ScriptedBackend([ScriptEntry(contains="first", response=ChatResponse(text="one")),
-                         ScriptEntry(contains="second", response=ChatResponse(text="two"))]), store)
-    recorder.complete(req("first"))
-    a, b = ReplayBackend(store), ReplayBackend(store)
-    assert len(parses) == 1
-    assert a.complete(req("first")).text == b.complete(req("first")).text == "one"
-    recorder.complete(req("second"))  # rewrites the store in place
-    c = ReplayBackend(store)
-    assert len(parses) == 2
-    assert c.complete(req("second")).text == "two"
-    with pytest.raises(ReplayMissError):
-        a.complete(req("second"))  # a keeps the version it loaded
-
-
 def test_recording_crash_mid_write_keeps_store(tmp_path, monkeypatch):
     store = tmp_path / "store.json"
     scripted = ScriptedBackend([

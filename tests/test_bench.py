@@ -11,11 +11,12 @@ from shopclerk.tasks import load_suite, load_task
 TIMED = AgentConfig(latency_alpha=0.01, latency_beta=2.0)  # defaults, surrogate wall time
 
 
-def make_factory(scripts_dir, vision_fixtures):
-    def factory(task, trial):
-        return ScriptedBackend.from_file(scripts_dir / f"{task.task_id}.json"), vision_fixtures
+def scripts_in(scripts_dir):
+    """chat_for over a scripts directory: each task plays its own script."""
+    def chat_for(task):
+        return ScriptedBackend.from_file(scripts_dir / f"{task.task_id}.json")
 
-    return factory
+    return chat_for
 
 
 @pytest.fixture()
@@ -25,71 +26,70 @@ def three_tasks(suite_dir, vision_fixtures):
 
 
 def test_trial_counting_contract(three_tasks, scripts_dir, vision_fixtures):
-    factory = make_factory(scripts_dir, vision_fixtures)
     variants = [
         ("a", TIMED),
         ("b", agent_config_from_dict({"aci": "off"}, TIMED)),
     ]
-    reports, results = run_ablation(three_tasks, variants, factory, n_trials=5, k_values=[1, 5])
+    reports, results = run_ablation(three_tasks, variants, scripts_in(scripts_dir), vision_fixtures,
+                                    n_trials=5, k_values=[1, 5])
     assert len(results) == 2 * 3 * 5
     assert len(reports) == 2
     assert all(r["episodes"] == 15 for r in reports)
 
 
 def test_k_values_bounded_by_n_trials(three_tasks, scripts_dir, vision_fixtures):
-    factory = make_factory(scripts_dir, vision_fixtures)
     with pytest.raises(UsageError):
-        run_ablation(three_tasks, [("a", AgentConfig())], factory,
+        run_ablation(three_tasks, [("a", AgentConfig())], scripts_in(scripts_dir), vision_fixtures,
                      n_trials=5, k_values=[7])
 
 
 @pytest.mark.parametrize("k_values", [[0], [1, -2]])
-def test_k_below_one_is_rejected_before_any_episode(three_tasks, k_values):
-    def factory(task, trial):
+def test_k_below_one_is_rejected_before_any_episode(three_tasks, vision_fixtures, k_values):
+    def chat_for(task):
         raise AssertionError("no episode may start")
 
     with pytest.raises(UsageError, match=r"must be in 1\.\.n_trials=2"):
-        run_ablation(three_tasks, [("a", AgentConfig())], factory,
+        run_ablation(three_tasks, [("a", AgentConfig())], chat_for, vision_fixtures,
                      n_trials=2, k_values=k_values)
 
 
 def test_aci_ablation_direction_on_multimodal(suite_dir, scripts_dir, vision_fixtures):
     tasks = [t for t in load_suite(suite_dir, vision_fixtures) if t.modality == "multimodal"]
-    factory = make_factory(scripts_dir, vision_fixtures)
     base = TIMED
     variants = [
         ("aci-off", agent_config_from_dict({"aci": "off"}, base)),
         ("aci-on", base),
     ]
-    reports, _ = run_ablation(tasks, variants, factory, n_trials=2, k_values=[1])
+    reports, _ = run_ablation(tasks, variants, scripts_in(scripts_dir), vision_fixtures,
+                              n_trials=2, k_values=[1])
     off, on = reports
     assert on["usage"]["prompt_chars"] < off["usage"]["prompt_chars"]
     assert on["mean_time_ms"]["multimodal"] < off["mean_time_ms"]["multimodal"]
 
 
 def test_parallel_workers_match_serial(three_tasks, scripts_dir, vision_fixtures):
-    factory = make_factory(scripts_dir, vision_fixtures)
+    chat_for = scripts_in(scripts_dir)
     config = TIMED
-    serial = run_trials(three_tasks, config, factory, n_trials=2, workers=1)
-    parallel = run_trials(three_tasks, config, factory, n_trials=2, workers=4)
+    serial = run_trials(three_tasks, config, chat_for, vision_fixtures, n_trials=2, workers=1)
+    parallel = run_trials(three_tasks, config, chat_for, vision_fixtures, n_trials=2, workers=4)
     key = lambda r: (r.task_id, r.trial_index, r.success, r.usage.prompt_chars)
     assert sorted(map(key, serial)) == sorted(map(key, parallel))
 
 
 def test_summarize_counts_episode_errors(three_tasks, vision_fixtures):
-    def broken_factory(task, trial):
-        return ScriptedBackend([]), vision_fixtures  # exhausts immediately
+    def broken(task):
+        return ScriptedBackend([])  # exhausts immediately
 
-    results = run_trials(three_tasks, AgentConfig(), broken_factory, n_trials=1)
+    results = run_trials(three_tasks, AgentConfig(), broken, vision_fixtures, n_trials=1)
     report = summarize("broken", {}, results, k_values=[1])
     assert report["failures"] == 3
     assert report["pass_hat_k"]["1"] == 0.0
 
 
 def test_report_table_and_files(tmp_path, three_tasks, scripts_dir, vision_fixtures):
-    factory = make_factory(scripts_dir, vision_fixtures)
     variants = [("default", TIMED)]
-    reports, _ = run_ablation(three_tasks, variants, factory, n_trials=2, k_values=[1, 2])
+    reports, _ = run_ablation(three_tasks, variants, scripts_in(scripts_dir), vision_fixtures,
+                              n_trials=2, k_values=[1, 2])
     table = report_table(reports, [1, 2])
     assert "pass^1" in table.splitlines()[0]
     assert "default" in table

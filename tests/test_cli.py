@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -7,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import shopclerk
-from shopclerk import bench, cli
-from shopclerk.backends import ChatResponse, ScriptedBackend, load_script
+from shopclerk import backends, bench, cli
+from shopclerk.backends import ChatResponse, RemoteBackend, ScriptedBackend, load_script
 from shopclerk.cli import _episode_backends, build_parser, main
 from shopclerk.tasks import load_task
 from shopclerk.vision import FixtureVisionBackend
@@ -116,11 +117,11 @@ def test_run_script_with_a_step_row_exits_2(capsys, suite_dir, tmp_path):
 
 
 def test_episodes_of_one_script_file_share_one_backend(suite_dir, scripts_dir):
-    _, factory = _episode_backends(build_parser().parse_args(["bench"]))
+    _, chat_for = _episode_backends(build_parser().parse_args(["bench"]))
     kettle = load_task(suite_dir / "kettle-capacity.json")
-    first, _ = factory(kettle, 0)
-    assert factory(kettle, 1)[0] is first is load_script(scripts_dir / "kettle-capacity.json")
-    assert factory(load_task(suite_dir / "wrong-color-mug.json"), 0)[0] is not first
+    first = chat_for(kettle)
+    assert chat_for(kettle) is first is load_script(scripts_dir / "kettle-capacity.json")
+    assert chat_for(load_task(suite_dir / "wrong-color-mug.json")) is not first
 
 
 def _trial_lines(path: Path) -> list[str]:
@@ -173,22 +174,50 @@ def test_a_describe_that_misses_the_replay_store_ends_the_episode(
 
 
 def test_bench_replays_every_bundled_task_from_one_recorded_store(
-        capsys, data_dir, suite_dir, scripts_dir, tmp_path):
+        capsys, data_dir, suite_dir, scripts_dir, tmp_path, monkeypatch):
     store, recorded = str(tmp_path / "store.json"), tmp_path / "recorded"
     for task in sorted(suite_dir.glob("*.json")):
         code, _, err = run_cli(capsys, "run", "--task", str(task), "--record", store,
                                "--script", str(scripts_dir / task.name), "--out", str(recorded))
         assert (code, err) == (0, ""), task.name
-    code, _, err = run_cli(capsys, "bench", "--replay", store, "--n-trials", "2", "--k", "1",
-                           "--fixtures", str(data_dir / "vision_fixtures.json"),
-                           "--out", str(tmp_path / "replayed"))
-    assert (code, err) == (0, "")
-    [row] = json.loads((tmp_path / "replayed" / "report.json").read_text())
-    assert (row["pass_hat_k"], row["episodes"], row["failures"]) == ({"1": 1.0}, 26, 0)
+    reads, read_json = [], backends.read_json
+    monkeypatch.setattr(backends, "read_json",
+                        lambda path, what, *rest: reads.append(what) or read_json(path, what, *rest))
+    fixtures = str(data_dir / "vision_fixtures.json")
+    for workers in ("1", "2"):
+        reads.clear()
+        code, _, err = run_cli(capsys, "bench", "--replay", store, "--n-trials", "2", "--k", "1",
+                               "--fixtures", fixtures, "--workers", workers,
+                               "--out", str(tmp_path / f"replayed-{workers}"))
+        assert (code, err) == (0, "")
+        assert reads == ["replay store"]  # one read serves all 26 episodes
+        [row] = json.loads((tmp_path / f"replayed-{workers}" / "report.json").read_text())
+        assert (row["pass_hat_k"], row["episodes"], row["failures"]) == ({"1": 1.0}, 26, 0)
     paths = sorted(recorded.iterdir())
     assert len(paths) == 3 * 13
     for path in paths:
-        assert _trial_lines(path) == _trial_lines(tmp_path / "replayed" / "trials" / path.name)
+        assert _trial_lines(path) == _trial_lines(tmp_path / "replayed-1" / "trials" / path.name)
+    serial = sorted((tmp_path / "replayed-1" / "trials").iterdir())
+    assert len(serial) == 3 * 13 * 2
+    for path in serial:
+        assert _trial_lines(path) == _trial_lines(tmp_path / "replayed-2" / "trials" / path.name)
+
+    # re-record the kettle reply plan under a new script; the next command serves the new reply
+    rows = json.loads(Path(store).read_text())
+    [digest] = [d for d, row in rows.items() if "comfortable for soup" in row["text"]]
+    del rows[digest]
+    Path(store).write_text(json.dumps(rows))
+    script = tmp_path / "kettle-capacity.json"
+    script.write_text((scripts_dir / script.name).read_text().replace("comfortable", "ideal"))
+    task = str(suite_dir / script.name)
+    code, _, _ = run_cli(capsys, "run", "--task", task, "--script", str(script), "--record", store)
+    assert code == 0
+    assert "ideal for soup" in json.loads(Path(store).read_text())[digest]["text"]
+    code, out, _ = run_cli(capsys, "run", "--task", task, "--replay", store, "--fixtures", fixtures,
+                           "--out", str(tmp_path / "re-recorded"))
+    assert code == 0
+    transcript = tmp_path / "re-recorded" / "kettle-capacity-t0.transcript.jsonl"
+    assert "holds 2 liters, ideal for soup" in transcript.read_text()
 
 
 @pytest.mark.parametrize("name, text, complaint", [
@@ -281,13 +310,15 @@ def test_bench_rejects_single_task_backend_flags(capsys, flag, tmp_path):
 def test_run_remote_uses_remote_vision_unless_fixtures_given(suite_dir, data_dir, monkeypatch):
     monkeypatch.setenv("SHOPCLERK_CHAT_URL", "http://localhost:9")  # never contacted
     argv = ["run", "--task", str(suite_dir / "kettle-capacity.json"), "--remote"]
-    fixtures, factory = _episode_backends(build_parser().parse_args(argv))
-    _, vision = factory(load_task(argv[2], vision_fixtures=fixtures), 0)
-    assert fixtures is None and vision is None  # the session describes over its recorded chat
+    vision, chat_for = _episode_backends(build_parser().parse_args(argv))
+    task = load_task(argv[2], vision_fixtures=vision)
+    assert vision is None  # the session describes over its recorded chat
+    chat = chat_for(task)
+    assert isinstance(chat, RemoteBackend) and chat_for(task) is not chat  # a client per episode
     argv += ["--fixtures", str(data_dir / "vision_fixtures.json")]
-    fixtures, factory = _episode_backends(build_parser().parse_args(argv))
-    _, vision = factory(load_task(argv[2], vision_fixtures=fixtures), 0)
-    assert isinstance(vision, FixtureVisionBackend) and vision is fixtures
+    vision, chat_for = _episode_backends(build_parser().parse_args(argv))
+    load_task(argv[2], vision_fixtures=vision)
+    assert isinstance(vision, FixtureVisionBackend)
 
 
 def test_bad_config_value_exits_2(capsys, tmp_path):
@@ -739,9 +770,9 @@ class FakeRemote:
 def test_suite_hands_workers_on_for_every_backend(capsys, monkeypatch, backend):
     handed = []
 
-    def fake_run_ablation(tasks, variants, factory, n_trials, k_values, workers=1):
+    def fake_run_ablation(tasks, variants, chat_for, vision, n_trials, k_values, workers=1):
         handed.append(workers)
-        chat, _ = factory(tasks[0], 0)
+        chat = chat_for(tasks[0])
         assert isinstance(chat, FakeRemote) == bool(backend)
         usage = {"prompt_chars": 0, "backend_calls": 0}
         times = {"all": 0.0, "multimodal": None, "unimodal": None}
@@ -810,6 +841,19 @@ def test_chat_prints_a_turn_in_trace_order(capsys, monkeypatch):
     assert code == 0
     first, tool, second = (out.index(s) for s in ("round 0", "tool product_info(", "round 1"))
     assert first < tool < second  # the lookup ran between the two rounds
+
+
+def test_chat_over_piped_stdin_starts_each_printed_line_on_its_own(capsys, monkeypatch):
+    # piped input is not echoed, so a prompt would share its line with what follows it
+    monkeypatch.setattr("sys.stdin", io.StringIO("Tell me about the kettle\n/trace\n\n"))
+    code, out, err = run_cli(capsys, "chat")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert "agent> The Stormcap kettle holds 2 liters and is stainless steel - lovely for soup." in lines
+    traced = [line for line in lines if '"kind": ' in line]
+    assert len(traced) > 4
+    assert all(json.loads(line)["kind"] for line in traced)
+    assert "buyer> " not in out
 
 
 def test_chat_with_a_task_and_no_backend_exits_2_before_any_input(capsys, suite_dir,
