@@ -61,7 +61,7 @@ def request_digest(request: ChatRequest) -> str:
         "max_tokens": 1 if request.label_alphabet else None,
         "label_alphabet": list(request.label_alphabet) if request.label_alphabet else None,
     }
-    blob = json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")
+    blob = json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8", "surrogatepass")
     return hashlib.sha256(blob).hexdigest()
 
 

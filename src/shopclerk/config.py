@@ -23,9 +23,6 @@ class AgentConfig(NamedTuple):
     elide_block: int = 8
     min_url_length: int = DEFAULT_MIN_URL_LENGTH
     template_dir: str | None = None
-    # with either set, wall time is alpha*prompt_chars + beta*backend_calls, an unset one 0
-    latency_alpha: float | None = None
-    latency_beta: float | None = None
 
     def to_dict(self) -> dict:
         """The config keys set on this config; agent_config_from_dict inverts it."""
@@ -35,7 +32,6 @@ class AgentConfig(NamedTuple):
 
 
 _AT_LEAST_1 = {"type": "integer", "minimum": 1}
-_NOT_NEGATIVE = {"type": "number", "minimum": 0}
 _ON_OFF = {"enum": ["on", "off", True, False]}
 
 CONFIG_SCHEMA = closed(
@@ -50,8 +46,6 @@ CONFIG_SCHEMA = closed(
     elide_block=_AT_LEAST_1,
     min_url_length=_AT_LEAST_1,
     template_dir=STRING,
-    latency_alpha=_NOT_NEGATIVE,
-    latency_beta=_NOT_NEGATIVE,
 )
 # a row of an ablation matrix: a name and config keys
 VARIANT_SCHEMA = closed(["name"], name={"type": "string", "minLength": 1},

@@ -260,9 +260,6 @@ def run_episode(
             break
     elapsed_ms = (time.monotonic() - started) * 1000.0
     usage = session.trace.usage()
-    if config.latency_alpha is not None or config.latency_beta is not None:
-        elapsed_ms = ((config.latency_alpha or 0.0) * usage.prompt_chars
-                      + (config.latency_beta or 0.0) * usage.backend_calls)
     if error is None:
         success, rows = check_success(world, session.wm, task.success, session.table)
     else:

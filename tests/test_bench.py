@@ -8,8 +8,6 @@ from shopclerk.config import AgentConfig, agent_config_from_dict
 from shopclerk.errors import UsageError
 from shopclerk.tasks import load_suite, load_task
 
-TIMED = AgentConfig(latency_alpha=0.01, latency_beta=2.0)  # defaults, surrogate wall time
-
 
 def scripts_in(scripts_dir):
     """chat_for over a scripts directory: each task plays its own script."""
@@ -27,8 +25,8 @@ def three_tasks(suite_dir, vision_fixtures):
 
 def test_trial_counting_contract(three_tasks, scripts_dir, vision_fixtures):
     variants = [
-        ("a", TIMED),
-        ("b", agent_config_from_dict({"aci": "off"}, TIMED)),
+        ("a", AgentConfig()),
+        ("b", agent_config_from_dict({"aci": "off"}, AgentConfig())),
     ]
     reports, results = run_ablation(three_tasks, variants, scripts_in(scripts_dir), vision_fixtures,
                                     n_trials=5, k_values=[1, 5])
@@ -55,21 +53,23 @@ def test_k_below_one_is_rejected_before_any_episode(three_tasks, vision_fixtures
 
 def test_aci_ablation_direction_on_multimodal(suite_dir, scripts_dir, vision_fixtures):
     tasks = [t for t in load_suite(suite_dir, vision_fixtures) if t.modality == "multimodal"]
-    base = TIMED
     variants = [
-        ("aci-off", agent_config_from_dict({"aci": "off"}, base)),
-        ("aci-on", base),
+        ("aci-off", agent_config_from_dict({"aci": "off"}, AgentConfig())),
+        ("aci-on", AgentConfig()),
     ]
     reports, _ = run_ablation(tasks, variants, scripts_in(scripts_dir), vision_fixtures,
                               n_trials=2, k_values=[1])
     off, on = reports
     assert on["usage"]["prompt_chars"] < off["usage"]["prompt_chars"]
-    assert on["mean_time_ms"]["multimodal"] < off["mean_time_ms"]["multimodal"]
+    # a deterministic mean completion time: 0.01 ms per prompt char, 2 ms per backend call
+    simulated_ms = lambda row: (0.01 * row["usage"]["prompt_chars"]
+                                + 2.0 * row["usage"]["backend_calls"]) / row["episodes"]
+    assert simulated_ms(on) < simulated_ms(off)
 
 
 def test_parallel_workers_match_serial(three_tasks, scripts_dir, vision_fixtures):
     chat_for = scripts_in(scripts_dir)
-    config = TIMED
+    config = AgentConfig()
     serial = run_trials(three_tasks, config, chat_for, vision_fixtures, n_trials=2, workers=1)
     parallel = run_trials(three_tasks, config, chat_for, vision_fixtures, n_trials=2, workers=4)
     key = lambda r: (r.task_id, r.trial_index, r.success, r.usage.prompt_chars)
@@ -87,7 +87,7 @@ def test_summarize_counts_episode_errors(three_tasks, vision_fixtures):
 
 
 def test_report_table_and_files(tmp_path, three_tasks, scripts_dir, vision_fixtures):
-    variants = [("default", TIMED)]
+    variants = [("default", AgentConfig())]
     reports, _ = run_ablation(three_tasks, variants, scripts_in(scripts_dir), vision_fixtures,
                               n_trials=2, k_values=[1, 2])
     table = report_table(reports, [1, 2])

@@ -173,6 +173,22 @@ def test_a_describe_that_misses_the_replay_store_ends_the_episode(
     assert result["error"].startswith("ReplayMissError: no recorded describe response")
 
 
+def test_a_task_with_a_lone_surrogate_records_and_replays(capsys, suite_dir, scripts_dir, tmp_path):
+    # "\ud800" is a valid JSON escape but no UTF-8; the request digest once died encoding it
+    task = json.loads((suite_dir / "kettle-capacity.json").read_text())
+    task["buyer_script"][0]["utterance"] += " \ud800"
+    path, store = tmp_path / "kettle-capacity.json", str(tmp_path / "store.json")
+    path.write_text(json.dumps(task))
+    code, out, err = run_cli(capsys, "run", "--task", str(path), "--record", store,
+                             "--script", str(scripts_dir / path.name), "--out", str(tmp_path / "a"))
+    assert (code, err) == (0, "") and "success=true" in out
+    code, out, err = run_cli(capsys, "run", "--task", str(path), "--replay", store,
+                             "--out", str(tmp_path / "b"))
+    assert (code, err) == (0, "") and "success=true" in out
+    for name in ("kettle-capacity-t0.transcript.jsonl", "kettle-capacity-t0.trace.jsonl"):
+        assert _trial_lines(tmp_path / "a" / name) == _trial_lines(tmp_path / "b" / name)
+
+
 def test_bench_replays_every_bundled_task_from_one_recorded_store(
         capsys, data_dir, suite_dir, scripts_dir, tmp_path, monkeypatch):
     store, recorded = str(tmp_path / "store.json"), tmp_path / "recorded"
@@ -370,13 +386,14 @@ def test_matrix_row_with_a_non_finite_number_exits_2_before_any_episode(capsys, 
                                                                         monkeypatch, literal, shown):
     # once accepted, it put inf in the table and Infinity, which is no JSON, in report.json
     matrix = tmp_path / "m.json"
-    matrix.write_text(f'[{{"name": "inf", "latency_alpha": {literal}}}]')
+    matrix.write_text(f'[{{"name": "inf", "confidence_floor": {literal}}}]')
     monkeypatch.setattr(bench, "run_episode", lambda *a, **kw: pytest.fail("ran an episode"))
     out_dir = tmp_path / "out"
     code, out, err = run_cli(capsys, "ablate", "--matrix", str(matrix), "--n-trials", "1",
                              "--k", "1", "--out", str(out_dir))
     assert (code, out) == (2, "")
-    assert err == f"error: matrix file {matrix} row 0: latency_alpha: must be a number, got {shown}\n"
+    assert err == (f"error: matrix file {matrix} row 0: confidence_floor: "
+                   f"must be a number, got {shown}\n")
     assert not out_dir.exists()
 
 
@@ -793,7 +810,6 @@ def test_ablate_vary_aci(capsys, suite_dir, scripts_dir, tmp_path):
         "--suite", str(suite_dir), "--scripts", str(scripts_dir),
         "--vary", "aci", "--modality", "multimodal",
         "--n-trials", "1", "--k", "1",
-        "--config", str(_latency_config(tmp_path)),
         "--out", str(tmp_path / "report"),
     )
     assert code == 0
@@ -801,12 +817,6 @@ def test_ablate_vary_aci(capsys, suite_dir, scripts_dir, tmp_path):
     report = json.loads((tmp_path / "report" / "report.json").read_text())
     by_name = {r["name"]: r for r in report}
     assert by_name["aci-on"]["usage"]["prompt_chars"] < by_name["aci-off"]["usage"]["prompt_chars"]
-
-
-def _latency_config(tmp_path):
-    path = tmp_path / "latency.json"
-    path.write_text(json.dumps({"latency_alpha": 0.01, "latency_beta": 1.0}))
-    return path
 
 
 def test_config_file_flag_precedence(capsys, suite_dir, scripts_dir, tmp_path):

@@ -3,13 +3,10 @@ import re
 
 import pytest
 
-from shopclerk.backends import ScriptedBackend
 from shopclerk.cli import main
 from shopclerk.config import CONFIG_SCHEMA, AgentConfig, agent_config_from_dict, variant_from_dict
-from shopclerk.episode import run_episode
 from shopclerk.errors import ConfigError
 from shopclerk.files import OBJECT, read_json
-from shopclerk.tasks import load_task
 from shopclerk.vision import IntegrationStrategy
 
 
@@ -35,10 +32,9 @@ def test_dict_round_trip():
         strategy=IntegrationStrategy.PLANNER,
         decision_module=False,
         elide_block=16,
-        latency_alpha=0.5,
-        latency_beta=2.0,
     )
     assert config.to_dict()["elide_block"] == 16
+    assert "template_dir" not in config.to_dict()  # unset, so left out
     assert agent_config_from_dict(config.to_dict()) == config
 
 
@@ -85,10 +81,11 @@ def test_bad_elide_block_names_the_key(capsys, tmp_path, value):
 
 
 def test_numbers_are_floats_and_enum_names_their_values():
-    config = agent_config_from_dict({"confidence_floor": 0, "latency_alpha": 1, "aci": True,
+    config = agent_config_from_dict({"confidence_floor": 0, "aci": True,
                                      "decision_module": "off", "strategy": "planner"})
     assert config.confidence_floor == 0.0 and type(config.confidence_floor) is float
-    assert config.latency_alpha == 1.0 and type(config.latency_alpha) is float
+    floor = agent_config_from_dict({"confidence_floor": 1}).confidence_floor
+    assert floor == 1.0 and type(floor) is float
     assert config.aci and not config.decision_module
     assert config.strategy is IntegrationStrategy.PLANNER
     assert config.to_dict()["confidence_floor"] == 0.0
@@ -98,11 +95,11 @@ def test_numbers_are_floats_and_enum_names_their_values():
     ({"n_candidates": 27}, "n_candidates: must be <= 26, got 27"),
     ({"confidence_floor": 1.5}, "confidence_floor: must be <= 1, got 1.5"),
     ({"confidence_floor": float("nan")}, "confidence_floor: must be a number, got NaN"),
-    ({"latency_alpha": float("nan")}, "latency_alpha: must be a number, got NaN"),
+    ({"confidence_floor": float("inf")}, "confidence_floor: must be a number, got Infinity"),
     ({"aci": 1}, 'aci: must be one of ["on", "off", true, false], got 1'),
     ({"strategy": "hybrid"}, 'strategy: must be one of ["tool", "planner"], got "hybrid"'),
     ({"template_dir": 5}, "template_dir: must be a string, got 5"),
-    ({"latency_beta": float("-inf")}, "latency_beta: must be a number, got -Infinity"),
+    ({"confidence_floor": float("-inf")}, "confidence_floor: must be a number, got -Infinity"),
 ])
 def test_a_bad_value_names_its_key_and_why(row, why):
     with pytest.raises(ConfigError, match=f"^agent config: {re.escape(why)}$"):
@@ -152,16 +149,3 @@ def test_ablation_variant_needs_name():
     name, config = variant_from_dict({"name": "no-aci", "aci": "off"}, AgentConfig())
     assert name == "no-aci"
     assert not config.aci
-
-
-def test_latency_model_surrogate(suite_dir, scripts_dir, vision_fixtures):
-    # a lone latency key times by alpha*prompt_chars + beta*backend_calls, the other reading 0
-    task = load_task(suite_dir / "kettle-capacity.json", vision_fixtures)
-    for row in ({"latency_alpha": 0.5}, {"latency_beta": 10}):
-        config = agent_config_from_dict(row)
-        assert config.to_dict() == AgentConfig().to_dict() | {k: float(v) for k, v in row.items()}
-        chat = ScriptedBackend.from_file(scripts_dir / "kettle-capacity.json")
-        result = run_episode(task, config, chat, vision_fixtures)
-        assert result.success
-        assert result.wall_time_ms == (0.5 * result.usage.prompt_chars if "latency_alpha" in row
-                                       else 10.0 * result.usage.backend_calls)

@@ -1,10 +1,12 @@
 import json
 import os
 import re
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import one_round_session, plans_script, tool_events
+from shopclerk import episode
 from shopclerk.backends import ChatResponse, RecordingBackend, ReplayBackend, ScriptedBackend
 from shopclerk.config import AgentConfig, agent_config_from_dict
 from shopclerk.episode import CLARIFICATION_REPLY, AgentSession, run_episode
@@ -217,12 +219,17 @@ def test_aci_off_keeps_raw_urls_and_costs_more(suite_dir, scripts_dir, vision_fi
                for r in chat.requests for m in r.messages)
 
 
-def test_simulated_latency_model_controls_wall_time(suite_dir, scripts_dir, vision_fixtures):
-    config = AgentConfig(latency_alpha=0.5, latency_beta=10.0)
-    result, _ = run_bundled("kettle-capacity", suite_dir, scripts_dir, vision_fixtures,
-                            config=config)
-    expected = 0.5 * result.usage.prompt_chars + 10.0 * result.usage.backend_calls
-    assert result.wall_time_ms == pytest.approx(expected)
+def test_wall_time_is_the_monotonic_span_whatever_the_config(suite_dir, scripts_dir,
+                                                             vision_fixtures, monkeypatch):
+    for row in ({}, {"aci": "off", "decision_module": "off"},
+                {"strategy": "planner", "n_candidates": 1}):
+        ticks = iter(range(100, 1000, 7))  # a clock that moves 7 s per read
+        monkeypatch.setattr(episode, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+        result, _ = run_bundled("kettle-capacity", suite_dir, scripts_dir, vision_fixtures,
+                                config=agent_config_from_dict(row))
+        assert result.success, row
+        assert result.wall_time_ms == 7000.0, row
+        assert next(ticks) == 114, row  # read once at the start and once at the end
 
 
 def test_scripted_and_replay_transcripts_match(suite_dir, scripts_dir, vision_fixtures, tmp_path):
