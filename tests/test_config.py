@@ -149,3 +149,14 @@ def test_ablation_variant_needs_name():
     name, config = variant_from_dict({"name": "no-aci", "aci": "off"}, AgentConfig())
     assert name == "no-aci"
     assert not config.aci
+
+
+def test_retired_latency_keys_are_refused(capsys, tmp_path):
+    # wall time is only measured: a config that still sets a latency key is refused, not ignored
+    for key in ("latency_alpha", "latency_beta"):
+        with pytest.raises(ConfigError, match=f"^agent config: {key}: unknown key$"):
+            agent_config_from_dict({key: 0.5})
+        config = tmp_path / f"{key}.json"
+        config.write_text(json.dumps({key: 0.5}))
+        assert main(["bench", "--n-trials", "1", "--k", "1", "--config", str(config)]) == 2
+        assert f"config file {config}: {key}: unknown key" in capsys.readouterr().err
