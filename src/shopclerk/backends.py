@@ -282,14 +282,13 @@ class RemoteBackend:
     def complete(self, request: ChatRequest) -> ChatResponse:
         body = {
             "model": self.model,
-            "messages": [
-                {"role": m.role, "content": m.content, **({"images": list(m.image_refs)} if m.image_refs else {})}
-                for m in request.messages
-            ],
+            "messages": [{"role": m.role, "content": _content(m)} for m in request.messages],
             "temperature": 0.0,
         }
         if request.label_alphabet:
+            # alternatives come back only when asked for, at most 20 of them
             body["logprobs"] = True
+            body["top_logprobs"] = min(len(request.label_alphabet), 20)
             body["max_tokens"] = 1
         headers = {"Content-Type": "application/json"}
         if self.api_key:
@@ -324,6 +323,14 @@ class RemoteBackend:
         if request.label_alphabet and choice.get("logprobs"):
             label_probs = _extract_label_probs(choice["logprobs"], request.label_alphabet)
         return ChatResponse(text=choice["message"]["content"] or "", label_probs=label_probs)
+
+
+def _content(message: ChatMessage) -> str | list[dict]:
+    """A message's text, or its text and images as content parts."""
+    if not message.image_refs:
+        return message.content
+    return [{"type": "text", "text": message.content}] + [
+        {"type": "image_url", "image_url": {"url": ref}} for ref in message.image_refs]
 
 
 def _extract_label_probs(logprobs: dict, alphabet: tuple[str, ...]) -> dict | None:

@@ -1,5 +1,6 @@
 """Scripted buyer tasks: file schema, validation, and success checking."""
 
+import marshal
 import re
 from pathlib import Path
 from typing import NamedTuple
@@ -86,17 +87,20 @@ TASK_SCHEMA = closed(
 )
 
 
-def load_task(path: str | Path, vision_fixtures=None) -> Task:
+def load_task(path: str | Path, vision_fixtures=None, worlds=None) -> Task:
     """Parse and validate a task file; error messages name the bad path."""
     data = read_json(path, "task file", OBJECT, error=TaskLoadError)
-    return task_from_dict(data, source=str(path), vision_fixtures=vision_fixtures)
+    return task_from_dict(data, source=str(path), vision_fixtures=vision_fixtures, worlds=worlds)
 
 
-def task_from_dict(data: dict, source: str = "<task>", vision_fixtures=None) -> Task:
+def task_from_dict(data: dict, source: str = "<task>", vision_fixtures=None,
+                   worlds=None) -> Task:
+    """A validated task. Given ``worlds`` (seed key -> World), a world seed
+    already in it is not parsed again: the task shares that seed World."""
     if why := shape_error(data, TASK_SCHEMA):
         raise TaskLoadError(f"{source}:{why}")
     try:
-        seed_world = world_from_dict(data["world"])
+        seed_world = _seed_world(data["world"], worlds)
     except SchemaError as exc:
         _fail(f"{source}:world", str(exc))
     turns = tuple(BuyerTurn(utterance=row["utterance"]) for row in data["buyer_script"])
@@ -145,14 +149,28 @@ def task_from_dict(data: dict, source: str = "<task>", vision_fixtures=None) -> 
     return task
 
 
+def _seed_world(seed: dict, worlds: dict | None) -> World:
+    if worlds is None:
+        return world_from_dict(seed)
+    # Equal marshal bytes decode to identical values, so the key tells 1, 1.0 and
+    # true apart (== does not) and keeps key order. Equal seeds whose objects are
+    # shared differently may marshal apart, which only loses a share.
+    key = marshal.dumps(seed)
+    if key not in worlds:
+        worlds[key] = world_from_dict(seed)
+    return worlds[key]
+
+
 def load_suite(directory: str | Path, vision_fixtures=None) -> list[Task]:
+    """Every task file in a directory, in name order. Tasks whose world seeds
+    are the same share one seed World, parsed once; Task.reset copies it."""
     directory = Path(directory)
     files = sorted(directory.glob("*.json"))
     if not files:
         _fail(str(directory), "no task files found")
-    tasks, first_file = [], {}
+    tasks, first_file, worlds = [], {}, {}
     for f in files:
-        task = load_task(f, vision_fixtures)
+        task = load_task(f, vision_fixtures, worlds)
         if task.task_id in first_file:
             _fail(str(f), f"task_id {task.task_id!r} is also the id of {first_file[task.task_id]}")
         first_file[task.task_id] = f

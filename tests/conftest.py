@@ -1,6 +1,7 @@
 """Shared fixtures: bundled data paths, fixture backends, corpus generator."""
 
 import json
+import math
 import random
 from pathlib import Path
 
@@ -77,6 +78,81 @@ class InOrder:
     def complete(self, request):
         self.calls += 1
         return self.responses[self.calls - 1]
+
+
+class FakeReply:
+    """An HTTP reply as RemoteBackend reads it: a status code and a JSON body."""
+
+    def __init__(self, data, status=200):
+        self.data = data
+        self.status_code = status
+
+    def json(self):
+        return self.data
+
+
+_MESSAGE_KEYS = {"role", "content", "name"}
+
+
+def _part_is_valid(part) -> bool:
+    """A text part or an image_url part, each with exactly its own keys."""
+    if not isinstance(part, dict):
+        return False
+    if part.get("type") == "text":
+        return set(part) == {"type", "text"} and isinstance(part["text"], str)
+    image = part.get("image_url")
+    return (part.get("type") == "image_url" and set(part) == {"type", "image_url"}
+            and isinstance(image, dict) and isinstance(image.get("url"), str))
+
+
+def _request_misfit(body: dict) -> str | None:
+    """Why a chat-completions server would reject the body (HTTP 400), or None."""
+    messages = body.get("messages")
+    if not isinstance(messages, list) or not messages:
+        return "messages: must be a non-empty list"
+    for i, message in enumerate(messages):
+        if not isinstance(message, dict) or set(message) - _MESSAGE_KEYS:
+            return f"messages[{i}]: unknown keys"
+        content = message.get("content")
+        if isinstance(content, list):
+            if not all(_part_is_valid(part) for part in content):
+                return f"messages[{i}].content: an unknown or malformed part"
+        elif not isinstance(content, str):
+            return f"messages[{i}].content: must be a string or a list of parts"
+    top = body.get("top_logprobs")
+    if top is not None and (body.get("logprobs") is not True or not 0 <= top <= 20):
+        return "top_logprobs: needs logprobs: true, and is 0 to 20"
+    return None
+
+
+class ReferenceChatSession:
+    """A stand-in chat-completions server for RemoteBackend, stdlib only.
+
+    It keeps to the documented request semantics: a message key or content
+    part it does not know is a 400; content is a string or a list of text and
+    image_url parts; the first token's alternatives come back only when
+    top_logprobs is asked for, and at most that many. ``reply(body)`` gives the
+    reply text and that token's alternatives as (token, probability) pairs.
+    """
+
+    def __init__(self, reply):
+        self.reply = reply
+        self.bodies = []
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.bodies.append(json)
+        if why := _request_misfit(json):
+            return FakeReply({"error": {"message": why}}, status=400)
+        text, alternatives = self.reply(json)
+        logprobs = None
+        if json.get("logprobs"):
+            top = [{"token": token, "logprob": math.log(p), "bytes": list(token.encode())}
+                   for token, p in alternatives[:json.get("top_logprobs", 0)]]
+            chosen = math.log(dict(alternatives).get(text, 1.0))
+            logprobs = {"content": [{"token": text, "logprob": chosen,
+                                     "bytes": list(text.encode()), "top_logprobs": top}]}
+        return FakeReply({"choices": [{"index": 0, "finish_reason": "stop", "logprobs": logprobs,
+                                       "message": {"role": "assistant", "content": text}}]})
 
 
 class DescribeCounter:

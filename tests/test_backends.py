@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import InOrder
+from conftest import FakeReply, InOrder, ReferenceChatSession
 from shopclerk import backends
 from shopclerk.backends import (
     ChatMessage,
@@ -22,7 +22,11 @@ from shopclerk.backends import (
     load_script,
     request_digest,
 )
+from shopclerk.config import AgentConfig, agent_config_from_dict
+from shopclerk.episode import CLARIFICATION_REPLY, AgentSession
 from shopclerk.errors import BackendError, ConfigError, ReplayMissError, ScriptError, UsageError
+from shopclerk.tasks import load_task
+from shopclerk.vision import RemoteVisionBackend
 
 
 def req(text: str, labels=None) -> ChatRequest:
@@ -273,15 +277,6 @@ class FakeSession:
         return item
 
 
-class FakeReply:
-    def __init__(self, data, status=200):
-        self.data = data
-        self.status_code = status
-
-    def json(self):
-        return self.data
-
-
 def test_remote_backend_maps_chat_response(monkeypatch):
     monkeypatch.setenv("SHOPCLERK_CHAT_URL", "https://llm.internal")
     monkeypatch.setenv("SHOPCLERK_CHAT_KEY", "sk-test")
@@ -402,7 +397,8 @@ def test_remote_label_probs_over_one_are_scaled_down_not_rejected(monkeypatch):
 
 
 @pytest.mark.parametrize("labels, extra", [
-    (None, {}), ("AB", {"logprobs": True, "max_tokens": 1})], ids=["propose", "evaluate"])
+    (None, {}), ("AB", {"logprobs": True, "top_logprobs": 2, "max_tokens": 1})],
+    ids=["propose", "evaluate"])
 def test_remote_body_is_at_temperature_0_with_one_token_only_for_labels(monkeypatch, labels,
                                                                         extra):
     monkeypatch.setenv("SHOPCLERK_CHAT_URL", "https://llm.internal")
@@ -411,6 +407,67 @@ def test_remote_body_is_at_temperature_0_with_one_token_only_for_labels(monkeypa
     assert session.requests[0]["json"] == {
         "model": "m", "messages": [{"role": "user", "content": "hello"}], "temperature": 0.0,
         **extra}
+
+
+# --- remote client against the reference stub ---
+
+
+def test_reference_stub_answers_as_the_format_documents():
+    session = ReferenceChatSession(lambda body: ("A", [("A", 0.6), ("B", 0.3), ("C", 0.1)]))
+    hello = {"role": "user", "content": "pick one"}
+
+    def alternatives(**fields):
+        logprobs = session.post("", json={"messages": [hello], **fields}).json()[
+            "choices"][0]["logprobs"]
+        return logprobs and [row["token"] for row in logprobs["content"][0]["top_logprobs"]]
+
+    assert alternatives() is None
+    assert alternatives(logprobs=True) == []
+    assert alternatives(logprobs=True, top_logprobs=2) == ["A", "B"]
+    for bad in ({"messages": [dict(hello, images=["u"])]},
+                {"messages": [dict(hello, content=[{"type": "image", "url": "u"}])]},
+                {"messages": [hello], "top_logprobs": 2},
+                {"messages": [hello], "logprobs": True, "top_logprobs": 21}):
+        assert session.post("", json=bad).status_code == 400
+
+
+def test_remote_evaluate_below_the_confidence_floor_ends_in_the_clarification_reply(
+        monkeypatch, suite_dir, vision_fixtures):
+    monkeypatch.setenv("SHOPCLERK_CHAT_URL", "https://llm.internal")
+    plans = [{"kind": "direct_reply", "steps": None, "rationale": "Answer.",
+              "reply": "It holds 2 liters."},
+             {"kind": "single_tool", "rationale": "Look it up.", "reply": None,
+              "steps": [{"tool": "product_info", "arguments": {"product_id": "P-KET-100"}}]}]
+
+    def reply(body):
+        if body.get("logprobs"):
+            return "A", [("A", 0.55), ("B", 0.45)]
+        return "```json\n" + json.dumps(plans) + "\n```", []
+
+    session = ReferenceChatSession(reply)
+    task = load_task(suite_dir / "kettle-capacity.json", vision_fixtures)
+    config = agent_config_from_dict({"confidence_floor": 0.6}, AgentConfig())
+    agent = AgentSession(task.reset(), RemoteBackend(session=session), vision_fixtures, config)
+    assert agent.handle_buyer_turn(task.buyer_script[0].utterance) == CLARIFICATION_REPLY
+    [decision] = [e for e in agent.trace.events if e["kind"] == "decision"]
+    assert decision["rejected_reason"] == "low_confidence"
+    assert session.bodies[1]["top_logprobs"] == 2
+
+
+def test_remote_describe_sends_its_image_as_an_image_url_part(monkeypatch):
+    monkeypatch.setenv("SHOPCLERK_CHAT_URL", "https://llm.internal")
+    photo = "https://img.shop.example/uploads/kettle-base.jpg"
+
+    def reply(body):
+        parts = body["messages"][0]["content"]
+        return " ".join(p["image_url"]["url"] for p in parts if p["type"] == "image_url"), []
+
+    session = ReferenceChatSession(reply)
+    vision = RemoteVisionBackend(RemoteBackend(session=session))
+    assert vision.describe("Is the base cracked?", photo) == photo
+    assert session.bodies[0]["messages"] == [{"role": "user", "content": [
+        {"type": "text", "text": "Is the base cracked?"},
+        {"type": "image_url", "image_url": {"url": photo}}]}]
 
 
 def test_script_file_round_trip(tmp_path):

@@ -2,11 +2,14 @@ import json
 
 import pytest
 
+from shopclerk import cli
 from shopclerk.backends import ScriptedBackend
 from shopclerk.config import AgentConfig
 from shopclerk.episode import AgentSession
 from shopclerk.errors import ConfigError, TaskLoadError
 from shopclerk.memory import Role, WorkingMemory, text_message
+from shopclerk.placeholders import PlaceholderTable
+from shopclerk.shop_tools import build_registry
 from shopclerk.tasks import (
     ResponseFact,
     StateAssertion,
@@ -16,7 +19,8 @@ from shopclerk.tasks import (
     load_task,
     task_from_dict,
 )
-from shopclerk.world import World, world_from_dict
+from shopclerk.toolkit import ToolCall
+from shopclerk.world import World, seed_store, world_from_dict
 
 MINIMAL = {
     "task_id": "t1",
@@ -161,6 +165,75 @@ def test_an_episode_leaves_the_seed_world_as_loaded(task_id, suite_dir, scripts_
     assert task.seed_world.snapshot() == before
     assert task.seed_world.mutations == []
     assert task.reset().snapshot() == before
+
+
+# --- one seed World per distinct world in a suite ---
+
+
+def write_tasks(directory, *tasks):
+    """One task file per task, named after its task id."""
+    for task in tasks:
+        (directory / f"{task['task_id']}.json").write_text(json.dumps(task))
+
+
+def kettle_task(task_id, watts):
+    world = {"products": {"P1": {"title": "Kettle", "attributes": {"watts": watts},
+                                 "price_cents": 2500, "stock": 3}}}
+    return dict(MINIMAL, task_id=task_id, world=world)
+
+
+def test_tasks_with_one_world_share_one_seed_world(tmp_path):
+    write_tasks(tmp_path, kettle_task("a", 1200), kettle_task("b", 1200), kettle_task("c", 900))
+    a, b, c = load_suite(tmp_path)
+    assert a.seed_world is b.seed_world
+    assert c.seed_world is not a.seed_world
+    assert c.seed_world.products["P1"].attributes == {"watts": 900}
+
+
+def test_an_episode_of_one_task_leaves_a_task_sharing_its_world_as_loaded(
+        suite_dir, scripts_dir, vision_fixtures, tmp_path):
+    task = json.loads((suite_dir / "cancel-paid-order.json").read_text())
+    write_tasks(tmp_path, dict(task, task_id="a-cancel"), dict(task, task_id="b-cancel"))
+    a, b = load_suite(tmp_path, vision_fixtures)
+    assert a.seed_world is b.seed_world
+    before = b.seed_world.snapshot()
+    world = a.reset()
+    chat = ScriptedBackend.from_file(scripts_dir / "cancel-paid-order.json")
+    session = AgentSession(world, chat, vision_fixtures, AgentConfig(), session_id="shared")
+    for turn in a.buyer_script:
+        session.handle_buyer_turn(turn.utterance)
+    assert world.orders["O-7002"].status.value == "cancelled"
+    assert b.reset().snapshot() == before
+    assert b.seed_world.snapshot() == before and b.seed_world.mutations == []
+
+
+def test_worlds_equal_only_under_eq_get_their_own_seeds(tmp_path):
+    # 1 == 1.0 == True in Python: a key built on == would print the first file's value
+    write_tasks(tmp_path, kettle_task("a-int", 1), kettle_task("b-float", 1.0),
+                kettle_task("c-bool", True))
+    tasks = load_suite(tmp_path)
+    assert len({id(t.seed_world) for t in tasks}) == 3
+    printed = []
+    for task in tasks:
+        world = task.reset()
+        registry = build_registry(world, seed_store(world), PlaceholderTable(), None)
+        result = registry.invoke(ToolCall("c1", "product_info", {"product_id": "P1"}))
+        printed.append(json.loads(result.text)["attributes"]["watts"])
+    assert [(type(v), v) for v in printed] == [(int, 1), (float, 1.0), (bool, True)]
+
+
+def test_a_bool_stock_after_the_same_world_with_an_int_stock_exits_2_naming_its_file(
+        tmp_path, capsys):
+    good, bad = kettle_task("a-int-stock", 1200), kettle_task("b-bool-stock", 1200)
+    good["world"]["products"]["P1"]["stock"] = 1
+    bad["world"]["products"]["P1"]["stock"] = True
+    write_tasks(tmp_path, good, bad)
+    code = cli.main(["bench", "--suite", str(tmp_path), "--scripts", str(tmp_path),
+                     "--n-trials", "1", "--k", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{tmp_path / 'b-bool-stock.json'}:world: products.P1.stock:" in err
+    assert "a-int-stock" not in err
 
 
 # --- check_success ---
