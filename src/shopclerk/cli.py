@@ -67,15 +67,19 @@ def _episode_backends(args):
     chat backend: the one ReplayBackend of --replay, read here and shared by
     every episode and worker thread; the one backend of a --script file; a
     fresh RemoteBackend per call, so no two threads share an HTTP session; or
-    with none of these three (at most one is allowed), the task's script
-    under --scripts. --record, on run and chat only, wraps that backend.
+    the task's script under --scripts. run and chat take exactly one of
+    --script, --replay and --remote; bench and ablate at most one of --replay,
+    --remote and --scripts, else the bundled scripts. --record (run, chat) wraps it.
     """
-    script = getattr(args, "script", None)
-    record = getattr(args, "record", None)
-    scripts_dir = getattr(args, "scripts", None)
-    chosen = [flag for flag in (script, args.replay, args.remote) if flag]
-    if len(chosen) > 1 or not (chosen or scripts_dir):
-        raise ConfigError("select exactly one backend: --script, --replay, or --remote")
+    suite = hasattr(args, "scripts")  # bench and ablate
+    script, record = getattr(args, "script", None), getattr(args, "record", None)
+    if suite:
+        flags = {"--replay": args.replay, "--remote": args.remote, "--scripts": args.scripts}
+    else:
+        flags = {"--script": script, "--replay": args.replay, "--remote": args.remote}
+    if sum(map(bool, flags.values())) > 1 or not (suite or any(flags.values())):
+        raise ConfigError(f"select {'at most' if suite else 'exactly'} one backend: "
+                          + "{}, {}, or {}".format(*flags))
     vision = None
     if args.fixtures or not (args.remote or args.replay):
         vision = FixtureVisionBackend.from_file(args.fixtures or DEFAULT_FIXTURES)
@@ -87,7 +91,8 @@ def _episode_backends(args):
         if args.remote:
             chat = RemoteBackend()
         else:
-            chat = one or ScriptedBackend.from_file(os.path.join(scripts_dir, f"{task.task_id}.json"))
+            chat = one or ScriptedBackend.from_file(
+                os.path.join(args.scripts or DEFAULT_SCRIPTS, f"{task.task_id}.json"))
         return RecordingBackend(chat, record) if record else chat
 
     return vision, chat_for
@@ -189,19 +194,21 @@ def cmd_metrics(args) -> int:
     from .metrics import (ai_contribution_ratio, format_fraction, pass_hat_k, read_annotations_csv,
                           read_trial_records, relative_improvement, time_reduction)
 
-    printed = False
+    if not (args.annotations or args.records or args.improvement or args.time_reduction):
+        raise UsageError("metrics needs --annotations, --records, --improvement, or --time-reduction")
+    k_values = _parse_k_values("1,5" if args.k is None else args.k)
+    if args.k is not None and not args.records:
+        raise UsageError("--k needs --records")
     if args.annotations:
         inputs = read_annotations_csv(args.annotations)
         ratio = ai_contribution_ratio(inputs)
         print(f"ai_contribution_ratio={ratio:.4f} "
               f"(valid_ai={inputs.valid_ai} total_ai={inputs.total_ai} total_cr={inputs.total_cr})")
-        printed = True
     if args.records:
         trials = read_trial_records(args.records)
-        for k in _parse_k_values(args.k):
+        for k in k_values:
             value = pass_hat_k(trials, k)
             print(f"pass^{k}={format_fraction(value)}")
-        printed = True
     if args.improvement:
         gains = []
         for pair in args.improvement:
@@ -211,14 +218,10 @@ def cmd_metrics(args) -> int:
             print(f"relative_improvement({baseline}, {treatment})={gain * 100:.2f}%")
         if len(gains) > 1:
             print(f"mean_relative_improvement={sum(gains) / len(gains) * 100:.2f}%")
-        printed = True
     if args.time_reduction:
         baseline, treatment = _parse_pair(args.time_reduction)
         drop = time_reduction(baseline, treatment)
         print(f"time_reduction({baseline}, {treatment})={drop * 100:.2f}%")
-        printed = True
-    if not printed:
-        raise UsageError("metrics needs --annotations, --records, --improvement, or --time-reduction")
     return EXIT_OK
 
 
@@ -331,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p_suite = suite[name] = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p_suite.add_argument("--suite", default=str(DEFAULT_SUITE))
-        p_suite.add_argument("--scripts", default=str(DEFAULT_SCRIPTS))
+        p_suite.add_argument("--scripts", help="directory of per-task scripts (default: bundled)")
         p_suite.add_argument("--n-trials", type=int, default=5, dest="n_trials")
         p_suite.add_argument("--k", default=k_default)
         p_suite.add_argument("--workers", type=int, default=1)
@@ -348,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_metrics = sub.add_parser("metrics", help="recompute metrics from recorded files")
     p_metrics.add_argument("--annotations", help="CSV of judged messages")
     p_metrics.add_argument("--records", help="directory of *.result.json trials")
-    p_metrics.add_argument("--k", default="1,5")
+    p_metrics.add_argument("--k", help="pass^k values for --records (default: 1,5)")
     p_metrics.add_argument("--improvement", action="append",
                            help="BASELINE:TREATMENT pair; repeatable, prints mean")
     p_metrics.add_argument("--time-reduction", dest="time_reduction",

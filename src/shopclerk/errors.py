@@ -10,7 +10,7 @@ class UsageError(ClerkError):
 
 
 class ConfigError(ClerkError):
-    """Bad run configuration (missing files, conflicting backends, ...)."""
+    """Bad run configuration (unreadable or misshapen input file, conflicting backends, ...)."""
 
 
 class SequencingError(ClerkError):
@@ -18,11 +18,8 @@ class SequencingError(ClerkError):
 
 
 class SchemaError(ClerkError):
-    """Value rejected by a closed schema (unknown namespace, bad field, ...)."""
-
-
-class TaskLoadError(ConfigError):
-    """Task file failed to read or validate; message names the offending path."""
+    """Value rejected by a closed schema (unknown namespace, bad field, ...), or an order
+    action that is unknown, names no order or is illegal from the order's status."""
 
 
 class ProposalError(ClerkError):
@@ -45,17 +42,5 @@ class ReplayMissError(BackendError):
     """Replay store has no recorded response for a request digest."""
 
 
-class UnknownPlaceholderError(ClerkError):
-    """Placeholder token not present in the session table."""
-
-
 class ResolutionError(ClerkError):
-    """Downstream lookup failed while resolving a placeholder."""
-
-
-class AssetError(ClerkError):
-    """Vision fixture has no entry for the requested asset."""
-
-
-class IllegalTransitionError(ClerkError):
-    """Order action not allowed from the current status."""
+    """Placeholder not resolved: unknown token, failed lookup, or an asset without fixtures."""

@@ -115,20 +115,20 @@ def shape_error(value, schema: dict) -> str | None:
     return None if problem is None else f"{problem[0] or 'top level'}: {problem[1]}"
 
 
-def _unreadable(what: str, path, exc: OSError, error=ConfigError):
+def _unreadable(what: str, path, exc: OSError) -> ConfigError:
     why = "not found" if isinstance(exc, FileNotFoundError) else exc.strerror
-    return error(f"{what} {path} cannot be read: {why}")
+    return ConfigError(f"{what} {path} cannot be read: {why}")
 
 
-def read_text(path, what: str, error=ConfigError) -> str:
+def read_text(path, what: str) -> str:
     """The file decoded as UTF-8; what ("config file", ...) names it in errors."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise _unreadable(what, path, exc, error) from None
+        raise _unreadable(what, path, exc) from None
     except UnicodeDecodeError:
-        raise error(f"{what} {path} is not UTF-8 text") from None
+        raise ConfigError(f"{what} {path} is not UTF-8 text") from None
 
 
 def make_dir(path, what: str) -> None:
@@ -139,7 +139,7 @@ def make_dir(path, what: str) -> None:
         raise ConfigError(f"{what} {path} cannot be made a directory: {exc.strerror}") from None
 
 
-def parse_json(text: str, where: str, schema: dict | None = None, error=ConfigError):
+def parse_json(text: str, where: str, schema: dict | None = None):
     """text as JSON of the given shape (any if None); where names it in errors.
 
     A top level of the wrong type "must hold a JSON object" (or list); any
@@ -148,18 +148,18 @@ def parse_json(text: str, where: str, schema: dict | None = None, error=ConfigEr
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise error(f"{where} is not valid JSON: {exc}") from None
+        raise ConfigError(f"{where} is not valid JSON: {exc}") from None
     if schema is not None:
         if not _fits(data, schema["type"]):
             noun = "list" if schema["type"] == "array" else "object"
-            raise error(f"{where} must hold a JSON {noun}")
+            raise ConfigError(f"{where} must hold a JSON {noun}")
         if why := shape_error(data, schema):
-            raise error(f"{where}: {why}")
+            raise ConfigError(f"{where}: {why}")
     return data
 
 
-def read_json(path, what: str, schema: dict | None = None, error=ConfigError):
-    return parse_json(read_text(path, what, error), f"{what} {path}", schema, error)
+def read_json(path, what: str, schema: dict | None = None):
+    return parse_json(read_text(path, what), f"{what} {path}", schema)
 
 
 def read_jsonl(path, what: str, schema: dict = OBJECT) -> list[tuple[int, dict]]:

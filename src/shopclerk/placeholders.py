@@ -6,7 +6,7 @@ from enum import Enum
 from typing import NamedTuple
 from urllib.parse import urlparse
 
-from .errors import ReplayMissError, ResolutionError, UnknownPlaceholderError
+from .errors import ReplayMissError, ResolutionError
 from .memory import ContentPart, LongTermStore, Namespace, PartKind
 
 DEFAULT_MIN_URL_LENGTH = 24
@@ -216,11 +216,11 @@ def resolve(
     default) instruction; product and order references are looked up in the
     long-term store by the key extracted from the URL path. Results are
     cached per (placeholder, instruction) so repeat queries cost nothing.
-    A failed describe is a ResolutionError; a ReplayMissError passes unwrapped.
+    Every failure is a ResolutionError but a ReplayMissError, which passes unwrapped.
     """
     entry = table.lookup(placeholder)
     if entry is None:
-        raise UnknownPlaceholderError(f"unknown_placeholder: {placeholder}")
+        raise ResolutionError(f"unknown_placeholder: {placeholder}")
     cache_key = instruction if instruction is not None else ""
     if cache_key in entry.resolved:
         return entry.resolved[cache_key]

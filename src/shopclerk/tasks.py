@@ -5,7 +5,7 @@ import re
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import SchemaError, TaskLoadError
+from .errors import ConfigError, SchemaError
 from .files import OBJECT, STRING, closed, read_json, shape_error
 from .memory import Role, WorkingMemory
 from .placeholders import RefKind, classify_url, find_urls
@@ -63,7 +63,7 @@ class Task(NamedTuple):
 
 
 def _fail(path: str, why: str):
-    raise TaskLoadError(f"{path}: {why}")
+    raise ConfigError(f"{path}: {why}")
 
 
 _NUMBER = {"type": "number"}
@@ -89,7 +89,7 @@ TASK_SCHEMA = closed(
 
 def load_task(path: str | Path, vision_fixtures=None, worlds=None) -> Task:
     """Parse and validate a task file; error messages name the bad path."""
-    data = read_json(path, "task file", OBJECT, error=TaskLoadError)
+    data = read_json(path, "task file", OBJECT)
     return task_from_dict(data, source=str(path), vision_fixtures=vision_fixtures, worlds=worlds)
 
 
@@ -98,7 +98,7 @@ def task_from_dict(data: dict, source: str = "<task>", vision_fixtures=None,
     """A validated task. Given ``worlds`` (seed key -> World), a world seed
     already in it is not parsed again: the task shares that seed World."""
     if why := shape_error(data, TASK_SCHEMA):
-        raise TaskLoadError(f"{source}:{why}")
+        raise ConfigError(f"{source}:{why}")
     try:
         seed_world = _seed_world(data["world"], worlds)
     except SchemaError as exc:

@@ -1,11 +1,9 @@
 """Visual description unit: fixture-backed or remote, behind one contract."""
 
-from collections import namedtuple
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple
 
-from .errors import AssetError, BackendError, ConfigError, UsageError
+from .errors import BackendError, ResolutionError, UsageError
 from .files import STRING, closed, read_json
 
 
@@ -23,25 +21,6 @@ class IntegrationStrategy(str, Enum):
     PLANNER = "planner"
 
 
-class CategoryRule(NamedTuple):
-    category: str
-    keywords: tuple[str, ...]
-
-    def matches(self, instruction: str) -> bool:
-        folded = instruction.casefold()
-        return any(k.casefold() in folded for k in self.keywords)
-
-
-class ImageAsset(namedtuple("_ImageAsset", "asset_id annotations rules")):
-    __slots__ = ()
-
-    def __new__(cls, asset_id: str, annotations: dict[str, str],
-                rules: tuple[CategoryRule, ...] = ()):
-        if "default" not in annotations:
-            raise ConfigError(f"asset {asset_id} has no default annotation")
-        return tuple.__new__(cls, (asset_id, annotations, rules))
-
-
 _RULES = {"type": "array", "items": closed(
     ["category", "keywords"], category=STRING, keywords={"type": "array", "items": STRING})}
 
@@ -55,29 +34,24 @@ FIXTURES_SCHEMA = closed(
 )
 
 
-def _category_rules(rows: list[dict]) -> tuple[CategoryRule, ...]:
-    return tuple(CategoryRule(r["category"], tuple(r["keywords"])) for r in rows)
-
-
 class FixtureVisionBackend:
     """Deterministic describe() over canned annotations.
 
-    The instruction is mapped to an annotation category by ordered keyword
-    rules (asset-specific rules first, then file-level ones); an unmatched
-    instruction falls back to the default annotation.
+    assets and rules are a fixture file's rows as read_json returns them. The
+    instruction picks the category of the first rule with a keyword in it
+    (casefolded), the asset's rules before the file's; an unmatched
+    instruction, or a category the asset has no annotation for, gets the
+    default annotation.
     """
 
-    def __init__(self, assets: dict[str, ImageAsset], rules: tuple[CategoryRule, ...] = ()):
+    def __init__(self, assets: dict[str, dict], rules: list[dict] | tuple = ()):
         self.assets = assets
-        self.rules = tuple(rules)
+        self.rules = rules
 
     @classmethod
     def from_file(cls, path: str | Path) -> "FixtureVisionBackend":
         data = read_json(path, "vision fixture file", FIXTURES_SCHEMA)
-        assets = {asset_id: ImageAsset(asset_id, dict(row["annotations"]),
-                                       _category_rules(row.get("rules", [])))
-                  for asset_id, row in data.get("assets", {}).items()}
-        return cls(assets, _category_rules(data.get("rules", [])))
+        return cls(data.get("assets", {}), data.get("rules", []))
 
     def has_asset(self, asset_id: str) -> bool:
         return asset_id in self.assets
@@ -87,13 +61,13 @@ class FixtureVisionBackend:
             raise UsageError("describe needs a non-empty instruction")
         asset = self.assets.get(asset_id)
         if asset is None:
-            raise AssetError(f"unknown asset: {asset_id}")
-        category = "default"
-        for rule in tuple(asset.rules) + self.rules:
-            if rule.matches(instruction):
-                category = rule.category
-                break
-        return asset.annotations.get(category, asset.annotations["default"])
+            raise ResolutionError(f"unknown asset: {asset_id}")
+        folded = instruction.casefold()
+        annotations = asset["annotations"]
+        for rule in (*asset.get("rules", ()), *self.rules):
+            if any(k.casefold() in folded for k in rule["keywords"]):
+                return annotations.get(rule["category"], annotations["default"])
+        return annotations["default"]
 
 
 class RemoteVisionBackend:

@@ -5,7 +5,7 @@ from enum import Enum
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import IllegalTransitionError, SchemaError
+from .errors import SchemaError
 from .files import LIST, OBJECT, STRING, closed, shape_error
 from .memory import LongTermStore, Namespace, document
 
@@ -92,7 +92,7 @@ class World:
             raise SchemaError(f"unknown order action: {action}")
         allowed_from, target = ORDER_ACTIONS[action]
         if order.status not in allowed_from:
-            raise IllegalTransitionError(
+            raise SchemaError(
                 f"illegal_transition: cannot {action} order {order_id} "
                 f"in status {order.status.value}"
             )

@@ -281,6 +281,23 @@ def _never(*args, **kwargs):
     pytest.fail("ran an episode")
 
 
+@pytest.mark.parametrize("backends", [["--replay", "STORE", "--scripts", "SCRIPTS"],
+                                      ["--remote", "--scripts", "SCRIPTS"],
+                                      ["--replay", "STORE", "--remote"]],
+                         ids=["replay-scripts", "remote-scripts", "replay-remote"])
+@pytest.mark.parametrize("command", [["bench"], ["ablate", "--vary", "aci"]], ids=["bench", "ablate"])
+def test_suite_takes_at_most_one_backend_and_names_its_own_flags(capsys, tmp_path, monkeypatch,
+                                                                 command, backends):
+    monkeypatch.setattr(cli, "load_suite", _never)
+    paths = {"STORE": str(tmp_path / "store.json"), "SCRIPTS": str(tmp_path / "scripts")}
+    argv = [*command, *(paths.get(a, a) for a in backends), "--n-trials", "1", "--k", "1"]
+    code, stdout, err = run_cli(capsys, *argv)
+    # neither path exists, so a read of either would print its own error
+    assert (code, stdout) == (2, "")
+    assert err.splitlines() == ["error: select at most one backend: --replay, --remote, "
+                                "or --scripts"]
+
+
 @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-a-file"])
 @pytest.mark.parametrize("command", ["run", "bench", "ablate"])
 def test_out_that_cannot_be_a_directory_exits_2_before_any_episode(
@@ -679,6 +696,24 @@ def test_metrics_empty_k_list_exits_2(capsys, tmp_path, k):
     assert code == 2
     assert f"empty k list: {k!r}" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("k, complaint", [("banana", "bad k list: 'banana'"),
+                                          ("1", "--k needs --records")])
+def test_metrics_checks_k_without_records(capsys, k, complaint):
+    code, out, err = run_cli(capsys, "metrics", "--improvement", "1:2", "--k", k)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {complaint}"]
+
+
+def test_metrics_records_without_k_reports_pass_1_and_5(capsys, tmp_path):
+    for trial in range(5):
+        (tmp_path / f"t-{trial}.result.json").write_text(json.dumps({
+            "task_id": "t", "trial_index": trial, "success": True,
+            "wall_time_ms": 1.0, "modality": "unimodal",
+        }))
+    code, out, _ = run_cli(capsys, "metrics", "--records", str(tmp_path))
+    assert (code, out.splitlines()) == (0, ["pass^1=1.0000", "pass^5=1.0000"])
 
 
 def test_metrics_empty_records_dir_exits_2(capsys, tmp_path):

@@ -1,6 +1,6 @@
 import pytest
 
-from shopclerk.errors import ConfigError, TaskLoadError
+from shopclerk.errors import ConfigError
 from shopclerk.files import (
     LIST, OBJECT, STRING, closed, parse_once, read_json, read_jsonl, read_text, shape_error,
 )
@@ -17,7 +17,7 @@ def test_read_text_names_the_file_for_each_failure(tmp_path):
         read_text(latin, "thing")
 
 
-def test_read_json_checks_the_top_level_type_and_raises_the_given_error(tmp_path):
+def test_read_json_checks_the_top_level_type_and_the_json(tmp_path):
     path = tmp_path / "x.json"
     path.write_text("[1, 2]")
     assert read_json(path, "thing") == [1, 2]
@@ -25,8 +25,8 @@ def test_read_json_checks_the_top_level_type_and_raises_the_given_error(tmp_path
     with pytest.raises(ConfigError, match="thing .*x.json must hold a JSON object"):
         read_json(path, "thing", OBJECT)
     path.write_text("{")
-    with pytest.raises(TaskLoadError, match="thing .*x.json is not valid JSON"):
-        read_json(path, "thing", error=TaskLoadError)
+    with pytest.raises(ConfigError, match="thing .*x.json is not valid JSON"):
+        read_json(path, "thing")
 
 
 ROW = closed(["id"], id={"type": "integer", "minimum": 1}, tags={"type": "array", "items": STRING},

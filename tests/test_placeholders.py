@@ -2,7 +2,7 @@ import pytest
 
 from conftest import DescribeCounter, url_corpus
 from shopclerk import placeholders
-from shopclerk.errors import ReplayMissError, ResolutionError, UnknownPlaceholderError
+from shopclerk.errors import ReplayMissError, ResolutionError
 from shopclerk.memory import ContentPart, LongTermStore, PartKind
 from shopclerk.placeholders import (
     PLACEHOLDER_RE,
@@ -15,7 +15,7 @@ from shopclerk.placeholders import (
     resolve,
     split_parts,
 )
-from shopclerk.vision import FixtureVisionBackend, ImageAsset
+from shopclerk.vision import FixtureVisionBackend
 from shopclerk.world import World, world_from_dict
 
 IMG = "https://img.shop.example/a/b/c/damage-photo.jpg"
@@ -188,25 +188,13 @@ def test_split_parts_matches_the_reference_classifying_each_interned_url_once(
 
 
 def _vision_with_asset():
-    asset = ImageAsset(
-        asset_id=IMG,
-        annotations={"default": "a kettle", "damage": "cracked base, left side"},
-    )
-    backend = FixtureVisionBackend(
-        {IMG: asset},
-        rules=(),
-    )
-    return DescribeCounter(backend)
+    asset = {"annotations": {"default": "a kettle", "damage": "cracked base, left side"}}
+    return DescribeCounter(FixtureVisionBackend({IMG: asset}))
 
 
 def test_resolve_image_uses_instruction_from_fixture():
-    from shopclerk.vision import CategoryRule
-
-    asset = ImageAsset(
-        asset_id=IMG,
-        annotations={"default": "a kettle", "damage": "cracked base, left side"},
-        rules=(CategoryRule("damage", ("damage",)),),
-    )
+    asset = {"annotations": {"default": "a kettle", "damage": "cracked base, left side"},
+             "rules": [{"category": "damage", "keywords": ["damage"]}]}
     vision = FixtureVisionBackend({IMG: asset})
     table = PlaceholderTable()
     abstract_text(f"see {IMG}", table)
@@ -216,7 +204,7 @@ def test_resolve_image_uses_instruction_from_fixture():
 
 def test_resolve_unknown_placeholder():
     table = PlaceholderTable()
-    with pytest.raises(UnknownPlaceholderError, match="unknown_placeholder"):
+    with pytest.raises(ResolutionError, match=r"^unknown_placeholder: \[Image 7\]$"):
         resolve("[Image 7]", table, _vision_with_asset())
 
 

@@ -7,12 +7,7 @@ from shopclerk.memory import Namespace
 from shopclerk.placeholders import PlaceholderTable, abstract_text
 from shopclerk.shop_tools import CATALOGS, TOOLS, _Handlers, build_registry
 from shopclerk.toolkit import ToolCall
-from shopclerk.vision import (
-    CategoryRule,
-    FixtureVisionBackend,
-    ImageAsset,
-    IntegrationStrategy,
-)
+from shopclerk.vision import FixtureVisionBackend, IntegrationStrategy
 from shopclerk.world import seed_store, world_from_dict
 
 PHOTO = "https://img.shop.example/uploads/kettle-crack-2291.jpg"
@@ -41,8 +36,8 @@ def session_bits():
     world = world_from_dict(WORLD_SEED)
     store = seed_store(world)
     table = PlaceholderTable()
-    asset = ImageAsset(PHOTO, {"default": "a kettle", "damage": "cracked base"},
-                       rules=(CategoryRule("damage", ("damage",)),))
+    asset = {"annotations": {"default": "a kettle", "damage": "cracked base"},
+             "rules": [{"category": "damage", "keywords": ["damage"]}]}
     vision = DescribeCounter(FixtureVisionBackend({PHOTO: asset}))
     registry = build_registry(world, store, table, vision)
     return world, store, table, vision, registry
@@ -104,7 +99,7 @@ def test_order_update_illegal_transition(session_bits):
     _, _, _, _, registry = session_bits
     result = invoke(registry, "order_update", order_id="O1", action="cancel")
     assert result.is_error
-    assert result.text.startswith("illegal_transition")
+    assert result.text == "illegal_transition: cannot cancel order O1 in status delivered"
 
 
 def test_order_update_rejects_unknown_action_by_schema(session_bits):

@@ -6,7 +6,7 @@ from shopclerk import cli
 from shopclerk.backends import ScriptedBackend
 from shopclerk.config import AgentConfig
 from shopclerk.episode import AgentSession
-from shopclerk.errors import ConfigError, TaskLoadError
+from shopclerk.errors import ConfigError
 from shopclerk.memory import Role, WorkingMemory, text_message
 from shopclerk.placeholders import PlaceholderTable
 from shopclerk.shop_tools import build_registry
@@ -46,25 +46,25 @@ def test_load_suite_has_shape(suite_dir, vision_fixtures):
 
 def test_unknown_modality_is_load_error():
     bad = dict(MINIMAL, modality="audio")
-    with pytest.raises(TaskLoadError, match="modality"):
+    with pytest.raises(ConfigError, match="modality"):
         task_from_dict(bad)
 
 
 def test_missing_utterance_names_path():
     bad = dict(MINIMAL, buyer_script=[{"utterance": "ok"}, {"note": "oops"}])
-    with pytest.raises(TaskLoadError, match=r"buyer_script\[1\]\.utterance"):
+    with pytest.raises(ConfigError, match=r"buyer_script\[1\]\.utterance"):
         task_from_dict(bad, source="suite.json")
 
 
 def test_max_turns_must_cover_script():
     bad = dict(MINIMAL, max_turns=0)
-    with pytest.raises(TaskLoadError, match="max_turns"):
+    with pytest.raises(ConfigError, match="max_turns"):
         task_from_dict(bad)
 
 
 def test_multimodal_requires_image_url():
     bad = dict(MINIMAL, modality="multimodal")
-    with pytest.raises(TaskLoadError, match="image or video URL"):
+    with pytest.raises(ConfigError, match="image or video URL"):
         task_from_dict(bad)
 
 
@@ -74,7 +74,7 @@ def test_asset_must_exist_in_fixtures(vision_fixtures):
         modality="multimodal",
         buyer_script=[{"utterance": "see https://img.shop.example/uploads/not-a-fixture-999.jpg"}],
     )
-    with pytest.raises(TaskLoadError, match="not in vision fixtures"):
+    with pytest.raises(ConfigError, match="not in vision fixtures"):
         task_from_dict(bad, vision_fixtures=vision_fixtures)
 
 
@@ -83,25 +83,25 @@ def test_assertion_path_must_exist_in_seed_world():
     assertions = [{"path": "orders.O1.status", "expected": "paid"},
                   {"path": "orders.O1.statuz", "expected": None}]
     bad = dict(MINIMAL, world=world, success={"state_assertions": assertions})
-    with pytest.raises(TaskLoadError, match=r"state_assertions\[1\]\.path.*orders\.O1\.statuz"):
+    with pytest.raises(ConfigError, match=r"state_assertions\[1\]\.path.*orders\.O1\.statuz"):
         task_from_dict(bad)
 
 
 def test_success_needs_some_predicate():
     bad = dict(MINIMAL, success={})
-    with pytest.raises(TaskLoadError, match="success"):
+    with pytest.raises(ConfigError, match="success"):
         task_from_dict(bad)
 
 
 def test_load_error_on_missing_file(tmp_path):
-    with pytest.raises(TaskLoadError, match="not found"):
+    with pytest.raises(ConfigError, match="not found"):
         load_task(tmp_path / "missing.json")
 
 
 def test_load_error_on_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
-    with pytest.raises(TaskLoadError, match="valid JSON"):
+    with pytest.raises(ConfigError, match="valid JSON"):
         load_task(path)
 
 
@@ -133,7 +133,7 @@ def test_load_error_on_bad_json(tmp_path):
 def test_malformed_shape_is_load_error_naming_the_file(tmp_path, payload, where):
     path = tmp_path / "bad-task.json"
     path.write_text(json.dumps(payload))
-    with pytest.raises(TaskLoadError, match=f"bad-task\\.json.*{where}"):
+    with pytest.raises(ConfigError, match=f"bad-task\\.json.*{where}"):
         load_task(path)
 
 
@@ -352,7 +352,7 @@ def test_check_success_snapshots_only_the_asserted_records(monkeypatch):
 def test_world_seed_error_names_the_file_and_the_path(tmp_path):
     path = tmp_path / "bad-task.json"
     path.write_text(json.dumps(dict(MINIMAL, world={"orders": {"O1": {"status": "paid"}}})))
-    with pytest.raises(TaskLoadError, match=r"bad-task\.json:world: orders\.O1\.buyer_id: missing"):
+    with pytest.raises(ConfigError, match=r"bad-task\.json:world: orders\.O1\.buyer_id: missing"):
         load_task(path)
 
 

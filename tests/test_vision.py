@@ -1,24 +1,18 @@
+import json
+
 import pytest
 
 from shopclerk.backends import ChatResponse
-from shopclerk.errors import AssetError, BackendError, ConfigError, UsageError
-from shopclerk.vision import (
-    CategoryRule,
-    FixtureVisionBackend,
-    ImageAsset,
-    RemoteVisionBackend,
-)
+from shopclerk.errors import BackendError, ConfigError, ResolutionError, UsageError
+from shopclerk.vision import FixtureVisionBackend, RemoteVisionBackend
 
 ASSET_ID = "https://img.shop.example/uploads/kettle-crack-2291.jpg"
 
 
 def make_backend():
-    asset = ImageAsset(
-        asset_id=ASSET_ID,
-        annotations={"default": "a steel kettle, boxed", "damage": "cracked base"},
-    )
-    rules = (CategoryRule("damage", ("damage", "broken", "crack")),
-             CategoryRule("color", ("color", "colour")))
+    asset = {"annotations": {"default": "a steel kettle, boxed", "damage": "cracked base"}}
+    rules = [{"category": "damage", "keywords": ["damage", "broken", "crack"]},
+             {"category": "color", "keywords": ["color", "colour"]}]
     return FixtureVisionBackend({ASSET_ID: asset}, rules)
 
 
@@ -41,7 +35,7 @@ def test_describe_empty_instruction_rejected():
 
 
 def test_describe_unknown_asset():
-    with pytest.raises(AssetError):
+    with pytest.raises(ResolutionError, match="^unknown asset: https://img.example/missing.jpg$"):
         make_backend().describe("anything", "https://img.example/missing.jpg")
 
 
@@ -51,18 +45,17 @@ def test_describe_deterministic():
     assert outputs == {"cracked base"}
 
 
-def test_asset_requires_default_annotation():
-    with pytest.raises(ConfigError):
-        ImageAsset("a", annotations={"damage": "only"})
+def test_asset_requires_default_annotation(tmp_path):
+    path = tmp_path / "fixtures.json"
+    path.write_text(json.dumps({"assets": {"a": {"annotations": {"damage": "only"}}}}))
+    with pytest.raises(ConfigError, match="assets.a.annotations.default: missing$"):
+        FixtureVisionBackend.from_file(path)
 
 
 def test_asset_specific_rules_take_precedence():
-    asset = ImageAsset(
-        asset_id="x",
-        annotations={"default": "d", "closeup": "macro shot"},
-        rules=(CategoryRule("closeup", ("zoom",)),),
-    )
-    backend = FixtureVisionBackend({"x": asset}, (CategoryRule("damage", ("zoom",)),))
+    asset = {"annotations": {"default": "d", "closeup": "macro shot"},
+             "rules": [{"category": "closeup", "keywords": ["zoom"]}]}
+    backend = FixtureVisionBackend({"x": asset}, [{"category": "damage", "keywords": ["zoom"]}])
     assert backend.describe("zoom in please", "x") == "macro shot"
 
 
