@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+from . import decision
 from .config import AgentConfig
 from .episode import EpisodeResult, run_episode
 from .errors import UsageError
@@ -20,10 +21,12 @@ def run_trials(
     workers: int = 1,
 ) -> list[EpisodeResult]:
     """n_trials episodes per task, each chatting with chat_for(task) and describing with
-    vision; with workers > 1 they run on threads, so every backend must be safe to share."""
+    vision; with workers > 1 they run on threads, so every backend must be safe to share.
+    The prompt templates are read once, here, and every episode shares them."""
+    templates = decision.load_templates(config.template_dir)
 
     def one(task: Task, trial: int) -> EpisodeResult:
-        return run_episode(task, config, chat_for(task), vision, trial_index=trial)
+        return run_episode(task, config, chat_for(task), vision, trial, templates)
 
     jobs = [(task, trial) for task in tasks for trial in range(n_trials)]
     if workers <= 1:

@@ -30,7 +30,7 @@ TEMPLATE_FIELDS = {
     "propose.txt": frozenset({"context", "tool_catalog", "n_candidates"}),
     "evaluate.txt": frozenset({"context", "plan_list"}),
 }
-_TEMPLATES: dict[str, tuple[tuple[int, int], string.Template]] = {}
+_TEMPLATES: dict[str, tuple[tuple[int, int], "PromptTemplate"]] = {}
 
 
 class PlanKind(str, Enum):
@@ -74,28 +74,62 @@ class PlanEvaluation(NamedTuple):
     confidence: float
 
 
-def _parse_template(path: str, text: str) -> string.Template:
-    template = string.Template(text)
-    found = set()
-    for match in template.pattern.finditer(text):
+class PromptTemplate(NamedTuple):
+    """A checked prompt template: its text, cut at each placeholder.
+
+    head is the literal text before the first placeholder; each row of fields is
+    a placeholder's name and the literal text after it, up to the next one. An
+    escaped $$ is folded into the literal text as one $.
+    """
+
+    template: str
+    head: str
+    fields: tuple[tuple[str, str], ...]
+
+    def fill(self, **values) -> str:
+        """The prompt, equal to string.Template(self.template).substitute(**values)."""
+        out = [self.head]
+        for name, literal in self.fields:
+            out += (str(values[name]), literal)
+        return "".join(out)
+
+
+def _parse_template(path: str, text: str) -> PromptTemplate:
+    # literal text and placeholder names in turn, starting and ending with literal text
+    segments: list[str] = []
+    literal: list[str] = []
+    cursor = 0
+    for match in string.Template.pattern.finditer(text):
         if match.group("invalid") is not None:
             line = text.count("\n", 0, match.start()) + 1
             raise ConfigError(f"template file {path} has a malformed placeholder on line {line}")
-        name = match.group("named") or match.group("braced")  # None for an escaped $$
-        if name:
-            found.add(name)
+        literal.append(text[cursor:match.start()])
+        cursor = match.end()
+        if match.group("escaped") is not None:
+            literal.append("$")
+        else:
+            segments += ("".join(literal), match.group("named") or match.group("braced"))
+            literal = []
+    literal.append(text[cursor:])
+    segments.append("".join(literal))
+    found = set(segments[1::2])
     fields = TEMPLATE_FIELDS.get(os.path.basename(path), found)
     problems = [f"missing ${n}" for n in sorted(fields - found)]
     problems += [f"unknown ${n}" for n in sorted(found - fields)]
     if problems:
         raise ConfigError(f"template file {path}: {', '.join(problems)}")
-    return template
+    return PromptTemplate(text, segments[0], tuple(zip(segments[1::2], segments[2::2])))
 
 
-def load_template(name: str, template_dir: str | Path | None = None) -> string.Template:
+def load_template(name: str, template_dir: str | Path | None = None) -> PromptTemplate:
     """A prompt template, read and checked once per file version."""
     path = os.path.join(template_dir or _TEMPLATE_DIR, name)
     return parse_once(_TEMPLATES, path, "template file", _parse_template)
+
+
+def load_templates(template_dir: str | Path | None = None):
+    """(propose, evaluate): the two prompt templates of a template directory."""
+    return load_template("propose.txt", template_dir), load_template("evaluate.txt", template_dir)
 
 
 # a plan row of a propose reply; open, so a key the parser does not read is ignored
@@ -168,7 +202,7 @@ def propose(
     tool_catalog: str,
     n_candidates: int,
     backend,
-    template: string.Template | None = None,
+    template: PromptTemplate | None = None,
 ) -> list[CandidatePlan]:
     """Ask the backend for candidate plans and parse its fenced JSON block.
 
@@ -182,9 +216,7 @@ def propose(
     if n_candidates < 1:
         raise UsageError("n_candidates must be >= 1")
     template = template or load_template("propose.txt")
-    prompt = template.substitute(
-        context=context, tool_catalog=tool_catalog, n_candidates=n_candidates
-    )
+    prompt = template.fill(context=context, tool_catalog=tool_catalog, n_candidates=n_candidates)
     response = backend.complete(ChatRequest((ChatMessage("user", prompt),), kind="propose"))
     plans = _plans_in(response.text)
     if isinstance(plans, str):
@@ -200,7 +232,7 @@ def evaluate(
     context: str,
     plans: list[CandidatePlan],
     backend,
-    template: string.Template | None = None,
+    template: PromptTemplate | None = None,
 ) -> list[PlanEvaluation]:
     """Score plans as a single-token classification over labels A..Z, in one call.
 
@@ -214,7 +246,7 @@ def evaluate(
         raise UsageError(f"at most {MAX_PLANS} plans per round, got {len(plans)}")
     labels = tuple(LABELS[: len(plans)])
     template = template or load_template("evaluate.txt")
-    prompt = template.substitute(context=context, plan_list=plan_listing(plans))
+    prompt = template.fill(context=context, plan_list=plan_listing(plans))
     response = backend.complete(ChatRequest((ChatMessage("user", prompt),), labels, "evaluate"))
     probs = response.label_probs
     if probs is None:

@@ -104,7 +104,9 @@ class AgentSession:
         vision_backend,
         config: AgentConfig | None = None,
         session_id: str = "session",
+        templates: tuple[dec.PromptTemplate, dec.PromptTemplate] | None = None,
     ):
+        """templates is (propose, evaluate), loaded from config.template_dir when not given."""
         self.config = config or AgentConfig()
         self.world = world
         self.store = seed_store(world)
@@ -115,8 +117,8 @@ class AgentSession:
             world, self.store, self.table, self.backends, self.config.strategy
         )
         self.wm = WorkingMemory(session_id)
-        self._propose_template = dec.load_template("propose.txt", self.config.template_dir)
-        self._evaluate_template = dec.load_template("evaluate.txt", self.config.template_dir)
+        self._propose_template, self._evaluate_template = (
+            templates or dec.load_templates(self.config.template_dir))
         self._call_counter = 0
         self._mutation_cursor = 0
 
@@ -238,8 +240,12 @@ def run_episode(
     chat_backend,
     vision_backend,
     trial_index: int = 0,
+    templates: tuple[dec.PromptTemplate, dec.PromptTemplate] | None = None,
 ) -> EpisodeResult:
-    """Play one scripted buyer through a fresh world; never raises mid-episode."""
+    """Play one scripted buyer through a fresh world; never raises mid-episode.
+
+    templates is (propose, evaluate), as AgentSession takes it.
+    """
     world = task.reset()
     session = AgentSession(
         world,
@@ -247,6 +253,7 @@ def run_episode(
         vision_backend,
         config,
         session_id=f"{task.task_id}-t{trial_index}",
+        templates=templates,
     )
     started = time.monotonic()
     error: str | None = None

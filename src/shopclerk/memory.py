@@ -179,6 +179,7 @@ class Namespace(str, Enum):
     BUYER_PROFILE = "buyer_profile"
 
 
+NAMESPACES = tuple(Namespace)
 WORLD_NAMESPACES = frozenset({Namespace.PRODUCT, Namespace.ORDER, Namespace.LOGISTICS})
 
 
@@ -223,7 +224,7 @@ class LongTermStore:
 
     def __init__(self, world, seeded: Mapping[Namespace, MappingProxyType] | None = None):
         self._world = world
-        self._docs: dict[Namespace, dict[str, Document]] = {ns: {} for ns in Namespace}
+        self._docs: dict[Namespace, dict[str, Document]] = {ns: {} for ns in NAMESPACES}
         for ns, table in (seeded or {}).items():
             self._docs[ns] = table.copy()  # a plain dict; dict(proxy) copies 20x slower
 

@@ -91,7 +91,7 @@ class PlaceholderTable:
         self._entries: list[PlaceholderEntry] = []
         self._by_original: dict[str, PlaceholderEntry] = {}
         self._by_placeholder: dict[str, PlaceholderEntry] = {}
-        self._counts: dict[RefKind, int] = {k: 0 for k in RefKind}
+        self._counts: dict[RefKind, int] = dict.fromkeys(KIND_NAMES, 0)
 
     @property
     def entries(self) -> tuple[PlaceholderEntry, ...]:
@@ -153,6 +153,8 @@ def split_parts(
     placeholder parts. Image and video URLs left raw become image_ref
     parts; everything else stays text.
     """
+    if "http" not in text:  # URL_RE matches only from an "http"
+        return (ContentPart(PartKind.TEXT, text),)
     parts: list[ContentPart] = []
     cursor = 0
 

@@ -8,7 +8,7 @@ from typing import NamedTuple
 from .errors import ConfigError, SchemaError
 from .files import OBJECT, STRING, closed, read_json, shape_error
 from .memory import Role, WorkingMemory
-from .placeholders import RefKind, classify_url, find_urls
+from .placeholders import RefKind, classify_url, deabstract_text, find_urls
 from .world import World, world_from_dict
 
 MODALITIES = ("unimodal", "multimodal")
@@ -216,8 +216,6 @@ def check_success(
         m.text() for m in transcript.turns if m.role is Role.AGENT
     )
     if table is not None:
-        from .placeholders import deabstract_text
-
         agent_text, _ = deabstract_text(agent_text, table)
 
     for fact in criteria.response_facts:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import shopclerk
-from shopclerk import backends, bench, cli
+from shopclerk import backends, bench, cli, decision
 from shopclerk.backends import ChatResponse, RemoteBackend, ScriptedBackend, load_script
 from shopclerk.cli import _episode_backends, build_parser, main
 from shopclerk.tasks import load_task
@@ -812,6 +812,48 @@ def test_bench_with_workers_writes_the_serial_artifacts(capsys, tmp_path):
     for path in serial:
         parallel = tmp_path / "2" / "trials" / path.name
         assert parallel.read_bytes() == path.read_bytes(), path.name
+
+
+@pytest.mark.parametrize("command,variants", [(["bench"], 1), (["ablate", "--vary", "aci"], 2)])
+def test_a_suite_command_reads_each_template_once_per_variant(capsys, monkeypatch, command,
+                                                              variants):
+    loads = []
+    load_template = decision.load_template
+
+    def counted(name, template_dir=None):
+        loads.append(name)
+        return load_template(name, template_dir)
+
+    monkeypatch.setattr(decision, "load_template", counted)
+    code, out, _ = run_cli(capsys, *command, "--n-trials", "1", "--k", "1")
+    assert code == 0 and out
+    assert loads == ["propose.txt", "evaluate.txt"] * variants  # 13 episodes per variant
+
+
+def test_a_template_rewritten_between_two_commands_is_read_by_the_second(capsys, tmp_path,
+                                                                         data_dir):
+    templates = tmp_path / "templates"
+    templates.mkdir()
+    for name in ("propose.txt", "evaluate.txt"):
+        (templates / name).write_text((data_dir.parent / "templates" / name).read_text())
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"template_dir": str(templates)}))
+    preface = "Be brief.\n"
+    rows = []
+    for run in ("before", "after"):
+        code, _, _ = run_cli(capsys, "bench", "--n-trials", "1", "--k", "1",
+                             "--config", str(config), "--out", str(tmp_path / run))
+        assert code == 0
+        [row] = json.loads((tmp_path / run / "report.json").read_text())
+        rows.append(row)
+        propose = templates / "propose.txt"
+        propose.write_text(preface + propose.read_text())
+    before, after = (row["usage"] for row in rows)
+    assert rows[1]["pass_hat_k"] == {"1": 1.0}
+    assert after["backend_calls"] == before["backend_calls"]
+    # each round makes one propose and one evaluate call; every propose prompt gains the preface
+    assert after["prompt_chars"] - before["prompt_chars"] == \
+        len(preface) * before["backend_calls"] // 2
 
 
 class FakeRemote:

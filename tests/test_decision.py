@@ -2,6 +2,7 @@ import json
 import os
 import random
 import re
+import string
 
 import pytest
 
@@ -519,3 +520,43 @@ def test_template_deleted_after_a_cache_hit_is_config_error(tmp_path):
     (tmp_path / "evaluate.txt").unlink()
     with pytest.raises(ConfigError, match="evaluate.txt"):
         load_template("evaluate.txt", tmp_path)
+
+
+def test_malformed_placeholder_is_config_error_naming_its_line(tmp_path):
+    (tmp_path / "evaluate.txt").write_text("$context\n$plan_list\ncosts $5\n")
+    with pytest.raises(ConfigError, match="malformed placeholder on line 3"):
+        load_template("evaluate.txt", tmp_path)
+
+
+# --- templates: the compiled fill gives what string.Template.substitute gives ---
+
+FILL_VALUES = {"context": "buyer: a $5 mug, {size} ${x}", "tool_catalog": CATALOG,
+               "n_candidates": 3, "plan_list": "A. (direct_reply) reply: \"$$\" | r"}
+
+
+def _substituted(template, values):
+    return string.Template(template.template).substitute(**values)
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATE_FIELDS))
+def test_bundled_template_fill_equals_substitute(name):
+    template = load_template(name)
+    values = {field: FILL_VALUES[field] for field in TEMPLATE_FIELDS[name]}
+    assert template.fill(**values) == _substituted(template, values)
+
+
+@pytest.mark.parametrize("text", [
+    "costs $$5, see $context",             # an escaped $ before a field
+    "${context} is braced and first",      # a braced field at the very start
+    "$context, then $context again",       # one field used twice
+    "ends with a field: $plan_list",       # a field at the very end
+    "$$$context$$",                        # escapes right next to a field
+    "${context}${plan_list}",              # two fields and no literal text
+    "$$ and $$$$ but no field",
+    "",
+])
+def test_custom_template_fill_equals_substitute(tmp_path, text):
+    (tmp_path / "custom.txt").write_text(text)
+    template = load_template("custom.txt", tmp_path)
+    values = {"context": FILL_VALUES["context"], "plan_list": FILL_VALUES["plan_list"]}
+    assert template.fill(**values) == _substituted(template, values)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import DescribeCounter, url_corpus
@@ -185,6 +187,31 @@ def test_split_parts_matches_the_reference_classifying_each_interned_url_once(
     # an interned URL is classified once, by intern; a shorter one at every sighting
     short = [url for m in messages for _, _, url in find_urls(m) if len(url) < min_url_length]
     assert sorted(classified) == sorted([e.original for e in table.entries] + short)
+
+
+# pieces of a text: plain words, near-misses of a URL, URLs shorter than the
+# default min_url_length (24) and longer ones
+TEXT_PIECES = ["see", "the", "kettle,", "HTTP://shop.example/order/O-7001/detail", "http:/x",
+               "https://", "http", "http://", "ftp://shop.example/product/P-100/spec", "\n",
+               "http://a.co/x.jpg", "https://s.ex/1", f"({IMG})", ORDER_URL + ".",
+               "https://shop.example/product/P-100/full-spec-sheet", "'https://x.example/v.mp4'"]
+
+
+@pytest.mark.parametrize("abstract_kinds", [None, frozenset(), {RefKind.ORDER, RefKind.OTHER}])
+def test_split_parts_without_http_skips_the_scan_and_matches_the_reference(abstract_kinds):
+    rng = random.Random(35)
+    texts = ["", "http", "HTTP://shop.example/order/O-7001/detail-page"]
+    texts += ["".join(rng.choices(TEXT_PIECES, k=rng.randint(1, 8))) for _ in range(300)]
+    texts += [" ".join(rng.choices(TEXT_PIECES, k=rng.randint(1, 8))) for _ in range(300)]
+    assert sum("http" not in t for t in texts) > 50
+    reference_table, table = PlaceholderTable(), PlaceholderTable()
+    for text in texts:
+        parts = split_parts(text, table, abstract_kinds)
+        assert parts == reference_split_parts(text, reference_table, abstract_kinds), text
+        if "http" not in text:
+            assert parts == (ContentPart(PartKind.TEXT, text),)
+    assert table.entries == reference_table.entries
+    assert len(table) > 3
 
 
 def _vision_with_asset():

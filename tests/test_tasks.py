@@ -93,11 +93,6 @@ def test_success_needs_some_predicate():
         task_from_dict(bad)
 
 
-def test_load_error_on_missing_file(tmp_path):
-    with pytest.raises(ConfigError, match="not found"):
-        load_task(tmp_path / "missing.json")
-
-
 def test_load_error_on_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
