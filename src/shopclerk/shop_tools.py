@@ -49,8 +49,6 @@ TOOLS = (
     _tool("memory_put", "Store a knowledge document; the body is a JSON-encoded string.",
           {"namespace": _NAMESPACE, "key": _STRING, "body_json": _STRING},
           ["namespace", "key", "body_json"]),
-    _tool("status_note", "Record an internal status note; has no effect on the world.",
-          {"note": _STRING}, []),
 )
 
 # describe() is a tool only when the planner is text-only
@@ -76,7 +74,7 @@ class _Handlers:
     def _record(self, namespace: Namespace, key: str, noun: str) -> str:
         doc = self.world.doc(namespace, key)
         if doc is None:
-            return_error(f"not_found: {noun} {key}")
+            raise LookupError(f"not_found: {noun} {key}")  # invoke() makes it an error result
         return _dump(doc)
 
     def product_info(self, args: dict) -> str:
@@ -112,10 +110,6 @@ class _Handlers:
         self.store.put(args["namespace"], args["key"], body)
         return _dump({"ok": True, "key": args["key"]})
 
-    def status_note(self, args: dict) -> str:
-        # intentional no-op hook for internal bookkeeping actions
-        return _dump({"ok": True, "note": args.get("note", "")})
-
 
 def build_registry(
     world: World,
@@ -127,8 +121,3 @@ def build_registry(
     """Bind one session's handlers to the strategy's tools and memory actions."""
     return ToolRegistry(TOOLS_BY_STRATEGY[strategy], CATALOGS[strategy],
                         _Handlers(world, store, table, vision))
-
-
-def return_error(message: str):
-    """Raise inside a handler; invoke() turns it into an is_error result."""
-    raise LookupError(message)

@@ -130,7 +130,12 @@ class ToolRegistry:
             return ToolResult(call.call_id, f"unknown_tool: {call.tool_name}", is_error=True)
         bad = validate_arguments(descriptor.input_schema, call.arguments)
         if bad:
-            return ToolResult(call.call_id, "invalid_arguments: " + ", ".join(bad), is_error=True)
+            # a name whose schema fixes its values lists them, so the next call can pick one
+            properties = descriptor.input_schema.get("properties", {})
+            named = [f"{n} must be one of {'|'.join(map(str, properties[n]['enum']))}"
+                     if "enum" in properties.get(n, {}) else n for n in bad]
+            return ToolResult(call.call_id, "invalid_arguments: " + ", ".join(named),
+                              is_error=True)
         try:
             return ToolResult(call.call_id, getattr(self._handlers, call.tool_name)(call.arguments))
         except ReplayMissError:

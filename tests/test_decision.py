@@ -321,20 +321,20 @@ def test_a_malformed_reply_raises_the_same_error_on_every_call(text):
 
 def test_a_handler_that_mutates_its_arguments_leaves_the_next_episodes_plans_alone(monkeypatch):
     def mangle(self, args):
-        args["note"] = "mangled"
+        args["product_id"] = "mangled"
         args["extra"] = 1
         return "{}"
 
-    monkeypatch.setattr(shop_tools._Handlers, "status_note", mangle)
-    text = fenced([{"kind": "single_tool", "rationale": "note it",
-                    "steps": [{"tool": "status_note", "arguments": {"note": "as sent"}}]}])
+    monkeypatch.setattr(shop_tools._Handlers, "product_info", mangle)
+    text = fenced([{"kind": "single_tool", "rationale": "look it up",
+                    "steps": [{"tool": "product_info", "arguments": {"product_id": "as sent"}}]}])
     for _ in range(2):
         session = AgentSession(World(), backend_with(text), None, AgentConfig(decision_module=False))
         plan = session._propose("ctx")[0]
-        assert plan.steps[0].arguments == {"note": "as sent"}
+        assert plan.steps[0].arguments == {"product_id": "as sent"}
         session._run_steps(plan)
     assert propose("ctx", CATALOG, 1, backend_with(text))[0].steps[0].arguments == {
-        "note": "as sent"}
+        "product_id": "as sent"}
 
 
 # the pattern FENCED_JSON_RE replaced: the reference its matches are compared with

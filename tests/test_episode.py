@@ -328,7 +328,7 @@ def test_bundled_suite_usage_is_pinned(suite_dir, scripts_dir, vision_fixtures):
             if event["kind"] == "chat":
                 calls[event["call"]] += 1
         assert clarify_reasons(result) == [], task.task_id
-    assert totals == {"prompt_chars": 74_720, "completion_chars": 10_527,
+    assert totals == {"prompt_chars": 72_020, "completion_chars": 10_527,
                       "backend_calls": 60, "describe_calls": 3}
     assert calls == {"propose": 30, "evaluate": 30}
 
@@ -519,15 +519,15 @@ def test_each_tool_call_leaves_a_call_event_then_its_result_event(suite_dir, vis
 def test_a_handler_that_mutates_its_arguments_leaves_the_recorded_call_alone(
         suite_dir, vision_fixtures, tmp_path, monkeypatch):
     def mangle(self, args):
-        args["note"] = "mangled"
+        args["product_id"] = "mangled"
         return "ok"
 
-    monkeypatch.setattr(_Handlers, "status_note", mangle)
-    session = one_round_session([{"tool": "status_note", "arguments": {"note": "as sent"}}],
+    monkeypatch.setattr(_Handlers, "product_info", mangle)
+    session = one_round_session([{"tool": "product_info", "arguments": {"product_id": "as sent"}}],
                                 tmp_path, suite_dir, vision_fixtures)
-    session.handle_buyer_turn("Note this.")
+    session.handle_buyer_turn("Look this up.")
     call, result = tool_events(session)
-    assert call["call"]["arguments"] == {"note": "as sent"}
+    assert call["call"]["arguments"] == {"product_id": "as sent"}
     assert result["result"]["content"] == [{"type": "text", "text": "ok"}]
 
 

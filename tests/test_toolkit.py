@@ -78,7 +78,7 @@ def test_invoke_enum_violation():
     registry = make_registry()
     result = registry.invoke(ToolCall("c1", "echo", {"text": "x", "mode": "shouty"}))
     assert result.is_error
-    assert "mode" in result.text
+    assert result.text == "invalid_arguments: mode must be one of loud|quiet"
 
 
 def test_handler_exception_never_escapes():
@@ -102,13 +102,13 @@ def test_a_replay_miss_escapes_the_handler():
 def test_every_invocation_lands_in_trace(suite_dir, vision_fixtures, tmp_path):
     session = one_round_session([
         {"tool": "product_info", "arguments": {"product_id": "P-KET-100"}},
-        {"tool": "status_note", "arguments": {"note": "looked up"}},
+        {"tool": "memory_get", "arguments": {"namespace": "product", "key": "P-KET-100"}},
         {"tool": "missing", "arguments": {}}], tmp_path, suite_dir, vision_fixtures)
     session.handle_buyer_turn("How big is the kettle?")
     events = tool_events(session)
     kinds = [e["kind"] for e in events]
     assert kinds == ["tool_call", "tool_result"] * 3
-    assert [e["call"]["tool"] for e in events[::2]] == ["product_info", "status_note", "missing"]
+    assert [e["call"]["tool"] for e in events[::2]] == ["product_info", "memory_get", "missing"]
     assert events[5]["result"]["is_error"] is True
 
 
