@@ -11,7 +11,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import ClerkError, ConfigError, SchemaError, SequencingError, UsageError
-from .files import read_jsonl
+from .files import STRING, closed, read_jsonl
 
 ELISION_MARKER = "[earlier turns omitted]"
 
@@ -140,6 +140,15 @@ def message_to_dict(msg: Message, session_id: str) -> dict:
     }
 
 
+# one transcript line, as message_to_dict writes it; timestamp may be left out (0)
+TRANSCRIPT_ROW_SCHEMA = closed(
+    ["session_id", "turn_index", "role", "parts"], session_id=STRING,
+    turn_index={"type": "integer", "minimum": 0}, role={"enum": [r.value for r in Role]},
+    timestamp={"type": "integer"},
+    parts={"type": "array", "minItems": 1, "items": closed(
+        ["kind", "value"], kind={"enum": [k.value for k in PartKind]}, value=STRING)})
+
+
 def message_from_dict(row: dict) -> Message:
     parts = tuple(ContentPart(PartKind(p["kind"]), p["value"]) for p in row["parts"])
     return Message(Role(row["role"]), parts, row["turn_index"], row.get("timestamp", 0))
@@ -154,12 +163,12 @@ def write_transcript(wm: WorkingMemory, path: str | Path) -> None:
 
 def read_transcript(path: str | Path) -> WorkingMemory:
     wm: WorkingMemory | None = None
-    for line_no, row in read_jsonl(path, "transcript"):
+    for line_no, row in read_jsonl(path, "transcript", TRANSCRIPT_ROW_SCHEMA):
+        if wm is None:
+            wm = WorkingMemory(row["session_id"])
         try:
-            if wm is None:
-                wm = WorkingMemory(row["session_id"])
             wm.append_turn(message_from_dict(row))
-        except (LookupError, TypeError, ValueError, AttributeError, ClerkError) as exc:
+        except ClerkError as exc:  # an image_ref that is no URL, or a turn out of order
             raise ConfigError(f"transcript {path} line {line_no} is not the next message: "
                               f"{type(exc).__name__}: {exc}") from None
     if wm is None:

@@ -8,6 +8,7 @@ greppable in transcripts and traces.
 import json
 
 from . import placeholders
+from .files import STRING, closed
 from .memory import LongTermStore, Namespace
 from .toolkit import ToolDescriptor, ToolRegistry, render_catalog
 from .vision import IntegrationStrategy
@@ -19,35 +20,33 @@ def _dump(payload) -> str:
 
 
 def _tool(name: str, description: str, properties: dict, required: list[str]) -> ToolDescriptor:
-    schema = {"type": "object", "properties": properties, "required": required}
-    return ToolDescriptor(name, description, schema)
+    return ToolDescriptor(name, description, closed(required, **properties))
 
 
-_STRING = {"type": "string"}
 _NAMESPACE = {"type": "string", "enum": [ns.value for ns in Namespace]}
 
 # Every session's tools, in catalog order. Built once and never mutated, so
 # all sessions share these descriptors.
 TOOLS = (
     _tool("product_info", "Look up one product's title, attributes, price, and stock.",
-          {"product_id": _STRING}, ["product_id"]),
+          {"product_id": STRING}, ["product_id"]),
     _tool("order_lookup", "Look up an order's items, status, and shipping address.",
-          {"order_id": _STRING}, ["order_id"]),
+          {"order_id": STRING}, ["order_id"]),
     _tool("order_update", "Apply an order action: cancel, request_refund, or approve_refund.",
-          {"order_id": _STRING, "action": {"type": "string", "enum": sorted(ORDER_ACTIONS)}},
+          {"order_id": STRING, "action": {"type": "string", "enum": sorted(ORDER_ACTIONS)}},
           ["order_id", "action"]),
     _tool("logistics_track", "List an order's shipment events in tick order.",
-          {"order_id": _STRING}, ["order_id"]),
+          {"order_id": STRING}, ["order_id"]),
     _tool("multimodal_describe",
           "Describe what an image or video placeholder shows, guided by an instruction.",
-          {"placeholder": _STRING, "instruction": _STRING}, ["placeholder"]),
+          {"placeholder": STRING, "instruction": STRING}, ["placeholder"]),
     _tool("memory_get", "Fetch one knowledge document by namespace and key.",
-          {"namespace": _NAMESPACE, "key": _STRING}, ["namespace", "key"]),
+          {"namespace": _NAMESPACE, "key": STRING}, ["namespace", "key"]),
     _tool("memory_search", "Rank knowledge documents in a namespace by query-token overlap.",
-          {"namespace": _NAMESPACE, "query": _STRING, "limit": {"type": "integer"}},
+          {"namespace": _NAMESPACE, "query": STRING, "limit": {"type": "integer", "minimum": 1}},
           ["namespace", "query"]),
     _tool("memory_put", "Store a knowledge document; the body is a JSON-encoded string.",
-          {"namespace": _NAMESPACE, "key": _STRING, "body_json": _STRING},
+          {"namespace": _NAMESPACE, "key": {"type": "string", "minLength": 1}, "body_json": STRING},
           ["namespace", "key", "body_json"]),
 )
 

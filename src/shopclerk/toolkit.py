@@ -37,19 +37,6 @@ class ToolResult(NamedTuple):
                 "is_error": self.is_error}
 
 
-def validate_arguments(schema: dict, arguments: dict) -> list[str]:
-    """Names that are required and missing, unknown, or hold a value their schema rejects."""
-    properties = schema.get("properties", {})
-    bad = [name for name in schema.get("required", ()) if name not in arguments]
-    bad += [name for name, value in arguments.items()
-            if name not in properties or shape_error(value, properties[name])]
-    if not bad:
-        return bad
-    # deterministic order: schema order first, then unknowns alphabetically
-    order = {n: i for i, n in enumerate(properties)}
-    return sorted(set(bad), key=lambda n: (order.get(n, len(order)), n))
-
-
 class Usage(NamedTuple):
     """What a session's backend and describe calls cost, folded from its trace."""
 
@@ -124,18 +111,15 @@ class ToolRegistry:
     def invoke(self, call: ToolCall) -> ToolResult:
         """Run a tool call; a handler's text is its result, and its failure an error result.
 
+        Arguments that break the tool's input_schema are refused before the handler runs,
+        with the first misfit as shape_error words it.
+
         The one error raised is a ReplayMissError: a replay cannot go on past an unrecorded call."""
         descriptor = self._tools.get(call.tool_name)
         if descriptor is None:
             return ToolResult(call.call_id, f"unknown_tool: {call.tool_name}", is_error=True)
-        bad = validate_arguments(descriptor.input_schema, call.arguments)
-        if bad:
-            # a name whose schema fixes its values lists them, so the next call can pick one
-            properties = descriptor.input_schema.get("properties", {})
-            named = [f"{n} must be one of {'|'.join(map(str, properties[n]['enum']))}"
-                     if "enum" in properties.get(n, {}) else n for n in bad]
-            return ToolResult(call.call_id, "invalid_arguments: " + ", ".join(named),
-                              is_error=True)
+        if why := shape_error(call.arguments, descriptor.input_schema):
+            return ToolResult(call.call_id, f"invalid_arguments: {why}", is_error=True)
         try:
             return ToolResult(call.call_id, getattr(self._handlers, call.tool_name)(call.arguments))
         except ReplayMissError:

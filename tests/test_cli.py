@@ -1011,13 +1011,23 @@ GOOD_TURN = ('{"session_id": "s", "turn_index": 0, "role": "buyer",'
 @pytest.mark.parametrize("broken,line,why", [
     ("transcript", "[1]", "line 2 must hold a JSON object"),
     ("transcript", '{"session_id": "s", "turn_index": 1, "role": "agent"}',
-     "line 2 is not the next message: KeyError: 'parts'"),
-    ("transcript", '{"session_id": "s", "turn_index": 5, "role": "agent", "parts": []}',
-     "line 2 is not the next message"),
+     "line 2: parts: missing"),
+    ("transcript", '{"session_id": "s", "turn_index": 5, "role": "agent",'
+     ' "parts": [{"kind": "text", "value": "ok"}]}',
+     "line 2 is not the next message: SequencingError: expected turn_index 1, got 5"),
+    ("transcript", '{"session_id": "s", "turn_index": 1, "role": "agent", "speaker": "x",'
+     ' "parts": [{"kind": "text", "value": "ok"}]}', "line 2: speaker: unknown key"),
+    ("transcript", '{"session_id": "s", "turn_index": 1, "role": "agent", "timestamp": "noon",'
+     ' "parts": [{"kind": "text", "value": "ok"}]}',
+     'line 2: timestamp: must be an integer, got "noon"'),
+    ("transcript", '{"session_id": "s", "turn_index": "1", "role": "agent",'
+     ' "parts": [{"kind": "text", "value": "ok"}]}',
+     'line 2: turn_index: must be an integer, got "1"'),
     ("trace", "[1]", "line 2 must hold a JSON object"),
     ("trace", "{}", "line 2: kind: missing"),
 ], ids=["transcript-list", "transcript-without-parts", "transcript-out-of-order",
-        "trace-list", "trace-without-kind"])
+        "transcript-unknown-key", "transcript-timestamp-not-integer",
+        "transcript-turn-index-not-integer", "trace-list", "trace-without-kind"])
 def test_replay_malformed_row_exits_2(capsys, tmp_path, broken, line, why):
     good = {"transcript": GOOD_TURN, "trace": '{"kind": "tool_call"}\n'}
     files = {name: tmp_path / f"s.{name}.jsonl" for name in good}

@@ -62,7 +62,7 @@ def test_product_info_missing_required_field(session_bits):
     _, _, _, _, registry = session_bits
     result = invoke(registry, "product_info")
     assert result.is_error
-    assert result.text == "invalid_arguments: product_id"
+    assert result.text == "invalid_arguments: product_id: missing"
 
 
 def test_product_info_unknown_id(session_bits):
@@ -109,7 +109,8 @@ def test_order_update_rejects_unknown_action_by_schema(session_bits):
     _, _, _, _, registry = session_bits
     result = invoke(registry, "order_update", order_id="O1", action="destroy")
     assert result.is_error
-    assert result.text.startswith("invalid_arguments")
+    assert result.text == ('invalid_arguments: action: must be one of '
+                           '["approve_refund", "cancel", "request_refund"], got "destroy"')
 
 
 def test_multimodal_describe_via_table(session_bits):
@@ -178,6 +179,10 @@ def test_tool_names_are_unique_and_each_is_a_handler_method():
     handlers = {name for name in vars(_Handlers)
                 if not name.startswith("_") and callable(getattr(_Handlers, name))}
     assert handlers == set(names)
+    # the published schema states what invoke refuses: no unknown name, no required one unlisted
+    for tool in TOOLS:
+        assert tool.input_schema["additionalProperties"] is False, tool.name
+        assert set(tool.input_schema["required"]) <= set(tool.input_schema["properties"])
 
 
 def test_memory_tools_round_trip(session_bits):
@@ -189,6 +194,9 @@ def test_memory_tools_round_trip(session_bits):
     assert got == {"found": True, "key": "B1", "body": {"tone": "patient"}}
     missing = json.loads(invoke(registry, "memory_get", namespace="order", key="O9").text)
     assert missing["found"] is False
+    empty = invoke(registry, "memory_put", namespace="buyer_profile", key="", body_json="{}")
+    assert empty.is_error
+    assert empty.text == 'invalid_arguments: key: must have length >= 1, got ""'
 
 
 def test_memory_search_tool(session_bits):
@@ -196,6 +204,9 @@ def test_memory_search_tool(session_bits):
     rows = json.loads(invoke(registry, "memory_search", namespace="product",
                              query="kettle", limit=3).text)
     assert [r["key"] for r in rows] == ["P100"]
+    none = invoke(registry, "memory_search", namespace="product", query="kettle", limit=0)
+    assert none.is_error
+    assert none.text == "invalid_arguments: limit: must be >= 1, got 0"
 
 
 @pytest.mark.parametrize("namespace,key", [("product", "P100"), ("order", "O1"),
@@ -229,6 +240,9 @@ def test_memory_put_bad_namespace(session_bits):
     _, _, _, _, registry = session_bits
     result = invoke(registry, "memory_put", namespace="weather", key="k", body_json="{}")
     assert result.is_error
+    assert result.text == (
+        'invalid_arguments: namespace: must be one of ["platform_policy", "store_promotion", '
+        '"product", "order", "logistics", "buyer_profile"], got "weather"')
 
 
 def test_read_tools_do_not_mutate(session_bits):

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import one_round_session, tool_events
 from shopclerk.errors import ReplayMissError
+from shopclerk.files import closed
 from shopclerk.shop_tools import TOOLS
 from shopclerk.toolkit import (
     ActionTrace,
@@ -12,21 +13,17 @@ from shopclerk.toolkit import (
     ToolDescriptor,
     ToolRegistry,
     render_catalog,
-    validate_arguments,
 )
 
-ECHO_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "text": {"type": "string"},
-        "times": {"type": "integer"},
-        "mode": {"type": "string", "enum": ["loud", "quiet"]},
-    },
-    "required": ["text"],
-}
+ECHO_SCHEMA = closed(["text"], text={"type": "string"}, times={"type": "integer"},
+                     mode={"type": "string", "enum": ["loud", "quiet"]})
 
 
 ECHO = ToolDescriptor("echo", "Repeat the given text.", ECHO_SCHEMA)
+# one argument of each JSON scalar type, none required
+TYPED = ToolDescriptor("typed", "Take typed values.", closed(
+    [], s={"type": "string"}, i={"type": "integer"}, n={"type": "number"},
+    b={"type": "boolean"}))
 
 
 def registry_of(descriptor, handler):
@@ -51,6 +48,9 @@ def test_invoke_happy_path():
     assert not result.is_error
     assert result.text == "hihi"
     assert result.call_id == "c1"
+    typed = registry_of(TYPED, lambda args: "ok")
+    for arguments in ({"s": "x", "i": 3, "n": 2.5, "b": True}, {"n": 3}):  # an int is a number
+        assert typed.invoke(ToolCall("c2", "typed", arguments)) == ("c2", "ok", False)
 
 
 def test_invoke_unknown_tool():
@@ -64,21 +64,35 @@ def test_invoke_missing_required_field():
     registry = make_registry()
     result = registry.invoke(ToolCall("c1", "echo", {}))
     assert result.is_error
-    assert result.text == "invalid_arguments: text"
+    assert result.text == "invalid_arguments: text: missing"
 
 
 def test_invoke_lists_all_offending_fields():
+    # a refused call names its first misfit: a missing name, else the first bad one in call order
     registry = make_registry()
-    result = registry.invoke(ToolCall("c1", "echo", {"times": "three", "bogus": 1}))
-    assert result.is_error
-    assert result.text == "invalid_arguments: text, times, bogus"
+    for arguments, why in [
+        ({"times": "three", "bogus": 1}, "text: missing"),
+        ({"text": "x", "times": "three", "bogus": 1}, 'times: must be an integer, got "three"'),
+        ({"text": "x", "bogus": 1, "times": "three"}, "bogus: unknown key"),
+    ]:
+        result = registry.invoke(ToolCall("c1", "echo", arguments))
+        assert result.is_error
+        assert result.text == f"invalid_arguments: {why}"
+    typed = registry_of(TYPED, lambda args: "ok")
+    for arguments, why in [
+        ({"i": 2.5}, "i: must be an integer, got 2.5"),
+        ({"i": True}, "i: must be an integer, got true"),  # a bool is not an integer
+        ({"b": "yes"}, 'b: must be a boolean, got "yes"'),
+    ]:
+        assert typed.invoke(ToolCall("c2", "typed", arguments)) == (
+            "c2", f"invalid_arguments: {why}", True)
 
 
 def test_invoke_enum_violation():
     registry = make_registry()
     result = registry.invoke(ToolCall("c1", "echo", {"text": "x", "mode": "shouty"}))
     assert result.is_error
-    assert result.text == "invalid_arguments: mode must be one of loud|quiet"
+    assert result.text == 'invalid_arguments: mode: must be one of ["loud", "quiet"], got "shouty"'
 
 
 def test_handler_exception_never_escapes():
@@ -112,24 +126,7 @@ def test_every_invocation_lands_in_trace(suite_dir, vision_fixtures, tmp_path):
     assert events[5]["result"]["is_error"] is True
 
 
-def test_validate_arguments_type_checks():
-    schema = {
-        "properties": {
-            "s": {"type": "string"},
-            "i": {"type": "integer"},
-            "n": {"type": "number"},
-            "b": {"type": "boolean"},
-        },
-        "required": [],
-    }
-    assert validate_arguments(schema, {"s": "x", "i": 3, "n": 2.5, "b": True}) == []
-    assert validate_arguments(schema, {"i": 2.5}) == ["i"]
-    assert validate_arguments(schema, {"i": True}) == ["i"]  # bools are not integers
-    assert validate_arguments(schema, {"n": 3}) == []  # ints are numbers
-    assert validate_arguments(schema, {"b": "yes"}) == ["b"]
-
-
-# --- the argument check as it was before the shared schema checker ---
+# --- a hand-written argument check, independent of the shared schema checker ---
 
 def reference_validate(schema: dict, arguments: dict) -> list[str]:
     properties = schema.get("properties", {})
@@ -154,9 +151,10 @@ def reference_type_ok(value, spec: dict) -> bool:
     if "enum" in spec:
         return value in spec["enum"]
     if expected == "string":
-        return isinstance(value, str)
+        return isinstance(value, str) and len(value) >= spec.get("minLength", 0)
     if expected == "integer":
-        return isinstance(value, int) and not isinstance(value, bool)
+        return (isinstance(value, int) and not isinstance(value, bool)
+                and ("minimum" not in spec or value >= spec["minimum"]))
     if expected == "number":
         return isinstance(value, (int, float)) and not isinstance(value, bool)
     if expected == "boolean":
@@ -194,14 +192,24 @@ def _random_arguments(rng: random.Random, schema: dict) -> dict:
 
 
 @pytest.mark.parametrize("tool", [t.name for t in TOOLS])
-def test_validate_arguments_matches_the_reference_for_every_tool(tool):
-    schema = next(t for t in TOOLS if t.name == tool).input_schema
+def test_invoke_refuses_as_the_reference_does(tool):
+    descriptor = next(t for t in TOOLS if t.name == tool)
+    ran = []
+    registry = registry_of(descriptor, lambda args: ran.append(args) or "ok")
     rng = random.Random(f"validate-{tool}")
     seen = set()
     for _ in range(3000):
-        arguments = _random_arguments(rng, schema)
-        expected = reference_validate(schema, arguments)
-        assert validate_arguments(schema, arguments) == expected, arguments
+        arguments = _random_arguments(rng, descriptor.input_schema)
+        expected = reference_validate(descriptor.input_schema, arguments)
+        ran.clear()
+        result = registry.invoke(ToolCall("c1", tool, arguments))
+        assert result.is_error == bool(expected), (arguments, result.text)
+        if expected:  # the reported path is one of the names the reference lists
+            assert any(result.text.startswith(f"invalid_arguments: {name}: ")
+                       for name in expected), (arguments, result.text)
+            assert ran == []  # the handler never ran
+        else:
+            assert ran == [arguments]
         seen.add(bool(expected))
     assert seen == {True, False}  # both fitting and offending dicts were drawn
 
