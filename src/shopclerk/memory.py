@@ -4,10 +4,10 @@ import heapq
 import json
 from bisect import bisect_left
 from collections import namedtuple
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
-from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import ClerkError, ConfigError, SchemaError, SequencingError, UsageError
@@ -166,6 +166,9 @@ def read_transcript(path: str | Path) -> WorkingMemory:
     for line_no, row in read_jsonl(path, "transcript", TRANSCRIPT_ROW_SCHEMA):
         if wm is None:
             wm = WorkingMemory(row["session_id"])
+        elif row["session_id"] != wm.session_id:
+            raise ConfigError(f"transcript {path} line {line_no} is in session "
+                              f"{row['session_id']!r}, not {wm.session_id!r}")
         try:
             wm.append_turn(message_from_dict(row))
         except ClerkError as exc:  # an image_ref that is no URL, or a turn out of order
@@ -224,18 +227,56 @@ def _flatten_tokens(body: object) -> frozenset[str]:
     return frozenset(" ".join(chunks).casefold().split())
 
 
+def _rank(docs: Iterable[Document], query_tokens: frozenset[str], limit: int) -> list[Document]:
+    """Documents ranked by distinct query-token overlap, ties by key."""
+    hits = [(-score, doc.key, doc) for doc in docs if (score := len(query_tokens & doc.tokens))]
+    # keys are unique in a namespace, so the document itself is never compared
+    return [doc for _, _, doc in heapq.nsmallest(limit, hits)]
+
+
+RANKED_MEMO_SIZE = 256  # distinct (query tokens, limit) rankings kept per corpus
+
+
+class Corpus(Mapping):
+    """A read-only document table that ranks each distinct search once.
+
+    Nothing writes to a corpus (a store copies it on its first put), so a memoized
+    ranking never goes stale. The memo closes over the table, not the corpus, so it
+    holds no cycle and is freed with its corpus.
+    """
+
+    __slots__ = ("_docs", "ranked")
+
+    def __init__(self, docs: dict[str, Document]):
+        self._docs = docs
+        self.ranked = lru_cache(maxsize=RANKED_MEMO_SIZE)(
+            lambda query_tokens, limit: tuple(_rank(docs.values(), query_tokens, limit)))
+
+    def __getitem__(self, key: str) -> Document:
+        return self._docs[key]
+
+    def __iter__(self):
+        return iter(self._docs)
+
+    def __len__(self) -> int:
+        return len(self._docs)
+
+    def copy(self) -> dict[str, Document]:
+        return self._docs.copy()
+
+
 class LongTermStore:
     """Domain knowledge keyed by (namespace, key); last write wins.
 
-    WORLD_NAMESPACES are read-only, served from the store's world; writes go to the
-    store's own copy of each ``seeded`` table, which other stores share.
+    WORLD_NAMESPACES are read-only, served from the store's world. A ``seeded`` table
+    is shared, and ranked from its memo, until the store's first put into its namespace
+    copies it.
     """
 
-    def __init__(self, world, seeded: Mapping[Namespace, MappingProxyType] | None = None):
+    def __init__(self, world, seeded: Mapping[Namespace, Corpus] | None = None):
         self._world = world
-        self._docs: dict[Namespace, dict[str, Document]] = {ns: {} for ns in NAMESPACES}
-        for ns, table in (seeded or {}).items():
-            self._docs[ns] = table.copy()  # a plain dict; dict(proxy) copies 20x slower
+        self._docs: dict[Namespace, Mapping[str, Document]] = {ns: {} for ns in NAMESPACES}
+        self._docs.update(seeded or {})
 
     @staticmethod
     def _namespace(namespace: str | Namespace) -> Namespace:
@@ -250,7 +291,10 @@ class LongTermStore:
             raise SchemaError(f"read-only namespace: {ns.value} records come from the world")
         if not key:
             raise SchemaError("document key must be non-empty")
-        self._docs[ns][key] = document(key, body)
+        table = self._docs[ns]
+        if type(table) is Corpus:
+            table = self._docs[ns] = table.copy()
+        table[key] = document(key, body)
 
     def get(self, namespace: str | Namespace, key: str) -> Document | None:
         ns = self._namespace(namespace)
@@ -264,13 +308,12 @@ class LongTermStore:
         if limit < 1:
             raise UsageError("search limit must be >= 1")
         ns = self._namespace(namespace)
-        query_tokens = set(query.casefold().split())
+        query_tokens = frozenset(query.casefold().split())
         if ns in WORLD_NAMESPACES:  # world records change under order actions: tokenized per search
             world = self._world
-            docs = (document(key, world.doc(ns, key)) for key in world.doc_keys(ns))
-        else:
-            docs = self._docs[ns].values()
-        hits = [(-score, doc.key, doc) for doc in docs
-                if (score := len(query_tokens & doc.tokens))]
-        # keys are unique in a namespace, so the document itself is never compared
-        return [doc for _, _, doc in heapq.nsmallest(limit, hits)]
+            return _rank((document(key, world.doc(ns, key)) for key in world.doc_keys(ns)),
+                         query_tokens, limit)
+        table = self._docs[ns]
+        if type(table) is Corpus:
+            return list(table.ranked(query_tokens, limit))
+        return _rank(table.values(), query_tokens, limit)

@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 from .errors import SchemaError
 from .files import LIST, OBJECT, STRING, closed, shape_error
-from .memory import LongTermStore, Namespace, document
+from .memory import Corpus, LongTermStore, Namespace, document
 
 
 class OrderStatus(str, Enum):
@@ -73,8 +73,8 @@ class World:
         self.products: dict[str, Product] = {} if products is None else products
         self.orders: dict[str, Order] = {} if orders is None else orders
         self.shipments: dict[str, tuple] = {} if shipments is None else shipments
-        # policy namespace -> key -> document, read-only and tokenized once, at parse
-        self.policies: Mapping[Namespace, MappingProxyType] = {} if policies is None else policies
+        # policy namespace -> read-only table, tokenized once, at parse; copies share it
+        self.policies: Mapping[Namespace, Corpus] = {} if policies is None else policies
         self.clock = clock
         self.mutations: list[dict] = []
 
@@ -191,12 +191,12 @@ def world_from_dict(data: dict) -> World:
     for row in data.get("policies", []):
         table = policies[Namespace(row.get("namespace", "platform_policy"))]
         table[row["key"]] = document(row["key"], row["body"])
-    frozen = MappingProxyType({ns: MappingProxyType(table) for ns, table in policies.items()})
+    frozen = MappingProxyType({ns: Corpus(table) for ns, table in policies.items()})
     return World(products=products, orders=orders, shipments=shipments, policies=frozen)
 
 
 def seed_store(world: World) -> LongTermStore:
-    """A long-term store over the world, starting from the world's policies."""
+    """A long-term store over the world, sharing the world's policy tables until a put."""
     return LongTermStore(world, world.policies)
 
 

@@ -1023,11 +1023,14 @@ GOOD_TURN = ('{"session_id": "s", "turn_index": 0, "role": "buyer",'
     ("transcript", '{"session_id": "s", "turn_index": "1", "role": "agent",'
      ' "parts": [{"kind": "text", "value": "ok"}]}',
      'line 2: turn_index: must be an integer, got "1"'),
+    ("transcript", '{"session_id": "other", "turn_index": 1, "role": "agent",'
+     ' "parts": [{"kind": "text", "value": "ok"}]}', "line 2 is in session 'other', not 's'"),
     ("trace", "[1]", "line 2 must hold a JSON object"),
     ("trace", "{}", "line 2: kind: missing"),
 ], ids=["transcript-list", "transcript-without-parts", "transcript-out-of-order",
         "transcript-unknown-key", "transcript-timestamp-not-integer",
-        "transcript-turn-index-not-integer", "trace-list", "trace-without-kind"])
+        "transcript-turn-index-not-integer", "transcript-two-sessions", "trace-list",
+        "trace-without-kind"])
 def test_replay_malformed_row_exits_2(capsys, tmp_path, broken, line, why):
     good = {"transcript": GOOD_TURN, "trace": '{"kind": "tool_call"}\n'}
     files = {name: tmp_path / f"s.{name}.jsonl" for name in good}

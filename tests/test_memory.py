@@ -1,4 +1,9 @@
+import gc
+import itertools
 import random
+import sys
+import threading
+import weakref
 
 import pytest
 
@@ -6,6 +11,7 @@ from shopclerk import memory
 from shopclerk.errors import ClerkError, SchemaError, SequencingError, UsageError
 from shopclerk.memory import (
     ELISION_MARKER,
+    RANKED_MEMO_SIZE,
     LongTermStore,
     Message,
     Namespace,
@@ -447,9 +453,11 @@ def test_search_ranks_like_the_reference_loop(seed):
     data = _random_seed(rng)
     world = world_from_dict(data)
     store = seed_store(world)  # seeded keys are k0-k8, so a put of k0-k5 may re-put one
+    reader = seed_store(world)  # never written to, so every policy search is the memo's
     written = {ns: {} for ns in ("platform_policy", "store_promotion", "buyer_profile")}
     for row in data["policies"]:
         written[row["namespace"]][row["key"]] = row["body"]
+    seeded = {ns: dict(docs) for ns, docs in written.items()}
     for _ in range(60):
         step = rng.random()
         if step < 0.5:  # a put, often of a key already stored
@@ -467,10 +475,113 @@ def test_search_ranks_like_the_reference_loop(seed):
         query = " ".join(rng.choice(_VOCAB).swapcase() if rng.random() < 0.3
                          else rng.choice(_VOCAB) for _ in range(rng.randint(1, 4)))
         limit = rng.randint(1, 5)
-        for ns, docs in written.items():
-            got = [(d.key, d.body) for d in store.search(ns, query, limit)]
+        for each, tables in ((store, written), (reader, seeded)):
+            for ns, docs in tables.items():
+                got = [(d.key, d.body) for d in each.search(ns, query, limit)]
+                assert got == reference_search(docs, query, limit)
+            for ns in (Namespace.PRODUCT, Namespace.ORDER, Namespace.LOGISTICS):
+                docs = {key: world.doc(ns, key) for key in world.doc_keys(ns)}
+                got = [(d.key, d.body) for d in each.search(ns, query, limit)]
+                assert got == reference_search(docs, query, limit)
+
+
+# 462 distinct (query tokens, limit) pairs, more than one ranking memo keeps
+_QUERIES = [(" ".join(words), limit) for n in (1, 2, 3)
+            for words in itertools.combinations(_VOCAB, n) for limit in (1, 3)]
+
+
+def _policy_world(rng):
+    data = _random_seed(rng)
+    data["policies"] = [{"namespace": "platform_policy", "key": f"k{i}", "body": _random_body(rng)}
+                        for i in range(12)]
+    return data, world_from_dict(data)
+
+
+def test_a_changed_search_result_leaves_the_next_one_alone():
+    _, world = _policy_world(random.Random(1))
+    store = seed_store(world)
+    query = " ".join(_VOCAB)
+    first = store.search("platform_policy", query, 5)
+    expected = list(first)
+    assert first
+    first.clear()
+    again = store.search("platform_policy", query, 5)
+    assert again == expected
+    again.append("junk")
+    assert seed_store(world).search("platform_policy", query, 5) == expected
+
+
+def test_the_ranking_memo_stays_at_its_cap_and_ranks_like_the_reference():
+    data, world = _policy_world(random.Random(2))
+    store = seed_store(world)
+    docs = {row["key"]: row["body"] for row in data["policies"]}
+    assert len(_QUERIES) > RANKED_MEMO_SIZE
+    for _ in range(2):  # the second pass ranks again what the first pass evicted
+        for query, limit in _QUERIES:
+            got = [(d.key, d.body) for d in store.search("platform_policy", query, limit)]
             assert got == reference_search(docs, query, limit)
-        for ns in (Namespace.PRODUCT, Namespace.ORDER, Namespace.LOGISTICS):
-            docs = {key: world.doc(ns, key) for key in world.doc_keys(ns)}
-            got = [(d.key, d.body) for d in store.search(ns, query, limit)]
-            assert got == reference_search(docs, query, limit)
+    memo = world.policies[Namespace.PLATFORM_POLICY].ranked
+    assert memo.cache_info().currsize == RANKED_MEMO_SIZE
+    hits = memo.cache_info().hits
+    query, limit = _QUERIES[-1]
+    store.search("platform_policy", query.upper(), limit)
+    assert memo.cache_info().hits == hits + 1  # the same tokens in another case
+
+
+def test_threads_sharing_one_ranking_memo_each_get_the_reference_ranking():
+    data, world = _policy_world(random.Random(5))
+    docs = {row["key"]: row["body"] for row in data["policies"]}
+    expected = {q: reference_search(docs, *q) for q in _QUERIES}
+    wrong = []
+
+    def search_all(seed):
+        store = seed_store(world)  # one store per session, every store over one corpus
+        for query, limit in random.Random(seed).sample(_QUERIES, len(_QUERIES)):
+            got = [(d.key, d.body) for d in store.search("platform_policy", query, limit)]
+            if got != expected[query, limit]:
+                wrong.append((query, limit, got))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=search_all, args=(n,)) for n in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+def test_a_store_shares_the_seeded_table_until_its_first_put():
+    data, world = _policy_world(random.Random(3))
+    seeded = world.policies[Namespace.PLATFORM_POLICY]
+    store, other = seed_store(world), seed_store(world)
+    query = " ".join(_VOCAB)
+    before = store.search("platform_policy", query, 4)
+    assert store._docs[Namespace.PLATFORM_POLICY] is seeded
+    store.put("platform_policy", "k0", "kettle kettle mug refund window parcel days")
+    store.put("platform_policy", "zz", " ".join(_VOCAB))
+    assert store._docs[Namespace.PLATFORM_POLICY] is not seeded
+    assert other._docs[Namespace.PLATFORM_POLICY] is seeded
+    assert store._docs[Namespace.STORE_PROMOTION] is world.policies[Namespace.STORE_PROMOTION]
+    assert store.search("platform_policy", query, 1)[0].key == "zz"
+    assert other.search("platform_policy", query, 4) == before
+    assert seed_store(world).search("platform_policy", query, 4) == before
+    docs = {row["key"]: row["body"] for row in data["policies"]}
+    assert [(d.key, d.body) for d in before] == reference_search(docs, query, 4)
+    assert dict(seeded) == {key: memory.document(key, body) for key, body in docs.items()}
+
+
+def test_the_ranking_memo_is_freed_with_its_world():
+    _, world = _policy_world(random.Random(4))
+    seed_store(world).search("platform_policy", "kettle mug", 2)
+    memo = weakref.ref(world.policies[Namespace.PLATFORM_POLICY].ranked.__wrapped__)
+    gc.disable()  # freed by reference counting alone: the memo holds no cycle
+    try:
+        del world
+        assert memo() is None
+    finally:
+        gc.enable()
