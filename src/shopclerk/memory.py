@@ -6,7 +6,6 @@ from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from enum import Enum
-from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -234,23 +233,47 @@ def _rank(docs: Iterable[Document], query_tokens: frozenset[str], limit: int) ->
     return [doc for _, _, doc in heapq.nsmallest(limit, hits)]
 
 
-RANKED_MEMO_SIZE = 256  # distinct (query tokens, limit) rankings kept per corpus
-
-
 class Corpus(Mapping):
-    """A read-only document table that ranks each distinct search once.
+    """A read-only document table with a token index, built once.
 
-    Nothing writes to a corpus (a store copies it on its first put), so a memoized
-    ranking never goes stale. The memo closes over the table, not the corpus, so it
-    holds no cycle and is freed with its corpus.
+    Bit i of ``_masks[token]`` is set when the i-th document in key order holds the
+    token, so a search ORs and ANDs a few integers instead of scoring every document.
+    Nothing writes to a corpus (a store copies it on its first put), so the index never
+    goes stale and threads share it without a lock.
     """
 
-    __slots__ = ("_docs", "ranked")
+    __slots__ = ("_docs", "_ordered", "_masks")
 
     def __init__(self, docs: dict[str, Document]):
         self._docs = docs
-        self.ranked = lru_cache(maxsize=RANKED_MEMO_SIZE)(
-            lambda query_tokens, limit: tuple(_rank(docs.values(), query_tokens, limit)))
+        self._ordered = [docs[key] for key in sorted(docs)]
+        masks: dict[str, int] = {}
+        for i, doc in enumerate(self._ordered):
+            for token in doc.tokens:
+                masks[token] = masks.get(token, 0) | 1 << i
+        self._masks = masks
+
+    def rank(self, query_tokens: frozenset[str], limit: int) -> list[Document]:
+        """What _rank returns for this table, read from the index."""
+        # at_least[s] holds the documents that hold more than s of the query tokens
+        at_least: list[int] = []
+        for token in query_tokens:
+            if mask := self._masks.get(token, 0):
+                at_least.append(0)
+                for s in range(len(at_least) - 1, 0, -1):
+                    at_least[s] |= at_least[s - 1] & mask
+                at_least[0] |= mask
+        ranked: list[Document] = []
+        above = 0
+        for level in reversed(at_least):  # best score first
+            exact, above = level & ~above, level
+            while exact:  # lowest bit first, so ties go by key
+                low = exact & -exact
+                ranked.append(self._ordered[low.bit_length() - 1])
+                if len(ranked) == limit:
+                    return ranked
+                exact ^= low
+        return ranked
 
     def __getitem__(self, key: str) -> Document:
         return self._docs[key]
@@ -269,8 +292,8 @@ class LongTermStore:
     """Domain knowledge keyed by (namespace, key); last write wins.
 
     WORLD_NAMESPACES are read-only, served from the store's world. A ``seeded`` table
-    is shared, and ranked from its memo, until the store's first put into its namespace
-    copies it.
+    is shared, and searched through its index, until the store's first put into its
+    namespace copies it.
     """
 
     def __init__(self, world, seeded: Mapping[Namespace, Corpus] | None = None):
@@ -315,5 +338,5 @@ class LongTermStore:
                          query_tokens, limit)
         table = self._docs[ns]
         if type(table) is Corpus:
-            return list(table.ranked(query_tokens, limit))
+            return table.rank(query_tokens, limit)
         return _rank(table.values(), query_tokens, limit)

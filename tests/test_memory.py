@@ -1,9 +1,7 @@
-import gc
 import itertools
 import random
 import sys
 import threading
-import weakref
 
 import pytest
 
@@ -11,7 +9,6 @@ from shopclerk import memory
 from shopclerk.errors import ClerkError, SchemaError, SequencingError, UsageError
 from shopclerk.memory import (
     ELISION_MARKER,
-    RANKED_MEMO_SIZE,
     LongTermStore,
     Message,
     Namespace,
@@ -453,7 +450,7 @@ def test_search_ranks_like_the_reference_loop(seed):
     data = _random_seed(rng)
     world = world_from_dict(data)
     store = seed_store(world)  # seeded keys are k0-k8, so a put of k0-k5 may re-put one
-    reader = seed_store(world)  # never written to, so every policy search is the memo's
+    reader = seed_store(world)  # never written to, so every policy search reads the index
     written = {ns: {} for ns in ("platform_policy", "store_promotion", "buyer_profile")}
     for row in data["policies"]:
         written[row["namespace"]][row["key"]] = row["body"]
@@ -485,7 +482,7 @@ def test_search_ranks_like_the_reference_loop(seed):
                 assert got == reference_search(docs, query, limit)
 
 
-# 462 distinct (query tokens, limit) pairs, more than one ranking memo keeps
+# 462 distinct (query tokens, limit) pairs
 _QUERIES = [(" ".join(words), limit) for n in (1, 2, 3)
             for words in itertools.combinations(_VOCAB, n) for limit in (1, 3)]
 
@@ -511,24 +508,24 @@ def test_a_changed_search_result_leaves_the_next_one_alone():
     assert seed_store(world).search("platform_policy", query, 5) == expected
 
 
-def test_the_ranking_memo_stays_at_its_cap_and_ranks_like_the_reference():
-    data, world = _policy_world(random.Random(2))
+def test_the_index_ranks_every_query_like_the_reference():
+    data, world = _policy_world(random.Random(2))  # keys k0-k11, so k10 sorts before k2
     store = seed_store(world)
     docs = {row["key"]: row["body"] for row in data["policies"]}
-    assert len(_QUERIES) > RANKED_MEMO_SIZE
-    for _ in range(2):  # the second pass ranks again what the first pass evicted
-        for query, limit in _QUERIES:
-            got = [(d.key, d.body) for d in store.search("platform_policy", query, limit)]
-            assert got == reference_search(docs, query, limit)
-    memo = world.policies[Namespace.PLATFORM_POLICY].ranked
-    assert memo.cache_info().currsize == RANKED_MEMO_SIZE
-    hits = memo.cache_info().hits
-    query, limit = _QUERIES[-1]
-    store.search("platform_policy", query.upper(), limit)
-    assert memo.cache_info().hits == hits + 1  # the same tokens in another case
+    rng = random.Random(6)
+    queries = _QUERIES + [(" ".join(rng.choices(_VOCAB + ("absent",), k=rng.randint(1, 12))),
+                           rng.randint(1, 14)) for _ in range(300)]
+    for query, limit in queries + [(" ".join(_VOCAB), 12), ("absent", 1), ("", 3)]:
+        got = [(d.key, d.body) for d in store.search("platform_policy", query, limit)]
+        assert got == reference_search(docs, query, limit)
+    assert store._docs[Namespace.PLATFORM_POLICY] is world.policies[Namespace.PLATFORM_POLICY]
 
 
-def test_threads_sharing_one_ranking_memo_each_get_the_reference_ranking():
+def test_an_empty_corpus_finds_nothing():
+    assert memory.Corpus({}).rank(frozenset({"kettle"}), 3) == []
+
+
+def test_threads_sharing_one_index_each_get_the_reference_ranking():
     data, world = _policy_world(random.Random(5))
     docs = {row["key"]: row["body"] for row in data["policies"]}
     expected = {q: reference_search(docs, *q) for q in _QUERIES}
@@ -573,15 +570,3 @@ def test_a_store_shares_the_seeded_table_until_its_first_put():
     docs = {row["key"]: row["body"] for row in data["policies"]}
     assert [(d.key, d.body) for d in before] == reference_search(docs, query, 4)
     assert dict(seeded) == {key: memory.document(key, body) for key, body in docs.items()}
-
-
-def test_the_ranking_memo_is_freed_with_its_world():
-    _, world = _policy_world(random.Random(4))
-    seed_store(world).search("platform_policy", "kettle mug", 2)
-    memo = weakref.ref(world.policies[Namespace.PLATFORM_POLICY].ranked.__wrapped__)
-    gc.disable()  # freed by reference counting alone: the memo holds no cycle
-    try:
-        del world
-        assert memo() is None
-    finally:
-        gc.enable()
