@@ -175,7 +175,7 @@ def _plans_in(text: str) -> tuple[CandidatePlan, ...] | str:
         return "backend reply has no fenced JSON block"
     try:
         rows = json.loads(match.group(1))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, too deep, or too long an integer
         return f"fenced block is not valid JSON: {exc}"
     if isinstance(rows, dict):
         rows = rows.get("plans", [])

@@ -147,7 +147,7 @@ def parse_json(text: str, where: str, schema: dict | None = None):
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, too deep, or too long an integer
         raise ConfigError(f"{where} is not valid JSON: {exc}") from None
     if schema is not None:
         if not _fits(data, schema["type"]):

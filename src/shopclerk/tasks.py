@@ -130,9 +130,9 @@ def task_from_dict(data: dict, source: str = "<task>", vision_fixtures=None,
         _fail(f"{source}:success", "needs at least one assertion or response fact")
     if assertions:
         # actions change values, never keys, so a path missing at seed is missing for good
-        snapshot = seed_world.snapshot([a.path for a in assertions])
+        values = seed_world.snapshot([a.path for a in assertions])
         for i, assertion in enumerate(assertions):
-            if _resolve_path(snapshot, assertion.path, _MISSING) is _MISSING:
+            if assertion.path not in values:
                 _fail(f"{source}:success.state_assertions[{i}].path",
                       f"{assertion.path!r} is not in the seed world")
 
@@ -178,19 +178,6 @@ def load_suite(directory: str | Path, vision_fixtures=None) -> list[Task]:
     return tasks
 
 
-_MISSING = object()
-
-
-def _resolve_path(snapshot: dict, dotted: str, default=None):
-    node = snapshot
-    for key in dotted.split("."):
-        if isinstance(node, dict) and key in node:
-            node = node[key]
-        else:
-            return default
-    return node
-
-
 def check_success(
     world: World,
     transcript: WorkingMemory,
@@ -202,10 +189,10 @@ def check_success(
     Agent reply text is checked after deabstraction when a placeholder
     table is supplied, so facts can reference original URLs.
     """
-    snapshot = world.snapshot([a.path for a in criteria.state_assertions])
+    values = world.snapshot([a.path for a in criteria.state_assertions])
     rows = []
     for assertion in criteria.state_assertions:
-        actual = _resolve_path(snapshot, assertion.path)
+        actual = values.get(assertion.path)
         rows.append({
             "predicate": f"{assertion.path} == {assertion.expected!r}",
             "ok": actual == assertion.expected,

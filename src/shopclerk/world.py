@@ -118,31 +118,31 @@ class World:
     def doc_keys(self, namespace: Namespace) -> list[str]:
         return list(self.products if namespace is Namespace.PRODUCT else self.orders)
 
-    def snapshot(self, paths: Iterable[str] | None = None) -> dict:
-        """Plain-dict view used by success assertions (dotted paths).
+    def snapshot(self, paths: Iterable[str]) -> dict:
+        """Dotted path -> its plain value, as success assertions read the world.
 
-        Given ``paths``, only the top-level entries and records those paths
-        name are built, and each of the paths resolves as in the full view.
+        A path walks dict keys from the tables and the clock; one that names
+        nothing is left out. Only the records the paths name are built.
         """
         tables = {"products": self.products, "orders": self.orders, "shipments": self.shipments}
-        wanted: dict[str, dict | None] = dict.fromkeys(tables)  # None: every record
-        if paths is not None:
-            wanted = {}
-            for path in paths:
-                top, _, rest = path.partition(".")
-                if top not in tables or wanted.get(top, {}) is None:
-                    continue
-                if rest:
-                    wanted.setdefault(top, {})[rest.partition(".")[0]] = None
-                else:
-                    wanted[top] = None
-        view = {}
-        for top, keys in wanted.items():
-            records = tables[top]
-            view[top] = {key: _plain(records[key]) for key in (records if keys is None else keys)
-                         if key in records}
-        view["clock"] = self.clock
-        return view
+        values = {}
+        for path in paths:
+            top, *keys = path.split(".")
+            if top == "clock":
+                node = self.clock
+            elif top not in tables or keys and keys[0] not in tables[top]:
+                continue
+            elif keys:
+                node = _plain(tables[top][keys.pop(0)])
+            else:
+                node = {key: _plain(record) for key, record in tables[top].items()}
+            for key in keys:
+                if not isinstance(node, dict) or key not in node:
+                    break
+                node = node[key]
+            else:
+                values[path] = node
+        return values
 
 
 def _plain(record) -> object:

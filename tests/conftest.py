@@ -14,6 +14,8 @@ from shopclerk.tasks import load_task
 from shopclerk.vision import FixtureVisionBackend
 
 DATA_DIR = Path(__file__).parent.parent / "src" / "shopclerk" / "data"
+# World.snapshot paths that together name the whole world, for comparing worlds
+WHOLE_WORLD = ["products", "orders", "shipments", "clock"]
 
 
 @pytest.fixture(scope="session")

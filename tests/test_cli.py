@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -769,6 +770,26 @@ def test_bench_prints_monotone_pass_table(capsys, suite_dir, scripts_dir):
     k1, k2 = float(cells[1]), float(cells[2])
     assert k1 >= k2
     assert k1 == 1.0  # bundled suite is deterministic
+
+
+def test_a_propose_reply_json_cannot_read_ends_only_its_own_episode(
+        capsys, suite_dir, scripts_dir, tmp_path):
+    scripts = shutil.copytree(scripts_dir, tmp_path / "scripts")
+    kettle = scripts / "kettle-capacity.json"
+    rows = json.loads(kettle.read_text())
+    [entry] = [e for e in rows["entries"] if e["contains"] == "hold two liters"]
+    entry["response"]["text"] = "Candidate plans:\n```json\n" + "[" * 5_000 + "\n```"
+    kettle.write_text(json.dumps(rows))
+    code, out, _ = run_cli(capsys, "bench", "--suite", str(suite_dir), "--scripts", str(scripts),
+                           "--n-trials", "1", "--k", "1", "--out", str(tmp_path / "out"))
+    assert code == 1
+    header, _, table_row = out.splitlines()[:3]  # the table prints before the exit
+    assert (header.split()[-1], table_row.split()[-1]) == ("failures", "1")
+    out_dir = tmp_path / "out"
+    [row] = json.loads((out_dir / "report.json").read_text())
+    assert (row["episodes"], row["failures"]) == (13, 1)
+    result = json.loads((out_dir / "trials" / "kettle-capacity-t0.result.json").read_text())
+    assert result["error"].startswith("ProposalError: fenced block is not valid JSON: maximum")
 
 
 def test_bench_k_above_n_exits_2(capsys, suite_dir, scripts_dir):

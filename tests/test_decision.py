@@ -256,6 +256,15 @@ def test_propose_block_that_is_not_a_list_of_plans_is_proposal_error(block):
         propose("ctx", CATALOG, 3, backend_with(reply))
 
 
+@pytest.mark.parametrize("block, why", [("[" * 5_000, "maximum recursion depth"),
+                                        ("[" + "9" * 5_000 + "]", "Exceeds the limit")],
+                         ids=["too-deep", "too-long-integer"])
+def test_propose_block_that_json_cannot_read_is_proposal_error(block, why):
+    reply = "plans:\n```json\n" + block + "\n```"
+    with pytest.raises(ProposalError, match=f"^fenced block is not valid JSON: {why}"):
+        propose("ctx", CATALOG, 3, backend_with(reply))
+
+
 def test_propose_drops_plans_whose_reply_or_tool_is_not_text():
     rows = [plan_row("direct_reply", reply=5), plan_row("direct_reply", reply=["hi"]),
             plan_row("single_tool", [["product_info"]]), plan_row("single_tool", [{"a": 1}]),

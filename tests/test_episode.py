@@ -203,7 +203,7 @@ def test_mutation_events_in_trace_replay_to_final_world(suite_dir, scripts_dir, 
     ]
     assert events, "expected at least one mutation event"
     replayed = replay_mutations(task.reset(), events)
-    assert replayed.snapshot()["orders"] == world.snapshot()["orders"]
+    assert replayed.snapshot(["orders"]) == world.snapshot(["orders"])
 
 
 def test_aci_off_keeps_raw_urls_and_costs_more(suite_dir, scripts_dir, vision_fixtures):

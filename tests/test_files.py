@@ -29,6 +29,17 @@ def test_read_json_checks_the_top_level_type_and_the_json(tmp_path):
         read_json(path, "thing")
 
 
+@pytest.mark.parametrize("text, why", [("[" * 200_000, "maximum recursion depth"),
+                                       ('{"n_candidates": ' + "9" * 5_000 + "}",
+                                        "Exceeds the limit")],
+                         ids=["too-deep", "too-long-integer"])
+def test_read_json_names_json_the_parser_cannot_read_as_not_valid_json(tmp_path, text, why):
+    path = tmp_path / "x.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"thing .*x.json is not valid JSON: {why}"):
+        read_json(path, "thing")
+
+
 ROW = closed(["id"], id={"type": "integer", "minimum": 1}, tags={"type": "array", "items": STRING},
              note={"type": ["string", "null"], "minLength": 2})
 SHAPE = {"type": "object", "additionalProperties": {"type": "array", "minItems": 1, "items": ROW}}

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import DescribeCounter, one_round_session, tool_events
+from conftest import WHOLE_WORLD, DescribeCounter, one_round_session, tool_events
 from shopclerk.memory import Namespace
 from shopclerk.placeholders import PlaceholderTable, abstract_text
 from shopclerk.shop_tools import CATALOGS, TOOLS, _Handlers, build_registry
@@ -214,13 +214,13 @@ def test_memory_search_tool(session_bits):
 def test_memory_put_into_a_shop_namespace_is_error(session_bits, namespace, key):
     # the world is the only copy of a shop record: a put must not plant a second one
     world, _, _, _, registry = session_bits
-    before = world.snapshot()
+    before = world.snapshot(WHOLE_WORLD)
     read = invoke(registry, "memory_get", namespace=namespace, key=key).text
     result = invoke(registry, "memory_put", namespace=namespace, key=key,
                     body_json=json.dumps({"status": "refunded", "stock": 0}))
     assert result.is_error
     assert result.text == f"read-only namespace: {namespace} records come from the world"
-    assert world.snapshot() == before
+    assert world.snapshot(WHOLE_WORLD) == before
     assert invoke(registry, "memory_get", namespace=namespace, key=key).text == read
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import WHOLE_WORLD
 from shopclerk import cli
 from shopclerk.backends import ScriptedBackend
 from shopclerk.config import AgentConfig
@@ -20,7 +21,7 @@ from shopclerk.tasks import (
     task_from_dict,
 )
 from shopclerk.toolkit import ToolCall
-from shopclerk.world import World, seed_store, world_from_dict
+from shopclerk.world import Order, World, seed_store, world_from_dict
 
 MINIMAL = {
     "task_id": "t1",
@@ -150,16 +151,16 @@ def test_reset_yields_independent_worlds(suite_dir, vision_fixtures):
 def test_an_episode_leaves_the_seed_world_as_loaded(task_id, suite_dir, scripts_dir,
                                                     vision_fixtures):
     task = load_task(suite_dir / f"{task_id}.json", vision_fixtures)
-    before = task.seed_world.snapshot()
+    before = task.seed_world.snapshot(WHOLE_WORLD)
     world = task.reset()
     chat = ScriptedBackend.from_file(scripts_dir / f"{task_id}.json")
     session = AgentSession(world, chat, vision_fixtures, AgentConfig(), session_id="seed")
     for turn in task.buyer_script:
         session.handle_buyer_turn(turn.utterance)
-    assert world.mutations and world.snapshot() != before
-    assert task.seed_world.snapshot() == before
+    assert world.mutations and world.snapshot(WHOLE_WORLD) != before
+    assert task.seed_world.snapshot(WHOLE_WORLD) == before
     assert task.seed_world.mutations == []
-    assert task.reset().snapshot() == before
+    assert task.reset().snapshot(WHOLE_WORLD) == before
 
 
 # --- one seed World per distinct world in a suite ---
@@ -191,15 +192,15 @@ def test_an_episode_of_one_task_leaves_a_task_sharing_its_world_as_loaded(
     write_tasks(tmp_path, dict(task, task_id="a-cancel"), dict(task, task_id="b-cancel"))
     a, b = load_suite(tmp_path, vision_fixtures)
     assert a.seed_world is b.seed_world
-    before = b.seed_world.snapshot()
+    before = b.seed_world.snapshot(WHOLE_WORLD)
     world = a.reset()
     chat = ScriptedBackend.from_file(scripts_dir / "cancel-paid-order.json")
     session = AgentSession(world, chat, vision_fixtures, AgentConfig(), session_id="shared")
     for turn in a.buyer_script:
         session.handle_buyer_turn(turn.utterance)
     assert world.orders["O-7002"].status.value == "cancelled"
-    assert b.reset().snapshot() == before
-    assert b.seed_world.snapshot() == before and b.seed_world.mutations == []
+    assert b.reset().snapshot(WHOLE_WORLD) == before
+    assert b.seed_world.snapshot(WHOLE_WORLD) == before and b.seed_world.mutations == []
 
 
 def test_worlds_equal_only_under_eq_get_their_own_seeds(tmp_path):
@@ -330,18 +331,18 @@ def test_state_path_missing_resolves_to_none():
 def test_check_success_snapshots_only_the_asserted_records(monkeypatch):
     orders = {f"O{i}": {"buyer_id": "B", "items": [], "status": "paid"} for i in range(50)}
     world = world_from_dict({"orders": orders})
-    views = []
-    real_snapshot = World.snapshot
+    views, built, real_snapshot, to_doc = [], [], World.snapshot, Order.to_doc
 
-    def recording_snapshot(self, paths=None):
+    def recording_snapshot(self, paths):
         views.append(real_snapshot(self, paths))
         return views[-1]
 
     monkeypatch.setattr(World, "snapshot", recording_snapshot)
+    monkeypatch.setattr(Order, "to_doc", lambda self: built.append(self.order_id) or to_doc(self))
     criteria = SuccessCriteria(state_assertions=(StateAssertion("orders.O7.status", "paid"),
                                                  StateAssertion("clock", 0)))
     ok, _ = check_success(world, agent_transcript(), criteria)
-    assert ok and [list(v["orders"]) for v in views] == [["O7"]]
+    assert ok and views == [{"orders.O7.status": "paid", "clock": 0}] and built == ["O7"]
 
 
 def test_world_seed_error_names_the_file_and_the_path(tmp_path):

@@ -9,8 +9,9 @@ from shopclerk.errors import SchemaError
 from shopclerk.memory import ContentPart, Message, Namespace, PartKind, Role, document
 from shopclerk.shop_tools import TOOLS
 from shopclerk.toolkit import ToolCall, ToolResult
-from shopclerk.tasks import _MISSING, _resolve_path
 from shopclerk.world import (
+    ORDER_ACTIONS,
+    Order,
     OrderStatus,
     World,
     replay_mutations,
@@ -109,7 +110,7 @@ def test_mutation_events_replay_to_same_final_state():
     world.clock = 3
     world.apply_order_action("O1", "approve_refund")
     replayed = replay_mutations(seed, world.mutations)
-    assert replayed.snapshot()["orders"] == world.snapshot()["orders"]
+    assert replayed.snapshot(["orders"]) == world.snapshot(["orders"])
 
 
 def test_copy_isolation():
@@ -120,9 +121,8 @@ def test_copy_isolation():
 
 
 def test_snapshot_paths():
-    snap = make_world().snapshot()
-    assert snap["orders"]["O1"]["status"] == "delivered"
-    assert snap["products"]["P1"]["attributes"]["capacity_l"] == 2
+    paths = ["orders.O1.status", "products.P1.attributes.capacity_l", "clock"]
+    assert make_world().snapshot(paths) == dict(zip(paths, ["delivered", 2, 0]))
 
 
 def test_world_from_dict_validation_errors():
@@ -183,7 +183,7 @@ def test_copy_shares_records_and_owns_containers():
     assert world.orders is not seed.orders and world.mutations == []
     world.apply_order_action("O2", "cancel")
     assert world.orders["O2"] is not seed.orders["O2"]
-    assert seed.snapshot()["orders"]["O2"]["status"] == "paid"
+    assert seed.snapshot(["orders.O2.status"]) == {"orders.O2.status": "paid"}
 
 
 def _without(table: str, key, field: str) -> dict:
@@ -244,11 +244,12 @@ def test_world_from_dict_rejects_bad_shapes_naming_the_path(data, where):
         world_from_dict(data)
 
 
-# --- sparse snapshots: only the records the assertion paths name ---
+# --- snapshots: the value at each dotted path, from only the records the paths name ---
 
 def _random_world(rng: random.Random) -> World:
-    products = {f"P{i}": {"title": f"t{i}", "attributes": {"color": rng.choice(["red", "blue"])},
-                          "price_cents": rng.randrange(100, 9000), "stock": rng.randrange(5)}
+    products = {f"P{i}": {"title": f"t{i}", "price_cents": rng.randrange(100, 9000),
+                          "attributes": {"color": rng.choice(["red", "blue"]), "size.cm": 9, "": 1},
+                          "stock": rng.randrange(5)}
                 for i in range(rng.randrange(1, 8))}
     orders = {f"O{i}": {"buyer_id": f"B{rng.randrange(3)}",
                         "status": rng.choice(list(OrderStatus)).value,
@@ -258,39 +259,61 @@ def _random_world(rng: random.Random) -> World:
                        for t in range(rng.randrange(1, 3))]
                  for oid in orders if rng.random() < 0.5}
     world = world_from_dict({"products": products, "orders": orders, "shipments": shipments})
-    world.clock = rng.randrange(10)
+    for oid in orders:
+        world.clock = rng.randrange(10)
+        action = rng.choice(list(ORDER_ACTIONS))
+        if world.orders[oid].status in ORDER_ACTIONS[action][0]:
+            world.apply_order_action(oid, action)
     return world
 
 
 def _random_path(rng: random.Random, world: World) -> str:
-    top = rng.choice(["products", "orders", "shipments", "clock", "policies", "buyers", ""])
-    ids = list(world.products) + list(world.orders) + ["P99", "O99", ""]
-    tail = rng.choice([[], [rng.choice(ids)],
+    top = rng.choice(["products", "orders", "shipments", "clock", "policies", ""])
+    tables = {"products": world.products, "orders": world.orders, "shipments": world.shipments}
+    ids = [*tables.get(top, ())] * 2 + ["P0", "O99", ""]  # mostly the table's own ids
+    tail = rng.choice([[], [rng.choice(ids)], ["x"],
                        [rng.choice(ids), rng.choice(["status", "title", "attributes", "items",
-                                                     "stock", "nope", ""])],
-                       [rng.choice(ids), "attributes", rng.choice(["color", "size"])]])
+                                                     "stock", "nope", "", "0"])],
+                       [rng.choice(ids), "attributes",
+                        rng.choice(["color", "size", "", "size.cm"])]])
     return ".".join([top] + tail)
+
+
+def _reference_snapshot(world: World, paths: list[str]) -> dict:
+    """The whole world as plain dicts, each path walked through it by dict keys."""
+    full = {"products": {k: p.to_doc() for k, p in world.products.items()},
+            "orders": {k: o.to_doc() for k, o in world.orders.items()},
+            "shipments": {k: [e.to_doc() for e in events] for k, events in world.shipments.items()},
+            "clock": world.clock}
+    values = {}
+    for path in paths:
+        node = full
+        for key in path.split("."):
+            if not isinstance(node, dict) or key not in node:
+                break
+            node = node[key]
+        else:
+            values[path] = node
+    return values
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_sparse_snapshot_resolves_every_path_like_the_full_one(seed):
     rng = random.Random(seed)
     world = _random_world(rng)
-    full = world.snapshot()
-    paths = [_random_path(rng, world) for _ in range(rng.randrange(1, 12))]
-    paths += ["clock", "orders.O0.status", "products.P99.title", "weather.today"]
-    sparse = world.snapshot(paths)
-    for path in paths:
-        assert _resolve_path(sparse, path, _MISSING) == _resolve_path(full, path, _MISSING), path
+    paths = [_random_path(rng, world) for _ in range(rng.randrange(10, 40))]
+    paths += ["clock", "orders.O0.status", "products.P0.attributes", "products.P99.title",
+              "weather.today"]
+    assert world.snapshot(paths) == _reference_snapshot(world, paths)
 
 
-def test_sparse_snapshot_builds_only_the_named_records():
-    world = make_world()
-    assert world.snapshot(["orders.O1.status", "orders.O1.items", "products.P9.title",
-                           "weather.today"]) == {
-        "orders": {"O1": world.orders["O1"].to_doc()}, "products": {}, "clock": 0}
-    assert world.snapshot(["shipments"]) == {"shipments": world.snapshot()["shipments"], "clock": 0}
-    assert world.snapshot([]) == {"clock": 0}
+def test_sparse_snapshot_builds_only_the_named_records(monkeypatch):
+    world, built, to_doc = make_world(), [], Order.to_doc
+    monkeypatch.setattr(Order, "to_doc", lambda self: built.append(self.order_id) or to_doc(self))
+    assert world.snapshot(["orders.O1.status", "products.P9.title", "weather.today"]) == {
+        "orders.O1.status": "delivered"}
+    assert built == ["O1"]
+    assert world.snapshot([]) == {}
 
 
 def test_seed_store_covers_namespaces():
