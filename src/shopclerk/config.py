@@ -20,7 +20,7 @@ class AgentConfig(NamedTuple):
     decision_module: bool = True
     max_plan_rounds: int = 5
     context_budget: int = 8000
-    elide_block: int = 8
+    elide_block: int = 16
     min_url_length: int = DEFAULT_MIN_URL_LENGTH
     template_dir: str | None = None
 

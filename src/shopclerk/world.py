@@ -121,8 +121,12 @@ class World:
     def snapshot(self, paths: Iterable[str]) -> dict:
         """Dotted path -> its plain value, as success assertions read the world.
 
-        A path walks dict keys from the tables and the clock; one that names
-        nothing is left out. Only the records the paths name are built.
+        A path walks dict keys from the tables and the clock. A key may hold
+        dots: at each level the longest run of the path's remaining segments
+        that is a key is taken, so `products.P.1.attributes.size.cm` names
+        attribute `size.cm` of product `P.1`, even beside a product `P`. A
+        path that names nothing is left out. Only the records the paths name
+        are built.
         """
         tables = {"products": self.products, "orders": self.orders, "shipments": self.shipments}
         values = {}
@@ -130,19 +134,29 @@ class World:
             top, *keys = path.split(".")
             if top == "clock":
                 node = self.clock
-            elif top not in tables or keys and keys[0] not in tables[top]:
+            elif top not in tables:
                 continue
-            elif keys:
-                node = _plain(tables[top][keys.pop(0)])
-            else:
+            elif not keys:
                 node = {key: _plain(record) for key, record in tables[top].items()}
-            for key in keys:
-                if not isinstance(node, dict) or key not in node:
-                    break
-                node = node[key]
+            elif hit := _longest_key(tables[top], keys):
+                record, keys = hit
+                node = _plain(record)
             else:
+                continue
+            while keys and isinstance(node, dict) and (hit := _longest_key(node, keys)):
+                node, keys = hit
+            if not keys:
                 values[path] = node
         return values
+
+
+def _longest_key(node: Mapping, keys: list[str]) -> tuple[object, list[str]] | None:
+    """(value, keys left) for the longest run keys[:n] that, joined by dots, is a key
+    of node; None when no run is."""
+    for n in range(len(keys), 0, -1):
+        if (key := ".".join(keys[:n])) in node:
+            return node[key], keys[n:]
+    return None
 
 
 def _plain(record) -> object:

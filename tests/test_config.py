@@ -17,7 +17,7 @@ def test_defaults():
     assert config.aci
     assert config.decision_module
     assert config.strategy is IntegrationStrategy.TOOL
-    assert config.elide_block == 8
+    assert config.elide_block == 16
 
 
 def test_fields_are_the_config_keys():
@@ -31,9 +31,9 @@ def test_dict_round_trip():
         aci=False,
         strategy=IntegrationStrategy.PLANNER,
         decision_module=False,
-        elide_block=16,
+        elide_block=4,
     )
-    assert config.to_dict()["elide_block"] == 16
+    assert config.to_dict()["elide_block"] == 4
     assert "template_dir" not in config.to_dict()  # unset, so left out
     assert agent_config_from_dict(config.to_dict()) == config
 

@@ -388,15 +388,21 @@ def test_each_propose_prompt_starts_with_the_previous_ones_static_head(
     assert pairs == 30 - 13  # every propose call but each session's first
 
 
-@pytest.mark.parametrize("block", [1, 8])
+@pytest.mark.parametrize("row, turns, period", [
+    ({"context_budget": 400, "elide_block": 1}, 30, 1),
+    ({"context_budget": 400, "elide_block": 8}, 30, 4),
+    # the default block of 16: a budget of 400 holds fewer lines than a block, so the
+    # rounding would often pass the newest buyer line and start the context there
+    ({"context_budget": 800}, 40, 8),
+], ids=["1", "8", "default"])
 def test_propose_prompts_keep_their_prefix_once_the_context_elides(
-        suite_dir, vision_fixtures, tmp_path, block):
+        suite_dir, vision_fixtures, tmp_path, row, turns, period):
     plans = [{"kind": "direct_reply", "steps": [], "rationale": "Acknowledge.", "reply": "Noted."}]
     chat = PromptCapture(plans_script(plans, "Acknowledge.", tmp_path / "ack.json"))
     task = load_task(suite_dir / "kettle-capacity.json", vision_fixtures)
-    config = agent_config_from_dict({"context_budget": 400, "elide_block": block})
+    config = agent_config_from_dict(row)
     session = AgentSession(task.reset(), chat, vision_fixtures, config)
-    for i in range(30):
+    for i in range(turns):
         session.handle_buyer_turn(f"Question {i:02d}: one more detail about my order, please.")
     prompts = [r.last_content() for r in chat.requests if not r.label_alphabet]
     head = prompts[0][:prompts[0].index("Conversation so far:\n") + len("Conversation so far:\n")]
@@ -407,11 +413,8 @@ def test_propose_prompts_keep_their_prefix_once_the_context_elides(
     floor = len(head) + len(ELISION_MARKER) + 1
     shared = [os.path.commonprefix([a, b]).rfind("\n") + 1 for a, b in zip(elided, elided[1:])]
     assert min(shared) == floor
-    moved = [n == floor for n in shared]
-    if block == 1:
-        assert all(moved)
-    else:  # two lines a turn: one move every four turns, to the next block of 8
-        assert moved == [False, False, False, True] * 6
+    # two lines a turn: one move every block / 2 turns, to the next block
+    assert [n == floor for n in shared] == [i % period == period - 1 for i in range(len(shared))]
 
 
 def test_describe_leaves_one_trace_event(suite_dir, scripts_dir, vision_fixtures):

@@ -80,11 +80,16 @@ def test_asset_must_exist_in_fixtures(vision_fixtures):
 
 
 def test_assertion_path_must_exist_in_seed_world():
-    world = {"orders": {"O1": {"buyer_id": "B", "items": [], "status": "paid", "address": ""}}}
+    world = {"orders": {"O1": {"buyer_id": "B", "items": [], "status": "paid", "address": ""},
+                        "O.1": {"buyer_id": "B", "items": [], "status": "paid"}},
+             "products": {"P.1": {"title": "Mug", "price_cents": 900, "stock": 1,
+                                  "attributes": {"size.cm": 9}}}}
     assertions = [{"path": "orders.O1.status", "expected": "paid"},
+                  {"path": "orders.O.1.status", "expected": "paid"},
+                  {"path": "products.P.1.attributes.size.cm", "expected": 9},
                   {"path": "orders.O1.statuz", "expected": None}]
     bad = dict(MINIMAL, world=world, success={"state_assertions": assertions})
-    with pytest.raises(ConfigError, match=r"state_assertions\[1\]\.path.*orders\.O1\.statuz"):
+    with pytest.raises(ConfigError, match=r"state_assertions\[3\]\.path.*orders\.O1\.statuz"):
         task_from_dict(bad)
 
 

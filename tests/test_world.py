@@ -246,15 +246,23 @@ def test_world_from_dict_rejects_bad_shapes_naming_the_path(data, where):
 
 # --- snapshots: the value at each dotted path, from only the records the paths name ---
 
+def _random_ids(rng: random.Random, prefix: str) -> list[str]:
+    """Ids such as P0, P.1 and P.1.2, some of them a dotted id's leading segments."""
+    ids = [rng.choice([f"{prefix}{i}", f"{prefix}.{i}", f"{prefix}.{i}.2"])
+           for i in range(rng.randrange(1, 8))]
+    return ids + [head for head in (prefix, f"{prefix}.1") if rng.random() < 0.5]
+
+
 def _random_world(rng: random.Random) -> World:
-    products = {f"P{i}": {"title": f"t{i}", "price_cents": rng.randrange(100, 9000),
-                          "attributes": {"color": rng.choice(["red", "blue"]), "size.cm": 9, "": 1},
-                          "stock": rng.randrange(5)}
-                for i in range(rng.randrange(1, 8))}
-    orders = {f"O{i}": {"buyer_id": f"B{rng.randrange(3)}",
-                        "status": rng.choice(list(OrderStatus)).value,
-                        "items": [{"product_id": rng.choice(list(products)), "qty": 1}]}
-              for i in range(rng.randrange(1, 8))}
+    products = {pid: {"title": f"t{i}", "price_cents": rng.randrange(100, 9000),
+                      "attributes": {"color": rng.choice(["red", "blue"]), "size.cm": 9, "": 1,
+                                     "size": rng.choice([4, {"cm": 3, "in": 1}])},
+                      "stock": rng.randrange(5)}
+                for i, pid in enumerate(_random_ids(rng, "P"))}
+    orders = {oid: {"buyer_id": f"B{rng.randrange(3)}",
+                    "status": rng.choice(list(OrderStatus)).value,
+                    "items": [{"product_id": rng.choice(list(products)), "qty": 1}]}
+              for oid in _random_ids(rng, "O")}
     shipments = {oid: [{"tick": t, "location": "hub", "status": "in_transit"}
                        for t in range(rng.randrange(1, 3))]
                  for oid in orders if rng.random() < 0.5}
@@ -270,29 +278,32 @@ def _random_world(rng: random.Random) -> World:
 def _random_path(rng: random.Random, world: World) -> str:
     top = rng.choice(["products", "orders", "shipments", "clock", "policies", ""])
     tables = {"products": world.products, "orders": world.orders, "shipments": world.shipments}
-    ids = [*tables.get(top, ())] * 2 + ["P0", "O99", ""]  # mostly the table's own ids
+    ids = [*tables.get(top, ())] * 2 + ["P0", "P.9", "O99", ""]  # mostly the table's own ids
     tail = rng.choice([[], [rng.choice(ids)], ["x"],
                        [rng.choice(ids), rng.choice(["status", "title", "attributes", "items",
-                                                     "stock", "nope", "", "0"])],
+                                                     "stock", "nope", "", "0", "2.status"])],
                        [rng.choice(ids), "attributes",
-                        rng.choice(["color", "size", "", "size.cm"])]])
+                        rng.choice(["color", "size", "", "size.cm", "size.in", "size.mm"])]])
     return ".".join([top] + tail)
 
 
 def _reference_snapshot(world: World, paths: list[str]) -> dict:
-    """The whole world as plain dicts, each path walked through it by dict keys."""
+    """The whole world as plain dicts, each path walked through it: at each level, the
+    longest key that the rest of the path equals or starts with, then a dot."""
     full = {"products": {k: p.to_doc() for k, p in world.products.items()},
             "orders": {k: o.to_doc() for k, o in world.orders.items()},
             "shipments": {k: [e.to_doc() for e in events] for k, events in world.shipments.items()},
             "clock": world.clock}
     values = {}
     for path in paths:
-        node = full
-        for key in path.split("."):
-            if not isinstance(node, dict) or key not in node:
+        node, rest = full, path
+        while rest is not None and isinstance(node, dict):
+            fits = [key for key in node if rest == key or rest.startswith(key + ".")]
+            if not fits:
                 break
-            node = node[key]
-        else:
+            key = max(fits, key=len)
+            node, rest = node[key], None if rest == key else rest[len(key) + 1:]
+        if rest is None:
             values[path] = node
     return values
 
@@ -303,7 +314,7 @@ def test_sparse_snapshot_resolves_every_path_like_the_full_one(seed):
     world = _random_world(rng)
     paths = [_random_path(rng, world) for _ in range(rng.randrange(10, 40))]
     paths += ["clock", "orders.O0.status", "products.P0.attributes", "products.P99.title",
-              "weather.today"]
+              "weather.today", "products.P.1.attributes.size.cm", "orders.O.1.status"]
     assert world.snapshot(paths) == _reference_snapshot(world, paths)
 
 
