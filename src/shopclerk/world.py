@@ -124,7 +124,9 @@ class World:
         A path walks dict keys from the tables and the clock. A key may hold
         dots: at each level the longest run of the path's remaining segments
         that is a key is taken, so `products.P.1.attributes.size.cm` names
-        attribute `size.cm` of product `P.1`, even beside a product `P`. A
+        attribute `size.cm` of product `P.1`, even beside a product `P`. Runs
+        of at most KEY_SEGMENTS segments are tried, so a path costs time in
+        proportion to its length; a key of more segments cannot be named. A
         path that names nothing is left out. Only the records the paths name
         are built.
         """
@@ -150,10 +152,14 @@ class World:
         return values
 
 
+# the most dot-separated segments one key of a snapshot path may span
+KEY_SEGMENTS = 16
+
+
 def _longest_key(node: Mapping, keys: list[str]) -> tuple[object, list[str]] | None:
-    """(value, keys left) for the longest run keys[:n] that, joined by dots, is a key
-    of node; None when no run is."""
-    for n in range(len(keys), 0, -1):
+    """(value, keys left) for the longest run keys[:n], n <= KEY_SEGMENTS, that, joined
+    by dots, is a key of node; None when no run is."""
+    for n in range(min(len(keys), KEY_SEGMENTS), 0, -1):
         if (key := ".".join(keys[:n])) in node:
             return node[key], keys[n:]
     return None

@@ -388,15 +388,15 @@ def test_each_propose_prompt_starts_with_the_previous_ones_static_head(
     assert pairs == 30 - 13  # every propose call but each session's first
 
 
-@pytest.mark.parametrize("row, turns, period", [
-    ({"context_budget": 400, "elide_block": 1}, 30, 1),
-    ({"context_budget": 400, "elide_block": 8}, 30, 4),
+@pytest.mark.parametrize("row, turns, period, pairs", [
+    ({"context_budget": 400, "elide_block": 1}, 30, 1, 24),
+    ({"context_budget": 400, "elide_block": 8}, 30, 4, 24),
     # the default block of 16: a budget of 400 holds fewer lines than a block, so the
     # rounding would often pass the newest buyer line and start the context there
-    ({"context_budget": 800}, 40, 8),
+    ({"context_budget": 800}, 40, 8, 29),
 ], ids=["1", "8", "default"])
 def test_propose_prompts_keep_their_prefix_once_the_context_elides(
-        suite_dir, vision_fixtures, tmp_path, row, turns, period):
+        suite_dir, vision_fixtures, tmp_path, row, turns, period, pairs):
     plans = [{"kind": "direct_reply", "steps": [], "rationale": "Acknowledge.", "reply": "Noted."}]
     chat = PromptCapture(plans_script(plans, "Acknowledge.", tmp_path / "ack.json"))
     task = load_task(suite_dir / "kettle-capacity.json", vision_fixtures)
@@ -407,7 +407,7 @@ def test_propose_prompts_keep_their_prefix_once_the_context_elides(
     prompts = [r.last_content() for r in chat.requests if not r.label_alphabet]
     head = prompts[0][:prompts[0].index("Conversation so far:\n") + len("Conversation so far:\n")]
     elided = [p for p in prompts if p.startswith(head + ELISION_MARKER + "\n")]
-    assert len(elided) > 20
+    assert len(elided) == pairs + 1  # pins the turn elision starts at
     # cut at the last line break, the shared prefix of two prompts covers whole lines:
     # it ends at the marker exactly when the first kept line moved
     floor = len(head) + len(ELISION_MARKER) + 1

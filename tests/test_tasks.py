@@ -93,6 +93,13 @@ def test_assertion_path_must_exist_in_seed_world():
         task_from_dict(bad)
 
 
+def test_a_very_long_assertion_path_is_rejected_at_once():
+    path = "products." + ".".join(["a"] * 50_000)
+    bad = dict(MINIMAL, success={"state_assertions": [{"path": path, "expected": 1}]})
+    with pytest.raises(ConfigError, match=r"state_assertions\[0\]\.path"):
+        task_from_dict(bad)
+
+
 def test_success_needs_some_predicate():
     bad = dict(MINIMAL, success={})
     with pytest.raises(ConfigError, match="success"):

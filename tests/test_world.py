@@ -10,6 +10,7 @@ from shopclerk.memory import ContentPart, Message, Namespace, PartKind, Role, do
 from shopclerk.shop_tools import TOOLS
 from shopclerk.toolkit import ToolCall, ToolResult
 from shopclerk.world import (
+    KEY_SEGMENTS,
     ORDER_ACTIONS,
     Order,
     OrderStatus,
@@ -298,7 +299,8 @@ def _reference_snapshot(world: World, paths: list[str]) -> dict:
     for path in paths:
         node, rest = full, path
         while rest is not None and isinstance(node, dict):
-            fits = [key for key in node if rest == key or rest.startswith(key + ".")]
+            fits = [key for key in node if key.count(".") < KEY_SEGMENTS
+                    and (rest == key or rest.startswith(key + "."))]
             if not fits:
                 break
             key = max(fits, key=len)
@@ -325,6 +327,33 @@ def test_sparse_snapshot_builds_only_the_named_records(monkeypatch):
         "orders.O1.status": "delivered"}
     assert built == ["O1"]
     assert world.snapshot([]) == {}
+
+
+class _ProbedDict(dict):
+    """A table that adds up the chars of every key it is asked whether it holds."""
+    probed = 0
+
+    def __contains__(self, key):
+        self.probed += len(key)
+        return super().__contains__(key)
+
+
+def test_snapshot_cost_grows_with_the_path_length_not_its_square():
+    world = make_world()
+    world.products = _ProbedDict(world.products)
+    path = "products." + ".".join(["a"] * 20_000)
+    assert world.snapshot([path]) == {}
+    # at most KEY_SEGMENTS runs tried, none longer than that many segments
+    assert world.products.probed <= KEY_SEGMENTS * 2 * KEY_SEGMENTS
+
+
+def test_snapshot_names_keys_of_up_to_key_segments_segments():
+    longest, too_long = ".".join(["k"] * KEY_SEGMENTS), ".".join(["k"] * (KEY_SEGMENTS + 1))
+    world = world_from_dict({"products": {
+        pid: {"title": "t", "price_cents": 1, "stock": 0, "attributes": {}}
+        for pid in (longest, too_long)}})
+    paths = [f"products.{longest}.title", f"products.{too_long}.title"]
+    assert world.snapshot(paths) == {paths[0]: "t"}
 
 
 def test_seed_store_covers_namespaces():
