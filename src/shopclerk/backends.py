@@ -31,7 +31,12 @@ class ChatRequest(namedtuple("_ChatRequest", "messages label_alphabet kind")):
         return tuple.__new__(cls, (messages, label_alphabet, kind))
 
     def prompt_chars(self) -> int:
-        return sum(len(m.content) + sum(len(r) for r in m.image_refs) for m in self.messages)
+        chars = 0
+        for message in self.messages:
+            chars += len(message.content)
+            for ref in message.image_refs:
+                chars += len(ref)
+        return chars
 
     def last_content(self) -> str:
         return self.messages[-1].content

@@ -254,14 +254,12 @@ def evaluate(
         if choice not in labels:
             raise EvaluationError(f"backend reply is not a plan label: {choice!r}")
         probs = {choice: 1.0}
-    total = sum(probs.get(label, 0.0) for label in labels)
+    masses = [probs.get(label, 0.0) for label in labels]
+    total = sum(masses)
     if total <= 0:
         raise EvaluationError("label probabilities assign no mass to any plan label")
-    return [
-        PlanEvaluation(plan_id=plan.plan_id, label=labels[i],
-                       confidence=probs.get(labels[i], 0.0) / total)
-        for i, plan in enumerate(plans)
-    ]
+    return [PlanEvaluation(plan.plan_id, label, mass / total)
+            for plan, label, mass in zip(plans, labels, masses)]
 
 
 def select(evaluations: list[PlanEvaluation], confidence_floor: float = 0.0) -> int | None:

@@ -115,6 +115,79 @@ def shape_error(value, schema: dict) -> str | None:
     return None if problem is None else f"{problem[0] or 'top level'}: {problem[1]}"
 
 
+# the class each leaf type accepts without a further test (a float goes to shape_error,
+# which turns away the non-finite)
+_FAST_CLASS = {"object": dict, "array": list, "string": str, "integer": int, "number": int,
+               "boolean": bool, "null": type(None)}
+_LEAF_KEYS = frozenset({"type", "enum", "minLength", "minimum"})
+
+
+def _fast_leaf(schema: dict) -> tuple | None:
+    """(classes, string members or None, minLength, minimum or None) that accept only
+    values shape_error accepts; None when schema is not a plain leaf."""
+    if not schema or not schema.keys() <= _LEAF_KEYS:
+        return None
+    kind = schema.get("type")
+    if kind is None:
+        classes = {str}
+    else:
+        classes = {_FAST_CLASS[k] for k in ((kind,) if kind.__class__ is str else kind)
+                   if k in _FAST_CLASS}
+    members = None
+    if "enum" in schema:  # only string members are taken without shape_error
+        members = frozenset(m for m in schema["enum"] if m.__class__ is str)
+        classes &= {str}
+    return frozenset(classes), members, schema.get("minLength", 0), schema.get("minimum")
+
+
+def compile_shape(schema: dict):
+    """A checker with shape_error's contract for schema: value -> "<path>: <why>" or None.
+
+    A closed object whose properties are plain leaves (type, enum, minLength,
+    minimum) accepts a fitting value with one table lookup and one exact-class
+    test per key, counting the required keys it meets. Every other value, and
+    every other schema, goes to shape_error, the only source of refusal words.
+    Build a checker once per schema; it keeps no state, so threads share it.
+    """
+    def check(value):
+        return shape_error(value, schema)
+
+    if (schema.keys() != {"type", "required", "properties", "additionalProperties"}
+            or schema["type"] != "object" or schema["additionalProperties"] is not False):
+        return check
+    required = frozenset(schema["required"])
+    leaves = {}
+    for name, sub in schema["properties"].items():
+        if (leaf := _fast_leaf(sub)) is None:
+            return check
+        leaves[name] = (*leaf, name in required)
+    n_required = len(required)
+
+    def check_closed(value):
+        if value.__class__ is dict:
+            met = 0
+            for name, item in value.items():
+                leaf = leaves.get(name)
+                if leaf is None:
+                    break  # an unknown key
+                classes, members, min_length, minimum, needed = leaf
+                cls = item.__class__
+                if cls not in classes:
+                    break
+                if cls is str:
+                    if len(item) < min_length or members is not None and item not in members:
+                        break
+                elif minimum is not None and cls is int and item < minimum:
+                    break
+                met += needed
+            else:
+                if met == n_required:
+                    return None
+        return shape_error(value, schema)
+
+    return check_closed
+
+
 def _unreadable(what: str, path, exc: OSError) -> ConfigError:
     why = "not found" if isinstance(exc, FileNotFoundError) else exc.strerror
     return ConfigError(f"{what} {path} cannot be read: {why}")

@@ -94,7 +94,8 @@ class WorkingMemory:
 
 
 def render_turn(msg: Message) -> str:
-    return f"[{msg.role.value}] {msg.text()}"
+    # _value_, not the value property, which is a Python-level descriptor
+    return f"[{msg.role._value_}] {msg.text()}"
 
 
 def render_context(wm: WorkingMemory, budget: int, block: int = 1) -> str:
@@ -191,6 +192,7 @@ class Namespace(str, Enum):
 
 
 NAMESPACES = tuple(Namespace)
+_NAMESPACE_OF = {ns._value_: ns for ns in NAMESPACES}
 WORLD_NAMESPACES = frozenset({Namespace.PRODUCT, Namespace.ORDER, Namespace.LOGISTICS})
 
 
@@ -303,6 +305,8 @@ class LongTermStore:
 
     @staticmethod
     def _namespace(namespace: str | Namespace) -> Namespace:
+        if namespace.__class__ is str and (ns := _NAMESPACE_OF.get(namespace)) is not None:
+            return ns  # a table lookup, not Enum's call
         try:
             return Namespace(namespace)
         except ValueError:

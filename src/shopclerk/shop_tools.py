@@ -15,8 +15,9 @@ from .vision import IntegrationStrategy
 from .world import ORDER_ACTIONS, World
 
 
-def _dump(payload) -> str:
-    return json.dumps(payload, sort_keys=True, ensure_ascii=False)
+# json.dumps(payload, sort_keys=True, ensure_ascii=False), without building an encoder per
+# call; encode keeps no state between calls, so every session and thread shares it
+_dump = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
 
 
 def _tool(name: str, description: str, properties: dict, required: list[str]) -> ToolDescriptor:
@@ -25,8 +26,8 @@ def _tool(name: str, description: str, properties: dict, required: list[str]) ->
 
 _NAMESPACE = {"type": "string", "enum": [ns.value for ns in Namespace]}
 
-# Every session's tools, in catalog order. Built once and never mutated, so
-# all sessions share these descriptors.
+# Every session's tools, in catalog order. Built once, with each argument checker,
+# and never mutated, so all sessions share these descriptors.
 TOOLS = (
     _tool("product_info", "Look up one product's title, attributes, price, and stock.",
           {"product_id": STRING}, ["product_id"]),

@@ -6,16 +6,21 @@ is_error}.
 """
 
 import json
+from collections import namedtuple
 from typing import NamedTuple
 
 from .errors import ReplayMissError
-from .files import shape_error
+from .files import compile_shape
 
 
-class ToolDescriptor(NamedTuple):
-    name: str
-    description: str
-    input_schema: dict
+class ToolDescriptor(namedtuple("_ToolDescriptor", "name description input_schema check")):
+    """A tool and its argument checker, compiled from input_schema when the descriptor
+    is built (files.compile_shape): a static tool table compiles each schema once."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, description: str, input_schema: dict):
+        return tuple.__new__(cls, (name, description, input_schema, compile_shape(input_schema)))
 
 
 class ToolCall(NamedTuple):
@@ -112,13 +117,13 @@ class ToolRegistry:
         """Run a tool call; a handler's text is its result, and its failure an error result.
 
         Arguments that break the tool's input_schema are refused before the handler runs,
-        with the first misfit as shape_error words it.
+        with the first misfit as files.shape_error words it.
 
         The one error raised is a ReplayMissError: a replay cannot go on past an unrecorded call."""
         descriptor = self._tools.get(call.tool_name)
         if descriptor is None:
             return ToolResult(call.call_id, f"unknown_tool: {call.tool_name}", is_error=True)
-        if why := shape_error(call.arguments, descriptor.input_schema):
+        if why := descriptor.check(call.arguments):
             return ToolResult(call.call_id, f"invalid_arguments: {why}", is_error=True)
         try:
             return ToolResult(call.call_id, getattr(self._handlers, call.tool_name)(call.arguments))

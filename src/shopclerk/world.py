@@ -96,12 +96,13 @@ class World:
                 f"illegal_transition: cannot {action} order {order_id} "
                 f"in status {order.status.value}"
             )
+        # _value_, not the value property, which is a Python-level descriptor
         event = {
             "tick": self.clock,
             "order_id": order_id,
             "action": action,
-            "from": order.status.value,
-            "to": target.value,
+            "from": order.status._value_,
+            "to": target._value_,
         }
         self.orders[order_id] = order._replace(status=target)
         self.mutations.append(event)

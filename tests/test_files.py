@@ -1,8 +1,12 @@
+import random
+
 import pytest
 
+from shopclerk import files
 from shopclerk.errors import ConfigError
 from shopclerk.files import (
-    LIST, OBJECT, STRING, closed, parse_once, read_json, read_jsonl, read_text, shape_error,
+    LIST, OBJECT, STRING, closed, compile_shape, parse_once, read_json, read_jsonl, read_text,
+    shape_error,
 )
 
 
@@ -148,3 +152,44 @@ def test_parse_once_reads_a_file_version_once(tmp_path):
     path.unlink()
     with pytest.raises(ConfigError, match="cannot be read: not found"):
         parse_once(cache, path, "thing", parse)
+
+
+# plain leaves the compiled checker takes itself, and two it leaves to shape_error
+_LEAVES = [STRING, OBJECT, LIST, {"type": "string", "minLength": 2},
+           {"type": "integer", "minimum": 1}, {"type": "number", "minimum": 0},
+           {"type": ["string", "null"], "minLength": 1}, {"enum": ["a", 1, True]},
+           {"type": "string", "enum": ["a", "b"]}, {"type": "boolean"}, {"type": "null"},
+           {"minimum": 3}, {"type": ["integer", "boolean"], "minimum": 1},
+           {"type": "integer", "maximum": 3}, {"type": "array", "items": STRING}]
+_VALUES = ["", "a", "ab", "b", 0, 1, 2, -1, 1.0, 2.5, float("nan"), float("inf"), True, False,
+           None, [], ["x"], [1], {}, {"k": 1}]
+
+
+def test_a_compiled_checker_words_every_value_as_shape_error_does():
+    rng = random.Random("compile_shape")
+    for _ in range(1500):
+        names = rng.sample("pqrs", rng.randrange(1, 5))
+        schema = closed(rng.sample(names, rng.randrange(len(names) + 1)),
+                        **{name: rng.choice(_LEAVES) for name in names})
+        check = compile_shape(schema)
+        for _ in range(10):
+            keys = rng.sample([*names, "z"], rng.randrange(len(names) + 2))
+            value = {key: rng.choice(_VALUES) for key in keys}
+            assert check(value) == shape_error(value, schema), (schema, value)
+        for value in ([], None, "p"):
+            assert check(value) == shape_error(value, schema)
+    for schema in (SHAPE, ROW, {"type": "object"}, {"type": "object", "properties": {}}):
+        assert compile_shape(schema)({"id": 0}) == shape_error({"id": 0}, schema)
+
+
+def test_a_fitting_value_of_plain_leaves_never_reaches_shape_error(monkeypatch):
+    check = compile_shape(closed(["a"], a={"type": "string", "minLength": 1},
+                                 n={"type": "integer", "minimum": 1}, e={"enum": ["x", "y"]}))
+    monkeypatch.setattr(files, "shape_error", lambda value, schema: "slow")
+    assert check({"a": "k", "n": 2, "e": "y"}) is None
+    assert check({"e": "x", "a": "k"}) is None
+    assert check({"a": "k", "n": True}) == "slow"
+    assert check({"a": "k", "n": 2.0}) == "slow"
+    assert check({"a": ""}) == "slow"
+    assert check({"a": "k", "e": "z"}) == "slow"
+    assert check({"n": 2}) == "slow"

@@ -264,3 +264,37 @@ def test_trace_records_every_call(suite_dir, vision_fixtures, tmp_path):
     assert kinds.count("tool_result") == 2
     [update] = [e for e in session.trace.events if e["kind"] == "mutation"]
     assert update["seq"] == tool_events(session)[-1]["seq"] + 1  # the refund right after its result
+
+
+def test_lookup_results_are_the_payload_as_json_dumps_writes_it():
+    # a non-ASCII title, nested attributes and a list of items, through every reading tool
+    seed = {
+        "products": {"P7": {"title": "Théière fonte 鉄瓶", "price_cents": 5900, "stock": 2,
+                            "attributes": {"size": {"h_cm": 14, "colors": ["noir", "rouge"]},
+                                           "care": "à la main", "lid": True}}},
+        "orders": {"O7": {"buyer_id": "B7", "status": "paid", "address": "5 Rue d'Été",
+                          "items": [{"product_id": "P7", "qty": 2}, {"gift": "carte ✓"}]}},
+        "policies": [{"key": "retours", "body": {"fenêtre": "30 jours", "frais": [0, "€5"]}}],
+    }
+    world = world_from_dict(seed)
+    registry = build_registry(world, seed_store(world), PlaceholderTable(),
+                              FixtureVisionBackend({}))
+    product = {"product_id": "P7", **seed["products"]["P7"]}
+    order = {"order_id": "O7", **seed["orders"]["O7"]}
+    policy = seed["policies"][0]
+    expected = [
+        (("product_info", {"product_id": "P7"}), product),
+        (("order_lookup", {"order_id": "O7"}), order),
+        (("memory_get", {"namespace": "product", "key": "P7"}),
+         {"found": True, "key": "P7", "body": product}),
+        (("memory_get", {"namespace": "platform_policy", "key": "retours"}),
+         {"found": True, "key": "retours", "body": policy["body"]}),
+        (("memory_search", {"namespace": "platform_policy", "query": "fenêtre"}),
+         [{"key": "retours", "body": policy["body"]}]),
+        (("memory_search", {"namespace": "order", "query": "b7"}),
+         [{"key": "O7", "body": order}]),
+    ]
+    for (tool, arguments), payload in expected:
+        result = invoke(registry, tool, **arguments)
+        assert not result.is_error, result.text
+        assert result.text == json.dumps(payload, sort_keys=True, ensure_ascii=False), tool

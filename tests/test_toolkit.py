@@ -5,7 +5,7 @@ import pytest
 
 from conftest import one_round_session, tool_events
 from shopclerk.errors import ReplayMissError
-from shopclerk.files import closed
+from shopclerk.files import closed, shape_error
 from shopclerk.shop_tools import TOOLS
 from shopclerk.toolkit import (
     ActionTrace,
@@ -207,11 +207,35 @@ def test_invoke_refuses_as_the_reference_does(tool):
         if expected:  # the reported path is one of the names the reference lists
             assert any(result.text.startswith(f"invalid_arguments: {name}: ")
                        for name in expected), (arguments, result.text)
+            # in shape_error's words, whichever way the compiled checker went
+            why = shape_error(arguments, descriptor.input_schema)
+            assert result.text == "invalid_arguments: " + why
             assert ran == []  # the handler never ran
         else:
             assert ran == [arguments]
         seen.add(bool(expected))
     assert seen == {True, False}  # both fitting and offending dicts were drawn
+
+
+@pytest.mark.parametrize("tool", [t.name for t in TOOLS])
+def test_the_compiled_checker_accepts_only_what_shape_error_accepts(tool):
+    descriptor = next(t for t in TOOLS if t.name == tool)
+    schema = descriptor.input_schema
+    rng = random.Random(f"compiled-{tool}")
+    accepted = 0
+    for _ in range(3000):
+        arguments = _random_arguments(rng, schema)
+        if rng.random() < 0.2:  # the edge values of each property, one at a time
+            name = rng.choice(list(schema["properties"]))
+            arguments[name] = rng.choice([True, False, 2.0, 1, 0, -1, "", "x", None,
+                                          "Cancel", "cancel ", "platform_policy"])
+        verdict = descriptor.check(arguments)
+        if verdict is None:
+            accepted += 1
+            assert shape_error(arguments, schema) is None, arguments
+        else:
+            assert verdict == shape_error(arguments, schema), arguments
+    assert accepted > 50  # fitting arguments were drawn too
 
 
 def test_trace_jsonl_round_trip(tmp_path):
