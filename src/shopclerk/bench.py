@@ -7,6 +7,7 @@ from . import decision
 from .config import AgentConfig
 from .episode import EpisodeResult, run_episode
 from .errors import UsageError
+from .files import writing_into
 from .metrics import format_fraction, mean_completion_time, pass_hat_k
 from .tasks import Task
 from .toolkit import Usage
@@ -89,38 +90,26 @@ def run_ablation(
 
 def report_table(reports: list[dict], k_values: list[int]) -> str:
     """Aligned text table, one row per variant."""
-    headers = ["variant"] + [f"pass^{k}" for k in k_values] + [
-        "t_multi(ms)", "t_uni(ms)", "prompt_chars", "calls", "failures",
-    ]
+    headers = ["variant", *(f"pass^{k}" for k in k_values),
+               "t_multi(ms)", "t_uni(ms)", "prompt_chars", "calls", "failures"]
     rows = []
     for report in reports:
-        def fmt_time(value):
-            return f"{value:.1f}" if value is not None else "-"
-
-        rows.append(
-            [report["name"]]
-            + [format_fraction(report["pass_hat_k"][str(k)]) for k in k_values]
-            + [
-                fmt_time(report["mean_time_ms"]["multimodal"]),
-                fmt_time(report["mean_time_ms"]["unimodal"]),
-                str(report["usage"]["prompt_chars"]),
-                str(report["usage"]["backend_calls"]),
-                str(report["failures"]),
-            ]
-        )
-    widths = [max(len(headers[i]), *(len(r[i]) for r in rows)) for i in range(len(headers))]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers))]
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(lines)
+        times = (report["mean_time_ms"][modality] for modality in ("multimodal", "unimodal"))
+        rows.append([report["name"],
+                     *(format_fraction(report["pass_hat_k"][str(k)]) for k in k_values),
+                     *("-" if ms is None else f"{ms:.1f}" for ms in times),
+                     str(report["usage"]["prompt_chars"]), str(report["usage"]["backend_calls"]),
+                     str(report["failures"])])
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    lines = [headers, ["-" * w for w in widths], *rows]
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(line, widths)) for line in lines)
 
 
 def write_report(reports: list[dict], k_values: list[int], directory) -> None:
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / "report.json").write_text(
-        json.dumps(reports, indent=2, sort_keys=True),
-        encoding="utf-8",
-    )
-    (directory / "report.txt").write_text(report_table(reports, k_values) + "\n", encoding="utf-8")
+    with writing_into(directory):
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / "report.json").write_text(json.dumps(reports, indent=2, sort_keys=True),
+                                               encoding="utf-8")
+        (directory / "report.txt").write_text(report_table(reports, k_values) + "\n",
+                                              encoding="utf-8")

@@ -290,13 +290,14 @@ def write_result(result: EpisodeResult, directory) -> None:
     """Persist one trial: result JSON plus transcript and trace JSONL."""
     from pathlib import Path
 
+    from .files import writing_into
     from .memory import write_transcript
 
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     stem = f"{result.task_id}-t{result.trial_index}"
-    (directory / f"{stem}.result.json").write_text(
-        json.dumps(result.to_dict(), indent=2, sort_keys=True), encoding="utf-8"
-    )
-    write_transcript(result.transcript, directory / f"{stem}.transcript.jsonl")
-    result.trace.write_jsonl(directory / f"{stem}.trace.jsonl")
+    with writing_into(directory):
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / f"{stem}.result.json").write_text(
+            json.dumps(result.to_dict(), indent=2, sort_keys=True), encoding="utf-8")
+        write_transcript(result.transcript, directory / f"{stem}.transcript.jsonl")
+        result.trace.write_jsonl(directory / f"{stem}.trace.jsonl")

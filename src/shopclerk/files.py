@@ -1,7 +1,8 @@
 """The one reader of input files and the one checker of their shapes.
 
 Every read error is a ConfigError naming the file, and so is an output
-directory that cannot be made. Shapes are schema dicts in a JSON Schema
+directory that cannot be made (make_dir) or an output file that cannot be
+written (writing_into). Shapes are schema dicts in a JSON Schema
 2020-12 subset (https://json-schema.org/draft/2020-12): type (a name or a
 list of names), properties, required, additionalProperties (false, or the
 schema of every other key), items, enum, minimum, maximum, minLength and
@@ -13,6 +14,7 @@ Infinity and a literal too large for a float are no numbers.
 import json
 import math
 import os
+from contextlib import contextmanager
 
 from .errors import ConfigError
 
@@ -210,6 +212,16 @@ def make_dir(path, what: str) -> None:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"{what} {path} cannot be made a directory: {exc.strerror}") from None
+
+
+@contextmanager
+def writing_into(directory):
+    """Turn an OSError from the block's writes under directory into a ConfigError."""
+    try:
+        yield
+    except OSError as exc:
+        path = exc.filename or directory
+        raise ConfigError(f"output file {path} cannot be written: {exc.strerror}") from None
 
 
 def parse_json(text: str, where: str, schema: dict | None = None):

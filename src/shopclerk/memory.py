@@ -4,7 +4,7 @@ import heapq
 import json
 from bisect import bisect_left
 from collections import namedtuple
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
@@ -235,19 +235,19 @@ def _rank(docs: Iterable[Document], query_tokens: frozenset[str], limit: int) ->
     return [doc for _, _, doc in heapq.nsmallest(limit, hits)]
 
 
-class Corpus(Mapping):
+class Corpus:
     """A read-only document table with a token index, built once.
 
     Bit i of ``_masks[token]`` is set when the i-th document in key order holds the
     token, so a search ORs and ANDs a few integers instead of scoring every document.
-    Nothing writes to a corpus (a store copies it on its first put), so the index never
-    goes stale and threads share it without a lock.
+    Nothing writes to a corpus (a store keeps its own puts beside it), so the index
+    never goes stale and threads share it without a lock.
     """
 
-    __slots__ = ("_docs", "_ordered", "_masks")
+    __slots__ = ("docs", "_ordered", "_masks")
 
     def __init__(self, docs: dict[str, Document]):
-        self._docs = docs
+        self.docs = docs
         self._ordered = [docs[key] for key in sorted(docs)]
         masks: dict[str, int] = {}
         for i, doc in enumerate(self._ordered):
@@ -277,31 +277,22 @@ class Corpus(Mapping):
                 exact ^= low
         return ranked
 
-    def __getitem__(self, key: str) -> Document:
-        return self._docs[key]
 
-    def __iter__(self):
-        return iter(self._docs)
-
-    def __len__(self) -> int:
-        return len(self._docs)
-
-    def copy(self) -> dict[str, Document]:
-        return self._docs.copy()
+_NO_CORPUS = Corpus({})
 
 
 class LongTermStore:
     """Domain knowledge keyed by (namespace, key); last write wins.
 
-    WORLD_NAMESPACES are read-only, served from the store's world. A ``seeded`` table
-    is shared, and searched through its index, until the store's first put into its
-    namespace copies it.
+    WORLD_NAMESPACES are read-only, served from the store's world. Every other
+    namespace is a pair: the world's shared policy corpus (empty when it seeds none),
+    never written, and a dict of the store's own puts, which hide corpus keys.
     """
 
-    def __init__(self, world, seeded: Mapping[Namespace, Corpus] | None = None):
+    def __init__(self, world):
         self._world = world
-        self._docs: dict[Namespace, Mapping[str, Document]] = {ns: {} for ns in NAMESPACES}
-        self._docs.update(seeded or {})
+        self._tables = {ns: (world.policies.get(ns, _NO_CORPUS), {})
+                        for ns in NAMESPACES if ns not in WORLD_NAMESPACES}
 
     @staticmethod
     def _namespace(namespace: str | Namespace) -> Namespace:
@@ -318,17 +309,15 @@ class LongTermStore:
             raise SchemaError(f"read-only namespace: {ns.value} records come from the world")
         if not key:
             raise SchemaError("document key must be non-empty")
-        table = self._docs[ns]
-        if type(table) is Corpus:
-            table = self._docs[ns] = table.copy()
-        table[key] = document(key, body)
+        self._tables[ns][1][key] = document(key, body)
 
     def get(self, namespace: str | Namespace, key: str) -> Document | None:
         ns = self._namespace(namespace)
         if ns in WORLD_NAMESPACES:
             body = self._world.doc(ns, key)
             return None if body is None else document(key, body)
-        return self._docs[ns].get(key)
+        corpus, written = self._tables[ns]
+        return written.get(key) or corpus.docs.get(key)
 
     def search(self, namespace: str | Namespace, query: str, limit: int) -> list[Document]:
         """Documents ranked by distinct query-token overlap, ties by key."""
@@ -338,9 +327,13 @@ class LongTermStore:
         query_tokens = frozenset(query.casefold().split())
         if ns in WORLD_NAMESPACES:  # world records change under order actions: tokenized per search
             world = self._world
-            return _rank((document(key, world.doc(ns, key)) for key in world.doc_keys(ns)),
-                         query_tokens, limit)
-        table = self._docs[ns]
-        if type(table) is Corpus:
-            return table.rank(query_tokens, limit)
-        return _rank(table.values(), query_tokens, limit)
+            corpus, written = _NO_CORPUS, {key: document(key, world.doc(ns, key))
+                                           for key in world.doc_keys(ns)}
+        else:
+            corpus, written = self._tables[ns]
+        # each written key hides at most one corpus document, so this many are enough
+        seeded = corpus.rank(query_tokens, limit + len(written))
+        if not written:
+            return seeded
+        return _rank([*(doc for doc in seeded if doc.key not in written), *written.values()],
+                     query_tokens, limit)

@@ -102,21 +102,25 @@ def read_annotations_csv(path: str | Path) -> ContributionInputs:
     total_ai = total_cr = valid_ai = 0
     bad_lines: list[int] = []
     reader = csv.DictReader(io.StringIO(read_text(path, "annotations file")))
-    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-        raise UsageError(
-            f"annotation CSV needs columns {sorted(required)}, got {reader.fieldnames}"
-        )
-    for line_no, row in enumerate(reader, start=2):
-        source = (row.get("source") or "").strip()
-        judged = (row.get("judged_valid") or "").strip()
-        if source not in ("ai", "cr") or judged not in ("0", "1"):
-            bad_lines.append(line_no)
-            continue
-        if source == "ai":
-            total_ai += 1
-            valid_ai += int(judged)
-        else:
-            total_cr += 1
+    try:
+        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+            raise UsageError(
+                f"annotation CSV needs columns {sorted(required)}, got {reader.fieldnames}"
+            )
+        for row in reader:
+            source = (row.get("source") or "").strip()
+            judged = (row.get("judged_valid") or "").strip()
+            if source not in ("ai", "cr") or judged not in ("0", "1"):
+                bad_lines.append(reader.line_num)  # a row's last line, quoted newlines counted
+                continue
+            if source == "ai":
+                total_ai += 1
+                valid_ai += int(judged)
+            else:
+                total_cr += 1
+    except csv.Error as exc:  # a field over the csv module's size limit, say
+        # DictReader.line_num moves only once a row is read; its inner reader's is current
+        raise UsageError(f"annotations file {path} line {reader.reader.line_num}: {exc}") from None
     if bad_lines:
         raise UsageError(f"malformed annotation rows at lines: {bad_lines}")
     return ContributionInputs(valid_ai=valid_ai, total_ai=total_ai, total_cr=total_cr)

@@ -217,8 +217,8 @@ def world_from_dict(data: dict) -> World:
 
 
 def seed_store(world: World) -> LongTermStore:
-    """A long-term store over the world, sharing the world's policy tables until a put."""
-    return LongTermStore(world, world.policies)
+    """A long-term store over the world; its puts sit beside the world's shared policy corpora."""
+    return LongTermStore(world)
 
 
 def replay_mutations(seed: World, events: list[dict]) -> World:

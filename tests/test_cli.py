@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import shopclerk
 from shopclerk import backends, bench, cli, decision
 from shopclerk.backends import ChatResponse, RemoteBackend, ScriptedBackend, load_script
 from shopclerk.cli import _episode_backends, build_parser, main
+from shopclerk.errors import ConfigError
 from shopclerk.tasks import load_task
 from shopclerk.vision import FixtureVisionBackend
 
@@ -315,6 +317,24 @@ def test_out_that_cannot_be_a_directory_exits_2_before_any_episode(
     assert (code, stdout) == (2, "")
     [line] = err.splitlines()
     assert line.startswith(f"error: --out {out}") and " cannot be made a directory: " in line
+
+
+def test_run_whose_trial_file_is_a_directory_exits_2_naming_it(capsys, suite_dir, scripts_dir,
+                                                               tmp_path):
+    taken = tmp_path / "out" / "kettle-capacity-t0.result.json"
+    taken.mkdir(parents=True)
+    code, stdout, err = run_cli(capsys, "run", "--task", str(suite_dir / "kettle-capacity.json"),
+                                "--script", str(scripts_dir / "kettle-capacity.json"),
+                                "--out", str(tmp_path / "out"))
+    assert (code, stdout) == (2, "")
+    assert err.splitlines() == [f"error: output file {taken} cannot be written: Is a directory"]
+
+
+def test_report_that_cannot_be_written_is_a_config_error_naming_it(tmp_path):
+    (tmp_path / "report.txt").mkdir()
+    with pytest.raises(ConfigError, match=rf"^output file {re.escape(str(tmp_path))}/report.txt "
+                                          "cannot be written: "):
+        bench.write_report([], [1], tmp_path)
 
 
 @pytest.mark.parametrize("command", ["run", "chat"])
@@ -721,6 +741,15 @@ def test_metrics_empty_records_dir_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "metrics", "--records", str(tmp_path))
     assert code == 2
     assert "result.json" in err
+
+
+def test_metrics_annotations_with_a_field_over_the_csv_limit_exits_2(capsys, tmp_path):
+    path = tmp_path / "ann.csv"
+    path.write_text(f"session_id,message_id,source,judged_valid\ns,{'m' * 200_000},ai,1\n")
+    code, out, err = run_cli(capsys, "metrics", "--annotations", str(path))
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line.startswith(f"error: annotations file {path} line 2: ")
 
 
 def test_metrics_missing_annotations_file_exits_2(capsys, tmp_path):

@@ -288,7 +288,7 @@ def test_plan_rounds_bounded(suite_dir, vision_fixtures, tmp_path):
 def test_policy_puts_stay_in_their_own_episode(suite_dir, scripts_dir, vision_fixtures, tmp_path):
     # every episode of a task starts from the policy tables parsed once with the task
     task = load_task(suite_dir / "late-delivery.json", vision_fixtures)
-    seeded = dict(task.seed_world.policies[Namespace.PLATFORM_POLICY])
+    seeded = dict(task.seed_world.policies[Namespace.PLATFORM_POLICY].docs)
     puts = [("delivery-promise", "Parcels arrive whenever they like."),
             ("buyer-mood", "This buyer is frustrated.")]
     plans = [{"kind": "tool_sequence", "rationale": "Note the case.", "reply": None, "steps": [
@@ -306,7 +306,7 @@ def test_policy_puts_stay_in_their_own_episode(suite_dir, scripts_dir, vision_fi
     assert second.store.get("platform_policy", "buyer-mood") is None
     found = second.store.search("platform_policy", "parcels arrive whenever frustrated", 5)
     assert [(d.key, d.body) for d in found] == [("delivery-promise", seeded["delivery-promise"].body)]
-    assert dict(task.seed_world.policies[Namespace.PLATFORM_POLICY]) == seeded
+    assert task.seed_world.policies[Namespace.PLATFORM_POLICY].docs == seeded
 
 
 def test_bundled_suite_usage_is_pinned(suite_dir, scripts_dir, vision_fixtures):

@@ -508,9 +508,14 @@ def test_a_changed_search_result_leaves_the_next_one_alone():
     assert seed_store(world).search("platform_policy", query, 5) == expected
 
 
-def test_the_index_ranks_every_query_like_the_reference():
+def test_the_index_ranks_every_query_like_the_reference(monkeypatch):
     data, world = _policy_world(random.Random(2))  # keys k0-k11, so k10 sorts before k2
     store = seed_store(world)
+
+    def scored_in_full(*args):
+        raise AssertionError("a store with no puts scored its corpus document by document")
+
+    monkeypatch.setattr(memory, "_rank", scored_in_full)
     docs = {row["key"]: row["body"] for row in data["policies"]}
     rng = random.Random(6)
     queries = _QUERIES + [(" ".join(rng.choices(_VOCAB + ("absent",), k=rng.randint(1, 12))),
@@ -518,7 +523,8 @@ def test_the_index_ranks_every_query_like_the_reference():
     for query, limit in queries + [(" ".join(_VOCAB), 12), ("absent", 1), ("", 3)]:
         got = [(d.key, d.body) for d in store.search("platform_policy", query, limit)]
         assert got == reference_search(docs, query, limit)
-    assert store._docs[Namespace.PLATFORM_POLICY] is world.policies[Namespace.PLATFORM_POLICY]
+    assert world.policies[Namespace.PLATFORM_POLICY].docs == {
+        key: memory.document(key, body) for key, body in docs.items()}
 
 
 def test_an_empty_corpus_finds_nothing():
@@ -552,21 +558,36 @@ def test_threads_sharing_one_index_each_get_the_reference_ranking():
     assert wrong == []
 
 
-def test_a_store_shares_the_seeded_table_until_its_first_put():
+def test_a_store_never_writes_the_seeded_corpus():
     data, world = _policy_world(random.Random(3))
     seeded = world.policies[Namespace.PLATFORM_POLICY]
+    docs = {row["key"]: row["body"] for row in data["policies"]}
     store, other = seed_store(world), seed_store(world)
     query = " ".join(_VOCAB)
     before = store.search("platform_policy", query, 4)
-    assert store._docs[Namespace.PLATFORM_POLICY] is seeded
     store.put("platform_policy", "k0", "kettle kettle mug refund window parcel days")
     store.put("platform_policy", "zz", " ".join(_VOCAB))
-    assert store._docs[Namespace.PLATFORM_POLICY] is not seeded
-    assert other._docs[Namespace.PLATFORM_POLICY] is seeded
-    assert store._docs[Namespace.STORE_PROMOTION] is world.policies[Namespace.STORE_PROMOTION]
+    assert store.get("platform_policy", "k0").body == "kettle kettle mug refund window parcel days"
+    assert other.get("platform_policy", "k0").body == docs["k0"]
+    assert other.get("platform_policy", "zz") is None
+    assert store.search("store_promotion", query, 4) == []
+    assert store.get("store_promotion", "zz") is None
     assert store.search("platform_policy", query, 1)[0].key == "zz"
     assert other.search("platform_policy", query, 4) == before
     assert seed_store(world).search("platform_policy", query, 4) == before
-    docs = {row["key"]: row["body"] for row in data["policies"]}
     assert [(d.key, d.body) for d in before] == reference_search(docs, query, 4)
-    assert dict(seeded) == {key: memory.document(key, body) for key, body in docs.items()}
+    assert world.policies[Namespace.PLATFORM_POLICY] is seeded
+    assert seeded.docs == {key: memory.document(key, body) for key, body in docs.items()}
+
+
+def test_puts_that_hide_more_seeded_keys_than_the_limit_still_find_the_next_seeded_document():
+    data, world = _policy_world(random.Random(4))
+    docs = {row["key"]: row["body"] for row in data["policies"]}
+    query = " ".join(_VOCAB)
+    expected = reference_search(docs, query, 6)
+    assert len(expected) == 6
+    store = seed_store(world)
+    for key, _ in expected[:5]:  # the five best hits, rewritten to match nothing
+        store.put("platform_policy", key, "unrelated")
+    assert [(d.key, d.body) for d in store.search("platform_policy", query, limit=1)] == expected[5:]
+    assert [(d.key, d.body) for d in seed_store(world).search("platform_policy", query, 6)] == expected

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -161,6 +162,27 @@ def test_annotations_csv_reports_bad_line_numbers(tmp_path):
         "s1,m3,ai,maybe\n"
     )
     with pytest.raises(UsageError, match=r"\[3, 4\]"):
+        read_annotations_csv(path)
+
+
+def test_annotations_csv_reports_a_row_by_its_own_line_after_a_quoted_newline(tmp_path):
+    path = tmp_path / "ann.csv"
+    path.write_text(
+        "session_id,message_id,source,judged_valid\n"
+        's1,"m1\nsecond line",ai,1\n'
+        "s1,m2,robot,1\n"
+    )
+    with pytest.raises(UsageError, match=r"lines: \[4\]$"):
+        read_annotations_csv(path)
+
+
+def test_annotations_csv_with_a_field_over_the_csv_limit_names_the_file_and_line(tmp_path):
+    path = tmp_path / "ann.csv"
+    path.write_text("session_id,message_id,source,judged_valid\n"
+                    "s1,m1,ai,1\n"
+                    f"s1,{'m' * 200_000},ai,1\n")
+    with pytest.raises(UsageError, match=rf"^annotations file {re.escape(str(path))} line 3: "
+                                         r"field larger than field limit"):
         read_annotations_csv(path)
 
 

@@ -6,7 +6,15 @@ from shopclerk.backends import ChatMessage, ChatRequest, ChatResponse, ScriptEnt
 from shopclerk.config import AgentConfig
 from shopclerk.decision import CandidatePlan, PlanKind, PlannedStep
 from shopclerk.errors import SchemaError
-from shopclerk.memory import ContentPart, Message, Namespace, PartKind, Role, document
+from shopclerk.memory import (
+    WORLD_NAMESPACES,
+    ContentPart,
+    Message,
+    Namespace,
+    PartKind,
+    Role,
+    document,
+)
 from shopclerk.shop_tools import TOOLS
 from shopclerk.toolkit import ToolCall, ToolResult
 from shopclerk.world import (
@@ -376,8 +384,13 @@ def test_store_follows_the_world_without_a_put():
 
 
 def test_seed_store_holds_exactly_the_policies():
-    store = seed_store(make_world())
-    for ns in Namespace:
-        stored = {key: doc.body for key, doc in store._docs[ns].items()}
-        assert stored == {row["key"]: row["body"] for row in SEED["policies"]
-                          if row["namespace"] == ns.value}
+    world = make_world()
+    store = seed_store(world)
+    every_token = " ".join(row["body"] for row in SEED["policies"])
+    for ns in set(Namespace) - WORLD_NAMESPACES:
+        expected = {row["key"]: row["body"] for row in SEED["policies"]
+                    if row["namespace"] == ns.value}
+        assert {d.key: d.body for d in store.search(ns, every_token, 10)} == expected
+        assert all(store.get(ns, key).body == body for key, body in expected.items())
+        if ns in world.policies:
+            assert {key: d.body for key, d in world.policies[ns].docs.items()} == expected
