@@ -268,7 +268,7 @@ def run_episode(
     elapsed_ms = (time.monotonic() - started) * 1000.0
     usage = session.trace.usage()
     if error is None:
-        success, rows = check_success(world, session.wm, task.success, session.table)
+        success, rows = check_success(world, replies, task.success)
     else:
         success, rows = False, ()
     return EpisodeResult(

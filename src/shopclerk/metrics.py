@@ -110,7 +110,8 @@ def read_annotations_csv(path: str | Path) -> ContributionInputs:
         for row in reader:
             source = (row.get("source") or "").strip()
             judged = (row.get("judged_valid") or "").strip()
-            if source not in ("ai", "cr") or judged not in ("0", "1"):
+            # DictReader files the cells past the header under None
+            if source not in ("ai", "cr") or judged not in ("0", "1") or None in row:
                 bad_lines.append(reader.line_num)  # a row's last line, quoted newlines counted
                 continue
             if source == "ai":
@@ -122,7 +123,8 @@ def read_annotations_csv(path: str | Path) -> ContributionInputs:
         # DictReader.line_num moves only once a row is read; its inner reader's is current
         raise UsageError(f"annotations file {path} line {reader.reader.line_num}: {exc}") from None
     if bad_lines:
-        raise UsageError(f"malformed annotation rows at lines: {bad_lines}")
+        raise UsageError(
+            f"annotations file {path}: malformed annotation rows at lines: {bad_lines}")
     return ContributionInputs(valid_ai=valid_ai, total_ai=total_ai, total_cr=total_cr)
 
 

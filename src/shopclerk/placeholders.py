@@ -3,6 +3,7 @@
 import json
 import re
 from enum import Enum
+from functools import partial
 from typing import NamedTuple
 from urllib.parse import urlparse
 
@@ -14,6 +15,9 @@ DEFAULT_DESCRIBE_INSTRUCTION = "Describe the image briefly."
 
 URL_RE = re.compile(r"https?://[^\s<>\"']+")
 _TRAILING_PUNCT = ".,;:!?)]\"'"
+
+# A text or placeholder part built without ContentPart's image_ref URL check
+_part = partial(tuple.__new__, ContentPart)
 
 PLACEHOLDER_RE = re.compile(r"\[(Image|Product|Order|Video|Link) (\d+)\]")
 
@@ -38,6 +42,28 @@ IMAGE_SUFFIXES = (".jpg", ".jpeg", ".png", ".webp", ".gif")
 VIDEO_SUFFIXES = (".mp4", ".mov")
 
 
+# An http(s) URL of plain ASCII URL characters: no brackets, spaces, control
+# characters or non-ASCII, so none of urlsplit's stripping, IPv6 or NFKC rules
+# apply. The host runs to the first /, ? or #, the path to the first ? or #.
+_URL_CHARS = r"\w\-.~:@!$&()*+,;=%"
+_PLAIN_URL_RE = re.compile(
+    rf"https?://([{_URL_CHARS}]*)([{_URL_CHARS}/]*)(?:[?#][{_URL_CHARS}/?#]*)?", re.ASCII)
+
+
+def _host_and_path(url: str) -> tuple[str, str]:
+    """urlparse(url)'s netloc and path; a ValueError wherever urlparse raises one."""
+    m = _PLAIN_URL_RE.fullmatch(url)
+    if m is None:
+        parsed = urlparse(url)
+        return parsed.netloc, parsed.path
+    host, path = m.groups()
+    if ";" in path:  # urlparse cuts ;params off the last segment
+        cut = path.find(";", path.rfind("/"))
+        if cut >= 0:
+            path = path[:cut]
+    return host, path
+
+
 def classify_url(url: str) -> RefKind:
     """Map a URL onto a reference kind via an ordered pattern table.
 
@@ -45,11 +71,11 @@ def classify_url(url: str) -> RefKind:
     plain link, never looked up by the key in its path.
     """
     try:
-        parsed = urlparse(url)
+        host, path = _host_and_path(url)
     except ValueError:
         return RefKind.OTHER
-    path = parsed.path.lower()
-    host = parsed.netloc.lower()
+    path = path.lower()
+    host = host.lower()
     if path.endswith(IMAGE_SUFFIXES):
         return RefKind.IMAGE
     if "/order/" in path:
@@ -111,7 +137,7 @@ class PlaceholderTable:
         kind = classify_url(url)
         self._counts[kind] += 1
         placeholder = f"[{KIND_NAMES[kind]} {self._counts[kind]}]"
-        entry = PlaceholderEntry(placeholder=placeholder, original=url, kind=kind, resolved={})
+        entry = PlaceholderEntry(placeholder, url, kind, {})
         self._entries.append(entry)
         self._by_original[url] = entry
         self._by_placeholder[placeholder] = entry
@@ -154,32 +180,28 @@ def split_parts(
     parts; everything else stays text.
     """
     if "http" not in text:  # URL_RE matches only from an "http"
-        return (ContentPart(PartKind.TEXT, text),)
+        return (_part((PartKind.TEXT, text)),)
     parts: list[ContentPart] = []
     cursor = 0
-
-    def push_text(chunk: str):
-        if chunk:
-            parts.append(ContentPart(PartKind.TEXT, chunk))
-
     for start, end, url in find_urls(text):
         if len(url) >= table.min_url_length:
             entry = table.intern(url)
             kind = entry.kind  # intern classified this very string
             if abstract_kinds is None or kind in abstract_kinds:
-                push_text(text[cursor:start])
-                parts.append(ContentPart(PartKind.PLACEHOLDER, entry.placeholder))
+                if start > cursor:
+                    parts.append(_part((PartKind.TEXT, text[cursor:start])))
+                parts.append(_part((PartKind.PLACEHOLDER, entry.placeholder)))
                 cursor = end
                 continue
         else:
             kind = classify_url(url)
         if kind in (RefKind.IMAGE, RefKind.VIDEO):
-            push_text(text[cursor:start])
+            if start > cursor:
+                parts.append(_part((PartKind.TEXT, text[cursor:start])))
             parts.append(ContentPart(PartKind.IMAGE_REF, url))
             cursor = end
-    push_text(text[cursor:])
-    if not parts:
-        parts.append(ContentPart(PartKind.TEXT, ""))
+    if cursor < len(text) or not parts:
+        parts.append(_part((PartKind.TEXT, text[cursor:])))
     return tuple(parts)
 
 
@@ -198,7 +220,7 @@ def placeholder_parts(text: str) -> tuple[ContentPart, ...]:
 
 
 def _key_from_path(url: str, markers: tuple[str, ...]) -> str | None:
-    segments = [s for s in urlparse(url).path.split("/") if s]
+    segments = [s for s in _host_and_path(url)[1].split("/") if s]
     for i, seg in enumerate(segments):
         if seg in markers and i + 1 < len(segments):
             return segments[i + 1]

@@ -2,13 +2,13 @@
 
 import marshal
 import re
+from collections.abc import Sequence
 from pathlib import Path
 from typing import NamedTuple
 
 from .errors import ConfigError, SchemaError
 from .files import OBJECT, STRING, closed, read_json, shape_error
-from .memory import Role, WorkingMemory
-from .placeholders import RefKind, classify_url, deabstract_text, find_urls
+from .placeholders import RefKind, classify_url, find_urls
 from .world import World, world_from_dict
 
 MODALITIES = ("unimodal", "multimodal")
@@ -180,14 +180,13 @@ def load_suite(directory: str | Path, vision_fixtures=None) -> list[Task]:
 
 def check_success(
     world: World,
-    transcript: WorkingMemory,
+    replies: Sequence[str],
     criteria: SuccessCriteria,
-    table=None,
 ) -> tuple[bool, tuple[dict, ...]]:
     """Conjunction of world-state assertions and reply facts, and one row per check.
 
-    Agent reply text is checked after deabstraction when a placeholder
-    table is supplied, so facts can reference original URLs.
+    Facts are checked against the replies as the buyer was sent them: each was
+    deabstracted against the placeholder table as it stood when it went out.
     """
     values = world.snapshot([a.path for a in criteria.state_assertions])
     rows = []
@@ -199,12 +198,7 @@ def check_success(
             "actual": actual,
         })
 
-    agent_text = "\n".join(
-        m.text() for m in transcript.turns if m.role is Role.AGENT
-    )
-    if table is not None:
-        agent_text, _ = deabstract_text(agent_text, table)
-
+    agent_text = "\n".join(replies) if criteria.response_facts else ""
     for fact in criteria.response_facts:
         if fact.substring is not None:
             found = fact.substring in agent_text

@@ -752,6 +752,17 @@ def test_metrics_annotations_with_a_field_over_the_csv_limit_exits_2(capsys, tmp
     assert line.startswith(f"error: annotations file {path} line 2: ")
 
 
+@pytest.mark.parametrize("row", ["s,m1,ai,1,surplus,cells", "s,m1,ai,1,"],
+                         ids=["two-surplus-cells", "one-empty-surplus-cell"])
+def test_metrics_annotations_row_with_more_cells_than_the_header_exits_2(capsys, tmp_path, row):
+    path = tmp_path / "ann.csv"
+    path.write_text(f"session_id,message_id,source,judged_valid\ns,m0,ai,0\n{row}\n")
+    code, out, err = run_cli(capsys, "metrics", "--annotations", str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"error: annotations file {path}: malformed annotation rows at lines: [3]"]
+
+
 def test_metrics_missing_annotations_file_exits_2(capsys, tmp_path):
     missing = tmp_path / "none.csv"
     code, _, err = run_cli(capsys, "metrics", "--annotations", str(missing))

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import one_round_session, plans_script, tool_events
+from conftest import InOrder, one_round_session, plans_script, tool_events
 from shopclerk import episode
 from shopclerk.backends import ChatResponse, RecordingBackend, ReplayBackend, ScriptedBackend
 from shopclerk.config import AgentConfig, agent_config_from_dict
@@ -13,8 +13,8 @@ from shopclerk.episode import CLARIFICATION_REPLY, AgentSession, run_episode
 from shopclerk.errors import ReplayMissError
 from shopclerk.memory import ELISION_MARKER, Namespace, PartKind, Role, message_to_dict
 from shopclerk.shop_tools import _Handlers
-from shopclerk.tasks import load_task
-from shopclerk.world import replay_mutations
+from shopclerk.tasks import BuyerTurn, ResponseFact, SuccessCriteria, Task, load_task
+from shopclerk.world import replay_mutations, world_from_dict
 
 QUALIFYING_URL_RE = re.compile(r"https?://[^\s<>\"']{16,}")
 
@@ -552,3 +552,24 @@ def test_a_replay_miss_leaves_a_tool_call_with_no_tool_result(suite_dir, tmp_pat
     assert call["kind"] == "tool_call"
     assert call["call"]["tool"] == "multimodal_describe"
     assert [e["kind"] for e in session.trace.events[call["seq"]:]] == ["tool_call", "describe"]
+
+
+def test_success_is_judged_on_the_replies_as_sent(vision_fixtures):
+    # the first reply names [Image 2] before the buyer has sent a second photo, so it goes out
+    # verbatim; the URL that [Image 2] stands for by the end of the episode was never sent
+    front = "https://img.shop.example/uploads/kettle-front.jpg"
+    base = "https://img.shop.example/uploads/kettle-base.jpg"
+
+    def direct_reply(text):
+        plans = [{"kind": "direct_reply", "steps": [], "rationale": "r", "reply": text}]
+        return ChatResponse("```json\n" + json.dumps(plans) + "\n```")
+
+    task = Task("two-photos", "multimodal", world_from_dict({}),
+                (BuyerTurn(f"Here is my kettle {front}"), BuyerTurn(f"And its base {base}")),
+                SuccessCriteria(response_facts=(ResponseFact(substring=base),)))
+    config = agent_config_from_dict({"decision_module": False}, AgentConfig())
+    chat = InOrder(direct_reply("Is it like [Image 2]?"), direct_reply("Thanks."))
+    result = run_episode(task, config, chat, vision_fixtures)
+    assert [e["token"] for e in result.trace.events if e["kind"] == "warning"] == ["[Image 2]"]
+    assert result.replies == ("Is it like [Image 2]?", "Thanks.")
+    assert (result.success, result.report_rows[0]["actual"]) == (False, False)

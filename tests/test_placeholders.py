@@ -1,4 +1,5 @@
 import random
+from urllib.parse import urlparse
 
 import pytest
 
@@ -7,7 +8,9 @@ from shopclerk import placeholders
 from shopclerk.errors import ReplayMissError, ResolutionError
 from shopclerk.memory import ContentPart, LongTermStore, PartKind
 from shopclerk.placeholders import (
+    IMAGE_SUFFIXES,
     PLACEHOLDER_RE,
+    VIDEO_SUFFIXES,
     PlaceholderTable,
     RefKind,
     abstract_text,
@@ -47,6 +50,52 @@ def test_classify_matches_oracle_on_examples():
                 "https://media.shop.example/clips/a.mp4",
                 "https://docs.shop.example/guides/setup.pdf"):
         assert classify_url(url).value == suffix_kind_oracle(url)
+
+
+def urlparse_kind(url: str) -> RefKind:
+    """The kind table over urlparse's own split of every URL."""
+    try:
+        parsed = urlparse(url)
+    except ValueError:
+        return RefKind.OTHER
+    path, host = parsed.path.lower(), parsed.netloc.lower()
+    if path.endswith(IMAGE_SUFFIXES):
+        return RefKind.IMAGE
+    if "/order/" in path:
+        return RefKind.ORDER
+    if "/item/" in path or "/product/" in path:
+        return RefKind.PRODUCT
+    if path.endswith(VIDEO_SUFFIXES) or "video" in host:
+        return RefKind.VIDEO
+    return RefKind.OTHER
+
+
+# plain ASCII URL pieces, and pieces that urlsplit strips, rejects or normalizes:
+# brackets, spaces, control characters, non-ASCII and NFKC-sensitive characters
+PLAIN_PIECES = list("aZ09-._~:@!$&()*+,;=%/?#") + [
+    "//", ";v=2", "?q=1", "#top", "/order/", "/item/", "/product/", "/P-100", ".jpg", ".PNG",
+    ".mp4", "video", "http://"]
+NOISE_PIECES = list("[] \t\n\r\x00\x1féüª½℀／？＃'\"<>^`{}|\\") + ["ｖideo", "\u0301"]
+SCHEMES = ["http://", "https://", "HTTP://", "Https://", "http:", "http:/", " http://",
+           "\thttp://", "ftp://", ""]
+
+
+def random_url(rng: random.Random) -> str:
+    noise = rng.choice([0.0, 0.0, 0.05, 0.3, 1.0])
+    pieces = [rng.choice(NOISE_PIECES if rng.random() < noise else PLAIN_PIECES)
+              for _ in range(rng.randint(0, 16))]
+    scheme = rng.choice(SCHEMES[:2] if rng.random() < 0.6 else SCHEMES)
+    return scheme + "".join(pieces)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_classify_url_matches_urlparse_on_random_urls(seed):
+    rng = random.Random(seed)
+    urls = [random_url(rng) for _ in range(20_000)]
+    plain = set("".join(PLAIN_PIECES))
+    assert sum(u.startswith(("http://", "https://")) and set(u) <= plain for u in urls) > 3_000
+    for url in urls:
+        assert classify_url(url) is urlparse_kind(url), url
 
 
 def test_abstract_single_image():
@@ -266,6 +315,37 @@ def test_resolve_order_reads_long_term_store():
     world = world_from_dict({"orders": {"O-8842": {"buyer_id": "B1", "status": "shipped"}}})
     text = resolve("[Order 1]", table, _vision_with_asset(), LongTermStore(world))
     assert "shipped" in text
+
+
+def urlparse_key(url: str, marker: str) -> str:
+    segments = [s for s in urlparse(url).path.split("/") if s]
+    return segments[segments.index(marker) + 1]
+
+
+@pytest.mark.parametrize("url, key", [
+    ("https://shop.example/product/P-100;v=2?ref=mail#specs", "P-100"),
+    ("https://shop.example/product/P-100/;v=2", "P-100"),
+    ("https://shop.example/item/P-100#reviews", "P-100"),
+    ("https://shop.example/product/P;1/specs;v=2", "P;1"),
+    ("https://shop.example/product/Kaffeemühle-9/specs?lang=de", "Kaffeemühle-9"),
+    ("https://shop.example/order/O-7001;x/detail", "O-7001;x"),
+    ("https://shop.example/order/O-7001?tab=items#top", "O-7001"),
+    ("https://shop.example/order/Bestellung-ß7;p", "Bestellung-ß7"),
+], ids=["params-query-fragment", "params-after-slash", "fragment", "params-in-a-middle-segment",
+        "non-ascii-path", "order-params-in-a-middle-segment", "order-query-fragment",
+        "order-non-ascii-params"])
+def test_resolve_looks_up_the_key_that_urlparse_gives(url, key):
+    marker = "order" if "/order/" in url else "product" if "/product/" in url else "item"
+    assert urlparse_key(url, marker) == key
+    kind = RefKind.ORDER if marker == "order" else RefKind.PRODUCT
+    body = {"buyer_id": "B1", "status": "shipped"} if kind is RefKind.ORDER else {
+        "title": "Kettle", "price_cents": 100, "stock": 1}
+    world = world_from_dict({"orders" if kind is RefKind.ORDER else "products": {key: body}})
+    table = PlaceholderTable()
+    entry = table.intern(url)
+    assert entry.kind is kind
+    text = resolve(entry.placeholder, table, vision=None, store=LongTermStore(world))
+    assert ('"shipped"' if kind is RefKind.ORDER else '"Kettle"') in text
 
 
 def test_resolve_order_missing_document_is_resolution_error():

@@ -8,7 +8,6 @@ from shopclerk.backends import ScriptedBackend
 from shopclerk.config import AgentConfig
 from shopclerk.episode import AgentSession
 from shopclerk.errors import ConfigError
-from shopclerk.memory import Role, WorkingMemory, text_message
 from shopclerk.placeholders import PlaceholderTable
 from shopclerk.shop_tools import build_registry
 from shopclerk.tasks import (
@@ -247,18 +246,11 @@ def test_a_bool_stock_after_the_same_world_with_an_int_stock_exits_2_naming_its_
 # --- check_success ---
 
 
-def agent_transcript(*texts):
-    wm = WorkingMemory("s")
-    for i, text in enumerate(texts):
-        wm.append_turn(text_message(Role.AGENT, text, i))
-    return wm
-
-
 def test_state_assertion_pass():
     world = world_from_dict({"orders": {"O1": {"buyer_id": "B", "items": [],
                                                  "status": "refunded", "address": ""}}})
     criteria = SuccessCriteria(state_assertions=(StateAssertion("orders.O1.status", "refunded"),))
-    ok, rows = check_success(world, agent_transcript(), criteria)
+    ok, rows = check_success(world, (), criteria)
     assert ok
     assert all(r["ok"] for r in rows)
 
@@ -268,7 +260,7 @@ def test_missing_substring_fail_names_predicate():
     criteria = SuccessCriteria(
         response_facts=(ResponseFact(substring="within 3 business days"),)
     )
-    ok, rows = check_success(world, agent_transcript("it ships soon"), criteria)
+    ok, rows = check_success(world, ("it ships soon",), criteria)
     assert not ok
     failing = [r for r in rows if not r["ok"]]
     assert "within 3 business days" in failing[0]["predicate"]
@@ -278,16 +270,16 @@ def test_empty_transcript_with_state_only_criteria_passes():
     world = world_from_dict({"orders": {"O1": {"buyer_id": "B", "items": [],
                                                  "status": "paid", "address": ""}}})
     criteria = SuccessCriteria(state_assertions=(StateAssertion("orders.O1.status", "paid"),))
-    ok, _ = check_success(world, WorkingMemory("s"), criteria)
+    ok, _ = check_success(world, (), criteria)
     assert ok
 
 
 def test_numeric_fact_with_tolerance():
     world = world_from_dict({})
     criteria = SuccessCriteria(response_facts=(ResponseFact(number=18.99, tolerance=0.01),))
-    ok, _ = check_success(world, agent_transcript("that is $18.99 today"), criteria)
+    ok, _ = check_success(world, ("that is $18.99 today",), criteria)
     assert ok
-    ok, _ = check_success(world, agent_transcript("that is $21.50 today"), criteria)
+    ok, _ = check_success(world, ("that is $21.50 today",), criteria)
     assert not ok
 
 
@@ -302,7 +294,7 @@ def test_numeric_fact_with_tolerance():
         "long-group-tail"])
 def test_numeric_fact_reads_thousands_separators_in_groups_of_three(reply, number, found):
     criteria = SuccessCriteria(response_facts=(ResponseFact(number=number),))
-    ok, _ = check_success(world_from_dict({}), agent_transcript(reply), criteria)
+    ok, _ = check_success(world_from_dict({}), (reply,), criteria)
     assert ok is found
 
 
@@ -311,31 +303,27 @@ def test_must_not_appear_fact():
     criteria = SuccessCriteria(
         response_facts=(ResponseFact(substring="sold out", must_appear=False),)
     )
-    ok, _ = check_success(world, agent_transcript("plenty available"), criteria)
+    ok, _ = check_success(world, ("plenty available",), criteria)
     assert ok
-    ok, _ = check_success(world, agent_transcript("sadly sold out"), criteria)
+    ok, _ = check_success(world, ("sadly sold out",), criteria)
     assert not ok
 
 
-def test_check_success_deabstracts_with_table():
-    from shopclerk.placeholders import PlaceholderTable, abstract_text
-
+def test_check_success_reads_replies_as_sent():
     url = "https://docs.shop.example/manuals/crisproast-toaster-v3.pdf"
-    table = PlaceholderTable()
-    abstract_text(f"see {url}", table)
     world = world_from_dict({})
     criteria = SuccessCriteria(response_facts=(ResponseFact(substring="crisproast-toaster-v3"),))
-    transcript = agent_transcript("manual: [Link 1]")
-    ok_without, _ = check_success(world, transcript, criteria)
-    ok_with, _ = check_success(world, transcript, criteria, table)
-    assert not ok_without
-    assert ok_with
+    # a placeholder that went out unresolved is not the URL it later stood for
+    ok_verbatim, _ = check_success(world, ("manual: [Link 1]",), criteria)
+    ok_sent, _ = check_success(world, ("hi", f"manual: {url}"), criteria)
+    assert not ok_verbatim
+    assert ok_sent
 
 
 def test_state_path_missing_resolves_to_none():
     world = world_from_dict({})
     criteria = SuccessCriteria(state_assertions=(StateAssertion("orders.O9.status", "paid"),))
-    ok, rows = check_success(world, agent_transcript(), criteria)
+    ok, rows = check_success(world, (), criteria)
     assert not ok
     assert rows[0]["actual"] is None
 
@@ -353,7 +341,7 @@ def test_check_success_snapshots_only_the_asserted_records(monkeypatch):
     monkeypatch.setattr(Order, "to_doc", lambda self: built.append(self.order_id) or to_doc(self))
     criteria = SuccessCriteria(state_assertions=(StateAssertion("orders.O7.status", "paid"),
                                                  StateAssertion("clock", 0)))
-    ok, _ = check_success(world, agent_transcript(), criteria)
+    ok, _ = check_success(world, (), criteria)
     assert ok and views == [{"orders.O7.status": "paid", "clock": 0}] and built == ["O7"]
 
 
