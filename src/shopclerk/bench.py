@@ -65,6 +65,12 @@ def summarize(
     }
 
 
+def check_k_values(k_values: list[int], n_trials: int) -> None:
+    """A UsageError unless every pass^k can be taken over n_trials trials."""
+    if any(not 1 <= k <= n_trials for k in k_values):
+        raise UsageError(f"every k in {k_values} must be in 1..n_trials={n_trials}")
+
+
 def run_ablation(
     tasks: list[Task],
     variants: list[tuple[str, AgentConfig]],
@@ -75,8 +81,7 @@ def run_ablation(
     workers: int = 1,
 ) -> tuple[list[dict], list[EpisodeResult]]:
     """One report row per (name, config) variant over the full suite, as summarize builds it."""
-    if any(not 1 <= k <= n_trials for k in k_values):
-        raise UsageError(f"every k in {k_values} must be in 1..n_trials={n_trials}")
+    check_k_values(k_values, n_trials)
     if not variants:
         raise UsageError("ablation needs at least one variant")
     reports = []

@@ -165,7 +165,7 @@ def _variants(args, base: AgentConfig) -> list[tuple[str, AgentConfig]]:
 def cmd_suite(args) -> int:
     """bench and ablate: every variant over the suite, one report row each; bench also
     writes each episode's trial files under --out."""
-    from .bench import report_table, run_ablation, write_report
+    from .bench import check_k_values, report_table, run_ablation, write_report
 
     _at_least(1, ("--n-trials", args.n_trials), ("--workers", args.workers))
     base = _agent_config(args)
@@ -177,6 +177,7 @@ def cmd_suite(args) -> int:
             raise UsageError(f"no {args.modality} tasks in suite")
     variants = _variants(args, base)
     k_values = _parse_k_values(args.k)
+    check_k_values(k_values, args.n_trials)  # before --out is made
     if args.out:
         make_dir(Path(args.out, "trials" if args.command == "bench" else ""), "--out")
     reports, results = run_ablation(tasks, variants, chat_for, vision, args.n_trials, k_values,

@@ -1,13 +1,12 @@
 """Run and agent configuration, mergeable from defaults, file, and flags."""
 
-from enum import Enum
 from typing import NamedTuple
 
 from .decision import MAX_PLANS
 from .errors import ConfigError
 from .files import STRING, closed, shape_error
 from .placeholders import DEFAULT_MIN_URL_LENGTH
-from .vision import IntegrationStrategy
+from .vision import STRATEGIES, IntegrationStrategy
 
 
 class AgentConfig(NamedTuple):
@@ -16,7 +15,7 @@ class AgentConfig(NamedTuple):
     n_candidates: int = 3
     confidence_floor: float = 0.0
     aci: bool = True
-    strategy: IntegrationStrategy = IntegrationStrategy.TOOL
+    strategy: str = IntegrationStrategy.TOOL
     decision_module: bool = True
     max_plan_rounds: int = 5
     context_budget: int = 8000
@@ -26,8 +25,7 @@ class AgentConfig(NamedTuple):
 
     def to_dict(self) -> dict:
         """The config keys set on this config; agent_config_from_dict inverts it."""
-        return {key: ("on" if value else "off") if value.__class__ is bool
-                else value.value if isinstance(value, Enum) else value
+        return {key: ("on" if value else "off") if value.__class__ is bool else value
                 for key, value in self._asdict().items() if value is not None}
 
 
@@ -39,7 +37,7 @@ CONFIG_SCHEMA = closed(
     n_candidates={"type": "integer", "minimum": 1, "maximum": MAX_PLANS},
     confidence_floor={"type": "number", "minimum": 0, "maximum": 1},
     aci=_ON_OFF,
-    strategy={"enum": [s.value for s in IntegrationStrategy]},
+    strategy={"enum": list(STRATEGIES)},
     decision_module=_ON_OFF,
     max_plan_rounds=_AT_LEAST_1,
     context_budget=_AT_LEAST_1,
@@ -50,15 +48,15 @@ CONFIG_SCHEMA = closed(
 # a row of an ablation matrix: a name and config keys
 VARIANT_SCHEMA = closed(["name"], name={"type": "string", "minLength": 1},
                         **CONFIG_SCHEMA["properties"])
-# what an enum value stands for; every other value is taken as it is
-_MEANS = {"on": True, "off": False, **{s.value: s for s in IntegrationStrategy}}
+# what an on/off value stands for; every other value is taken as it is
+_MEANS = {"on": True, "off": False}
 
 
 def agent_config_from_dict(row: dict, base: AgentConfig | None = None,
                            where: str = "agent config") -> AgentConfig:
     """Layer a dict of config keys onto base; a row that breaks CONFIG_SCHEMA raises
-    ConfigError(<where>: <path>: <why>). A number is kept as a float, an enum value
-    as what it stands for."""
+    ConfigError(<where>: <path>: <why>). A number is kept as a float, "on" and "off"
+    as booleans."""
     if why := shape_error(row, CONFIG_SCHEMA):
         raise ConfigError(f"{where}: {why}")
     schemas = CONFIG_SCHEMA["properties"]

@@ -5,7 +5,6 @@ import os
 import re
 import string
 from collections import namedtuple
-from enum import Enum
 from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
@@ -33,10 +32,13 @@ TEMPLATE_FIELDS = {
 _TEMPLATES: dict[str, tuple[tuple[int, int], "PromptTemplate"]] = {}
 
 
-class PlanKind(str, Enum):
+class PlanKind:
     TOOL_SEQUENCE = "tool_sequence"
     SINGLE_TOOL = "single_tool"
     DIRECT_REPLY = "direct_reply"
+
+
+PLAN_KINDS = (PlanKind.TOOL_SEQUENCE, PlanKind.SINGLE_TOOL, PlanKind.DIRECT_REPLY)
 
 
 class PlannedStep(NamedTuple):
@@ -55,17 +57,17 @@ class CandidatePlan(namedtuple(
 
     __slots__ = ()
 
-    def __new__(cls, plan_id: int, kind: PlanKind, steps: tuple[PlannedStep, ...],
+    def __new__(cls, plan_id: int, kind: str, steps: tuple[PlannedStep, ...],
                 rationale: str, draft_reply: str | None = None):
-        if kind is PlanKind.DIRECT_REPLY:
+        if kind == PlanKind.DIRECT_REPLY:
             body = f'reply: "{draft_reply}"'
         else:
             body = " -> ".join(s.summary() for s in steps)
-        summary = f"({kind.value}) {body} | {rationale}"
+        summary = f"({kind}) {body} | {rationale}"
         return tuple.__new__(cls, (plan_id, kind, steps, rationale, draft_reply, summary))
 
     def dedup_key(self) -> tuple:
-        return (self.kind.value, tuple(s.tool_name for s in self.steps))
+        return (self.kind, tuple(s.tool_name for s in self.steps))
 
 
 class PlanEvaluation(NamedTuple):
@@ -134,7 +136,7 @@ def load_templates(template_dir: str | Path | None = None):
 
 # a plan row of a propose reply; open, so a key the parser does not read is ignored
 PLAN_SCHEMA = {"type": "object", "required": ["kind"], "properties": {
-    "kind": {"enum": [k.value for k in PlanKind]},
+    "kind": {"enum": list(PLAN_KINDS)},
     "steps": {"type": ["array", "null"], "items": {
         "type": "object", "required": ["tool"], "properties": {
             "tool": {"type": "string", "minLength": 1},
@@ -148,21 +150,21 @@ def _parse_plan(row: dict, plan_id: int) -> CandidatePlan | None:
     """One plan from backend JSON, or None when the entry is malformed."""
     if shape_error(row, PLAN_SCHEMA):
         return None
-    kind = PlanKind(row["kind"])
+    kind = row["kind"]
     steps = tuple(PlannedStep(step["tool"], step.get("arguments") or {})
                   for step in row.get("steps") or ())
     reply = row.get("reply")
-    if kind is PlanKind.DIRECT_REPLY:
+    if kind == PlanKind.DIRECT_REPLY:
         if steps or not isinstance(reply, str) or not reply:
             return None
-    elif not steps or kind is PlanKind.SINGLE_TOOL and len(steps) != 1:
+    elif not steps or kind == PlanKind.SINGLE_TOOL and len(steps) != 1:
         return None
     return CandidatePlan(
         plan_id=plan_id,
         kind=kind,
         steps=steps,
         rationale=row.get("rationale") or "",
-        draft_reply=reply if kind is PlanKind.DIRECT_REPLY else None,
+        draft_reply=reply if kind == PlanKind.DIRECT_REPLY else None,
     )
 
 

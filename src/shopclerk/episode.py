@@ -16,6 +16,7 @@ from .memory import (
 )
 from .placeholders import (
     PlaceholderTable,
+    KIND_NAMES,
     RefKind,
     deabstract_text,
     placeholder_parts,
@@ -29,7 +30,7 @@ from .world import World, seed_store
 
 CLARIFICATION_REPLY = "Sorry, I want to be sure I help correctly. Could you clarify what you need?"
 
-ALL_KINDS = frozenset(RefKind)
+ALL_KINDS = frozenset(KIND_NAMES)
 NON_VISUAL_KINDS = frozenset({RefKind.PRODUCT, RefKind.ORDER, RefKind.OTHER})
 
 
@@ -128,14 +129,14 @@ class AgentSession:
         """Split inbound text, abstracting URL kinds allowed by the mode."""
         if not self.config.aci:
             kinds = frozenset()  # track URLs for resolution, rewrite nothing
-        elif self.config.strategy is IntegrationStrategy.PLANNER:
+        elif self.config.strategy == IntegrationStrategy.PLANNER:
             # image URLs reach the planner as raw text; other long URLs still shrink
             kinds = NON_VISUAL_KINDS
         else:
             kinds = ALL_KINDS
         return split_parts(text, self.table, abstract_kinds=kinds)
 
-    def _append(self, role: Role, parts: tuple[ContentPart, ...]) -> None:
+    def _append(self, role: str, parts: tuple[ContentPart, ...]) -> None:
         self.wm.append_turn(
             Message(role=role, parts=parts, turn_index=len(self.wm), timestamp=self.world.clock)
         )
@@ -177,7 +178,7 @@ class AgentSession:
             if selected is None:
                 return self._clarify("low_confidence")
             plan = plans[selected]
-            if plan.kind is dec.PlanKind.DIRECT_REPLY:
+            if plan.kind == dec.PlanKind.DIRECT_REPLY:
                 return plan.draft_reply
             hit_unknown_placeholder = self._run_steps(plan)
             if hit_unknown_placeholder:

@@ -5,7 +5,6 @@ import json
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable
-from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
@@ -15,24 +14,28 @@ from .files import STRING, closed, read_jsonl
 ELISION_MARKER = "[earlier turns omitted]"
 
 
-class Role(str, Enum):
+class Role:
     BUYER = "buyer"
     AGENT = "agent"
     TOOL = "tool"
     SYSTEM = "system"
 
 
-class PartKind(str, Enum):
+class PartKind:
     TEXT = "text"
     IMAGE_REF = "image_ref"
     PLACEHOLDER = "placeholder"
 
 
+ROLES = (Role.BUYER, Role.AGENT, Role.TOOL, Role.SYSTEM)
+PART_KINDS = (PartKind.TEXT, PartKind.IMAGE_REF, PartKind.PLACEHOLDER)
+
+
 class ContentPart(namedtuple("_ContentPart", "kind value")):
     __slots__ = ()
 
-    def __new__(cls, kind: PartKind, value: str):
-        if kind is PartKind.IMAGE_REF and not value.startswith(("http://", "https://")):
+    def __new__(cls, kind: str, value: str):
+        if kind == PartKind.IMAGE_REF and not value.startswith(("http://", "https://")):
             raise SchemaError(f"image_ref value is not a URL: {value!r}")
         return tuple.__new__(cls, (kind, value))
 
@@ -40,7 +43,7 @@ class ContentPart(namedtuple("_ContentPart", "kind value")):
 class Message(namedtuple("_Message", "role parts turn_index timestamp")):
     __slots__ = ()
 
-    def __new__(cls, role: Role, parts: tuple[ContentPart, ...], turn_index: int,
+    def __new__(cls, role: str, parts: tuple[ContentPart, ...], turn_index: int,
                 timestamp: int = 0):
         if not parts:
             raise SchemaError("message must carry at least one content part")
@@ -53,7 +56,7 @@ class Message(namedtuple("_Message", "role parts turn_index timestamp")):
         return "".join(p.value for p in self.parts)
 
 
-def text_message(role: Role, text: str, turn_index: int, timestamp: int = 0) -> Message:
+def text_message(role: str, text: str, turn_index: int, timestamp: int = 0) -> Message:
     return Message(role, (ContentPart(PartKind.TEXT, text),), turn_index, timestamp)
 
 
@@ -86,7 +89,7 @@ class WorkingMemory:
                 f"expected turn_index {len(self._turns)}, got {msg.turn_index}"
             )
         line = render_turn(msg)
-        if msg.role is Role.BUYER:
+        if msg.role == Role.BUYER:
             self._last_buyer = len(self._lines)
         self._turns.append(msg)
         self._lines.append(line)
@@ -94,8 +97,7 @@ class WorkingMemory:
 
 
 def render_turn(msg: Message) -> str:
-    # _value_, not the value property, which is a Python-level descriptor
-    return f"[{msg.role._value_}] {msg.text()}"
+    return f"[{msg.role}] {msg.text()}"
 
 
 def render_context(wm: WorkingMemory, budget: int, block: int = 1) -> str:
@@ -134,24 +136,24 @@ def message_to_dict(msg: Message, session_id: str) -> dict:
     return {
         "session_id": session_id,
         "turn_index": msg.turn_index,
-        "role": msg.role.value,
+        "role": msg.role,
         "timestamp": msg.timestamp,
-        "parts": [{"kind": p.kind.value, "value": p.value} for p in msg.parts],
+        "parts": [{"kind": p.kind, "value": p.value} for p in msg.parts],
     }
 
 
 # one transcript line, as message_to_dict writes it; timestamp may be left out (0)
 TRANSCRIPT_ROW_SCHEMA = closed(
     ["session_id", "turn_index", "role", "parts"], session_id=STRING,
-    turn_index={"type": "integer", "minimum": 0}, role={"enum": [r.value for r in Role]},
+    turn_index={"type": "integer", "minimum": 0}, role={"enum": list(ROLES)},
     timestamp={"type": "integer"},
     parts={"type": "array", "minItems": 1, "items": closed(
-        ["kind", "value"], kind={"enum": [k.value for k in PartKind]}, value=STRING)})
+        ["kind", "value"], kind={"enum": list(PART_KINDS)}, value=STRING)})
 
 
 def message_from_dict(row: dict) -> Message:
-    parts = tuple(ContentPart(PartKind(p["kind"]), p["value"]) for p in row["parts"])
-    return Message(Role(row["role"]), parts, row["turn_index"], row.get("timestamp", 0))
+    parts = tuple(ContentPart(p["kind"], p["value"]) for p in row["parts"])
+    return Message(row["role"], parts, row["turn_index"], row.get("timestamp", 0))
 
 
 def write_transcript(wm: WorkingMemory, path: str | Path) -> None:
@@ -182,7 +184,7 @@ def read_transcript(path: str | Path) -> WorkingMemory:
 # --- long-term store ---
 
 
-class Namespace(str, Enum):
+class Namespace:
     PLATFORM_POLICY = "platform_policy"
     STORE_PROMOTION = "store_promotion"
     PRODUCT = "product"
@@ -191,8 +193,8 @@ class Namespace(str, Enum):
     BUYER_PROFILE = "buyer_profile"
 
 
-NAMESPACES = tuple(Namespace)
-_NAMESPACE_OF = {ns._value_: ns for ns in NAMESPACES}
+NAMESPACES = (Namespace.PLATFORM_POLICY, Namespace.STORE_PROMOTION, Namespace.PRODUCT,
+              Namespace.ORDER, Namespace.LOGISTICS, Namespace.BUYER_PROFILE)
 WORLD_NAMESPACES = frozenset({Namespace.PRODUCT, Namespace.ORDER, Namespace.LOGISTICS})
 
 
@@ -295,23 +297,20 @@ class LongTermStore:
                         for ns in NAMESPACES if ns not in WORLD_NAMESPACES}
 
     @staticmethod
-    def _namespace(namespace: str | Namespace) -> Namespace:
-        if namespace.__class__ is str and (ns := _NAMESPACE_OF.get(namespace)) is not None:
-            return ns  # a table lookup, not Enum's call
-        try:
-            return Namespace(namespace)
-        except ValueError:
-            raise SchemaError(f"unknown namespace: {namespace!r}") from None
+    def _namespace(namespace: str) -> str:
+        if namespace not in NAMESPACES:  # a tuple, so an unhashable value is unknown too
+            raise SchemaError(f"unknown namespace: {namespace!r}")
+        return namespace
 
-    def put(self, namespace: str | Namespace, key: str, body: object) -> None:
+    def put(self, namespace: str, key: str, body: object) -> None:
         ns = self._namespace(namespace)
         if ns in WORLD_NAMESPACES:
-            raise SchemaError(f"read-only namespace: {ns.value} records come from the world")
+            raise SchemaError(f"read-only namespace: {ns} records come from the world")
         if not key:
             raise SchemaError("document key must be non-empty")
         self._tables[ns][1][key] = document(key, body)
 
-    def get(self, namespace: str | Namespace, key: str) -> Document | None:
+    def get(self, namespace: str, key: str) -> Document | None:
         ns = self._namespace(namespace)
         if ns in WORLD_NAMESPACES:
             body = self._world.doc(ns, key)
@@ -319,7 +318,7 @@ class LongTermStore:
         corpus, written = self._tables[ns]
         return written.get(key) or corpus.docs.get(key)
 
-    def search(self, namespace: str | Namespace, query: str, limit: int) -> list[Document]:
+    def search(self, namespace: str, query: str, limit: int) -> list[Document]:
         """Documents ranked by distinct query-token overlap, ties by key."""
         if limit < 1:
             raise UsageError("search limit must be >= 1")

@@ -2,7 +2,6 @@
 
 import json
 import re
-from enum import Enum
 from functools import partial
 from typing import NamedTuple
 from urllib.parse import urlparse
@@ -22,7 +21,7 @@ _part = partial(tuple.__new__, ContentPart)
 PLACEHOLDER_RE = re.compile(r"\[(Image|Product|Order|Video|Link) (\d+)\]")
 
 
-class RefKind(str, Enum):
+class RefKind:
     IMAGE = "image"
     PRODUCT = "product"
     ORDER = "order"
@@ -64,7 +63,7 @@ def _host_and_path(url: str) -> tuple[str, str]:
     return host, path
 
 
-def classify_url(url: str) -> RefKind:
+def classify_url(url: str) -> str:
     """Map a URL onto a reference kind via an ordered pattern table.
 
     A URL that urlsplit rejects (an unbalanced [ or ] in its host) is OTHER: a
@@ -100,7 +99,7 @@ def find_urls(text: str) -> list[tuple[int, int, str]]:
 class PlaceholderEntry(NamedTuple):
     placeholder: str
     original: str
-    kind: RefKind
+    kind: str
     # resolved descriptions cached per instruction; the entry's own dict
     resolved: dict[str, str]
 
@@ -117,7 +116,7 @@ class PlaceholderTable:
         self._entries: list[PlaceholderEntry] = []
         self._by_original: dict[str, PlaceholderEntry] = {}
         self._by_placeholder: dict[str, PlaceholderEntry] = {}
-        self._counts: dict[RefKind, int] = dict.fromkeys(KIND_NAMES, 0)
+        self._counts: dict[str, int] = dict.fromkeys(KIND_NAMES, 0)
 
     @property
     def entries(self) -> tuple[PlaceholderEntry, ...]:
@@ -170,7 +169,7 @@ def deabstract_text(text: str, table: PlaceholderTable) -> tuple[str, list[str]]
 def split_parts(
     text: str,
     table: PlaceholderTable,
-    abstract_kinds: set[RefKind] | None = None,
+    abstract_kinds: set[str] | None = None,
 ) -> tuple[ContentPart, ...]:
     """Split message text into content parts, abstracting selected URL kinds.
 
@@ -259,14 +258,14 @@ def resolve(
     elif entry.kind in (RefKind.PRODUCT, RefKind.ORDER):
         if store is None:
             raise ResolutionError(f"no knowledge store available for {placeholder}")
-        markers = ("product", "item") if entry.kind is RefKind.PRODUCT else ("order",)
+        markers = ("product", "item") if entry.kind == RefKind.PRODUCT else ("order",)
         key = _key_from_path(entry.original, markers)
         if key is None:
             raise ResolutionError(f"no lookup key in {entry.original}")
-        ns = Namespace.PRODUCT if entry.kind is RefKind.PRODUCT else Namespace.ORDER
+        ns = Namespace.PRODUCT if entry.kind == RefKind.PRODUCT else Namespace.ORDER
         doc = store.get(ns, key)
         if doc is None:
-            raise ResolutionError(f"no {ns.value} record for key {key!r}")
+            raise ResolutionError(f"no {ns} record for key {key!r}")
         text = json.dumps(doc.body, sort_keys=True, ensure_ascii=False)
     else:
         text = entry.original  # plain links resolve to themselves

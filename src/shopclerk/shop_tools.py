@@ -9,9 +9,9 @@ import json
 
 from . import placeholders
 from .files import STRING, closed
-from .memory import LongTermStore, Namespace
+from .memory import NAMESPACES, LongTermStore, Namespace
 from .toolkit import ToolDescriptor, ToolRegistry, render_catalog
-from .vision import IntegrationStrategy
+from .vision import STRATEGIES, IntegrationStrategy
 from .world import ORDER_ACTIONS, World
 
 
@@ -24,7 +24,7 @@ def _tool(name: str, description: str, properties: dict, required: list[str]) ->
     return ToolDescriptor(name, description, closed(required, **properties))
 
 
-_NAMESPACE = {"type": "string", "enum": [ns.value for ns in Namespace]}
+_NAMESPACE = {"type": "string", "enum": list(NAMESPACES)}
 
 # Every session's tools, in catalog order. Built once, with each argument checker,
 # and never mutated, so all sessions share these descriptors.
@@ -53,9 +53,9 @@ TOOLS = (
 
 # describe() is a tool only when the planner is text-only
 TOOLS_BY_STRATEGY = {
-    strategy: {t.name: t for t in TOOLS if strategy is IntegrationStrategy.TOOL
+    strategy: {t.name: t for t in TOOLS if strategy == IntegrationStrategy.TOOL
                or t.name != "multimodal_describe"}
-    for strategy in IntegrationStrategy
+    for strategy in STRATEGIES
 }
 CATALOGS = {strategy: render_catalog(tools.values())
             for strategy, tools in TOOLS_BY_STRATEGY.items()}
@@ -71,7 +71,7 @@ class _Handlers:
         self.table = table
         self.vision = vision
 
-    def _record(self, namespace: Namespace, key: str, noun: str) -> str:
+    def _record(self, namespace: str, key: str, noun: str) -> str:
         doc = self.world.doc(namespace, key)
         if doc is None:
             raise LookupError(f"not_found: {noun} {key}")  # invoke() makes it an error result
@@ -116,7 +116,7 @@ def build_registry(
     store: LongTermStore,
     table: placeholders.PlaceholderTable,
     vision,
-    strategy: IntegrationStrategy = IntegrationStrategy.TOOL,
+    strategy: str = IntegrationStrategy.TOOL,
 ) -> ToolRegistry:
     """Bind one session's handlers to the strategy's tools and memory actions."""
     return ToolRegistry(TOOLS_BY_STRATEGY[strategy], CATALOGS[strategy],

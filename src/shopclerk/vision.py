@@ -1,13 +1,12 @@
 """Visual description unit: fixture-backed or remote, behind one contract."""
 
-from enum import Enum
 from pathlib import Path
 
 from .errors import BackendError, ResolutionError, UsageError
 from .files import STRING, closed, read_json
 
 
-class IntegrationStrategy(str, Enum):
+class IntegrationStrategy:
     """How the visual model participates in a session.
 
     TOOL: the planner is text-only; images reach it as placeholders whose
@@ -19,6 +18,9 @@ class IntegrationStrategy(str, Enum):
 
     TOOL = "tool"
     PLANNER = "planner"
+
+
+STRATEGIES = (IntegrationStrategy.TOOL, IntegrationStrategy.PLANNER)
 
 
 _RULES = {"type": "array", "items": closed(

@@ -1,7 +1,6 @@
 """Mock e-commerce world state: products, orders, shipments, policies."""
 
 from collections.abc import Iterable, Mapping
-from enum import Enum
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -10,7 +9,7 @@ from .files import LIST, OBJECT, STRING, closed, shape_error
 from .memory import Corpus, LongTermStore, Namespace, document
 
 
-class OrderStatus(str, Enum):
+class OrderStatus:
     CREATED = "created"
     PAID = "paid"
     SHIPPED = "shipped"
@@ -20,6 +19,8 @@ class OrderStatus(str, Enum):
     REFUNDED = "refunded"
 
 
+ORDER_STATUSES = (OrderStatus.CREATED, OrderStatus.PAID, OrderStatus.SHIPPED, OrderStatus.DELIVERED,
+                  OrderStatus.CANCELLED, OrderStatus.REFUND_REQUESTED, OrderStatus.REFUNDED)
 # order actions exposed through the order_update tool
 ORDER_ACTIONS = {
     "cancel": ({OrderStatus.PAID, OrderStatus.SHIPPED}, OrderStatus.CANCELLED),
@@ -37,9 +38,6 @@ class Product(NamedTuple):
     price_cents: int
     stock: int
 
-    def to_doc(self) -> dict:
-        return self._asdict()
-
 
 class Order(NamedTuple):
     """A frozen order row; an order action replaces it."""
@@ -47,20 +45,14 @@ class Order(NamedTuple):
     order_id: str
     buyer_id: str
     items: list
-    status: OrderStatus
+    status: str
     address: str
-
-    def to_doc(self) -> dict:
-        return {**self._asdict(), "status": self.status.value}
 
 
 class ShipmentEvent(NamedTuple):
     tick: int
     location: str
     status: str
-
-    def to_doc(self) -> dict:
-        return self._asdict()
 
 
 class World:
@@ -74,7 +66,7 @@ class World:
         self.orders: dict[str, Order] = {} if orders is None else orders
         self.shipments: dict[str, tuple] = {} if shipments is None else shipments
         # policy namespace -> read-only table, tokenized once, at parse; copies share it
-        self.policies: Mapping[Namespace, Corpus] = {} if policies is None else policies
+        self.policies: Mapping[str, Corpus] = {} if policies is None else policies
         self.clock = clock
         self.mutations: list[dict] = []
 
@@ -94,30 +86,29 @@ class World:
         if order.status not in allowed_from:
             raise SchemaError(
                 f"illegal_transition: cannot {action} order {order_id} "
-                f"in status {order.status.value}"
+                f"in status {order.status}"
             )
-        # _value_, not the value property, which is a Python-level descriptor
         event = {
             "tick": self.clock,
             "order_id": order_id,
             "action": action,
-            "from": order.status._value_,
-            "to": target._value_,
+            "from": order.status,
+            "to": target,
         }
         self.orders[order_id] = order._replace(status=target)
         self.mutations.append(event)
         return event
 
-    def doc(self, namespace: Namespace, key: str) -> dict | None:
+    def doc(self, namespace: str, key: str) -> dict | None:
         """A product, order or logistics record as the lookups and the store serve it."""
-        if namespace is Namespace.LOGISTICS:
-            events = [e.to_doc() for e in self.shipments.get(key, [])]
+        if namespace == Namespace.LOGISTICS:
+            events = [e._asdict() for e in self.shipments.get(key, [])]
             return {"order_id": key, "events": events} if key in self.orders else None
-        records = self.products if namespace is Namespace.PRODUCT else self.orders
-        return records[key].to_doc() if key in records else None
+        records = self.products if namespace == Namespace.PRODUCT else self.orders
+        return records[key]._asdict() if key in records else None
 
-    def doc_keys(self, namespace: Namespace) -> list[str]:
-        return list(self.products if namespace is Namespace.PRODUCT else self.orders)
+    def doc_keys(self, namespace: str) -> list[str]:
+        return list(self.products if namespace == Namespace.PRODUCT else self.orders)
 
     def snapshot(self, paths: Iterable[str]) -> dict:
         """Dotted path -> its plain value, as success assertions read the world.
@@ -168,8 +159,8 @@ def _longest_key(node: Mapping, keys: list[str]) -> tuple[object, list[str]] | N
 
 def _plain(record) -> object:
     """A product or order as its doc, a shipment (a tuple, as every record is) as a list."""
-    return record.to_doc() if isinstance(record, (Product, Order)) else [
-        e.to_doc() for e in record]
+    return record._asdict() if isinstance(record, (Product, Order)) else [
+        e._asdict() for e in record]
 
 
 _COUNT = {"type": "integer", "minimum": 0}
@@ -183,7 +174,7 @@ WORLD_SCHEMA = closed(
         title=STRING, attributes=OBJECT, price_cents=_COUNT, stock=_COUNT)},
     orders={"type": "object", "additionalProperties": closed(
         ["buyer_id", "status"], buyer_id=STRING, items=LIST,
-        status={"enum": [s.value for s in OrderStatus]}, address=STRING)},
+        status={"enum": list(ORDER_STATUSES)}, address=STRING)},
     shipments={"type": "object", "additionalProperties": {"type": "array", "items": closed(
         ["tick", "location", "status"], tick={"type": "integer"}, location=STRING, status=STRING)}},
     policies={"type": "array", "items": closed(
@@ -200,7 +191,7 @@ def world_from_dict(data: dict) -> World:
                              row["price_cents"], row["stock"])
                 for pid, row in data.get("products", {}).items()}
     orders = {oid: Order(oid, row["buyer_id"], list(row.get("items", [])),
-                         OrderStatus(row["status"]), row.get("address", ""))
+                         row["status"], row.get("address", ""))
               for oid, row in data.get("orders", {}).items()}
     shipments = {}
     for oid, events in data.get("shipments", {}).items():
@@ -208,9 +199,9 @@ def world_from_dict(data: dict) -> World:
             raise SchemaError(f"shipments.{oid}: references a missing order")
         shipments[oid] = tuple(sorted((ShipmentEvent(e["tick"], e["location"], e["status"])
                                        for e in events), key=lambda e: e.tick))
-    policies = {Namespace(ns): {} for ns in _POLICY_NAMESPACES}
+    policies = {ns: {} for ns in _POLICY_NAMESPACES}
     for row in data.get("policies", []):
-        table = policies[Namespace(row.get("namespace", "platform_policy"))]
+        table = policies[row.get("namespace", "platform_policy")]
         table[row["key"]] = document(row["key"], row["body"])
     frozen = MappingProxyType({ns: Corpus(table) for ns, table in policies.items()})
     return World(products=products, orders=orders, shipments=shipments, policies=frozen)

@@ -319,6 +319,19 @@ def test_out_that_cannot_be_a_directory_exits_2_before_any_episode(
     assert line.startswith(f"error: --out {out}") and " cannot be made a directory: " in line
 
 
+@pytest.mark.parametrize("command", ["bench", "ablate"])
+def test_a_k_above_n_trials_exits_2_before_out_is_made(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.setattr(cli, "run_episode", _never)
+    monkeypatch.setattr(bench, "run_episode", _never)
+    out = tmp_path / "out"
+    vary = ["--vary", "aci"] if command == "ablate" else []
+    code, stdout, err = run_cli(capsys, command, *vary, "--k", "9", "--n-trials", "2",
+                                "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.splitlines() == ["error: every k in [9] must be in 1..n_trials=2"]
+    assert not out.exists()
+
+
 def test_run_whose_trial_file_is_a_directory_exits_2_naming_it(capsys, suite_dir, scripts_dir,
                                                                tmp_path):
     taken = tmp_path / "out" / "kettle-capacity-t0.result.json"

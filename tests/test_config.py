@@ -16,7 +16,7 @@ def test_defaults():
     assert config.confidence_floor == 0.0
     assert config.aci
     assert config.decision_module
-    assert config.strategy is IntegrationStrategy.TOOL
+    assert config.strategy == IntegrationStrategy.TOOL
     assert config.elide_block == 16
 
 
@@ -87,7 +87,7 @@ def test_numbers_are_floats_and_enum_names_their_values():
     floor = agent_config_from_dict({"confidence_floor": 1}).confidence_floor
     assert floor == 1.0 and type(floor) is float
     assert config.aci and not config.decision_module
-    assert config.strategy is IntegrationStrategy.PLANNER
+    assert config.strategy == IntegrationStrategy.PLANNER
     assert config.to_dict()["confidence_floor"] == 0.0
 
 
@@ -137,7 +137,7 @@ def test_config_file_feeds_agent_config(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"strategy": "planner", "confidence_floor": 0.4}))
     config = agent_config_from_dict(read_json(path, "config file", OBJECT))
-    assert config.strategy is IntegrationStrategy.PLANNER
+    assert config.strategy == IntegrationStrategy.PLANNER
     assert config.confidence_floor == 0.4
 
 

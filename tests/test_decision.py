@@ -12,6 +12,7 @@ from shopclerk.backends import ChatResponse, ScriptedBackend, ScriptEntry
 from shopclerk.config import AgentConfig
 from shopclerk.decision import (
     FENCED_JSON_RE,
+    PLAN_KINDS,
     TEMPLATE_FIELDS,
     CandidatePlan,
     PlanEvaluation,
@@ -56,7 +57,7 @@ def test_propose_parses_well_formed_plans():
     ]
     plans = propose("ctx", CATALOG, 3, backend_with(fenced(rows)))
     assert [p.plan_id for p in plans] == [0, 1, 2]
-    assert plans[0].kind is PlanKind.SINGLE_TOOL
+    assert plans[0].kind == PlanKind.SINGLE_TOOL
     assert plans[1].draft_reply == "hello"
 
 
@@ -148,9 +149,8 @@ def reference_parse_plan(row, plan_id):
     """The former hand-written parser, which read a falsy steps or arguments as none."""
     if not isinstance(row, dict):
         return None
-    try:
-        kind = PlanKind(row.get("kind"))
-    except ValueError:
+    kind = row.get("kind")
+    if kind not in PLAN_KINDS:
         return None
     raw_steps = row.get("steps") or []
     if not isinstance(raw_steps, list):
@@ -167,16 +167,16 @@ def reference_parse_plan(row, plan_id):
     if not isinstance(rationale, str):
         return None
     reply = row.get("reply")
-    if kind is PlanKind.DIRECT_REPLY:
+    if kind == PlanKind.DIRECT_REPLY:
         if steps or not isinstance(reply, str) or not reply:
             return None
     else:
         if not steps:
             return None
-        if kind is PlanKind.SINGLE_TOOL and len(steps) != 1:
+        if kind == PlanKind.SINGLE_TOOL and len(steps) != 1:
             return None
     return CandidatePlan(plan_id=plan_id, kind=kind, steps=tuple(steps), rationale=rationale,
-                         draft_reply=reply if kind is PlanKind.DIRECT_REPLY else None)
+                         draft_reply=reply if kind == PlanKind.DIRECT_REPLY else None)
 
 
 _LEAVES = (None, 0, 1, False, True, 0.0, 2.5, "", "x", [], {}, ["x"], {"a": 1})
@@ -201,7 +201,7 @@ def _random_row(rng):
         return rng.choice(_LEAVES)
     row = {}
     if rng.random() < 0.95:
-        row["kind"] = rng.choice([k.value for k in PlanKind] * 3 + ["bogus", 1, None])
+        row["kind"] = rng.choice(list(PLAN_KINDS) * 3 + ["bogus", 1, None])
     if rng.random() < 0.8:
         row["steps"] = ([_random_step(rng) for _ in range(rng.choice((0, 1, 1, 1, 2, 3)))]
                         if rng.random() < 0.7 else rng.choice(_LEAVES))

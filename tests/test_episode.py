@@ -11,7 +11,17 @@ from shopclerk.backends import ChatResponse, RecordingBackend, ReplayBackend, Sc
 from shopclerk.config import AgentConfig, agent_config_from_dict
 from shopclerk.episode import CLARIFICATION_REPLY, AgentSession, run_episode
 from shopclerk.errors import ReplayMissError
-from shopclerk.memory import ELISION_MARKER, Namespace, PartKind, Role, message_to_dict
+from shopclerk.memory import (
+    ELISION_MARKER,
+    Namespace,
+    PartKind,
+    Role,
+    message_to_dict,
+    read_transcript,
+    render_context,
+    render_turn,
+    write_transcript,
+)
 from shopclerk.shop_tools import _Handlers
 from shopclerk.tasks import BuyerTurn, ResponseFact, SuccessCriteria, Task, load_task
 from shopclerk.world import replay_mutations, world_from_dict
@@ -49,6 +59,26 @@ def run_bundled(task_id, suite_dir, scripts_dir, vision_fixtures, config=None, c
         chat = PromptCapture(chat)
     result = run_episode(task, config or AgentConfig(), chat, vision_fixtures)
     return result, chat
+
+
+def test_a_transcript_read_back_renders_like_the_live_one(suite_dir, scripts_dir, vision_fixtures,
+                                                          tmp_path):
+    result, _ = run_bundled("refund-approval", suite_dir, scripts_dir, vision_fixtures)
+    live = result.transcript
+    write_transcript(live, tmp_path / "t.jsonl")
+    read = read_transcript(tmp_path / "t.jsonl")
+    lines = [render_turn(m) for m in live.turns]
+    newest_buyer = max(i for i, m in enumerate(live.turns) if m.role == Role.BUYER)
+    assert read._last_buyer == live._last_buyer == newest_buyer
+    buyer_decided = 0
+    for block in (1, 2, 4, 16):
+        for budget in range(1, len("\n".join(lines)) + 2):
+            rendered = render_context(live, budget, block)
+            assert render_context(read, budget, block) == rendered, (block, budget)
+            # kept from the newest buyer line, which neither starts a block nor is the newest line
+            buyer_decided += (newest_buyer % block != 0 and newest_buyer < len(lines) - 1
+                              and rendered == "\n".join([ELISION_MARKER, *lines[newest_buyer:]]))
+    assert buyer_decided
 
 
 def test_unimodal_task_succeeds_with_tool_call(suite_dir, scripts_dir, vision_fixtures):
@@ -154,9 +184,9 @@ def test_agent_reply_stored_abstracted_emitted_deabstracted(
 ):
     result, _ = run_bundled("manual-link", suite_dir, scripts_dir, vision_fixtures)
     assert result.success
-    agent_turns = [m for m in result.transcript.turns if m.role is Role.AGENT]
+    agent_turns = [m for m in result.transcript.turns if m.role == Role.AGENT]
     stored = agent_turns[-1]
-    assert any(p.kind is PartKind.PLACEHOLDER and p.value == "[Link 1]" for p in stored.parts)
+    assert any(p.kind == PartKind.PLACEHOLDER and p.value == "[Link 1]" for p in stored.parts)
     emits = [e for e in result.trace.events if e["kind"] == "emit"]
     assert "crisproast-toaster-v3.pdf" in emits[-1]["reply"]
 

@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+import re
 import sys
 import threading
 
@@ -9,9 +11,12 @@ from shopclerk import memory
 from shopclerk.errors import ClerkError, SchemaError, SequencingError, UsageError
 from shopclerk.memory import (
     ELISION_MARKER,
+    ROLES,
+    ContentPart,
     LongTermStore,
     Message,
     Namespace,
+    PartKind,
     Role,
     WorkingMemory,
     read_transcript,
@@ -123,7 +128,7 @@ def reference_render(wm, budget):
 def test_render_matches_reference_after_every_append(seed):
     # budgets 1-150 cover budgets under len(ELISION_MARKER) and lines longer than the budget
     rng = random.Random(seed)
-    roles = list(Role)
+    roles = list(ROLES)
     wm = WorkingMemory("s1")
     for budget in range(1, 151):
         assert render_context(wm, budget) == reference_render(wm, budget)
@@ -149,14 +154,14 @@ def reference_block_render(wm, budget, block):
         return len("\n".join([ELISION_MARKER, *lines[start:]])) <= budget
 
     first = next(s for s in [*range(0, len(lines), block), len(lines)] if fits(s))
-    buyers = [i for i, m in enumerate(wm.turns) if m.role is Role.BUYER]
+    buyers = [i for i, m in enumerate(wm.turns) if m.role == Role.BUYER]
     kept = [i for i in buyers[-1:] + [len(lines) - 1] if fits(i)]
     start = min([first, *kept])
     return "\n".join([ELISION_MARKER, *lines[start:]])
 
 
 def random_wm(rng, n):
-    roles = list(Role)
+    roles = list(ROLES)
     wm = WorkingMemory("s1")
     for i in range(n):
         text = "".join(rng.choices("ab xy\t", k=rng.randint(0, 40)))
@@ -178,7 +183,7 @@ def test_block_render_matches_block_reference_after_every_append(seed, block):
 @pytest.mark.parametrize("seed", range(3))
 def test_block_render_invariants(seed, block):
     for wm in random_wm(random.Random(seed), 40):
-        buyers = [render_turn(m) for m in wm.turns if m.role is Role.BUYER]
+        buyers = [render_turn(m) for m in wm.turns if m.role == Role.BUYER]
         newest = [render_turn(wm.turns[-1]), *buyers[-1:]]
         for budget in range(1, 301, 3):
             by_line = render_context(wm, budget)
@@ -263,6 +268,33 @@ def test_render_deterministic():
     assert len(outputs) == 1
 
 
+def test_a_role_read_from_a_file_appends_like_its_constant():
+    for role in ROLES:
+        plain = json.loads(json.dumps(role))  # an equal string, not the constant's own object
+        assert plain is not role
+        memories = []
+        for who in (role, plain):
+            wm = WorkingMemory("s1")
+            wm.append_turn(text_message(Role.AGENT, "welcome", 0))
+            wm.append_turn(Message(who, (ContentPart(PartKind.TEXT, "hello"),), 1))
+            wm.append_turn(text_message(Role.TOOL, "result", 2))
+            memories.append(wm)
+        live, read = memories
+        assert read._lines == live._lines == ["[agent] welcome", f"[{role}] hello", "[tool] result"]
+        assert read._last_buyer == live._last_buyer == (1 if role == Role.BUYER else -1)
+        for budget, block in itertools.product(range(1, 60), (1, 2, 16)):
+            assert render_context(read, budget, block) == render_context(live, budget, block)
+
+
+def test_an_image_ref_kind_read_from_a_file_is_checked_like_its_constant():
+    plain = json.loads('"image_ref"')  # an equal string, not the constant's own object
+    assert plain is not PartKind.IMAGE_REF
+    for kind in (PartKind.IMAGE_REF, plain):
+        with pytest.raises(SchemaError, match="image_ref value is not a URL: 'not a url'"):
+            ContentPart(kind, "not a url")
+        assert ContentPart(kind, "https://x.example/a.jpg").value == "https://x.example/a.jpg"
+
+
 def test_transcript_round_trip(tmp_path):
     wm = make_wm(["first", "second"])
     wm.append_turn(text_message(Role.AGENT, "third", 2))
@@ -300,6 +332,10 @@ def test_ltm_unknown_namespace_is_schema_error():
     store = LongTermStore(World())
     with pytest.raises(SchemaError):
         store.put("weather", "today", "sunny")
+    for namespace in ("weather", None, 1, ["order"], {"order": 1}):  # unhashable ones too
+        for call in (lambda: store.get(namespace, "k"), lambda: store.search(namespace, "q", 3)):
+            with pytest.raises(SchemaError, match=re.escape(f"unknown namespace: {namespace!r}")):
+                call()
 
 
 def test_ltm_get_missing_is_none_not_error():

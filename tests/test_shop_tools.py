@@ -7,7 +7,7 @@ from shopclerk.memory import Namespace
 from shopclerk.placeholders import PlaceholderTable, abstract_text
 from shopclerk.shop_tools import CATALOGS, TOOLS, _Handlers, build_registry
 from shopclerk.toolkit import ToolCall
-from shopclerk.vision import FixtureVisionBackend, IntegrationStrategy
+from shopclerk.vision import STRATEGIES, FixtureVisionBackend, IntegrationStrategy
 from shopclerk.world import seed_store, world_from_dict
 
 PHOTO = "https://img.shop.example/uploads/kettle-crack-2291.jpg"
@@ -94,7 +94,7 @@ def test_order_update_applies_and_syncs_store(session_bits):
     world, store, _, _, registry = session_bits
     result = invoke(registry, "order_update", order_id="O1", action="request_refund")
     assert not result.is_error
-    assert world.orders["O1"].status.value == "refund_requested"
+    assert world.orders["O1"].status == "refund_requested"
     assert store.get(Namespace.ORDER, "O1").body["status"] == "refund_requested"
 
 
@@ -158,10 +158,10 @@ CATALOG_LINES = (
 )
 
 
-@pytest.mark.parametrize("strategy", list(IntegrationStrategy))
+@pytest.mark.parametrize("strategy", list(STRATEGIES))
 def test_catalog_text_is_pinned(strategy):
     # the prompt bytes every bundled script matches against; tool mode lists describe
-    lines = [line for line in CATALOG_LINES if strategy is IntegrationStrategy.TOOL
+    lines = [line for line in CATALOG_LINES if strategy == IntegrationStrategy.TOOL
              or not line.startswith("- multimodal_describe(")]
     assert CATALOGS[strategy] == "\n".join(lines)
     # every session shares the one text rendered at import

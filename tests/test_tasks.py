@@ -154,7 +154,7 @@ def test_reset_yields_independent_worlds(suite_dir, vision_fixtures):
     task = load_task(suite_dir / "cancel-paid-order.json", vision_fixtures)
     a, b = task.reset(), task.reset()
     a.apply_order_action("O-7002", "cancel")
-    assert b.orders["O-7002"].status.value == "paid"
+    assert b.orders["O-7002"].status == "paid"
 
 
 @pytest.mark.parametrize("task_id", ["cancel-paid-order", "refund-approval",
@@ -209,7 +209,7 @@ def test_an_episode_of_one_task_leaves_a_task_sharing_its_world_as_loaded(
     session = AgentSession(world, chat, vision_fixtures, AgentConfig(), session_id="shared")
     for turn in a.buyer_script:
         session.handle_buyer_turn(turn.utterance)
-    assert world.orders["O-7002"].status.value == "cancelled"
+    assert world.orders["O-7002"].status == "cancelled"
     assert b.reset().snapshot(WHOLE_WORLD) == before
     assert b.seed_world.snapshot(WHOLE_WORLD) == before and b.seed_world.mutations == []
 
@@ -331,14 +331,14 @@ def test_state_path_missing_resolves_to_none():
 def test_check_success_snapshots_only_the_asserted_records(monkeypatch):
     orders = {f"O{i}": {"buyer_id": "B", "items": [], "status": "paid"} for i in range(50)}
     world = world_from_dict({"orders": orders})
-    views, built, real_snapshot, to_doc = [], [], World.snapshot, Order.to_doc
+    views, built, real_snapshot, as_dict = [], [], World.snapshot, Order._asdict
 
     def recording_snapshot(self, paths):
         views.append(real_snapshot(self, paths))
         return views[-1]
 
     monkeypatch.setattr(World, "snapshot", recording_snapshot)
-    monkeypatch.setattr(Order, "to_doc", lambda self: built.append(self.order_id) or to_doc(self))
+    monkeypatch.setattr(Order, "_asdict", lambda self: built.append(self.order_id) or as_dict(self))
     criteria = SuccessCriteria(state_assertions=(StateAssertion("orders.O7.status", "paid"),
                                                  StateAssertion("clock", 0)))
     ok, _ = check_success(world, (), criteria)

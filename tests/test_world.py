@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from shopclerk.config import AgentConfig
 from shopclerk.decision import CandidatePlan, PlanKind, PlannedStep
 from shopclerk.errors import SchemaError
 from shopclerk.memory import (
+    NAMESPACES,
     WORLD_NAMESPACES,
     ContentPart,
     Message,
@@ -20,6 +22,7 @@ from shopclerk.toolkit import ToolCall, ToolResult
 from shopclerk.world import (
     KEY_SEGMENTS,
     ORDER_ACTIONS,
+    ORDER_STATUSES,
     Order,
     OrderStatus,
     World,
@@ -55,6 +58,20 @@ def make_world() -> World:
     return world_from_dict(SEED)
 
 
+def test_doc_takes_a_namespace_read_from_a_file_like_its_constant():
+    world = make_world()
+    for ns in (Namespace.PRODUCT, Namespace.ORDER, Namespace.LOGISTICS):
+        plain = json.loads(json.dumps(ns))  # an equal string, not the constant's own object
+        assert plain is not ns
+        assert world.doc_keys(plain) == world.doc_keys(ns)
+        for key in [*world.products, *world.orders, "missing"]:
+            assert world.doc(plain, key) == world.doc(ns, key)
+    product = json.loads('"product"')
+    assert world.doc(product, "P1")["title"] == "Kettle"
+    assert world.doc(product, "O1") is None
+    assert world.doc_keys(product) == ["P1"]
+
+
 def test_shipments_sorted_by_tick():
     world = make_world()
     assert [e.tick for e in world.shipments["O1"]] == [1, 3]
@@ -63,15 +80,15 @@ def test_shipments_sorted_by_tick():
 def test_legal_refund_flow():
     world = make_world()
     world.apply_order_action("O1", "request_refund")
-    assert world.orders["O1"].status is OrderStatus.REFUND_REQUESTED
+    assert world.orders["O1"].status == OrderStatus.REFUND_REQUESTED
     world.apply_order_action("O1", "approve_refund")
-    assert world.orders["O1"].status is OrderStatus.REFUNDED
+    assert world.orders["O1"].status == OrderStatus.REFUNDED
 
 
 def test_cancel_paid_order():
     world = make_world()
     world.apply_order_action("O2", "cancel")
-    assert world.orders["O2"].status is OrderStatus.CANCELLED
+    assert world.orders["O2"].status == OrderStatus.CANCELLED
 
 
 def test_cancel_delivered_is_illegal():
@@ -126,7 +143,7 @@ def test_copy_isolation():
     a = make_world()
     b = a.copy()
     b.apply_order_action("O2", "cancel")
-    assert a.orders["O2"].status is OrderStatus.PAID
+    assert a.orders["O2"].status == OrderStatus.PAID
 
 
 def test_snapshot_paths():
@@ -269,7 +286,7 @@ def _random_world(rng: random.Random) -> World:
                       "stock": rng.randrange(5)}
                 for i, pid in enumerate(_random_ids(rng, "P"))}
     orders = {oid: {"buyer_id": f"B{rng.randrange(3)}",
-                    "status": rng.choice(list(OrderStatus)).value,
+                    "status": rng.choice(ORDER_STATUSES),
                     "items": [{"product_id": rng.choice(list(products)), "qty": 1}]}
               for oid in _random_ids(rng, "O")}
     shipments = {oid: [{"tick": t, "location": "hub", "status": "in_transit"}
@@ -299,9 +316,9 @@ def _random_path(rng: random.Random, world: World) -> str:
 def _reference_snapshot(world: World, paths: list[str]) -> dict:
     """The whole world as plain dicts, each path walked through it: at each level, the
     longest key that the rest of the path equals or starts with, then a dot."""
-    full = {"products": {k: p.to_doc() for k, p in world.products.items()},
-            "orders": {k: o.to_doc() for k, o in world.orders.items()},
-            "shipments": {k: [e.to_doc() for e in events] for k, events in world.shipments.items()},
+    full = {"products": {k: p._asdict() for k, p in world.products.items()},
+            "orders": {k: o._asdict() for k, o in world.orders.items()},
+            "shipments": {k: [e._asdict() for e in events] for k, events in world.shipments.items()},
             "clock": world.clock}
     values = {}
     for path in paths:
@@ -329,8 +346,8 @@ def test_sparse_snapshot_resolves_every_path_like_the_full_one(seed):
 
 
 def test_sparse_snapshot_builds_only_the_named_records(monkeypatch):
-    world, built, to_doc = make_world(), [], Order.to_doc
-    monkeypatch.setattr(Order, "to_doc", lambda self: built.append(self.order_id) or to_doc(self))
+    world, built, as_dict = make_world(), [], Order._asdict
+    monkeypatch.setattr(Order, "_asdict", lambda self: built.append(self.order_id) or as_dict(self))
     assert world.snapshot(["orders.O1.status", "products.P9.title", "weather.today"]) == {
         "orders.O1.status": "delivered"}
     assert built == ["O1"]
@@ -387,9 +404,9 @@ def test_seed_store_holds_exactly_the_policies():
     world = make_world()
     store = seed_store(world)
     every_token = " ".join(row["body"] for row in SEED["policies"])
-    for ns in set(Namespace) - WORLD_NAMESPACES:
+    for ns in set(NAMESPACES) - WORLD_NAMESPACES:
         expected = {row["key"]: row["body"] for row in SEED["policies"]
-                    if row["namespace"] == ns.value}
+                    if row["namespace"] == ns}
         assert {d.key: d.body for d in store.search(ns, every_token, 10)} == expected
         assert all(store.get(ns, key).body == body for key, body in expected.items())
         if ns in world.policies:
