@@ -20,11 +20,12 @@ def run_trials(
     vision,
     n_trials: int,
     workers: int = 1,
+    templates: tuple[decision.PromptTemplate, decision.PromptTemplate] | None = None,
 ) -> list[EpisodeResult]:
     """n_trials episodes per task, each chatting with chat_for(task) and describing with
     vision; with workers > 1 they run on threads, so every backend must be safe to share.
-    The prompt templates are read once, here, and every episode shares them."""
-    templates = decision.load_templates(config.template_dir)
+    Every episode shares the (propose, evaluate) templates, read here once when not given."""
+    templates = templates or decision.load_templates(config.template_dir)
 
     def one(task: Task, trial: int) -> EpisodeResult:
         return run_episode(task, config, chat_for(task), vision, trial, templates)
@@ -79,15 +80,16 @@ def run_ablation(
     n_trials: int,
     k_values: list[int],
     workers: int = 1,
+    templates: list | None = None,
 ) -> tuple[list[dict], list[EpisodeResult]]:
-    """One report row per (name, config) variant over the full suite, as summarize builds it."""
+    """One report row per (name, config) variant over the full suite, as summarize builds it;
+    templates, when given, holds each variant's (propose, evaluate) templates."""
     check_k_values(k_values, n_trials)
-    if not variants:
-        raise UsageError("ablation needs at least one variant")
     reports = []
     all_results: list[EpisodeResult] = []
-    for name, config in variants:
-        results = run_trials(tasks, config, chat_for, vision, n_trials, workers)
+    for i, (name, config) in enumerate(variants):
+        results = run_trials(tasks, config, chat_for, vision, n_trials, workers,
+                             templates[i] if templates else None)
         reports.append(summarize(name, config.to_dict(), results, k_values))
         all_results.extend(results)
     return reports, all_results

@@ -9,12 +9,13 @@ from pathlib import Path
 
 from . import __version__
 from .backends import RecordingBackend, RemoteBackend, ReplayBackend, ScriptedBackend
-from .config import AgentConfig, agent_config_from_dict, variant_from_dict
+from .config import ON_OFF, AgentConfig, agent_config_from_dict, variant_from_dict
+from .decision import load_templates
 from .episode import run_episode, write_result
 from .errors import ClerkError, ConfigError, UsageError
 from .files import LIST, OBJECT, STRING, make_dir, read_json, read_jsonl
-from .tasks import load_suite, load_task
-from .vision import FixtureVisionBackend
+from .tasks import MODALITIES, load_suite, load_task
+from .vision import STRATEGIES, FixtureVisionBackend
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -42,9 +43,9 @@ def _add_agent_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override it")
     parser.add_argument("--n-candidates", type=int, dest="n_candidates")
     parser.add_argument("--confidence-floor", type=float, dest="confidence_floor")
-    parser.add_argument("--aci", choices=["on", "off"])
-    parser.add_argument("--strategy", choices=["tool", "planner"])
-    parser.add_argument("--decision-module", choices=["on", "off"], dest="decision_module")
+    parser.add_argument("--aci", choices=ON_OFF)
+    parser.add_argument("--strategy", choices=STRATEGIES)
+    parser.add_argument("--decision-module", choices=ON_OFF, dest="decision_module")
 
 
 def _agent_config(args) -> AgentConfig:
@@ -110,9 +111,10 @@ def cmd_run(args) -> int:
     vision, chat_for = _episode_backends(args)
     task = load_task(args.task, vision_fixtures=vision)
     chat = chat_for(task)
+    templates = load_templates(config.template_dir)  # before --out is made
     if args.out:
         make_dir(args.out, "--out")
-    result = run_episode(task, config, chat, vision, trial_index=args.trial)
+    result = run_episode(task, config, chat, vision, trial_index=args.trial, templates=templates)
     if args.out:
         write_result(result, args.out)
     print(f"task={result.task_id} success={str(result.success).lower()} "
@@ -152,7 +154,7 @@ def _variants(args, base: AgentConfig) -> list[tuple[str, AgentConfig]]:
     if not args.matrix:
         return [("default", base)]
     variants, first_row = [], {}
-    for i, row in enumerate(read_json(args.matrix, "matrix file", LIST)):
+    for i, row in enumerate(read_json(args.matrix, "matrix file", {**LIST, "minItems": 1})):
         name, config = variant_from_dict(row, base, f"matrix file {args.matrix} row {i}")
         if name in first_row:
             raise ConfigError(f"matrix file {args.matrix} row {i}: name {name!r} "
@@ -176,12 +178,13 @@ def cmd_suite(args) -> int:
         if not tasks:
             raise UsageError(f"no {args.modality} tasks in suite")
     variants = _variants(args, base)
+    templates = [load_templates(config.template_dir) for _, config in variants]
     k_values = _parse_k_values(args.k)
-    check_k_values(k_values, args.n_trials)  # before --out is made
+    check_k_values(k_values, args.n_trials)  # all checked before --out is made
     if args.out:
         make_dir(Path(args.out, "trials" if args.command == "bench" else ""), "--out")
     reports, results = run_ablation(tasks, variants, chat_for, vision, args.n_trials, k_values,
-                                    workers=args.workers)
+                                    workers=args.workers, templates=templates)
     print(report_table(reports, k_values))
     if args.out:
         write_report(reports, k_values, args.out)
@@ -347,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     matrix_or_axis = suite["ablate"].add_mutually_exclusive_group(required=True)
     matrix_or_axis.add_argument("--matrix", help="JSON list of variant configs")
     matrix_or_axis.add_argument("--vary", choices=list(VARY_AXES))
-    suite["ablate"].add_argument("--modality", choices=["unimodal", "multimodal"])
+    suite["ablate"].add_argument("--modality", choices=MODALITIES)
 
     p_metrics = sub.add_parser("metrics", help="recompute metrics from recorded files")
     p_metrics.add_argument("--annotations", help="CSV of judged messages")

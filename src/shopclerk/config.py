@@ -29,8 +29,9 @@ class AgentConfig(NamedTuple):
                 for key, value in self._asdict().items() if value is not None}
 
 
+ON_OFF = ("on", "off")
 _AT_LEAST_1 = {"type": "integer", "minimum": 1}
-_ON_OFF = {"enum": ["on", "off", True, False]}
+_ON_OFF = {"enum": [*ON_OFF, True, False]}
 
 CONFIG_SCHEMA = closed(
     [],

@@ -50,24 +50,20 @@ class PlannedStep(NamedTuple):
         return f"{self.tool_name}({args})"
 
 
-class CandidatePlan(namedtuple(
-        "_CandidatePlan", "plan_id kind steps rationale draft_reply summary")):
+class CandidatePlan(namedtuple("_CandidatePlan", "kind steps rationale draft_reply summary")):
     """A plan and its one-line summary, built with it: a plan is shared by every
-    episode that replays its reply."""
+    episode that replays its reply. Its id is its index in the list it sits in."""
 
     __slots__ = ()
 
-    def __new__(cls, plan_id: int, kind: str, steps: tuple[PlannedStep, ...],
-                rationale: str, draft_reply: str | None = None):
+    def __new__(cls, kind: str, steps: tuple[PlannedStep, ...], rationale: str,
+                draft_reply: str | None = None):
         if kind == PlanKind.DIRECT_REPLY:
             body = f'reply: "{draft_reply}"'
         else:
             body = " -> ".join(s.summary() for s in steps)
         summary = f"({kind}) {body} | {rationale}"
-        return tuple.__new__(cls, (plan_id, kind, steps, rationale, draft_reply, summary))
-
-    def dedup_key(self) -> tuple:
-        return (self.kind, tuple(s.tool_name for s in self.steps))
+        return tuple.__new__(cls, (kind, steps, rationale, draft_reply, summary))
 
 
 class PlanEvaluation(NamedTuple):
@@ -146,7 +142,7 @@ PLAN_SCHEMA = {"type": "object", "required": ["kind"], "properties": {
 }}
 
 
-def _parse_plan(row: dict, plan_id: int) -> CandidatePlan | None:
+def _parse_plan(row: dict) -> CandidatePlan | None:
     """One plan from backend JSON, or None when the entry is malformed."""
     if shape_error(row, PLAN_SCHEMA):
         return None
@@ -159,44 +155,41 @@ def _parse_plan(row: dict, plan_id: int) -> CandidatePlan | None:
             return None
     elif not steps or kind == PlanKind.SINGLE_TOOL and len(steps) != 1:
         return None
-    return CandidatePlan(
-        plan_id=plan_id,
-        kind=kind,
-        steps=steps,
-        rationale=row.get("rationale") or "",
-        draft_reply=reply if kind == PlanKind.DIRECT_REPLY else None,
-    )
+    return CandidatePlan(kind, steps, row.get("rationale") or "",
+                         reply if kind == PlanKind.DIRECT_REPLY else None)
 
 
 @lru_cache(maxsize=REPLY_MEMO_SIZE)
-def _plans_in(text: str) -> tuple[CandidatePlan, ...] | str:
+def _plans_in(text: str) -> tuple[CandidatePlan, ...]:
     """The plans a propose reply holds, kept as propose keeps them but up to
-    MAX_PLANS, or why it holds none, as a ProposalError message."""
+    MAX_PLANS; a ProposalError when it holds none. Only replies that parse are memoized."""
     match = FENCED_JSON_RE.search(text)
     if not match:
-        return "backend reply has no fenced JSON block"
+        raise ProposalError("backend reply has no fenced JSON block")
     try:
         rows = json.loads(match.group(1))
     except (ValueError, RecursionError) as exc:  # bad syntax, too deep, or too long an integer
-        return f"fenced block is not valid JSON: {exc}"
+        raise ProposalError(f"fenced block is not valid JSON: {exc}") from None
     if isinstance(rows, dict):
         rows = rows.get("plans", [])
     if not isinstance(rows, list):
-        return f"fenced block is not a list of plans: {type(rows).__name__}"
+        raise ProposalError(f"fenced block is not a list of plans: {type(rows).__name__}")
     plans: list[CandidatePlan] = []
     seen: set[tuple] = set()
     for row in rows:
-        plan = _parse_plan(row, len(plans))
+        plan = _parse_plan(row)
         if plan is None:
             continue
-        key = plan.dedup_key()
+        key = (plan.kind, tuple(s.tool_name for s in plan.steps))
         if key in seen:
             continue
         seen.add(key)
         plans.append(plan)
         if len(plans) == MAX_PLANS:
             break
-    return tuple(plans) if plans else "no parseable plan in backend reply"
+    if not plans:
+        raise ProposalError("no parseable plan in backend reply")
+    return tuple(plans)
 
 
 def propose(
@@ -210,8 +203,8 @@ def propose(
 
     Malformed entries are dropped; duplicates (same kind and tool-name
     sequence) are collapsed to their first occurrence; at most n_candidates
-    plans are kept, re-numbered densely from 0. Each distinct reply text is
-    parsed once per process, for up to REPLY_MEMO_SIZE (1024) texts, so the
+    plans are kept, in reply order. Each distinct reply text that holds a plan
+    is parsed once per process, for up to REPLY_MEMO_SIZE (1024) texts, so the
     plans are shared by every caller and must not be mutated, step arguments
     included; the returned list is the caller's own.
     """
@@ -220,10 +213,7 @@ def propose(
     template = template or load_template("propose.txt")
     prompt = template.fill(context=context, tool_catalog=tool_catalog, n_candidates=n_candidates)
     response = backend.complete(ChatRequest((ChatMessage("user", prompt),), kind="propose"))
-    plans = _plans_in(response.text)
-    if isinstance(plans, str):
-        raise ProposalError(plans)
-    return list(plans[:n_candidates])
+    return list(_plans_in(response.text)[:n_candidates])
 
 
 def plan_listing(plans: list[CandidatePlan]) -> str:
@@ -240,7 +230,8 @@ def evaluate(
 
     When the backend exposes per-label probabilities they are normalized
     over the round's alphabet; otherwise the stripped reply must be one of
-    the round's labels, which gets confidence 1.0 and the others 0.0.
+    the round's labels, which gets confidence 1.0 and the others 0.0. The
+    i-th evaluation scores plans[i], with plan_id i.
     """
     if not plans:
         raise UsageError("evaluate needs at least one plan")
@@ -260,8 +251,7 @@ def evaluate(
     total = sum(masses)
     if total <= 0:
         raise EvaluationError("label probabilities assign no mass to any plan label")
-    return [PlanEvaluation(plan.plan_id, label, mass / total)
-            for plan, label, mass in zip(plans, labels, masses)]
+    return [PlanEvaluation(i, LABELS[i], mass / total) for i, mass in enumerate(masses)]
 
 
 def select(evaluations: list[PlanEvaluation], confidence_floor: float = 0.0) -> int | None:

@@ -15,8 +15,9 @@ from .memory import (
     render_context,
 )
 from .placeholders import (
-    PlaceholderTable,
     KIND_NAMES,
+    UNKNOWN_PLACEHOLDER,
+    PlaceholderTable,
     RefKind,
     deabstract_text,
     placeholder_parts,
@@ -112,6 +113,11 @@ class AgentSession:
         self.world = world
         self.store = seed_store(world)
         self.table = PlaceholderTable(min_url_length=self.config.min_url_length)
+        # the URL kinds inbound text abstracts: none with the ACI off (URLs are only tracked
+        # for resolution); under the planner strategy image URLs reach the planner as raw
+        # text, while other long URLs still shrink
+        self._url_kinds = frozenset() if not self.config.aci else (
+            NON_VISUAL_KINDS if self.config.strategy == IntegrationStrategy.PLANNER else ALL_KINDS)
         self.trace = ActionTrace()
         self.backends = _Recorded(chat_backend, vision_backend, self.trace)
         self.registry = build_registry(
@@ -126,23 +132,13 @@ class AgentSession:
     # --- message plumbing ---
 
     def _inbound_parts(self, text: str) -> tuple[ContentPart, ...]:
-        """Split inbound text, abstracting URL kinds allowed by the mode."""
-        if not self.config.aci:
-            kinds = frozenset()  # track URLs for resolution, rewrite nothing
-        elif self.config.strategy == IntegrationStrategy.PLANNER:
-            # image URLs reach the planner as raw text; other long URLs still shrink
-            kinds = NON_VISUAL_KINDS
-        else:
-            kinds = ALL_KINDS
-        return split_parts(text, self.table, abstract_kinds=kinds)
+        """Split inbound text, abstracting the session's URL kinds."""
+        return split_parts(text, self.table, abstract_kinds=self._url_kinds)
 
     def _append(self, role: str, parts: tuple[ContentPart, ...]) -> None:
         self.wm.append_turn(
             Message(role=role, parts=parts, turn_index=len(self.wm), timestamp=self.world.clock)
         )
-
-    def _context(self) -> str:
-        return render_context(self.wm, self.config.context_budget, self.config.elide_block)
 
     # --- the decision cycle ---
 
@@ -164,7 +160,7 @@ class AgentSession:
     def _decision_cycle(self) -> str:
         placeholder_retry_used = False
         for _ in range(self.config.max_plan_rounds):
-            context = self._context()
+            context = render_context(self.wm, self.config.context_budget, self.config.elide_block)
             plans = self._propose(context)
             if self.config.decision_module:
                 evaluations = dec.evaluate(
@@ -193,13 +189,8 @@ class AgentSession:
 
     def _propose(self, context: str):
         n = self.config.n_candidates if self.config.decision_module else 1
-        return dec.propose(
-            context,
-            self.registry.catalog_text(),
-            n,
-            self.backends,
-            template=self._propose_template,
-        )
+        return dec.propose(context, self.registry.catalog_text(), n, self.backends,
+                           template=self._propose_template)
 
     def _record_round(self, plans, evaluations, selected: int | None) -> None:
         self.trace.add(
@@ -231,7 +222,7 @@ class AgentSession:
             observation = f"{step.tool_name} => {result.text}"
             self._append(Role.TOOL, self._inbound_parts(observation))
             if result.is_error:
-                return result.text.startswith("unknown_placeholder")
+                return result.text.startswith(UNKNOWN_PLACEHOLDER)
         return False
 
 

@@ -11,6 +11,8 @@ from .memory import ContentPart, LongTermStore, Namespace, PartKind
 
 DEFAULT_MIN_URL_LENGTH = 24
 DEFAULT_DESCRIBE_INSTRUCTION = "Describe the image briefly."
+# how the error text of resolving a placeholder the session never made begins
+UNKNOWN_PLACEHOLDER = "unknown_placeholder"
 
 URL_RE = re.compile(r"https?://[^\s<>\"']+")
 _TRAILING_PUNCT = ".,;:!?)]\"'"
@@ -243,7 +245,7 @@ def resolve(
     """
     entry = table.lookup(placeholder)
     if entry is None:
-        raise ResolutionError(f"unknown_placeholder: {placeholder}")
+        raise ResolutionError(f"{UNKNOWN_PLACEHOLDER}: {placeholder}")
     cache_key = instruction if instruction is not None else ""
     if cache_key in entry.resolved:
         return entry.resolved[cache_key]

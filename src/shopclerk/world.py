@@ -100,15 +100,23 @@ class World:
         return event
 
     def doc(self, namespace: str, key: str) -> dict | None:
-        """A product, order or logistics record as the lookups and the store serve it."""
+        """A product, order or logistics record as the lookups and the store serve it;
+        any other namespace is a SchemaError."""
+        records = self._records(namespace)
         if namespace == Namespace.LOGISTICS:
             events = [e._asdict() for e in self.shipments.get(key, [])]
-            return {"order_id": key, "events": events} if key in self.orders else None
-        records = self.products if namespace == Namespace.PRODUCT else self.orders
+            return {"order_id": key, "events": events} if key in records else None
         return records[key]._asdict() if key in records else None
 
     def doc_keys(self, namespace: str) -> list[str]:
-        return list(self.products if namespace == Namespace.PRODUCT else self.orders)
+        return list(self._records(namespace))
+
+    def _records(self, namespace: str) -> dict:
+        if namespace == Namespace.PRODUCT:
+            return self.products
+        if namespace == Namespace.ORDER or namespace == Namespace.LOGISTICS:
+            return self.orders
+        raise SchemaError(f"not a world namespace: {namespace!r}")
 
     def snapshot(self, paths: Iterable[str]) -> dict:
         """Dotted path -> its plain value, as success assertions read the world.
@@ -164,7 +172,7 @@ def _plain(record) -> object:
 
 
 _COUNT = {"type": "integer", "minimum": 0}
-_POLICY_NAMESPACES = ["platform_policy", "store_promotion"]
+_POLICY_NAMESPACES = [Namespace.PLATFORM_POLICY, Namespace.STORE_PROMOTION]
 
 # The shape of a world seed; attributes, order items and policy bodies are free-form.
 WORLD_SCHEMA = closed(
@@ -201,7 +209,7 @@ def world_from_dict(data: dict) -> World:
                                        for e in events), key=lambda e: e.tick))
     policies = {ns: {} for ns in _POLICY_NAMESPACES}
     for row in data.get("policies", []):
-        table = policies[row.get("namespace", "platform_policy")]
+        table = policies[row.get("namespace", Namespace.PLATFORM_POLICY)]
         table[row["key"]] = document(row["key"], row["body"])
     frozen = MappingProxyType({ns: Corpus(table) for ns, table in policies.items()})
     return World(products=products, orders=orders, shipments=shipments, policies=frozen)

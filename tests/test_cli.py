@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import DATA_DIR
 import shopclerk
 from shopclerk import backends, bench, cli, decision
 from shopclerk.backends import ChatResponse, RemoteBackend, ScriptedBackend, load_script
@@ -446,6 +447,46 @@ def test_matrix_row_with_a_non_finite_number_exits_2_before_any_episode(capsys, 
     assert err == (f"error: matrix file {matrix} row 0: confidence_floor: "
                    f"must be a number, got {shown}\n")
     assert not out_dir.exists()
+
+
+def test_an_empty_matrix_exits_2_before_out_is_made(capsys, tmp_path, monkeypatch):
+    matrix = tmp_path / "m.json"
+    matrix.write_text("[]")
+    monkeypatch.setattr(bench, "run_episode", _never)
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "ablate", "--matrix", str(matrix), "--n-trials", "1",
+                                "--k", "1", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == f"error: matrix file {matrix}: top level: must have length >= 1, got 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["bench"], ["ablate", "--vary", "aci"],
+                                     ["run", "--task", str(DATA_DIR / "demo" / "task.json"),
+                                      "--script", str(DATA_DIR / "demo" / "script.json")]])
+@pytest.mark.parametrize("broken", ["missing", "malformed"])
+def test_a_bad_template_exits_2_before_out_is_made(capsys, tmp_path, monkeypatch, command,
+                                                   broken):
+    templates = tmp_path / "templates"
+    if broken == "malformed":
+        templates.mkdir()
+        for name in ("propose.txt", "evaluate.txt"):
+            (templates / name).write_text((DATA_DIR.parent / "templates" / name).read_text())
+        (templates / "evaluate.txt").write_text("$ ${context} ${plan_list}")
+        why = f"template file {templates / 'evaluate.txt'} has a malformed placeholder on line 1"
+    else:
+        why = f"template file {templates / 'propose.txt'} cannot be read: not found"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"template_dir": str(templates)}))
+    monkeypatch.setattr(cli, "run_episode", _never)
+    monkeypatch.setattr(bench, "run_episode", _never)
+    out = tmp_path / "out"
+    trials = [] if command[0] == "run" else ["--n-trials", "1", "--k", "1"]
+    code, stdout, err = run_cli(capsys, *command, *trials, "--config", str(config),
+                                "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == f"error: {why}\n"
+    assert not out.exists()
 
 
 def test_run_task_whose_only_fact_is_an_empty_substring_exits_2(capsys, suite_dir, scripts_dir,
@@ -938,7 +979,8 @@ class FakeRemote:
 def test_suite_hands_workers_on_for_every_backend(capsys, monkeypatch, backend):
     handed = []
 
-    def fake_run_ablation(tasks, variants, chat_for, vision, n_trials, k_values, workers=1):
+    def fake_run_ablation(tasks, variants, chat_for, vision, n_trials, k_values, workers=1,
+                          templates=None):
         handed.append(workers)
         chat = chat_for(tasks[0])
         assert isinstance(chat, FakeRemote) == bool(backend)

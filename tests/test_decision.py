@@ -19,6 +19,7 @@ from shopclerk.decision import (
     PlanKind,
     PlannedStep,
     _parse_plan,
+    _plans_in,
     evaluate,
     load_template,
     plan_listing,
@@ -49,6 +50,11 @@ def backend_with(text, label_probs=None):
     return ScriptedBackend([ScriptEntry("", ChatResponse(text=text, label_probs=label_probs))])
 
 
+def evaluated_ids(plans):
+    """The plan_ids evaluate gives the plans of one round."""
+    return [e.plan_id for e in evaluate("ctx", plans, backend_with("A", {"A": 1.0}))]
+
+
 def test_propose_parses_well_formed_plans():
     rows = [
         plan_row("single_tool", ["product_info"]),
@@ -56,7 +62,7 @@ def test_propose_parses_well_formed_plans():
         plan_row("tool_sequence", ["product_info", "order_lookup"]),
     ]
     plans = propose("ctx", CATALOG, 3, backend_with(fenced(rows)))
-    assert [p.plan_id for p in plans] == [0, 1, 2]
+    assert evaluated_ids(plans) == [0, 1, 2]
     assert plans[0].kind == PlanKind.SINGLE_TOOL
     assert plans[1].draft_reply == "hello"
 
@@ -77,7 +83,7 @@ def test_propose_dedups_identical_tool_sequences():
     plans = propose("ctx", CATALOG, 3, backend_with(fenced(rows)))
     assert len(plans) == 2
     assert plans[0].rationale == "first"  # first occurrence wins
-    assert [p.plan_id for p in plans] == [0, 1]
+    assert evaluated_ids(plans) == [0, 1]
 
 
 def test_propose_caps_at_n_candidates():
@@ -145,7 +151,7 @@ def test_propose_ignores_keys_it_does_not_read():
         (PlanKind.SINGLE_TOOL, {"product_id": "P1"}, None)]
 
 
-def reference_parse_plan(row, plan_id):
+def reference_parse_plan(row):
     """The former hand-written parser, which read a falsy steps or arguments as none."""
     if not isinstance(row, dict):
         return None
@@ -175,7 +181,7 @@ def reference_parse_plan(row, plan_id):
             return None
         if kind == PlanKind.SINGLE_TOOL and len(steps) != 1:
             return None
-    return CandidatePlan(plan_id=plan_id, kind=kind, steps=tuple(steps), rationale=rationale,
+    return CandidatePlan(kind=kind, steps=tuple(steps), rationale=rationale,
                          draft_reply=reply if kind == PlanKind.DIRECT_REPLY else None)
 
 
@@ -234,12 +240,12 @@ def test_plan_schema_parses_random_rows_like_the_former_parser():
     kept = coerced = 0
     for _ in range(100_000):
         row = _random_row(rng)
-        plan = _parse_plan(row, 0)
+        plan = _parse_plan(row)
         if _read_falsy_as_none(row):
             assert plan is None, row
-            coerced += reference_parse_plan(row, 0) is not None
+            coerced += reference_parse_plan(row) is not None
         else:
-            assert plan == reference_parse_plan(row, 0), row
+            assert plan == reference_parse_plan(row), row
             kept += plan is not None
     assert kept > 5_000 and coerced > 100  # the corpus keeps plans and meets every coercion
 
@@ -313,7 +319,7 @@ def test_fewer_candidates_from_one_reply_are_a_prefix_with_the_same_plan_ids():
     three = propose("ctx", CATALOG, 3, backend_with(text))
     assert [p.steps[0].tool_name for p in three] == ["a", "b", "c"]
     assert one == three[:1]
-    assert [p.plan_id for p in three] == [0, 1, 2]
+    assert evaluated_ids(three) == [0, 1, 2]
     assert propose("ctx", CATALOG, 1, backend_with(text)) == one
 
 
@@ -326,6 +332,16 @@ def test_a_malformed_reply_raises_the_same_error_on_every_call(text):
             propose("ctx", CATALOG, 3, backend_with(text))
         messages.add(str(caught.value))
     assert len(messages) == 1
+
+
+def test_the_reply_memo_keeps_only_replies_that_hold_a_plan():
+    _plans_in.cache_clear()
+    for text in ("no plans here", fenced([{"kind": "bogus"}])):
+        with pytest.raises(ProposalError):
+            _plans_in(text)
+    assert _plans_in.cache_info().currsize == 0
+    propose("ctx", CATALOG, 3, backend_with(fenced([plan_row("direct_reply", reply="hi")])))
+    assert _plans_in.cache_info().currsize == 1
 
 
 def test_a_handler_that_mutates_its_arguments_leaves_the_next_episodes_plans_alone(monkeypatch):
@@ -382,8 +398,7 @@ def test_fenced_block_matches_every_bundled_reply_like_the_lazy_pattern():
 
 def _plans(n):
     return [
-        CandidatePlan(plan_id=i, kind=PlanKind.DIRECT_REPLY, steps=(),
-                      rationale=f"r{i}", draft_reply=f"d{i}")
+        CandidatePlan(kind=PlanKind.DIRECT_REPLY, steps=(), rationale=f"r{i}", draft_reply=f"d{i}")
         for i in range(n)
     ]
 
@@ -460,6 +475,16 @@ def test_select_floor_rejection():
 def test_select_empty_is_usage_error():
     with pytest.raises(UsageError):
         select([], 0.0)
+
+
+def test_select_over_a_slice_of_a_round_gives_the_index_of_the_plan_its_label_names():
+    plans = _plans(3)
+    rest = plans[1:]
+    evals = evaluate("ctx", rest, backend_with("B", {"A": 0.2, "B": 0.8}))
+    selected = select(evals)
+    assert [(e.plan_id, e.label) for e in evals] == [(0, "A"), (1, "B")]
+    assert rest[selected] is plans[2]
+    assert CandidatePlan._fields == ("kind", "steps", "rationale", "draft_reply", "summary")
 
 
 def test_select_pure_over_1000_repetitions():

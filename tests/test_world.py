@@ -72,6 +72,14 @@ def test_doc_takes_a_namespace_read_from_a_file_like_its_constant():
     assert world.doc_keys(product) == ["P1"]
 
 
+@pytest.mark.parametrize("namespace", sorted(set(NAMESPACES) - WORLD_NAMESPACES) + ["orders", ""])
+def test_doc_refuses_a_namespace_the_world_does_not_hold(namespace):
+    world = make_world()
+    for read in (lambda: world.doc(namespace, "O1"), lambda: world.doc_keys(namespace)):
+        with pytest.raises(SchemaError, match=f"^not a world namespace: {namespace!r}$"):
+            read()
+
+
 def test_shipments_sorted_by_tick():
     world = make_world()
     assert [e.tick for e in world.shipments["O1"]] == [1, 3]
@@ -180,7 +188,7 @@ def _shared_records() -> dict:
     return {
         "Product": world.products["P1"], "Order": world.orders["O1"],
         "ShipmentEvent": world.shipments["O1"][0],
-        "CandidatePlan": CandidatePlan(0, PlanKind.SINGLE_TOOL, (step,), "look it up"),
+        "CandidatePlan": CandidatePlan(PlanKind.SINGLE_TOOL, (step,), "look it up"),
         "PlannedStep": step, "ContentPart": part, "Message": Message(Role.BUYER, (part,), 0),
         "ChatMessage": message, "ChatRequest": ChatRequest((message,)), "ChatResponse": response,
         "ScriptEntry": ScriptEntry("hi", response), "ToolDescriptor": TOOLS[0],
