@@ -9,13 +9,13 @@ from pathlib import Path
 
 from . import __version__
 from .backends import RecordingBackend, RemoteBackend, ReplayBackend, ScriptedBackend
-from .config import ON_OFF, AgentConfig, agent_config_from_dict, variant_from_dict
+from .config import KEYS, VARY_AXES, AgentConfig, agent_config_from_dict, variant_from_dict
 from .decision import load_templates
 from .episode import run_episode, write_result
 from .errors import ClerkError, ConfigError, UsageError
 from .files import LIST, OBJECT, STRING, make_dir, read_json, read_jsonl
 from .tasks import MODALITIES, load_suite, load_task
-from .vision import STRATEGIES, FixtureVisionBackend
+from .vision import FixtureVisionBackend
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -41,11 +41,9 @@ def _add_backend_flags(parser: argparse.ArgumentParser, single_task: bool) -> No
 
 def _add_agent_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--n-candidates", type=int, dest="n_candidates")
-    parser.add_argument("--confidence-floor", type=float, dest="confidence_floor")
-    parser.add_argument("--aci", choices=ON_OFF)
-    parser.add_argument("--strategy", choices=STRATEGIES)
-    parser.add_argument("--decision-module", choices=ON_OFF, dest="decision_module")
+    for key, (_, _, flag, _) in KEYS.items():
+        if flag is not None:
+            parser.add_argument("--" + key.replace("_", "-"), dest=key, **flag)
 
 
 def _agent_config(args) -> AgentConfig:
@@ -137,19 +135,14 @@ def _parse_k_values(raw: str) -> list[int]:
     return k_values
 
 
-# --vary axis -> the ablation matrix it stands for
-VARY_AXES = {
-    "aci": ({"name": "aci-off", "aci": "off"}, {"name": "aci-on", "aci": "on"}),
-    "decision": ({"name": "decision-off", "decision_module": "off"},
-                 {"name": "decision-on", "decision_module": "on"}),
-    "strategy": ({"name": "tool", "strategy": "tool"}, {"name": "planner", "strategy": "planner"}),
-}
-
-
 def _variants(args, base: AgentConfig) -> list[tuple[str, AgentConfig]]:
     """(name, config) for each --matrix row or --vary variant; bench, with neither, runs
     the one `default`."""
-    if args.vary:
+    if args.vary:  # every arm sets the axis's key, so its flag would go unheard
+        [key] = [key for key, (*_, axis) in KEYS.items() if axis == args.vary]
+        if getattr(args, key, None) is not None:
+            raise UsageError(f"--{key.replace('_', '-')} cannot be combined with "
+                             f"--vary {args.vary}, whose arms each set it")
         return [variant_from_dict(row, base) for row in VARY_AXES[args.vary]]
     if not args.matrix:
         return [("default", base)]

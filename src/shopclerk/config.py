@@ -1,27 +1,41 @@
 """Run and agent configuration, mergeable from defaults, file, and flags."""
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .decision import MAX_PLANS
 from .errors import ConfigError
-from .files import STRING, closed, shape_error
+from .files import closed, shape_error
 from .placeholders import DEFAULT_MIN_URL_LENGTH
 from .vision import STRATEGIES, IntegrationStrategy
 
+ON_OFF = ("on", "off")
+_AT_LEAST_1 = {"type": "integer", "minimum": 1}
+_ON_OFF = {"enum": [*ON_OFF, True, False]}  # an on/off key is read as a boolean
 
-class AgentConfig(NamedTuple):
-    """One field per config key, named and ordered as in CONFIG_SCHEMA; None is unset."""
+# One row per config key, in field order: (default, schema, the argparse keywords of its
+# --flag or None for a key only a config file sets, its `ablate --vary` axis or None).
+# A None default is unset; a number key is read as a float.
+KEYS = {
+    "n_candidates": (3, {"type": "integer", "minimum": 1, "maximum": MAX_PLANS},
+                     {"type": int}, None),
+    "confidence_floor": (0.0, {"type": "number", "minimum": 0, "maximum": 1},
+                         {"type": float}, None),
+    "aci": (True, _ON_OFF, {"choices": ON_OFF}, "aci"),
+    "strategy": (IntegrationStrategy.TOOL, {"enum": list(STRATEGIES)},
+                 {"choices": STRATEGIES}, "strategy"),
+    "decision_module": (True, _ON_OFF, {"choices": ON_OFF}, "decision"),
+    "max_plan_rounds": (5, _AT_LEAST_1, None, None),
+    "context_budget": (8000, _AT_LEAST_1, None, None),
+    "elide_block": (16, _AT_LEAST_1, None, None),
+    "min_url_length": (DEFAULT_MIN_URL_LENGTH, _AT_LEAST_1, None, None),
+    "template_dir": (None, {"type": "string", "minLength": 1}, None, None),
+}
 
-    n_candidates: int = 3
-    confidence_floor: float = 0.0
-    aci: bool = True
-    strategy: str = IntegrationStrategy.TOOL
-    decision_module: bool = True
-    max_plan_rounds: int = 5
-    context_budget: int = 8000
-    elide_block: int = 16
-    min_url_length: int = DEFAULT_MIN_URL_LENGTH
-    template_dir: str | None = None
+
+class AgentConfig(namedtuple("_AgentConfig", KEYS, defaults=[row[0] for row in KEYS.values()])):
+    """One field per config key, named, ordered and defaulted as in KEYS; None is unset."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         """The config keys set on this config; agent_config_from_dict inverts it."""
@@ -29,28 +43,22 @@ class AgentConfig(NamedTuple):
                 for key, value in self._asdict().items() if value is not None}
 
 
-ON_OFF = ("on", "off")
-_AT_LEAST_1 = {"type": "integer", "minimum": 1}
-_ON_OFF = {"enum": [*ON_OFF, True, False]}
-
-CONFIG_SCHEMA = closed(
-    [],
-    n_candidates={"type": "integer", "minimum": 1, "maximum": MAX_PLANS},
-    confidence_floor={"type": "number", "minimum": 0, "maximum": 1},
-    aci=_ON_OFF,
-    strategy={"enum": list(STRATEGIES)},
-    decision_module=_ON_OFF,
-    max_plan_rounds=_AT_LEAST_1,
-    context_budget=_AT_LEAST_1,
-    elide_block=_AT_LEAST_1,
-    min_url_length=_AT_LEAST_1,
-    template_dir=STRING,
-)
+CONFIG_SCHEMA = closed([], **{key: schema for key, (_, schema, _, _) in KEYS.items()})
 # a row of an ablation matrix: a name and config keys
 VARIANT_SCHEMA = closed(["name"], name={"type": "string", "minLength": 1},
                         **CONFIG_SCHEMA["properties"])
-# what an on/off value stands for; every other value is taken as it is
-_MEANS = {"on": True, "off": False}
+
+
+def _arms(key: str, schema: dict, axis: str) -> tuple[dict, ...]:
+    """<axis>-off then <axis>-on for an on/off key, else one arm per enum value, named by it."""
+    if schema is _ON_OFF:
+        return tuple({"name": f"{axis}-{value}", key: value} for value in reversed(ON_OFF))
+    return tuple({"name": value, key: value} for value in schema["enum"])
+
+
+# --vary axis -> the ablation matrix it stands for, in axis name order
+VARY_AXES = dict(sorted((axis, _arms(key, schema, axis))
+                        for key, (_, schema, _, axis) in KEYS.items() if axis))
 
 
 def agent_config_from_dict(row: dict, base: AgentConfig | None = None,
@@ -60,10 +68,9 @@ def agent_config_from_dict(row: dict, base: AgentConfig | None = None,
     as booleans."""
     if why := shape_error(row, CONFIG_SCHEMA):
         raise ConfigError(f"{where}: {why}")
-    schemas = CONFIG_SCHEMA["properties"]
     return (base or AgentConfig())._replace(**{
-        key: float(value) if schemas[key].get("type") == "number"
-        else _MEANS.get(value, value) if "enum" in schemas[key] else value
+        key: float(value) if KEYS[key][1].get("type") == "number"
+        else value in ("on", True) if KEYS[key][1] is _ON_OFF else value
         for key, value in row.items()})
 
 

@@ -1012,6 +1012,46 @@ def test_ablate_vary_aci(capsys, suite_dir, scripts_dir, tmp_path):
     assert by_name["aci-on"]["usage"]["prompt_chars"] < by_name["aci-off"]["usage"]["prompt_chars"]
 
 
+@pytest.mark.parametrize("axis,flag,value", [("aci", "--aci", "off"),
+                                             ("decision", "--decision-module", "off"),
+                                             ("strategy", "--strategy", "planner")])
+def test_ablate_vary_refuses_the_flag_its_arms_set_before_out_is_made(
+        capsys, tmp_path, monkeypatch, axis, flag, value):
+    monkeypatch.setattr(bench, "run_episode", _never)
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "ablate", "--vary", axis, flag, value,
+                                "--n-trials", "1", "--k", "1", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.splitlines() == [f"error: {flag} cannot be combined with --vary {axis}, "
+                                "whose arms each set it"]
+    assert not out.exists()
+
+
+def test_ablate_vary_lays_its_arms_over_the_config_file(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"aci": "off", "n_candidates": 2}))
+    code, _, _ = run_cli(capsys, "ablate", "--vary", "aci", "--config", str(config),
+                         "--modality", "multimodal", "--n-trials", "1", "--k", "1",
+                         "--out", str(tmp_path / "report"))
+    assert code == 0
+    report = json.loads((tmp_path / "report" / "report.json").read_text())
+    assert [(r["name"], r["flags"]["aci"], r["flags"]["n_candidates"]) for r in report] == [
+        ("aci-off", "off", 2), ("aci-on", "on", 2)]
+
+
+HELP_DIR = Path(__file__).parent / "help"
+
+
+@pytest.mark.parametrize("command", ["run", "chat", "bench", "ablate"])
+def test_help_text_is_pinned(capsys, monkeypatch, command):
+    """Each agent flag is built from a row of config.KEYS; its --help must not move."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--help"])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out == (HELP_DIR / f"{command}.txt").read_text()
+
+
 def test_config_file_flag_precedence(capsys, suite_dir, scripts_dir, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"confidence_floor": 0.99}))

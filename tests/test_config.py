@@ -1,10 +1,12 @@
+import argparse
 import json
 import re
 
 import pytest
 
-from shopclerk.cli import main
-from shopclerk.config import CONFIG_SCHEMA, AgentConfig, agent_config_from_dict, variant_from_dict
+from shopclerk.cli import build_parser, main
+from shopclerk.config import (CONFIG_SCHEMA, KEYS, VARY_AXES, AgentConfig, agent_config_from_dict,
+                              variant_from_dict)
 from shopclerk.errors import ConfigError
 from shopclerk.files import OBJECT, read_json
 from shopclerk.vision import IntegrationStrategy
@@ -20,8 +22,46 @@ def test_defaults():
     assert config.elide_block == 16
 
 
-def test_fields_are_the_config_keys():
-    assert AgentConfig._fields == tuple(CONFIG_SCHEMA["properties"])
+def _agent_flags(command: str) -> dict:
+    """--flag -> its argparse action, for each option of one command."""
+    [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {a.option_strings[0]: a for a in commands.choices[command]._actions}
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_each_row_of_keys_is_its_default_schema_flag_and_axis(key):
+    default, schema, flag, axis = KEYS[key]
+    assert getattr(AgentConfig(), key) == default
+    assert CONFIG_SCHEMA["properties"][key] == schema
+    option = "--" + key.replace("_", "-")
+    for command in ("run", "chat", "bench", "ablate"):
+        actions = _agent_flags(command)
+        if flag is None:
+            assert option not in actions
+        else:
+            action = actions[option]
+            assert (action.dest, action.type, action.choices) == (
+                key, flag.get("type"), flag.get("choices"))
+    setters = {name for name, arms in VARY_AXES.items() if any(key in arm for arm in arms)}
+    assert setters == ({axis} if axis else set())
+    if axis:
+        arms = VARY_AXES[axis]
+        assert all(arm.keys() == {"name", key} for arm in arms)
+        accepted = [value for value in schema["enum"] if value.__class__ is str]
+        assert sorted(arm[key] for arm in arms) == sorted(accepted)
+        for arm in arms:
+            assert variant_from_dict(arm, AgentConfig()) == (
+                arm["name"], agent_config_from_dict({key: arm[key]}))
+
+
+def test_vary_axes_keep_their_arm_names_and_order():
+    assert VARY_AXES == {
+        "aci": ({"name": "aci-off", "aci": "off"}, {"name": "aci-on", "aci": "on"}),
+        "decision": ({"name": "decision-off", "decision_module": "off"},
+                     {"name": "decision-on", "decision_module": "on"}),
+        "strategy": ({"name": "tool", "strategy": "tool"},
+                     {"name": "planner", "strategy": "planner"}),
+    }
 
 
 def test_dict_round_trip():
@@ -100,6 +140,7 @@ def test_numbers_are_floats_and_enum_names_their_values():
     ({"strategy": "hybrid"}, 'strategy: must be one of ["tool", "planner"], got "hybrid"'),
     ({"template_dir": 5}, "template_dir: must be a string, got 5"),
     ({"confidence_floor": float("-inf")}, "confidence_floor: must be a number, got -Infinity"),
+    ({"template_dir": ""}, 'template_dir: must have length >= 1, got ""'),
 ])
 def test_a_bad_value_names_its_key_and_why(row, why):
     with pytest.raises(ConfigError, match=f"^agent config: {re.escape(why)}$"):
